@@ -1,6 +1,7 @@
 """Run the verification harness on a pinned random instance and on the
 two-term mixed product with the closed regularity formula."""
 
+from gmpi.builder import build_double_complex, total_complex
 from gmpi.families import mixed_product_instance, random_instance
 from gmpi.verify import (
     mixed_product_formula_check,
@@ -12,7 +13,8 @@ from gmpi.verify import (
 # a seeded instance: every structural statement checked, plus the oracle
 inst = random_instance(30)
 print("instance", inst.label, "with L =", inst.induced)
-for line in summary_lines(run_instance_checks(inst)):
+D = build_double_complex(inst)
+for line in summary_lines(run_instance_checks(D, total_complex(D))):
     print(line)
 
 print()

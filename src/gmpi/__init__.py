@@ -22,12 +22,12 @@ from .complexes import (
     betti_table,
     exactness_check,
     ideal_resolution,
+    inexact_positions,
     is_linear_resolution,
     lift_chain_map,
     minimalize_complex,
     projective_dimension,
     regularity,
-    scalar_complex_exactness,
     scalar_matrices,
     strand,
     taylor_complex,

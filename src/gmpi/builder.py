@@ -19,14 +19,11 @@ read off that resolution.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from . import linalg
 from .complexes import (
+    _strand_scan,
     betti_table,
     ChainMap,
     degree_grid,
@@ -41,11 +38,9 @@ from .complexes import (
     lift_chain_map,
     minimalize_complex,
     MonomialMatrix,
-    permute_position,
+    quotient_resolution,
     regularity,
     scalar_matrices,
-    SizeCapError,
-    taylor_complex,
     tensor_chain_map,
     tensor_resolutions,
     TensorResolution,
@@ -112,9 +107,6 @@ class GmpiInstance:
     def nblocks(self) -> int:
         return self.T.nblocks
 
-    def shift(self, i: int, j: int) -> tuple[int, ...]:
-        return self.resolution.shifts[i][j]
-
     def shift_block_degree(self, i: int, j: int, l: int) -> int:
         # the ambient context has singleton blocks, so this is a coordinate
         return self.resolution.shifts[i][j][l]
@@ -178,23 +170,8 @@ def validate_family(
                             f"{big.ctx.monomial_str(g)} of the degree-{hi} ideal is not in "
                             f"the degree-{lo} ideal")
 
-    embedded = {
-        (l, d): embed_ideal(family.at(l, d), T, l)
-        for l in range(n)
-        for d in ladders[l]}
-    products = []
-    for g in inducing.gens:
-        acc = embedded[(0, g[0])]
-        for l in range(1, n):
-            acc = acc * embedded[(l, g[l])]
-        products.append(acc)
-    induced = products[0]
-    for q in products[1:]:
-        induced = induced + q
-
-    res = minimalize_complex(taylor_complex(inducing))
-    perm = [res.shifts[1].index(g) for g in inducing.gens]
-    res = permute_position(res, 1, perm)
+    products, induced = induced_ideal(inducing, family)
+    res = quotient_resolution(inducing)
     lam = [None] + scalar_matrices(res)
 
     inst = GmpiInstance(
@@ -212,6 +189,26 @@ def validate_family(
     for q in products:
         assert induced.contains(q)
     return inst
+
+
+def block_product(family: SubstitutionFamily, degrees: tuple[int, ...]) -> MonomialIdeal:
+    """Product over the blocks l of the substitution ideal of degree
+    degrees[l], embedded in T."""
+    acc = embed_ideal(family.at(0, degrees[0]), family.T, 0)
+    for l in range(1, len(degrees)):
+        acc = acc * embed_ideal(family.at(l, degrees[l]), family.T, l)
+    return acc
+
+
+def induced_ideal(inducing: MonomialIdeal,
+                  family: SubstitutionFamily) -> tuple[list[MonomialIdeal], MonomialIdeal]:
+    """The products L_j, one per generator of the inducing ideal, and their
+    sum L."""
+    products = [block_product(family, g) for g in inducing.gens]
+    induced = products[0]
+    for q in products[1:]:
+        induced = induced + q
+    return products, induced
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +265,12 @@ def product_formula_holds(star: StarComplex) -> tuple[bool, tuple | None]:
     inst = star.instance
     for i in range(1, star.length + 1):
         for j, idl in enumerate(star.ideals[i - 1]):
-            parts = [
-                embed_ideal(inst.family.at(l, inst.shift_block_degree(i, j, l)), inst.T, l)
-                for l in range(inst.nblocks)]
-            acc = parts[0]
-            for q in parts[1:]:
-                acc = acc * q
-            if acc != idl:
+            if block_product(inst.family, inst.resolution.shifts[i][j]) != idl:
                 return False, (i, j)
     return True, None
 
 
-def star_acyclicity(star: StarComplex, max_cells: int = 200_000):
+def star_acyclicity(star: StarComplex):
     """Strand-exactness of the star complex over its degree grid.
 
     A strand at multidegree b has dimension 0/1 per summand (membership of
@@ -288,61 +279,12 @@ def star_acyclicity(star: StarComplex, max_cells: int = 200_000):
     membership in L.  Returns (True, None) or (False, witness).
     """
     inst = star.instance
-    nvars = inst.T.nvars
-    all_ideals = [idl for level in star.ideals for idl in level] + [inst.induced]
-    axes = []
-    for c in range(nvars):
-        vals = {0}
-        for idl in all_ideals:
-            vals.update(g[c] for g in idl.gens)
-        axes.append(sorted(vals))
-    ncells = 1
-    for a in axes:
-        ncells *= len(a)
-    if ncells > max_cells:
-        raise SizeCapError(f"degree grid has {ncells} cells (cap {max_cells})")
-    points = np.array(list(itertools.product(*axes)), dtype=np.int64)
-
-    def mask(idl: MonomialIdeal) -> np.ndarray:
-        if not idl.gens:
-            return np.zeros(len(points), dtype=bool)
-        arr = np.array(idl.gens, dtype=np.int64)
-        return (points[None, :, :] >= arr[:, None, :]).all(axis=2).any(axis=0)
-
-    live_masks = [np.stack([mask(idl) for idl in level]) for level in star.ideals]
-    member_l = mask(inst.induced)
-
-    p = star.length
-    rank_memo: dict[tuple, int] = {}
-
-    def strand_rank(i, rows, cols):
-        # lam[i] restricted to live rows/columns; i = 1 has the ring as target
-        key = (i, rows, cols)
-        if key not in rank_memo:
-            lam = star.lam[i]
-            mat = [[lam[r][c] for c in cols] for r in rows]
-            rank_memo[key] = linalg.rank(mat) if rows and cols else 0
-        return rank_memo[key]
-
-    for cell in range(len(points)):
-        live = [(0,)] + [
-            tuple(int(x) for x in np.nonzero(live_masks[i][:, cell])[0])
-            for i in range(p)]
-        ranks = [0] * (p + 2)
-        for i in range(1, p + 1):
-            ranks[i] = strand_rank(i, live[i - 1], live[i])
-        witness = None
-        for i in range(1, p + 1):
-            if len(live[i]) - ranks[i] - ranks[i + 1] != 0:
-                witness = i
-                break
-        if witness is None:
-            h0 = 1 - ranks[1]
-            if h0 != (0 if member_l[cell] else 1):
-                witness = 0
-        if witness is not None:
-            return False, tuple(int(v) for v in points[cell])
-    return True, None
+    ring = [((0,) * inst.T.nvars,)]
+    summands = [ring] + [[idl.gens for idl in level] for level in star.ideals]
+    scalars = [None] + [
+        {(r, c): v for r, row in enumerate(lam) for c, v in enumerate(row) if v != 0}
+        for lam in star.lam[1:]]
+    return _strand_scan(summands, scalars, inst.induced, "quotient", 200_000)
 
 
 # ---------------------------------------------------------------------------
@@ -417,18 +359,6 @@ class TauCache:
         return cm
 
 
-def tau_map(inst: GmpiInstance, cache: TauCache, i: int, l: int, k: int, j: int):
-    """Block-l component of the comparison between summand j of column i and
-    summand k of column i-1: None when the scalar vanishes, the identity when
-    the block degrees agree, otherwise the ladder composite."""
-    if i < 2:
-        raise ValueError("components into the ring column are augmentations, not comparisons")
-    if inst.lam[i][k][j] == 0:
-        return None
-    return cache.get(l, inst.shift_block_degree(i, j, l),
-                     inst.shift_block_degree(i - 1, k, l))
-
-
 # ---------------------------------------------------------------------------
 # the double complex and its total complex
 
@@ -449,22 +379,27 @@ class DoubleComplex:
     def hypothesis_linear(self) -> bool:
         return all(self.linear_flags.values())
 
-    def sigma_squares_to_zero(self) -> bool:
+    def sigma_square_witness(self):
+        """(c, i) where sigma_{c-1} o sigma_c is nonzero in row i, or None
+        when the sigma maps square to zero."""
         # beyond either length the composite lands in (or factors through) a
         # zero module, so only the overlap needs checking
         for c in range(2, len(self.columns)):
             lo, hi = self.sigmas[c - 1], self.sigmas[c]
             for i in range(min(len(lo.mats), len(hi.mats))):
                 if not lo.mats[i].compose(hi.mats[i]).is_zero():
-                    return False
-        return True
+                    return c, i
+        return None
 
-    def sigma_images_minimal(self) -> bool:
-        for sig in self.sigmas[1:]:
-            for m in sig.mats:
-                if m.has_unit_entry():
-                    return False
-        return True
+    def sigma_unit_witness(self):
+        """(c, i, r, col) of a unit entry of sigma_c in row i, or None when
+        every sigma image lies in the graded maximal ideal."""
+        for c in range(1, len(self.columns)):
+            for i, m in enumerate(self.sigmas[c].mats):
+                for (r, cc) in m.entries:
+                    if m.row_shifts[r] == m.col_shifts[cc]:
+                        return c, i, r, cc
+        return None
 
     def sigma_extends_star(self) -> bool:
         """Row-zero column sums reproduce the scalar matrices (the commuting
@@ -574,10 +509,10 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
     dd = DoubleComplex(
         instance=inst, star=star, blocks=blocks, linear_flags=flags,
         columns=columns, summands=summands, offsets=offsets, sigmas=sigmas)
-    assert dd.sigma_squares_to_zero()
+    assert dd.sigma_square_witness() is None
     assert dd.sigma_extends_star()
     if dd.hypothesis_linear:
-        assert dd.sigma_images_minimal()
+        assert dd.sigma_unit_witness() is None
     return dd
 
 
@@ -590,15 +525,14 @@ class TotalComplex:
     exactness_verified: bool = False
 
 
-def total_complex(D: DoubleComplex, verify_exactness: bool = True,
-                  max_cells: int = 100_000) -> TotalComplex:
+def total_complex(D: DoubleComplex) -> TotalComplex:
     """Columns summed along anti-diagonals; the horizontal map picks up the
     sign (-1)^row so that squares anticommute and the total differential
     squares to zero.
 
-    By default the result is also strand-checked to resolve T/L exactly;
-    degree grids beyond ``max_cells`` skip that scan (recorded on the
-    result), since the Betti comparison against the oracle covers it.
+    The result is also strand-checked to resolve T/L exactly; degree grids
+    beyond 100 000 cells skip that scan (recorded on the result), since the
+    Betti comparison against the oracle covers it.
     """
     inst = D.instance
     p = len(D.columns) - 1
@@ -640,13 +574,10 @@ def total_complex(D: DoubleComplex, verify_exactness: bool = True,
     cx.validate()
     if D.hypothesis_linear:
         assert cx.is_minimal
-    exactness_verified = False
-    if verify_exactness:
-        axes = degree_grid(cx.shifts, inst.T.nvars)
-        if grid_size(axes) <= max_cells:
-            ok, witness = exactness_check(cx, inst.induced, max_cells=max_cells)
-            assert ok, f"total complex fails to resolve T/L at {witness}"
-            exactness_verified = True
+    exactness_verified = grid_size(degree_grid(cx.shifts, inst.T.nvars)) <= 100_000
+    if exactness_verified:
+        ok, witness = exactness_check(cx, inst.induced, max_cells=100_000)
+        assert ok, f"total complex fails to resolve T/L at {witness}"
     return TotalComplex(cx, labels, exactness_verified)
 
 
@@ -671,26 +602,29 @@ def minimal_total_table(tot: TotalComplex):
     return betti_table(cx)
 
 
+def regularity_report(D: DoubleComplex, tot: TotalComplex) -> InvariantReport:
+    """reg L read off the total complex, compared with reg I."""
+    return InvariantReport(
+        value=regularity(minimal_total_table(tot), of_ideal=True),
+        hypothesis_linear=D.hypothesis_linear,
+        comparison=regularity(betti_table(D.instance.resolution), of_ideal=True))
+
+
 def gmpi_regularity(D: DoubleComplex, tot: TotalComplex | None = None) -> InvariantReport:
     """reg L from the total complex; equals reg I under the linearity
     hypothesis (asserted), reported as a comparison otherwise."""
-    inst = D.instance
-    tot = tot or total_complex(D)
-    reg_l = regularity(minimal_total_table(tot), of_ideal=True)
-    reg_i = regularity(betti_table(inst.resolution), of_ideal=True)
-    rep = InvariantReport(value=reg_l, hypothesis_linear=D.hypothesis_linear,
-                          comparison=reg_i)
-    if D.hypothesis_linear:
-        assert rep.agrees, f"regularity {reg_l} != {reg_i} under the linear hypothesis"
+    rep = regularity_report(D, tot or total_complex(D))
+    if rep.hypothesis_linear:
+        assert rep.agrees, (
+            f"regularity {rep.value} != {rep.comparison} under the linear hypothesis")
     return rep
 
 
-def gmpi_projdim(D: DoubleComplex, tot: TotalComplex | None = None) -> InvariantReport:
+def projdim_report(D: DoubleComplex, tot: TotalComplex) -> InvariantReport:
     """Formula value max_{i,j} (sum_l pd of the block ideal at the shift's
     block degree + i) against the projective dimension read off the total
     complex."""
     inst = D.instance
-    tot = tot or total_complex(D)
     pd_blocks = {key: res.length for key, res in D.blocks.items()}
     best = 0
     for c in range(1, inst.resolution.length + 1):
@@ -699,11 +633,15 @@ def gmpi_projdim(D: DoubleComplex, tot: TotalComplex | None = None) -> Invariant
                 pd_blocks[(l, inst.shift_block_degree(c, j, l))]
                 for l in range(inst.nblocks))
             best = max(best, val)
-    pd_tot = minimal_total_table(tot).top_position
-    rep = InvariantReport(value=best, hypothesis_linear=D.hypothesis_linear,
-                          comparison=pd_tot)
-    if D.hypothesis_linear:
-        assert rep.agrees, f"projdim formula {best} != {pd_tot}"
+    return InvariantReport(value=best, hypothesis_linear=D.hypothesis_linear,
+                           comparison=minimal_total_table(tot).top_position)
+
+
+def gmpi_projdim(D: DoubleComplex, tot: TotalComplex | None = None) -> InvariantReport:
+    """projdim_report, asserted to agree under the linearity hypothesis."""
+    rep = projdim_report(D, tot or total_complex(D))
+    if rep.hypothesis_linear:
+        assert rep.agrees, f"projdim formula {rep.value} != {rep.comparison}"
     return rep
 
 

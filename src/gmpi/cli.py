@@ -12,6 +12,7 @@ Exit codes: 0 = pass, 1 = a check failed, 2 = input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -42,43 +43,51 @@ class InputError(ValueError):
     pass
 
 
+@contextlib.contextmanager
+def _reading(what: str):
+    """Report a malformed ``what`` (a missing key, a wrong type or an invalid
+    value) as an InputError."""
+    try:
+        yield
+    except InputError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:
+        raise InputError(f"bad {what}: {e!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # documents
 
 def parse_blocks(data) -> VariableContext:
-    try:
+    with _reading("blocks (objects with a name and a positive size)"):
         sizes = tuple(int(b["size"]) for b in data)
         names = tuple(str(b["name"]) for b in data)
-    except (KeyError, TypeError) as e:
-        raise InputError(f"blocks must be objects with name and size: {e}")
-    return VariableContext(sizes, names)
+        return VariableContext(sizes, names)
 
 
 def parse_ideal_document(doc) -> MonomialIdeal:
-    ctx = parse_blocks(doc["blocks"])
-    gens = [tuple(int(e) for e in g) for g in doc["generators"]]
-    return ideal(ctx, gens)
+    with _reading("ideal document"):
+        ctx = parse_blocks(doc["blocks"])
+        return ideal(ctx, [tuple(int(e) for e in g) for g in doc["generators"]])
 
 
 def parse_instance_document(doc) -> GmpiInstance:
-    try:
+    with _reading("instance document"):
         ctx = parse_blocks(doc["blocks"])
         raw_gens = [tuple(int(e) for e in g) for g in doc["inducing_ideal"]]
-    except (KeyError, TypeError) as e:
-        raise InputError(f"bad instance document: {e}")
-    inducing = ideal(simple_context(ctx.nblocks, ctx.names), raw_gens)
-    subs = {}
-    for key, val in doc.get("substitutions", {}).items():
-        name, _, deg = key.partition(":")
-        if name not in ctx.names:
-            raise InputError(f"unknown block name in substitution key {key!r}")
-        l = ctx.names.index(name)
-        d = int(deg)
-        block_ctx = VariableContext((ctx.sizes[l],), (ctx.names[l],))
-        if isinstance(val, dict):
-            subs[(l, d)] = family_ideal(val, ctx.sizes[l], block_ctx)
-        else:
-            subs[(l, d)] = ideal(block_ctx, [tuple(int(e) for e in g) for g in val])
+        inducing = ideal(simple_context(ctx.nblocks, ctx.names), raw_gens)
+        subs = {}
+        for key, val in doc.get("substitutions", {}).items():
+            name, _, deg = key.partition(":")
+            if name not in ctx.names:
+                raise InputError(f"unknown block name in substitution key {key!r}")
+            l = ctx.names.index(name)
+            d = int(deg)
+            block_ctx = VariableContext((ctx.sizes[l],), (ctx.names[l],))
+            if isinstance(val, dict):
+                subs[(l, d)] = family_ideal(val.get("family"), val, ctx.sizes[l], block_ctx)
+            else:
+                subs[(l, d)] = ideal(block_ctx, [tuple(int(e) for e in g) for g in val])
     try:
         return validate_family(inducing, SubstitutionFamily(ctx, subs),
                                label=doc.get("label", "instance"))
@@ -86,15 +95,22 @@ def parse_instance_document(doc) -> GmpiInstance:
         raise InputError(str(e))
 
 
-def family_ideal(spec: dict, nvars: int, block_ctx: VariableContext) -> MonomialIdeal:
-    tag = spec.get("family")
-    if tag == "squarefree-veronese":
-        return fam.squarefree_veronese(nvars, int(spec["degree"]), block_ctx)
-    if tag == "power-of-maximal":
-        return fam.power_of_maximal(nvars, int(spec["degree"]), block_ctx)
-    if tag == "lex-segment":
-        return fam.lex_segment_stable(nvars, int(spec["degree"]), int(spec["count"]), block_ctx)
-    raise InputError(f"unknown substitution family {tag!r}")
+BLOCK_FAMILY_TAGS = ("squarefree-veronese", "power-of-maximal", "lex-segment")
+
+
+def family_ideal(tag, params: dict, nvars: int, block_ctx: VariableContext | None) -> MonomialIdeal:
+    """A block ideal in ``nvars`` variables from a family tag and its
+    parameters: ``degree``, plus ``count`` for lex-segment.  Without a
+    ``block_ctx`` the block is named x."""
+    if tag not in BLOCK_FAMILY_TAGS:
+        raise InputError(f"unknown substitution family {tag!r}; choose from {BLOCK_FAMILY_TAGS}")
+    with _reading(f"{tag} parameters"):
+        degree = int(params["degree"])
+        if tag == "squarefree-veronese":
+            return fam.squarefree_veronese(nvars, degree, block_ctx)
+        if tag == "power-of-maximal":
+            return fam.power_of_maximal(nvars, degree, block_ctx)
+        return fam.lex_segment_stable(nvars, degree, int(params["count"]), block_ctx)
 
 
 def instance_to_document(inst: GmpiInstance) -> dict:
@@ -183,7 +199,7 @@ def cmd_gmpi(args) -> int:
     }
     results = []
     if args.check:
-        results = ver.run_instance_checks(inst, oracle_cap=args.max_taylor)
+        results = ver.run_instance_checks(D, tot, oracle_cap=args.max_taylor)
         payload["checks"] = [r.to_json() for r in results]
     if args.json:
         _emit(json.dumps(payload, indent=2), args.out)
@@ -204,23 +220,16 @@ def cmd_gmpi(args) -> int:
 
 
 def cmd_family(args) -> int:
-    params = dict(kv.split("=", 1) for kv in args.param)
-    for flag in ("parts", "t", "vars", "degree", "count", "caps",
-                 "sizes", "degs1", "degs2"):
-        val = getattr(args, flag.replace("-", "_"), None)
-        if val is not None:
-            params[flag] = val
     tag = args.tag
-    try:
-        if tag == "squarefree-veronese":
-            out = ideal_to_document(fam.squarefree_veronese(
-                int(params["vars"]), int(params["degree"])))
-        elif tag == "power-of-maximal":
-            out = ideal_to_document(fam.power_of_maximal(
-                int(params["vars"]), int(params["degree"])))
-        elif tag == "lex-segment":
-            out = ideal_to_document(fam.lex_segment_stable(
-                int(params["vars"]), int(params["degree"]), int(params["count"])))
+    with _reading("family parameters"):
+        params = dict(kv.split("=", 1) for kv in args.param)
+        for flag in ("parts", "t", "vars", "degree", "count", "caps",
+                     "sizes", "degs1", "degs2"):
+            val = getattr(args, flag.replace("-", "_"), None)
+            if val is not None:
+                params[flag] = val
+        if tag in BLOCK_FAMILY_TAGS:
+            out = ideal_to_document(family_ideal(tag, params, int(params["vars"]), None))
         elif tag == "veronese-type":
             caps = tuple(int(c) for c in params["caps"].split(","))
             out = ideal_to_document(fam.veronese_type(len(caps), int(params["t"]), caps))
@@ -239,10 +248,6 @@ def cmd_family(args) -> int:
                 raise InputError(str(e))
         else:
             raise InputError(f"unknown family tag {tag!r}; choose from {fam.FAMILY_TAGS}")
-    except (KeyError, ValueError) as e:
-        if isinstance(e, InputError):
-            raise
-        raise InputError(f"bad family parameters: {e}")
     _emit(json.dumps(out, indent=2), args.out)
     return 0
 

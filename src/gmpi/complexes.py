@@ -314,16 +314,22 @@ def permute_position(C: FreeComplex, i: int, perm: list[int]) -> FreeComplex:
     return out
 
 
-def ideal_resolution(I: MonomialIdeal, cap: int = 14) -> FreeComplex:
+def quotient_resolution(I: MonomialIdeal) -> FreeComplex:
+    """Minimal resolution of S/I with position 1 in the canonical generator
+    order, so basis element j of position 1 maps to the j-th generator."""
+    quot = minimalize_complex(taylor_complex(I))
+    perm = [quot.shifts[1].index(g) for g in I.gens]
+    return permute_position(quot, 1, perm)
+
+
+def ideal_resolution(I: MonomialIdeal) -> FreeComplex:
     """Minimal resolution of the ideal I itself (position 0 = its generators).
 
-    Obtained from the minimal resolution of S/I by chopping off position zero;
-    position 0 is reordered to match the canonical generator order, so basis
-    element j maps to the j-th generator under the augmentation e_j -> x^shift.
+    Obtained from the minimal resolution of S/I by chopping off position zero,
+    so basis element j of position 0 maps to the j-th generator under the
+    augmentation e_j -> x^shift.
     """
-    quot = minimalize_complex(taylor_complex(I, cap=cap))
-    perm = [quot.shifts[1].index(g) for g in I.gens]
-    quot = permute_position(quot, 1, perm)
+    quot = quotient_resolution(I)
     shifts = [list(s) for s in quot.shifts[1:]]
     diffs: list[MonomialMatrix | None] = [None]
     for i in range(2, quot.length + 1):
@@ -349,14 +355,16 @@ def scalar_matrices(C: FreeComplex) -> list[list[list[Fraction]]]:
     return [C.diffs[i].scalar_rows() for i in range(1, C.length + 1)]
 
 
-def scalar_complex_exactness(lams: list[list[list[Fraction]]], ranks: list[int]) -> bool:
-    """Exactness of the scalar complex 0 -> K^{b_p} -> ... -> K^{b_1} -> K -> 0.
+def inexact_positions(lams: list[list[list[Fraction]]], ranks: list[int]) -> list[int]:
+    """Positions where the scalar complex 0 -> K^{b_p} -> ... -> K^{b_1} -> K -> 0
+    is not exact.
 
-    Holds iff rank(lam_i) + rank(lam_{i+1}) = ranks[i] for every position,
-    treating the maps off both ends as zero.
+    Exactness at position i is the rank balance
+    rank(lam_i) + rank(lam_{i+1}) = ranks[i], treating the maps off both ends
+    as zero; the complex is exact iff the list is empty.
     """
     rk = [0] + [linalg.rank(m) for m in lams] + [0]
-    return all(rk[i] + rk[i + 1] == ranks[i] for i in range(len(ranks)))
+    return [i for i in range(len(ranks)) if rk[i] + rk[i + 1] != ranks[i]]
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +415,6 @@ def grid_size(axes) -> int:
     return n
 
 
-def _alive_masks(shift_levels, points: np.ndarray):
-    """Per level, a bool array of shape (rank, npoints): shift <= point."""
-    out = []
-    for level in shift_levels:
-        if level:
-            arr = np.array(level, dtype=np.int64)          # (rank, nvars)
-            mask = (points[None, :, :] >= arr[:, None, :]).all(axis=2)
-        else:
-            mask = np.zeros((0, len(points)), dtype=bool)
-        out.append(mask)
-    return out
-
-
 def exactness_check(
     C: FreeComplex,
     expect_h0: MonomialIdeal,
@@ -440,16 +435,33 @@ def exactness_check(
         if not comp.is_zero():
             _, c = next(iter(comp.entries))
             return False, comp.col_shifts[c]
+    summands = [[(s,) for s in level] for level in C.shifts]
+    scalars = [None] + [C.diffs[i].entries for i in range(1, C.length + 1)]
+    return _strand_scan(summands, scalars, expect_h0, style, max_cells)
+
+
+def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, style: str, max_cells: int):
+    """Strand-exactness of a complex of direct sums of monomial ideals.
+
+    ``summands[i][j]`` lists the generators of summand j at position i (one
+    shift for a free module), so its strand at b is one-dimensional iff x^b
+    lies in that ideal; ``scalars[i]`` is the sparse scalar entry dict of the
+    map from position i to position i-1.  Scans the degree grid of all the
+    generators and of ``expect_h0``, with the H_0 rule of exactness_check.
+    Returns (True, None) or (False, witness_multidegree).
+    """
     # membership of the expected H_0 must jump on the grid too
-    axes = degree_grid(C.shifts + [list(expect_h0.gens)], C.ctx.nvars)
+    levels = [[g for gens in level for g in gens] for level in summands]
+    axes = degree_grid(levels + [list(expect_h0.gens)], expect_h0.ctx.nvars)
     ncells = grid_size(axes)
     if ncells > max_cells:
         raise SizeCapError(f"degree grid has {ncells} cells (cap {max_cells})")
     points = np.array(list(itertools.product(*axes)), dtype=np.int64)
-    alive = _alive_masks(C.shifts, points)
-    member = _member_mask(expect_h0, points)
-
-    scalars = [None] + [C.diffs[i].entries for i in range(1, C.length + 1)]
+    alive = [
+        np.array([_member_mask(gens, points) for gens in level], dtype=bool)
+        .reshape(len(level), len(points))
+        for level in summands]
+    member = _member_mask(expect_h0.gens, points)
     rank_memo: dict[tuple, int] = {}
 
     def strand_rank(i, rows, cols):
@@ -460,7 +472,7 @@ def exactness_check(
             rank_memo[key] = linalg.rank(mat) if rows and cols else 0
         return rank_memo[key]
 
-    p = C.length
+    p = len(summands) - 1
     for cell in range(len(points)):
         live = [tuple(np.nonzero(alive[i][:, cell])[0]) for i in range(p + 1)]
         ranks = [0] * (p + 2)
@@ -483,10 +495,11 @@ def exactness_check(
     return True, None
 
 
-def _member_mask(I: MonomialIdeal, points: np.ndarray) -> np.ndarray:
-    if not I.gens:
+def _member_mask(gens, points: np.ndarray) -> np.ndarray:
+    """Bool array over the points: some generator divides x^point."""
+    if not gens:
         return np.zeros(len(points), dtype=bool)
-    arr = np.array(I.gens, dtype=np.int64)
+    arr = np.array(gens, dtype=np.int64)
     return (points[None, :, :] >= arr[:, None, :]).all(axis=2).any(axis=0)
 
 

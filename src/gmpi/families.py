@@ -11,16 +11,21 @@ from __future__ import annotations
 import itertools
 import random
 
-from .builder import FamilyValidationError, GmpiInstance, SubstitutionFamily, validate_family
+from .builder import (
+    FamilyValidationError,
+    GmpiInstance,
+    SubstitutionFamily,
+    induced_ideal,
+    validate_family,
+)
+from .complexes import degree_grid, grid_size
 from .monomials import (
     MonomialIdeal,
     VariableContext,
     divides,
-    embed_ideal,
     ideal,
     monomials_of_degree,
     simple_context,
-    total_degree,
 )
 
 FAMILY_TAGS = (
@@ -95,12 +100,6 @@ def lex_segment_stable(m: int, d: int, count: int, ctx: VariableContext | None =
     return ideal(ctx, seg)
 
 
-def lex_rank(m: int, mono: tuple[int, ...]) -> int:
-    """Index of a monomial in the descending lex list of its degree."""
-    monos = monomials_of_degree(_block_ctx(m), total_degree(mono))
-    return monos.index(mono)
-
-
 def min_covering_count(m: int, segment: MonomialIdeal, lower_degree: int) -> int:
     """Smallest lex-segment size in ``lower_degree`` whose ideal contains the
     given single-degree ideal."""
@@ -147,15 +146,10 @@ def _paths(parts: tuple[int, ...], t: int):
     return ctx, out
 
 
-def path_ideal_complete_multipartite(parts: tuple[int, ...], t: int) -> MonomialIdeal:
-    """Generated by the vertex products over paths of t distinct vertices.
-
-    Built twice: by direct path enumeration, and as the induced ideal of the
-    capped Veronese inducing ideal with squarefree Veronese substitutions; the
-    two minimal generating sets must agree.
-    """
-    if t < 2:
-        raise ValueError("paths need at least two vertices")
+def path_ideal_two_ways(parts: tuple[int, ...], t: int) -> tuple[MonomialIdeal, MonomialIdeal]:
+    """The path ideal by direct path enumeration, and as the induced ideal of
+    the capped Veronese inducing ideal with squarefree Veronese substitutions
+    (the zero ideal when no capped Veronese monomial exists)."""
     ctx, paths = _paths(parts, t)
     gens = set()
     for path in paths:
@@ -167,9 +161,19 @@ def path_ideal_complete_multipartite(parts: tuple[int, ...], t: int) -> Monomial
 
     inducing = veronese_type(len(parts), t, parts)
     if inducing.is_zero:
-        assert direct.is_zero
-        return direct
-    via_gmpi = induced_ideal_only(inducing, squarefree_substitutions(inducing, parts))
+        return direct, MonomialIdeal(ctx, ())
+    return direct, induced_ideal_only(inducing, squarefree_substitutions(inducing, parts))
+
+
+def path_ideal_complete_multipartite(parts: tuple[int, ...], t: int) -> MonomialIdeal:
+    """Generated by the vertex products over paths of t distinct vertices.
+
+    Built twice (see path_ideal_two_ways); the two minimal generating sets
+    must agree.
+    """
+    if t < 2:
+        raise ValueError("paths need at least two vertices")
+    direct, via_gmpi = path_ideal_two_ways(parts, t)
     assert direct.gens == via_gmpi.gens, "path enumeration disagrees with the induced ideal"
     return direct
 
@@ -187,15 +191,7 @@ def squarefree_substitutions(inducing: MonomialIdeal, sizes: tuple[int, ...]) ->
 
 def induced_ideal_only(inducing: MonomialIdeal, family: SubstitutionFamily) -> MonomialIdeal:
     """The induced ideal L without building any resolutions (cheap path)."""
-    T = family.T
-    n = inducing.ctx.nblocks
-    total = None
-    for g in inducing.gens:
-        acc = embed_ideal(family.at(0, g[0]), T, 0)
-        for l in range(1, n):
-            acc = acc * embed_ideal(family.at(l, g[l]), T, l)
-        total = acc if total is None else total + acc
-    return total
+    return induced_ideal(inducing, family)[1]
 
 
 def mixed_product_instance(
@@ -226,9 +222,9 @@ def mixed_product_instance(
 # ---------------------------------------------------------------------------
 # seeded random instances
 
-def _random_block_family(rng: random.Random, m: int, ladder: list[int], name: str,
-                         max_block_gens: int):
-    """Substitution ideals for one block, nested by construction."""
+def _random_block_family(rng: random.Random, m: int, ladder: list[int], name: str):
+    """Substitution ideals for one block, nested by construction, with at most
+    8 generators each."""
     choices = ["power"]
     if max(ladder) <= m:
         choices.append("sqfree")
@@ -252,40 +248,34 @@ def _random_block_family(rng: random.Random, m: int, ladder: list[int], name: st
                 return None
             out[d] = lex_segment_stable(m, d, rng.randint(lo, total), ctx)
             prev = out[d]
-    if any(len(idl.gens) > max_block_gens for idl in out.values()):
+    if any(len(idl.gens) > 8 for idl in out.values()):
         return None
     return out
 
 
-def random_instance(
-    seed: int,
-    max_blocks: int = 3,
-    max_block_size: int = 4,
-    max_gens: int = 5,
-    max_block_degree: int = 3,
-    max_induced_gens: int = 8,
-    max_block_gens: int = 8,
-    max_grid_cells: int = 40_000,
-) -> GmpiInstance:
+def random_instance(seed: int) -> GmpiInstance:
     """Deterministic instance from a seed, with all substitutions drawn from
-    the verified-linear families and sizes kept inside the oracle guardrails."""
+    the verified-linear families and sizes kept inside the oracle guardrails:
+    at most 3 blocks of at most 4 variables, block degrees at most 3, at most
+    5 inducing generators, at most 8 generators per substitution and 8 for
+    the induced ideal, and a degree grid of at most 40 000 cells."""
     rng = random.Random(seed)
     for _ in range(300):
-        n = rng.randint(1, max_blocks)
-        sizes = tuple(rng.randint(1, max_block_size) for _ in range(n))
+        n = rng.randint(1, 3)
+        sizes = tuple(rng.randint(1, 4) for _ in range(n))
         # distinct vectors of one total degree form an antichain, so sampling
         # inside a degree gives full-size generating sets; an extra vector of
         # a neighbouring degree (sometimes) makes mixed-degree instances
-        target = rng.randint(max(2, n), n * max_block_degree - 1)
+        target = rng.randint(max(2, n), n * 3 - 1)
         pool = [
             g for g in monomials_of_degree(simple_context(n), target)
-            if all(e <= max_block_degree for e in g)]
+            if all(e <= 3 for e in g)]
         if len(pool) < 2:
             continue
-        k = rng.randint(2, min(max_gens, len(pool)))
+        k = rng.randint(2, min(5, len(pool)))
         gens = set(rng.sample(pool, k))
         if rng.random() < 0.4:
-            extra = tuple(rng.randint(0, max_block_degree) for _ in range(n))
+            extra = tuple(rng.randint(0, 3) for _ in range(n))
             if any(extra) and sum(extra) in (target - 1, target + 1):
                 gens.add(extra)
         inducing = ideal(simple_context(n), gens)
@@ -298,7 +288,7 @@ def random_instance(
             ladder = sorted({g[l] for g in inducing.gens if g[l] >= 1})
             if not ladder:
                 continue
-            block = _random_block_family(rng, sizes[l], ladder, T.names[l], max_block_gens)
+            block = _random_block_family(rng, sizes[l], ladder, T.names[l])
             if block is None:
                 feasible = False
                 break
@@ -311,15 +301,10 @@ def random_instance(
                                    label=f"seed{seed}")
         except FamilyValidationError:
             continue
-        if len(inst.induced.gens) > max_induced_gens:
+        if len(inst.induced.gens) > 8:
             continue
-        cells = 1
-        for c in range(T.nvars):
-            vals = {0}
-            for idl in [inst.induced] + inst.products:
-                vals.update(g[c] for g in idl.gens)
-            cells *= len(vals)
-        if cells > max_grid_cells:
+        levels = [list(idl.gens) for idl in [inst.induced] + inst.products]
+        if grid_size(degree_grid(levels, T.nvars)) > 40_000:
             continue
         return inst
     raise RuntimeError(f"no feasible instance found for seed {seed}")

@@ -43,56 +43,16 @@ def rank(rows) -> int:
 def solve(a_rows, b: list[Fraction]):
     """One solution x of A x = b, or None if inconsistent.
 
-    Free variables are set to zero (the fixed-pivot reduced echelon solve).
+    Eliminates the augmented matrix [A | b]: a pivot in its last column means
+    the system is inconsistent.  Free variables are set to zero (the
+    fixed-pivot reduced echelon solve).
     """
-    m = len(a_rows)
-    if m == 0:
-        return [] if all(v == 0 for v in b) else None
-    n = len(a_rows[0])
-    if n == 0:
-        return [] if all(v == 0 for v in b) else None
-    aug = [list(row) + [b[i]] for i, row in enumerate(a_rows)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            return None
+    n = len(a_rows[0]) if a_rows else 0
+    aug = [list(row) + [v] for row, v in zip(a_rows, b)]
+    pivots = row_echelon(aug)
+    if n in pivots:
+        return None
     x = [Fraction(0)] * n
     for i, c in enumerate(pivots):
         x[c] = aug[i][n]
     return x
-
-
-def matmul(a_rows, b_rows):
-    """Plain dense product (small matrices)."""
-    if not a_rows:
-        return []
-    inner = len(a_rows[0])
-    assert inner == len(b_rows)
-    ncols = len(b_rows[0]) if b_rows else 0
-    out = []
-    for row in a_rows:
-        acc = [Fraction(0)] * ncols
-        for k, f in enumerate(row):
-            if f:
-                brow = b_rows[k]
-                for j in range(ncols):
-                    if brow[j]:
-                        acc[j] += f * brow[j]
-        out.append(acc)
-    return out

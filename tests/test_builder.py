@@ -1,8 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
 
-from gmpi import linalg
 from gmpi.builder import (
     FamilyValidationError,
     SubstitutionFamily,
@@ -18,7 +18,6 @@ from gmpi.builder import (
     product_formula_holds,
     rho_maps,
     star_acyclicity,
-    tau_map,
     total_complex,
     validate_family,
 )
@@ -31,6 +30,7 @@ from gmpi.families import (
     _block_ctx,
 )
 from gmpi.monomials import VariableContext, ideal, simple_context, total_degree
+from gmpi.verify import SUITE_SEEDS
 
 from conftest import non_nested_instance
 
@@ -147,15 +147,27 @@ def test_star_scalar_product_vanishes():
         for l in range(2) for d in (1, 2)})
     inst = validate_family(ideal(S2, [(2, 0), (1, 1), (0, 2)]), fam, label="three")
     star = build_star_complex(inst)
-    for a, b in zip(inst.lam[1:], inst.lam[2:]):
-        prod = linalg.matmul(a, b)
-        assert all(v == 0 for row in prod for v in row)
+    # maps store only their scalars, so d o d = 0 is the vanishing of the
+    # products of consecutive scalar matrices
+    assert inst.resolution.is_complex()
     assert star_acyclicity(star) == (True, None)
 
 
 def test_star_acyclicity_on_valid_instances():
     for inst in (expansion_instance(), mixed_product_instance((2, 2), (2, 1), (1, 2))):
         assert star_acyclicity(build_star_complex(inst)) == (True, None)
+
+
+def test_star_and_total_complex_exact_beyond_the_pinned_seeds():
+    # three-block instances with resolutions of depth 3 and 4; together they
+    # take well under a second
+    start = time.monotonic()
+    for seed in (69, 91, 101, 110, 134):
+        assert seed not in SUITE_SEEDS
+        inst = random_instance(seed)
+        assert star_acyclicity(build_star_complex(inst)) == (True, None), seed
+        assert total_complex(build_double_complex(inst)).exactness_verified, seed
+    assert time.monotonic() - start < 30.0
 
 
 def test_star_acyclicity_fails_without_nesting():
@@ -268,16 +280,6 @@ def test_tau_composites_are_path_independent():
     assert found, "instance lost its three-step ladder"
 
 
-def test_tau_map_zero_when_scalar_vanishes():
-    inst = expansion_instance()
-    blocks = block_resolutions(inst)
-    cache = TauCache(inst, blocks, rho_maps(inst, blocks))
-    # the expansion instance has a single second syzygy; both scalars are nonzero
-    assert tau_map(inst, cache, 2, 0, 0, 0) is not None
-    with pytest.raises(ValueError):
-        tau_map(inst, cache, 1, 0, 0, 0)
-
-
 def test_tau_rejects_off_ladder_degrees():
     inst = expansion_instance()
     blocks = block_resolutions(inst)
@@ -296,21 +298,21 @@ def test_double_complex_principal_collapses():
     tot = total_complex(D)
     block = D.blocks[(0, 2)]
     assert tot.complex.ranks == [1] + block.ranks
-    assert D.sigma_squares_to_zero()
+    assert D.sigma_square_witness() is None
     assert D.sigma_extends_star()
-    assert D.sigma_images_minimal()
+    assert D.sigma_unit_witness() is None
 
 
 def test_double_complex_expansion_predicates():
     D = build_double_complex(expansion_instance())
-    assert D.sigma_squares_to_zero()
+    assert D.sigma_square_witness() is None
     assert D.sigma_extends_star()
-    assert D.sigma_images_minimal()
+    assert D.sigma_unit_witness() is None
 
 
 def test_double_complex_mixed_product_sigma_squared():
     D = build_double_complex(mixed_product_instance((2, 2), (2, 1), (1, 2)))
-    assert D.sigma_squares_to_zero()
+    assert D.sigma_square_witness() is None
 
 
 def test_total_complex_betti_matches_oracle():

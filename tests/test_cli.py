@@ -66,7 +66,7 @@ def test_gmpi_exit_one_on_failed_check(tmp_path, capsys, monkeypatch):
     from gmpi import verify as ver
     from gmpi.verify import CheckResult
     monkeypatch.setattr(ver, "run_instance_checks",
-                        lambda inst, **kw: [CheckResult("stub", "x", False)])
+                        lambda *args, **kw: [CheckResult("stub", "x", False)])
     assert main(["gmpi", write(tmp_path, "e.json", expansion_doc()), "--check"]) == 1
 
 
@@ -132,3 +132,29 @@ def test_verify_json_report(tmp_path, capsys):
 def test_parse_ideal_document_shape_errors():
     with pytest.raises(InputError):
         parse_ideal_document({"blocks": [{"size": 1}], "generators": [[1]]})
+
+
+def expansion_with_substitution(key, value):
+    doc = expansion_doc()
+    doc["substitutions"].pop("x:1")
+    doc["substitutions"][key] = value
+    return doc
+
+
+MALFORMED = {
+    "block-of-size-zero": (
+        "resolve", {"blocks": [{"name": "x", "size": 0}], "generators": [[]]}),
+    "no-generators-key": ("resolve", {"blocks": [{"name": "x", "size": 2}]}),
+    "non-integer-degree-in-key": (
+        "gmpi", expansion_with_substitution("x:a", [[1, 0], [0, 1]])),
+    "shorthand-without-degree": (
+        "gmpi", expansion_with_substitution("x:1", {"family": "power-of-maximal"})),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_document_exits_two_with_one_line(tmp_path, capsys, case):
+    command, doc = MALFORMED[case]
+    assert main([command, write(tmp_path, "bad.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

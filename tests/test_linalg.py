@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from gmpi.linalg import matmul, rank, row_echelon, solve
+from hypothesis import given, settings, strategies as st
+
+from gmpi.linalg import rank, row_echelon, solve
 
 F = Fraction
 
@@ -47,8 +49,22 @@ def test_solve_degenerate_shapes():
     assert solve([[]], [F(1)]) is None
 
 
-def test_matmul():
-    a = rows((1, 2), (3, 4))
-    b = rows((0, 1), (1, 0))
-    assert matmul(a, b) == rows((2, 1), (4, 3))
-    assert matmul([], b) == []
+@st.composite
+def small_systems(draw):
+    m, n = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+    entry = st.integers(-3, 3).map(F)
+    a = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    b = [draw(entry) for _ in range(m)]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_systems())
+def test_solve_solves_or_reports_inconsistency(system):
+    a, b = system
+    x = solve(a, b)
+    if rank(a) < rank([row + [v] for row, v in zip(a, b)]):
+        assert x is None
+    else:
+        assert x is not None and len(x) == len(a[0])
+        assert [sum(r * v for r, v in zip(row, x)) for row in a] == b

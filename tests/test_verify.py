@@ -8,6 +8,7 @@ from gmpi.complexes import SizeCapError
 from gmpi.families import random_instance
 from gmpi.monomials import ideal, simple_context
 from gmpi.verify import (
+    betti_for_ideal,
     check_betti_equivalence,
     check_degree_realization,
     check_lcm_shifts,
@@ -26,6 +27,7 @@ from gmpi.verify import (
     path_identity_checks,
     run_instance_checks,
     structure_checks,
+    summary_lines,
 )
 
 from conftest import corrupt_lambda, non_nested_instance
@@ -100,7 +102,8 @@ def test_structure_checks_pass_on_sample():
 
 
 def test_full_instance_checks_pass():
-    for r in run_instance_checks(random_instance(9)):
+    D = build_double_complex(random_instance(9))
+    for r in run_instance_checks(D, total_complex(D)):
         assert r.passed, r.line()
 
 
@@ -220,9 +223,10 @@ def test_betti_equivalence_teeth():
     inst = random_instance(9)
     D = build_double_complex(inst)
     tot = total_complex(D)
-    assert check_betti_equivalence(inst, tot).passed
+    oracle = betti_for_ideal(inst.induced)
+    assert check_betti_equivalence(inst, tot, *oracle).passed
     tot.complex.shifts[1].append(tot.complex.shifts[1][0])
-    broken = check_betti_equivalence(inst, tot)
+    broken = check_betti_equivalence(inst, tot, *oracle)
     assert not broken.passed and "diff" in broken.details
 
 
@@ -247,7 +251,7 @@ def test_hypothesis_unmet_reported_not_failed():
     lin = check_linearity_equivalence(inst, D, tot)
     assert lin.passed and lin.status == "HYPOTHESIS-UNMET"
     # the resolution itself is still correct outside the hypotheses
-    assert check_betti_equivalence(inst, tot).passed
+    assert check_betti_equivalence(inst, tot, oracle, "taylor").passed
 
 
 def test_check_result_json_roundtrip():
@@ -257,3 +261,21 @@ def test_check_result_json_roundtrip():
     r = check_theorem_regularity(inst, D, tot, oracle_betti(inst.induced))
     blob = r.to_json()
     assert blob["status"] == "PASS" and blob["details"]["reg_I"] == blob["details"]["reg_L"]
+
+
+def test_capped_oracle_is_skipped_not_passed(monkeypatch):
+    from gmpi import verify
+
+    def capped(L, cap=14):
+        raise SizeCapError(f"{len(L.gens)} generators exceed the oracle cap 0")
+
+    monkeypatch.setattr(verify, "oracle_betti", capped)
+    D = build_double_complex(random_instance(9))
+    results = run_instance_checks(D, total_complex(D))
+    betti = next(r for r in results if r.name == "betti-equivalence")
+    assert betti.status == "SKIPPED" and betti.line().startswith("[SKIPPED]")
+    assert betti.to_json()["status"] == "SKIPPED"
+    # passed (and so the exit code) is unchanged; only the reporting differs
+    assert all(r.passed for r in results)
+    n = len(results)
+    assert summary_lines(results)[-1] == f"{n - 1}/{n} checks passed, 1 skipped"
