@@ -33,6 +33,7 @@ from .complexes import (
     taylor_complex,
 )
 from .builder import (
+    ConstructionError,
     DoubleComplex,
     FamilyValidationError,
     GmpiInstance,

@@ -25,6 +25,7 @@ from fractions import Fraction
 from .complexes import (
     _strand_scan,
     betti_table,
+    BettiTable,
     ChainMap,
     degree_grid,
     direct_sum,
@@ -58,6 +59,15 @@ ZERO = Fraction(0)
 
 class FamilyValidationError(ValueError):
     """A substitution family violates one of its defining conditions."""
+
+
+class ConstructionError(RuntimeError):
+    """A construction invariant failed; ``witness`` locates the failure (for
+    the exactness scan, a multidegree at which the strand is not exact)."""
+
+    def __init__(self, message: str, witness):
+        super().__init__(f"{message} at {witness}")
+        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -251,11 +261,6 @@ def build_star_complex(inst: GmpiInstance) -> StarComplex:
             for k in range(len(star.ideals[i - 2])):
                 if lam[k][j] != 0:
                     assert star.ideals[i - 2][k].contains(idl)
-    # H_0 identity: the position-1 ideals sum to L
-    total = star.ideals[0][0]
-    for q in star.ideals[0][1:]:
-        total = total + q
-    assert total == inst.induced
     return star
 
 
@@ -577,7 +582,8 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
     exactness_verified = grid_size(degree_grid(cx.shifts, inst.T.nvars)) <= 100_000
     if exactness_verified:
         ok, witness = exactness_check(cx, inst.induced, max_cells=100_000)
-        assert ok, f"total complex fails to resolve T/L at {witness}"
+        if not ok:
+            raise ConstructionError("total complex fails to resolve T/L", witness)
     return TotalComplex(cx, labels, exactness_verified)
 
 
@@ -595,17 +601,19 @@ class InvariantReport:
         return self.comparison is None or self.value == self.comparison
 
 
-def minimal_total_table(tot: TotalComplex):
+def minimal_total_table(tot: TotalComplex) -> BettiTable:
+    """Betti table of the total complex after minimalization: the graded
+    Betti numbers of T/L.  The invariant reports below read this table."""
     cx = tot.complex
     if not cx.is_minimal:
         cx = minimalize_complex(cx)
     return betti_table(cx)
 
 
-def regularity_report(D: DoubleComplex, tot: TotalComplex) -> InvariantReport:
-    """reg L read off the total complex, compared with reg I."""
+def regularity_report(D: DoubleComplex, table: BettiTable) -> InvariantReport:
+    """reg L read off the minimal total table, compared with reg I."""
     return InvariantReport(
-        value=regularity(minimal_total_table(tot), of_ideal=True),
+        value=regularity(table, of_ideal=True),
         hypothesis_linear=D.hypothesis_linear,
         comparison=regularity(betti_table(D.instance.resolution), of_ideal=True))
 
@@ -613,17 +621,17 @@ def regularity_report(D: DoubleComplex, tot: TotalComplex) -> InvariantReport:
 def gmpi_regularity(D: DoubleComplex, tot: TotalComplex | None = None) -> InvariantReport:
     """reg L from the total complex; equals reg I under the linearity
     hypothesis (asserted), reported as a comparison otherwise."""
-    rep = regularity_report(D, tot or total_complex(D))
+    rep = regularity_report(D, minimal_total_table(tot or total_complex(D)))
     if rep.hypothesis_linear:
         assert rep.agrees, (
             f"regularity {rep.value} != {rep.comparison} under the linear hypothesis")
     return rep
 
 
-def projdim_report(D: DoubleComplex, tot: TotalComplex) -> InvariantReport:
+def projdim_report(D: DoubleComplex, table: BettiTable) -> InvariantReport:
     """Formula value max_{i,j} (sum_l pd of the block ideal at the shift's
-    block degree + i) against the projective dimension read off the total
-    complex."""
+    block degree + i) against the projective dimension read off the minimal
+    total table."""
     inst = D.instance
     pd_blocks = {key: res.length for key, res in D.blocks.items()}
     best = 0
@@ -634,26 +642,29 @@ def projdim_report(D: DoubleComplex, tot: TotalComplex) -> InvariantReport:
                 for l in range(inst.nblocks))
             best = max(best, val)
     return InvariantReport(value=best, hypothesis_linear=D.hypothesis_linear,
-                           comparison=minimal_total_table(tot).top_position)
+                           comparison=table.top_position)
 
 
 def gmpi_projdim(D: DoubleComplex, tot: TotalComplex | None = None) -> InvariantReport:
     """projdim_report, asserted to agree under the linearity hypothesis."""
-    rep = projdim_report(D, tot or total_complex(D))
+    rep = projdim_report(D, minimal_total_table(tot or total_complex(D)))
     if rep.hypothesis_linear:
         assert rep.agrees, f"projdim formula {rep.value} != {rep.comparison}"
     return rep
 
 
-def gmpi_linearity(D: DoubleComplex, tot: TotalComplex | None = None) -> tuple[bool, bool]:
-    """(inducing ideal linear, induced ideal linear); equal under the
-    hypothesis."""
+def linearity_report(D: DoubleComplex, table: BettiTable) -> tuple[bool, bool]:
+    """(inducing ideal linear, induced ideal linear), the latter read off the
+    minimal total table; equal under the hypothesis."""
     inst = D.instance
-    tot = tot or total_complex(D)
     d_i = inst.inducing.generated_in_degree()
     lin_i = d_i is not None and is_linear_resolution(
         betti_table(inst.resolution), d_i, of_ideal=True)
     d_l = inst.induced.generated_in_degree()
-    lin_l = d_l is not None and is_linear_resolution(
-        minimal_total_table(tot), d_l, of_ideal=True)
+    lin_l = d_l is not None and is_linear_resolution(table, d_l, of_ideal=True)
     return lin_i, lin_l
+
+
+def gmpi_linearity(D: DoubleComplex, tot: TotalComplex | None = None) -> tuple[bool, bool]:
+    """linearity_report on the total complex of D."""
+    return linearity_report(D, minimal_total_table(tot or total_complex(D)))

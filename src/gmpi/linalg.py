@@ -1,13 +1,21 @@
-"""Dense exact linear algebra over the rationals (small matrices only).
+"""Exact linear algebra over the rationals (small matrices only).
 
-Matrices are lists of rows of Fractions.  The reduction uses a fixed pivot
-rule (first nonzero entry scanning columns left to right, rows top down) so
-that underdetermined solves return one deterministic solution.
+Matrices are lists of dense rows of Fractions (or ints).
+
+``rank`` clears each row's denominators and eliminates fraction-free over
+sparse integer rows: scaling a row by a nonzero rational keeps the rank, so
+the result is exact over Q without Fraction arithmetic.  It carries the
+strand-exactness scans, whose matrices are large, sparse and mostly +-1.
+
+``row_echelon`` and ``solve`` reduce over Fractions with a fixed pivot rule
+(first nonzero entry scanning columns left to right, rows top down) so that
+underdetermined solves return one deterministic solution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 def row_echelon(rows: list[list[Fraction]]):
@@ -36,8 +44,61 @@ def row_echelon(rows: list[list[Fraction]]):
 
 
 def rank(rows) -> int:
-    work = [list(r) for r in rows]
-    return len(row_echelon(work))
+    """Rank over Q of a list of dense rows of Fractions or ints.
+
+    ``rows`` is left unmodified.  Each row becomes a primitive integer row
+    {column: value}, reduced against the pivot rows found so far (keyed by
+    their leading column) until it is zero or leads in a new column.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        vec = _integer_row(row)
+        while vec:
+            lead = min(vec)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = vec
+                break
+            vec = _eliminate(vec, piv, lead)
+    return len(pivots)
+
+
+def _integer_row(row) -> dict[int, int]:
+    """The nonzero entries of ``row`` times the lcm of their denominators,
+    divided by their content."""
+    entries = {c: v for c, v in enumerate(row) if v}
+    if not entries:
+        return entries
+    m = lcm(*(v.denominator for v in entries.values()))
+    if m == 1:
+        vec = {c: v.numerator for c, v in entries.items()}
+    else:
+        vec = {c: v.numerator * (m // v.denominator) for c, v in entries.items()}
+    return _primitive(vec)
+
+
+def _eliminate(vec: dict[int, int], piv: dict[int, int], lead: int) -> dict[int, int]:
+    """a*vec - b*piv with the entry in column ``lead`` cancelled, divided by
+    its content."""
+    a, b = piv[lead], vec[lead]
+    # the sign of g makes a positive: against a +-1 pivot vec needs no scaling
+    g = gcd(a, b) if a > 0 else -gcd(a, b)
+    a, b = a // g, b // g
+    out = dict(vec) if a == 1 else {c: a * v for c, v in vec.items()}
+    for c, v in piv.items():
+        w = out.get(c, 0) - b * v
+        if w:
+            out[c] = w
+        else:
+            del out[c]
+    return _primitive(out)
+
+
+def _primitive(vec: dict[int, int]) -> dict[int, int]:
+    g = gcd(*vec.values())
+    if g > 1:
+        return {c: v // g for c, v in vec.items()}
+    return vec
 
 
 def solve(a_rows, b: list[Fraction]):

@@ -24,7 +24,7 @@ from .builder import (
     StarComplex,
     TotalComplex,
     build_double_complex,
-    gmpi_linearity,
+    linearity_report,
     minimal_total_table,
     product_formula_holds,
     projdim_report,
@@ -281,9 +281,9 @@ def _theorem_result(name: str, label: str, hypothesis_linear: bool, holds: bool,
     return CheckResult(name, label, holds and oracle_ok, details)
 
 
-def check_theorem_regularity(inst: GmpiInstance, D: DoubleComplex, tot: TotalComplex,
+def check_theorem_regularity(inst: GmpiInstance, D: DoubleComplex, table: BettiTable,
                              oracle: BettiTable | None = None) -> CheckResult:
-    rep = regularity_report(D, tot)
+    rep = regularity_report(D, table)
     details = {"reg_I": rep.comparison, "reg_L": rep.value}
     oracle_ok = True
     if oracle is not None:
@@ -293,9 +293,9 @@ def check_theorem_regularity(inst: GmpiInstance, D: DoubleComplex, tot: TotalCom
                            rep.agrees, oracle_ok, details)
 
 
-def check_pd_formula(inst: GmpiInstance, D: DoubleComplex, tot: TotalComplex,
+def check_pd_formula(inst: GmpiInstance, D: DoubleComplex, table: BettiTable,
                      oracle: BettiTable | None = None) -> CheckResult:
-    rep = projdim_report(D, tot)
+    rep = projdim_report(D, table)
     details = {"formula": rep.value, "pd_tot": rep.comparison}
     oracle_ok = True
     if oracle is not None:
@@ -305,14 +305,13 @@ def check_pd_formula(inst: GmpiInstance, D: DoubleComplex, tot: TotalComplex,
                            rep.agrees, oracle_ok, details)
 
 
-def check_betti_equivalence(inst: GmpiInstance, tot: TotalComplex,
+def check_betti_equivalence(inst: GmpiInstance, table: BettiTable,
                             oracle: BettiTable | None, which: str) -> CheckResult:
     """Exact table equality (multigraded refinement included) between the
-    total complex and an independent oracle; ``which`` names the oracle, or
-    says why none ran when ``oracle`` is None."""
+    minimal total table and an independent oracle; ``which`` names the
+    oracle, or says why none ran when ``oracle`` is None."""
     if oracle is None:
         return CheckResult("betti-equivalence", inst.label, True, {"skipped": which})
-    table = minimal_total_table(tot)
     ok = table == oracle
     details = {"oracle": which}
     if not ok:
@@ -323,8 +322,8 @@ def check_betti_equivalence(inst: GmpiInstance, tot: TotalComplex,
     return CheckResult("betti-equivalence", inst.label, ok, details)
 
 
-def check_linearity_equivalence(inst: GmpiInstance, D: DoubleComplex, tot: TotalComplex) -> CheckResult:
-    lin_i, lin_l = gmpi_linearity(D, tot)
+def check_linearity_equivalence(inst: GmpiInstance, D: DoubleComplex, table: BettiTable) -> CheckResult:
+    lin_i, lin_l = linearity_report(D, table)
     return _theorem_result("linear-resolution-equivalence", inst.label, D.hypothesis_linear,
                            lin_i == lin_l, True, {"I_linear": lin_i, "L_linear": lin_l})
 
@@ -376,11 +375,12 @@ def run_instance_checks(D: DoubleComplex, tot: TotalComplex,
         oracle, which = betti_for_ideal(inst.induced, cap=oracle_cap)
     except SizeCapError as e:
         oracle, which = None, str(e)
+    table = minimal_total_table(tot)
     results = structure_checks(inst, D.star, D)
-    results.append(check_theorem_regularity(inst, D, tot, oracle))
-    results.append(check_betti_equivalence(inst, tot, oracle, which))
-    results.append(check_pd_formula(inst, D, tot, oracle))
-    results.append(check_linearity_equivalence(inst, D, tot))
+    results.append(check_theorem_regularity(inst, D, table, oracle))
+    results.append(check_betti_equivalence(inst, table, oracle, which))
+    results.append(check_pd_formula(inst, D, table, oracle))
+    results.append(check_linearity_equivalence(inst, D, table))
     results.extend(check_engine_self(inst, tot))
     return results
 
@@ -397,11 +397,12 @@ def mixed_product_formula_check() -> CheckResult:
     D = build_double_complex(inst)
     tot = total_complex(D)
     formula = sum(max(d, e) for d, e in zip((2, 1), (1, 2))) - 1
-    reg = regularity_report(D, tot)
+    table = minimal_total_table(tot)
+    reg = regularity_report(D, table)
     oracle = koszul_betti(inst.induced)
     reg_oracle = regularity(oracle)
     ok = formula == reg.value == reg_oracle == reg.comparison == 3
-    ok = ok and minimal_total_table(tot) == oracle
+    ok = ok and table == oracle
     return CheckResult("mixed-product-regularity-formula", "veronese(3,3)", ok,
                        {"formula": formula, "reg_tot": reg.value, "reg_oracle": reg_oracle})
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gmpi.builder import (
+    ConstructionError,
     FamilyValidationError,
     SubstitutionFamily,
     TauCache,
@@ -380,6 +381,16 @@ def test_unused_block_gets_trivial_ladder():
     tot = total_complex(build_double_complex(inst))
     assert tot.complex.ranks == [1, 2, 1]
     assert tot.exactness_verified
+
+
+def test_total_complex_raises_the_scan_witness(monkeypatch):
+    import gmpi.builder as builder
+    D = build_double_complex(expansion_instance())
+    w = (1, 0, 2, 1)
+    monkeypatch.setattr(builder, "exactness_check", lambda *args, **kwargs: (False, w))
+    with pytest.raises(ConstructionError) as err:
+        total_complex(D)
+    assert err.value.witness == w and str(w) in str(err.value)
 
 
 def test_nonlinear_substitution_flagged_not_asserted():

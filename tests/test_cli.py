@@ -158,3 +158,11 @@ def test_malformed_document_exits_two_with_one_line(tmp_path, capsys, case):
     assert main([command, write(tmp_path, "bad.json", doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gmpi_construction_error_is_not_an_input_error(tmp_path, monkeypatch):
+    from gmpi import builder
+    monkeypatch.setattr(builder, "exactness_check",
+                        lambda *args, **kwargs: (False, (1, 1, 1, 1)))
+    with pytest.raises(builder.ConstructionError):
+        main(["gmpi", write(tmp_path, "e.json", expansion_doc())])

@@ -1,4 +1,5 @@
-"""Each narrative demo runs to completion in a fresh interpreter."""
+"""The narrative demos and the CLI on the demo document, each run in a fresh
+interpreter."""
 
 import os
 import pathlib
@@ -15,11 +16,27 @@ def test_all_four_demos_found():
     assert len(DEMOS) == 4
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
-def test_demo_exits_zero(demo):
+def src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    return env
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_exits_zero(demo):
+    proc = subprocess.run([sys.executable, str(demo)], env=src_env(), cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_construction_output_is_the_same_under_python_O():
+    # the construction must not rely on assert statements for side effects
+    argv = ["-m", "gmpi.cli", "gmpi", str(ROOT / "demos" / "expansion_x2y_xy2.json"), "--json"]
+    outs = []
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, *argv], env=src_env(), cwd=ROOT,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] and outs[0].startswith("{")

@@ -1,4 +1,7 @@
+import copy
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,11 +16,78 @@ def rows(*data):
 
 def test_rank_examples():
     assert rank([]) == 0
+    assert rank([[], [], []]) == 0
     assert rank(rows((0, 0), (0, 0))) == 0
     assert rank(rows((1, 0), (0, 1))) == 2
     assert rank(rows((1, 2), (2, 4))) == 1
     assert rank(rows((1, 2, 3), (4, 5, 6))) == 2
     assert rank(rows((1,), (2,), (3,))) == 1
+
+
+@st.composite
+def rational_matrices(draw):
+    """Dense m x n rows of ints and Fractions, with zero rows and rows that
+    combine earlier ones, so that rank deficiency is common."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.builds(F, st.integers(-4, 4), st.integers(1, 5)))
+    out = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "zero":
+            out.append([F(0)] * n)
+        elif kind == "combination" and out:
+            a, b = draw(entry), draw(entry)
+            u, v = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            out.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            out.append([draw(entry) for _ in range(n)])
+    return out
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_matrices())
+def test_rank_matches_fraction_elimination(m):
+    before = copy.deepcopy(m)
+    assert rank(m) == len(row_echelon([[F(x) for x in row] for row in m]))
+    assert m == before
+
+
+def test_rank_leaves_its_argument_unmodified():
+    m = [[F(1, 2), 0, F(-3, 4)], [2, F(2, 3), 1], [F(1, 2), 0, F(-3, 4)]]
+    before = copy.deepcopy(m)
+    assert rank(m) == 2
+    assert m == before and all(type(x) is type(y) for r, s in zip(m, before)
+                               for x, y in zip(r, s))
+
+
+def simplex_boundaries(n):
+    """Boundary matrices of the full simplex on n vertices, augmented: the
+    map from k-faces (k+1 vertices) to (k-1)-faces, one row per k-face."""
+    faces = [list(combinations(range(n), k + 1)) for k in range(-1, n)]
+    mats = []
+    for k in range(0, n):
+        index = {f: i for i, f in enumerate(faces[k])}
+        rows = []
+        for f in faces[k + 1]:
+            row = [0] * len(index)
+            for j in range(len(f)):
+                row[index[f[:j] + f[j + 1:]]] = (-1) ** j
+            rows.append(row)
+        mats.append(rows)
+    return faces, mats
+
+
+def test_rank_of_simplex_boundaries():
+    # the augmented chain complex of a simplex is exact, so the boundary of
+    # the k-faces has rank comb(n - 1, k) and consecutive ranks add up to
+    # the number of faces in between
+    n = 6
+    faces, mats = simplex_boundaries(n)
+    ranks = [rank(d) for d in mats]
+    assert ranks == [comb(n - 1, k) for k in range(n)]
+    for k in range(n - 1):
+        assert ranks[k] + ranks[k + 1] == len(faces[k + 1])
 
 
 def test_row_echelon_pivots():

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from gmpi.builder import build_double_complex, build_star_complex, total_complex
+from gmpi.builder import (
+    build_double_complex,
+    build_star_complex,
+    minimal_total_table,
+    total_complex,
+)
 from gmpi.complexes import SizeCapError
 from gmpi.families import random_instance
 from gmpi.monomials import ideal, simple_context
@@ -83,7 +88,6 @@ def test_koszul_betti_three_variables():
 
 def test_total_complex_matches_simplicial_oracle(suite):
     # a triangulation independent of both the construction and the Taylor route
-    from gmpi.builder import minimal_total_table
     for item in suite[:5]:
         L = item.instance.induced
         if L.ctx.nvars > 8:
@@ -121,7 +125,6 @@ def test_corollary_and_path_checks():
 ])
 def test_mixed_product_regularity_formula(sizes, d1, d2):
     # sum of blockwise maxima minus one, for incomparable degree pairs
-    from gmpi.builder import minimal_total_table
     from gmpi.complexes import betti_table, regularity
     from gmpi.families import mixed_product_instance
     inst = mixed_product_instance(sizes, d1, d2)
@@ -138,7 +141,6 @@ def test_mixed_product_comparable_degrees_collapse():
     # with comparable degree pairs one term divides the other and the
     # inducing ideal is principal; the closed formula no longer applies but
     # regularity preservation still holds
-    from gmpi.builder import minimal_total_table
     from gmpi.complexes import betti_table, regularity
     from gmpi.families import mixed_product_instance
     inst = mixed_product_instance((3, 2), (2, 2), (1, 1))
@@ -224,9 +226,9 @@ def test_betti_equivalence_teeth():
     D = build_double_complex(inst)
     tot = total_complex(D)
     oracle = betti_for_ideal(inst.induced)
-    assert check_betti_equivalence(inst, tot, *oracle).passed
+    assert check_betti_equivalence(inst, minimal_total_table(tot), *oracle).passed
     tot.complex.shifts[1].append(tot.complex.shifts[1][0])
-    broken = check_betti_equivalence(inst, tot, *oracle)
+    broken = check_betti_equivalence(inst, minimal_total_table(tot), *oracle)
     assert not broken.passed and "diff" in broken.details
 
 
@@ -242,23 +244,41 @@ def test_hypothesis_unmet_reported_not_failed():
         SubstitutionFamily(T, {(0, 3): cube}), label="nonlinear")
     D = build_double_complex(inst)
     tot = total_complex(D)
+    table = minimal_total_table(tot)
     oracle = oracle_betti(inst.induced)
-    reg = check_theorem_regularity(inst, D, tot, oracle)
+    reg = check_theorem_regularity(inst, D, table, oracle)
     assert reg.passed and reg.status == "HYPOTHESIS-UNMET"
     assert reg.details["reg_I"] == 3 and reg.details["reg_L"] == 5
-    pd = check_pd_formula(inst, D, tot, oracle)
+    pd = check_pd_formula(inst, D, table, oracle)
     assert pd.passed and pd.status == "HYPOTHESIS-UNMET"
-    lin = check_linearity_equivalence(inst, D, tot)
+    lin = check_linearity_equivalence(inst, D, table)
     assert lin.passed and lin.status == "HYPOTHESIS-UNMET"
     # the resolution itself is still correct outside the hypotheses
-    assert check_betti_equivalence(inst, tot, oracle, "taylor").passed
+    assert check_betti_equivalence(inst, table, oracle, "taylor").passed
+
+
+def test_instance_checks_read_the_total_table_once(monkeypatch):
+    from gmpi import builder, verify
+    D = build_double_complex(random_instance(30))
+    tot = total_complex(D)
+    reads = []
+
+    def counted(t):
+        reads.append(t)
+        return minimal_total_table(t)
+
+    monkeypatch.setattr(builder, "minimal_total_table", counted)
+    monkeypatch.setattr(verify, "minimal_total_table", counted)
+    results = run_instance_checks(D, tot)
+    assert len(results) == 14 and all(r.passed for r in results)
+    assert reads == [tot]
 
 
 def test_check_result_json_roundtrip():
     inst = random_instance(9)
     D = build_double_complex(inst)
     tot = total_complex(D)
-    r = check_theorem_regularity(inst, D, tot, oracle_betti(inst.induced))
+    r = check_theorem_regularity(inst, D, minimal_total_table(tot), oracle_betti(inst.induced))
     blob = r.to_json()
     assert blob["status"] == "PASS" and blob["details"]["reg_I"] == blob["details"]["reg_L"]
 
