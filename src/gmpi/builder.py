@@ -27,6 +27,7 @@ from .complexes import (
     betti_table,
     BettiTable,
     ChainMap,
+    ConstructionError,
     degree_grid,
     direct_sum,
     exactness_check,
@@ -59,15 +60,6 @@ ZERO = Fraction(0)
 
 class FamilyValidationError(ValueError):
     """A substitution family violates one of its defining conditions."""
-
-
-class ConstructionError(RuntimeError):
-    """A construction invariant failed; ``witness`` locates the failure (for
-    the exactness scan, a multidegree at which the strand is not exact)."""
-
-    def __init__(self, message: str, witness):
-        super().__init__(f"{message} at {witness}")
-        self.witness = witness
 
 
 @dataclass(frozen=True)
@@ -401,9 +393,9 @@ class DoubleComplex:
         every sigma image lies in the graded maximal ideal."""
         for c in range(1, len(self.columns)):
             for i, m in enumerate(self.sigmas[c].mats):
-                for (r, cc) in m.entries:
-                    if m.row_shifts[r] == m.col_shifts[cc]:
-                        return c, i, r, cc
+                unit = m.unit_entry()
+                if unit is not None:
+                    return (c, i) + unit
         return None
 
     def sigma_extends_star(self) -> bool:
@@ -535,9 +527,12 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
     sign (-1)^row so that squares anticommute and the total differential
     squares to zero.
 
-    The result is also strand-checked to resolve T/L exactly; degree grids
-    beyond 100 000 cells skip that scan (recorded on the result), since the
-    Betti comparison against the oracle covers it.
+    The result is also strand-checked to resolve T/L exactly; the scan
+    starts with diff o diff = 0, so a failure of either raises
+    ConstructionError with the witness multidegree.  Degree grids beyond
+    100 000 cells skip the scan (recorded on the result), since the Betti
+    comparison against the oracle covers it; diff o diff is then checked on
+    its own, with the same error.
     """
     inst = D.instance
     p = len(D.columns) - 1
@@ -576,7 +571,7 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
         diffs.append(MonomialMatrix(inst.T, shifts[k - 1], shifts[k], entries))
 
     cx = FreeComplex(inst.T, shifts, diffs)
-    cx.validate()
+    cx.validate_maps()
     if D.hypothesis_linear:
         assert cx.is_minimal
     exactness_verified = grid_size(degree_grid(cx.shifts, inst.T.nvars)) <= 100_000
@@ -584,6 +579,10 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
         ok, witness = exactness_check(cx, inst.induced, max_cells=100_000)
         if not ok:
             raise ConstructionError("total complex fails to resolve T/L", witness)
+    else:
+        square = cx.square_witness()
+        if square is not None:
+            raise ConstructionError("total differential does not square to zero", square[1])
     return TotalComplex(cx, labels, exactness_verified)
 
 

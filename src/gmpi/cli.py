@@ -199,7 +199,7 @@ def cmd_gmpi(args) -> int:
     }
     results = []
     if args.check:
-        results = ver.run_instance_checks(D, tot, oracle_cap=args.max_taylor)
+        results = ver.run_instance_checks(D, tot, table, oracle_cap=args.max_taylor)
         payload["checks"] = [r.to_json() for r in results]
     if args.json:
         _emit(json.dumps(payload, indent=2), args.out)

@@ -4,17 +4,27 @@ A free module here is a list of multidegree shifts; a map between free modules
 is multihomogeneous of degree zero, so the entry in position (r, c) is forced
 to be a rational scalar times x^(col_shift - row_shift).  Only the scalar is
 stored.  Composition is then plain scalar matrix multiplication, and a map is
-minimal exactly when no stored entry sits between equal shifts.
+minimal exactly when no stored entry sits between equal shifts.  ``compose``
+scales each operand once by the lcm of its denominators and multiplies and
+sums in ints; only the nonzero sums become Fractions again.
 
 The entry point for resolutions is the Taylor complex; Gaussian cancellation
 of unit entries (the standard chain-complex reduction lemma) turns it into
-the minimal resolution.  Strand machinery restricts a complex to a single
+the minimal resolution.  Every Taylor complex is checked to square to zero
+when it is built.  The cancellation takes the smallest remaining unit
+(position, row, column) from a heap with lazy deletion, the order a linear
+scan would give.  Strand machinery restricts a complex to a single
 multidegree, where exactness and homology become finite rational rank
 computations.
+
+A broken construction invariant raises ConstructionError with a witness;
+malformed hand-built maps (stored zeros, inhomogeneous entries, wrong shapes,
+a nonzero square) raise ValueError from the validators.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,8 +39,18 @@ class SizeCapError(ValueError):
     """Raised when a construction would exceed its configured size cap."""
 
 
+class ConstructionError(RuntimeError):
+    """A construction invariant failed; ``witness`` locates the failure (for
+    the exactness scan, a multidegree at which the strand is not exact)."""
+
+    def __init__(self, message: str, witness):
+        super().__init__(f"{message} at {witness}")
+        self.witness = witness
+
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
+SIGNS = (ONE, -ONE)   # SIGNS[j % 2] == (-1) ** j
 
 
 @dataclass
@@ -49,15 +69,11 @@ class MonomialMatrix:
 
     def validate(self) -> None:
         for (r, c), v in self.entries.items():
-            if v == 0:
+            if not v:
                 raise ValueError(f"stored zero scalar at {(r, c)}")
-            mono = self.monomial_factor(r, c)
-            if any(e < 0 for e in mono):
+            if not divides(self.row_shifts[r], self.col_shifts[c]):
                 raise ValueError(
                     f"inhomogeneous entry at {(r, c)}: {self.col_shifts[c]} - {self.row_shifts[r]}")
-
-    def monomial_factor(self, r: int, c: int) -> tuple[int, ...]:
-        return tuple(a - b for a, b in zip(self.col_shifts[c], self.row_shifts[r]))
 
     @property
     def nrows(self) -> int:
@@ -77,25 +93,35 @@ class MonomialMatrix:
         return {r: v for (r, cc), v in self.entries.items() if cc == c}
 
     def compose(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        """self o other (other feeds into self)."""
+        """self o other (other feeds into self).
+
+        Each operand is scaled once to integers (times the lcm of its
+        denominators), the products are summed as ints, and only the nonzero
+        sums become Fractions again, divided by the two scales.
+        """
         if self.col_shifts != other.row_shifts:
             raise ValueError("inner shifts disagree in composition")
-        by_col: dict[int, list[tuple[int, Fraction]]] = {}
-        for (r, k), v in self.entries.items():
+        sa, left = linalg._cleared(self.entries)
+        sb, right = linalg._cleared(other.entries)
+        by_col: dict[int, list[tuple[int, int]]] = {}
+        for (r, k), v in left.items():
             by_col.setdefault(k, []).append((r, v))
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (k, c), w in other.entries.items():
+        acc: dict[tuple[int, int], int] = {}
+        for (k, c), w in right.items():
             for r, v in by_col.get(k, ()):
                 key = (r, c)
-                acc[key] = acc.get(key, ZERO) + v * w
-        acc = {k: v for k, v in acc.items() if v != 0}
-        return MonomialMatrix(self.ctx, self.row_shifts, other.col_shifts, acc)
+                acc[key] = acc.get(key, 0) + v * w
+        scale = sa * sb
+        out = {k: Fraction(v, scale) for k, v in acc.items() if v}
+        return MonomialMatrix(self.ctx, self.row_shifts, other.col_shifts, out)
 
     def is_zero(self) -> bool:
         return not self.entries
 
-    def has_unit_entry(self) -> bool:
-        return any(self.row_shifts[r] == self.col_shifts[c] for (r, c) in self.entries)
+    def unit_entry(self) -> tuple[int, int] | None:
+        """The first stored entry between equal shifts, or None."""
+        return next(((r, c) for (r, c) in self.entries
+                     if self.row_shifts[r] == self.col_shifts[c]), None)
 
 
 def zero_matrix(ctx, row_shifts, col_shifts) -> MonomialMatrix:
@@ -119,24 +145,48 @@ class FreeComplex:
         return [len(s) for s in self.shifts]
 
     def validate(self) -> None:
-        assert self.diffs[0] is None and len(self.diffs) == len(self.shifts)
+        """Shapes, homogeneity and diff o diff = 0."""
+        self.validate_maps()
+        square = self.square_witness()
+        if square is not None:
+            raise ValueError(f"diff o diff != 0 at position {square[0]}")
+
+    def validate_maps(self) -> None:
+        """Shapes and homogeneity of each differential (no composition)."""
+        if self.diffs[0] is not None or len(self.diffs) != len(self.shifts):
+            raise ConstructionError(
+                "differentials do not match the positions (count, positions)",
+                (len(self.diffs), len(self.shifts)))
         for i in range(1, len(self.shifts)):
             d = self.diffs[i]
             if d.row_shifts != self.shifts[i - 1] or d.col_shifts != self.shifts[i]:
                 raise ValueError(f"differential {i} does not match the shift lists")
             d.validate()
+
+    def square_witness(self) -> tuple[int, tuple[int, ...]] | None:
+        """(position i, multidegree) of the first nonzero entry of some
+        diff[i-1] o diff[i], or None if the differentials square to zero."""
         for i in range(2, len(self.shifts)):
-            if not self.diffs[i - 1].compose(self.diffs[i]).is_zero():
-                raise ValueError(f"diff o diff != 0 at position {i}")
+            comp = self.diffs[i - 1].compose(self.diffs[i])
+            if not comp.is_zero():
+                _, c = next(iter(comp.entries))
+                return i, comp.col_shifts[c]
+        return None
 
     def is_complex(self) -> bool:
-        return all(
-            self.diffs[i - 1].compose(self.diffs[i]).is_zero()
-            for i in range(2, len(self.shifts)))
+        return self.square_witness() is None
+
+    def unit_witness(self) -> tuple[int, tuple[int, int]] | None:
+        """(position, (row, col)) of the first unit entry, or None."""
+        for i in range(1, len(self.shifts)):
+            unit = self.diffs[i].unit_entry()
+            if unit is not None:
+                return i, unit
+        return None
 
     @property
     def is_minimal(self) -> bool:
-        return not any(self.diffs[i].has_unit_entry() for i in range(1, len(self.shifts)))
+        return self.unit_witness() is None
 
     def copy(self) -> "FreeComplex":
         return FreeComplex(
@@ -165,17 +215,13 @@ def taylor_complex(I: MonomialIdeal, cap: int = 14) -> FreeComplex:
     k = len(gens)
     if k > cap:
         raise SizeCapError(f"{k} generators exceed the Taylor cap {cap}")
-    zero = (0,) * I.ctx.nvars
-
-    def sub_lcm(subset):
-        acc = zero
-        for t in subset:
-            acc = lcm(acc, gens[t])
-        return acc
-
     subsets = [list(itertools.combinations(range(k), size)) for size in range(k + 1)]
-    shifts = [[sub_lcm(s) for s in level] for level in subsets]
     index = [{s: i for i, s in enumerate(level)} for level in subsets]
+    # the lcm of a subset extends the lcm of the subset without its last element
+    shifts = [[(0,) * I.ctx.nvars]]
+    for size in range(1, k + 1):
+        below, prev = index[size - 1], shifts[size - 1]
+        shifts.append([lcm(prev[below[s[:-1]]], gens[s[-1]]) for s in subsets[size]])
 
     diffs: list[MonomialMatrix | None] = [None]
     for size in range(1, k + 1):
@@ -184,7 +230,7 @@ def taylor_complex(I: MonomialIdeal, cap: int = 14) -> FreeComplex:
             for j in range(size):
                 face = subset[:j] + subset[j + 1:]
                 r = index[size - 1][face]
-                entries[(r, c)] = Fraction((-1) ** j)
+                entries[(r, c)] = SIGNS[j % 2]
         diffs.append(MonomialMatrix(I.ctx, shifts[size - 1], shifts[size], entries))
     return make_complex(I.ctx, shifts, diffs)
 
@@ -200,7 +246,10 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
     position i and r of position i-1, updates diff[i] by
     e(r',c') -= e(r',c) e(r,c') / e(r,c), drops row c of diff[i+1] and column
     r of diff[i-1].  Scan order: lowest position first, then lexicographic
-    (row, col); the resulting Betti numbers are order-independent.
+    (row, col); the resulting Betti numbers are order-independent.  The unit
+    entries of a position sit in a heap with lazy deletion: a pair is pushed
+    when it becomes a unit and skipped when popped after it stopped being one,
+    so each step pops the smallest live unit.
     """
     p = C.length
     alive = [set(range(len(C.shifts[i]))) for i in range(p + 1)]
@@ -217,34 +266,39 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
                 cols.setdefault(c, {})[r] = v
                 if rsh[r] == csh[c]:
                     units.add((r, c))
-
-        def set_entry(r, c, v):
-            if v == 0:
-                rows.get(r, {}).pop(c, None)
-                cols.get(c, {}).pop(r, None)
-                units.discard((r, c))
-            else:
-                rows.setdefault(r, {})[c] = v
-                cols.setdefault(c, {})[r] = v
-                if rsh[r] == csh[c]:
-                    units.add((r, c))
+        heap = list(units)
+        heapq.heapify(heap)
 
         while units:
-            r0, c0 = min(units)
-            u = rows[r0][c0]
-            col_entries = [(r, v) for r, v in cols[c0].items() if r != r0]
-            row_entries = [(c, v) for c, v in rows[r0].items() if c != c0]
-            for r, vc in col_entries:
-                for c, vr in row_entries:
-                    cur = rows.get(r, {}).get(c, ZERO)
-                    set_entry(r, c, cur - vc * vr / u)
-            for c, _ in row_entries:
-                set_entry(r0, c, 0)
-            for r, _ in col_entries:
-                set_entry(r, c0, 0)
+            r0, c0 = heapq.heappop(heap)
+            if (r0, c0) not in units:
+                continue
+            pivot_row, pivot_col = rows.pop(r0), cols.pop(c0)
+            u = pivot_row.pop(c0)
+            del pivot_col[r0]
             units.discard((r0, c0))
-            rows.pop(r0, None)
-            cols.pop(c0, None)
+            # every other row meeting column c0 and every other column meeting
+            # row r0 exist, so the updates index rows and cols directly
+            for r, vc in pivot_col.items():
+                row = rows[r]
+                del row[c0]
+                units.discard((r, c0))
+                factor = vc / u
+                for c, vr in pivot_row.items():
+                    v = row.get(c, ZERO) - factor * vr
+                    if v:
+                        row[c] = v
+                        cols[c][r] = v
+                        if rsh[r] == csh[c] and (r, c) not in units:
+                            units.add((r, c))
+                            heapq.heappush(heap, (r, c))
+                    else:
+                        row.pop(c, None)
+                        cols[c].pop(r, None)
+                        units.discard((r, c))
+            for c in pivot_row:
+                del cols[c][r0]
+                units.discard((r0, c))
             alive[i - 1].discard(r0)
             alive[i].discard(c0)
         final_rows[i] = rows
@@ -271,7 +325,9 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
     out = FreeComplex(C.ctx, shifts, diffs)
     _normalize_augmentation(out)
     out.validate()
-    assert out.is_minimal
+    unit = out.unit_witness()
+    if unit is not None:
+        raise ConstructionError("minimalized complex keeps a unit entry", unit)
     return out
 
 
@@ -430,11 +486,9 @@ def exactness_check(
     """
     # the strand rank arithmetic presumes an actual complex; a corrupted
     # differential must surface here, witnessed by the offending multidegree
-    for i in range(2, C.length + 1):
-        comp = C.diffs[i - 1].compose(C.diffs[i])
-        if not comp.is_zero():
-            _, c = next(iter(comp.entries))
-            return False, comp.col_shifts[c]
+    square = C.square_witness()
+    if square is not None:
+        return False, square[1]
     summands = [[(s,) for s in level] for level in C.shifts]
     scalars = [None] + [C.diffs[i].entries for i in range(1, C.length + 1)]
     return _strand_scan(summands, scalars, expect_h0, style, max_cells)
@@ -628,7 +682,10 @@ class ChainMap:
     mats: list[MonomialMatrix]
 
     def validate(self) -> None:
-        assert len(self.mats) == self.source.length + 1
+        if len(self.mats) != self.source.length + 1:
+            raise ConstructionError(
+                "chain map components do not match the source positions (components, positions)",
+                (len(self.mats), self.source.length + 1))
         for i, m in enumerate(self.mats):
             tgt_shifts = self.target.shifts[i] if i <= self.target.length else []
             if m.col_shifts != self.source.shifts[i] or m.row_shifts != tgt_shifts:
@@ -648,7 +705,10 @@ class ChainMap:
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (zero through positions missing in the middle)."""
-        assert other.target is self.source or other.target.shifts == self.source.shifts
+        if other.target is not self.source and other.target.shifts != self.source.shifts:
+            i = next(i for i, (a, b) in enumerate(
+                itertools.zip_longest(other.target.shifts, self.source.shifts)) if a != b)
+            raise ConstructionError("chain maps do not compose: the middle complexes differ", i)
         mats = []
         for i, m in enumerate(other.mats):
             if i <= self.source.length:
@@ -700,7 +760,11 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
             prev_shifts = target.shifts[i - 1] if i - 1 <= target.length else []
             rows = [r for r, s in enumerate(prev_shifts) if divides(s, b)]
             cols = [c for c, s in enumerate(tgt_shifts) if divides(s, b)]
-            assert all(r in rows for r in vcol), "homogeneity violated in lift"
+            stray = next((r for r in vcol if r not in rows), None)
+            if stray is not None:
+                raise ConstructionError(
+                    "homogeneity violated in lift (position, source basis, target row)",
+                    (i, j, stray))
             if not cols:
                 if any(v != 0 for v in vcol.values()):
                     raise RuntimeError("lift hit a zero target position with nonzero image")
@@ -725,7 +789,8 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
 
 def direct_sum(parts: list[FreeComplex]):
     """Direct sum complex plus per-part, per-position basis offsets."""
-    assert parts
+    if not parts:
+        raise ConstructionError("direct sum of an empty list of complexes", parts)
     ctx = parts[0].ctx
     p = max(part.length for part in parts)
     shifts: list[list[tuple[int, ...]]] = [[] for _ in range(p + 1)]

@@ -6,6 +6,8 @@ Matrices are lists of dense rows of Fractions (or ints).
 sparse integer rows: scaling a row by a nonzero rational keeps the rank, so
 the result is exact over Q without Fraction arithmetic.  It carries the
 strand-exactness scans, whose matrices are large, sparse and mostly +-1.
+Its denominator clearing (``_cleared``) also feeds the integer kernel of
+``complexes.MonomialMatrix.compose``.
 
 ``row_echelon`` and ``solve`` reduce over Fractions with a fixed pivot rule
 (first nonzero entry scanning columns left to right, rows top down) so that
@@ -69,12 +71,16 @@ def _integer_row(row) -> dict[int, int]:
     entries = {c: v for c, v in enumerate(row) if v}
     if not entries:
         return entries
+    return _primitive(_cleared(entries)[1])
+
+
+def _cleared(entries: dict) -> tuple[int, dict]:
+    """(m, entries times m) with m the lcm of the denominators of the
+    rational values, so that every value becomes an int."""
     m = lcm(*(v.denominator for v in entries.values()))
     if m == 1:
-        vec = {c: v.numerator for c, v in entries.items()}
-    else:
-        vec = {c: v.numerator * (m // v.denominator) for c, v in entries.items()}
-    return _primitive(vec)
+        return 1, {k: v.numerator for k, v in entries.items()}
+    return m, {k: v.numerator * (m // v.denominator) for k, v in entries.items()}
 
 
 def _eliminate(vec: dict[int, int], piv: dict[int, int], lead: int) -> dict[int, int]:

@@ -10,6 +10,7 @@ algebraic lex order with earlier variables larger (x^2, xy, y^2, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 
 
 class ContextMismatchError(ValueError):
@@ -82,12 +83,12 @@ def simple_context(n: int, names: tuple[str, ...] = ()) -> VariableContext:
 
 def divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     assert len(a) == len(b)
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     assert len(a) == len(b)
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:

@@ -366,16 +366,15 @@ def check_engine_self(inst: GmpiInstance, tot: TotalComplex) -> list[CheckResult
     return out
 
 
-def run_instance_checks(D: DoubleComplex, tot: TotalComplex,
+def run_instance_checks(D: DoubleComplex, tot: TotalComplex, table: BettiTable,
                         oracle_cap: int = 14) -> list[CheckResult]:
-    """Every check on one built instance: its double complex D and the total
-    complex of D."""
+    """Every check on one built instance: its double complex D, the total
+    complex of D and the minimal total Betti table (minimal_total_table(tot))."""
     inst = D.instance
     try:
         oracle, which = betti_for_ideal(inst.induced, cap=oracle_cap)
     except SizeCapError as e:
         oracle, which = None, str(e)
-    table = minimal_total_table(tot)
     results = structure_checks(inst, D.star, D)
     results.append(check_theorem_regularity(inst, D, table, oracle))
     results.append(check_betti_equivalence(inst, table, oracle, which))
@@ -440,7 +439,8 @@ def run_suite(seeds=None) -> list[CheckResult]:
     results: list[CheckResult] = []
     for inst in suite_instances(seeds):
         D = build_double_complex(inst)
-        results.extend(run_instance_checks(D, total_complex(D)))
+        tot = total_complex(D)
+        results.extend(run_instance_checks(D, tot, minimal_total_table(tot)))
     results.append(mixed_product_formula_check())
     results.extend(path_identity_checks())
     return results

@@ -393,6 +393,45 @@ def test_total_complex_raises_the_scan_witness(monkeypatch):
     assert err.value.witness == w and str(w) in str(err.value)
 
 
+def test_total_complex_composes_each_pair_once(monkeypatch):
+    from gmpi.complexes import MonomialMatrix
+    D = build_double_complex(expansion_instance())
+    calls = []
+    compose = MonomialMatrix.compose
+
+    def counted(self, other):
+        calls.append((self.ncols, other.ncols))
+        return compose(self, other)
+
+    monkeypatch.setattr(MonomialMatrix, "compose", counted)
+    tot = total_complex(D)
+    assert tot.exactness_verified and tot.complex.length == 4
+    assert len(calls) == 3
+
+
+def corrupted_double_complex():
+    """The expansion instance with one entry of a column differential doubled,
+    so that the total differential no longer squares to zero."""
+    D = build_double_complex(expansion_instance())
+    col = next(c for c in D.columns if c.length >= 2)
+    key = next(iter(col.diffs[2].entries))
+    col.diffs[2].entries[key] *= 2
+    return D
+
+
+@pytest.mark.parametrize("scan", [True, False], ids=["scanned", "scan-skipped"])
+def test_total_complex_rejects_a_nonzero_square(monkeypatch, scan):
+    import gmpi.builder as builder
+    D = corrupted_double_complex()
+    if not scan:
+        monkeypatch.setattr(builder, "grid_size", lambda axes: 100_001)
+        monkeypatch.setattr(builder, "exactness_check", None)
+    with pytest.raises(ConstructionError) as err:
+        total_complex(D)
+    assert len(err.value.witness) == D.instance.T.nvars
+    assert ("square to zero" in str(err.value)) == (not scan)
+
+
 def test_nonlinear_substitution_flagged_not_asserted():
     # (a^3, b^3) is generated in one degree but has a non-linear resolution
     T = VariableContext((2,), ("a",))

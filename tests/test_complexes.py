@@ -1,12 +1,22 @@
+import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmpi import linalg
 from gmpi.complexes import (
+    ChainMap,
+    ConstructionError,
+    FreeComplex,
+    MonomialMatrix,
     SizeCapError,
+    _normalize_augmentation,
     betti_table,
+    direct_sum,
     euler_characteristic_at,
     exactness_check,
     ideal_resolution,
@@ -23,6 +33,7 @@ from gmpi.complexes import (
     tensor_resolutions,
 )
 from gmpi.monomials import VariableContext, divides, ideal, lcm, simple_context
+from gmpi.verify import koszul_betti
 
 S1 = simple_context(1, ("x",))
 S2 = simple_context(2, ("x", "y"))
@@ -54,6 +65,22 @@ def test_taylor_three_generators_resolves():
     assert C.ranks == [1, 3, 3, 1]
     ok, witness = exactness_check(C, I)
     assert ok, witness
+
+
+def test_taylor_shifts_are_subset_lcms():
+    I = ideal(S3, [(2, 1, 0), (0, 2, 1), (1, 0, 2), (1, 1, 1)])
+    C = taylor_complex(I)
+    for size, level in enumerate(C.shifts):
+        subsets = itertools.combinations(I.gens, size)
+        expect = []
+        for subset in subsets:
+            acc = (0, 0, 0)
+            for g in subset:
+                acc = lcm(acc, g)
+            expect.append(acc)
+        assert level == expect
+    for d in C.diffs[1:]:
+        assert all(type(v) is Fraction and v in (1, -1) for v in d.entries.values())
 
 
 def test_taylor_cap():
@@ -359,3 +386,221 @@ def test_tensor_of_koszuls_is_koszul():
         ideal(big, [(2, 0, 1), (1, 1, 1), (0, 2, 1)]),
         style="ideal")
     assert ok, witness
+
+
+# -- the integer kernel of compose
+
+def reference_compose(a: MonomialMatrix, b: MonomialMatrix) -> dict:
+    """(a o b)[r, c] = sum_k a[r, k] b[k, c] in Fractions, in the order in
+    which compose first touches each (r, c)."""
+    acc = {}
+    for (k, c), w in b.entries.items():
+        for (r, kk), v in a.entries.items():
+            if kk == k:
+                acc[(r, c)] = acc.get((r, c), Fraction(0)) + v * w
+    return {key: v for key, v in acc.items() if v != 0}
+
+
+def flat(n):
+    return [(0,)] * n
+
+
+@st.composite
+def composable_pairs(draw):
+    """a: m x k and b: k x n sparse scalar matrices with denominators up to 5,
+    either possibly empty; b may get an extra column whose products with a
+    row of a cancel."""
+    m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
+    scalar = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 5))
+
+    def sparse(rows, cols):
+        if not rows or not cols:
+            return {}
+        cells = draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))))
+        return {cell: draw(scalar) for cell in sorted(cells)}
+
+    a, b = sparse(m, k), sparse(k, n)
+    full_row = next((r for r in range(m) if sum(1 for (rr, _) in a if rr == r) >= 2), None)
+    if full_row is not None and draw(st.booleans()):
+        (k1, v1), (k2, v2) = [(kk, v) for (r, kk), v in a.items() if r == full_row][:2]
+        b[(k1, n)], b[(k2, n)] = v2, -v1
+        n += 1
+    return (MonomialMatrix(S1, flat(m), flat(k), a),
+            MonomialMatrix(S1, flat(k), flat(n), b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(composable_pairs())
+def test_compose_matches_fraction_reference(pair):
+    a, b = pair
+    got = a.compose(b)
+    assert list(got.entries.items()) == list(reference_compose(a, b).items())
+    assert all(type(v) is Fraction for v in got.entries.values())
+    assert got.row_shifts == a.row_shifts and got.col_shifts == b.col_shifts
+
+
+def test_compose_examples():
+    F = Fraction
+    # empty operands
+    e = MonomialMatrix(S1, flat(0), flat(3), {})
+    assert e.compose(MonomialMatrix(S1, flat(3), flat(2), {(0, 1): F(1)})).entries == {}
+    assert MonomialMatrix(S1, flat(2), flat(0), {}).compose(
+        MonomialMatrix(S1, flat(0), flat(4), {})).entries == {}
+    # disjoint supports: a zero product
+    a = MonomialMatrix(S1, flat(2), flat(2), {(0, 0): F(1, 2)})
+    b = MonomialMatrix(S1, flat(2), flat(2), {(1, 1): F(3)})
+    assert a.compose(b).is_zero()
+    # products that cancel, with mixed denominators
+    a = MonomialMatrix(S1, flat(1), flat(2), {(0, 0): F(1, 3), (0, 1): F(2, 5)})
+    b = MonomialMatrix(S1, flat(2), flat(2),
+                       {(0, 0): F(6, 5), (1, 0): F(-1), (0, 1): F(3, 4)})
+    assert a.compose(b).entries == {(0, 1): F(1, 4)}
+    # integer entries on both sides
+    a = MonomialMatrix(S1, flat(1), flat(2), {(0, 0): 2, (0, 1): 3})
+    b = MonomialMatrix(S1, flat(2), flat(1), {(0, 0): 5, (1, 0): -1})
+    assert a.compose(b).entries == {(0, 0): F(7)}
+    with pytest.raises(ValueError):
+        a.compose(a)
+
+
+# -- heap-ordered cancellation
+
+def reference_minimalize(C: FreeComplex) -> FreeComplex:
+    """The cancellation loop that picks the next unit by min(units)."""
+    p = C.length
+    alive = [set(range(len(C.shifts[i]))) for i in range(p + 1)]
+    final_rows = [None] * (p + 1)
+    for i in range(1, p + 1):
+        rows, cols, units = {}, {}, set()
+        rsh, csh = C.shifts[i - 1], C.shifts[i]
+        for (r, c), v in C.diffs[i].entries.items():
+            if r in alive[i - 1] and c in alive[i]:
+                rows.setdefault(r, {})[c] = v
+                cols.setdefault(c, {})[r] = v
+                if rsh[r] == csh[c]:
+                    units.add((r, c))
+
+        def set_entry(r, c, v):
+            if v == 0:
+                rows.get(r, {}).pop(c, None)
+                cols.get(c, {}).pop(r, None)
+                units.discard((r, c))
+            else:
+                rows.setdefault(r, {})[c] = v
+                cols.setdefault(c, {})[r] = v
+                if rsh[r] == csh[c]:
+                    units.add((r, c))
+
+        while units:
+            r0, c0 = min(units)
+            u = rows[r0][c0]
+            col_entries = [(r, v) for r, v in cols[c0].items() if r != r0]
+            row_entries = [(c, v) for c, v in rows[r0].items() if c != c0]
+            for r, vc in col_entries:
+                for c, vr in row_entries:
+                    set_entry(r, c, rows.get(r, {}).get(c, Fraction(0)) - vc * vr / u)
+            for c, _ in row_entries:
+                set_entry(r0, c, 0)
+            for r, _ in col_entries:
+                set_entry(r, c0, 0)
+            units.discard((r0, c0))
+            rows.pop(r0, None)
+            cols.pop(c0, None)
+            alive[i - 1].discard(r0)
+            alive[i].discard(c0)
+        final_rows[i] = rows
+
+    new_index = [{old: new for new, old in enumerate(sorted(a))} for a in alive]
+    shifts = [[C.shifts[i][old] for old in sorted(alive[i])] for i in range(p + 1)]
+    diffs = [None]
+    for i in range(1, p + 1):
+        entries = {}
+        for r, rowmap in final_rows[i].items():
+            for c, v in rowmap.items():
+                if r in new_index[i - 1] and c in new_index[i]:
+                    entries[(new_index[i - 1][r], new_index[i][c])] = v
+        diffs.append(MonomialMatrix(C.ctx, shifts[i - 1], shifts[i], entries))
+    while len(shifts) > 1 and not shifts[-1]:
+        shifts.pop()
+        diffs.pop()
+    out = FreeComplex(C.ctx, shifts, diffs)
+    _normalize_augmentation(out)
+    return out
+
+
+def rescaled(C: FreeComplex) -> FreeComplex:
+    """C in the basis f_j e_j at positions >= 1, f_j cycling through a few
+    rationals, so that the differentials carry non-unit scalars."""
+    f = [Fraction(2), Fraction(-1, 3), Fraction(3, 2), Fraction(1)]
+    out = C.copy()
+    for i in range(1, out.length + 1):
+        out.diffs[i].entries = {
+            (r, c): v * f[c % 4] / (f[r % 4] if i >= 2 else 1)
+            for (r, c), v in out.diffs[i].entries.items()}
+    return out
+
+
+def same_complex(a: FreeComplex, b: FreeComplex) -> bool:
+    return a.shifts == b.shifts and all(
+        list(d.entries.items()) == list(e.entries.items())
+        for d, e in zip(a.diffs[1:], b.diffs[1:]))
+
+
+def demo_induced_ideal():
+    """L of demos/expansion_x2y_xy2.json: 12 generators in 4 variables."""
+    from gmpi.cli import parse_instance_document
+    path = pathlib.Path(__file__).resolve().parent.parent / "demos" / "expansion_x2y_xy2.json"
+    return parse_instance_document(json.loads(path.read_text())).induced
+
+
+def test_minimalize_matches_the_min_units_loop_on_the_demo_taylor_complex():
+    L = demo_induced_ideal()
+    assert len(L.gens) == 12
+    C = taylor_complex(L)
+    got = minimalize_complex(C)
+    assert same_complex(got, reference_minimalize(C))
+    assert betti_table(got) == koszul_betti(L)
+    S = rescaled(C)
+    assert same_complex(minimalize_complex(S), reference_minimalize(S))
+
+
+@st.composite
+def small_ideals(draw):
+    nvars = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(0, 3)] * nvars).filter(any)
+    gens = draw(st.lists(vec, min_size=1, max_size=6))
+    ctx = simple_context(nvars, tuple("xyzw"[:nvars]))
+    return ideal(ctx, gens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals())
+def test_minimalized_taylor_table_equals_koszul_oracle(I):
+    T = taylor_complex(I)
+    M = minimalize_complex(T)
+    assert M.is_minimal
+    assert betti_table(M) == koszul_betti(I)
+    assert same_complex(M, reference_minimalize(T))
+    S = rescaled(T)
+    S.validate()
+    assert same_complex(minimalize_complex(S), reference_minimalize(S))
+
+
+# -- typed construction errors
+
+def test_construction_errors_carry_witnesses():
+    C = koszul2()
+    with pytest.raises(ConstructionError) as err:
+        FreeComplex(C.ctx, C.shifts, C.diffs[:-1]).validate()
+    assert err.value.witness == (2, 3)
+    with pytest.raises(ConstructionError) as err:
+        ChainMap(C, C, identity_chain_map(C).mats[:-1]).validate()
+    assert err.value.witness == (2, 3)
+    other = minimalize_complex(taylor_complex(ideal(S2, [(2, 0), (0, 1)])))
+    with pytest.raises(ConstructionError) as err:
+        identity_chain_map(C).compose(identity_chain_map(other))
+    assert err.value.witness == 1
+    with pytest.raises(ConstructionError) as err:
+        direct_sum([])
+    assert err.value.witness == []
+    assert isinstance(err.value, RuntimeError) and not isinstance(err.value, ValueError)

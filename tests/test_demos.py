@@ -31,12 +31,16 @@ def test_demo_exits_zero(demo):
 
 
 def test_construction_output_is_the_same_under_python_O():
-    # the construction must not rely on assert statements for side effects
-    argv = ["-m", "gmpi.cli", "gmpi", str(ROOT / "demos" / "expansion_x2y_xy2.json"), "--json"]
-    outs = []
-    for flags in ([], ["-O"]):
-        proc = subprocess.run([sys.executable, *flags, *argv], env=src_env(), cwd=ROOT,
-                              capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1] and outs[0].startswith("{")
+    # neither the construction nor the checks may rely on assert statements
+    # for side effects
+    demo = str(ROOT / "demos" / "expansion_x2y_xy2.json")
+    for extra in ([], ["--check"]):
+        argv = ["-m", "gmpi.cli", "gmpi", demo, "--json", *extra]
+        outs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, *argv], env=src_env(), cwd=ROOT,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0].startswith("{")
+        assert ('"checks"' in outs[0]) == bool(extra)

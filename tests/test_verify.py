@@ -107,7 +107,8 @@ def test_structure_checks_pass_on_sample():
 
 def test_full_instance_checks_pass():
     D = build_double_complex(random_instance(9))
-    for r in run_instance_checks(D, total_complex(D)):
+    tot = total_complex(D)
+    for r in run_instance_checks(D, tot, minimal_total_table(tot)):
         assert r.passed, r.line()
 
 
@@ -257,8 +258,9 @@ def test_hypothesis_unmet_reported_not_failed():
     assert check_betti_equivalence(inst, table, oracle, "taylor").passed
 
 
-def test_instance_checks_read_the_total_table_once(monkeypatch):
-    from gmpi import builder, verify
+def test_instance_checks_read_the_total_table_once(monkeypatch, tmp_path):
+    import json
+    from gmpi import builder, cli, verify
     D = build_double_complex(random_instance(30))
     tot = total_complex(D)
     reads = []
@@ -267,11 +269,17 @@ def test_instance_checks_read_the_total_table_once(monkeypatch):
         reads.append(t)
         return minimal_total_table(t)
 
-    monkeypatch.setattr(builder, "minimal_total_table", counted)
-    monkeypatch.setattr(verify, "minimal_total_table", counted)
-    results = run_instance_checks(D, tot)
+    for mod in (builder, verify, cli):
+        monkeypatch.setattr(mod, "minimal_total_table", counted)
+    results = run_instance_checks(D, tot, counted(tot))
     assert len(results) == 14 and all(r.passed for r in results)
     assert reads == [tot]
+    # gmpi gmpi --check prints the table and runs the checks on one read
+    reads.clear()
+    path = tmp_path / "seed30.json"
+    path.write_text(json.dumps(cli.instance_to_document(random_instance(30))))
+    assert cli.main(["gmpi", str(path), "--check"]) == 0
+    assert len(reads) == 1
 
 
 def test_check_result_json_roundtrip():
@@ -291,7 +299,8 @@ def test_capped_oracle_is_skipped_not_passed(monkeypatch):
 
     monkeypatch.setattr(verify, "oracle_betti", capped)
     D = build_double_complex(random_instance(9))
-    results = run_instance_checks(D, total_complex(D))
+    tot = total_complex(D)
+    results = run_instance_checks(D, tot, minimal_total_table(tot))
     betti = next(r for r in results if r.name == "betti-equivalence")
     assert betti.status == "SKIPPED" and betti.line().startswith("[SKIPPED]")
     assert betti.to_json()["status"] == "SKIPPED"
