@@ -52,7 +52,7 @@ print("total complex ranks:", tot.complex.ranks, "minimal:", tot.complex.is_mini
 table = minimal_total_table(tot)
 print("Betti table of T/L:")
 print(table.triangle())
-print("matches the Taylor oracle:", table == oracle_betti(inst.induced))
+print("matches the Lyubeznik oracle:", table == oracle_betti(inst.induced))
 
 reg = gmpi_regularity(D, tot)
 print(f"reg L = {reg.value} = reg I = {reg.comparison}")

@@ -22,7 +22,8 @@ print()
 
 # squarefree Veronese on blocks (3,3) with degree pairs (2,1) and (1,2):
 # regularity max(2,1) + max(1,2) - 1 = 3 by the formula, the total complex,
-# and the simplicial-homology oracle (18 generators, beyond the Taylor cap)
+# and the simplicial-homology oracle (18 generators: 2^18 Taylor subsets, of
+# which 156 are Lyubeznik-admissible, so `gmpi gmpi --check` runs on it too)
 print(mixed_product_formula_check().line())
 mixed = mixed_product_instance((3, 3), (2, 1), (1, 2))
 print("|G(L)| =", len(mixed.induced.gens))

@@ -25,6 +25,7 @@ from .complexes import (
     inexact_positions,
     is_linear_resolution,
     lift_chain_map,
+    lyubeznik_complex,
     minimalize_complex,
     projective_dimension,
     regularity,

@@ -188,8 +188,6 @@ def validate_family(
                     raise FamilyValidationError(
                         f"shift {s} at position {i} has unrealized block degree "
                         f"{s[l]} in block {l}")
-    for q in products:
-        assert induced.contains(q)
     return inst
 
 
@@ -242,7 +240,9 @@ def build_star_complex(inst: GmpiInstance) -> StarComplex:
         level = []
         for j in range(len(inst.resolution.shifts[i])):
             rows = [k for k in range(len(prev)) if lam[k][j] != 0]
-            assert rows, "zero column in a minimal differential"
+            if not rows:
+                raise ConstructionError(
+                    "zero column in a minimal differential (position, column)", (i, j))
             level.append(intersect_many(prev[k] for k in rows))
         levels.append(level)
     star = StarComplex(inst, levels, inst.lam)
@@ -251,8 +251,10 @@ def build_star_complex(inst: GmpiInstance) -> StarComplex:
         lam = inst.lam[i]
         for j, idl in enumerate(star.ideals[i - 1]):
             for k in range(len(star.ideals[i - 2])):
-                if lam[k][j] != 0:
-                    assert star.ideals[i - 2][k].contains(idl)
+                if lam[k][j] != 0 and not star.ideals[i - 2][k].contains(idl):
+                    raise ConstructionError(
+                        "a nonzero scalar maps a star ideal outside its target "
+                        "(position, column, row)", (i, j, k))
     return star
 
 
@@ -401,14 +403,18 @@ class DoubleComplex:
     def sigma_extends_star(self) -> bool:
         """Row-zero column sums reproduce the scalar matrices (the commuting
         square with the augmentations)."""
+        return self.sigma_star_witness() is None
+
+    def sigma_star_witness(self):
+        """(c, j, u, k) where the row-zero sums of sigma_c over generator u of
+        summand j miss the scalar lam_c[k][j], or None."""
         inst = self.instance
         for c in range(1, len(self.columns)):
             m0 = self.sigmas[c].mats[0]
             col_offsets = self.offsets[c]
             row_offsets = self.offsets[c - 1] if c >= 2 else None
-            ncols_src = [len(t.complex.shifts[0]) for t in self.summands[c]]
             for j, tres in enumerate(self.summands[c]):
-                for u in range(ncols_src[j]):
+                for u in range(len(tres.complex.shifts[0])):
                     col = col_offsets[j][0] + u
                     sums: dict[int, Fraction] = {}
                     for (r, cc), v in m0.entries.items():
@@ -421,10 +427,9 @@ class DoubleComplex:
                         sums[k] = sums.get(k, ZERO) + v
                     nrows = 1 if c == 1 else len(self.star.ideals[c - 2])
                     for k in range(nrows):
-                        lam = inst.lam[c][k][j]
-                        if sums.get(k, ZERO) != lam:
-                            return False
-        return True
+                        if sums.get(k, ZERO) != inst.lam[c][k][j]:
+                            return c, j, u, k
+        return None
 
 
 def _summand_of(offsets: list[list[int]], i: int, idx: int) -> int:
@@ -506,10 +511,19 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
     dd = DoubleComplex(
         instance=inst, star=star, blocks=blocks, linear_flags=flags,
         columns=columns, summands=summands, offsets=offsets, sigmas=sigmas)
-    assert dd.sigma_square_witness() is None
-    assert dd.sigma_extends_star()
+    witness = dd.sigma_square_witness()
+    if witness is not None:
+        raise ConstructionError("sigma maps do not square to zero (column, row)", witness)
+    witness = dd.sigma_star_witness()
+    if witness is not None:
+        raise ConstructionError(
+            "sigma misses the scalar matrices (column, summand, generator, row)", witness)
     if dd.hypothesis_linear:
-        assert dd.sigma_unit_witness() is None
+        witness = dd.sigma_unit_witness()
+        if witness is not None:
+            raise ConstructionError(
+                "sigma has a unit entry under the linearity hypothesis "
+                "(column, row, entry row, entry column)", witness)
     return dd
 
 
@@ -573,7 +587,11 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
     cx = FreeComplex(inst.T, shifts, diffs)
     cx.validate_maps()
     if D.hypothesis_linear:
-        assert cx.is_minimal
+        unit = cx.unit_witness()
+        if unit is not None:
+            raise ConstructionError(
+                "total complex has a unit entry under the linearity hypothesis "
+                "(position, (row, column))", unit)
     exactness_verified = grid_size(degree_grid(cx.shifts, inst.T.nvars)) <= 100_000
     if exactness_verified:
         ok, witness = exactness_check(cx, inst.induced, max_cells=100_000)
@@ -619,11 +637,13 @@ def regularity_report(D: DoubleComplex, table: BettiTable) -> InvariantReport:
 
 def gmpi_regularity(D: DoubleComplex, tot: TotalComplex | None = None) -> InvariantReport:
     """reg L from the total complex; equals reg I under the linearity
-    hypothesis (asserted), reported as a comparison otherwise."""
+    hypothesis (ConstructionError otherwise), reported as a comparison
+    outside it."""
     rep = regularity_report(D, minimal_total_table(tot or total_complex(D)))
-    if rep.hypothesis_linear:
-        assert rep.agrees, (
-            f"regularity {rep.value} != {rep.comparison} under the linear hypothesis")
+    if rep.hypothesis_linear and not rep.agrees:
+        raise ConstructionError(
+            "reg L differs from reg I under the linearity hypothesis (reg L, reg I)",
+            (rep.value, rep.comparison))
     return rep
 
 
@@ -645,10 +665,13 @@ def projdim_report(D: DoubleComplex, table: BettiTable) -> InvariantReport:
 
 
 def gmpi_projdim(D: DoubleComplex, tot: TotalComplex | None = None) -> InvariantReport:
-    """projdim_report, asserted to agree under the linearity hypothesis."""
+    """projdim_report; ConstructionError if the formula and the total
+    complex disagree under the linearity hypothesis."""
     rep = projdim_report(D, minimal_total_table(tot or total_complex(D)))
-    if rep.hypothesis_linear:
-        assert rep.agrees, f"projdim formula {rep.value} != {rep.comparison}"
+    if rep.hypothesis_linear and not rep.agrees:
+        raise ConstructionError(
+            "the projective dimension formula fails under the linearity hypothesis "
+            "(formula, pd of the total complex)", (rep.value, rep.comparison))
     return rep
 
 

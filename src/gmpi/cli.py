@@ -29,10 +29,10 @@ from .complexes import (
     SizeCapError,
     betti_table,
     is_linear_resolution,
+    lyubeznik_complex,
     minimalize_complex,
     projective_dimension,
     regularity,
-    taylor_complex,
 )
 from .monomials import MonomialIdeal, VariableContext, ideal, simple_context
 from . import families as fam
@@ -156,7 +156,7 @@ def cmd_resolve(args) -> int:
     I = parse_ideal_document(doc)
     if I.is_zero or I.is_unit:
         raise InputError("resolve needs a nonzero proper ideal")
-    res = minimalize_complex(taylor_complex(I, cap=args.max_taylor))
+    res = minimalize_complex(lyubeznik_complex(I, cap=1 << args.max_taylor))
     table = betti_table(res)
     d = I.generated_in_degree()
     payload = {
@@ -265,6 +265,13 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gmpi", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -273,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="resolve a standalone monomial ideal")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-taylor", type=int, default=14)
+    p.add_argument("--max-taylor", type=_nonnegative_int, default=14, metavar="N",
+                   help="cap the Lyubeznik complex at 2^N basis elements, the size "
+                        "of the Taylor complex on N generators (default 14)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_resolve)
 
@@ -281,7 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--check", action="store_true", help="run the full check suite")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-taylor", type=int, default=14, help="oracle generator cap")
+    p.add_argument("--max-taylor", type=_nonnegative_int, default=14, metavar="N",
+                   help="cap the Lyubeznik complexes of L that --check builds at 2^N "
+                        "basis elements, the size of the Taylor complex on N "
+                        "generators (default 14)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gmpi)
 

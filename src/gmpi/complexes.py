@@ -8,10 +8,12 @@ minimal exactly when no stored entry sits between equal shifts.  ``compose``
 scales each operand once by the lcm of its denominators and multiplies and
 sums in ints; only the nonzero sums become Fractions again.
 
-The entry point for resolutions is the Taylor complex; Gaussian cancellation
-of unit entries (the standard chain-complex reduction lemma) turns it into
-the minimal resolution.  Every Taylor complex is checked to square to zero
-when it is built.  The cancellation takes the smallest remaining unit
+The entry point for resolutions is the Lyubeznik complex, the subcomplex of
+the Taylor complex on the admissible generator subsets; Gaussian
+cancellation of unit entries (the standard chain-complex reduction lemma)
+turns it into the minimal resolution.  The full Taylor complex stays as the
+reference it is tested against; both are checked to square to zero when
+they are built.  The cancellation takes the smallest remaining unit
 (position, row, column) from a heap with lazy deletion, the order a linear
 scan would give.  Strand machinery restricts a complex to a single
 multidegree, where exactness and homology become finite rational rank
@@ -205,32 +207,88 @@ def make_complex(ctx, shifts, diffs) -> FreeComplex:
 
 
 # ---------------------------------------------------------------------------
-# Taylor complex
+# Taylor and Lyubeznik complexes
 
 def taylor_complex(I: MonomialIdeal, cap: int = 14) -> FreeComplex:
-    """Taylor resolution of S/I: position k is spanned by k-subsets of G(I)."""
+    """Taylor resolution of S/I: position k is spanned by k-subsets of G(I).
+
+    ``cap`` bounds the number of generators (2^cap basis elements)."""
     if I.is_zero or I.is_unit:
         raise ValueError("Taylor complex needs a nonzero proper ideal")
-    gens = list(I.gens)
-    k = len(gens)
+    k = len(I.gens)
     if k > cap:
         raise SizeCapError(f"{k} generators exceed the Taylor cap {cap}")
-    subsets = [list(itertools.combinations(range(k), size)) for size in range(k + 1)]
-    index = [{s: i for i, s in enumerate(level)} for level in subsets]
-    # the lcm of a subset extends the lcm of the subset without its last element
+    return _subset_complex(
+        I, [list(itertools.combinations(range(k), size)) for size in range(k + 1)])
+
+
+def lyubeznik_complex(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
+    """Lyubeznik resolution of S/I (Lyubeznik 1988) for the generator order
+    m_0, ..., m_{k-1} of I.gens.
+
+    It is the subcomplex of the Taylor complex on the admissible subsets
+    i_1 < ... < i_s: no m_q with q < i_t divides the lcm of the tail
+    m_{i_t}, ..., m_{i_s}, for any t.  A subset is admissible iff its tail
+    from i_2 is and m_{i_1} is the first generator dividing its lcm, so the
+    levels grow by prepending smaller indices to the admissible subsets one
+    level down.  Each level is listed in the lexicographic order the Taylor
+    complex uses.  ``cap`` bounds the number of basis elements, counted while
+    the levels are enumerated and before any matrix is built.
+    """
+    if I.is_zero or I.is_unit:
+        raise ValueError("Lyubeznik complex needs a nonzero proper ideal")
+    gens = I.gens
+    k = len(gens)
+    first: dict[tuple[int, ...], int] = {}
+
+    def first_divisor(m):
+        if m not in first:
+            first[m] = next(q for q, g in enumerate(gens) if divides(g, m))
+        return first[m]
+
+    levels = [[()], [(i,) for i in range(k)]]
+    lcms = {(i,): g for i, g in enumerate(gens)}
+    size = 1 + k
+    while levels[-1] and size <= cap:
+        level = []
+        for tail in levels[-1]:
+            below = lcms[tail]
+            for i in range(tail[0]):
+                m = lcm(gens[i], below)
+                if first_divisor(m) == i:
+                    lcms[(i,) + tail] = m
+                    level.append((i,) + tail)
+            if size + len(level) > cap:
+                break
+        size += len(level)
+        level.sort()
+        levels.append(level)
+    if size > cap:
+        raise SizeCapError(
+            f"the Lyubeznik complex of {k} generators exceeds the cap of {cap} basis elements")
+    return _subset_complex(I, levels[:-1])
+
+
+def _subset_complex(I: MonomialIdeal, levels: list[list[tuple[int, ...]]]) -> FreeComplex:
+    """The subcomplex of the Taylor complex of S/I on ``levels[s]``, lists of
+    s-subsets of generator indices (sorted tuples), closed under removing an
+    element.  A subset's shift extends the lcm of the subset without its last
+    element; the boundary of a subset is sum_j (-1)^j (it without element j).
+    Checked to square to zero."""
+    gens = I.gens
+    index = [{s: i for i, s in enumerate(level)} for level in levels]
     shifts = [[(0,) * I.ctx.nvars]]
-    for size in range(1, k + 1):
+    for size in range(1, len(levels)):
         below, prev = index[size - 1], shifts[size - 1]
-        shifts.append([lcm(prev[below[s[:-1]]], gens[s[-1]]) for s in subsets[size]])
+        shifts.append([lcm(prev[below[s[:-1]]], gens[s[-1]]) for s in levels[size]])
 
     diffs: list[MonomialMatrix | None] = [None]
-    for size in range(1, k + 1):
+    for size in range(1, len(levels)):
+        below = index[size - 1]
         entries: dict[tuple[int, int], Fraction] = {}
-        for c, subset in enumerate(subsets[size]):
+        for c, subset in enumerate(levels[size]):
             for j in range(size):
-                face = subset[:j] + subset[j + 1:]
-                r = index[size - 1][face]
-                entries[(r, c)] = SIGNS[j % 2]
+                entries[(below[subset[:j] + subset[j + 1:]], c)] = SIGNS[j % 2]
         diffs.append(MonomialMatrix(I.ctx, shifts[size - 1], shifts[size], entries))
     return make_complex(I.ctx, shifts, diffs)
 
@@ -372,8 +430,9 @@ def permute_position(C: FreeComplex, i: int, perm: list[int]) -> FreeComplex:
 
 def quotient_resolution(I: MonomialIdeal) -> FreeComplex:
     """Minimal resolution of S/I with position 1 in the canonical generator
-    order, so basis element j of position 1 maps to the j-th generator."""
-    quot = minimalize_complex(taylor_complex(I))
+    order, so basis element j of position 1 maps to the j-th generator.
+    Minimalized from the Lyubeznik complex, which keeps every generator."""
+    quot = minimalize_complex(lyubeznik_complex(I))
     perm = [quot.shifts[1].index(g) for g in I.gens]
     return permute_position(quot, 1, perm)
 

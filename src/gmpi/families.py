@@ -12,6 +12,7 @@ import itertools
 import random
 
 from .builder import (
+    ConstructionError,
     FamilyValidationError,
     GmpiInstance,
     SubstitutionFamily,
@@ -174,7 +175,10 @@ def path_ideal_complete_multipartite(parts: tuple[int, ...], t: int) -> Monomial
     if t < 2:
         raise ValueError("paths need at least two vertices")
     direct, via_gmpi = path_ideal_two_ways(parts, t)
-    assert direct.gens == via_gmpi.gens, "path enumeration disagrees with the induced ideal"
+    if direct.gens != via_gmpi.gens:
+        witness = min(set(direct.gens) ^ set(via_gmpi.gens))
+        raise ConstructionError(
+            "path enumeration disagrees with the induced ideal (generator in one only)", witness)
     return direct
 
 

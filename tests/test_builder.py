@@ -448,3 +448,52 @@ def test_nonlinear_substitution_flagged_not_asserted():
     table = minimal_total_table(tot)
     oracle = betti_table(minimalize_complex(taylor_complex(inst.induced)))
     assert table == oracle
+
+
+# -- typed construction errors (they hold under python -O too)
+
+def test_star_complex_raises_on_a_zero_column():
+    inst = expansion_instance()
+    inst.lam[2] = [[0] * len(row) for row in inst.lam[2]]
+    with pytest.raises(ConstructionError) as err:
+        build_star_complex(inst)
+    assert err.value.witness == (2, 0)
+
+
+@pytest.mark.parametrize("method", [
+    "sigma_square_witness", "sigma_star_witness", "sigma_unit_witness"])
+def test_double_complex_raises_the_sigma_witness(monkeypatch, method):
+    from gmpi.builder import DoubleComplex
+    monkeypatch.setattr(DoubleComplex, method, lambda self: (1, 0, 0, 0))
+    with pytest.raises(ConstructionError) as err:
+        build_double_complex(expansion_instance())
+    assert err.value.witness == (1, 0, 0, 0)
+
+
+def test_sigma_star_witness_finds_a_changed_scalar():
+    D = build_double_complex(expansion_instance())
+    assert D.sigma_star_witness() is None and D.sigma_extends_star()
+    D.instance.lam[1][0][1] = Fraction(2)
+    assert D.sigma_star_witness() == (1, 1, 0, 0) and not D.sigma_extends_star()
+
+
+def test_total_complex_raises_a_unit_witness(monkeypatch):
+    from gmpi.complexes import FreeComplex
+    D = build_double_complex(expansion_instance())
+    monkeypatch.setattr(FreeComplex, "unit_witness", lambda self: (1, (0, 0)))
+    with pytest.raises(ConstructionError) as err:
+        total_complex(D)
+    assert err.value.witness == (1, (0, 0))
+
+
+def test_invariants_raise_when_the_theorem_fails_under_its_hypothesis(monkeypatch):
+    import gmpi.builder as builder
+    D = build_double_complex(expansion_instance())
+    tot = total_complex(D)
+    bad = builder.InvariantReport(value=3, hypothesis_linear=True, comparison=2)
+    monkeypatch.setattr(builder, "regularity_report", lambda *args: bad)
+    monkeypatch.setattr(builder, "projdim_report", lambda *args: bad)
+    for invariant in (gmpi_regularity, gmpi_projdim):
+        with pytest.raises(ConstructionError) as err:
+            invariant(D, tot)
+        assert err.value.witness == (3, 2)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gmpi import linalg
 from gmpi.complexes import (
+    BettiTable,
     ChainMap,
     ConstructionError,
     FreeComplex,
@@ -23,6 +24,7 @@ from gmpi.complexes import (
     identity_chain_map,
     is_linear_resolution,
     lift_chain_map,
+    lyubeznik_complex,
     minimalize_complex,
     projective_dimension,
     inexact_positions,
@@ -32,7 +34,7 @@ from gmpi.complexes import (
     taylor_complex,
     tensor_resolutions,
 )
-from gmpi.monomials import VariableContext, divides, ideal, lcm, simple_context
+from gmpi.monomials import MonomialIdeal, VariableContext, divides, ideal, lcm, simple_context
 from gmpi.verify import koszul_betti
 
 S1 = simple_context(1, ("x",))
@@ -604,3 +606,106 @@ def test_construction_errors_carry_witnesses():
         direct_sum([])
     assert err.value.witness == []
     assert isinstance(err.value, RuntimeError) and not isinstance(err.value, ValueError)
+
+
+# -- Lyubeznik complex
+
+def lyubeznik_faces(C: FreeComplex) -> list[list[tuple[int, ...]]]:
+    """The generator subset of each basis element, read off the
+    differential: a face is the union of the faces in its boundary."""
+    faces = [[()], [(j,) for j in range(C.ranks[1])]] if C.length else [[()]]
+    for i in range(2, C.length + 1):
+        rows: dict[int, set] = {}
+        for (r, c) in C.diffs[i].entries:
+            rows.setdefault(c, set()).add(r)
+        faces.append([
+            tuple(sorted(set().union(*(faces[i - 1][r] for r in rows[c]))))
+            for c in range(C.ranks[i])])
+    return faces
+
+
+def admissible(gens, face) -> bool:
+    """No generator before a tail's first element divides the tail's lcm."""
+    for t in range(len(face)):
+        tail = (0,) * len(gens[0])
+        for i in face[t:]:
+            tail = lcm(tail, gens[i])
+        if any(divides(gens[q], tail) for q in range(face[t])):
+            return False
+    return True
+
+
+@st.composite
+def shuffled_small_ideals(draw):
+    I = draw(small_ideals())
+    return MonomialIdeal(I.ctx, tuple(draw(st.permutations(I.gens))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_small_ideals())
+def test_lyubeznik_complex_is_taylor_on_the_admissible_faces(I):
+    gens = I.gens
+    C = lyubeznik_complex(I)
+    faces = lyubeznik_faces(C)
+    everything = [f for size in range(len(gens) + 1)
+                  for f in itertools.combinations(range(len(gens)), size)]
+    # exactly the admissible subsets, level by level in Taylor's order
+    assert [f for level in faces for f in level] == [f for f in everything if admissible(gens, f)]
+    index = [{f: c for c, f in enumerate(level)} for level in faces]
+    for i, level in enumerate(faces):
+        for c, face in enumerate(level):
+            shift = (0,) * I.ctx.nvars
+            for j in face:
+                shift = lcm(shift, gens[j])
+            assert C.shifts[i][c] == shift
+            if i == 0:
+                continue
+            # closed under removing an element, with Taylor's signs
+            column = {r: v for (r, cc), v in C.diffs[i].entries.items() if cc == c}
+            assert column == {index[i - 1][face[:j] + face[j + 1:]]: (-1) ** j
+                              for j in range(i)}
+    table = betti_table(minimalize_complex(C))
+    assert table == betti_table(minimalize_complex(taylor_complex(I)))
+    assert table == koszul_betti(I)
+
+
+def test_lyubeznik_complex_of_the_demo_ideal():
+    L = demo_induced_ideal()
+    C = lyubeznik_complex(L)
+    assert sum(C.ranks) == 148 and sum(taylor_complex(L).ranks) == 4096
+    assert betti_table(minimalize_complex(C)) == koszul_betti(L)
+
+
+def test_lyubeznik_cap_is_checked_before_any_matrix(monkeypatch):
+    from gmpi import complexes
+    built = []
+    monkeypatch.setattr(complexes, "_subset_complex", lambda *args: built.append(args))
+    # in this order every subset of the 16 generators is admissible: 2^16 of them
+    big = ideal(S2, [(d, 15 - d) for d in range(16)])
+    with pytest.raises(SizeCapError, match="cap of 16384 basis elements"):
+        lyubeznik_complex(big)
+    with pytest.raises(SizeCapError):
+        lyubeznik_complex(ideal(S2, [(2, 0), (1, 1), (0, 2)]), cap=3)
+    assert built == []
+    lyubeznik_complex(ideal(S2, [(2, 0), (1, 1), (0, 2)]), cap=8)
+    assert len(built) == 1
+
+
+def test_lyubeznik_rejects_degenerate():
+    with pytest.raises(ValueError):
+        lyubeznik_complex(ideal(S2, [(0, 0)]))
+    with pytest.raises(ValueError):
+        lyubeznik_complex(MonomialIdeal(S2, ()))
+
+
+def test_resolve_beyond_the_taylor_cap(tmp_path, capsys):
+    # m^3 in 4 variables: 20 generators, 2^20 Taylor subsets
+    from gmpi.cli import ideal_to_document, main
+    from gmpi.families import power_of_maximal
+    I = power_of_maximal(4, 3)
+    assert len(I.gens) == 20
+    path = tmp_path / "m3.json"
+    path.write_text(json.dumps(ideal_to_document(I)))
+    assert main(["resolve", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert BettiTable.from_json(payload["betti"]) == koszul_betti(I)

@@ -1,6 +1,7 @@
-"""The narrative demos and the CLI on the demo document, each run in a fresh
-interpreter."""
+"""The narrative demos, and the CLI on the demo and on an 18-generator
+instance document, each run in a fresh interpreter."""
 
+import json
 import os
 import pathlib
 import subprocess
@@ -30,12 +31,17 @@ def test_demo_exits_zero(demo):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_construction_output_is_the_same_under_python_O():
+def test_construction_output_is_the_same_under_python_O(tmp_path):
     # neither the construction nor the checks may rely on assert statements
     # for side effects
+    from gmpi.cli import instance_to_document
+    from gmpi.families import mixed_product_instance
     demo = str(ROOT / "demos" / "expansion_x2y_xy2.json")
-    for extra in ([], ["--check"]):
-        argv = ["-m", "gmpi.cli", "gmpi", demo, "--json", *extra]
+    mixed = tmp_path / "mixed33_21.json"
+    mixed.write_text(json.dumps(
+        instance_to_document(mixed_product_instance((3, 3), (2, 1), (1, 2)))))
+    for doc, extra in ((demo, []), (demo, ["--check"]), (str(mixed), ["--check"])):
+        argv = ["-m", "gmpi.cli", "gmpi", doc, "--json", *extra]
         outs = []
         for flags in ([], ["-O"]):
             proc = subprocess.run([sys.executable, *flags, *argv], env=src_env(), cwd=ROOT,

@@ -97,6 +97,18 @@ def test_path_ideal_t3_agrees_with_induced_construction():
     assert len(I.gens) == 4
 
 
+def test_path_ideal_disagreement_raises_with_a_witness(monkeypatch):
+    from gmpi import families
+    from gmpi.builder import ConstructionError
+    from gmpi.monomials import MonomialIdeal
+    direct, _ = families.path_ideal_two_ways((2, 2), 2)
+    fewer = MonomialIdeal(direct.ctx, direct.gens[1:])
+    monkeypatch.setattr(families, "path_ideal_two_ways", lambda parts, t: (direct, fewer))
+    with pytest.raises(ConstructionError) as err:
+        path_ideal_complete_multipartite((2, 2), 2)
+    assert err.value.witness == direct.gens[0]
+
+
 def test_path_ideal_rejects_short_paths():
     with pytest.raises(ValueError):
         path_ideal_complete_multipartite((2, 2), 1)

@@ -297,14 +297,45 @@ def test_capped_oracle_is_skipped_not_passed(monkeypatch):
     def capped(L, cap=14):
         raise SizeCapError(f"{len(L.gens)} generators exceed the oracle cap 0")
 
+    # with both oracles capped nothing checks the table
     monkeypatch.setattr(verify, "oracle_betti", capped)
+    monkeypatch.setattr(verify, "koszul_betti", capped)
     D = build_double_complex(random_instance(9))
     tot = total_complex(D)
     results = run_instance_checks(D, tot, minimal_total_table(tot))
     betti = next(r for r in results if r.name == "betti-equivalence")
     assert betti.status == "SKIPPED" and betti.line().startswith("[SKIPPED]")
     assert betti.to_json()["status"] == "SKIPPED"
+    # the permutation check has no Lyubeznik table to compare with either
+    perm = next(r for r in results if r.name == "betti-permutation-invariance")
+    assert perm.status == "SKIPPED"
     # passed (and so the exit code) is unchanged; only the reporting differs
     assert all(r.passed for r in results)
     n = len(results)
+    assert summary_lines(results)[-1] == f"{n - 2}/{n} checks passed, 2 skipped"
+
+
+def test_capped_lyubeznik_oracle_falls_back_to_koszul():
+    D = build_double_complex(random_instance(9))
+    tot = total_complex(D)
+    # a Taylor cap of 2: at most 4 basis elements
+    results = run_instance_checks(D, tot, minimal_total_table(tot), oracle_cap=2)
+    assert len(results) == 14 and all(r.passed for r in results)
+    betti = next(r for r in results if r.name == "betti-equivalence")
+    assert betti.status == "PASS" and betti.details == {"oracle": "koszul"}
+    perm = next(r for r in results if r.name == "betti-permutation-invariance")
+    assert perm.status == "SKIPPED" and "Taylor cap 2" in perm.details["skipped"]
+    n = len(results)
     assert summary_lines(results)[-1] == f"{n - 1}/{n} checks passed, 1 skipped"
+
+
+def test_shuffled_order_beyond_the_cap_is_skipped():
+    from gmpi.verify import check_engine_self
+    inst = random_instance(9)
+    tot = total_complex(build_double_complex(inst))
+    base = oracle_betti(inst.induced)
+    # the canonical order has 16 basis elements, the first shuffled one 10
+    checks = {r.name: r for r in check_engine_self(inst, tot, base, cap=4)}
+    assert checks["betti-permutation-invariance"].status == "PASS"
+    perm = check_engine_self(inst, tot, base, cap=3)[1]
+    assert perm.status == "SKIPPED" and "cap of 8 basis elements" in perm.details["skipped"]
