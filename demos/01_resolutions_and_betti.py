@@ -12,7 +12,6 @@ from gmpi import (
     minimalize_complex,
     projective_dimension,
     regularity,
-    scalar_matrices,
     simple_context,
     taylor_complex,
 )
@@ -40,6 +39,7 @@ print("reg(I) =", regularity(table))
 print("projdim(S/I) =", projective_dimension(table))
 
 # the scalar matrices: coefficients of the differentials with the monomial
-# factors stripped; the first one is the all-ones row
-for i, lam in enumerate(scalar_matrices(M), start=1):
-    print(f"scalar matrix {i}:", [[str(v) for v in row] for row in lam])
+# factors stripped, stored sparsely as {(row, column): scalar}; the first one
+# is the all-ones row
+for i in range(1, M.length + 1):
+    print(f"scalar matrix {i}:", sorted(M.diffs[i].entries.items()))

@@ -29,7 +29,6 @@ from .complexes import (
     minimalize_complex,
     projective_dimension,
     regularity,
-    scalar_matrices,
     strand,
     taylor_complex,
 )

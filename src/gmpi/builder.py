@@ -42,7 +42,6 @@ from .complexes import (
     MonomialMatrix,
     quotient_resolution,
     regularity,
-    scalar_matrices,
     tensor_chain_map,
     tensor_resolutions,
     TensorResolution,
@@ -101,8 +100,8 @@ class GmpiInstance:
     ladders: list[list[int]]                 # per block, sorted distinct block degrees
     products: list[MonomialIdeal]            # L_j, one per generator of the inducing ideal
     induced: MonomialIdeal                   # L
-    resolution: FreeComplex                  # minimal resolution of S/I
-    lam: list                                 # lam[i] = dense scalar matrix of diff i
+    resolution: FreeComplex                  # minimal resolution of S/I; its diffs
+                                             # store the scalar matrices lam_i
     label: str = ""
 
     @property
@@ -174,11 +173,10 @@ def validate_family(
 
     products, induced = induced_ideal(inducing, family)
     res = quotient_resolution(inducing)
-    lam = [None] + scalar_matrices(res)
 
     inst = GmpiInstance(
         inducing=inducing, T=T, family=family, ladders=ladders,
-        products=products, induced=induced, resolution=res, lam=lam, label=label)
+        products=products, induced=induced, resolution=res, label=label)
 
     # every block degree of every shift must be realized by a generator
     for i in range(1, res.length + 1):
@@ -220,7 +218,6 @@ class StarComplex:
 
     instance: GmpiInstance
     ideals: list[list[MonomialIdeal]]   # ideals[i] for positions i = 1..p
-    lam: list                            # lam[i], same matrices as the instance
 
     @property
     def length(self) -> int:
@@ -233,25 +230,27 @@ class StarComplex:
 def build_star_complex(inst: GmpiInstance) -> StarComplex:
     """Position 1 carries the L_j; deeper positions intersect along the
     nonzero pattern of the scalar matrices."""
+    res = inst.resolution
     levels = [list(inst.products)]
-    for i in range(2, inst.resolution.length + 1):
-        lam = inst.lam[i]
+    # supports[i][j]: the rows of the nonzero scalars in column j of lam_i, ascending
+    supports = [None, None]
+    for i in range(2, res.length + 1):
+        cols = res.diffs[i].columns()
+        supports.append([sorted(cols.get(j, ())) for j in range(len(res.shifts[i]))])
         prev = levels[-1]
         level = []
-        for j in range(len(inst.resolution.shifts[i])):
-            rows = [k for k in range(len(prev)) if lam[k][j] != 0]
+        for j, rows in enumerate(supports[i]):
             if not rows:
                 raise ConstructionError(
                     "zero column in a minimal differential (position, column)", (i, j))
             level.append(intersect_many(prev[k] for k in rows))
         levels.append(level)
-    star = StarComplex(inst, levels, inst.lam)
+    star = StarComplex(inst, levels)
     # well-definedness: a nonzero scalar forces containment
     for i in range(2, star.length + 1):
-        lam = inst.lam[i]
         for j, idl in enumerate(star.ideals[i - 1]):
-            for k in range(len(star.ideals[i - 2])):
-                if lam[k][j] != 0 and not star.ideals[i - 2][k].contains(idl):
+            for k in supports[i][j]:
+                if not star.ideals[i - 2][k].contains(idl):
                     raise ConstructionError(
                         "a nonzero scalar maps a star ideal outside its target "
                         "(position, column, row)", (i, j, k))
@@ -280,9 +279,7 @@ def star_acyclicity(star: StarComplex):
     inst = star.instance
     ring = [((0,) * inst.T.nvars,)]
     summands = [ring] + [[idl.gens for idl in level] for level in star.ideals]
-    scalars = [None] + [
-        {(r, c): v for r, row in enumerate(lam) for c, v in enumerate(row) if v != 0}
-        for lam in star.lam[1:]]
+    scalars = [None] + [d.columns() for d in inst.resolution.diffs[1:]]
     return _strand_scan(summands, scalars, inst.induced, "quotient", 200_000)
 
 
@@ -408,18 +405,17 @@ class DoubleComplex:
     def sigma_star_witness(self):
         """(c, j, u, k) where the row-zero sums of sigma_c over generator u of
         summand j miss the scalar lam_c[k][j], or None."""
-        inst = self.instance
+        res = self.instance.resolution
         for c in range(1, len(self.columns)):
-            m0 = self.sigmas[c].mats[0]
+            m0 = self.sigmas[c].mats[0].columns()
+            lam = res.diffs[c].columns()
             col_offsets = self.offsets[c]
             row_offsets = self.offsets[c - 1] if c >= 2 else None
             for j, tres in enumerate(self.summands[c]):
+                lam_j = lam.get(j, {})
                 for u in range(len(tres.complex.shifts[0])):
-                    col = col_offsets[j][0] + u
                     sums: dict[int, Fraction] = {}
-                    for (r, cc), v in m0.entries.items():
-                        if cc != col:
-                            continue
+                    for r, v in m0.get(col_offsets[j][0] + u, {}).items():
                         if c >= 2:
                             k = _summand_of(row_offsets, 0, r)
                         else:
@@ -427,7 +423,7 @@ class DoubleComplex:
                         sums[k] = sums.get(k, ZERO) + v
                     nrows = 1 if c == 1 else len(self.star.ideals[c - 2])
                     for k in range(nrows):
-                        if sums.get(k, ZERO) != inst.lam[c][k][j]:
+                        if sums.get(k, ZERO) != lam_j.get(k, ZERO):
                             return c, j, u, k
         return None
 
@@ -478,20 +474,17 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
         for i in range(src.length + 1):
             tgt_shifts = tgt.shifts[i] if i <= tgt.length else []
             mats.append(MonomialMatrix(inst.T, list(tgt_shifts), list(src.shifts[i]), {}))
+        lam = inst.resolution.diffs[c].columns()
         if c == 1:
             # row zero maps the generators into the ring
             for j, tres in enumerate(summands[1]):
-                lam = inst.lam[1][0][j]
+                scalar = lam.get(j, {}).get(0, ZERO)
                 off = offsets[1][j][0]
                 for u, s in enumerate(tres.complex.shifts[0]):
-                    mats[0].entries[(0, off + u)] = lam
+                    mats[0].entries[(0, off + u)] = scalar
         else:
-            nrows = len(inst.resolution.shifts[c - 1])
             for j, src_t in enumerate(summands[c]):
-                for k in range(nrows):
-                    lam = inst.lam[c][k][j]
-                    if lam == 0:
-                        continue
+                for k, scalar in sorted(lam.get(j, {}).items()):
                     tgt_t = summands[c - 1][k]
                     parts = [taus.get(
                         l,
@@ -503,7 +496,7 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
                             continue
                         ro, co = offsets[c - 1][k][i], offsets[c][j][i]
                         for (r, cc), v in bm.entries.items():
-                            mats[i].entries[(ro + r, co + cc)] = lam * v
+                            mats[i].entries[(ro + r, co + cc)] = scalar * v
         sig = ChainMap(src, tgt, mats)
         sig.validate()
         sigmas.append(sig)
@@ -565,22 +558,22 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
         index.append({lab: i for i, lab in enumerate(lv)})
         shifts.append([D.columns[c].shifts[r][t] for (c, r, t) in lv])
 
+    vertical = [[None] + [d.columns() for d in col.diffs[1:]] for col in D.columns]
+    horizontal = [None] + [[m.columns() for m in sig.mats] for sig in D.sigmas[1:]]
     diffs: list[MonomialMatrix | None] = [None]
     for k in range(1, top + 1):
         entries: dict[tuple[int, int], Fraction] = {}
         for col_idx, (c, r, t) in enumerate(labels[k]):
             if r >= 1:
-                for (rr, cc), v in D.columns[c].diffs[r].entries.items():
-                    if cc == t:
-                        row_idx = index[k - 1][(c, r - 1, rr)]
-                        entries[(row_idx, col_idx)] = entries.get((row_idx, col_idx), ZERO) + v
-            if c >= 1 and r < len(D.sigmas[c].mats):
+                for rr, v in vertical[c][r].get(t, {}).items():
+                    row_idx = index[k - 1][(c, r - 1, rr)]
+                    entries[(row_idx, col_idx)] = entries.get((row_idx, col_idx), ZERO) + v
+            if c >= 1 and r < len(horizontal[c]):
                 sign = Fraction((-1) ** r)
-                for (rr, cc), v in D.sigmas[c].mats[r].entries.items():
-                    if cc == t:
-                        row_idx = index[k - 1][(c - 1, r, rr)]
-                        entries[(row_idx, col_idx)] = (
-                            entries.get((row_idx, col_idx), ZERO) + sign * v)
+                for rr, v in horizontal[c][r].get(t, {}).items():
+                    row_idx = index[k - 1][(c - 1, r, rr)]
+                    entries[(row_idx, col_idx)] = (
+                        entries.get((row_idx, col_idx), ZERO) + sign * v)
         entries = {kk: v for kk, v in entries.items() if v != 0}
         diffs.append(MonomialMatrix(inst.T, shifts[k - 1], shifts[k], entries))
 

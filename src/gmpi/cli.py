@@ -46,10 +46,11 @@ class InputError(ValueError):
 @contextlib.contextmanager
 def _reading(what: str):
     """Report a malformed ``what`` (a missing key, a wrong type or an invalid
-    value) as an InputError."""
+    value) as an InputError; an InputError or FamilyValidationError raised
+    inside keeps its own message."""
     try:
         yield
-    except InputError:
+    except (InputError, FamilyValidationError):
         raise
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad {what}: {e!r}") from None
@@ -242,10 +243,7 @@ def cmd_family(args) -> int:
             d2 = tuple(int(c) for c in params["degs2"].split(","))
             out = instance_to_document(fam.mixed_product_instance(sizes, d1, d2))
         elif tag == "random":
-            try:
-                out = instance_to_document(fam.random_instance(args.seed))
-            except RuntimeError as e:
-                raise InputError(str(e))
+            out = instance_to_document(fam.random_instance(args.seed))
         else:
             raise InputError(f"unknown family tag {tag!r}; choose from {fam.FAMILY_TAGS}")
     _emit(json.dumps(out, indent=2), args.out)
@@ -254,10 +252,7 @@ def cmd_family(args) -> int:
 
 def cmd_verify(args) -> int:
     seeds = ver.SUITE_SEEDS if args.seed is None else [args.seed]
-    try:
-        results = ver.run_suite(seeds=seeds)
-    except RuntimeError as e:
-        raise InputError(str(e))
+    results = ver.run_suite(seeds=seeds)
     if args.json:
         _emit(json.dumps([r.to_json() for r in results], indent=2), args.out)
     else:

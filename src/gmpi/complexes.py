@@ -3,10 +3,14 @@
 A free module here is a list of multidegree shifts; a map between free modules
 is multihomogeneous of degree zero, so the entry in position (r, c) is forced
 to be a rational scalar times x^(col_shift - row_shift).  Only the scalar is
-stored.  Composition is then plain scalar matrix multiplication, and a map is
-minimal exactly when no stored entry sits between equal shifts.  ``compose``
-scales each operand once by the lcm of its denominators and multiplies and
-sums in ints; only the nonzero sums become Fractions again.
+stored, sparsely: ``entries`` is the only format of a scalar map, and
+``columns()`` regroups it by column for the readers that build one basis
+element at a time (tensor products, lifts, the total complex, the strand
+scans, whose ranks take the live columns as sparse vectors).  Composition is
+then plain scalar matrix multiplication, and a map is minimal exactly when no
+stored entry sits between equal shifts.  ``compose`` scales each operand once
+by the lcm of its denominators and multiplies and sums in ints; only the
+nonzero sums become Fractions again.
 
 The entry point for resolutions is the Lyubeznik complex, the subcomplex of
 the Taylor complex on the admissible generator subsets; Gaussian
@@ -85,14 +89,18 @@ class MonomialMatrix:
     def ncols(self) -> int:
         return len(self.col_shifts)
 
-    def scalar_rows(self) -> list[list[Fraction]]:
-        out = [[ZERO] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
+    def columns(self) -> dict[int, dict[int, Fraction]]:
+        """{col: {row: scalar}} for the nonzero columns, in entry order.
 
-    def column(self, c: int) -> dict[int, Fraction]:
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
+        Built afresh on each call: ``entries`` may be changed in place."""
+        out: dict[int, dict[int, Fraction]] = {}
+        for (r, c), v in self.entries.items():
+            col = out.get(c)
+            if col is None:
+                out[c] = {r: v}
+            else:
+                col[r] = v
+        return out
 
     def compose(self, other: "MonomialMatrix") -> "MonomialMatrix":
         """self o other (other feeds into self).
@@ -461,25 +469,22 @@ def free_module_resolution(ctx: VariableContext, gens: list[tuple[int, ...]]) ->
 
 
 # ---------------------------------------------------------------------------
-# scalar matrices and the scalar complex
+# the scalar complex
 
-def scalar_matrices(C: FreeComplex) -> list[list[list[Fraction]]]:
-    """Dense scalar parts of the differentials of a minimal complex."""
+def inexact_positions(C: FreeComplex) -> list[int]:
+    """Positions where the scalar complex 0 -> K^{b_p} -> ... -> K^{b_1} -> K -> 0
+    of the minimal complex C is not exact.
+
+    Its maps are the scalar matrices lam_i of the differentials.  Exactness at
+    position i is the rank balance rank(lam_i) + rank(lam_{i+1}) = C.ranks[i],
+    treating the maps off both ends as zero; the complex is exact iff the list
+    is empty.  ValueError if C is not minimal.
+    """
     if not C.is_minimal:
         raise ValueError("scalar matrices are only defined for a minimal complex")
-    return [C.diffs[i].scalar_rows() for i in range(1, C.length + 1)]
-
-
-def inexact_positions(lams: list[list[list[Fraction]]], ranks: list[int]) -> list[int]:
-    """Positions where the scalar complex 0 -> K^{b_p} -> ... -> K^{b_1} -> K -> 0
-    is not exact.
-
-    Exactness at position i is the rank balance
-    rank(lam_i) + rank(lam_{i+1}) = ranks[i], treating the maps off both ends
-    as zero; the complex is exact iff the list is empty.
-    """
-    rk = [0] + [linalg.rank(m) for m in lams] + [0]
-    return [i for i in range(len(ranks)) if rk[i] + rk[i + 1] != ranks[i]]
+    rk = [0] + [
+        linalg.rank(list(C.diffs[i].columns().values())) for i in range(1, C.length + 1)] + [0]
+    return [i for i, n in enumerate(C.ranks) if rk[i] + rk[i + 1] != n]
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +554,7 @@ def exactness_check(
     if square is not None:
         return False, square[1]
     summands = [[(s,) for s in level] for level in C.shifts]
-    scalars = [None] + [C.diffs[i].entries for i in range(1, C.length + 1)]
+    scalars = [None] + [C.diffs[i].columns() for i in range(1, C.length + 1)]
     return _strand_scan(summands, scalars, expect_h0, style, max_cells)
 
 
@@ -558,9 +563,9 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, style: str, max_ce
 
     ``summands[i][j]`` lists the generators of summand j at position i (one
     shift for a free module), so its strand at b is one-dimensional iff x^b
-    lies in that ideal; ``scalars[i]`` is the sparse scalar entry dict of the
-    map from position i to position i-1.  Scans the degree grid of all the
-    generators and of ``expect_h0``, with the H_0 rule of exactness_check.
+    lies in that ideal; ``scalars[i]`` holds the columns {col: {row: scalar}}
+    of the map from position i to position i-1.  Scans the degree grid of all
+    the generators and of ``expect_h0``, with the H_0 rule of exactness_check.
     Returns (True, None) or (False, witness_multidegree).
     """
     # membership of the expected H_0 must jump on the grid too
@@ -578,16 +583,18 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, style: str, max_ce
     rank_memo: dict[tuple, int] = {}
 
     def strand_rank(i, rows, cols):
+        """Rank of the live columns restricted to the live rows."""
         key = (i, rows, cols)
         if key not in rank_memo:
-            d = scalars[i]
-            mat = [[d.get((r, c), ZERO) for c in cols] for r in rows]
-            rank_memo[key] = linalg.rank(mat) if rows and cols else 0
+            by_col, live_rows = scalars[i], set(rows)
+            rank_memo[key] = linalg.rank([
+                {r: v for r, v in by_col[c].items() if r in live_rows}
+                for c in cols if c in by_col]) if rows and cols else 0
         return rank_memo[key]
 
     p = len(summands) - 1
     for cell in range(len(points)):
-        live = [tuple(np.nonzero(alive[i][:, cell])[0]) for i in range(p + 1)]
+        live = [tuple(np.nonzero(alive[i][:, cell])[0].tolist()) for i in range(p + 1)]
         ranks = [0] * (p + 2)
         for i in range(1, p + 1):
             ranks[i] = strand_rank(i, live[i - 1], live[i])
@@ -646,9 +653,6 @@ class BettiTable:
     @property
     def top_position(self) -> int:
         return max((k for (k, _) in self.entries), default=0)
-
-    def total_rank(self, k: int) -> int:
-        return sum(v for (kk, _), v in self.entries.items() if kk == k)
 
     def to_json(self):
         return {
@@ -812,10 +816,10 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
     for i in range(1, source.length + 1):
         tgt_shifts = target.shifts[i] if i <= target.length else []
         phi = MonomialMatrix(source.ctx, list(tgt_shifts), list(source.shifts[i]), {})
-        prev = mats[i - 1]
-        v_all = prev.compose(source.diffs[i])  # target position i-1 <- source position i
+        # target position i-1 <- source position i
+        v_cols = mats[i - 1].compose(source.diffs[i]).columns()
         for j, b in enumerate(source.shifts[i]):
-            vcol = v_all.column(j)
+            vcol = v_cols.get(j, {})
             prev_shifts = target.shifts[i - 1] if i - 1 <= target.length else []
             rows = [r for r, s in enumerate(prev_shifts) if divides(s, b)]
             cols = [c for c, s in enumerate(tgt_shifts) if divides(s, b)]
@@ -825,14 +829,18 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
                     "homogeneity violated in lift (position, source basis, target row)",
                     (i, j, stray))
             if not cols:
-                if any(v != 0 for v in vcol.values()):
-                    raise RuntimeError("lift hit a zero target position with nonzero image")
+                if vcol:
+                    raise ConstructionError(
+                        "lift hits a zero target position with a nonzero image "
+                        "(position, source basis index)", (i, j))
                 continue
             a = [[target.diffs[i].entries.get((r, c), ZERO) for c in cols] for r in rows]
             bvec = [vcol.get(r, ZERO) for r in rows]
             y = linalg.solve(a, bvec)
             if y is None:
-                raise RuntimeError("lift system unsolvable; target is not a resolution?")
+                raise ConstructionError(
+                    "lift system unsolvable, so the target is not a resolution "
+                    "(position, source basis index)", (i, j))
             for c, val in zip(cols, y):
                 if val != 0:
                     phi.entries[(c, j)] = val
@@ -899,12 +907,6 @@ def tensor_resolutions(
     n = len(factors)
     nvars = ctx.nvars
 
-    def embed(l: int, s: tuple[int, ...]) -> tuple[int, ...]:
-        out = [0] * nvars
-        for pos, e in zip(embeddings[l], s):
-            out[pos] = e
-        return tuple(out)
-
     def add_shifts(parts):
         out = [0] * nvars
         for l, s in enumerate(parts):
@@ -928,6 +930,7 @@ def tensor_resolutions(
             add_shifts([factors[l].shifts[profile[l]][idxs[l]] for l in range(n)])
             for profile, idxs in lv])
 
+    fac_cols = [[None] + [d.columns() for d in f.diffs[1:]] for f in factors]
     diffs: list[MonomialMatrix | None] = [None]
     for k in range(1, total_len + 1):
         entries: dict[tuple[int, int], Fraction] = {}
@@ -936,11 +939,7 @@ def tensor_resolutions(
                 if profile[l] == 0:
                     continue
                 sign = Fraction((-1) ** sum(profile[:l]))
-                fac = factors[l].diffs[profile[l]]
-                col = idxs[l]
-                for (r, cc), v in fac.entries.items():
-                    if cc != col:
-                        continue
+                for r, v in fac_cols[l][profile[l]].get(idxs[l], {}).items():
                     tgt_profile = profile[:l] + (profile[l] - 1,) + profile[l + 1:]
                     tgt_idxs = idxs[:l] + (r,) + idxs[l + 1:]
                     rr = index[k - 1][(tgt_profile, tgt_idxs)]
@@ -971,6 +970,7 @@ def tensor_chain_map(
 ) -> ChainMap:
     """Tensor product of degree-zero chain maps (no signs)."""
     n = len(taus)
+    tau_cols = [[m.columns() for m in tau.mats] for tau in taus]
     mats = []
     for k in range(src.complex.length + 1):
         tgt_shifts = tgt.complex.shifts[k] if k <= tgt.complex.length else []
@@ -982,8 +982,7 @@ def tensor_chain_map(
             cols = []
             dead = False
             for l in range(n):
-                mat = taus[l].mats[profile[l]]
-                entries = [(r, v) for (r, cc), v in mat.entries.items() if cc == idxs[l]]
+                entries = list(tau_cols[l][profile[l]].get(idxs[l], {}).items())
                 if not entries:
                     dead = True
                     break

@@ -262,7 +262,8 @@ def random_instance(seed: int) -> GmpiInstance:
     the verified-linear families and sizes kept inside the oracle guardrails:
     at most 3 blocks of at most 4 variables, block degrees at most 3, at most
     5 inducing generators, at most 8 generators per substitution and 8 for
-    the induced ideal, and a degree grid of at most 40 000 cells."""
+    the induced ideal, and a degree grid of at most 40 000 cells.
+    FamilyValidationError when none of 300 attempts is feasible."""
     rng = random.Random(seed)
     for _ in range(300):
         n = rng.randint(1, 3)
@@ -311,4 +312,4 @@ def random_instance(seed: int) -> GmpiInstance:
         if grid_size(degree_grid(levels, T.nvars)) > 40_000:
             continue
         return inst
-    raise RuntimeError(f"no feasible instance found for seed {seed}")
+    raise FamilyValidationError(f"no feasible instance found for seed {seed}")

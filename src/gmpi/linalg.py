@@ -1,17 +1,18 @@
 """Exact linear algebra over the rationals (small matrices only).
 
-Matrices are lists of dense rows of Fractions (or ints).
-
-``rank`` clears each row's denominators and eliminates fraction-free over
-sparse integer rows: scaling a row by a nonzero rational keeps the rank, so
-the result is exact over Q without Fraction arithmetic.  It carries the
-strand-exactness scans, whose matrices are large, sparse and mostly +-1.
+``rank`` reads a matrix as a list of sparse vectors {index: nonzero value}
+of Fractions (or ints), its rows or its columns alike, since both have the
+same rank.  It clears each vector's denominators and eliminates fraction-free
+over sparse integer vectors: scaling a vector by a nonzero rational keeps the
+rank, so the result is exact over Q without Fraction arithmetic.  It carries
+the strand-exactness scans, whose matrices are large, sparse and mostly +-1.
 Its denominator clearing (``_cleared``) also feeds the integer kernel of
 ``complexes.MonomialMatrix.compose``.
 
-``row_echelon`` and ``solve`` reduce over Fractions with a fixed pivot rule
-(first nonzero entry scanning columns left to right, rows top down) so that
-underdetermined solves return one deterministic solution.
+``row_echelon`` and ``solve`` take lists of dense rows and reduce over
+Fractions with a fixed pivot rule (first nonzero entry scanning columns left
+to right, rows top down) so that underdetermined solves return one
+deterministic solution.
 """
 
 from __future__ import annotations
@@ -45,16 +46,17 @@ def row_echelon(rows: list[list[Fraction]]):
     return pivots
 
 
-def rank(rows) -> int:
-    """Rank over Q of a list of dense rows of Fractions or ints.
+def rank(vectors) -> int:
+    """Rank over Q of a list of sparse vectors {index: nonzero value} of
+    Fractions or ints.
 
-    ``rows`` is left unmodified.  Each row becomes a primitive integer row
-    {column: value}, reduced against the pivot rows found so far (keyed by
-    their leading column) until it is zero or leads in a new column.
+    ``vectors`` is left unmodified.  Each vector becomes a primitive integer
+    vector, reduced against the pivot vectors found so far (keyed by their
+    leading index) until it is zero or leads in a new index.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        vec = _integer_row(row)
+    for vector in vectors:
+        vec = _integer_row(vector)
         while vec:
             lead = min(vec)
             piv = pivots.get(lead)
@@ -65,13 +67,12 @@ def rank(rows) -> int:
     return len(pivots)
 
 
-def _integer_row(row) -> dict[int, int]:
-    """The nonzero entries of ``row`` times the lcm of their denominators,
-    divided by their content."""
-    entries = {c: v for c, v in enumerate(row) if v}
-    if not entries:
-        return entries
-    return _primitive(_cleared(entries)[1])
+def _integer_row(vector: dict) -> dict[int, int]:
+    """``vector`` times the lcm of its denominators, divided by its content
+    (a new dict)."""
+    if not vector:
+        return {}
+    return _primitive(_cleared(vector)[1])
 
 
 def _cleared(entries: dict) -> tuple[int, dict]:

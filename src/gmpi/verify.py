@@ -101,14 +101,19 @@ def oracle_betti(L: MonomialIdeal, cap: int = 14) -> BettiTable:
 
 
 def lcm_lattice(I: MonomialIdeal) -> list[tuple[int, ...]]:
-    """Joins of nonempty generator subsets (closure under pairwise lcm)."""
+    """Joins of nonempty generator subsets.
+
+    Each round joins the new elements with the generators only: the join of
+    S and {g} is lcm(lcm S, g), so every join of s + 1 generators is found
+    from a join of s of them.
+    """
     lattice = set(I.gens)
     frontier = set(I.gens)
     while frontier:
         fresh = set()
         for a in frontier:
-            for b in lattice:
-                c = lcm(a, b)
+            for g in I.gens:
+                c = lcm(a, g)
                 if c not in lattice:
                     fresh.add(c)
         lattice |= fresh
@@ -136,14 +141,10 @@ def _reduced_homology_dims(faces: set[frozenset]) -> dict[int, int]:
     index = {d: {f: i for i, f in enumerate(by_dim[d])} for d in by_dim}
     ranks: dict[int, int] = {}
     for d in range(0, top + 1):
-        rows = []
         lower = index.get(d - 1, {})
-        for f in by_dim.get(d, []):
-            row = [Fraction(0)] * len(lower)
-            for j in range(len(f)):
-                sub = f[:j] + f[j + 1:]
-                row[lower[sub]] += Fraction((-1) ** j)
-            rows.append(row)
+        # the boundary of each d-face as a sparse row over the (d-1)-faces
+        rows = [{lower[f[:j] + f[j + 1:]]: (-1) ** j for j in range(len(f))}
+                for f in by_dim.get(d, [])]
         ranks[d] = linalg.rank(rows) if rows and lower else 0
     out = {}
     for d in range(-1, top + 1):
@@ -200,24 +201,22 @@ def betti_for_ideal(L: MonomialIdeal, cap: int = 14) -> tuple[BettiTable, str]:
 # ---------------------------------------------------------------------------
 # structural checks (all corruption-tolerant: FAIL with a witness, no raise)
 
-def check_scalar_exactness(inst: GmpiInstance, lams=None) -> CheckResult:
-    lams = lams if lams is not None else inst.lam[1:]
-    bad = inexact_positions(lams, inst.resolution.ranks)
+def check_scalar_exactness(inst: GmpiInstance) -> CheckResult:
+    bad = inexact_positions(inst.resolution)
     details = {} if not bad else {"witness_positions": tuple(bad)}
     return CheckResult("scalar-complex-exactness", inst.label, not bad, details)
 
 
-def check_lcm_shifts(inst: GmpiInstance, lams=None) -> CheckResult:
+def check_lcm_shifts(inst: GmpiInstance) -> CheckResult:
     """Each deeper shift is the lcm of the supporting shifts one step down."""
-    lams = lams if lams is not None else inst.lam
     res = inst.resolution
     if res.length < 2:
         return CheckResult("lcm-shifts", inst.label, True, {"vacuous": True})
     for i in range(2, res.length + 1):
+        cols = res.diffs[i].columns()
         for j, s in enumerate(res.shifts[i]):
-            rows = [k for k in range(len(res.shifts[i - 1])) if lams[i][k][j] != 0]
             acc = (0,) * len(s)
-            for k in rows:
+            for k in cols.get(j, ()):
                 acc = lcm(acc, res.shifts[i - 1][k])
             if acc != s:
                 return CheckResult("lcm-shifts", inst.label, False,
@@ -225,10 +224,9 @@ def check_lcm_shifts(inst: GmpiInstance, lams=None) -> CheckResult:
     return CheckResult("lcm-shifts", inst.label, True)
 
 
-def check_degree_realization(inst: GmpiInstance, shifts=None) -> CheckResult:
+def check_degree_realization(inst: GmpiInstance) -> CheckResult:
     """Every block degree of every shift occurs among the generators."""
-    res = inst.resolution
-    shifts = shifts if shifts is not None else res.shifts
+    shifts = inst.resolution.shifts
     realized = [set(ld) for ld in inst.ladders]
     for i in range(1, len(shifts)):
         for j, s in enumerate(shifts[i]):

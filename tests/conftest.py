@@ -1,8 +1,9 @@
 """Shared fixtures: the pinned suite (built once) and corruption helpers."""
 
-import copy
+import dataclasses
 
 import pytest
+from hypothesis import strategies as st
 
 from gmpi.builder import (
     GmpiInstance,
@@ -11,6 +12,7 @@ from gmpi.builder import (
     total_complex,
 )
 from gmpi.families import random_instance
+from gmpi.monomials import ideal, simple_context
 from gmpi.verify import SUITE_SEEDS
 
 
@@ -28,16 +30,32 @@ def suite():
     return [SuiteItem(seed) for seed in SUITE_SEEDS]
 
 
+@st.composite
+def small_ideals(draw):
+    """Ideals of at most 6 generators in at most 4 variables, exponents <= 3."""
+    nvars = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(0, 3)] * nvars).filter(any)
+    gens = draw(st.lists(vec, min_size=1, max_size=6))
+    ctx = simple_context(nvars, tuple("xyzw"[:nvars]))
+    return ideal(ctx, gens)
+
+
+def with_resolution_copy(inst: GmpiInstance) -> GmpiInstance:
+    """The instance over a copy of its resolution, for a fixture to corrupt
+    without touching ``inst``."""
+    return dataclasses.replace(inst, resolution=inst.resolution.copy())
+
+
 def corrupt_lambda(inst: GmpiInstance, i: int = 2):
-    """Copy of the scalar matrices with one nonzero entry flipped to zero."""
-    lams = [None] + [copy.deepcopy(m) for m in inst.lam[1:]]
-    mat = lams[i]
-    for r, row in enumerate(mat):
-        for c, v in enumerate(row):
-            if v != 0:
-                row[c] = 0
-                return lams, (i, r, c)
-    raise AssertionError("no nonzero entry to corrupt")
+    """The instance over a copy of its resolution in which the first nonzero
+    scalar of lam_i (in row-major order) is set to zero, and its (i, r, c)."""
+    probe = with_resolution_copy(inst)
+    entries = probe.resolution.diffs[i].entries
+    if not entries:
+        raise AssertionError("no nonzero entry to corrupt")
+    r, c = min(entries)
+    del entries[(r, c)]
+    return probe, (i, r, c)
 
 
 def non_nested_instance() -> GmpiInstance:

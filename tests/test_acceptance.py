@@ -5,7 +5,6 @@ The pinned suite (20 seeded instances) is built once per session.
 """
 
 import time
-from fractions import Fraction
 
 from gmpi.builder import (
     build_double_complex,
@@ -38,7 +37,7 @@ from gmpi.verify import (
     structure_checks,
 )
 
-from conftest import corrupt_lambda, non_nested_instance
+from conftest import corrupt_lambda, non_nested_instance, with_resolution_copy
 
 ORACLE_CAP = 14
 
@@ -131,17 +130,17 @@ def test_criterion_6_structure_lemma_suite(suite):
 
     # each check must fail on its engineered corruption fixture
     probe = random_instance(9)
-    lams, _ = corrupt_lambda(probe, i=1)
-    for c in range(len(lams[1][0])):
-        lams[1][0][c] = Fraction(0)
-    assert not check_scalar_exactness(probe, lams=lams[1:]).passed
+    corrupt = with_resolution_copy(probe)
+    corrupt.resolution.diffs[1].entries.clear()
+    assert not check_scalar_exactness(corrupt).passed
 
-    lams, _ = corrupt_lambda(probe, i=2)
-    assert not check_lcm_shifts(probe, lams=lams).passed
+    corrupt, _ = corrupt_lambda(probe, i=2)
+    assert not check_lcm_shifts(corrupt).passed
 
-    shifts = [list(level) for level in probe.resolution.shifts]
+    corrupt = with_resolution_copy(probe)
+    shifts = corrupt.resolution.shifts
     shifts[1][0] = tuple([9] + list(shifts[1][0][1:]))
-    assert not check_degree_realization(probe, shifts=shifts).passed
+    assert not check_degree_realization(corrupt).passed
 
     star = build_star_complex(probe)
     star.ideals[1][0] = ideal(probe.T, [(0,) * probe.T.nvars])

@@ -409,6 +409,27 @@ def test_total_complex_composes_each_pair_once(monkeypatch):
     assert len(calls) == 3
 
 
+def test_total_complex_reads_each_map_by_column_once(monkeypatch):
+    from gmpi.complexes import MonomialMatrix
+    D = build_double_complex(expansion_instance())
+    read = []
+    columns = MonomialMatrix.columns
+
+    def counted(self):
+        read.append(self)
+        return columns(self)
+
+    monkeypatch.setattr(MonomialMatrix, "columns", counted)
+    tot = total_complex(D)
+    vertical = [d for col in D.columns for d in col.diffs[1:]]
+    horizontal = [m for sig in D.sigmas[1:] for m in sig.mats]
+    # assembly reads every column differential and sigma component once; the
+    # exactness scan then reads every total differential once
+    expected = vertical + horizontal + tot.complex.diffs[1:]
+    assert len(read) == len(expected) and len(vertical) > 0 and len(horizontal) > 0
+    assert all(a is b for a, b in zip(read, expected))
+
+
 def corrupted_double_complex():
     """The expansion instance with one entry of a column differential doubled,
     so that the total differential no longer squares to zero."""
@@ -454,7 +475,7 @@ def test_nonlinear_substitution_flagged_not_asserted():
 
 def test_star_complex_raises_on_a_zero_column():
     inst = expansion_instance()
-    inst.lam[2] = [[0] * len(row) for row in inst.lam[2]]
+    inst.resolution.diffs[2].entries.clear()
     with pytest.raises(ConstructionError) as err:
         build_star_complex(inst)
     assert err.value.witness == (2, 0)
@@ -473,7 +494,7 @@ def test_double_complex_raises_the_sigma_witness(monkeypatch, method):
 def test_sigma_star_witness_finds_a_changed_scalar():
     D = build_double_complex(expansion_instance())
     assert D.sigma_star_witness() is None and D.sigma_extends_star()
-    D.instance.lam[1][0][1] = Fraction(2)
+    D.instance.resolution.diffs[1].entries[(0, 1)] = Fraction(2)
     assert D.sigma_star_witness() == (1, 1, 0, 0) and not D.sigma_extends_star()
 
 

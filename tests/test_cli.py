@@ -177,3 +177,23 @@ def test_gmpi_construction_error_is_not_an_input_error(tmp_path, monkeypatch):
                         lambda *args, **kwargs: (False, (1, 1, 1, 1)))
     with pytest.raises(builder.ConstructionError):
         main(["gmpi", write(tmp_path, "e.json", expansion_doc())])
+
+
+def test_verify_construction_error_is_not_an_input_error(monkeypatch):
+    from gmpi import builder
+    monkeypatch.setattr(builder, "exactness_check",
+                        lambda *args, **kwargs: (False, (1, 1, 1, 1)))
+    with pytest.raises(builder.ConstructionError):
+        main(["verify", "--seed", "5"])
+
+
+def test_family_random_without_a_feasible_attempt_exits_two(capsys, monkeypatch):
+    from gmpi import builder, families
+
+    def reject(*args, **kwargs):
+        raise builder.FamilyValidationError("rejected")
+
+    monkeypatch.setattr(families, "validate_family", reject)
+    assert main(["family", "random", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: no feasible instance found for seed 1\n"

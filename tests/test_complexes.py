@@ -29,13 +29,14 @@ from gmpi.complexes import (
     projective_dimension,
     inexact_positions,
     regularity,
-    scalar_matrices,
     strand,
     taylor_complex,
     tensor_resolutions,
 )
 from gmpi.monomials import MonomialIdeal, VariableContext, divides, ideal, lcm, simple_context
 from gmpi.verify import koszul_betti
+
+from conftest import small_ideals
 
 S1 = simple_context(1, ("x",))
 S2 = simple_context(2, ("x", "y"))
@@ -158,7 +159,8 @@ def test_minimalize_preserves_strand_homology():
 
     def homology_dims(cx, b):
         st = strand(cx, b)
-        ranks = [linalg.rank(m) for m in st.matrices]
+        ranks = [linalg.rank([{c: v for c, v in enumerate(row) if v} for row in m])
+                 for m in st.matrices]
         dims = st.dims
         out = []
         for i in range(len(dims)):
@@ -190,17 +192,32 @@ def test_betti_invariant_under_generator_shuffles():
 
 # -- scalar matrices and the scalar complex
 
+def test_columns_round_trip():
+    # columns() regroups the entries by column and keeps their order inside
+    # each column; it is rebuilt after an in-place change of the entries
+    C = taylor_complex(ideal(S3, [(2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 2)]))
+    for d in C.diffs[1:] + minimalize_complex(C).diffs[1:]:
+        cols = d.columns()
+        assert {(r, c): v for c, col in cols.items() for r, v in col.items()} == d.entries
+        for c, col in cols.items():
+            assert list(col.items()) == [(r, v) for (r, cc), v in d.entries.items() if cc == c]
+    d = C.diffs[2]
+    key = next(iter(d.entries))
+    del d.entries[key]
+    assert key[0] not in d.columns().get(key[1], {})
+
+
 def test_scalar_matrices_koszul_signs():
-    lams = scalar_matrices(koszul2())
-    assert lams[0] == [[Fraction(1), Fraction(1)]]
-    column = [row[0] for row in lams[1]]
-    assert sorted(column) == [Fraction(-1), Fraction(1)]
+    K = koszul2()
+    assert K.diffs[1].entries == {(0, 0): Fraction(1), (0, 1): Fraction(1)}
+    column = K.diffs[2].columns()[0]
+    assert sorted(column.values()) == [Fraction(-1), Fraction(1)]
 
 
 def test_first_scalar_row_is_all_ones():
     for gens in [[(2, 0), (1, 1), (0, 3)], [(2, 1), (1, 2)], [(3, 0), (0, 3), (1, 1)]]:
         M = minimalize_complex(taylor_complex(ideal(S2, gens)))
-        assert scalar_matrices(M)[0] == [[Fraction(1)] * M.ranks[1]]
+        assert M.diffs[1].entries == {(0, c): Fraction(1) for c in range(M.ranks[1])}
 
 
 def test_scalar_product_vanishes():
@@ -214,22 +231,22 @@ def test_scalar_matrices_reject_non_minimal():
     C = taylor_complex(ideal(S2, [(2, 0), (1, 1), (0, 3)]))
     assert not C.is_minimal
     with pytest.raises(ValueError):
-        scalar_matrices(C)
+        inexact_positions(C)
 
 
 def test_scalar_complex_exactness():
     K = koszul2()
-    assert inexact_positions(scalar_matrices(K), K.ranks) == []
+    assert inexact_positions(K) == []
     M = minimalize_complex(taylor_complex(ideal(S2, [(2, 0), (1, 1), (0, 3)])))
-    assert inexact_positions(scalar_matrices(M), M.ranks) == []
+    assert inexact_positions(M) == []
 
 
 def test_scalar_complex_exactness_has_teeth():
     M = minimalize_complex(taylor_complex(ideal(S2, [(2, 0), (1, 1), (0, 3)])))
-    lams = scalar_matrices(M)
-    for row in lams[1]:
-        row[0] = Fraction(0)  # kill a column: the rank balance breaks
-    assert inexact_positions(lams, M.ranks) == [1, 2]
+    d = M.diffs[2]
+    d.entries = {(r, c): v for (r, c), v in d.entries.items() if c != 0}
+    # a killed column breaks the rank balance
+    assert inexact_positions(M) == [1, 2]
 
 
 # -- strands and exactness
@@ -366,6 +383,27 @@ def test_lift_rejects_non_inclusion():
     inside = ideal_resolution(ideal(S2, [(0, 1)]))
     with pytest.raises(ValueError):
         lift_chain_map(outside, inside)
+
+
+def test_lift_into_a_missing_position_raises_a_witness():
+    # the target keeps only position 0 of the resolution of (x, y), so the
+    # nonzero image of the source's syzygy has nowhere to go
+    m = ideal_resolution(ideal(S2, [(1, 0), (0, 1)]))
+    truncated = FreeComplex(m.ctx, [list(m.shifts[0])], [None])
+    with pytest.raises(ConstructionError) as err:
+        lift_chain_map(m, truncated)
+    assert err.value.witness == (1, 0)
+
+
+def test_lift_into_a_non_resolution_raises_a_witness():
+    # with its differential zeroed, the target's position 1 cannot hit the
+    # image of the source's syzygy
+    m = ideal_resolution(ideal(S2, [(1, 0), (0, 1)]))
+    broken = m.copy()
+    broken.diffs[1].entries.clear()
+    with pytest.raises(ConstructionError) as err:
+        lift_chain_map(m, broken)
+    assert err.value.witness == (1, 0)
 
 
 # -- tensor products
@@ -564,15 +602,6 @@ def test_minimalize_matches_the_min_units_loop_on_the_demo_taylor_complex():
     assert betti_table(got) == koszul_betti(L)
     S = rescaled(C)
     assert same_complex(minimalize_complex(S), reference_minimalize(S))
-
-
-@st.composite
-def small_ideals(draw):
-    nvars = draw(st.integers(1, 4))
-    vec = st.tuples(*[st.integers(0, 3)] * nvars).filter(any)
-    gens = draw(st.lists(vec, min_size=1, max_size=6))
-    ctx = simple_context(nvars, tuple("xyzw"[:nvars]))
-    return ideal(ctx, gens)
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,14 +14,27 @@ def rows(*data):
     return [[F(x) for x in row] for row in data]
 
 
+def sparse(m):
+    """The rows of a dense matrix as sparse vectors {column: nonzero value}."""
+    return [{c: v for c, v in enumerate(row) if v} for row in m]
+
+
+def transpose(m):
+    """The columns of a dense matrix as sparse vectors {row: nonzero value}."""
+    return sparse([list(col) for col in zip(*m)])
+
+
 def test_rank_examples():
     assert rank([]) == 0
-    assert rank([[], [], []]) == 0
-    assert rank(rows((0, 0), (0, 0))) == 0
-    assert rank(rows((1, 0), (0, 1))) == 2
-    assert rank(rows((1, 2), (2, 4))) == 1
-    assert rank(rows((1, 2, 3), (4, 5, 6))) == 2
-    assert rank(rows((1,), (2,), (3,))) == 1
+    assert rank([{}, {}, {}]) == 0
+    assert rank(sparse(rows((0, 0), (0, 0)))) == 0
+    assert rank(sparse(rows((1, 0), (0, 1)))) == 2
+    assert rank(sparse(rows((1, 2), (2, 4)))) == 1
+    assert rank(sparse(rows((1, 2, 3), (4, 5, 6)))) == 2
+    assert rank(sparse(rows((1,), (2,), (3,)))) == 1
+    # the columns of the same matrix, in any index order
+    assert rank(transpose(rows((1, 2, 3), (4, 5, 6)))) == 2
+    assert rank([{5: F(1, 2), 2: 3}, {2: 6, 5: 1}, {7: -1}]) == 2
 
 
 @st.composite
@@ -48,17 +61,21 @@ def rational_matrices(draw):
 @settings(max_examples=400, deadline=None)
 @given(rational_matrices())
 def test_rank_matches_fraction_elimination(m):
-    before = copy.deepcopy(m)
-    assert rank(m) == len(row_echelon([[F(x) for x in row] for row in m]))
-    assert m == before
+    expected = len(row_echelon([[F(x) for x in row] for row in m]))
+    vectors = sparse(m)
+    before = copy.deepcopy(vectors)
+    assert rank(vectors) == expected
+    assert vectors == before
+    assert rank(transpose(m)) == expected
 
 
 def test_rank_leaves_its_argument_unmodified():
-    m = [[F(1, 2), 0, F(-3, 4)], [2, F(2, 3), 1], [F(1, 2), 0, F(-3, 4)]]
+    m = [{0: F(1, 2), 2: F(-3, 4)}, {0: 2, 1: F(2, 3), 2: 1}, {0: F(1, 2), 2: F(-3, 4)}]
     before = copy.deepcopy(m)
     assert rank(m) == 2
-    assert m == before and all(type(x) is type(y) for r, s in zip(m, before)
-                               for x, y in zip(r, s))
+    assert m == before and all(list(r) == list(s) for r, s in zip(m, before))
+    assert all(type(x) is type(y) for r, s in zip(m, before)
+               for x, y in zip(r.values(), s.values()))
 
 
 def simplex_boundaries(n):
@@ -84,7 +101,7 @@ def test_rank_of_simplex_boundaries():
     # the number of faces in between
     n = 6
     faces, mats = simplex_boundaries(n)
-    ranks = [rank(d) for d in mats]
+    ranks = [rank(sparse(d)) for d in mats]
     assert ranks == [comb(n - 1, k) for k in range(n)]
     for k in range(n - 1):
         assert ranks[k] + ranks[k + 1] == len(faces[k + 1])
@@ -133,7 +150,7 @@ def small_systems(draw):
 def test_solve_solves_or_reports_inconsistency(system):
     a, b = system
     x = solve(a, b)
-    if rank(a) < rank([row + [v] for row, v in zip(a, b)]):
+    if rank(sparse(a)) < rank(sparse([row + [v] for row, v in zip(a, b)])):
         assert x is None
     else:
         assert x is not None and len(x) == len(a[0])

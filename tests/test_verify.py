@@ -1,7 +1,8 @@
+import itertools
 import random
-from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from gmpi.builder import (
     build_double_complex,
@@ -11,7 +12,7 @@ from gmpi.builder import (
 )
 from gmpi.complexes import SizeCapError
 from gmpi.families import random_instance
-from gmpi.monomials import ideal, simple_context
+from gmpi.monomials import ideal, lcm, simple_context
 from gmpi.verify import (
     betti_for_ideal,
     check_betti_equivalence,
@@ -35,7 +36,7 @@ from gmpi.verify import (
     summary_lines,
 )
 
-from conftest import corrupt_lambda, non_nested_instance
+from conftest import corrupt_lambda, non_nested_instance, small_ideals, with_resolution_copy
 
 S2 = simple_context(2, ("x", "y"))
 
@@ -58,6 +59,19 @@ def test_oracle_rejects_unit_and_oversize():
 def test_lcm_lattice_small():
     I = ideal(S2, [(2, 0), (0, 2)])
     assert lcm_lattice(I) == [(0, 2), (2, 0), (2, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals())
+def test_lcm_lattice_is_the_joins_of_generator_subsets(I):
+    joins = set()
+    for size in range(1, len(I.gens) + 1):
+        for subset in itertools.combinations(I.gens, size):
+            acc = subset[0]
+            for g in subset[1:]:
+                acc = lcm(acc, g)
+            joins.add(acc)
+    assert lcm_lattice(I) == sorted(joins)
 
 
 def test_koszul_betti_agrees_with_taylor_oracle():
@@ -168,27 +182,29 @@ def test_lcm_check_vacuous_for_short_resolutions():
 
 def test_scalar_exactness_teeth():
     inst = random_instance(9)
-    lams, _ = corrupt_lambda(inst, i=1)
-    # killing a first-row entry breaks surjectivity onto the ground field
-    for c in range(len(lams[1][0])):
-        lams[1][0][c] = Fraction(0)
-    assert not check_scalar_exactness(inst, lams=lams[1:]).passed
+    probe = with_resolution_copy(inst)
+    # killing the first row breaks surjectivity onto the ground field
+    probe.resolution.diffs[1].entries.clear()
+    assert not check_scalar_exactness(probe).passed
+    assert check_scalar_exactness(inst).passed
 
 
 def test_lcm_shifts_teeth():
     inst = random_instance(9)
-    lams, (i, r, c) = corrupt_lambda(inst, i=2)
-    assert not check_lcm_shifts(inst, lams=lams).passed
+    probe, (i, r, c) = corrupt_lambda(inst, i=2)
+    assert not check_lcm_shifts(probe).passed
+    assert check_lcm_shifts(inst).passed
 
 
 def test_degree_realization_teeth():
     inst = random_instance(9)
-    shifts = [list(level) for level in inst.resolution.shifts]
-    s = list(shifts[1][0])
+    probe = with_resolution_copy(inst)
+    s = list(probe.resolution.shifts[1][0])
     s[0] = 9  # no generator has block degree 9
-    shifts[1][0] = tuple(s)
-    res = check_degree_realization(inst, shifts=shifts)
+    probe.resolution.shifts[1][0] = tuple(s)
+    res = check_degree_realization(probe)
     assert not res.passed and res.details["degree"] == 9
+    assert check_degree_realization(inst).passed
 
 
 def test_product_intersection_teeth():
