@@ -275,8 +275,15 @@ def star_acyclicity(star: StarComplex):
     x^b), the maps are the scalar matrices restricted to the live summands,
     position 0 is the ring (always one-dimensional), and H_0 must match
     membership in L.  Returns (True, None) or (False, witness).
+
+    The scan presumes maps that square to zero.  If the scalar matrices of
+    the resolution of S/I do not, there is no star complex to scan, and the
+    witness is the resolution's (position, multidegree of S).
     """
     inst = star.instance
+    square = inst.resolution.square_witness()
+    if square is not None:
+        return False, square
     ring = [((0,) * inst.T.nvars,)]
     summands = [ring] + [[idl.gens for idl in level] for level in star.ideals]
     scalars = [None] + [d.columns() for d in inst.resolution.diffs[1:]]
@@ -563,17 +570,16 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
     diffs: list[MonomialMatrix | None] = [None]
     for k in range(1, top + 1):
         entries: dict[tuple[int, int], Fraction] = {}
+        # the vertical and horizontal terms of a column land in columns c
+        # and c - 1 of the double complex, so no two terms share a row
         for col_idx, (c, r, t) in enumerate(labels[k]):
             if r >= 1:
                 for rr, v in vertical[c][r].get(t, {}).items():
-                    row_idx = index[k - 1][(c, r - 1, rr)]
-                    entries[(row_idx, col_idx)] = entries.get((row_idx, col_idx), ZERO) + v
+                    entries[(index[k - 1][(c, r - 1, rr)], col_idx)] = v
             if c >= 1 and r < len(horizontal[c]):
-                sign = Fraction((-1) ** r)
+                odd = r % 2
                 for rr, v in horizontal[c][r].get(t, {}).items():
-                    row_idx = index[k - 1][(c - 1, r, rr)]
-                    entries[(row_idx, col_idx)] = (
-                        entries.get((row_idx, col_idx), ZERO) + sign * v)
+                    entries[(index[k - 1][(c - 1, r, rr)], col_idx)] = -v if odd else v
         entries = {kk: v for kk, v in entries.items() if v != 0}
         diffs.append(MonomialMatrix(inst.T, shifts[k - 1], shifts[k], entries))
 

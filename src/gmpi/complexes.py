@@ -23,6 +23,15 @@ scan would give.  Strand machinery restricts a complex to a single
 multidegree, where exactness and homology become finite rational rank
 computations.
 
+The strand scans rank over F_P first (``linalg.rank_mod_p``) and keep an
+exact verdict.  A strand whose ranks mod P reach, at every positive
+position, the ranks an exact strand of its dimensions must have is exact,
+with those ranks over Q, provided that P divides no denominator of its maps
+(so rank mod P <= rank over Q) and that every live column has its support in
+the live rows (so the strand is a subcomplex of a complex and squares to
+zero).  Any other strand is ranked again with the exact ``linalg.rank``, so
+the verdict and witness are the exact ones.
+
 A broken construction invariant raises ConstructionError with a witness;
 malformed hand-built maps (stored zeros, inhomogeneous entries, wrong shapes,
 a nonzero square) raise ValueError from the validators.
@@ -564,9 +573,37 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, style: str, max_ce
     ``summands[i][j]`` lists the generators of summand j at position i (one
     shift for a free module), so its strand at b is one-dimensional iff x^b
     lies in that ideal; ``scalars[i]`` holds the columns {col: {row: scalar}}
-    of the map from position i to position i-1.  Scans the degree grid of all
-    the generators and of ``expect_h0``, with the H_0 rule of exactness_check.
-    Returns (True, None) or (False, witness_multidegree).
+    of the map from position i to position i-1, and the caller guarantees
+    that these maps square to zero.  Scans the degree grid of all the
+    generators and of ``expect_h0``, with the H_0 rule of exactness_check.
+    Returns (True, None) or (False, witness_multidegree), the first failing
+    cell in grid order.
+
+    Each strand map D_i is the live columns restricted to the live rows.
+    A strand of dimensions n_0, ..., n_p is exact at every positive position
+    iff rank D_i = e_i, the ranks an exact strand must have: e_(p+1) = 0 and
+    e_i = n_i - e_(i+1).  A cell is first ranked over F_P
+    (``linalg.rank_mod_p``, stopping once it has e_i pivots), and that
+    certifies it exactly under two preconditions:
+
+    * P divides no denominator of the maps (each map is reduced once; a map
+      where P divides a denominator is never ranked mod P), so that
+      rank over Q >= rank over F_P;
+    * every live column has its support inside the live rows, so that the
+      strand is a subcomplex and squares to zero too.
+
+    Then rank_P D_i >= e_i at every positive position gives rank_Q D_i = e_i:
+    rank_Q D_i >= e_i, and from the top down rank_Q D_i <= n_i - e_(i+1) = e_i
+    since the image of D_(i+1) lies in the kernel of D_i.  So the strand is
+    exact at every positive position and the H_0 rule reads
+    H_0 = n_0 - e_1.  Any other cell (a mod-P rank below e_i, or a
+    precondition fails) is ranked again with the exact ``linalg.rank``,
+    which decides it as before, so verdict and witness are those of exact
+    ranks everywhere.
+
+    Cells with the same live summands at every position and the same
+    membership in ``expect_h0`` have the same strand, so each such class is
+    decided once, in the order of its first cell.
     """
     # membership of the expected H_0 must jump on the grid too
     levels = [[g for gens in level for g in gens] for level in summands]
@@ -575,52 +612,114 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, style: str, max_ce
     if ncells > max_cells:
         raise SizeCapError(f"degree grid has {ncells} cells (cap {max_cells})")
     points = np.array(list(itertools.product(*axes)), dtype=np.int64)
-    alive = [
-        np.array([_member_mask(gens, points) for gens in level], dtype=bool)
-        .reshape(len(level), len(points))
-        for level in summands]
-    member = _member_mask(expect_h0.gens, points)
-    rank_memo: dict[tuple, int] = {}
+    # live[i][a]: the a-th distinct tuple of live summands at position i;
+    # ids[i][cell] is the one of that cell
+    live, ids = [], []
+    for level in summands:
+        tuples, index = _live_classes(_member_masks(level, points))
+        live.append(tuples)
+        ids.append(index)
+    member = _member_masks([expect_h0.gens], points)[0].tolist()
+    # the first cell of each class of cells with equal strands
+    first: dict[tuple, int] = {}
+    for cell, cls in enumerate(zip(*ids, member)):
+        first.setdefault(cls, cell)
+    reduced = [None] + [_map_mod_p(cols) for cols in scalars[1:]]
+    exact_memo: dict[tuple[int, int, int], int] = {}
+    supported: dict[tuple[int, int, int], bool] = {}
+    modp_memo: dict[tuple[int, int, int], int] = {}
 
-    def strand_rank(i, rows, cols):
-        """Rank of the live columns restricted to the live rows."""
-        key = (i, rows, cols)
-        if key not in rank_memo:
+    def exact_rank(i, a, b):
+        key = (i, a, b)
+        if key not in exact_memo:
+            rows, cols = live[i - 1][a], live[i][b]
             by_col, live_rows = scalars[i], set(rows)
-            rank_memo[key] = linalg.rank([
+            exact_memo[key] = linalg.rank([
                 {r: v for r, v in by_col[c].items() if r in live_rows}
                 for c in cols if c in by_col]) if rows and cols else 0
-        return rank_memo[key]
+        return exact_memo[key]
+
+    def modp_rank(i, a, b, want):
+        """min(rank over F_P, want), or None where a precondition fails.
+        Where the live columns keep their support in the live rows, the rank
+        depends on the columns alone."""
+        key = (i, a, b)
+        if key not in supported:
+            by_col, live_rows = scalars[i], set(live[i - 1][a])
+            supported[key] = reduced[i] is not None and all(
+                by_col[c].keys() <= live_rows for c in live[i][b] if c in by_col)
+        if not supported[key]:
+            return None
+        if want <= 0:
+            return 0
+        key = (i, b, want)
+        if key not in modp_memo:
+            red = reduced[i]
+            modp_memo[key] = linalg.rank_mod_p([red[c] for c in live[i][b] if c in red], want)
+        return modp_memo[key]
 
     p = len(summands) - 1
-    for cell in range(len(points)):
-        live = [tuple(np.nonzero(alive[i][:, cell])[0].tolist()) for i in range(p + 1)]
-        ranks = [0] * (p + 2)
-        for i in range(1, p + 1):
-            ranks[i] = strand_rank(i, live[i - 1], live[i])
-        ok = True
-        for i in range(1, p + 1):
-            if len(live[i]) - ranks[i] - ranks[i + 1] != 0:
-                ok = False
-                break
+    positive = range(1, p + 1)
+    for cls, cell in first.items():
+        dims = [len(live[i][cls[i]]) for i in range(p + 1)]
+        # the ranks of an exact strand, from the top position down
+        want = [0] * (p + 2)
+        for i in reversed(positive):
+            want[i] = dims[i] - want[i + 1]
+        ranks = [0] + [modp_rank(i, cls[i - 1], cls[i], want[i]) for i in positive] + [0]
+        if ranks != want:
+            ranks = [0] + [exact_rank(i, cls[i - 1], cls[i]) for i in positive] + [0]
+        ok = all(dims[i] == ranks[i] + ranks[i + 1] for i in positive)
         if ok:
-            h0 = len(live[0]) - ranks[1]
+            h0 = dims[0] - ranks[1]
             if style == "quotient":
-                expected = 0 if member[cell] else 1
+                expected = 0 if cls[-1] else 1
             else:
-                expected = 1 if member[cell] else 0
+                expected = 1 if cls[-1] else 0
             ok = h0 == expected
         if not ok:
             return False, tuple(int(v) for v in points[cell])
     return True, None
 
 
-def _member_mask(gens, points: np.ndarray) -> np.ndarray:
-    """Bool array over the points: some generator divides x^point."""
-    if not gens:
-        return np.zeros(len(points), dtype=bool)
-    arr = np.array(gens, dtype=np.int64)
-    return (points[None, :, :] >= arr[:, None, :]).all(axis=2).any(axis=0)
+def _live_classes(mask: np.ndarray) -> tuple[list[tuple[int, ...]], list[int]]:
+    """(distinct live tuples, per-cell index into them) of a bool
+    summands x cells mask, read in one pass."""
+    cells, summands = np.nonzero(mask.T)
+    bounds = np.searchsorted(cells, np.arange(mask.shape[1] + 1)).tolist()
+    summands = summands.tolist()
+    index: dict[tuple[int, ...], int] = {}
+    ids = [index.setdefault(tuple(summands[lo:hi]), len(index))
+           for lo, hi in zip(bounds, bounds[1:])]
+    return list(index), ids
+
+
+def _map_mod_p(columns: dict[int, dict[int, Fraction]]):
+    """The columns reduced over F_P (``linalg.mod_p``), or None if P divides
+    a denominator of the map."""
+    out = {}
+    for c, col in columns.items():
+        red = linalg.mod_p(col)
+        if red is None:
+            return None
+        out[c] = red
+    return out
+
+
+def _member_masks(ideals, points: np.ndarray) -> np.ndarray:
+    """Bool ideals x points: some generator of the ideal (a list of
+    generators) divides x^point."""
+    sizes = [len(gens) for gens in ideals]
+    flat = np.array([g for gens in ideals for g in gens], dtype=np.int64)
+    flat = flat.reshape(len(flat), points.shape[1])
+    divides_point = np.ones((len(flat), len(points)), dtype=bool)
+    for k in range(points.shape[1]):
+        divides_point &= flat[:, k, None] <= points[None, :, k]
+    if all(n == 1 for n in sizes):
+        return divides_point
+    bounds = np.cumsum([0] + sizes).tolist()
+    return np.array([divides_point[lo:hi].any(axis=0) for lo, hi in zip(bounds, bounds[1:])],
+                    dtype=bool).reshape(len(ideals), len(points))
 
 
 def euler_characteristic_at(C: FreeComplex, b: tuple[int, ...]) -> int:
@@ -938,13 +1037,13 @@ def tensor_resolutions(
             for l in range(n):
                 if profile[l] == 0:
                     continue
-                sign = Fraction((-1) ** sum(profile[:l]))
+                # the Koszul sign (-1)^(positions before factor l); each
+                # factor lowers its own position, so no two terms share a row
+                odd = sum(profile[:l]) % 2
+                tgt_profile = profile[:l] + (profile[l] - 1,) + profile[l + 1:]
                 for r, v in fac_cols[l][profile[l]].get(idxs[l], {}).items():
-                    tgt_profile = profile[:l] + (profile[l] - 1,) + profile[l + 1:]
-                    tgt_idxs = idxs[:l] + (r,) + idxs[l + 1:]
-                    rr = index[k - 1][(tgt_profile, tgt_idxs)]
-                    entries[(rr, c)] = entries.get((rr, c), ZERO) + sign * v
-        entries = {kk: v for kk, v in entries.items() if v != 0}
+                    rr = index[k - 1][(tgt_profile, idxs[:l] + (r,) + idxs[l + 1:])]
+                    entries[(rr, c)] = -v if odd else v
         diffs.append(MonomialMatrix(ctx, shifts[k - 1], shifts[k], entries))
 
     cx = FreeComplex(ctx, shifts, diffs)

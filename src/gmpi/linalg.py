@@ -1,13 +1,24 @@
-"""Exact linear algebra over the rationals (small matrices only).
+"""Exact linear algebra over the rationals, and its certificate over F_P
+(small matrices only).
 
 ``rank`` reads a matrix as a list of sparse vectors {index: nonzero value}
 of Fractions (or ints), its rows or its columns alike, since both have the
 same rank.  It clears each vector's denominators and eliminates fraction-free
 over sparse integer vectors: scaling a vector by a nonzero rational keeps the
-rank, so the result is exact over Q without Fraction arithmetic.  It carries
-the strand-exactness scans, whose matrices are large, sparse and mostly +-1.
-Its denominator clearing (``_cleared``) also feeds the integer kernel of
+rank, so the result is exact over Q without Fraction arithmetic.  Its
+denominator clearing (``_cleared``) also feeds the integer kernel of
 ``complexes.MonomialMatrix.compose``.
+
+``rank_mod_p`` is the fast rank of the strand-exactness scans: it eliminates
+the same sparse vectors reduced modulo the fixed prime ``P`` (``mod_p``), a
+prime below 2^30, so that every residue fits in one CPython digit.  Reduction
+is defined when P divides no denominator (``mod_p`` returns None otherwise),
+and then rank over F_P <= rank over Q, since a minor that is nonzero mod P is
+nonzero.  The scan turns that inequality into an exact verdict (see
+``complexes._strand_scan``): where the mod-P ranks of a complex reach the
+ranks an exact complex of its dimensions must have, they are its ranks over
+Q, and anywhere else the scan asks the exact ``rank``.  Since only a lower
+bound is needed, ``rank_mod_p`` can stop at a given number of pivots.
 
 ``row_echelon`` and ``solve`` take lists of dense rows and reduce over
 Fractions with a fixed pivot rule (first nonzero entry scanning columns left
@@ -106,6 +117,60 @@ def _primitive(vec: dict[int, int]) -> dict[int, int]:
     if g > 1:
         return {c: v // g for c, v in vec.items()}
     return vec
+
+
+P = 1073741789   # the largest prime below 2^30
+
+
+def mod_p(vector: dict) -> dict[int, int] | None:
+    """The sparse vector {index: value} of Fractions or ints over F_P:
+    {index: residue in 1..P-1}, the entries divisible by P left out; None if
+    P divides a denominator, where reduction is undefined."""
+    out = {}
+    for k, v in vector.items():
+        d = v.denominator
+        if d % P == 0:
+            return None
+        r = v.numerator * pow(d, -1, P) % P if d != 1 else v.numerator % P
+        if r:
+            out[k] = r
+    return out
+
+
+def rank_mod_p(vectors, limit: int | None = None) -> int:
+    """Rank over F_P of a list of sparse vectors {index: residue in 1..P-1},
+    as ``mod_p`` returns them; with ``limit``, min(rank, limit), returned as
+    soon as ``limit`` pivots are found.
+
+    ``vectors`` is left unmodified.  Each pivot vector is scaled to lead with
+    1, so reducing a vector against it is one subtraction per entry; a
+    vector is copied before its first reduction.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for vec in vectors:
+        owned = False
+        while vec:
+            lead = min(vec)
+            piv = pivots.get(lead)
+            if piv is None:
+                f = vec[lead]
+                if f != 1:
+                    inv = pow(f, -1, P)
+                    vec = {c: v * inv % P for c, v in vec.items()}
+                pivots[lead] = vec
+                if len(pivots) == limit:
+                    return limit
+                break
+            if not owned:
+                vec, owned = dict(vec), True
+            f = vec[lead]
+            for c, v in piv.items():
+                w = (vec.get(c, 0) - f * v) % P
+                if w:
+                    vec[c] = w
+                else:
+                    del vec[c]
+    return len(pivots)
 
 
 def solve(a_rows, b: list[Fraction]):

@@ -33,7 +33,7 @@ from gmpi.families import (
 from gmpi.monomials import VariableContext, ideal, simple_context, total_degree
 from gmpi.verify import SUITE_SEEDS
 
-from conftest import non_nested_instance
+from conftest import non_nested_instance, with_resolution_copy
 
 S2 = simple_context(2, ("x", "y"))
 
@@ -169,6 +169,18 @@ def test_star_and_total_complex_exact_beyond_the_pinned_seeds():
         assert star_acyclicity(build_star_complex(inst)) == (True, None), seed
         assert total_complex(build_double_complex(inst)).exactness_verified, seed
     assert time.monotonic() - start < 30.0
+
+
+def test_star_acyclicity_needs_a_resolution_that_squares_to_zero():
+    # the scan certifies its strands mod P only for maps that square to zero
+    inst = with_resolution_copy(expansion_instance())
+    star = build_star_complex(inst)
+    d2 = inst.resolution.diffs[2].entries
+    key = next(iter(d2))
+    d2[key] *= 2
+    square = inst.resolution.square_witness()
+    assert square is not None
+    assert star_acyclicity(star) == (False, square)
 
 
 def test_star_acyclicity_fails_without_nesting():

@@ -17,6 +17,7 @@ from gmpi.complexes import (
     SizeCapError,
     _normalize_augmentation,
     betti_table,
+    degree_grid,
     direct_sum,
     euler_characteristic_at,
     exactness_check,
@@ -283,6 +284,143 @@ def test_exactness_check_finds_corruption():
     del M.diffs[2].entries[key]  # drop one syzygy entry
     ok, witness = exactness_check(M, I)
     assert not ok and witness is not None
+
+
+# -- the certified strand scan
+
+def reference_exactness(C: FreeComplex, I: MonomialIdeal):
+    """exactness_check (quotient style) by its definition: d o d first,
+    then the strand of every grid cell ranked by Fraction elimination."""
+    square = C.square_witness()
+    if square is not None:
+        return False, square[1]
+    for b in itertools.product(*degree_grid(C.shifts + [list(I.gens)], C.ctx.nvars)):
+        st_b = strand(C, b)
+        dims = st_b.dims
+        ranks = [0] + [len(linalg.row_echelon([list(r) for r in m])) for m in st_b.matrices] + [0]
+        if any(dims[i] != ranks[i] + ranks[i + 1] for i in range(1, len(dims))):
+            return False, b
+        if dims[0] - ranks[1] != (0 if I.member(b) else 1):
+            return False, b
+    return True, None
+
+
+def scale_column(C: FreeComplex, i: int, j: int, s) -> None:
+    """Basis element j of position i times s: column j of diff[i] times s
+    and row j of diff[i+1] divided by s, an isomorphic complex."""
+    d = C.diffs[i].entries
+    for key in [k for k in d if k[1] == j]:
+        d[key] *= s
+    if i < C.length:
+        up = C.diffs[i + 1].entries
+        for key in [k for k in up if k[0] == j]:
+            up[key] /= s
+
+
+@st.composite
+def corrupted_lyubeznik(draw):
+    """A Lyubeznik complex of a small ideal, intact or with one corruption:
+    a basis element rescaled (by P among others), a column scaled or
+    cleared, an entry dropped, or a shift raised (which leaves the maps
+    inhomogeneous, so live columns can reach dead rows)."""
+    I = draw(small_ideals())
+    C = lyubeznik_complex(I)
+    kind = draw(st.sampled_from(
+        ["intact", "rescale", "scale-column", "clear-column", "drop-entry", "raise-shift"]))
+    i = draw(st.integers(1, C.length))
+    j = draw(st.integers(0, C.ranks[i] - 1))
+    scalar = draw(st.sampled_from([linalg.P, -linalg.P, Fraction(1, linalg.P), 2, Fraction(-1, 3)]))
+    d = C.diffs[i].entries
+    if kind == "rescale":
+        scale_column(C, i, j, scalar)
+    elif kind == "scale-column":
+        for key in [k for k in d if k[1] == j]:
+            d[key] *= scalar
+    elif kind == "clear-column":
+        for key in [k for k in d if k[1] == j]:
+            del d[key]
+    elif kind == "drop-entry":
+        del d[draw(st.sampled_from(sorted(d)))]
+    elif kind == "raise-shift":
+        k = draw(st.integers(0, C.ctx.nvars - 1))
+        s = list(C.shifts[i][j])
+        s[k] += 1
+        C.shifts[i][j] = C.diffs[i].col_shifts[j] = tuple(s)
+        if i < C.length:
+            C.diffs[i + 1].row_shifts[j] = tuple(s)
+    return C, I
+
+
+@settings(max_examples=150, deadline=None)
+@given(corrupted_lyubeznik())
+def test_exactness_check_matches_the_exact_reference(case):
+    C, I = case
+    assert exactness_check(C, I) == reference_exactness(C, I)
+
+
+def test_exactness_check_ranks_exactly_where_a_live_column_reaches_a_dead_row():
+    # d_2 sends c (shift x^2) to r (shift x^3), an inhomogeneous entry, and
+    # d_1 = 0.  At x^2 the strand is <c> -> <a> -> <e> with both maps zero,
+    # inexact twice over; ranked with the entry of the dead row r instead,
+    # its ranks would balance and x^2 would pass.
+    I = ideal(S1, [(4,)])
+    shifts = [[(0,)], [(2,), (3,)], [(2,)]]
+    C = FreeComplex(S1, shifts, [
+        None,
+        MonomialMatrix(S1, shifts[0], shifts[1], {}),
+        MonomialMatrix(S1, shifts[1], shifts[2], {(1, 0): Fraction(1)}),
+    ])
+    assert exactness_check(C, I) == (False, (2,)) == reference_exactness(C, I)
+
+
+def counted_exact_ranks(monkeypatch) -> list:
+    """Record the size of every exact rank the scan asks for."""
+    calls = []
+    exact = linalg.rank
+
+    def rank(vectors):
+        calls.append(len(vectors))
+        return exact(vectors)
+
+    monkeypatch.setattr(linalg, "rank", rank)
+    return calls
+
+
+def hilbert_burch():
+    """I = (x^2, xy, y^3) and its minimal resolution, whose two top basis
+    elements have shifts x^2 y and x y^3."""
+    I = ideal(S2, [(2, 0), (1, 1), (0, 3)])
+    return I, minimalize_complex(lyubeznik_complex(I))
+
+
+def test_exactness_check_certifies_mod_p_alone(monkeypatch):
+    I, M = hilbert_burch()
+    calls = counted_exact_ranks(monkeypatch)
+    assert exactness_check(M, I) == (True, None)
+    assert calls == []
+
+
+def test_exactness_check_scalar_p_passes_through_the_exact_fallback(monkeypatch):
+    # the top basis element x y^3 times P: exact over Q, but its column
+    # vanishes mod P, so above x y^3 the ranks mod P fall short
+    I, M = hilbert_burch()
+    scale_column(M, 2, M.shifts[2].index((1, 3)), linalg.P)
+    calls = counted_exact_ranks(monkeypatch)
+    assert exactness_check(M, I) == (True, None) == reference_exactness(M, I)
+    assert calls
+
+
+def test_exactness_check_scalar_p_keeps_the_witness(monkeypatch):
+    # as above, and the column of x^2 y cleared: the cell x y^3 (scanned
+    # first) passes through the fallback, the cell x^2 y fails exactly
+    I, M = hilbert_burch()
+    scale_column(M, 2, M.shifts[2].index((1, 3)), linalg.P)
+    c = M.shifts[2].index((2, 1))
+    for key in [k for k in M.diffs[2].entries if k[1] == c]:
+        del M.diffs[2].entries[key]
+    calls = counted_exact_ranks(monkeypatch)
+    assert exactness_check(M, I) == (False, (2, 1)) == reference_exactness(M, I)
+    assert calls
 
 
 # -- Betti tables and invariants

@@ -5,7 +5,7 @@ from math import comb
 
 from hypothesis import given, settings, strategies as st
 
-from gmpi.linalg import rank, row_echelon, solve
+from gmpi.linalg import P, mod_p, rank, rank_mod_p, row_echelon, solve
 
 F = Fraction
 
@@ -76,6 +76,77 @@ def test_rank_leaves_its_argument_unmodified():
     assert m == before and all(list(r) == list(s) for r, s in zip(m, before))
     assert all(type(x) is type(y) for r, s in zip(m, before)
                for x, y in zip(r.values(), s.values()))
+
+
+# -- the rank over F_P
+
+def test_mod_p_examples():
+    assert mod_p({}) == {}
+    assert mod_p({0: -1, 3: 2}) == {0: P - 1, 3: 2}
+    assert mod_p({1: F(3, 2)}) == {1: 3 * pow(2, -1, P) % P}
+    # an entry equal to P (or a multiple of it) vanishes
+    assert mod_p({0: P, 1: F(-2 * P, 3), 2: P + 5}) == {2: 5}
+    # a denominator divisible by P has no reduction
+    assert mod_p({0: 1, 1: F(1, P)}) is None
+    assert mod_p({0: F(7, 3 * P)}) is None
+
+
+def test_rank_mod_p_examples():
+    # the empty matrix, 0 x n and m x 0
+    assert rank_mod_p([]) == 0
+    assert rank_mod_p([{}, {}, {}]) == 0
+    assert rank_mod_p([mod_p(v) for v in sparse(rows((1, 2, 3), (4, 5, 6)))]) == 2
+    assert rank_mod_p([mod_p(v) for v in sparse(rows((1, 2), (2, 4)))]) == 1
+    # an entry equal to P drops the rank mod P, not over Q
+    m = sparse(rows((1, 0), (0, P)))
+    assert rank(m) == 2 and rank_mod_p([mod_p(v) for v in m]) == 1
+    # a determinant divisible by P: (1, 1), (1, 1 + P)
+    m = sparse(rows((1, 1), (1, 1 + P)))
+    assert rank(m) == 2 and rank_mod_p([mod_p(v) for v in m]) == 1
+    # a limit stops the elimination once it has that many pivots
+    m = [mod_p(v) for v in sparse(rows((1, 0, 0), (0, 1, 0), (0, 0, 1)))]
+    assert [rank_mod_p(m, limit) for limit in (1, 2, 3, 4)] == [1, 2, 3, 3]
+
+
+def test_rank_mod_p_leaves_its_argument_unmodified():
+    m = [{0: 2, 2: P - 3}, {0: 4, 1: 5, 2: 1}, {0: 2, 2: P - 3}]
+    before = copy.deepcopy(m)
+    assert rank_mod_p(m) == 2
+    assert m == before and all(list(r) == list(s) for r, s in zip(m, before))
+
+
+@st.composite
+def p_adic_matrices(draw):
+    """rational_matrices with entries that are multiples of P mixed in, so
+    that the rank often drops mod P."""
+    m = draw(rational_matrices())
+    multiple = st.sampled_from([P, -P, 2 * P, F(P, 2), P * P])
+    for row in m:
+        for c in range(len(row)):
+            if draw(st.integers(0, 5)) == 0:
+                row[c] = draw(multiple)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(p_adic_matrices(), st.integers(1, 7))
+def test_rank_mod_p_is_at_most_the_rank(m, limit):
+    vectors = [mod_p(v) for v in sparse(m)]
+    r = rank_mod_p(vectors)
+    assert r <= rank(sparse(m))
+    assert rank_mod_p([mod_p(v) for v in transpose(m)]) == r
+    # stopping at ``limit`` pivots
+    assert rank_mod_p(vectors, limit) == min(r, limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-5, 5), min_size=n, max_size=n), max_size=6)))
+def test_rank_mod_p_is_the_rank_below_the_hadamard_bound(m):
+    # every minor of a matrix of at most 6 x 6 entries |a| <= 5 is at most
+    # (5 sqrt 6)^6 < 3.4e6 < P in absolute value, so none vanishes mod P
+    vectors = sparse(m)
+    assert rank_mod_p([mod_p(v) for v in vectors]) == rank(vectors)
 
 
 def simplex_boundaries(n):

@@ -1,8 +1,9 @@
 import itertools
 import random
+from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from gmpi.builder import (
     build_double_complex,
@@ -34,6 +35,7 @@ from gmpi.verify import (
     run_instance_checks,
     structure_checks,
     summary_lines,
+    SUITE_SEEDS,
 )
 
 from conftest import corrupt_lambda, non_nested_instance, small_ideals, with_resolution_copy
@@ -54,6 +56,16 @@ def test_oracle_rejects_unit_and_oversize():
     big = ideal(S2, [(d, 15 - d) for d in range(16)])
     with pytest.raises(SizeCapError):
         oracle_betti(big)
+
+
+@settings(max_examples=100, deadline=timedelta(seconds=20))
+@given(st.integers(0, 2**32 - 1).filter(lambda seed: seed not in SUITE_SEEDS))
+def test_total_complex_matches_the_oracle_beyond_the_pinned_seeds(seed):
+    # 100 random seeds per run, each within 20 s (most take under 10 ms); a
+    # mismatch is a construction bug
+    inst = random_instance(seed)
+    table = minimal_total_table(total_complex(build_double_complex(inst)))
+    assert table == betti_for_ideal(inst.induced)[0]
 
 
 def test_lcm_lattice_small():
