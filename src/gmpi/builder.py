@@ -19,6 +19,7 @@ read off that resolution.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,12 +29,10 @@ from .complexes import (
     BettiTable,
     ChainMap,
     ConstructionError,
-    degree_grid,
     direct_sum,
     exactness_check,
     free_module_resolution,
     FreeComplex,
-    grid_size,
     ideal_resolution,
     identity_chain_map,
     is_linear_resolution,
@@ -42,6 +41,7 @@ from .complexes import (
     MonomialMatrix,
     quotient_resolution,
     regularity,
+    SizeCapError,
     tensor_chain_map,
     tensor_resolutions,
     TensorResolution,
@@ -323,12 +323,21 @@ def rho_maps(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int], ChainMap
     """Comparison maps between consecutive ladder entries of each block.
 
     rho[(l, k)] : resolution at ladder degree k -> ladder degree k-1, lifting
-    the inclusion of the smaller ideal into the larger.
+    the inclusion of the smaller ideal into the larger.  ConstructionError
+    with (block, degree, generator) where that inclusion fails, which
+    validate_family rules out unless told to skip the nesting condition.
     """
     out = {}
     for l in range(inst.nblocks):
         ladder = inst.ladders[l]
         for k in range(1, len(ladder)):
+            big = inst.family.at(l, ladder[k - 1])
+            outside = next((g for g in inst.family.at(l, ladder[k]).gens
+                            if not big.member(g)), None)
+            if outside is not None:
+                raise ConstructionError(
+                    "substitution ideals are not nested (block, degree, generator)",
+                    (l, ladder[k], outside))
             out[(l, k)] = lift_chain_map(blocks[(l, ladder[k])], blocks[(l, ladder[k - 1])])
     return out
 
@@ -402,6 +411,18 @@ class DoubleComplex:
                 unit = m.unit_entry()
                 if unit is not None:
                     return (c, i) + unit
+        return None
+
+    def column_star_witness(self):
+        """(c, j) where summand j of column c, a tensor product of block
+        resolutions, is not generated in position 0 by the generators of the
+        star ideal at (c, j), or None.  Its position 0 lists products of
+        block generators, the generators of the block product, so this is
+        the product formula on the built columns."""
+        for c in range(1, len(self.columns)):
+            for j, tres in enumerate(self.summands[c]):
+                if set(tres.complex.shifts[0]) != set(self.star.at(c, j).gens):
+                    return c, j
         return None
 
     def sigma_extends_star(self) -> bool:
@@ -504,8 +525,10 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
                         ro, co = offsets[c - 1][k][i], offsets[c][j][i]
                         for (r, cc), v in bm.entries.items():
                             mats[i].entries[(ro + r, co + cc)] = scalar * v
+        # commutation with the column differentials is a component of the
+        # total complex's diff o diff, which total_complex checks
         sig = ChainMap(src, tgt, mats)
-        sig.validate()
+        sig.validate_maps()
         sigmas.append(sig)
 
     dd = DoubleComplex(
@@ -529,7 +552,11 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
 
 @dataclass
 class TotalComplex:
-    """Total complex of the double complex, with its basis bookkeeping."""
+    """Total complex of the double complex, with its basis bookkeeping.
+
+    ``exactness_verified`` says that the certificate of total_complex ran in
+    full; it is False only where the star or a block degree grid exceeds
+    its scan cap."""
 
     complex: FreeComplex
     labels: list[list[tuple[int, int, int]]]   # per position: (column, row, index)
@@ -541,12 +568,31 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
     sign (-1)^row so that squares anticommute and the total differential
     squares to zero.
 
-    The result is also strand-checked to resolve T/L exactly; the scan
-    starts with diff o diff = 0, so a failure of either raises
-    ConstructionError with the witness multidegree.  Degree grids beyond
-    100 000 cells skip the scan (recorded on the result), since the Betti
-    comparison against the oracle covers it; diff o diff is then checked on
-    its own, with the same error.
+    The result is certified to resolve T/L from the structure of D, without
+    a strand scan of its own degree grid.  Filter the total complex by
+    columns.  Column c resolves the direct sum of the block products at the
+    shifts of position c, and sigma induces the scalar matrices on those
+    ideals (``sigma_star_witness``, checked by build_double_complex).  The
+    first page of the spectral sequence is then the star complex, and if it
+    is exact the total complex resolves its H_0 = T/L (the acyclic assembly
+    lemma, Weibel 1994, Lemma 2.7.3).  Each column is a tensor product of
+    block resolutions on disjoint variables, so it is exact when they are
+    (Kuenneth); it is built from ``D.blocks`` and not checked again.  Each
+    step below raises ConstructionError with its witness:
+
+    * diff o diff = 0; its components are the columns' diff o diff, the
+      chain-map condition of each sigma and sigma o sigma;
+    * each column summand is generated in position 0 by its star ideal
+      (``column_star_witness``), so that the star complex is the first page;
+    * the star complex is exact (``star_acyclicity``);
+    * each block resolution of positive degree resolves its substitution
+      ideal: a strand scan over the block's own variables, plus the
+      augmentation, which must send position 0 to the ideal's generators and
+      kill the image of the first differential.
+
+    A star or block grid above its scan cap skips that scan, recorded as
+    ``exactness_verified=False``.  The scan of the total complex itself is
+    the ``total-exactness`` check of verify.check_engine_self.
     """
     inst = D.instance
     p = len(D.columns) - 1
@@ -591,16 +637,61 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
             raise ConstructionError(
                 "total complex has a unit entry under the linearity hypothesis "
                 "(position, (row, column))", unit)
-    exactness_verified = grid_size(degree_grid(cx.shifts, inst.T.nvars)) <= 100_000
-    if exactness_verified:
-        ok, witness = exactness_check(cx, inst.induced, max_cells=100_000)
-        if not ok:
-            raise ConstructionError("total complex fails to resolve T/L", witness)
+    square = cx.square_witness()
+    if square is not None:
+        raise ConstructionError("total differential does not square to zero", square[1])
+    witness = D.column_star_witness()
+    if witness is not None:
+        raise ConstructionError(
+            "a column summand is not generated by its star ideal (column, summand)", witness)
+    verified = True
+    try:
+        ok, witness = star_acyclicity(D.star)
+    except SizeCapError:
+        verified = False
     else:
-        square = cx.square_witness()
-        if square is not None:
-            raise ConstructionError("total differential does not square to zero", square[1])
-    return TotalComplex(cx, labels, exactness_verified)
+        if not ok:
+            raise ConstructionError("the star complex is not exact", witness)
+    for (l, d), res in D.blocks.items():
+        if d == 0:
+            continue
+        try:
+            witness = block_witness(res, inst.family.at(l, d))
+        except SizeCapError:
+            verified = False
+        else:
+            if witness is not None:
+                raise ConstructionError(
+                    "a block resolution does not resolve its substitution ideal "
+                    "(block, degree, multidegree)", (l, d, witness))
+    return TotalComplex(cx, labels, verified)
+
+
+def block_witness(res: FreeComplex, I: MonomialIdeal):
+    """A multidegree of the block's variables where ``res`` fails to resolve
+    the ideal I, or None.
+
+    The strand scan (ideal style) compares Hilbert functions only.  The
+    augmentation e_j -> x^(shifts[0][j]) must also map onto I, so position 0
+    must list I's generators, and it must kill the image of diffs[1]: each
+    term of column c of diffs[1] maps to its scalar times x^(shifts[1][c]), so
+    every column has to sum to zero.  Then H_0 maps onto I with the same
+    Hilbert function, so it is I.  SizeCapError where the block's degree
+    grid exceeds the scan cap.
+    """
+    gens = list(I.gens)
+    if res.shifts[0] != gens:
+        # the first generator out of place (or the first extra basis shift)
+        return next(g or s for g, s in itertools.zip_longest(gens, res.shifts[0]) if g != s)
+    if res.length >= 1:
+        sums: dict[int, Fraction] = {}
+        for (_, c), v in res.diffs[1].entries.items():
+            sums[c] = sums.get(c, ZERO) + v
+        c = next((c for c, v in sums.items() if v), None)
+        if c is not None:
+            return res.shifts[1][c]
+    ok, witness = exactness_check(res, I, style="ideal")
+    return None if ok else witness
 
 
 # ---------------------------------------------------------------------------

@@ -459,7 +459,9 @@ def ideal_resolution(I: MonomialIdeal) -> FreeComplex:
 
     Obtained from the minimal resolution of S/I by chopping off position zero,
     so basis element j of position 0 maps to the j-th generator under the
-    augmentation e_j -> x^shift.
+    augmentation e_j -> x^shift.  Its maps are those of the minimalized
+    complex, already checked to square to zero, so only their shapes and
+    homogeneity are checked again.
     """
     quot = quotient_resolution(I)
     shifts = [list(s) for s in quot.shifts[1:]]
@@ -468,7 +470,7 @@ def ideal_resolution(I: MonomialIdeal) -> FreeComplex:
         d = quot.diffs[i]
         diffs.append(MonomialMatrix(quot.ctx, shifts[i - 2], shifts[i - 1], dict(d.entries)))
     out = FreeComplex(quot.ctx, shifts, diffs)
-    out.validate()
+    out.validate_maps()
     return out
 
 
@@ -722,13 +724,16 @@ def _member_masks(ideals, points: np.ndarray) -> np.ndarray:
                     dtype=bool).reshape(len(ideals), len(points))
 
 
-def euler_characteristic_at(C: FreeComplex, b: tuple[int, ...]) -> int:
-    """Alternating sum of strand dimensions at degree b (dimensions only)."""
-    total = 0
+def euler_characteristics(C: FreeComplex, points) -> list[int]:
+    """Alternating sum of strand dimensions (dimensions only) at each degree
+    of ``points``, with one vectorized divisibility test per position."""
+    points = np.array(points, dtype=np.int64).reshape(len(points), C.ctx.nvars)
+    total = np.zeros(len(points), dtype=np.int64)
     for i, level in enumerate(C.shifts):
-        n = sum(1 for s in level if divides(s, b))
-        total += n if i % 2 == 0 else -n
-    return total
+        if level:
+            n = _member_masks([[s] for s in level], points).sum(axis=0)
+            total += -n if i % 2 else n
+    return total.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -844,15 +849,8 @@ class ChainMap:
     mats: list[MonomialMatrix]
 
     def validate(self) -> None:
-        if len(self.mats) != self.source.length + 1:
-            raise ConstructionError(
-                "chain map components do not match the source positions (components, positions)",
-                (len(self.mats), self.source.length + 1))
-        for i, m in enumerate(self.mats):
-            tgt_shifts = self.target.shifts[i] if i <= self.target.length else []
-            if m.col_shifts != self.source.shifts[i] or m.row_shifts != tgt_shifts:
-                raise ValueError(f"chain map shapes wrong at position {i}")
-            m.validate()
+        """Shapes, homogeneity and commutation with the differentials."""
+        self.validate_maps()
         for i in range(1, self.source.length + 1):
             rhs = self.mats[i - 1].compose(self.source.diffs[i])
             if i <= self.target.length:
@@ -864,6 +862,18 @@ class ChainMap:
                 diff[k] = diff.get(k, ZERO) - v
             if any(v != 0 for v in diff.values()):
                 raise ValueError(f"chain map does not commute at position {i}")
+
+    def validate_maps(self) -> None:
+        """Shapes and homogeneity of each component (no composition)."""
+        if len(self.mats) != self.source.length + 1:
+            raise ConstructionError(
+                "chain map components do not match the source positions (components, positions)",
+                (len(self.mats), self.source.length + 1))
+        for i, m in enumerate(self.mats):
+            tgt_shifts = self.target.shifts[i] if i <= self.target.length else []
+            if m.col_shifts != self.source.shifts[i] or m.row_shifts != tgt_shifts:
+                raise ValueError(f"chain map shapes wrong at position {i}")
+            m.validate()
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (zero through positions missing in the middle)."""
@@ -1002,6 +1012,9 @@ def tensor_resolutions(
 
     ``embeddings[l]`` lists the flat variable positions of factor l inside
     ``ctx``; factor shifts are transplanted there (blocks must be disjoint).
+    Only shapes and homogeneity are checked: the product squares to zero
+    when its factors do (Koszul signs), and a total complex built on it
+    checks its own diff o diff, which contains this one.
     """
     n = len(factors)
     nvars = ctx.nvars
@@ -1047,7 +1060,7 @@ def tensor_resolutions(
         diffs.append(MonomialMatrix(ctx, shifts[k - 1], shifts[k], entries))
 
     cx = FreeComplex(ctx, shifts, diffs)
-    cx.validate()
+    cx.validate_maps()
     return TensorResolution(factors, cx, labels, index)
 
 

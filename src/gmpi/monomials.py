@@ -188,13 +188,22 @@ class MonomialIdeal:
 
 
 def minimalize(gens) -> list[tuple[int, ...]]:
-    """Inclusion-minimal antichain of a generator list under divisibility."""
-    gens = sorted(set(gens), key=total_degree)
-    kept: list[tuple[int, ...]] = []
-    for g in gens:
-        if not any(divides(h, g) for h in kept):
-            kept.append(g)
-    return kept
+    """Inclusion-minimal antichain of a generator list under divisibility,
+    in ascending total degree.
+
+    A generator is tested only against the kept generators of lower total
+    degree: distinct monomials of one degree never divide each other."""
+    below: list[tuple[int, ...]] = []    # kept, of lower degree than g
+    same: list[tuple[int, ...]] = []     # kept, of the degree of g
+    degree = None
+    for g in sorted(set(gens), key=total_degree):
+        if total_degree(g) != degree:
+            degree = total_degree(g)
+            below += same
+            same = []
+        if not any(divides(h, g) for h in below):
+            same.append(g)
+    return below + same
 
 
 def ideal(ctx: VariableContext, gens) -> MonomialIdeal:

@@ -38,7 +38,8 @@ from .complexes import (
     BettiTable,
     SizeCapError,
     betti_table,
-    euler_characteristic_at,
+    euler_characteristics,
+    exactness_check,
     inexact_positions,
     lyubeznik_complex,
     minimalize_complex,
@@ -334,18 +335,39 @@ def check_linearity_equivalence(inst: GmpiInstance, D: DoubleComplex, table: Bet
                            lin_i == lin_l, True, {"I_linear": lin_i, "L_linear": lin_l})
 
 
+# degree-grid cells beyond which the total-exactness scan reports SKIPPED
+TOTAL_SCAN_CAP = 100_000
+
+
+def check_total_exactness(inst: GmpiInstance, tot: TotalComplex) -> CheckResult:
+    """The strand scan of the total complex over its whole degree grid, which
+    checks diff o diff first, and diff o diff of the resolution of S/I.
+
+    This is the scan that total_complex replaces with its structural
+    certificate.  Above TOTAL_SCAN_CAP cells it reports SKIPPED with the
+    cell count (diff o diff is still checked)."""
+    name = "total-exactness"
+    square = inst.resolution.square_witness()
+    if square is not None:
+        return CheckResult(name, inst.label, False, {"resolution_witness": square})
+    try:
+        _, witness = exactness_check(tot.complex, inst.induced, max_cells=TOTAL_SCAN_CAP)
+    except SizeCapError as e:
+        return CheckResult(name, inst.label, True, {"skipped": str(e)})
+    return _witness_check(name, inst.label, witness)
+
+
 def check_engine_self(inst: GmpiInstance, tot: TotalComplex, base: BettiTable | None,
                       cap: int = 14) -> list[CheckResult]:
-    """diff o diff, cancellation-order independence, Euler strand identity.
+    """Total exactness, cancellation-order independence, Euler strand
+    identity.
 
     ``base`` is the Lyubeznik oracle's table of L in its canonical generator
     order, which 5 shuffled orders must reproduce; None when that complex
     exceeds the Taylor cap ``cap``.  The permutation check reports SKIPPED
     then, and when a shuffled order exceeds the cap.
     """
-    out = []
-    ok = tot.complex.is_complex() and inst.resolution.is_complex()
-    out.append(CheckResult("diff-squared-zero", inst.label, ok))
+    out = [check_total_exactness(inst, tot)]
 
     L = inst.induced
     ok, details = True, {}
@@ -369,17 +391,10 @@ def check_engine_self(inst: GmpiInstance, tot: TotalComplex, base: BettiTable | 
         for s in level:
             box = [max(a, b) for a, b in zip(box, s)]
     rng = random.Random(f"{inst.label}/euler")
-    ok = True
-    witness = None
-    for _ in range(100):
-        b = tuple(rng.randint(0, m + 1) for m in box)
-        expected = 0 if L.member(b) else 1
-        if euler_characteristic_at(tot.complex, b) != expected:
-            ok = False
-            witness = b
-            break
-    details = {} if ok else {"witness": witness}
-    out.append(CheckResult("euler-strand-identity", inst.label, ok, details))
+    points = [tuple(rng.randint(0, m + 1) for m in box) for _ in range(100)]
+    witness = next((b for b, chi in zip(points, euler_characteristics(tot.complex, points))
+                    if chi != (0 if L.member(b) else 1)), None)
+    out.append(_witness_check("euler-strand-identity", inst.label, witness))
     return out
 
 

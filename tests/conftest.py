@@ -80,3 +80,67 @@ def non_nested_instance() -> GmpiInstance:
         (1, 1): ideal(cctx, [(0, 1)]),
     })
     return validate_family(inducing, fam, label="non-nested", check_nesting=False)
+
+
+# -- corruptions of a built double complex, each in place; total_complex must
+# raise ConstructionError on the result
+
+def corrupt_sigma(D):
+    """Double the first entry of the first nonzero sigma component above
+    position 0: sigma no longer commutes with the column differentials."""
+    m = next(m for sig in D.sigmas[1:] for m in sig.mats[1:] if m.entries)
+    key = next(iter(m.entries))
+    m.entries[key] *= 2
+    return D
+
+
+def corrupt_column(D):
+    """Double the first entry of the first column differential of position 2,
+    so that the column no longer squares to zero."""
+    col = next(c for c in D.columns if c.length >= 2)
+    key = next(iter(col.diffs[2].entries))
+    col.diffs[2].entries[key] *= 2
+    return D
+
+
+def _first_block_copy(D):
+    key = next(k for k in D.blocks if k[1] >= 1)
+    D.blocks[key] = D.blocks[key].copy()
+    return D.blocks[key]
+
+
+def corrupt_block_scalar(D):
+    """Double the first entry of the first differential of the first block
+    resolution of positive degree (a copy of it): the strands keep their
+    ranks, but the augmentation no longer kills the image."""
+    d1 = _first_block_copy(D).diffs[1].entries
+    key = next(iter(d1))
+    d1[key] *= 2
+    return D
+
+
+def corrupt_block_column(D):
+    """Clear column 0 of the first differential of the first block resolution
+    of positive degree (a copy of it), so that a strand loses rank."""
+    d1 = _first_block_copy(D).diffs[1].entries
+    for key in [k for k in d1 if k[1] == 0]:
+        del d1[key]
+    return D
+
+
+def corrupt_star_ideal(D):
+    """Replace the first star ideal of position 1 by the second one, so that
+    column 1 no longer resolves its star ideal."""
+    first = D.star.ideals[0]
+    D.star.ideals[0] = [first[1]] + first[1:]
+    return D
+
+
+def corrupt_star_scalars(D):
+    """Double the first scalar of lam_2 in a copy of the resolution of S/I
+    that the star complex reads, so that its maps no longer square to zero."""
+    D.instance.resolution = D.instance.resolution.copy()
+    d2 = D.instance.resolution.diffs[2].entries
+    key = next(iter(d2))
+    d2[key] *= 2
+    return D

@@ -33,7 +33,16 @@ from gmpi.families import (
 from gmpi.monomials import VariableContext, ideal, simple_context, total_degree
 from gmpi.verify import SUITE_SEEDS
 
-from conftest import non_nested_instance, with_resolution_copy
+from conftest import (
+    corrupt_block_column,
+    corrupt_block_scalar,
+    corrupt_column,
+    corrupt_sigma,
+    corrupt_star_ideal,
+    corrupt_star_scalars,
+    non_nested_instance,
+    with_resolution_copy,
+)
 
 S2 = simple_context(2, ("x", "y"))
 
@@ -396,29 +405,44 @@ def test_unused_block_gets_trivial_ladder():
 
 
 def test_total_complex_raises_the_scan_witness(monkeypatch):
+    # the certificate's scans: the star complex, then each block resolution
     import gmpi.builder as builder
     D = build_double_complex(expansion_instance())
     w = (1, 0, 2, 1)
-    monkeypatch.setattr(builder, "exactness_check", lambda *args, **kwargs: (False, w))
+    with monkeypatch.context() as m:
+        m.setattr(builder, "star_acyclicity", lambda star: (False, w))
+        with pytest.raises(ConstructionError) as err:
+            total_complex(D)
+    assert err.value.witness == w and "star complex" in str(err.value)
+    monkeypatch.setattr(builder, "exactness_check", lambda *args, **kwargs: (False, (1, 1)))
     with pytest.raises(ConstructionError) as err:
         total_complex(D)
-    assert err.value.witness == w and str(w) in str(err.value)
+    l, d = next(key for key in D.blocks if key[1] >= 1)
+    assert err.value.witness == (l, d, (1, 1)) and str((l, d, (1, 1))) in str(err.value)
 
 
 def test_total_complex_composes_each_pair_once(monkeypatch):
+    # the certificate composes the consecutive differentials of the total
+    # complex, of the resolution of S/I (the star scan's precondition) and of
+    # each block resolution (the block scans' precondition) once each
     from gmpi.complexes import MonomialMatrix
     D = build_double_complex(expansion_instance())
     calls = []
     compose = MonomialMatrix.compose
 
     def counted(self, other):
-        calls.append((self.ncols, other.ncols))
+        calls.append((self, other))
         return compose(self, other)
 
     monkeypatch.setattr(MonomialMatrix, "compose", counted)
     tot = total_complex(D)
     assert tot.exactness_verified and tot.complex.length == 4
-    assert len(calls) == 3
+    blocks = [res for (l, d), res in D.blocks.items() if d >= 1]
+    expected = [(cx.diffs[i - 1], cx.diffs[i])
+                for cx in [tot.complex, D.instance.resolution] + blocks
+                for i in range(2, cx.length + 1)]
+    assert len(calls) == len(expected) == 3 + 1
+    assert all(a is c and b is d for (a, b), (c, d) in zip(calls, expected))
 
 
 def test_total_complex_reads_each_map_by_column_once(monkeypatch):
@@ -436,33 +460,73 @@ def test_total_complex_reads_each_map_by_column_once(monkeypatch):
     vertical = [d for col in D.columns for d in col.diffs[1:]]
     horizontal = [m for sig in D.sigmas[1:] for m in sig.mats]
     # assembly reads every column differential and sigma component once; the
-    # exactness scan then reads every total differential once
-    expected = vertical + horizontal + tot.complex.diffs[1:]
+    # star scan then reads the scalar matrices and each block scan its
+    # block's differentials, once each, and nothing reads a total differential
+    scalars = D.instance.resolution.diffs[1:]
+    blocks = [m for (l, d), res in D.blocks.items() if d >= 1 for m in res.diffs[1:]]
+    expected = vertical + horizontal + scalars + blocks
     assert len(read) == len(expected) and len(vertical) > 0 and len(horizontal) > 0
     assert all(a is b for a, b in zip(read, expected))
-
-
-def corrupted_double_complex():
-    """The expansion instance with one entry of a column differential doubled,
-    so that the total differential no longer squares to zero."""
-    D = build_double_complex(expansion_instance())
-    col = next(c for c in D.columns if c.length >= 2)
-    key = next(iter(col.diffs[2].entries))
-    col.diffs[2].entries[key] *= 2
-    return D
+    assert not any(a is b for a in read for b in tot.complex.diffs[1:])
 
 
 @pytest.mark.parametrize("scan", [True, False], ids=["scanned", "scan-skipped"])
 def test_total_complex_rejects_a_nonzero_square(monkeypatch, scan):
-    import gmpi.builder as builder
-    D = corrupted_double_complex()
+    # diff o diff is checked before the certificate's scans, and also where
+    # every scan is over its cap
+    import gmpi.complexes as complexes
     if not scan:
-        monkeypatch.setattr(builder, "grid_size", lambda axes: 100_001)
-        monkeypatch.setattr(builder, "exactness_check", None)
+        monkeypatch.setattr(complexes, "grid_size", lambda axes: 10**9)
+    assert total_complex(build_double_complex(expansion_instance())).exactness_verified == scan
+    D = corrupt_column(build_double_complex(expansion_instance()))
     with pytest.raises(ConstructionError) as err:
         total_complex(D)
     assert len(err.value.witness) == D.instance.T.nvars
-    assert ("square to zero" in str(err.value)) == (not scan)
+    assert "square to zero" in str(err.value)
+
+
+@pytest.mark.parametrize("corrupt, message, witness_length", [
+    (corrupt_sigma, "square to zero", 4),
+    (corrupt_column, "square to zero", 4),
+    (corrupt_block_scalar, "block resolution", 3),
+    (corrupt_block_column, "block resolution", 3),
+    (corrupt_star_ideal, "column summand", 2),
+    (corrupt_star_scalars, "star complex", 2),
+], ids=["sigma", "column", "block-scalar", "block-column", "star-ideal", "star-scalars"])
+def test_total_complex_certificate_catches_a_corruption(corrupt, message, witness_length):
+    D = corrupt(build_double_complex(expansion_instance()))
+    with pytest.raises(ConstructionError) as err:
+        total_complex(D)
+    assert message in str(err.value) and len(err.value.witness) == witness_length
+
+
+def test_block_witness_locates_the_failure():
+    from gmpi.builder import block_witness
+    D = build_double_complex(expansion_instance())
+    (l, d), res = next((key, res) for key, res in D.blocks.items() if key[1] == 2)
+    I = D.instance.family.at(l, d)
+    assert block_witness(res, I) is None
+    # the augmentation: a doubled scalar leaves its column summing to +-1
+    bad = res.copy()
+    (r, c) = next(iter(bad.diffs[1].entries))
+    bad.diffs[1].entries[(r, c)] *= 2
+    assert block_witness(bad, I) == res.shifts[1][c]
+    # the scan: without column 0 a strand misses a syzygy
+    bad = res.copy()
+    for key in [k for k in bad.diffs[1].entries if k[1] == 0]:
+        del bad.diffs[1].entries[key]
+    assert block_witness(bad, I) == res.shifts[1][0]
+    # position 0 must list the generators, in order
+    swapped = res.copy()
+    swapped.shifts[0][0], swapped.shifts[0][1] = swapped.shifts[0][1], swapped.shifts[0][0]
+    assert block_witness(swapped, I) == I.gens[0]
+
+
+def test_rho_maps_reject_a_non_nested_ladder():
+    inst = non_nested_instance()
+    with pytest.raises(ConstructionError) as err:
+        rho_maps(inst, block_resolutions(inst))
+    assert err.value.witness == (0, 2, (2, 0))   # a1^2 is not in (a2)
 
 
 def test_nonlinear_substitution_flagged_not_asserted():

@@ -11,6 +11,16 @@ from gmpi.cli import (
 )
 from gmpi.families import mixed_product_instance
 
+from conftest import (
+    corrupt_block_column,
+    corrupt_block_scalar,
+    corrupt_column,
+    corrupt_sigma,
+    corrupt_star_ideal,
+    corrupt_star_scalars,
+    non_nested_instance,
+)
+
 
 def koszul3_doc():
     return {
@@ -172,19 +182,53 @@ def test_malformed_document_exits_two_with_one_line(tmp_path, capsys, case):
 
 
 def test_gmpi_construction_error_is_not_an_input_error(tmp_path, monkeypatch):
-    from gmpi import builder
-    monkeypatch.setattr(builder, "exactness_check",
-                        lambda *args, **kwargs: (False, (1, 1, 1, 1)))
+    # a real certificate failure: a column differential that does not square
+    # to zero
+    from gmpi import builder, cli
+    build = cli.build_double_complex
+    monkeypatch.setattr(cli, "build_double_complex", lambda inst: corrupt_column(build(inst)))
     with pytest.raises(builder.ConstructionError):
         main(["gmpi", write(tmp_path, "e.json", expansion_doc())])
 
 
 def test_verify_construction_error_is_not_an_input_error(monkeypatch):
-    from gmpi import builder
-    monkeypatch.setattr(builder, "exactness_check",
-                        lambda *args, **kwargs: (False, (1, 1, 1, 1)))
+    from gmpi import builder, verify
+    build = verify.build_double_complex
+    monkeypatch.setattr(verify, "build_double_complex", lambda inst: corrupt_sigma(build(inst)))
     with pytest.raises(builder.ConstructionError):
         main(["verify", "--seed", "5"])
+
+
+CORRUPTIONS = {
+    "sigma": (corrupt_sigma, "square to zero"),
+    "column": (corrupt_column, "square to zero"),
+    "block-scalar": (corrupt_block_scalar, "block resolution"),
+    "block-column": (corrupt_block_column, "block resolution"),
+    "star-ideal": (corrupt_star_ideal, "column summand"),
+    "star-scalars": (corrupt_star_scalars, "star complex"),
+}
+
+
+@pytest.mark.parametrize("case", list(CORRUPTIONS))
+def test_gmpi_raises_the_certificate_witness(tmp_path, monkeypatch, case):
+    from gmpi import builder, cli
+    corrupt, message = CORRUPTIONS[case]
+    build = cli.build_double_complex
+    monkeypatch.setattr(cli, "build_double_complex", lambda inst: corrupt(build(inst)))
+    with pytest.raises(builder.ConstructionError) as err:
+        main(["gmpi", write(tmp_path, "e.json", expansion_doc())])
+    assert message in str(err.value) and str(err.value.witness) in str(err.value)
+
+
+def test_gmpi_raises_on_a_non_nested_ladder(tmp_path, monkeypatch):
+    # validate_family rejects such a document as input; with the nesting
+    # check bypassed, the comparison maps raise with the block, degree and
+    # the generator outside the lower-degree ideal
+    from gmpi import builder, cli
+    monkeypatch.setattr(cli, "parse_instance_document", lambda doc: non_nested_instance())
+    with pytest.raises(builder.ConstructionError) as err:
+        main(["gmpi", write(tmp_path, "e.json", expansion_doc())])
+    assert err.value.witness == (0, 2, (2, 0))
 
 
 def test_family_random_without_a_feasible_attempt_exits_two(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmpi.monomials import (
     ContextMismatchError,
@@ -51,6 +52,23 @@ def test_minimalize_idempotent_and_matches_scan():
         mine = set(minimalize(gens))
         assert mine == brute_minimal(gens)
         assert set(minimalize(list(mine))) == mine
+
+
+def quadratic_minimalize(gens):
+    """The former minimalize: each generator against every kept one."""
+    kept = []
+    for g in sorted(set(gens), key=total_degree):
+        if not any(divides(h, g) for h in kept):
+            kept.append(g)
+    return kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), max_size=30)))
+def test_minimalize_matches_the_quadratic_loop(gens):
+    # testing only against lower degrees keeps the output, order included
+    assert minimalize(gens) == quadratic_minimalize(gens)
 
 
 def test_minimalize_mixed_context_rejected():

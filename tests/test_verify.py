@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from datetime import timedelta
@@ -11,8 +12,9 @@ from gmpi.builder import (
     minimal_total_table,
     total_complex,
 )
-from gmpi.complexes import SizeCapError
-from gmpi.families import random_instance
+from gmpi.cli import parse_instance_document
+from gmpi.complexes import SizeCapError, degree_grid, exactness_check, grid_size
+from gmpi.families import mixed_product_instance, random_instance
 from gmpi.monomials import ideal, lcm, simple_context
 from gmpi.verify import (
     betti_for_ideal,
@@ -27,6 +29,7 @@ from gmpi.verify import (
     check_sigma_squared,
     check_star_acyclicity,
     check_theorem_regularity,
+    check_total_exactness,
     mixed_product_formula_check,
     koszul_betti,
     lcm_lattice,
@@ -367,3 +370,131 @@ def test_shuffled_order_beyond_the_cap_is_skipped():
     assert checks["betti-permutation-invariance"].status == "PASS"
     perm = check_engine_self(inst, tot, base, cap=3)[1]
     assert perm.status == "SKIPPED" and "cap of 8 basis elements" in perm.details["skipped"]
+
+
+# -- total-exactness: the strand scan of the whole total complex
+
+def test_total_exactness_fails_with_the_scan_witness():
+    # clearing a column of the top differential keeps diff o diff = 0 and
+    # leaves homology at the top position
+    inst = random_instance(9)
+    tot = total_complex(build_double_complex(inst))
+    assert check_total_exactness(inst, tot).status == "PASS"
+    bad = dataclasses.replace(tot, complex=tot.complex.copy())
+    top = bad.complex.diffs[-1].entries
+    for key in [k for k in top if k[1] == 0]:
+        del top[key]
+    assert bad.complex.is_complex()
+    ok, witness = exactness_check(bad.complex, inst.induced)
+    assert not ok and witness is not None
+    result = check_total_exactness(inst, bad)
+    assert result.status == "FAIL" and result.details == {"witness": witness}
+    # the resolution of S/I is checked to square to zero too
+    probe = with_resolution_copy(inst)
+    d2 = probe.resolution.diffs[2].entries
+    d2[next(iter(d2))] *= 2
+    result = check_total_exactness(probe, tot)
+    assert result.status == "FAIL"
+    assert result.details == {"resolution_witness": probe.resolution.square_witness()}
+
+
+def test_total_exactness_is_skipped_above_its_cap(monkeypatch):
+    from gmpi import verify
+    inst = random_instance(9)
+    tot = total_complex(build_double_complex(inst))
+    cells = grid_size(degree_grid(tot.complex.shifts + [list(inst.induced.gens)],
+                                  inst.T.nvars))
+    monkeypatch.setattr(verify, "TOTAL_SCAN_CAP", cells - 1)
+    result = check_total_exactness(inst, tot)
+    assert result.status == "SKIPPED" and result.passed
+    assert f"{cells} cells" in result.details["skipped"]
+    assert result.line().startswith("[SKIPPED]")
+    # diff o diff is still checked above the cap
+    bad = dataclasses.replace(tot, complex=tot.complex.copy())
+    d2 = bad.complex.diffs[2].entries
+    d2[next(iter(d2))] *= 2
+    result = check_total_exactness(inst, bad)
+    assert result.status == "FAIL"
+    assert result.details == {"witness": bad.complex.square_witness()[1]}
+
+
+def test_total_exactness_composes_and_reads_each_differential_once(monkeypatch):
+    from gmpi.complexes import MonomialMatrix
+    inst = with_resolution_copy(random_instance(30))
+    tot = total_complex(build_double_complex(inst))
+    composed, read = [], []
+    compose, columns = MonomialMatrix.compose, MonomialMatrix.columns
+
+    def counted_compose(self, other):
+        composed.append((self, other))
+        return compose(self, other)
+
+    def counted_columns(self):
+        read.append(self)
+        return columns(self)
+
+    monkeypatch.setattr(MonomialMatrix, "compose", counted_compose)
+    monkeypatch.setattr(MonomialMatrix, "columns", counted_columns)
+    assert check_total_exactness(inst, tot).status == "PASS"
+    # diff o diff of the resolution of S/I, then of the total complex, which
+    # the scan then reads by column once
+    expected = [(cx.diffs[i - 1], cx.diffs[i])
+                for cx in (inst.resolution, tot.complex) for i in range(2, cx.length + 1)]
+    assert len(composed) == len(expected)
+    assert all(a is c and b is d for (a, b), (c, d) in zip(composed, expected))
+    assert len(read) == tot.complex.length
+    assert all(a is b for a, b in zip(read, tot.complex.diffs[1:]))
+
+
+def power_of_maximal_instance(m):
+    return parse_instance_document({
+        "blocks": [{"name": "x", "size": m}, {"name": "y", "size": m}],
+        "inducing_ideal": [[2, 1], [1, 2]],
+        "substitutions": {f"{b}:{d}": {"family": "power-of-maximal", "degree": d}
+                          for b in "xy" for d in (1, 2)},
+        "label": f"power{m}",
+    })
+
+
+@pytest.mark.parametrize("make", [
+    lambda: power_of_maximal_instance(1),
+    lambda: power_of_maximal_instance(2),
+    lambda: power_of_maximal_instance(3),
+    lambda: mixed_product_instance((2, 2), (2, 1), (1, 2)),
+    lambda: mixed_product_instance((3, 3), (2, 1), (1, 2)),
+    lambda: mixed_product_instance((4, 4), (2, 1), (1, 2)),
+], ids=["power1", "power2", "power3", "mixed22", "mixed33", "mixed44"])
+def test_certified_total_complex_matches_koszul_beyond_the_pinned_seeds(make):
+    # the small rungs of the benchmark's sweep ladders; the certificate runs
+    # in full, and the lcm-lattice oracle is independent of the construction
+    inst = make()
+    tot = total_complex(build_double_complex(inst))
+    assert tot.exactness_verified
+    assert minimal_total_table(tot) == koszul_betti(inst.induced)
+
+
+def test_euler_strand_identity_fails_where_a_basis_element_is_added():
+    from gmpi.monomials import divides
+    from gmpi.verify import check_engine_self
+    inst = random_instance(9)
+    tot = total_complex(build_double_complex(inst))
+    euler = lambda t: next(r for r in check_engine_self(inst, t, None)
+                           if r.name == "euler-strand-identity")
+    assert euler(tot).status == "PASS"
+    bad = dataclasses.replace(tot, complex=tot.complex.copy())
+    extra = bad.complex.shifts[1][0]
+    bad.complex.shifts[1].append(extra)   # the Euler sums read the shifts only
+    result = euler(bad)
+    assert result.status == "FAIL" and divides(extra, tuple(result.details["witness"]))
+
+
+def test_euler_characteristics_match_the_definition():
+    from gmpi.complexes import euler_characteristics
+    from gmpi.monomials import divides
+    tot = total_complex(build_double_complex(random_instance(30)))
+    rng = random.Random(5)
+    points = [tuple(rng.randint(0, 3) for _ in range(tot.complex.ctx.nvars))
+              for _ in range(200)]
+    expected = [sum((-1) ** i * sum(1 for s in level if divides(s, b))
+                    for i, level in enumerate(tot.complex.shifts)) for b in points]
+    assert euler_characteristics(tot.complex, points) == expected
