@@ -12,18 +12,18 @@ from gmpi import (
     VariableContext,
     build_double_complex,
     build_star_complex,
-    gmpi_linearity,
-    gmpi_projdim,
-    gmpi_regularity,
     ideal,
+    linearity_report,
+    minimal_total_table,
     oracle_betti,
     power_of_maximal,
+    projdim_report,
+    regularity_report,
     simple_context,
     star_acyclicity,
     total_complex,
     validate_family,
 )
-from gmpi.builder import minimal_total_table
 
 S = simple_context(2, ("x", "y"))
 I = ideal(S, [(2, 1), (1, 2)])
@@ -54,8 +54,8 @@ print("Betti table of T/L:")
 print(table.triangle())
 print("matches the Lyubeznik oracle:", table == oracle_betti(inst.induced))
 
-reg = gmpi_regularity(D, tot)
+reg = regularity_report(D, table)
 print(f"reg L = {reg.value} = reg I = {reg.comparison}")
-pd = gmpi_projdim(D, tot)
+pd = projdim_report(D, table)
 print(f"projdim(T/L) = {pd.comparison} (formula value {pd.value})")
-print("linearity (I, L):", gmpi_linearity(D, tot))
+print("linearity (I, L):", linearity_report(D, table))

@@ -6,7 +6,8 @@ squarefree Veronese substitutions; both constructions are run and compared.
 """
 
 from gmpi import path_ideal_complete_multipartite, veronese_type
-from gmpi.families import induced_ideal_only, squarefree_substitutions
+from gmpi.builder import induced_ideal
+from gmpi.families import squarefree_substitutions
 
 for parts, t in [((2, 2), 2), ((2, 2), 3), ((2, 3), 3), ((3, 3), 2)]:
     direct = path_ideal_complete_multipartite(parts, t)
@@ -17,6 +18,6 @@ for parts, t in [((2, 2), 2), ((2, 2), 3), ((2, 3), 3), ((3, 3), 2)]:
 inducing = veronese_type(2, 3, (2, 3))
 print("inducing capped Veronese ideal:", inducing)
 family = squarefree_substitutions(inducing, (2, 3))
-via_induction = induced_ideal_only(inducing, family)
+via_induction = induced_ideal(inducing, family)[1]
 print("induced ideal equals path enumeration:",
       via_induction.gens == path_ideal_complete_multipartite((2, 3), 3).gens)

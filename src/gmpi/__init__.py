@@ -41,9 +41,10 @@ from .builder import (
     SubstitutionFamily,
     build_double_complex,
     build_star_complex,
-    gmpi_linearity,
-    gmpi_projdim,
-    gmpi_regularity,
+    linearity_report,
+    minimal_total_table,
+    projdim_report,
+    regularity_report,
     star_acyclicity,
     total_complex,
     validate_family,

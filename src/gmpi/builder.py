@@ -117,15 +117,16 @@ def validate_family(
     inducing: MonomialIdeal,
     family: SubstitutionFamily,
     label: str = "",
-    check_nesting: bool = True,
 ) -> GmpiInstance:
     """Check the defining conditions and assemble a GmpiInstance.
 
     Raises FamilyValidationError with a witness for: a missing ladder degree,
     a substitution not generated purely in its degree, or a nesting failure
-    (a higher-degree substitution not contained in a lower-degree one).
-    ``check_nesting=False`` skips the containment condition; it exists only
-    to build counterexample fixtures for the verification checks.
+    (``nesting_witness``: a higher-degree substitution not contained in a
+    lower-degree one).  Raises ConstructionError where a shift of the
+    resolution of S/I has a block degree no generator has
+    (``realization_witness``); shifts are lcms of generators, so that is a
+    fault of the construction, not of the input.
     """
     S_ctx = inducing.ctx
     if inducing.is_zero or inducing.is_unit:
@@ -160,16 +161,14 @@ def validate_family(
                 raise FamilyValidationError(
                     f"substitution for block {l}, degree {d} has generator "
                     f"{sub.ctx.monomial_str(bad)} of degree {total_degree(bad)}")
-        # nesting along consecutive ladder degrees (transitivity gives the rest)
-        if check_nesting:
-            for lo, hi in zip(degrees, degrees[1:]):
-                big, small = family.at(l, hi), family.at(l, lo)
-                for g in big.gens:
-                    if not small.member(g):
-                        raise FamilyValidationError(
-                            f"nesting fails in block {l}: generator "
-                            f"{big.ctx.monomial_str(g)} of the degree-{hi} ideal is not in "
-                            f"the degree-{lo} ideal")
+        witness = nesting_witness(family, l, degrees)
+        if witness is not None:
+            hi, g = witness
+            lo = degrees[degrees.index(hi) - 1]
+            raise FamilyValidationError(
+                f"nesting fails in block {l}: generator "
+                f"{family.at(l, hi).ctx.monomial_str(g)} of the degree-{hi} ideal is not in "
+                f"the degree-{lo} ideal")
 
     products, induced = induced_ideal(inducing, family)
     res = quotient_resolution(inducing)
@@ -177,16 +176,37 @@ def validate_family(
     inst = GmpiInstance(
         inducing=inducing, T=T, family=family, ladders=ladders,
         products=products, induced=induced, resolution=res, label=label)
-
-    # every block degree of every shift must be realized by a generator
-    for i in range(1, res.length + 1):
-        for j, s in enumerate(res.shifts[i]):
-            for l in range(n):
-                if s[l] not in ladders[l]:
-                    raise FamilyValidationError(
-                        f"shift {s} at position {i} has unrealized block degree "
-                        f"{s[l]} in block {l}")
+    witness = realization_witness(inst)
+    if witness is not None:
+        raise ConstructionError(
+            "a shift of the resolution of S/I has a block degree no generator has "
+            "(position, index, block)", witness)
     return inst
+
+
+def nesting_witness(family: SubstitutionFamily, l: int, ladder: list[int]):
+    """(degree, generator): a generator of the block-l substitution ideal at a
+    ladder degree that lies outside the ideal one ladder step down, or None
+    when the ideals along ``ladder`` are nested.  Consecutive steps suffice,
+    since containment is transitive."""
+    for lo, hi in zip(ladder, ladder[1:]):
+        small = family.at(l, lo)
+        outside = next((g for g in family.at(l, hi).gens if not small.member(g)), None)
+        if outside is not None:
+            return hi, outside
+    return None
+
+
+def realization_witness(inst: GmpiInstance):
+    """(position, index, block) of a shift of the resolution of S/I whose
+    degree in that block is no block degree of a generator, or None."""
+    shifts = inst.resolution.shifts
+    for i in range(1, len(shifts)):
+        for j, s in enumerate(shifts[i]):
+            for l in range(inst.nblocks):
+                if s[l] not in inst.ladders[l]:
+                    return i, j, l
+    return None
 
 
 def block_product(family: SubstitutionFamily, degrees: tuple[int, ...]) -> MonomialIdeal:
@@ -229,32 +249,23 @@ class StarComplex:
 
 def build_star_complex(inst: GmpiInstance) -> StarComplex:
     """Position 1 carries the L_j; deeper positions intersect along the
-    nonzero pattern of the scalar matrices."""
+    nonzero pattern of the scalar matrices.  An intersection lies in each
+    ideal it intersects, so every nonzero scalar maps a star ideal into its
+    target."""
     res = inst.resolution
     levels = [list(inst.products)]
-    # supports[i][j]: the rows of the nonzero scalars in column j of lam_i, ascending
-    supports = [None, None]
     for i in range(2, res.length + 1):
         cols = res.diffs[i].columns()
-        supports.append([sorted(cols.get(j, ())) for j in range(len(res.shifts[i]))])
         prev = levels[-1]
         level = []
-        for j, rows in enumerate(supports[i]):
+        for j in range(len(res.shifts[i])):
+            rows = sorted(cols.get(j, ()))
             if not rows:
                 raise ConstructionError(
                     "zero column in a minimal differential (position, column)", (i, j))
             level.append(intersect_many(prev[k] for k in rows))
         levels.append(level)
-    star = StarComplex(inst, levels)
-    # well-definedness: a nonzero scalar forces containment
-    for i in range(2, star.length + 1):
-        for j, idl in enumerate(star.ideals[i - 1]):
-            for k in supports[i][j]:
-                if not star.ideals[i - 2][k].contains(idl):
-                    raise ConstructionError(
-                        "a nonzero scalar maps a star ideal outside its target "
-                        "(position, column, row)", (i, j, k))
-    return star
+    return StarComplex(inst, levels)
 
 
 def product_formula_holds(star: StarComplex) -> tuple[bool, tuple | None]:
@@ -310,13 +321,10 @@ def block_resolutions(inst: GmpiInstance) -> dict[tuple[int, int], FreeComplex]:
 
 
 def block_linearity(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int], bool]:
-    flags = {}
-    for (l, d), res in blocks.items():
-        flags[(l, d)] = all(
-            total_degree(s) == d + i
-            for i in range(res.length + 1)
-            for s in res.shifts[i])
-    return flags
+    """Whether each block resolution is linear (the unit ideal's, of degree 0,
+    trivially)."""
+    return {(l, d): is_linear_resolution(betti_table(res), d, of_ideal=False)
+            for (l, d), res in blocks.items()}
 
 
 def rho_maps(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int], ChainMap]:
@@ -324,20 +332,17 @@ def rho_maps(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int], ChainMap
 
     rho[(l, k)] : resolution at ladder degree k -> ladder degree k-1, lifting
     the inclusion of the smaller ideal into the larger.  ConstructionError
-    with (block, degree, generator) where that inclusion fails, which
-    validate_family rules out unless told to skip the nesting condition.
+    with (block, degree, generator) where that inclusion fails
+    (``nesting_witness``, which validate_family also rules out).
     """
     out = {}
     for l in range(inst.nblocks):
         ladder = inst.ladders[l]
+        witness = nesting_witness(inst.family, l, ladder)
+        if witness is not None:
+            raise ConstructionError(
+                "substitution ideals are not nested (block, degree, generator)", (l,) + witness)
         for k in range(1, len(ladder)):
-            big = inst.family.at(l, ladder[k - 1])
-            outside = next((g for g in inst.family.at(l, ladder[k]).gens
-                            if not big.member(g)), None)
-            if outside is not None:
-                raise ConstructionError(
-                    "substitution ideals are not nested (block, degree, generator)",
-                    (l, ladder[k], outside))
             out[(l, k)] = lift_chain_map(blocks[(l, ladder[k])], blocks[(l, ladder[k - 1])])
     return out
 
@@ -357,10 +362,12 @@ class TauCache:
             return self._memo[key]
         ladder = self.inst.ladders[l]
         if deg_from not in ladder or deg_to not in ladder:
-            raise RuntimeError(f"degree drop {deg_from}->{deg_to} not along ladder {ladder}")
+            raise ConstructionError(
+                "a degree drop leaves the ladder (block, from, to)", key)
         b, c = ladder.index(deg_from), ladder.index(deg_to)
         if b < c:
-            raise RuntimeError(f"cannot raise degree {deg_from}->{deg_to} in block {l}")
+            raise ConstructionError(
+                "a ladder composite cannot raise the degree (block, from, to)", key)
         if b == c:
             cm = identity_chain_map(self.blocks[(l, deg_from)])
         else:
@@ -425,14 +432,10 @@ class DoubleComplex:
                     return c, j
         return None
 
-    def sigma_extends_star(self) -> bool:
-        """Row-zero column sums reproduce the scalar matrices (the commuting
-        square with the augmentations)."""
-        return self.sigma_star_witness() is None
-
     def sigma_star_witness(self):
         """(c, j, u, k) where the row-zero sums of sigma_c over generator u of
-        summand j miss the scalar lam_c[k][j], or None."""
+        summand j miss the scalar lam_c[k][j], or None when they reproduce
+        the scalar matrices (the commuting square with the augmentations)."""
         res = self.instance.resolution
         for c in range(1, len(self.columns)):
             m0 = self.sigmas[c].mats[0].columns()
@@ -559,7 +562,6 @@ class TotalComplex:
     its scan cap."""
 
     complex: FreeComplex
-    labels: list[list[tuple[int, int, int]]]   # per position: (column, row, index)
     exactness_verified: bool = False
 
 
@@ -664,7 +666,7 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
                 raise ConstructionError(
                     "a block resolution does not resolve its substitution ideal "
                     "(block, degree, multidegree)", (l, d, witness))
-    return TotalComplex(cx, labels, verified)
+    return TotalComplex(cx, verified)
 
 
 def block_witness(res: FreeComplex, I: MonomialIdeal):
@@ -725,18 +727,6 @@ def regularity_report(D: DoubleComplex, table: BettiTable) -> InvariantReport:
         comparison=regularity(betti_table(D.instance.resolution), of_ideal=True))
 
 
-def gmpi_regularity(D: DoubleComplex, tot: TotalComplex | None = None) -> InvariantReport:
-    """reg L from the total complex; equals reg I under the linearity
-    hypothesis (ConstructionError otherwise), reported as a comparison
-    outside it."""
-    rep = regularity_report(D, minimal_total_table(tot or total_complex(D)))
-    if rep.hypothesis_linear and not rep.agrees:
-        raise ConstructionError(
-            "reg L differs from reg I under the linearity hypothesis (reg L, reg I)",
-            (rep.value, rep.comparison))
-    return rep
-
-
 def projdim_report(D: DoubleComplex, table: BettiTable) -> InvariantReport:
     """Formula value max_{i,j} (sum_l pd of the block ideal at the shift's
     block degree + i) against the projective dimension read off the minimal
@@ -754,17 +744,6 @@ def projdim_report(D: DoubleComplex, table: BettiTable) -> InvariantReport:
                            comparison=table.top_position)
 
 
-def gmpi_projdim(D: DoubleComplex, tot: TotalComplex | None = None) -> InvariantReport:
-    """projdim_report; ConstructionError if the formula and the total
-    complex disagree under the linearity hypothesis."""
-    rep = projdim_report(D, minimal_total_table(tot or total_complex(D)))
-    if rep.hypothesis_linear and not rep.agrees:
-        raise ConstructionError(
-            "the projective dimension formula fails under the linearity hypothesis "
-            "(formula, pd of the total complex)", (rep.value, rep.comparison))
-    return rep
-
-
 def linearity_report(D: DoubleComplex, table: BettiTable) -> tuple[bool, bool]:
     """(inducing ideal linear, induced ideal linear), the latter read off the
     minimal total table; equal under the hypothesis."""
@@ -775,8 +754,3 @@ def linearity_report(D: DoubleComplex, table: BettiTable) -> tuple[bool, bool]:
     d_l = inst.induced.generated_in_degree()
     lin_l = d_l is not None and is_linear_resolution(table, d_l, of_ideal=True)
     return lin_i, lin_l
-
-
-def gmpi_linearity(D: DoubleComplex, tot: TotalComplex | None = None) -> tuple[bool, bool]:
-    """linearity_report on the total complex of D."""
-    return linearity_report(D, minimal_total_table(tot or total_complex(D)))

@@ -29,9 +29,8 @@ from .complexes import (
     SizeCapError,
     betti_table,
     is_linear_resolution,
-    lyubeznik_complex,
-    minimalize_complex,
     projective_dimension,
+    quotient_resolution,
     regularity,
 )
 from .monomials import MonomialIdeal, VariableContext, ideal, simple_context
@@ -157,7 +156,7 @@ def cmd_resolve(args) -> int:
     I = parse_ideal_document(doc)
     if I.is_zero or I.is_unit:
         raise InputError("resolve needs a nonzero proper ideal")
-    res = minimalize_complex(lyubeznik_complex(I, cap=1 << args.max_taylor))
+    res = quotient_resolution(I, cap=1 << args.max_taylor)
     table = betti_table(res)
     d = I.generated_in_degree()
     payload = {

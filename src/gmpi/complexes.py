@@ -192,9 +192,6 @@ class FreeComplex:
                 return i, comp.col_shifts[c]
         return None
 
-    def is_complex(self) -> bool:
-        return self.square_witness() is None
-
     def unit_witness(self) -> tuple[int, tuple[int, int]] | None:
         """(position, (row, col)) of the first unit entry, or None."""
         for i in range(1, len(self.shifts)):
@@ -429,29 +426,16 @@ def _normalize_augmentation(C: FreeComplex) -> None:
                 d2.entries[(r, c)] = v * scale[r]
 
 
-def permute_position(C: FreeComplex, i: int, perm: list[int]) -> FreeComplex:
-    """Reorder the basis of position i; perm[new] = old."""
-    out = C.copy()
-    inv = {old: new for new, old in enumerate(perm)}
-    out.shifts[i] = [C.shifts[i][old] for old in perm]
-    if i >= 1:
-        d = out.diffs[i]
-        d.col_shifts = out.shifts[i]
-        d.entries = {(r, inv[c]): v for (r, c), v in d.entries.items()}
-    if i + 1 <= out.length:
-        d = out.diffs[i + 1]
-        d.row_shifts = out.shifts[i]
-        d.entries = {(inv[r], c): v for (r, c), v in d.entries.items()}
-    return out
+def quotient_resolution(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
+    """Minimal resolution of S/I: the minimalized Lyubeznik complex, whose
+    ``cap`` bounds the basis (SizeCapError beyond it).
 
-
-def quotient_resolution(I: MonomialIdeal) -> FreeComplex:
-    """Minimal resolution of S/I with position 1 in the canonical generator
-    order, so basis element j of position 1 maps to the j-th generator.
-    Minimalized from the Lyubeznik complex, which keeps every generator."""
-    quot = minimalize_complex(lyubeznik_complex(I))
-    perm = [quot.shifts[1].index(g) for g in I.gens]
-    return permute_position(quot, 1, perm)
+    Basis element j of position 1 maps to the j-th generator of I.gens: the
+    Lyubeznik complex lists the generators there in that order, and no unit
+    entry reaches position 1, since the lcm of two distinct minimal
+    generators is no generator, so cancelling only ever drops positions 2
+    and up."""
+    return minimalize_complex(lyubeznik_complex(I, cap))
 
 
 def ideal_resolution(I: MonomialIdeal) -> FreeComplex:
@@ -997,7 +981,6 @@ class TensorResolution:
     each factor.  Signs follow the Koszul convention.
     """
 
-    factors: list[FreeComplex]
     complex: FreeComplex
     labels: list[list[tuple[tuple[int, ...], tuple[int, ...]]]]
     index: list[dict[tuple[tuple[int, ...], tuple[int, ...]], int]]
@@ -1061,7 +1044,7 @@ def tensor_resolutions(
 
     cx = FreeComplex(ctx, shifts, diffs)
     cx.validate_maps()
-    return TensorResolution(factors, cx, labels, index)
+    return TensorResolution(cx, labels, index)
 
 
 def _profiles(k: int, caps: list[int]):

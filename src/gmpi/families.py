@@ -163,7 +163,7 @@ def path_ideal_two_ways(parts: tuple[int, ...], t: int) -> tuple[MonomialIdeal, 
     inducing = veronese_type(len(parts), t, parts)
     if inducing.is_zero:
         return direct, MonomialIdeal(ctx, ())
-    return direct, induced_ideal_only(inducing, squarefree_substitutions(inducing, parts))
+    return direct, induced_ideal(inducing, squarefree_substitutions(inducing, parts))[1]
 
 
 def path_ideal_complete_multipartite(parts: tuple[int, ...], t: int) -> MonomialIdeal:
@@ -193,11 +193,6 @@ def squarefree_substitutions(inducing: MonomialIdeal, sizes: tuple[int, ...]) ->
     return SubstitutionFamily(T, ideals)
 
 
-def induced_ideal_only(inducing: MonomialIdeal, family: SubstitutionFamily) -> MonomialIdeal:
-    """The induced ideal L without building any resolutions (cheap path)."""
-    return induced_ideal(inducing, family)[1]
-
-
 def mixed_product_instance(
     sizes: tuple[int, ...],
     degs1: tuple[int, ...],
@@ -213,13 +208,7 @@ def mixed_product_instance(
         if max(degs1[l], degs2[l]) > sizes[l]:
             raise ValueError(f"block {l}: degree exceeds block size for squarefree generators")
     inducing = ideal(simple_context(n), [tuple(degs1), tuple(degs2)])
-    T = VariableContext(tuple(sizes))
-    ideals = {}
-    for l in range(n):
-        for d in {degs1[l], degs2[l]}:
-            if d >= 1:
-                ideals[(l, d)] = squarefree_veronese(sizes[l], d, _block_ctx(sizes[l], T.names[l]))
-    return validate_family(inducing, SubstitutionFamily(T, ideals),
+    return validate_family(inducing, squarefree_substitutions(inducing, sizes),
                            label=f"mixed{degs1}x{degs2}")
 
 

@@ -30,6 +30,7 @@ from .builder import (
     minimal_total_table,
     product_formula_holds,
     projdim_report,
+    realization_witness,
     regularity_report,
     star_acyclicity,
     total_complex,
@@ -41,8 +42,7 @@ from .complexes import (
     euler_characteristics,
     exactness_check,
     inexact_positions,
-    lyubeznik_complex,
-    minimalize_complex,
+    quotient_resolution,
     regularity,
 )
 from .monomials import MonomialIdeal, lcm, total_degree
@@ -98,7 +98,7 @@ def oracle_betti(L: MonomialIdeal, cap: int = 14) -> BettiTable:
     """
     if L.is_zero or L.is_unit:
         raise ValueError("oracle needs a nonzero proper ideal")
-    return betti_table(minimalize_complex(lyubeznik_complex(L, cap=1 << cap)))
+    return betti_table(quotient_resolution(L, cap=1 << cap))
 
 
 def lcm_lattice(I: MonomialIdeal) -> list[tuple[int, ...]]:
@@ -227,15 +227,12 @@ def check_lcm_shifts(inst: GmpiInstance) -> CheckResult:
 
 def check_degree_realization(inst: GmpiInstance) -> CheckResult:
     """Every block degree of every shift occurs among the generators."""
-    shifts = inst.resolution.shifts
-    realized = [set(ld) for ld in inst.ladders]
-    for i in range(1, len(shifts)):
-        for j, s in enumerate(shifts[i]):
-            for l in range(inst.nblocks):
-                if s[l] not in realized[l]:
-                    return CheckResult("block-degree-realization", inst.label, False,
-                                       {"witness": (i, j, l), "degree": s[l]})
-    return CheckResult("block-degree-realization", inst.label, True)
+    witness = realization_witness(inst)
+    if witness is None:
+        return CheckResult("block-degree-realization", inst.label, True)
+    i, j, l = witness
+    return CheckResult("block-degree-realization", inst.label, False,
+                       {"witness": witness, "degree": inst.resolution.shifts[i][j][l]})
 
 
 def check_product_intersection(star: StarComplex) -> CheckResult:

@@ -59,14 +59,17 @@ def corrupt_lambda(inst: GmpiInstance, i: int = 2):
 
 
 def non_nested_instance() -> GmpiInstance:
-    """Genuine nesting violation, built with the validation bypassed.
+    """Genuine nesting violation, assembled without validate_family (which
+    rejects it) from the ladders, products, induced ideal and resolution that
+    validate_family would give.
 
     Induced by (x^2, xy, y^2) over two blocks of two variables, with the
     degree-1 substitutions not containing the degree-2 ones; the star complex
     has nonvanishing first homology at a^2 c^2.
     """
-    from gmpi.builder import SubstitutionFamily, validate_family
-    from gmpi.monomials import VariableContext, ideal, simple_context
+    from gmpi.builder import SubstitutionFamily, induced_ideal
+    from gmpi.complexes import quotient_resolution
+    from gmpi.monomials import VariableContext
 
     S = simple_context(2, ("x", "y"))
     inducing = ideal(S, [(2, 0), (1, 1), (0, 2)])
@@ -79,7 +82,12 @@ def non_nested_instance() -> GmpiInstance:
         (1, 2): ideal(cctx, [(2, 0)]),
         (1, 1): ideal(cctx, [(0, 1)]),
     })
-    return validate_family(inducing, fam, label="non-nested", check_nesting=False)
+    products, induced = induced_ideal(inducing, fam)
+    return GmpiInstance(
+        inducing=inducing, T=T, family=fam,
+        ladders=[sorted({g[l] for g in inducing.gens}) for l in range(2)],
+        products=products, induced=induced, resolution=quotient_resolution(inducing),
+        label="non-nested")
 
 
 # -- corruptions of a built double complex, each in place; total_complex must

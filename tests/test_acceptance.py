@@ -174,10 +174,10 @@ def test_criterion_8_engine_self_checks(suite):
     import random as _random
     for item in suite:
         # diff o diff = 0 symbolically for every constructed complex
-        assert item.instance.resolution.is_complex()
+        assert item.instance.resolution.square_witness() is None
         for col in item.double.columns:
-            assert col.is_complex()
-        assert item.total.complex.is_complex()
+            assert col.square_witness() is None
+        assert item.total.complex.square_witness() is None
 
         # Betti tables invariant under 5 generator permutations
         L = item.instance.induced

@@ -12,11 +12,11 @@ from gmpi.builder import (
     block_resolutions,
     build_double_complex,
     build_star_complex,
-    gmpi_linearity,
-    gmpi_projdim,
-    gmpi_regularity,
+    linearity_report,
     minimal_total_table,
     product_formula_holds,
+    projdim_report,
+    regularity_report,
     rho_maps,
     star_acyclicity,
     total_complex,
@@ -159,7 +159,7 @@ def test_star_scalar_product_vanishes():
     star = build_star_complex(inst)
     # maps store only their scalars, so d o d = 0 is the vanishing of the
     # products of consecutive scalar matrices
-    assert inst.resolution.is_complex()
+    assert inst.resolution.square_witness() is None
     assert star_acyclicity(star) == (True, None)
 
 
@@ -306,10 +306,12 @@ def test_tau_rejects_off_ladder_degrees():
     inst = expansion_instance()
     blocks = block_resolutions(inst)
     cache = TauCache(inst, blocks, rho_maps(inst, blocks))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ConstructionError) as err:
         cache.get(0, 3, 1)
-    with pytest.raises(RuntimeError):
+    assert err.value.witness == (0, 3, 1)
+    with pytest.raises(ConstructionError) as err:
         cache.get(0, 1, 2)
+    assert err.value.witness == (0, 1, 2)
 
 
 # -- double complex and total complex
@@ -321,14 +323,14 @@ def test_double_complex_principal_collapses():
     block = D.blocks[(0, 2)]
     assert tot.complex.ranks == [1] + block.ranks
     assert D.sigma_square_witness() is None
-    assert D.sigma_extends_star()
+    assert D.sigma_star_witness() is None
     assert D.sigma_unit_witness() is None
 
 
 def test_double_complex_expansion_predicates():
     D = build_double_complex(expansion_instance())
     assert D.sigma_square_witness() is None
-    assert D.sigma_extends_star()
+    assert D.sigma_star_witness() is None
     assert D.sigma_unit_witness() is None
 
 
@@ -365,30 +367,30 @@ def test_total_complex_top_degree_profile():
 def test_invariants_expansion():
     inst = expansion_instance()
     D = build_double_complex(inst)
-    tot = total_complex(D)
-    reg = gmpi_regularity(D, tot)
+    table = minimal_total_table(total_complex(D))
+    reg = regularity_report(D, table)
     assert (reg.value, reg.comparison, reg.hypothesis_linear) == (3, 3, True)
-    pd = gmpi_projdim(D, tot)
+    pd = projdim_report(D, table)
     assert pd.value == pd.comparison == 4
-    assert gmpi_linearity(D, tot) == (True, True)
+    assert linearity_report(D, table) == (True, True)
 
 
 def test_invariants_principal():
     inst = principal_instance()
     D = build_double_complex(inst)
-    tot = total_complex(D)
-    assert gmpi_regularity(D, tot).value == 2
-    assert gmpi_projdim(D, tot).value == D.blocks[(0, 2)].length + 1
-    assert gmpi_linearity(D, tot) == (True, True)
+    table = minimal_total_table(total_complex(D))
+    assert regularity_report(D, table).value == 2
+    assert projdim_report(D, table).value == D.blocks[(0, 2)].length + 1
+    assert linearity_report(D, table) == (True, True)
 
 
 def test_invariants_koszul_induced():
     inst = koszul_instance()
     D = build_double_complex(inst)
-    tot = total_complex(D)
-    reg = gmpi_regularity(D, tot)
+    table = minimal_total_table(total_complex(D))
+    reg = regularity_report(D, table)
     assert reg.value == reg.comparison == 1
-    pd = gmpi_projdim(D, tot)
+    pd = projdim_report(D, table)
     assert pd.value == pd.comparison
 
 
@@ -522,6 +524,56 @@ def test_block_witness_locates_the_failure():
     assert block_witness(swapped, I) == I.gens[0]
 
 
+def test_total_complex_rejects_a_resolution_out_of_generator_order():
+    # the construction reads basis element j of position 1 of the resolution
+    # of S/I as the j-th generator; a resolution with two of them swapped is
+    # still one of S/I, and the certificate must catch the mismatch
+    inst = with_resolution_copy(expansion_instance())
+    res = inst.resolution
+    swap = {0: 1, 1: 0}
+    res.shifts[1][0], res.shifts[1][1] = res.shifts[1][1], res.shifts[1][0]
+    d1, d2 = res.diffs[1], res.diffs[2]
+    d1.col_shifts, d2.row_shifts = res.shifts[1], res.shifts[1]
+    d1.entries = {(r, swap.get(c, c)): v for (r, c), v in d1.entries.items()}
+    d2.entries = {(swap.get(r, r), c): v for (r, c), v in d2.entries.items()}
+    res.validate()
+    assert res.shifts[1] != list(inst.inducing.gens)
+    D = build_double_complex(inst)
+    assert D.column_star_witness() == (1, 0)
+    with pytest.raises(ConstructionError) as err:
+        total_complex(D)
+    assert err.value.witness == (1, 0) and "column summand" in str(err.value)
+
+
+def test_validate_family_raises_the_realization_witness(monkeypatch):
+    # shifts are lcms of generators, so an unrealized block degree is a fault
+    # of the construction (ConstructionError), not of the input
+    import gmpi.builder as builder
+    resolve = builder.quotient_resolution
+
+    def unrealized(I):
+        res = resolve(I).copy()
+        s = res.shifts[2][0]
+        res.shifts[2][0] = (9,) + s[1:]   # no generator has block degree 9
+        return res
+
+    inst = expansion_instance()
+    monkeypatch.setattr(builder, "quotient_resolution", unrealized)
+    with pytest.raises(ConstructionError) as err:
+        validate_family(inst.inducing, inst.family)
+    assert err.value.witness == (2, 0, 0)
+
+
+def test_nesting_witness_steps_along_the_ladder():
+    from gmpi.builder import nesting_witness
+    inst = non_nested_instance()
+    assert nesting_witness(inst.family, 0, [0, 1]) is None
+    assert nesting_witness(inst.family, 0, inst.ladders[0]) == (2, (2, 0))
+    inst = expansion_instance()
+    assert all(nesting_witness(inst.family, l, inst.ladders[l]) is None
+               for l in range(inst.nblocks))
+
+
 def test_rho_maps_reject_a_non_nested_ladder():
     inst = non_nested_instance()
     with pytest.raises(ConstructionError) as err:
@@ -538,11 +590,10 @@ def test_nonlinear_substitution_flagged_not_asserted():
                            label="nonlinear")
     D = build_double_complex(inst)
     assert not D.hypothesis_linear
-    tot = total_complex(D)
-    reg = gmpi_regularity(D, tot)
+    table = minimal_total_table(total_complex(D))
+    reg = regularity_report(D, table)
     # the theorem's conclusion genuinely fails outside its hypotheses
     assert reg.value == 5 and reg.comparison == 3 and not reg.agrees
-    table = minimal_total_table(tot)
     oracle = betti_table(minimalize_complex(taylor_complex(inst.induced)))
     assert table == oracle
 
@@ -569,9 +620,9 @@ def test_double_complex_raises_the_sigma_witness(monkeypatch, method):
 
 def test_sigma_star_witness_finds_a_changed_scalar():
     D = build_double_complex(expansion_instance())
-    assert D.sigma_star_witness() is None and D.sigma_extends_star()
+    assert D.sigma_star_witness() is None
     D.instance.resolution.diffs[1].entries[(0, 1)] = Fraction(2)
-    assert D.sigma_star_witness() == (1, 1, 0, 0) and not D.sigma_extends_star()
+    assert D.sigma_star_witness() == (1, 1, 0, 0)
 
 
 def test_total_complex_raises_a_unit_witness(monkeypatch):
@@ -582,15 +633,3 @@ def test_total_complex_raises_a_unit_witness(monkeypatch):
         total_complex(D)
     assert err.value.witness == (1, (0, 0))
 
-
-def test_invariants_raise_when_the_theorem_fails_under_its_hypothesis(monkeypatch):
-    import gmpi.builder as builder
-    D = build_double_complex(expansion_instance())
-    tot = total_complex(D)
-    bad = builder.InvariantReport(value=3, hypothesis_linear=True, comparison=2)
-    monkeypatch.setattr(builder, "regularity_report", lambda *args: bad)
-    monkeypatch.setattr(builder, "projdim_report", lambda *args: bad)
-    for invariant in (gmpi_regularity, gmpi_projdim):
-        with pytest.raises(ConstructionError) as err:
-            invariant(D, tot)
-        assert err.value.witness == (3, 2)

@@ -29,6 +29,7 @@ from gmpi.complexes import (
     minimalize_complex,
     projective_dimension,
     inexact_positions,
+    quotient_resolution,
     regularity,
     strand,
     taylor_complex,
@@ -224,7 +225,7 @@ def test_scalar_product_vanishes():
     M = minimalize_complex(taylor_complex(ideal(S2, [(2, 0), (1, 1), (0, 3)])))
     # maps store only their scalars, so d o d = 0 is the vanishing of the
     # scalar products
-    assert M.is_complex()
+    assert M.square_witness() is None
 
 
 def test_scalar_matrices_reject_non_minimal():
@@ -833,6 +834,19 @@ def test_lyubeznik_complex_is_taylor_on_the_admissible_faces(I):
     table = betti_table(minimalize_complex(C))
     assert table == betti_table(minimalize_complex(taylor_complex(I)))
     assert table == koszul_betti(I)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_small_ideals())
+def test_quotient_resolution_keeps_the_generator_order_at_position_1(J):
+    # basis element j of position 1 maps to the j-th generator, in canonical
+    # and in shuffled order: the Lyubeznik complex lists the generators there
+    # in order and no cancellation reaches position 1, so the construction
+    # indexes the products L_j by position 1 without a permutation
+    for I in (ideal(J.ctx, J.gens), J):
+        res = quotient_resolution(I)
+        assert res.shifts[1] == list(I.gens)
+        assert res.diffs[1].entries == {(0, c): 1 for c in range(len(I.gens))}
 
 
 def test_lyubeznik_complex_of_the_demo_ideal():

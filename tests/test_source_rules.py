@@ -1,0 +1,75 @@
+"""Source rules for the package: every construction invariant raises a typed
+error with a witness (ConstructionError, FamilyValidationError, ...), so no
+invariant may rest on an ``assert``, which ``python -O`` strips, or on a bare
+``RuntimeError``/``Exception`` without a witness."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gmpi"
+
+# the length checks of the hot monomial kernels, debug-only on purpose
+ALLOWED_ASSERTS = {("monomials.py", name, "len(a) == len(b)") for name in ("divides", "lcm", "mul")}
+BARE_ERRORS = {"RuntimeError", "Exception"}
+
+
+def violations(filename: str, source: str) -> list[tuple[str, int, str]]:
+    """(file, line, what) of each ``assert`` outside ALLOWED_ASSERTS and each
+    ``raise`` of a bare RuntimeError or Exception."""
+    out = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Assert):
+                if (filename, func, ast.unparse(child.test)) not in ALLOWED_ASSERTS:
+                    out.append((filename, child.lineno, "assert"))
+            elif isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id in BARE_ERRORS:
+                    out.append((filename, child.lineno, f"raise {exc.id}"))
+            visit(child, func)
+
+    visit(ast.parse(source, filename=filename), None)
+    return out
+
+
+def package_sources():
+    return sorted(SRC.glob("*.py"))
+
+
+def test_package_raises_typed_errors_and_asserts_nothing():
+    found = [v for path in package_sources() for v in violations(path.name, path.read_text())]
+    assert found == []
+
+
+def test_the_allowed_asserts_are_still_there():
+    # an allowance nothing uses any more is dropped, not kept
+    source = (SRC / "monomials.py").read_text()
+    tree = ast.parse(source)
+    present = {("monomials.py", f.name, ast.unparse(a.test))
+               for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+               for a in ast.walk(f) if isinstance(a, ast.Assert)}
+    assert present == ALLOWED_ASSERTS
+
+
+def test_the_rule_catches_each_forbidden_form():
+    source = (
+        "def f(a, b):\n"
+        "    assert a\n"
+        "    raise RuntimeError('x')\n"
+        "def g():\n"
+        "    raise Exception\n"
+        "def divides(a, b):\n"
+        "    assert len(a) == len(b)\n"
+        "    raise ValueError('typed')\n"
+    )
+    assert violations("builder.py", source) == [
+        ("builder.py", 2, "assert"),
+        ("builder.py", 3, "raise RuntimeError"),
+        ("builder.py", 5, "raise Exception"),
+        ("builder.py", 7, "assert"),   # allowed only in monomials.py
+    ]
+    assert ("monomials.py", 7, "assert") not in violations("monomials.py", source)
