@@ -29,8 +29,7 @@ M = minimalize_complex(T)
 print("minimal ranks:", M.ranks)
 print("shifts:", M.shifts)
 
-ok, witness = exactness_check(M, I)
-print("resolves S/I exactly:", ok)
+print("resolves S/I exactly:", exactness_check(M, I) is None)
 
 table = betti_table(M)
 print("Betti table (rows j-k, cols k):")

@@ -41,7 +41,7 @@ print("|G(L)| =", len(inst.induced.gens))
 # the star complex: sums of ideals carried by the scalar matrices
 star = build_star_complex(inst)
 print("star positions:", [len(level) for level in star.ideals])
-print("star acyclic:", star_acyclicity(star)[0])
+print("star acyclic:", star_acyclicity(star) is None)
 
 # the double complex and its total complex
 D = build_double_complex(inst)

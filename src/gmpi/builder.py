@@ -39,6 +39,7 @@ from .complexes import (
     lift_chain_map,
     minimalize_complex,
     MonomialMatrix,
+    ONE,
     quotient_resolution,
     regularity,
     SizeCapError,
@@ -268,15 +269,15 @@ def build_star_complex(inst: GmpiInstance) -> StarComplex:
     return StarComplex(inst, levels)
 
 
-def product_formula_holds(star: StarComplex) -> tuple[bool, tuple | None]:
-    """Each star ideal equals the product of block substitutions at the
-    block degrees of its shift."""
+def product_formula_witness(star: StarComplex):
+    """(position, index) of a star ideal that differs from the product of
+    block substitutions at the block degrees of its shift, or None."""
     inst = star.instance
     for i in range(1, star.length + 1):
         for j, idl in enumerate(star.ideals[i - 1]):
             if block_product(inst.family, inst.resolution.shifts[i][j]) != idl:
-                return False, (i, j)
-    return True, None
+                return i, j
+    return None
 
 
 def star_acyclicity(star: StarComplex):
@@ -285,7 +286,7 @@ def star_acyclicity(star: StarComplex):
     A strand at multidegree b has dimension 0/1 per summand (membership of
     x^b), the maps are the scalar matrices restricted to the live summands,
     position 0 is the ring (always one-dimensional), and H_0 must match
-    membership in L.  Returns (True, None) or (False, witness).
+    membership in L.  Returns the first failing multidegree, or None.
 
     The scan presumes maps that square to zero.  If the scalar matrices of
     the resolution of S/I do not, there is no star complex to scan, and the
@@ -294,11 +295,11 @@ def star_acyclicity(star: StarComplex):
     inst = star.instance
     square = inst.resolution.square_witness()
     if square is not None:
-        return False, square
+        return square
     ring = [((0,) * inst.T.nvars,)]
     summands = [ring] + [[idl.gens for idl in level] for level in star.ideals]
     scalars = [None] + [d.columns() for d in inst.resolution.diffs[1:]]
-    return _strand_scan(summands, scalars, inst.induced, "quotient", 200_000)
+    return _strand_scan(summands, scalars, inst.induced, 200_000)
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +439,18 @@ class DoubleComplex:
         the scalar matrices (the commuting square with the augmentations)."""
         res = self.instance.resolution
         for c in range(1, len(self.columns)):
-            m0 = self.sigmas[c].mats[0].columns()
-            lam = res.diffs[c].columns()
-            col_offsets = self.offsets[c]
-            row_offsets = self.offsets[c - 1] if c >= 2 else None
+            lam = res.diffs[c].entries
+            # sums[(column of sigma_c, summand of its row)]
+            sums: dict[tuple[int, int], Fraction] = {}
+            for (r, col), v in self.sigmas[c].mats[0].entries.items():
+                key = (col, _summand_of(self.offsets[c - 1], 0, r) if c >= 2 else 0)
+                sums[key] = sums.get(key, ZERO) + v
+            nrows = len(res.shifts[c - 1])
             for j, tres in enumerate(self.summands[c]):
-                lam_j = lam.get(j, {})
                 for u in range(len(tres.complex.shifts[0])):
-                    sums: dict[int, Fraction] = {}
-                    for r, v in m0.get(col_offsets[j][0] + u, {}).items():
-                        if c >= 2:
-                            k = _summand_of(row_offsets, 0, r)
-                        else:
-                            k = 0
-                        sums[k] = sums.get(k, ZERO) + v
-                    nrows = 1 if c == 1 else len(self.star.ideals[c - 2])
+                    col = self.offsets[c][j][0] + u
                     for k in range(nrows):
-                        if sums.get(k, ZERO) != lam_j.get(k, ZERO):
+                        if sums.get((col, k), ZERO) != lam.get((k, j), ZERO):
                             return c, j, u, k
         return None
 
@@ -534,23 +530,10 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
         sig.validate_maps()
         sigmas.append(sig)
 
-    dd = DoubleComplex(
+    # total_complex certifies the sigma maps along with the rest
+    return DoubleComplex(
         instance=inst, star=star, blocks=blocks, linear_flags=flags,
         columns=columns, summands=summands, offsets=offsets, sigmas=sigmas)
-    witness = dd.sigma_square_witness()
-    if witness is not None:
-        raise ConstructionError("sigma maps do not square to zero (column, row)", witness)
-    witness = dd.sigma_star_witness()
-    if witness is not None:
-        raise ConstructionError(
-            "sigma misses the scalar matrices (column, summand, generator, row)", witness)
-    if dd.hypothesis_linear:
-        witness = dd.sigma_unit_witness()
-        if witness is not None:
-            raise ConstructionError(
-                "sigma has a unit entry under the linearity hypothesis "
-                "(column, row, entry row, entry column)", witness)
-    return dd
 
 
 @dataclass
@@ -559,7 +542,7 @@ class TotalComplex:
 
     ``exactness_verified`` says that the certificate of total_complex ran in
     full; it is False only where the star or a block degree grid exceeds
-    its scan cap."""
+    its scan cap, and ``gmpi gmpi`` then reports the table as uncertified."""
 
     complex: FreeComplex
     exactness_verified: bool = False
@@ -571,26 +554,28 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
     squares to zero.
 
     The result is certified to resolve T/L from the structure of D, without
-    a strand scan of its own degree grid.  Filter the total complex by
-    columns.  Column c resolves the direct sum of the block products at the
-    shifts of position c, and sigma induces the scalar matrices on those
-    ideals (``sigma_star_witness``, checked by build_double_complex).  The
-    first page of the spectral sequence is then the star complex, and if it
-    is exact the total complex resolves its H_0 = T/L (the acyclic assembly
-    lemma, Weibel 1994, Lemma 2.7.3).  Each column is a tensor product of
-    block resolutions on disjoint variables, so it is exact when they are
+    a strand scan of its own degree grid; this function is the whole
+    certificate.  Filter the total complex by columns.  Column c resolves
+    the direct sum of the block products at the shifts of position c, and
+    sigma induces the scalar matrices on those ideals.  The first page of
+    the spectral sequence is then the star complex, and if it is exact the
+    total complex resolves its H_0 = T/L (the acyclic assembly lemma, Weibel
+    1994, Lemma 2.7.3).  Each column is a tensor product of block
+    resolutions on disjoint variables, so it is exact when they are
     (Kuenneth); it is built from ``D.blocks`` and not checked again.  Each
-    step below raises ConstructionError with its witness:
+    step below raises ConstructionError with its witness, in this order:
 
+    * under the linearity hypothesis, no unit entry; a unit entry of a
+      sigma map is one of the total differential;
     * diff o diff = 0; its components are the columns' diff o diff, the
       chain-map condition of each sigma and sigma o sigma;
     * each column summand is generated in position 0 by its star ideal
       (``column_star_witness``), so that the star complex is the first page;
     * the star complex is exact (``star_acyclicity``);
+    * sigma induces the scalar matrices (``sigma_star_witness``);
     * each block resolution of positive degree resolves its substitution
-      ideal: a strand scan over the block's own variables, plus the
-      augmentation, which must send position 0 to the ideal's generators and
-      kill the image of the first differential.
+      ideal (``block_witness``: a strand scan over the block's own
+      variables, with the augmentation onto the ring prepended).
 
     A star or block grid above its scan cap skips that scan, recorded as
     ``exactness_verified=False``.  The scan of the total complex itself is
@@ -648,12 +633,16 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
             "a column summand is not generated by its star ideal (column, summand)", witness)
     verified = True
     try:
-        ok, witness = star_acyclicity(D.star)
+        witness = star_acyclicity(D.star)
     except SizeCapError:
         verified = False
     else:
-        if not ok:
+        if witness is not None:
             raise ConstructionError("the star complex is not exact", witness)
+    witness = D.sigma_star_witness()
+    if witness is not None:
+        raise ConstructionError(
+            "sigma misses the scalar matrices (column, summand, generator, row)", witness)
     for (l, d), res in D.blocks.items():
         if d == 0:
             continue
@@ -673,27 +662,24 @@ def block_witness(res: FreeComplex, I: MonomialIdeal):
     """A multidegree of the block's variables where ``res`` fails to resolve
     the ideal I, or None.
 
-    The strand scan (ideal style) compares Hilbert functions only.  The
-    augmentation e_j -> x^(shifts[0][j]) must also map onto I, so position 0
-    must list I's generators, and it must kill the image of diffs[1]: each
-    term of column c of diffs[1] maps to its scalar times x^(shifts[1][c]), so
-    every column has to sum to zero.  Then H_0 maps onto I with the same
-    Hilbert function, so it is I.  SizeCapError where the block's degree
-    grid exceeds the scan cap.
+    Position 0 must list I's generators, in order.  Then ``res`` resolves I
+    iff it resolves S/I with the augmentation e_j -> x^(shifts[0][j])
+    prepended, an all-ones row onto the ring.  The strand scan of that
+    complex checks its diff o diff first, whose first composite is the
+    augmentation after diffs[1] (the column sums of diffs[1], witnessed by
+    the shift of the first column that does not sum to zero), and its H_0
+    rule pins the image of the augmentation to I.  SizeCapError where the
+    block's degree grid exceeds the scan cap.
     """
     gens = list(I.gens)
     if res.shifts[0] != gens:
         # the first generator out of place (or the first extra basis shift)
         return next(g or s for g, s in itertools.zip_longest(gens, res.shifts[0]) if g != s)
-    if res.length >= 1:
-        sums: dict[int, Fraction] = {}
-        for (_, c), v in res.diffs[1].entries.items():
-            sums[c] = sums.get(c, ZERO) + v
-        c = next((c for c, v in sums.items() if v), None)
-        if c is not None:
-            return res.shifts[1][c]
-    ok, witness = exactness_check(res, I, style="ideal")
-    return None if ok else witness
+    ring = [(0,) * res.ctx.nvars]
+    augmentation = MonomialMatrix(
+        res.ctx, ring, res.shifts[0], {(0, j): ONE for j in range(len(gens))})
+    return exactness_check(
+        FreeComplex(res.ctx, [ring] + res.shifts, [None, augmentation] + res.diffs[1:]), I)
 
 
 # ---------------------------------------------------------------------------

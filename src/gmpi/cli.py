@@ -62,6 +62,9 @@ def parse_blocks(data) -> VariableContext:
     with _reading("blocks (objects with a name and a positive size)"):
         sizes = tuple(int(b["size"]) for b in data)
         names = tuple(str(b["name"]) for b in data)
+        dup = next((n for i, n in enumerate(names) if n in names[:i]), None)
+        if dup is not None:
+            raise InputError(f"duplicate block name {dup!r}")
         return VariableContext(sizes, names)
 
 
@@ -197,6 +200,8 @@ def cmd_gmpi(args) -> int:
         "projective_dimension_quotient": pd_l,
         "hypothesis_linear": D.hypothesis_linear,
     }
+    if not tot.exactness_verified:
+        payload["certified"] = False
     results = []
     if args.check:
         results = ver.run_instance_checks(D, tot, table, oracle_cap=args.max_taylor)
@@ -214,18 +219,23 @@ def cmd_gmpi(args) -> int:
             f"projdim(T/L) = {pd_l}",
             f"all substitutions linear: {D.hypothesis_linear}",
         ]
+        if not tot.exactness_verified:
+            lines.append("certified: False (a star or block degree grid exceeds its scan cap)")
         lines += [r.line() for r in results]
         _emit("\n".join(lines), args.out)
     return 0 if all(r.passed for r in results) else 1
+
+
+# parameters of `gmpi family` that also have a --flag alias
+FAMILY_ALIASES = ("parts", "t", "vars", "degree", "count", "caps", "sizes", "degs1", "degs2")
 
 
 def cmd_family(args) -> int:
     tag = args.tag
     with _reading("family parameters"):
         params = dict(kv.split("=", 1) for kv in args.param)
-        for flag in ("parts", "t", "vars", "degree", "count", "caps",
-                     "sizes", "degs1", "degs2"):
-            val = getattr(args, flag.replace("-", "_"), None)
+        for flag in FAMILY_ALIASES:
+            val = getattr(args, flag)
             if val is not None:
                 params[flag] = val
         if tag in BLOCK_FAMILY_TAGS:
@@ -294,8 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="emit a family ideal or instance document")
     p.add_argument("tag")
     p.add_argument("param", nargs="*", help="key=value parameters")
-    for flag in ("parts", "t", "vars", "degree", "count", "caps",
-                 "sizes", "degs1", "degs2"):
+    for flag in FAMILY_ALIASES:
         p.add_argument(f"--{flag}", default=None, help=f"alias for {flag}=...")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")

@@ -21,7 +21,9 @@ they are built.  The cancellation takes the smallest remaining unit
 (position, row, column) from a heap with lazy deletion, the order a linear
 scan would give.  Strand machinery restricts a complex to a single
 multidegree, where exactness and homology become finite rational rank
-computations.
+computations.  A strand scan checks a resolution of a quotient S/I and
+returns the multidegree of its first failure, or None; a resolution of an
+ideal is scanned with its augmentation onto the ring prepended.
 
 The strand scans rank over F_P first (``linalg.rank_mod_p``) and keep an
 exact verdict.  A strand whose ranks mod P reach, at every positive
@@ -530,30 +532,26 @@ def grid_size(axes) -> int:
     return n
 
 
-def exactness_check(
-    C: FreeComplex,
-    expect_h0: MonomialIdeal,
-    style: str = "quotient",
-    max_cells: int = 200_000,
-):
-    """Strand-exactness of C over the finite degree grid.
+def exactness_check(C: FreeComplex, expect_h0: MonomialIdeal, max_cells: int = 200_000):
+    """A multidegree where C fails to resolve S/expect_h0, or None.
 
-    For every grid multidegree b: homology must vanish in positive positions,
-    and the H_0 dimension must match membership of x^b in ``expect_h0``
-    (quotient style: 1 iff not a member; ideal style: 1 iff a member).
-    Returns (True, None) or (False, witness_multidegree).
+    For every multidegree b of the finite degree grid, homology must vanish
+    in positive positions and H_0 must be one-dimensional iff x^b is not in
+    ``expect_h0``.  The witness is the multidegree of the first nonzero
+    entry of some diff o diff, else the first failing cell in grid order.
+    SizeCapError where the grid exceeds ``max_cells``.
     """
     # the strand rank arithmetic presumes an actual complex; a corrupted
     # differential must surface here, witnessed by the offending multidegree
     square = C.square_witness()
     if square is not None:
-        return False, square[1]
+        return square[1]
     summands = [[(s,) for s in level] for level in C.shifts]
     scalars = [None] + [C.diffs[i].columns() for i in range(1, C.length + 1)]
-    return _strand_scan(summands, scalars, expect_h0, style, max_cells)
+    return _strand_scan(summands, scalars, expect_h0, max_cells)
 
 
-def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, style: str, max_cells: int):
+def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, max_cells: int):
     """Strand-exactness of a complex of direct sums of monomial ideals.
 
     ``summands[i][j]`` lists the generators of summand j at position i (one
@@ -562,8 +560,7 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, style: str, max_ce
     of the map from position i to position i-1, and the caller guarantees
     that these maps square to zero.  Scans the degree grid of all the
     generators and of ``expect_h0``, with the H_0 rule of exactness_check.
-    Returns (True, None) or (False, witness_multidegree), the first failing
-    cell in grid order.
+    Returns the first failing cell in grid order, or None.
 
     Each strand map D_i is the live columns restricted to the live rows.
     A strand of dimensions n_0, ..., n_p is exact at every positive position
@@ -655,17 +652,10 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, style: str, max_ce
         ranks = [0] + [modp_rank(i, cls[i - 1], cls[i], want[i]) for i in positive] + [0]
         if ranks != want:
             ranks = [0] + [exact_rank(i, cls[i - 1], cls[i]) for i in positive] + [0]
-        ok = all(dims[i] == ranks[i] + ranks[i + 1] for i in positive)
-        if ok:
-            h0 = dims[0] - ranks[1]
-            if style == "quotient":
-                expected = 0 if cls[-1] else 1
-            else:
-                expected = 1 if cls[-1] else 0
-            ok = h0 == expected
-        if not ok:
-            return False, tuple(int(v) for v in points[cell])
-    return True, None
+        exact = all(dims[i] == ranks[i] + ranks[i + 1] for i in positive)
+        if not exact or dims[0] - ranks[1] != (0 if cls[-1] else 1):
+            return tuple(int(v) for v in points[cell])
+    return None
 
 
 def _live_classes(mask: np.ndarray) -> tuple[list[tuple[int, ...]], list[int]]:

@@ -28,7 +28,7 @@ from .builder import (
     build_double_complex,
     linearity_report,
     minimal_total_table,
-    product_formula_holds,
+    product_formula_witness,
     projdim_report,
     realization_witness,
     regularity_report,
@@ -235,16 +235,15 @@ def check_degree_realization(inst: GmpiInstance) -> CheckResult:
                        {"witness": witness, "degree": inst.resolution.shifts[i][j][l]})
 
 
-def check_product_intersection(star: StarComplex) -> CheckResult:
-    ok, witness = product_formula_holds(star)
-    details = {} if ok else {"witness": witness}
-    return CheckResult("product-equals-intersection", star.instance.label, ok, details)
-
-
 def _witness_check(name: str, label: str, witness) -> CheckResult:
     if witness is None:
         return CheckResult(name, label, True)
     return CheckResult(name, label, False, {"witness": witness})
+
+
+def check_product_intersection(star: StarComplex) -> CheckResult:
+    return _witness_check("product-equals-intersection", star.instance.label,
+                          product_formula_witness(star))
 
 
 def check_sigma_minimality(D: DoubleComplex) -> CheckResult:
@@ -256,9 +255,7 @@ def check_sigma_squared(D: DoubleComplex) -> CheckResult:
 
 
 def check_star_acyclicity(star: StarComplex) -> CheckResult:
-    ok, witness = star_acyclicity(star)
-    details = {} if ok else {"witness": witness}
-    return CheckResult("star-acyclicity", star.instance.label, ok, details)
+    return _witness_check("star-acyclicity", star.instance.label, star_acyclicity(star))
 
 
 def structure_checks(inst: GmpiInstance, star: StarComplex, D: DoubleComplex) -> list[CheckResult]:
@@ -348,7 +345,7 @@ def check_total_exactness(inst: GmpiInstance, tot: TotalComplex) -> CheckResult:
     if square is not None:
         return CheckResult(name, inst.label, False, {"resolution_witness": square})
     try:
-        _, witness = exactness_check(tot.complex, inst.induced, max_cells=TOTAL_SCAN_CAP)
+        witness = exactness_check(tot.complex, inst.induced, max_cells=TOTAL_SCAN_CAP)
     except SizeCapError as e:
         return CheckResult(name, inst.label, True, {"skipped": str(e)})
     return _witness_check(name, inst.label, witness)

@@ -102,6 +102,16 @@ def corrupt_sigma(D):
     return D
 
 
+def corrupt_sigma_square(D):
+    """Add one to the first entry of sigma_2 in position 0, the corruption
+    of the sigma-squared-zero check in test_acceptance: sigma_1 o sigma_2 is
+    no longer zero."""
+    m = D.sigmas[2].mats[0]
+    key = next(iter(m.entries))
+    m.entries[key] += 1
+    return D
+
+
 def corrupt_column(D):
     """Double the first entry of the first column differential of position 2,
     so that the column no longer squares to zero."""

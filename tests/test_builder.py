@@ -14,7 +14,7 @@ from gmpi.builder import (
     build_star_complex,
     linearity_report,
     minimal_total_table,
-    product_formula_holds,
+    product_formula_witness,
     projdim_report,
     regularity_report,
     rho_maps,
@@ -22,7 +22,13 @@ from gmpi.builder import (
     total_complex,
     validate_family,
 )
-from gmpi.complexes import betti_table, minimalize_complex, taylor_complex
+from gmpi.complexes import (
+    FreeComplex,
+    MonomialMatrix,
+    betti_table,
+    minimalize_complex,
+    taylor_complex,
+)
 from gmpi.families import (
     mixed_product_instance,
     power_of_maximal,
@@ -38,6 +44,7 @@ from conftest import (
     corrupt_block_scalar,
     corrupt_column,
     corrupt_sigma,
+    corrupt_sigma_square,
     corrupt_star_ideal,
     corrupt_star_scalars,
     non_nested_instance,
@@ -145,8 +152,7 @@ def test_star_koszul_single_syzygy_is_intersection():
 
 def test_star_product_formula():
     for inst in (expansion_instance(), koszul_instance(), random_instance(30)):
-        ok, witness = product_formula_holds(build_star_complex(inst))
-        assert ok, witness
+        assert product_formula_witness(build_star_complex(inst)) is None
 
 
 def test_star_scalar_product_vanishes():
@@ -160,12 +166,12 @@ def test_star_scalar_product_vanishes():
     # maps store only their scalars, so d o d = 0 is the vanishing of the
     # products of consecutive scalar matrices
     assert inst.resolution.square_witness() is None
-    assert star_acyclicity(star) == (True, None)
+    assert star_acyclicity(star) is None
 
 
 def test_star_acyclicity_on_valid_instances():
     for inst in (expansion_instance(), mixed_product_instance((2, 2), (2, 1), (1, 2))):
-        assert star_acyclicity(build_star_complex(inst)) == (True, None)
+        assert star_acyclicity(build_star_complex(inst)) is None
 
 
 def test_star_and_total_complex_exact_beyond_the_pinned_seeds():
@@ -175,7 +181,7 @@ def test_star_and_total_complex_exact_beyond_the_pinned_seeds():
     for seed in (69, 91, 101, 110, 134):
         assert seed not in SUITE_SEEDS
         inst = random_instance(seed)
-        assert star_acyclicity(build_star_complex(inst)) == (True, None), seed
+        assert star_acyclicity(build_star_complex(inst)) is None, seed
         assert total_complex(build_double_complex(inst)).exactness_verified, seed
     assert time.monotonic() - start < 30.0
 
@@ -189,14 +195,12 @@ def test_star_acyclicity_needs_a_resolution_that_squares_to_zero():
     d2[key] *= 2
     square = inst.resolution.square_witness()
     assert square is not None
-    assert star_acyclicity(star) == (False, square)
+    assert star_acyclicity(star) == square
 
 
 def test_star_acyclicity_fails_without_nesting():
     star = build_star_complex(non_nested_instance())
-    ok, witness = star_acyclicity(star)
-    assert not ok
-    assert witness == (2, 0, 2, 0)  # a1^2 c1^2
+    assert star_acyclicity(star) == (2, 0, 2, 0)  # a1^2 c1^2
 
 
 # -- block resolutions and comparison maps
@@ -412,22 +416,31 @@ def test_total_complex_raises_the_scan_witness(monkeypatch):
     D = build_double_complex(expansion_instance())
     w = (1, 0, 2, 1)
     with monkeypatch.context() as m:
-        m.setattr(builder, "star_acyclicity", lambda star: (False, w))
+        m.setattr(builder, "star_acyclicity", lambda star: w)
         with pytest.raises(ConstructionError) as err:
             total_complex(D)
     assert err.value.witness == w and "star complex" in str(err.value)
-    monkeypatch.setattr(builder, "exactness_check", lambda *args, **kwargs: (False, (1, 1)))
+    monkeypatch.setattr(builder, "exactness_check", lambda *args, **kwargs: (1, 1))
     with pytest.raises(ConstructionError) as err:
         total_complex(D)
     l, d = next(key for key in D.blocks if key[1] >= 1)
     assert err.value.witness == (l, d, (1, 1)) and str((l, d, (1, 1))) in str(err.value)
 
 
+def is_map(m, expected) -> bool:
+    """``m`` is ``expected``; a block resolution stands for its augmentation,
+    which the block scan builds: the all-ones row onto the ring."""
+    if not isinstance(expected, FreeComplex):
+        return m is expected
+    return (m.row_shifts == [(0,) * expected.ctx.nvars] and m.col_shifts == expected.shifts[0]
+            and m.entries == {(0, j): 1 for j in range(expected.ranks[0])})
+
+
 def test_total_complex_composes_each_pair_once(monkeypatch):
     # the certificate composes the consecutive differentials of the total
     # complex, of the resolution of S/I (the star scan's precondition) and of
-    # each block resolution (the block scans' precondition) once each
-    from gmpi.complexes import MonomialMatrix
+    # each block resolution with its augmentation prepended (the block scans'
+    # precondition) once each
     D = build_double_complex(expansion_instance())
     calls = []
     compose = MonomialMatrix.compose
@@ -441,14 +454,16 @@ def test_total_complex_composes_each_pair_once(monkeypatch):
     assert tot.exactness_verified and tot.complex.length == 4
     blocks = [res for (l, d), res in D.blocks.items() if d >= 1]
     expected = [(cx.diffs[i - 1], cx.diffs[i])
-                for cx in [tot.complex, D.instance.resolution] + blocks
+                for cx in [tot.complex, D.instance.resolution]
                 for i in range(2, cx.length + 1)]
-    assert len(calls) == len(expected) == 3 + 1
-    assert all(a is c and b is d for (a, b), (c, d) in zip(calls, expected))
+    for res in blocks:
+        expected += [(res, res.diffs[1])] + [
+            (res.diffs[i - 1], res.diffs[i]) for i in range(2, res.length + 1)]
+    assert len(calls) == len(expected) == 3 + 1 + 4
+    assert all(is_map(a, c) and b is d for (a, b), (c, d) in zip(calls, expected))
 
 
 def test_total_complex_reads_each_map_by_column_once(monkeypatch):
-    from gmpi.complexes import MonomialMatrix
     D = build_double_complex(expansion_instance())
     read = []
     columns = MonomialMatrix.columns
@@ -463,12 +478,13 @@ def test_total_complex_reads_each_map_by_column_once(monkeypatch):
     horizontal = [m for sig in D.sigmas[1:] for m in sig.mats]
     # assembly reads every column differential and sigma component once; the
     # star scan then reads the scalar matrices and each block scan its
-    # block's differentials, once each, and nothing reads a total differential
+    # augmentation and its block's differentials, once each, and nothing
+    # reads a total differential
     scalars = D.instance.resolution.diffs[1:]
-    blocks = [m for (l, d), res in D.blocks.items() if d >= 1 for m in res.diffs[1:]]
+    blocks = [m for (l, d), res in D.blocks.items() if d >= 1 for m in [res] + res.diffs[1:]]
     expected = vertical + horizontal + scalars + blocks
     assert len(read) == len(expected) and len(vertical) > 0 and len(horizontal) > 0
-    assert all(a is b for a, b in zip(read, expected))
+    assert all(is_map(a, b) for a, b in zip(read, expected))
     assert not any(a is b for a in read for b in tot.complex.diffs[1:])
 
 
@@ -489,12 +505,14 @@ def test_total_complex_rejects_a_nonzero_square(monkeypatch, scan):
 
 @pytest.mark.parametrize("corrupt, message, witness_length", [
     (corrupt_sigma, "square to zero", 4),
+    (corrupt_sigma_square, "square to zero", 4),
     (corrupt_column, "square to zero", 4),
     (corrupt_block_scalar, "block resolution", 3),
     (corrupt_block_column, "block resolution", 3),
     (corrupt_star_ideal, "column summand", 2),
     (corrupt_star_scalars, "star complex", 2),
-], ids=["sigma", "column", "block-scalar", "block-column", "star-ideal", "star-scalars"])
+], ids=["sigma", "sigma-square", "column", "block-scalar", "block-column", "star-ideal",
+        "star-scalars"])
 def test_total_complex_certificate_catches_a_corruption(corrupt, message, witness_length):
     D = corrupt(build_double_complex(expansion_instance()))
     with pytest.raises(ConstructionError) as err:
@@ -608,14 +626,51 @@ def test_star_complex_raises_on_a_zero_column():
     assert err.value.witness == (2, 0)
 
 
-@pytest.mark.parametrize("method", [
-    "sigma_square_witness", "sigma_star_witness", "sigma_unit_witness"])
-def test_double_complex_raises_the_sigma_witness(monkeypatch, method):
+def sigma_star_reported(monkeypatch):
+    """The expansion's double complex, built while sigma_star_witness reports
+    (1, 0, 0, 0)."""
     from gmpi.builder import DoubleComplex
-    monkeypatch.setattr(DoubleComplex, method, lambda self: (1, 0, 0, 0))
+    monkeypatch.setattr(DoubleComplex, "sigma_star_witness", lambda self: (1, 0, 0, 0))
+    return build_double_complex(expansion_instance())
+
+
+def sigma_unit_under_a_claimed_hypothesis(monkeypatch):
+    """(x y^3, x^2 y^2) with (a1^2, a2^2) at degree 2 of block a, which is
+    not linear, and (a1^2 a2, a1 a2^2) at degree 3.  Both have their first
+    syzygy in degree a1^2 a2^2, so the comparison map between them, and
+    with it sigma_2, has a unit entry; the hypothesis is then claimed."""
+    ctx = {name: VariableContext((n,), (name,)) for name, n in (("u", 1), ("a", 2))}
+    fam = SubstitutionFamily(VariableContext((1, 2), ("u", "a")), {
+        (0, 1): ideal(ctx["u"], [(1,)]),
+        (0, 2): ideal(ctx["u"], [(2,)]),
+        (1, 2): ideal(ctx["a"], [(2, 0), (0, 2)]),
+        (1, 3): ideal(ctx["a"], [(2, 1), (1, 2)]),
+    })
+    D = build_double_complex(validate_family(ideal(S2, [(1, 3), (2, 2)]), fam, label="unit"))
+    assert not D.hypothesis_linear
+    D.linear_flags = dict.fromkeys(D.linear_flags, True)
+    return D
+
+
+@pytest.mark.parametrize("method, make, message", [
+    ("sigma_square_witness",
+     lambda monkeypatch: corrupt_sigma_square(build_double_complex(expansion_instance())),
+     "square to zero"),
+    ("sigma_star_witness", sigma_star_reported, "scalar matrices"),
+    ("sigma_unit_witness", sigma_unit_under_a_claimed_hypothesis, "unit entry"),
+], ids=["sigma_square_witness", "sigma_star_witness", "sigma_unit_witness"])
+def test_total_complex_raises_the_sigma_witness(monkeypatch, method, make, message):
+    # build_double_complex raises no witness of its own; total_complex raises
+    # sigma_star_witness's, and a nonzero sigma o sigma or a unit entry of
+    # sigma as one of the total differential
+    D = make(monkeypatch)
+    witness = getattr(D, method)()
+    assert witness is not None
     with pytest.raises(ConstructionError) as err:
-        build_double_complex(expansion_instance())
-    assert err.value.witness == (1, 0, 0, 0)
+        total_complex(D)
+    assert message in str(err.value)
+    if method == "sigma_star_witness":
+        assert err.value.witness == witness
 
 
 def test_sigma_star_witness_finds_a_changed_scalar():

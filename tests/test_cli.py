@@ -16,6 +16,7 @@ from conftest import (
     corrupt_block_scalar,
     corrupt_column,
     corrupt_sigma,
+    corrupt_sigma_square,
     corrupt_star_ideal,
     corrupt_star_scalars,
     non_nested_instance,
@@ -170,6 +171,10 @@ MALFORMED = {
         "gmpi", expansion_with_substitution("x:a", [[1, 0], [0, 1]])),
     "shorthand-without-degree": (
         "gmpi", expansion_with_substitution("x:1", {"family": "power-of-maximal"})),
+    "duplicate-block-name": (
+        "gmpi", {"blocks": [{"name": "x", "size": 1}, {"name": "x", "size": 1}],
+                 "inducing_ideal": [[1, 0], [0, 1]],
+                 "substitutions": {"x:1": [[1]]}}),
 }
 
 
@@ -179,6 +184,24 @@ def test_malformed_document_exits_two_with_one_line(tmp_path, capsys, case):
     assert main([command, write(tmp_path, "bad.json", doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if case == "duplicate-block-name":
+        assert err == "error: duplicate block name 'x'\n"
+
+
+def test_gmpi_reports_a_skipped_certificate(tmp_path, capsys, monkeypatch):
+    # every star and block grid over its scan cap: the table is printed, and
+    # marked as uncertified; a certified run carries no such mark
+    from gmpi import complexes
+    path = write(tmp_path, "e.json", expansion_doc())
+    assert main(["gmpi", path, "--json"]) == 0
+    assert "certified" not in json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(complexes, "grid_size", lambda axes: 10**9)
+    assert main(["gmpi", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["certified"] is False
+    assert main(["gmpi", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("certified")] == [
+        "certified: False (a star or block degree grid exceeds its scan cap)"]
 
 
 def test_gmpi_construction_error_is_not_an_input_error(tmp_path, monkeypatch):
@@ -201,6 +224,7 @@ def test_verify_construction_error_is_not_an_input_error(monkeypatch):
 
 CORRUPTIONS = {
     "sigma": (corrupt_sigma, "square to zero"),
+    "sigma-square": (corrupt_sigma_square, "square to zero"),
     "column": (corrupt_column, "square to zero"),
     "block-scalar": (corrupt_block_scalar, "block resolution"),
     "block-column": (corrupt_block_column, "block resolution"),

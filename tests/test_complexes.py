@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmpi import linalg
+from gmpi.builder import block_witness
 from gmpi.complexes import (
     BettiTable,
     ChainMap,
@@ -68,8 +69,7 @@ def test_taylor_three_generators_resolves():
     I = ideal(S2, [(2, 0), (1, 1), (0, 3)])
     C = taylor_complex(I)
     assert C.ranks == [1, 3, 3, 1]
-    ok, witness = exactness_check(C, I)
-    assert ok, witness
+    assert exactness_check(C, I) is None
 
 
 def test_taylor_shifts_are_subset_lcms():
@@ -138,7 +138,7 @@ def test_minimalize_hilbert_burch_shape():
     M = minimalize_complex(taylor_complex(I))
     assert M.ranks == [1, 3, 2]
     assert M.is_minimal
-    assert exactness_check(M, I)[0]
+    assert exactness_check(M, I) is None
     rng = random.Random(2)
     points = [(rng.randint(0, 4), rng.randint(0, 5)) for _ in range(60)]
     assert euler_characteristics(M, points) == [0 if I.member(b) else 1 for b in points]
@@ -150,7 +150,7 @@ def test_minimalize_square_of_maximal():
     assert M.ranks == [1, 3, 2]
     # all first syzygies of the ideal live in total degree 3
     assert [sorted(map(sum, level)) for level in M.shifts] == [[0], [2, 2, 2], [3, 3]]
-    assert exactness_check(M, I)[0]
+    assert exactness_check(M, I) is None
 
 
 def test_minimalize_preserves_strand_homology():
@@ -274,7 +274,7 @@ def test_strand_dims_are_divisibility_counts():
 
 
 def test_exactness_check_koszul():
-    assert exactness_check(koszul2(), ideal(S2, [(1, 0), (0, 1)])) == (True, None)
+    assert exactness_check(koszul2(), ideal(S2, [(1, 0), (0, 1)])) is None
 
 
 def test_exactness_check_finds_corruption():
@@ -282,27 +282,26 @@ def test_exactness_check_finds_corruption():
     M = minimalize_complex(taylor_complex(I))
     key = min(M.diffs[2].entries)
     del M.diffs[2].entries[key]  # drop one syzygy entry
-    ok, witness = exactness_check(M, I)
-    assert not ok and witness is not None
+    assert exactness_check(M, I) is not None
 
 
 # -- the certified strand scan
 
 def reference_exactness(C: FreeComplex, I: MonomialIdeal):
-    """exactness_check (quotient style) by its definition: d o d first,
-    then the strand of every grid cell ranked by Fraction elimination."""
+    """exactness_check by its definition: d o d first, then the strand of
+    every grid cell ranked by Fraction elimination."""
     square = C.square_witness()
     if square is not None:
-        return False, square[1]
+        return square[1]
     for b in itertools.product(*degree_grid(C.shifts + [list(I.gens)], C.ctx.nvars)):
         st_b = strand(C, b)
         dims = st_b.dims
         ranks = [0] + [len(linalg.row_echelon([list(r) for r in m])) for m in st_b.matrices] + [0]
         if any(dims[i] != ranks[i] + ranks[i + 1] for i in range(1, len(dims))):
-            return False, b
+            return b
         if dims[0] - ranks[1] != (0 if I.member(b) else 1):
-            return False, b
-    return True, None
+            return b
+    return None
 
 
 def scale_column(C: FreeComplex, i: int, j: int, s) -> None:
@@ -370,7 +369,7 @@ def test_exactness_check_ranks_exactly_where_a_live_column_reaches_a_dead_row():
         MonomialMatrix(S1, shifts[0], shifts[1], {}),
         MonomialMatrix(S1, shifts[1], shifts[2], {(1, 0): Fraction(1)}),
     ])
-    assert exactness_check(C, I) == (False, (2,)) == reference_exactness(C, I)
+    assert exactness_check(C, I) == (2,) == reference_exactness(C, I)
 
 
 def counted_exact_ranks(monkeypatch) -> list:
@@ -396,7 +395,7 @@ def hilbert_burch():
 def test_exactness_check_certifies_mod_p_alone(monkeypatch):
     I, M = hilbert_burch()
     calls = counted_exact_ranks(monkeypatch)
-    assert exactness_check(M, I) == (True, None)
+    assert exactness_check(M, I) is None
     assert calls == []
 
 
@@ -406,7 +405,7 @@ def test_exactness_check_scalar_p_passes_through_the_exact_fallback(monkeypatch)
     I, M = hilbert_burch()
     scale_column(M, 2, M.shifts[2].index((1, 3)), linalg.P)
     calls = counted_exact_ranks(monkeypatch)
-    assert exactness_check(M, I) == (True, None) == reference_exactness(M, I)
+    assert exactness_check(M, I) is None and reference_exactness(M, I) is None
     assert calls
 
 
@@ -419,7 +418,7 @@ def test_exactness_check_scalar_p_keeps_the_witness(monkeypatch):
     for key in [k for k in M.diffs[2].entries if k[1] == c]:
         del M.diffs[2].entries[key]
     calls = counted_exact_ranks(monkeypatch)
-    assert exactness_check(M, I) == (False, (2, 1)) == reference_exactness(M, I)
+    assert exactness_check(M, I) == (2, 1) == reference_exactness(M, I)
     assert calls
 
 
@@ -559,11 +558,7 @@ def test_tensor_of_koszuls_is_koszul():
     z = ideal_resolution(ideal(simple_context(1, ("z",)), [(1,)]))
     t2 = tensor_resolutions([m2, z], big, [[0, 1], [2]])
     assert t2.complex.ranks == [3, 2]
-    ok, witness = exactness_check(
-        t2.complex,
-        ideal(big, [(2, 0, 1), (1, 1, 1), (0, 2, 1)]),
-        style="ideal")
-    assert ok, witness
+    assert block_witness(t2.complex, ideal(big, [(2, 0, 1), (1, 1, 1), (0, 2, 1)])) is None
 
 
 # -- the integer kernel of compose

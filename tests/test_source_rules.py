@@ -1,7 +1,8 @@
 """Source rules for the package: every construction invariant raises a typed
 error with a witness (ConstructionError, FamilyValidationError, ...), so no
 invariant may rest on an ``assert``, which ``python -O`` strips, or on a bare
-``RuntimeError``/``Exception`` without a witness."""
+``RuntimeError``/``Exception`` without a witness.  A check returns its
+witness or None, never an ``(ok, witness)`` pair."""
 
 import ast
 import pathlib
@@ -14,8 +15,9 @@ BARE_ERRORS = {"RuntimeError", "Exception"}
 
 
 def violations(filename: str, source: str) -> list[tuple[str, int, str]]:
-    """(file, line, what) of each ``assert`` outside ALLOWED_ASSERTS and each
-    ``raise`` of a bare RuntimeError or Exception."""
+    """(file, line, what) of each ``assert`` outside ALLOWED_ASSERTS, each
+    ``raise`` of a bare RuntimeError or Exception and each ``return`` of a
+    tuple whose first element is True or False."""
     out = []
 
     def visit(node, func):
@@ -30,6 +32,10 @@ def violations(filename: str, source: str) -> list[tuple[str, int, str]]:
                 exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
                 if isinstance(exc, ast.Name) and exc.id in BARE_ERRORS:
                     out.append((filename, child.lineno, f"raise {exc.id}"))
+            elif isinstance(child, ast.Return) and isinstance(child.value, ast.Tuple):
+                first = child.value.elts[0] if child.value.elts else None
+                if isinstance(first, ast.Constant) and isinstance(first.value, bool):
+                    out.append((filename, child.lineno, "return (bool, ...)"))
             visit(child, func)
 
     visit(ast.parse(source, filename=filename), None)
@@ -65,11 +71,19 @@ def test_the_rule_catches_each_forbidden_form():
         "def divides(a, b):\n"
         "    assert len(a) == len(b)\n"
         "    raise ValueError('typed')\n"
+        "def h(a):\n"
+        "    if a:\n"
+        "        return False, a\n"
+        "    return (True, None)\n"
+        "def k(a):\n"
+        "    return a, True\n"
     )
     assert violations("builder.py", source) == [
         ("builder.py", 2, "assert"),
         ("builder.py", 3, "raise RuntimeError"),
         ("builder.py", 5, "raise Exception"),
         ("builder.py", 7, "assert"),   # allowed only in monomials.py
+        ("builder.py", 11, "return (bool, ...)"),
+        ("builder.py", 12, "return (bool, ...)"),
     ]
     assert ("monomials.py", 7, "assert") not in violations("monomials.py", source)
