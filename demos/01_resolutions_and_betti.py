@@ -38,7 +38,8 @@ print("reg(I) =", regularity(table))
 print("projdim(S/I) =", projective_dimension(table))
 
 # the scalar matrices: coefficients of the differentials with the monomial
-# factors stripped, stored sparsely as {(row, column): scalar}; the first one
-# is the all-ones row
+# factors stripped, stored sparsely as {(row, column): scalar}, each an int
+# where it is integral (a Fraction only where it has a denominator); the
+# first one is the all-ones row
 for i in range(1, M.length + 1):
     print(f"scalar matrix {i}:", sorted(M.diffs[i].entries.items()))

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import (
+    _integral,
     _strand_scan,
     betti_table,
     BettiTable,
@@ -39,7 +40,6 @@ from .complexes import (
     lift_chain_map,
     minimalize_complex,
     MonomialMatrix,
-    ONE,
     quotient_resolution,
     regularity,
     SizeCapError,
@@ -54,8 +54,6 @@ from .monomials import (
     intersect_many,
     total_degree,
 )
-
-ZERO = Fraction(0)
 
 
 class FamilyValidationError(ValueError):
@@ -407,7 +405,7 @@ class DoubleComplex:
         for c in range(2, len(self.columns)):
             lo, hi = self.sigmas[c - 1], self.sigmas[c]
             for i in range(min(len(lo.mats), len(hi.mats))):
-                if not lo.mats[i].compose(hi.mats[i]).is_zero():
+                if lo.mats[i].first_nonzero_column(hi.mats[i]) is not None:
                     return c, i
         return None
 
@@ -441,16 +439,16 @@ class DoubleComplex:
         for c in range(1, len(self.columns)):
             lam = res.diffs[c].entries
             # sums[(column of sigma_c, summand of its row)]
-            sums: dict[tuple[int, int], Fraction] = {}
+            sums: dict[tuple[int, int], int | Fraction] = {}
             for (r, col), v in self.sigmas[c].mats[0].entries.items():
                 key = (col, _summand_of(self.offsets[c - 1], 0, r) if c >= 2 else 0)
-                sums[key] = sums.get(key, ZERO) + v
+                sums[key] = sums.get(key, 0) + v
             nrows = len(res.shifts[c - 1])
             for j, tres in enumerate(self.summands[c]):
                 for u in range(len(tres.complex.shifts[0])):
                     col = self.offsets[c][j][0] + u
                     for k in range(nrows):
-                        if sums.get((col, k), ZERO) != lam.get((k, j), ZERO):
+                        if sums.get((col, k), 0) != lam.get((k, j), 0):
                             return c, j, u, k
         return None
 
@@ -505,7 +503,7 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
         if c == 1:
             # row zero maps the generators into the ring
             for j, tres in enumerate(summands[1]):
-                scalar = lam.get(j, {}).get(0, ZERO)
+                scalar = lam.get(j, {}).get(0, 0)
                 off = offsets[1][j][0]
                 for u, s in enumerate(tres.complex.shifts[0]):
                     mats[0].entries[(0, off + u)] = scalar
@@ -523,7 +521,7 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
                             continue
                         ro, co = offsets[c - 1][k][i], offsets[c][j][i]
                         for (r, cc), v in bm.entries.items():
-                            mats[i].entries[(ro + r, co + cc)] = scalar * v
+                            mats[i].entries[(ro + r, co + cc)] = _integral(v * scalar)
         # commutation with the column differentials is a component of the
         # total complex's diff o diff, which total_complex checks
         sig = ChainMap(src, tgt, mats)
@@ -602,7 +600,7 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
     horizontal = [None] + [[m.columns() for m in sig.mats] for sig in D.sigmas[1:]]
     diffs: list[MonomialMatrix | None] = [None]
     for k in range(1, top + 1):
-        entries: dict[tuple[int, int], Fraction] = {}
+        entries: dict[tuple[int, int], int | Fraction] = {}
         # the vertical and horizontal terms of a column land in columns c
         # and c - 1 of the double complex, so no two terms share a row
         for col_idx, (c, r, t) in enumerate(labels[k]):
@@ -677,7 +675,7 @@ def block_witness(res: FreeComplex, I: MonomialIdeal):
         return next(g or s for g, s in itertools.zip_longest(gens, res.shifts[0]) if g != s)
     ring = [(0,) * res.ctx.nvars]
     augmentation = MonomialMatrix(
-        res.ctx, ring, res.shifts[0], {(0, j): ONE for j in range(len(gens))})
+        res.ctx, ring, res.shifts[0], {(0, j): 1 for j in range(len(gens))})
     return exactness_check(
         FreeComplex(res.ctx, [ring] + res.shifts, [None, augmentation] + res.diffs[1:]), I)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 
@@ -151,6 +152,11 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+def emit_json(obj, out: str | None) -> None:
+    """Write ``obj`` as indented JSON to the file ``out``, or to stdout."""
+    _emit(json.dumps(obj, indent=2), out)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -170,7 +176,7 @@ def cmd_resolve(args) -> int:
         "linear": d is not None and is_linear_resolution(table, d),
     }
     if args.json:
-        _emit(json.dumps(payload, indent=2), args.out)
+        emit_json(payload, args.out)
     else:
         lines = [
             f"ideal: {I}",
@@ -207,7 +213,7 @@ def cmd_gmpi(args) -> int:
         results = ver.run_instance_checks(D, tot, table, oracle_cap=args.max_taylor)
         payload["checks"] = [r.to_json() for r in results]
     if args.json:
-        _emit(json.dumps(payload, indent=2), args.out)
+        emit_json(payload, args.out)
     else:
         lines = [
             f"instance: {inst.label}",
@@ -255,7 +261,7 @@ def cmd_family(args) -> int:
             out = instance_to_document(fam.random_instance(args.seed))
         else:
             raise InputError(f"unknown family tag {tag!r}; choose from {fam.FAMILY_TAGS}")
-    _emit(json.dumps(out, indent=2), args.out)
+    emit_json(out, args.out)
     return 0
 
 
@@ -263,7 +269,7 @@ def cmd_verify(args) -> int:
     seeds = ver.SUITE_SEEDS if args.seed is None else [args.seed]
     results = ver.run_suite(seeds=seeds)
     if args.json:
-        _emit(json.dumps([r.to_json() for r in results], indent=2), args.out)
+        emit_json([r.to_json() for r in results], args.out)
     else:
         _emit("\n".join(ver.summary_lines(results)), args.out)
     return 0 if all(r.passed for r in results) else 1
@@ -276,7 +282,10 @@ def _nonnegative_int(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` returns a
+    fresh Namespace on every call."""
     ap = argparse.ArgumentParser(prog="gmpi", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -288,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap the Lyubeznik complex at 2^N basis elements, the size "
                         "of the Taylor complex on N generators (default 14)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("gmpi", help="build an induced ideal and its resolution")
     p.add_argument("path")
@@ -299,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "basis elements, the size of the Taylor complex on N "
                         "generators (default 14)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_gmpi)
 
     p = sub.add_parser("family", help="emit a family ideal or instance document")
     p.add_argument("tag")
@@ -309,20 +316,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("verify", help="run the pinned acceptance suite")
     p.add_argument("--seed", type=int, default=None, help="run a single seed instead")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # looked up on each call, not stored in the cached parser, so that a
+    # replaced module attribute (a wrapper, a test double) is the one called
+    command = {"resolve": cmd_resolve, "gmpi": cmd_gmpi, "family": cmd_family,
+               "verify": cmd_verify}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except (InputError, SizeCapError, FamilyValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -8,9 +8,17 @@ stored, sparsely: ``entries`` is the only format of a scalar map, and
 element at a time (tensor products, lifts, the total complex, the strand
 scans, whose ranks take the live columns as sparse vectors).  Composition is
 then plain scalar matrix multiplication, and a map is minimal exactly when no
-stored entry sits between equal shifts.  ``compose`` scales each operand once
-by the lcm of its denominators and multiplies and sums in ints; only the
-nonzero sums become Fractions again.
+stored entry sits between equal shifts.
+
+A scalar is stored as an ``int`` wherever it is integral and as a
+``Fraction`` only where it has a denominator: the Taylor, Lyubeznik and
+tensor complexes and their chain maps are born integral (their scalars are
+signs), and a Fraction enters only through a lift solve
+(``lift_chain_map``) or a non-unit cancellation factor.  Every operation
+that makes a scalar turns an integral Fraction back into an int, so
+``compose``, diff o diff and cancellation run in ints on integral maps.
+``compose`` scales an operand with denominators once by their lcm and
+multiplies and sums in ints.
 
 The entry point for resolutions is the Lyubeznik complex, the subcomplex of
 the Taylor complex on the admissible generator subsets; Gaussian
@@ -45,6 +53,7 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import le
 
 import numpy as np
 
@@ -65,9 +74,14 @@ class ConstructionError(RuntimeError):
         self.witness = witness
 
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-SIGNS = (ONE, -ONE)   # SIGNS[j % 2] == (-1) ** j
+SIGNS = (1, -1)   # SIGNS[j % 2] == (-1) ** j
+
+
+def _integral(v):
+    """The scalar v (an int or a Fraction) as an int where it is integral."""
+    if type(v) is Fraction and v.denominator == 1:
+        return v.numerator
+    return v
 
 
 @dataclass
@@ -82,13 +96,14 @@ class MonomialMatrix:
     ctx: VariableContext
     row_shifts: list[tuple[int, ...]]
     col_shifts: list[tuple[int, ...]]
-    entries: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    entries: dict[tuple[int, int], int | Fraction] = field(default_factory=dict)
 
     def validate(self) -> None:
+        rs, cs = self.row_shifts, self.col_shifts
         for (r, c), v in self.entries.items():
             if not v:
                 raise ValueError(f"stored zero scalar at {(r, c)}")
-            if not divides(self.row_shifts[r], self.col_shifts[c]):
+            if not all(map(le, rs[r], cs[c])):
                 raise ValueError(
                     f"inhomogeneous entry at {(r, c)}: {self.col_shifts[c]} - {self.row_shifts[r]}")
 
@@ -100,41 +115,64 @@ class MonomialMatrix:
     def ncols(self) -> int:
         return len(self.col_shifts)
 
-    def columns(self) -> dict[int, dict[int, Fraction]]:
+    def columns(self) -> dict[int, dict[int, int | Fraction]]:
         """{col: {row: scalar}} for the nonzero columns, in entry order.
 
         Built afresh on each call: ``entries`` may be changed in place."""
-        out: dict[int, dict[int, Fraction]] = {}
-        for (r, c), v in self.entries.items():
-            col = out.get(c)
-            if col is None:
-                out[c] = {r: v}
-            else:
-                col[r] = v
-        return out
+        return _by_column(self.entries)
 
     def compose(self, other: "MonomialMatrix") -> "MonomialMatrix":
         """self o other (other feeds into self).
 
         Each operand is scaled once to integers (times the lcm of its
-        denominators), the products are summed as ints, and only the nonzero
-        sums become Fractions again, divided by the two scales.
+        denominators; an all-int operand is used as it is), the products are
+        summed as ints, and the nonzero sums are divided by the two scales:
+        they stay ints when both scales are 1, and otherwise become Fractions,
+        turned back into ints where the division is exact.
         """
         if self.col_shifts != other.row_shifts:
             raise ValueError("inner shifts disagree in composition")
         sa, left = linalg._cleared(self.entries)
         sb, right = linalg._cleared(other.entries)
-        by_col: dict[int, list[tuple[int, int]]] = {}
-        for (r, k), v in left.items():
-            by_col.setdefault(k, []).append((r, v))
+        by_col = _by_column(left)
         acc: dict[tuple[int, int], int] = {}
         for (k, c), w in right.items():
-            for r, v in by_col.get(k, ()):
-                key = (r, c)
-                acc[key] = acc.get(key, 0) + v * w
+            col = by_col.get(k)
+            if col:
+                for r, v in col.items():
+                    key = (r, c)
+                    acc[key] = acc.get(key, 0) + v * w
         scale = sa * sb
-        out = {k: Fraction(v, scale) for k, v in acc.items() if v}
+        if scale == 1:
+            out = {k: v for k, v in acc.items() if v}
+        else:
+            out = {k: _integral(Fraction(v, scale)) for k, v in acc.items() if v}
         return MonomialMatrix(self.ctx, self.row_shifts, other.col_shifts, out)
+
+    def first_nonzero_column(self, other: "MonomialMatrix") -> int | None:
+        """The column of the first entry of self.compose(other), or None when
+        that product is zero.
+
+        Both operands are grouped by column, and the product is formed one
+        column of ``other`` at a time, in the scalars as stored (no cleared
+        copy); no column of it is kept.  Only where a column is nonzero is
+        the composite built, once, for its first entry: compose lists an
+        entry when it first reaches it, and that may be in a column reached
+        earlier."""
+        if self.col_shifts != other.row_shifts:
+            raise ValueError("inner shifts disagree in composition")
+        by_col = _by_column(self.entries)
+        for col in _by_column(other.entries).values():
+            acc: dict[int, int | Fraction] = {}
+            get = acc.get
+            for k, w in col.items():
+                left = by_col.get(k)
+                if left:
+                    for r, v in left.items():
+                        acc[r] = get(r, 0) + v * w
+            if any(acc.values()):
+                return next(iter(self.compose(other).entries))[1]
+        return None
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -143,6 +181,20 @@ class MonomialMatrix:
         """The first stored entry between equal shifts, or None."""
         return next(((r, c) for (r, c) in self.entries
                      if self.row_shifts[r] == self.col_shifts[c]), None)
+
+
+def _by_column(entries: dict) -> dict[int, dict[int, int | Fraction]]:
+    """{col: {row: scalar}} for the entries {(row, col): scalar}, in entry
+    order (``MonomialMatrix.columns``, also of the cleared scalars that
+    ``compose`` multiplies)."""
+    out: dict[int, dict[int, int | Fraction]] = {}
+    for (r, c), v in entries.items():
+        col = out.get(c)
+        if col is None:
+            out[c] = {r: v}
+        else:
+            col[r] = v
+    return out
 
 
 def zero_matrix(ctx, row_shifts, col_shifts) -> MonomialMatrix:
@@ -186,12 +238,14 @@ class FreeComplex:
 
     def square_witness(self) -> tuple[int, tuple[int, ...]] | None:
         """(position i, multidegree) of the first nonzero entry of some
-        diff[i-1] o diff[i], or None if the differentials square to zero."""
+        diff[i-1] o diff[i], in the entry order of ``compose``, or None if
+        the differentials square to zero.  Each product is streamed by
+        column (``first_nonzero_column``); none is built where it is zero."""
         for i in range(2, len(self.shifts)):
-            comp = self.diffs[i - 1].compose(self.diffs[i])
-            if not comp.is_zero():
-                _, c = next(iter(comp.entries))
-                return i, comp.col_shifts[c]
+            right = self.diffs[i]
+            c = self.diffs[i - 1].first_nonzero_column(right)
+            if c is not None:
+                return i, right.col_shifts[c]
         return None
 
     def unit_witness(self) -> tuple[int, tuple[int, int]] | None:
@@ -301,7 +355,7 @@ def _subset_complex(I: MonomialIdeal, levels: list[list[tuple[int, ...]]]) -> Fr
     diffs: list[MonomialMatrix | None] = [None]
     for size in range(1, len(levels)):
         below = index[size - 1]
-        entries: dict[tuple[int, int], Fraction] = {}
+        entries: dict[tuple[int, int], int | Fraction] = {}
         for c, subset in enumerate(levels[size]):
             for j in range(size):
                 entries[(below[subset[:j] + subset[j + 1:]], c)] = SIGNS[j % 2]
@@ -319,7 +373,10 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
     elimination lemma: cancelling (r, c) in diff[i] drops basis element c of
     position i and r of position i-1, updates diff[i] by
     e(r',c') -= e(r',c) e(r,c') / e(r,c), drops row c of diff[i+1] and column
-    r of diff[i-1].  Scan order: lowest position first, then lexicographic
+    r of diff[i-1].  The factor e(r',c) / e(r,c) is an exact int division
+    where e(r,c) divides e(r',c) (always for a +-1 unit) and a Fraction
+    otherwise, and each updated entry is an int where it is integral.
+    Scan order: lowest position first, then lexicographic
     (row, col); the resulting Betti numbers are order-independent.  The unit
     entries of a position sit in a heap with lazy deletion: a pair is pushed
     when it becomes a unit and skipped when popped after it stopped being one,
@@ -327,11 +384,11 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
     """
     p = C.length
     alive = [set(range(len(C.shifts[i]))) for i in range(p + 1)]
-    final_rows: list[dict[int, dict[int, Fraction]] | None] = [None] * (p + 1)
+    final_rows: list[dict[int, dict[int, int | Fraction]] | None] = [None] * (p + 1)
 
     for i in range(1, p + 1):
-        rows: dict[int, dict[int, Fraction]] = {}
-        cols: dict[int, dict[int, Fraction]] = {}
+        rows: dict[int, dict[int, int | Fraction]] = {}
+        cols: dict[int, dict[int, int | Fraction]] = {}
         units: set[tuple[int, int]] = set()
         rsh, csh = C.shifts[i - 1], C.shifts[i]
         for (r, c), v in C.diffs[i].entries.items():
@@ -357,9 +414,12 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
                 row = rows[r]
                 del row[c0]
                 units.discard((r, c0))
-                factor = vc / u
+                if type(vc) is int and type(u) is int and not vc % u:
+                    factor = vc // u
+                else:
+                    factor = _integral(Fraction(vc) / u)
                 for c, vr in pivot_row.items():
-                    v = row.get(c, ZERO) - factor * vr
+                    v = _integral(row.get(c, 0) - factor * vr)
                     if v:
                         row[c] = v
                         cols[c][r] = v
@@ -420,12 +480,12 @@ def _normalize_augmentation(C: FreeComplex) -> None:
         s = d1.entries.get((0, c))
         if s is not None and s != 1:
             scale[c] = s
-            d1.entries[(0, c)] = ONE
+            d1.entries[(0, c)] = 1
     if scale and C.length >= 2:
         d2 = C.diffs[2]
         for (r, c), v in list(d2.entries.items()):
             if r in scale:
-                d2.entries[(r, c)] = v * scale[r]
+                d2.entries[(r, c)] = _integral(v * scale[r])
 
 
 def quotient_resolution(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
@@ -506,7 +566,7 @@ def strand(C: FreeComplex, b: tuple[int, ...]) -> Strand:
     for i in range(1, C.length + 1):
         rows, cols = alive[i - 1], alive[i]
         d = C.diffs[i].entries
-        mats.append([[d.get((r, c), ZERO) for c in cols] for r in rows])
+        mats.append([[d.get((r, c), 0) for c in cols] for r in rows])
     return Strand(b, alive, mats)
 
 
@@ -670,7 +730,7 @@ def _live_classes(mask: np.ndarray) -> tuple[list[tuple[int, ...]], list[int]]:
     return list(index), ids
 
 
-def _map_mod_p(columns: dict[int, dict[int, Fraction]]):
+def _map_mod_p(columns: dict[int, dict[int, int | Fraction]]):
     """The columns reduced over F_P (``linalg.mod_p``), or None if P divides
     a denominator of the map."""
     out = {}
@@ -833,7 +893,7 @@ class ChainMap:
                 lhs = zero_matrix(self.source.ctx, rhs.row_shifts, rhs.col_shifts)
             diff = {k: v for k, v in lhs.entries.items()}
             for k, v in rhs.entries.items():
-                diff[k] = diff.get(k, ZERO) - v
+                diff[k] = diff.get(k, 0) - v
             if any(v != 0 for v in diff.values()):
                 raise ValueError(f"chain map does not commute at position {i}")
 
@@ -874,7 +934,7 @@ def identity_chain_map(C: FreeComplex) -> ChainMap:
     mats = []
     for level in C.shifts:
         mats.append(MonomialMatrix(
-            C.ctx, list(level), list(level), {(j, j): ONE for j in range(len(level))}))
+            C.ctx, list(level), list(level), {(j, j): 1 for j in range(len(level))}))
     return ChainMap(C, C, mats)
 
 
@@ -893,7 +953,7 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
         k = next((i for i, h in enumerate(target.shifts[0]) if divides(h, g)), None)
         if k is None:
             raise ValueError(f"source generator {g} is not in the target ideal")
-        phi0.entries[(k, j)] = ONE
+        phi0.entries[(k, j)] = 1
     mats.append(phi0)
 
     for i in range(1, source.length + 1):
@@ -917,8 +977,8 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
                         "lift hits a zero target position with a nonzero image "
                         "(position, source basis index)", (i, j))
                 continue
-            a = [[target.diffs[i].entries.get((r, c), ZERO) for c in cols] for r in rows]
-            bvec = [vcol.get(r, ZERO) for r in rows]
+            a = [[target.diffs[i].entries.get((r, c), 0) for c in cols] for r in rows]
+            bvec = [vcol.get(r, 0) for r in rows]
             y = linalg.solve(a, bvec)
             if y is None:
                 raise ConstructionError(
@@ -926,7 +986,7 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
                     "(position, source basis index)", (i, j))
             for c, val in zip(cols, y):
                 if val != 0:
-                    phi.entries[(c, j)] = val
+                    phi.entries[(c, j)] = _integral(val)
         mats.append(phi)
 
     out = ChainMap(source, target, mats)
@@ -1018,7 +1078,7 @@ def tensor_resolutions(
     fac_cols = [[None] + [d.columns() for d in f.diffs[1:]] for f in factors]
     diffs: list[MonomialMatrix | None] = [None]
     for k in range(1, total_len + 1):
-        entries: dict[tuple[int, int], Fraction] = {}
+        entries: dict[tuple[int, int], int | Fraction] = {}
         for c, (profile, idxs) in enumerate(labels[k]):
             for l in range(n):
                 if profile[l] == 0:
@@ -1075,13 +1135,13 @@ def tensor_chain_map(
             if dead:
                 continue
             for combo in itertools.product(*cols):
-                val = ONE
+                val = 1
                 for _, v in combo:
                     val *= v
                 tgt_label = (profile, tuple(r for r, _ in combo))
                 rr = tgt.index[k][tgt_label]
-                m.entries[(rr, c)] = m.entries.get((rr, c), ZERO) + val
-        m.entries = {kk: v for kk, v in m.entries.items() if v != 0}
+                m.entries[(rr, c)] = m.entries.get((rr, c), 0) + val
+        m.entries = {kk: _integral(v) for kk, v in m.entries.items() if v != 0}
         mats.append(m)
     out = ChainMap(src.complex, tgt.complex, mats)
     return out

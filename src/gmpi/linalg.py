@@ -1,12 +1,19 @@
 """Exact linear algebra over the rationals, and its certificate over F_P
 (small matrices only).
 
+Scalars are exact: an ``int`` wherever a value is integral, a ``Fraction``
+only where it has a denominator (see ``complexes``).  A float or any other
+value is refused with a ValueError naming its key, by ``_cleared`` and
+``mod_p``, on their path for vectors that are not all ints, so the all-int
+path pays nothing for the check.
+
 ``rank`` reads a matrix as a list of sparse vectors {index: nonzero value}
-of Fractions (or ints), its rows or its columns alike, since both have the
+of ints and Fractions, its rows or its columns alike, since both have the
 same rank.  It clears each vector's denominators and eliminates fraction-free
 over sparse integer vectors: scaling a vector by a nonzero rational keeps the
 rank, so the result is exact over Q without Fraction arithmetic.  Its
-denominator clearing (``_cleared``) also feeds the integer kernel of
+denominator clearing (``_cleared``, which hands an all-int vector back
+without a copy) also feeds the integer kernel of
 ``complexes.MonomialMatrix.compose``.
 
 ``rank_mod_p`` is the fast rank of the strand-exactness scans: it eliminates
@@ -80,7 +87,7 @@ def rank(vectors) -> int:
 
 def _integer_row(vector: dict) -> dict[int, int]:
     """``vector`` times the lcm of its denominators, divided by its content
-    (a new dict)."""
+    (``vector`` itself when it is a primitive int vector; never modified)."""
     if not vector:
         return {}
     return _primitive(_cleared(vector)[1])
@@ -88,11 +95,26 @@ def _integer_row(vector: dict) -> dict[int, int]:
 
 def _cleared(entries: dict) -> tuple[int, dict]:
     """(m, entries times m) with m the lcm of the denominators of the
-    rational values, so that every value becomes an int."""
+    rational values, so that every value becomes an int.  An all-int
+    ``entries`` is returned as it is, with m = 1: its readers never modify
+    it.  ValueError naming the key of a value that is neither an int nor a
+    Fraction."""
+    if all(type(v) is int for v in entries.values()):
+        return 1, entries
+    _check_exact(entries)
     m = lcm(*(v.denominator for v in entries.values()))
     if m == 1:
         return 1, {k: v.numerator for k, v in entries.items()}
     return m, {k: v.numerator * (m // v.denominator) for k, v in entries.items()}
+
+
+def _check_exact(entries: dict) -> None:
+    """ValueError at the first value that is neither an int nor a Fraction
+    (a float, say), which exact arithmetic cannot take."""
+    key = next((k for k, v in entries.items() if not isinstance(v, (int, Fraction))), None)
+    if key is not None:
+        raise ValueError(f"inexact scalar {entries[key]!r} at {key}: "
+                         "scalars must be ints or Fractions")
 
 
 def _eliminate(vec: dict[int, int], piv: dict[int, int], lead: int) -> dict[int, int]:
@@ -125,7 +147,11 @@ P = 1073741789   # the largest prime below 2^30
 def mod_p(vector: dict) -> dict[int, int] | None:
     """The sparse vector {index: value} of Fractions or ints over F_P:
     {index: residue in 1..P-1}, the entries divisible by P left out; None if
-    P divides a denominator, where reduction is undefined."""
+    P divides a denominator, where reduction is undefined.  ValueError
+    naming the index of a value that is neither an int nor a Fraction."""
+    if all(type(v) is int for v in vector.values()):
+        return {k: r for k, v in vector.items() if (r := v % P)}
+    _check_exact(vector)
     out = {}
     for k, v in vector.items():
         d = v.denominator

@@ -247,7 +247,13 @@ def check_product_intersection(star: StarComplex) -> CheckResult:
 
 
 def check_sigma_minimality(D: DoubleComplex) -> CheckResult:
-    return _witness_check("sigma-minimality", D.instance.label, D.sigma_unit_witness())
+    """No unit entry in a sigma map.  The paper promises minimal sigma maps
+    only under the linearity hypothesis; outside it the line reports
+    HYPOTHESIS-UNMET, with any witness kept in its details."""
+    witness = D.sigma_unit_witness()
+    details = {} if witness is None else {"witness": witness}
+    return _theorem_result("sigma-minimality", D.instance.label, D.hypothesis_linear,
+                           witness is None, True, details)
 
 
 def check_sigma_squared(D: DoubleComplex) -> CheckResult:

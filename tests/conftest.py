@@ -1,6 +1,7 @@
 """Shared fixtures: the pinned suite (built once) and corruption helpers."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
@@ -38,6 +39,12 @@ def small_ideals(draw):
     gens = draw(st.lists(vec, min_size=1, max_size=6))
     ctx = simple_context(nvars, tuple("xyzw"[:nvars]))
     return ideal(ctx, gens)
+
+
+def normal_scalar(v) -> bool:
+    """The stored-scalar invariant: an int, or a Fraction that is not
+    integral."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
 def with_resolution_copy(inst: GmpiInstance) -> GmpiInstance:

@@ -48,6 +48,7 @@ from conftest import (
     corrupt_star_ideal,
     corrupt_star_scalars,
     non_nested_instance,
+    normal_scalar,
     with_resolution_copy,
 )
 
@@ -437,19 +438,23 @@ def is_map(m, expected) -> bool:
 
 
 def test_total_complex_composes_each_pair_once(monkeypatch):
-    # the certificate composes the consecutive differentials of the total
+    # the certificate multiplies the consecutive differentials of the total
     # complex, of the resolution of S/I (the star scan's precondition) and of
     # each block resolution with its augmentation prepended (the block scans'
-    # precondition) once each
+    # precondition) once each, streamed by column, and composes none
     D = build_double_complex(expansion_instance())
     calls = []
-    compose = MonomialMatrix.compose
+    streamed = MonomialMatrix.first_nonzero_column
 
     def counted(self, other):
         calls.append((self, other))
-        return compose(self, other)
+        return streamed(self, other)
 
-    monkeypatch.setattr(MonomialMatrix, "compose", counted)
+    def composed(self, other):
+        raise AssertionError("the certificate builds a composite")
+
+    monkeypatch.setattr(MonomialMatrix, "first_nonzero_column", counted)
+    monkeypatch.setattr(MonomialMatrix, "compose", composed)
     tot = total_complex(D)
     assert tot.exactness_verified and tot.complex.length == 4
     blocks = [res for (l, d), res in D.blocks.items() if d >= 1]
@@ -688,3 +693,44 @@ def test_total_complex_raises_a_unit_witness(monkeypatch):
         total_complex(D)
     assert err.value.witness == (1, (0, 0))
 
+
+
+# -- stored scalars
+
+def cycle5_instance():
+    """The edge ideal of the 5-cycle with the maximal ideal of a two-variable
+    block substituted for every vertex."""
+    from gmpi.cli import parse_instance_document
+    names = "abcde"
+    return parse_instance_document({
+        "blocks": [{"name": b, "size": 2} for b in names],
+        "inducing_ideal": [[1 if v in (i, (i + 1) % 5) else 0 for v in range(5)]
+                           for i in range(5)],
+        "substitutions": {f"{b}:1": {"family": "power-of-maximal", "degree": 1} for b in names},
+        "label": "cycle5",
+    })
+
+
+def stored_scalars(D, tot):
+    """Every scalar of the block resolutions, the sigma maps and the total
+    complex, with those of the resolution of S/I."""
+    maps = [d for res in D.blocks.values() for d in res.diffs[1:]]
+    maps += [m for sig in D.sigmas[1:] for m in sig.mats]
+    maps += tot.complex.diffs[1:] + D.instance.resolution.diffs[1:]
+    return [v for m in maps for v in m.entries.values()]
+
+
+@pytest.mark.parametrize("make", [
+    expansion_instance, cycle5_instance,
+    lambda: mixed_product_instance((4, 4), (3, 1), (1, 3)),
+    lambda: mixed_product_instance((4, 4), (2, 1), (1, 2)),
+], ids=["demo", "cycle5", "mixed44_31", "mixed44_21"])
+def test_scalars_are_ints_wherever_integral(make):
+    D = build_double_complex(make())
+    scalars = stored_scalars(D, total_complex(D))
+    assert scalars and all(normal_scalar(v) for v in scalars)
+
+
+def test_scalars_are_ints_wherever_integral_on_the_suite(suite):
+    for item in suite:
+        assert all(normal_scalar(v) for v in stored_scalars(item.double, item.total)), item.seed

@@ -1,6 +1,13 @@
+import contextlib
+import io
+import itertools
 import json
+import operator
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmpi.cli import (
     InputError,
@@ -265,3 +272,103 @@ def test_family_random_without_a_feasible_attempt_exits_two(capsys, monkeypatch)
     assert main(["family", "random", "--seed", "1"]) == 2
     err = capsys.readouterr().err
     assert err == "error: no feasible instance found for seed 1\n"
+
+
+# -- outside the linearity hypothesis
+
+def nonlinear_doc():
+    # a:2 = (a1^2, a2^2) has no linear resolution, so the paper promises no
+    # minimal sigma maps here; the construction still resolves T/L
+    return {
+        "blocks": [{"name": "u", "size": 1}, {"name": "a", "size": 2}],
+        "inducing_ideal": [[1, 3], [2, 2]],
+        "substitutions": {"u:1": [[1]], "u:2": [[2]],
+                          "a:2": [[2, 0], [0, 2]], "a:3": [[2, 1], [1, 2]]},
+        "label": "nonlinear",
+    }
+
+
+def test_gmpi_check_outside_the_hypothesis_exits_zero(tmp_path, capsys):
+    assert main(["gmpi", write(tmp_path, "n.json", nonlinear_doc()), "--check", "--json"]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    minimality = checks["sigma-minimality"]
+    assert minimality["status"] == "HYPOTHESIS-UNMET"
+    assert minimality["details"]["witness"] == [2, 1, 0, 0]
+    assert checks["betti-equivalence"]["status"] == "PASS"
+    assert checks["total-exactness"]["status"] == "PASS"
+
+
+@st.composite
+def nonlinear_nested_documents(draw):
+    """Instance documents whose substitution ideals are random sets of
+    monomials of their degree, nested along each ladder by construction:
+    each rung up is drawn from the monomials of its degree in the ideal
+    below.  The lowest rung of a two-variable block is often a complete
+    intersection, so many of them have no linear resolution."""
+    # a one-variable block has principal, hence linear, substitutions; one
+    # block alone gives a principal inducing ideal, so there are two
+    sizes = [2, draw(st.integers(1, 2))]
+    # a rung of degree 1 in two variables is linear, so the ladders of those
+    # blocks start at degree 2
+    exps = st.tuples(*[st.sampled_from((0, 2, 3) if m == 2 else (0, 1, 2, 3))
+                       for m in sizes]).filter(any)
+    inducing = draw(st.lists(exps, min_size=2, max_size=3, unique=True))
+    blocks, subs = [], {}
+    for l, m in enumerate(sizes):
+        name = "uv"[l]
+        blocks.append({"name": name, "size": m})
+        below = None
+        for d in sorted({g[l] for g in inducing if g[l] >= 1}):
+            degree_d = [g for g in itertools.product(range(d + 1), repeat=m) if sum(g) == d]
+            if below is None and m == 2 and draw(st.booleans()):
+                gens = {(d, 0), (0, d)}
+            elif below is None:
+                gens = set(draw(st.lists(st.sampled_from(degree_d), min_size=1, max_size=3)))
+            else:
+                inside = [g for g in degree_d if any(all(map(operator.le, h, g)) for h in below)]
+                gens = set(draw(st.lists(st.sampled_from(inside), min_size=1, max_size=4)))
+            subs[f"{name}:{d}"] = [list(g) for g in sorted(gens)]
+            below = gens
+    return {"blocks": blocks, "inducing_ideal": [list(g) for g in inducing],
+            "substitutions": subs, "label": "nonlinear"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonlinear_nested_documents())
+def test_gmpi_check_exits_zero_wherever_the_oracles_agree(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(["gmpi", path, "--check", "--json"])
+    checks = {c["name"]: c["status"] for c in json.loads(out.getvalue())["checks"]}
+    if checks["betti-equivalence"] == "PASS":
+        assert rc == 0, checks
+
+
+# -- the front end
+
+def test_json_goes_through_one_emitter(tmp_path, capsys, monkeypatch):
+    from gmpi import cli
+    emitted = []
+    monkeypatch.setattr(cli, "emit_json", lambda obj, out: emitted.append(obj))
+    doc = write(tmp_path, "e.json", expansion_doc())
+    assert main(["gmpi", doc, "--json"]) == 0
+    assert main(["resolve", write(tmp_path, "k3.json", koszul3_doc()), "--json"]) == 0
+    assert main(["family", "path-ideal", "parts=2,2", "t=2"]) == 0
+    assert main(["verify", "--seed", "5", "--json"]) == 0
+    assert [type(x) for x in emitted] == [dict, dict, dict, list]
+    assert capsys.readouterr().out == ""
+
+
+def test_parser_is_built_once_and_parses_afresh(tmp_path, monkeypatch):
+    from gmpi import cli
+    assert cli.build_parser() is cli.build_parser()
+    first = cli.build_parser().parse_args(["gmpi", "a.json", "--check"])
+    second = cli.build_parser().parse_args(["gmpi", "b.json"])
+    assert first is not second and first.check and not second.check
+    # the command is looked up when it runs, so a replaced one is called
+    monkeypatch.setattr(cli, "cmd_resolve", lambda args: 7)
+    assert main(["resolve", write(tmp_path, "k3.json", koszul3_doc())]) == 7

@@ -39,7 +39,7 @@ from gmpi.complexes import (
 from gmpi.monomials import MonomialIdeal, VariableContext, divides, ideal, lcm, simple_context
 from gmpi.verify import koszul_betti
 
-from conftest import small_ideals
+from conftest import normal_scalar, small_ideals
 
 S1 = simple_context(1, ("x",))
 S2 = simple_context(2, ("x", "y"))
@@ -85,7 +85,7 @@ def test_taylor_shifts_are_subset_lcms():
             expect.append(acc)
         assert level == expect
     for d in C.diffs[1:]:
-        assert all(type(v) is Fraction and v in (1, -1) for v in d.entries.values())
+        assert all(type(v) is int and v in (1, -1) for v in d.entries.values())
 
 
 def test_taylor_cap():
@@ -313,7 +313,7 @@ def scale_column(C: FreeComplex, i: int, j: int, s) -> None:
     if i < C.length:
         up = C.diffs[i + 1].entries
         for key in [k for k in up if k[0] == j]:
-            up[key] /= s
+            up[key] = Fraction(up[key]) / s
 
 
 @st.composite
@@ -578,13 +578,25 @@ def flat(n):
     return [(0,)] * n
 
 
+def normal(v):
+    """A rational scalar as the program stores it: an int where integral."""
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def as_fractions(entries: dict) -> dict:
+    return {k: Fraction(v) for k, v in entries.items()}
+
+
 @st.composite
 def composable_pairs(draw):
     """a: m x k and b: k x n sparse scalar matrices with denominators up to 5,
-    either possibly empty; b may get an extra column whose products with a
-    row of a cancel."""
+    either possibly empty, their scalars stored as the program stores them
+    (ints where integral, so either operand may be all-int or mixed); b may
+    get an extra column whose products with a row of a cancel."""
     m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
-    scalar = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 5))
+    scalar = st.builds(lambda p, q: normal(Fraction(p, q)),
+                       st.integers(-4, 4).filter(bool), st.sampled_from([1, 1, 1, 2, 3, 4, 5]))
 
     def sparse(rows, cols):
         if not rows or not cols:
@@ -607,8 +619,11 @@ def composable_pairs(draw):
 def test_compose_matches_fraction_reference(pair):
     a, b = pair
     got = a.compose(b)
-    assert list(got.entries.items()) == list(reference_compose(a, b).items())
-    assert all(type(v) is Fraction for v in got.entries.values())
+    # the reference multiplies the same scalars as Fractions only
+    ref = reference_compose(MonomialMatrix(S1, a.row_shifts, a.col_shifts, as_fractions(a.entries)),
+                            MonomialMatrix(S1, b.row_shifts, b.col_shifts, as_fractions(b.entries)))
+    assert list(got.entries.items()) == list(ref.items())
+    assert all(normal_scalar(v) for v in got.entries.values())
     assert got.row_shifts == a.row_shifts and got.col_shifts == b.col_shifts
 
 
@@ -671,7 +686,7 @@ def reference_minimalize(C: FreeComplex) -> FreeComplex:
             row_entries = [(c, v) for c, v in rows[r0].items() if c != c0]
             for r, vc in col_entries:
                 for c, vr in row_entries:
-                    set_entry(r, c, rows.get(r, {}).get(c, Fraction(0)) - vc * vr / u)
+                    set_entry(r, c, rows.get(r, {}).get(c, Fraction(0)) - Fraction(vc * vr) / u)
             for c, _ in row_entries:
                 set_entry(r0, c, 0)
             for r, _ in col_entries:
@@ -703,13 +718,21 @@ def reference_minimalize(C: FreeComplex) -> FreeComplex:
 
 def rescaled(C: FreeComplex) -> FreeComplex:
     """C in the basis f_j e_j at positions >= 1, f_j cycling through a few
-    rationals, so that the differentials carry non-unit scalars."""
+    rationals, so that the differentials carry non-unit scalars, stored as
+    the program stores them: a mix of ints and Fractions."""
     f = [Fraction(2), Fraction(-1, 3), Fraction(3, 2), Fraction(1)]
     out = C.copy()
     for i in range(1, out.length + 1):
         out.diffs[i].entries = {
-            (r, c): v * f[c % 4] / (f[r % 4] if i >= 2 else 1)
+            (r, c): normal(v * f[c % 4] / (f[r % 4] if i >= 2 else 1))
             for (r, c), v in out.diffs[i].entries.items()}
+    return out
+
+
+def fraction_copy(C: FreeComplex) -> FreeComplex:
+    out = C.copy()
+    for d in out.diffs[1:]:
+        d.entries = as_fractions(d.entries)
     return out
 
 
@@ -747,7 +770,55 @@ def test_minimalized_taylor_table_equals_koszul_oracle(I):
     assert same_complex(M, reference_minimalize(T))
     S = rescaled(T)
     S.validate()
-    assert same_complex(minimalize_complex(S), reference_minimalize(S))
+    # mixed int and Fraction scalars, against the cancellation in Fractions
+    got = minimalize_complex(S)
+    assert same_complex(got, reference_minimalize(fraction_copy(S)))
+    assert all(normal_scalar(v) for d in got.diffs[1:] for v in d.entries.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(composable_pairs(), st.data())
+def test_first_nonzero_column_is_the_column_of_the_first_composite_entry(pair, data):
+    a, b = pair
+    # entries in any order, so that the columns of the product interleave
+    b.entries = dict(data.draw(st.permutations(list(b.entries.items()))))
+    comp = a.compose(b).entries
+    assert a.first_nonzero_column(b) == (next(iter(comp))[1] if comp else None)
+
+
+def test_first_nonzero_column_follows_the_entry_order_of_compose():
+    # column 0 of b is reached first, but its first product cancels and its
+    # nonzero entry is reached only after column 1's
+    a = MonomialMatrix(S1, flat(2), flat(3), {(0, 0): 1, (0, 1): 1, (1, 2): 1})
+    b = MonomialMatrix(S1, flat(3), flat(2), {(0, 0): 1, (2, 1): 1, (1, 0): -1, (2, 0): 1})
+    assert list(a.compose(b).entries) == [(1, 1), (1, 0)]
+    assert a.first_nonzero_column(b) == 1
+    b.entries = {(0, 0): 1, (1, 0): -1, (2, 0): 1, (2, 1): 1}
+    assert a.first_nonzero_column(b) == 0
+    assert MonomialMatrix(S1, flat(2), flat(3), {}).first_nonzero_column(b) is None
+    with pytest.raises(ValueError):
+        a.first_nonzero_column(a)
+
+
+def composite_square_witness(C: FreeComplex):
+    """square_witness read off the composites: the first entry of the first
+    nonzero diff[i-1] o diff[i]."""
+    for i in range(2, len(C.shifts)):
+        comp = C.diffs[i - 1].compose(C.diffs[i])
+        if not comp.is_zero():
+            return i, comp.col_shifts[next(iter(comp.entries))[1]]
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_lyubeznik(), st.data())
+def test_streamed_square_witness_equals_the_composite_one(case, data):
+    C, _ = case
+    # entries in any order, so that the columns of a product interleave
+    for d in C.diffs[1:]:
+        if data.draw(st.booleans()):
+            d.entries = dict(data.draw(st.permutations(list(d.entries.items()))))
+    assert C.square_witness() == composite_square_witness(C)
 
 
 # -- typed construction errors

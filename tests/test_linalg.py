@@ -3,9 +3,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from gmpi.complexes import MonomialMatrix
 from gmpi.linalg import P, mod_p, rank, rank_mod_p, row_echelon, solve
+from gmpi.monomials import simple_context
 
 F = Fraction
 
@@ -89,6 +92,24 @@ def test_mod_p_examples():
     # a denominator divisible by P has no reduction
     assert mod_p({0: 1, 1: F(1, P)}) is None
     assert mod_p({0: F(7, 3 * P)}) is None
+
+
+def test_an_inexact_scalar_is_a_value_error_naming_its_key():
+    for bad in (0.5, 1.0, "1"):
+        vector = {0: 1, 3: F(1, 2), 7: bad}
+        with pytest.raises(ValueError, match=r"inexact scalar .* at 7"):
+            mod_p(vector)
+        with pytest.raises(ValueError, match=r"inexact scalar .* at 7"):
+            rank([vector])
+    # compose names the (row, column) of the entry
+    S1 = simple_context(1, ("x",))
+    a = MonomialMatrix(S1, [(0,)], [(0,), (0,)], {(0, 0): 1, (0, 1): 0.5})
+    b = MonomialMatrix(S1, [(0,), (0,)], [(0,)], {(0, 0): 1})
+    with pytest.raises(ValueError, match=r"inexact scalar 0\.5 at \(0, 1\)"):
+        a.compose(b)
+    # all-int and mixed int/Fraction vectors pass
+    assert mod_p({0: 1, 1: F(1, 2)}) == {0: 1, 1: pow(2, -1, P)}
+    assert rank([{0: 1, 1: F(1, 2)}, {0: 2, 1: 1}]) == 1
 
 
 def test_rank_mod_p_examples():

@@ -423,17 +423,17 @@ def test_total_exactness_composes_and_reads_each_differential_once(monkeypatch):
     inst = with_resolution_copy(random_instance(30))
     tot = total_complex(build_double_complex(inst))
     composed, read = [], []
-    compose, columns = MonomialMatrix.compose, MonomialMatrix.columns
+    streamed, columns = MonomialMatrix.first_nonzero_column, MonomialMatrix.columns
 
-    def counted_compose(self, other):
+    def counted_product(self, other):
         composed.append((self, other))
-        return compose(self, other)
+        return streamed(self, other)
 
     def counted_columns(self):
         read.append(self)
         return columns(self)
 
-    monkeypatch.setattr(MonomialMatrix, "compose", counted_compose)
+    monkeypatch.setattr(MonomialMatrix, "first_nonzero_column", counted_product)
     monkeypatch.setattr(MonomialMatrix, "columns", counted_columns)
     assert check_total_exactness(inst, tot).status == "PASS"
     # diff o diff of the resolution of S/I, then of the total complex, which
