@@ -6,8 +6,6 @@ ideal generated in degree d inside block l's variables (nested along degrees),
 this module constructs:
 
   * the induced ideal L = sum of products of substitution ideals,
-  * the complex of ideal direct sums carried by the scalar matrices of the
-    minimal resolution of S/I (the "star complex"), whose H_0 is T/L,
   * the grid of tensor-product resolutions of those ideals joined by
     comparison maps, and its total complex, which is the minimal multigraded
     free resolution of T/L whenever every substitution ideal has a linear
@@ -15,6 +13,13 @@ this module constructs:
 
 together with the regularity / projective-dimension / linearity invariants
 read off that resolution.
+
+The complex of ideal direct sums carried by the scalar matrices of the
+minimal resolution F of S/I (the "star complex", whose H_0 is T/L) is the
+first page of the double complex.  The construction never builds it:
+total_complex certifies its exactness from F on S's degree grid.  The
+checks of verify build it (``build_star_complex``) and scan it on T's grid
+(``star_acyclicity``), independently of the construction.
 """
 
 from __future__ import annotations
@@ -229,7 +234,8 @@ def induced_ideal(inducing: MonomialIdeal,
 
 
 # ---------------------------------------------------------------------------
-# the star complex
+# the star complex, for the checks of verify (total_complex certifies its
+# exactness from the resolution of S/I without building it)
 
 @dataclass
 class StarComplex:
@@ -241,9 +247,6 @@ class StarComplex:
     @property
     def length(self) -> int:
         return len(self.ideals)
-
-    def at(self, i: int, j: int) -> MonomialIdeal:
-        return self.ideals[i - 1][j]
 
 
 def build_star_complex(inst: GmpiInstance) -> StarComplex:
@@ -385,7 +388,6 @@ class DoubleComplex:
     """Columns of tensor-product resolutions joined by the sigma chain maps."""
 
     instance: GmpiInstance
-    star: StarComplex
     blocks: dict[tuple[int, int], FreeComplex]
     linear_flags: dict[tuple[int, int], bool]
     columns: list[FreeComplex]                      # column 0 is the ring
@@ -421,13 +423,24 @@ class DoubleComplex:
 
     def column_star_witness(self):
         """(c, j) where summand j of column c, a tensor product of block
-        resolutions, is not generated in position 0 by the generators of the
-        star ideal at (c, j), or None.  Its position 0 lists products of
-        block generators, the generators of the block product, so this is
-        the product formula on the built columns."""
+        resolutions, is not generated in position 0 by the block product at
+        the block degrees of its shift, or None.  Column 1 is compared with
+        L_j, the product at the j-th generator of the inducing ideal
+        (``inst.products``), so a resolution of S/I whose position 1 is out
+        of generator order fails here; deeper columns with the ideal
+        product, computed once per degree tuple."""
+        inst = self.instance
+        products: dict[tuple[int, ...], MonomialIdeal] = {}
         for c in range(1, len(self.columns)):
             for j, tres in enumerate(self.summands[c]):
-                if set(tres.complex.shifts[0]) != set(self.star.at(c, j).gens):
+                if c == 1:
+                    want = inst.products[j]
+                else:
+                    degs = inst.resolution.shifts[c][j]
+                    if degs not in products:
+                        products[degs] = block_product(inst.family, degs)
+                    want = products[degs]
+                if set(tres.complex.shifts[0]) != set(want.gens):
                     return c, j
         return None
 
@@ -464,13 +477,11 @@ def _summand_of(offsets: list[list[int]], i: int, idx: int) -> int:
 
 
 def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
-    star = build_star_complex(inst)
     blocks = block_resolutions(inst)
     flags = block_linearity(inst, blocks)
     rhos = rho_maps(inst, blocks)
     taus = TauCache(inst, blocks, rhos)
     n = inst.nblocks
-    embeddings = [list(inst.T.block_span(l)) for l in range(n)]
     p = inst.resolution.length
 
     zero_shift = (0,) * inst.T.nvars
@@ -485,7 +496,7 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
             degs = tuple(inst.shift_block_degree(c, j, l) for l in range(n))
             if degs not in tensor_cache:
                 tensor_cache[degs] = tensor_resolutions(
-                    [blocks[(l, degs[l])] for l in range(n)], inst.T, embeddings)
+                    [blocks[(l, degs[l])] for l in range(n)], inst.T)
             col_parts.append(tensor_cache[degs])
         summed, offs = direct_sum([t.complex for t in col_parts])
         columns.append(summed)
@@ -530,7 +541,7 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
 
     # total_complex certifies the sigma maps along with the rest
     return DoubleComplex(
-        instance=inst, star=star, blocks=blocks, linear_flags=flags,
+        instance=inst, blocks=blocks, linear_flags=flags,
         columns=columns, summands=summands, offsets=offsets, sigmas=sigmas)
 
 
@@ -539,8 +550,9 @@ class TotalComplex:
     """Total complex of the double complex, with its basis bookkeeping.
 
     ``exactness_verified`` says that the certificate of total_complex ran in
-    full; it is False only where the star or a block degree grid exceeds
-    its scan cap, and ``gmpi gmpi`` then reports the table as uncertified."""
+    full; it is False only where the degree grid of S (the star step) or of
+    a block exceeds its scan cap, and ``gmpi gmpi`` then reports the table
+    as uncertified."""
 
     complex: FreeComplex
     exactness_verified: bool = False
@@ -560,24 +572,41 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
     total complex resolves its H_0 = T/L (the acyclic assembly lemma, Weibel
     1994, Lemma 2.7.3).  Each column is a tensor product of block
     resolutions on disjoint variables, so it is exact when they are
-    (Kuenneth); it is built from ``D.blocks`` and not checked again.  Each
-    step below raises ConstructionError with its witness, in this order:
+    (Kuenneth); it is built from ``D.blocks`` and not checked again.
+
+    The star complex is exact because the resolution F of S/I is.  Its
+    summand at a shift a of F is the block product J_a of the substitution
+    ideals J_(l, a_l); each a_l is a ladder degree (validate_family raises
+    otherwise), and the ideals are nested along each ladder (rho_maps
+    raises otherwise).  So x^b lies in J_a iff a <= delta(b) blockwise, where
+    delta(b)_l is the largest ladder degree d with the block-l part of x^b
+    in J_(l, d) (degree 0 is the unit ideal), and x^b lies in L iff
+    x^delta(b) lies in I.  The strand of the star complex at b is thus F's
+    strand at delta(b), live summands and scalar maps alike, and the star
+    complex is exact on T's degree grid iff F resolves S/I on S's, which
+    has one variable per block.
+
+    Each step below raises ConstructionError with its witness, in this
+    order:
 
     * under the linearity hypothesis, no unit entry; a unit entry of a
       sigma map is one of the total differential;
     * diff o diff = 0; its components are the columns' diff o diff, the
       chain-map condition of each sigma and sigma o sigma;
-    * each column summand is generated in position 0 by its star ideal
+    * each column summand is generated in position 0 by its block product
       (``column_star_witness``), so that the star complex is the first page;
-    * the star complex is exact (``star_acyclicity``);
+    * the star complex is exact: F resolves S/I on S's degree grid
+      (``exactness_check``; where F's maps do not square to zero the
+      witness is F's (position, multidegree));
     * sigma induces the scalar matrices (``sigma_star_witness``);
     * each block resolution of positive degree resolves its substitution
       ideal (``block_witness``: a strand scan over the block's own
       variables, with the augmentation onto the ring prepended).
 
-    A star or block grid above its scan cap skips that scan, recorded as
-    ``exactness_verified=False``.  The scan of the total complex itself is
-    the ``total-exactness`` check of verify.check_engine_self.
+    A grid of S or of a block above its scan cap skips that scan, recorded
+    as ``exactness_verified=False``.  The scan of the total complex itself
+    is the ``total-exactness`` check of verify.check_engine_self, and the
+    scan of the star complex on T's grid its ``star-acyclicity`` check.
     """
     inst = D.instance
     p = len(D.columns) - 1
@@ -631,12 +660,15 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
             "a column summand is not generated by its star ideal (column, summand)", witness)
     verified = True
     try:
-        witness = star_acyclicity(D.star)
+        witness = exactness_check(inst.resolution, inst.inducing)
     except SizeCapError:
         verified = False
     else:
         if witness is not None:
-            raise ConstructionError("the star complex is not exact", witness)
+            # exactness_check reports a multidegree alone; where F does not
+            # square to zero, name its position too
+            raise ConstructionError("the star complex is not exact",
+                                    inst.resolution.square_witness() or witness)
     witness = D.sigma_star_witness()
     if witness is not None:
         raise ConstructionError(

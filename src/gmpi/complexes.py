@@ -1036,44 +1036,38 @@ class TensorResolution:
     index: list[dict[tuple[tuple[int, ...], tuple[int, ...]], int]]
 
 
-def tensor_resolutions(
-    factors: list[FreeComplex],
-    ctx: VariableContext,
-    embeddings: list[list[int]],
-) -> TensorResolution:
+def tensor_resolutions(factors: list[FreeComplex], ctx: VariableContext) -> TensorResolution:
     """Tensor over the ground field of block resolutions, in the big context.
 
-    ``embeddings[l]`` lists the flat variable positions of factor l inside
-    ``ctx``; factor shifts are transplanted there (blocks must be disjoint).
-    Only shapes and homogeneity are checked: the product squares to zero
-    when its factors do (Koszul signs), and a total complex built on it
-    checks its own diff o diff, which contains this one.
+    Factor l lives on block l of ``ctx``, in its local variables.  Blocks are
+    contiguous and in order (``VariableContext.block_span``), so the shift
+    of a basis element is the concatenation of its factors' shifts.  Only
+    shapes and homogeneity are checked: the product squares to zero when
+    its factors do (Koszul signs), and a total complex built on it checks
+    its own diff o diff, which contains this one.
     """
+    sizes = tuple(f.ctx.nvars for f in factors)
+    if sizes != ctx.sizes:
+        raise ConstructionError(
+            "tensor factors do not match the blocks (factor sizes, block sizes)",
+            (sizes, ctx.sizes))
     n = len(factors)
-    nvars = ctx.nvars
-
-    def add_shifts(parts):
-        out = [0] * nvars
-        for l, s in enumerate(parts):
-            for pos, e in zip(embeddings[l], s):
-                out[pos] += e
-        return tuple(out)
-
     total_len = sum(f.length for f in factors)
     labels: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
     index: list[dict] = []
     shifts: list[list[tuple[int, ...]]] = []
     for k in range(total_len + 1):
-        lv = []
+        lv, sh = [], []
         for profile in _profiles(k, [f.length for f in factors]):
-            ranges = [range(len(factors[l].shifts[profile[l]])) for l in range(n)]
-            for idxs in itertools.product(*ranges):
-                lv.append((profile, idxs))
+            levels = [factors[l].shifts[profile[l]] for l in range(n)]
+            # both products run over the factors' bases in the same order
+            lv.extend((profile, idxs)
+                      for idxs in itertools.product(*[range(len(s)) for s in levels]))
+            sh.extend(tuple(itertools.chain.from_iterable(parts))
+                      for parts in itertools.product(*levels))
         labels.append(lv)
         index.append({lab: i for i, lab in enumerate(lv)})
-        shifts.append([
-            add_shifts([factors[l].shifts[profile[l]][idxs[l]] for l in range(n)])
-            for profile, idxs in lv])
+        shifts.append(sh)
 
     fac_cols = [[None] + [d.columns() for d in f.diffs[1:]] for f in factors]
     diffs: list[MonomialMatrix | None] = [None]

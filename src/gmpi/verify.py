@@ -26,6 +26,7 @@ from .builder import (
     StarComplex,
     TotalComplex,
     build_double_complex,
+    build_star_complex,
     linearity_report,
     minimal_total_table,
     product_formula_witness,
@@ -403,13 +404,15 @@ def run_instance_checks(D: DoubleComplex, tot: TotalComplex, table: BettiTable,
     """Every check on one built instance: its double complex D, the total
     complex of D and the minimal total Betti table (minimal_total_table(tot)).
     The oracle of L is computed once; a Lyubeznik table (within the Taylor cap
-    ``oracle_cap``) is also the base of the permutation check."""
+    ``oracle_cap``) is also the base of the permutation check.  The star
+    complex, which the construction does not build, is built here for the
+    star checks, which scan it on T's degree grid."""
     inst = D.instance
     try:
         oracle, which = betti_for_ideal(inst.induced, cap=oracle_cap)
     except SizeCapError as e:
         oracle, which = None, str(e)
-    results = structure_checks(inst, D.star, D)
+    results = structure_checks(inst, build_star_complex(inst), D)
     results.append(check_theorem_regularity(inst, D, table, oracle))
     results.append(check_betti_equivalence(inst, table, oracle, which))
     results.append(check_pd_formula(inst, D, table, oracle))

@@ -98,7 +98,7 @@ def non_nested_instance() -> GmpiInstance:
 
 
 # -- corruptions of a built double complex, each in place; total_complex must
-# raise ConstructionError on the result
+# raise ConstructionError on the result (corrupt_star_ideal aside)
 
 def corrupt_sigma(D):
     """Double the first entry of the first nonzero sigma component above
@@ -153,12 +153,14 @@ def corrupt_block_column(D):
     return D
 
 
-def corrupt_star_ideal(D):
-    """Replace the first star ideal of position 1 by the second one, so that
-    column 1 no longer resolves its star ideal."""
-    first = D.star.ideals[0]
-    D.star.ideals[0] = [first[1]] + first[1:]
-    return D
+def corrupt_star_ideal(star):
+    """Replace the first star ideal of position 1 by the second one, in
+    place.  The construction never builds the star complex, so this
+    corrupts only what the checks of verify scan: product-equals-intersection
+    and star-acyclicity must fail on the result."""
+    first = star.ideals[0]
+    star.ideals[0] = [first[1]] + first[1:]
+    return star
 
 
 def corrupt_star_scalars(D):

@@ -2,6 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gmpi.builder import (
     ConstructionError,
@@ -26,6 +27,7 @@ from gmpi.complexes import (
     FreeComplex,
     MonomialMatrix,
     betti_table,
+    exactness_check,
     minimalize_complex,
     taylor_complex,
 )
@@ -202,6 +204,52 @@ def test_star_acyclicity_needs_a_resolution_that_squares_to_zero():
 def test_star_acyclicity_fails_without_nesting():
     star = build_star_complex(non_nested_instance())
     assert star_acyclicity(star) == (2, 0, 2, 0)  # a1^2 c1^2
+
+
+def s_grid_exact(inst) -> bool:
+    """The certificate's verdict: the resolution of S/I on S's grid."""
+    return exactness_check(inst.resolution, inst.inducing) is None
+
+
+def t_grid_exact(inst) -> bool:
+    """The check's verdict: the star complex on T's grid.  A zero column of
+    the scalar matrices, which no minimal resolution has, builds no star
+    complex."""
+    try:
+        star = build_star_complex(inst)
+    except ConstructionError:
+        return False
+    return star_acyclicity(star) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(56, 1000).filter(lambda seed: seed not in SUITE_SEEDS), st.data())
+def test_star_exactness_on_the_grid_of_s_matches_the_grid_of_t(seed, data):
+    inst = random_instance(seed)
+    assert s_grid_exact(inst) and t_grid_exact(inst)
+    # one scalar of the resolution of S/I changed, in a copy
+    probe = with_resolution_copy(inst)
+    res = probe.resolution
+    entries = res.diffs[data.draw(st.integers(1, res.length))].entries
+    key = data.draw(st.sampled_from(sorted(entries)))
+    factor = data.draw(st.sampled_from([0, -1, 2, 3]))
+    if factor:
+        entries[key] *= factor
+    else:
+        del entries[key]
+    assert s_grid_exact(probe) == t_grid_exact(probe)
+
+
+def test_star_exactness_on_the_grid_of_s_needs_nesting():
+    # the two grids agree through delta(b), which needs nested ladders: on a
+    # non-nested family the resolution of S/I is still exact but the star
+    # complex is not, and build_double_complex refuses the instance before
+    # total_complex could certify it
+    inst = non_nested_instance()
+    assert s_grid_exact(inst) and not t_grid_exact(inst)
+    with pytest.raises(ConstructionError) as err:
+        build_double_complex(inst)
+    assert "not nested" in str(err.value)
 
 
 # -- block resolutions and comparison maps
@@ -412,16 +460,27 @@ def test_unused_block_gets_trivial_ladder():
 
 
 def test_total_complex_raises_the_scan_witness(monkeypatch):
-    # the certificate's scans: the star complex, then each block resolution
+    # the certificate's scans: the star complex, as the resolution of S/I on
+    # S's degree grid, then each block resolution
     import gmpi.builder as builder
     D = build_double_complex(expansion_instance())
-    w = (1, 0, 2, 1)
+    inst = D.instance
+    scanned = []
+    w = (2, 1)
+
+    def star_fails(C, I):
+        scanned.append((C, I))
+        return w
+
     with monkeypatch.context() as m:
-        m.setattr(builder, "star_acyclicity", lambda star: w)
+        m.setattr(builder, "exactness_check", star_fails)
         with pytest.raises(ConstructionError) as err:
             total_complex(D)
     assert err.value.witness == w and "star complex" in str(err.value)
-    monkeypatch.setattr(builder, "exactness_check", lambda *args, **kwargs: (1, 1))
+    assert len(scanned) == 1
+    assert scanned[0][0] is inst.resolution and scanned[0][1] is inst.inducing
+    monkeypatch.setattr(builder, "exactness_check",
+                        lambda C, I: None if C is inst.resolution else (1, 1))
     with pytest.raises(ConstructionError) as err:
         total_complex(D)
     l, d = next(key for key in D.blocks if key[1] >= 1)
@@ -514,15 +573,28 @@ def test_total_complex_rejects_a_nonzero_square(monkeypatch, scan):
     (corrupt_column, "square to zero", 4),
     (corrupt_block_scalar, "block resolution", 3),
     (corrupt_block_column, "block resolution", 3),
-    (corrupt_star_ideal, "column summand", 2),
     (corrupt_star_scalars, "star complex", 2),
-], ids=["sigma", "sigma-square", "column", "block-scalar", "block-column", "star-ideal",
-        "star-scalars"])
+], ids=["sigma", "sigma-square", "column", "block-scalar", "block-column", "star-scalars"])
 def test_total_complex_certificate_catches_a_corruption(corrupt, message, witness_length):
     D = corrupt(build_double_complex(expansion_instance()))
     with pytest.raises(ConstructionError) as err:
         total_complex(D)
     assert message in str(err.value) and len(err.value.witness) == witness_length
+
+
+def test_star_checks_catch_a_corrupted_star_ideal():
+    # the construction never builds the star complex, so a corrupted star
+    # ideal leaves the certificate intact; the checks that build and scan the
+    # star complex on T's grid must fail
+    from gmpi.verify import structure_checks
+    inst = expansion_instance()
+    D = build_double_complex(inst)
+    assert total_complex(D).exactness_verified
+    star = corrupt_star_ideal(build_star_complex(inst))
+    status = {r.name: r.status for r in structure_checks(inst, star, D)}
+    assert status["product-equals-intersection"] == status["star-acyclicity"] == "FAIL"
+    assert [name for name, st in status.items() if st != "PASS"] == [
+        "product-equals-intersection", "star-acyclicity"]
 
 
 def test_block_witness_locates_the_failure():

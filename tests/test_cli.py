@@ -235,7 +235,6 @@ CORRUPTIONS = {
     "column": (corrupt_column, "square to zero"),
     "block-scalar": (corrupt_block_scalar, "block resolution"),
     "block-column": (corrupt_block_column, "block resolution"),
-    "star-ideal": (corrupt_star_ideal, "column summand"),
     "star-scalars": (corrupt_star_scalars, "star complex"),
 }
 
@@ -249,6 +248,45 @@ def test_gmpi_raises_the_certificate_witness(tmp_path, monkeypatch, case):
     with pytest.raises(builder.ConstructionError) as err:
         main(["gmpi", write(tmp_path, "e.json", expansion_doc())])
     assert message in str(err.value) and str(err.value.witness) in str(err.value)
+
+
+def test_gmpi_check_fails_on_a_corrupted_star_ideal(tmp_path, capsys, monkeypatch):
+    # the star complex is built by the checks alone, so its corruption is a
+    # failed check and not a construction error
+    from gmpi import verify
+    build = verify.build_star_complex
+    monkeypatch.setattr(verify, "build_star_complex", lambda inst: corrupt_star_ideal(build(inst)))
+    assert main(["gmpi", write(tmp_path, "e.json", expansion_doc()), "--check", "--json"]) == 1
+    status = {c["name"]: c["status"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert status["product-equals-intersection"] == status["star-acyclicity"] == "FAIL"
+    assert [name for name, st in status.items() if st != "PASS"] == [
+        "product-equals-intersection", "star-acyclicity"]
+
+
+def test_gmpi_scans_the_star_complex_only_under_check(tmp_path, capsys, monkeypatch):
+    # the certificate reads the star complex off the resolution of S/I on
+    # S's grid: a plain run builds and scans no star complex, and --check
+    # and verify build and scan it once per instance
+    from gmpi import builder, verify
+    calls = []
+    for name in ("build_star_complex", "star_acyclicity"):
+        original = getattr(builder, name)
+
+        def counted(*args, name=name, original=original):
+            calls.append(name)
+            return original(*args)
+
+        for module in (builder, verify):
+            monkeypatch.setattr(module, name, counted)
+    path = write(tmp_path, "e.json", expansion_doc())
+    assert main(["gmpi", path, "--json"]) == 0
+    assert main(["gmpi", path]) == 0
+    assert calls == []
+    assert main(["gmpi", path, "--check"]) == 0
+    assert calls == ["build_star_complex", "star_acyclicity"]
+    calls.clear()
+    assert main(["verify", "--seed", "5"]) == 0
+    assert calls == ["build_star_complex", "star_acyclicity"]
 
 
 def test_gmpi_raises_on_a_non_nested_ladder(tmp_path, monkeypatch):

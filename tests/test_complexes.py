@@ -549,16 +549,24 @@ def test_tensor_of_koszuls_is_koszul():
     ctx = VariableContext((1, 1), ("x", "y"))
     x = ideal_resolution(ideal(simple_context(1, ("x",)), [(1,)]))
     y = ideal_resolution(ideal(simple_context(1, ("y",)), [(1,)]))
-    t = tensor_resolutions([x, y], ctx, [[0], [1]])
+    t = tensor_resolutions([x, y], ctx)
     assert t.complex.ranks == [1]
     assert t.complex.shifts[0] == [(1, 1)]
 
     m2 = ideal_resolution(ideal(simple_context(2, ("x", "y")), [(2, 0), (1, 1), (0, 2)]))
     big = VariableContext((2, 1), ("x", "z"))
     z = ideal_resolution(ideal(simple_context(1, ("z",)), [(1,)]))
-    t2 = tensor_resolutions([m2, z], big, [[0, 1], [2]])
+    t2 = tensor_resolutions([m2, z], big)
     assert t2.complex.ranks == [3, 2]
     assert block_witness(t2.complex, ideal(big, [(2, 0, 1), (1, 1, 1), (0, 2, 1)])) is None
+
+
+def test_tensor_factors_must_match_the_blocks():
+    # factor l lives on block l, so the factors' sizes are the block sizes
+    m2 = ideal_resolution(ideal(simple_context(2, ("x", "y")), [(2, 0), (0, 2)]))
+    with pytest.raises(ConstructionError) as err:
+        tensor_resolutions([m2], VariableContext((1, 1), ("x", "y")))
+    assert err.value.witness == ((2,), (1, 1))
 
 
 # -- the integer kernel of compose
