@@ -281,6 +281,10 @@ def product_formula_witness(star: StarComplex):
     return None
 
 
+# degree-grid cells beyond which star_acyclicity raises SizeCapError
+STAR_SCAN_CAP = 200_000
+
+
 def star_acyclicity(star: StarComplex):
     """Strand-exactness of the star complex over its degree grid.
 
@@ -291,7 +295,8 @@ def star_acyclicity(star: StarComplex):
 
     The scan presumes maps that square to zero.  If the scalar matrices of
     the resolution of S/I do not, there is no star complex to scan, and the
-    witness is the resolution's (position, multidegree of S).
+    witness is the resolution's (position, multidegree of S).  SizeCapError
+    where T's degree grid exceeds STAR_SCAN_CAP cells.
     """
     inst = star.instance
     square = inst.resolution.square_witness()
@@ -300,7 +305,7 @@ def star_acyclicity(star: StarComplex):
     ring = [((0,) * inst.T.nvars,)]
     summands = [ring] + [[idl.gens for idl in level] for level in star.ideals]
     scalars = [None] + [d.columns() for d in inst.resolution.diffs[1:]]
-    return _strand_scan(summands, scalars, inst.induced, 200_000)
+    return _strand_scan(summands, scalars, inst.induced, STAR_SCAN_CAP)
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import le
 
-import numpy as np
-
 from . import linalg
 from .monomials import MonomialIdeal, VariableContext, divides, lcm, total_degree
 
@@ -644,9 +642,12 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, max_cells: int):
     which decides it as before, so verdict and witness are those of exact
     ranks everywhere.
 
-    Cells with the same live summands at every position and the same
-    membership in ``expect_h0`` have the same strand, so each such class is
-    decided once, in the order of its first cell.
+    The grid is read as Python int bitmasks (``_strand_classes``): each
+    cell's class is the bitmask of its live summands at every position plus
+    its membership in ``expect_h0``.  Cells of one class have the same
+    strand, so each class is decided once, in the order of its first cell;
+    its dimensions are bit counts, and a summand mask is decoded into its
+    live indices only when a class is ranked.
     """
     # membership of the expected H_0 must jump on the grid too
     levels = [[g for gens in level for g in gens] for level in summands]
@@ -654,28 +655,24 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, max_cells: int):
     ncells = grid_size(axes)
     if ncells > max_cells:
         raise SizeCapError(f"degree grid has {ncells} cells (cap {max_cells})")
-    points = np.array(list(itertools.product(*axes)), dtype=np.int64)
-    # live[i][a]: the a-th distinct tuple of live summands at position i;
-    # ids[i][cell] is the one of that cell
-    live, ids = [], []
-    for level in summands:
-        tuples, index = _live_classes(_member_masks(level, points))
-        live.append(tuples)
-        ids.append(index)
-    member = _member_masks([expect_h0.gens], points)[0].tolist()
-    # the first cell of each class of cells with equal strands
-    first: dict[tuple, int] = {}
-    for cell, cls in enumerate(zip(*ids, member)):
-        first.setdefault(cls, cell)
+    first = _strand_classes(summands, expect_h0, axes)
     reduced = [None] + [_map_mod_p(cols) for cols in scalars[1:]]
+    decoded: dict[int, list[int]] = {}
+    positions = list(range(max(map(len, summands))))
     exact_memo: dict[tuple[int, int, int], int] = {}
     supported: dict[tuple[int, int, int], bool] = {}
     modp_memo: dict[tuple[int, int, int], int] = {}
 
+    def live(mask):
+        """The live summand indices of a summand bitmask."""
+        if mask not in decoded:
+            decoded[mask] = _bit_indices(mask, positions)
+        return decoded[mask]
+
     def exact_rank(i, a, b):
         key = (i, a, b)
         if key not in exact_memo:
-            rows, cols = live[i - 1][a], live[i][b]
+            rows, cols = live(a), live(b)
             by_col, live_rows = scalars[i], set(rows)
             exact_memo[key] = linalg.rank([
                 {r: v for r, v in by_col[c].items() if r in live_rows}
@@ -688,9 +685,9 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, max_cells: int):
         depends on the columns alone."""
         key = (i, a, b)
         if key not in supported:
-            by_col, live_rows = scalars[i], set(live[i - 1][a])
+            by_col, live_rows = scalars[i], set(live(a))
             supported[key] = reduced[i] is not None and all(
-                by_col[c].keys() <= live_rows for c in live[i][b] if c in by_col)
+                by_col[c].keys() <= live_rows for c in live(b) if c in by_col)
         if not supported[key]:
             return None
         if want <= 0:
@@ -698,13 +695,13 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, max_cells: int):
         key = (i, b, want)
         if key not in modp_memo:
             red = reduced[i]
-            modp_memo[key] = linalg.rank_mod_p([red[c] for c in live[i][b] if c in red], want)
+            modp_memo[key] = linalg.rank_mod_p([red[c] for c in live(b) if c in red], want)
         return modp_memo[key]
 
     p = len(summands) - 1
     positive = range(1, p + 1)
     for cls, cell in first.items():
-        dims = [len(live[i][cls[i]]) for i in range(p + 1)]
+        dims = [cls[i].bit_count() for i in range(p + 1)]
         # the ranks of an exact strand, from the top position down
         want = [0] * (p + 2)
         for i in reversed(positive):
@@ -714,20 +711,95 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, max_cells: int):
             ranks = [0] + [exact_rank(i, cls[i - 1], cls[i]) for i in positive] + [0]
         exact = all(dims[i] == ranks[i] + ranks[i + 1] for i in positive)
         if not exact or dims[0] - ranks[1] != (0 if cls[-1] else 1):
-            return tuple(int(v) for v in points[cell])
+            return next(itertools.islice(itertools.product(*axes), cell, None))
     return None
 
 
-def _live_classes(mask: np.ndarray) -> tuple[list[tuple[int, ...]], list[int]]:
-    """(distinct live tuples, per-cell index into them) of a bool
-    summands x cells mask, read in one pass."""
-    cells, summands = np.nonzero(mask.T)
-    bounds = np.searchsorted(cells, np.arange(mask.shape[1] + 1)).tolist()
-    summands = summands.tolist()
-    index: dict[tuple[int, ...], int] = {}
-    ids = [index.setdefault(tuple(summands[lo:hi]), len(index))
-           for lo, hi in zip(bounds, bounds[1:])]
-    return list(index), ids
+def _strand_classes(summands, expect_h0: MonomialIdeal, axes) -> dict[tuple[int, ...], int]:
+    """{class: its first cell} over the cells of ``itertools.product(*axes)``,
+    in order of first cell, with the classes of ``_cell_classifier``.  Cells
+    with the same generators dividing x^b share a class, so each distinct
+    generator mask (``_cell_masks``) is classified once."""
+    gens, classify = _cell_classifier(summands, expect_h0)
+    first_by_mask: dict[int, int] = {}
+    for cell, mask in enumerate(_cell_masks(gens, axes)):
+        first_by_mask.setdefault(mask, cell)
+    first: dict[tuple[int, ...], int] = {}
+    for mask, cell in first_by_mask.items():
+        first.setdefault(classify(mask), cell)
+    return first
+
+
+def _cell_classifier(summands, expect_h0: MonomialIdeal):
+    """(gens, classify): every generator of ``summands``, position by
+    position, then those of ``expect_h0``, so that generator j is bit j of a
+    generator mask; and the function from the generator mask of a cell b
+    (the generators dividing x^b) to the class of b.
+
+    The class holds, per position i, the bitmask of the summands of
+    ``summands[i]`` whose ideal contains x^b (bit j for summand j), then 1
+    if x^b lies in ``expect_h0`` and 0 if not.  A position whose summands
+    have one generator each reads its summand mask straight off the
+    generator mask; any other position folds its part of the generator mask
+    into a summand mask once per distinct part.
+    """
+    gens, parts = [], []
+    for level in [*summands, [expect_h0.gens]]:
+        offset = len(gens)
+        groups = []
+        for j, ideal_gens in enumerate(level):
+            groups.append((((1 << len(ideal_gens)) - 1) << (len(gens) - offset), 1 << j))
+            gens.extend(ideal_gens)
+        single = all(len(ideal_gens) == 1 for ideal_gens in level)
+        parts.append((offset, (1 << (len(gens) - offset)) - 1, None if single else groups, {}))
+
+    def classify(mask: int) -> tuple[int, ...]:
+        key = []
+        for offset, full, groups, folded in parts:
+            part = (mask >> offset) & full
+            if groups is not None:
+                if part not in folded:
+                    folded[part] = sum(bit for g, bit in groups if part & g)
+                part = folded[part]
+            key.append(part)
+        return tuple(key)
+
+    return gens, classify
+
+
+def _cell_masks(gens, axes) -> list[int]:
+    """Per cell b of ``itertools.product(*axes)``, in that order, the bitmask
+    of the generators dividing x^b (bit j for ``gens[j]``): the running
+    product, coordinate by coordinate, of the masks of ``_below_masks``."""
+    masks = [(1 << len(gens)) - 1]
+    for k, axis in enumerate(axes):
+        below = _below_masks(gens, k, axis)
+        masks = [m & w for m in masks for w in below]
+    return masks
+
+
+def _below_masks(gens, k: int, values) -> list[int]:
+    """Per value v of the ascending ``values``, the bitmask of the generators
+    whose k-th exponent is at most v."""
+    by_exponent = sorted((g[k], j) for j, g in enumerate(gens))
+    out, mask, t = [], 0, 0
+    for v in values:
+        while t < len(by_exponent) and by_exponent[t][0] <= v:
+            mask |= 1 << by_exponent[t][1]
+            t += 1
+        out.append(mask)
+    return out
+
+
+# maps the binary digits of an int to the selectors of itertools.compress
+_BIT_SELECTORS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _bit_indices(mask: int, positions: list[int]) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending; ``positions``
+    is ``list(range(n))`` for some n >= ``mask.bit_length()``."""
+    bits = bin(mask)[:1:-1].encode().translate(_BIT_SELECTORS)
+    return list(itertools.compress(positions, bits))
 
 
 def _map_mod_p(columns: dict[int, dict[int, int | Fraction]]):
@@ -742,32 +814,26 @@ def _map_mod_p(columns: dict[int, dict[int, int | Fraction]]):
     return out
 
 
-def _member_masks(ideals, points: np.ndarray) -> np.ndarray:
-    """Bool ideals x points: some generator of the ideal (a list of
-    generators) divides x^point."""
-    sizes = [len(gens) for gens in ideals]
-    flat = np.array([g for gens in ideals for g in gens], dtype=np.int64)
-    flat = flat.reshape(len(flat), points.shape[1])
-    divides_point = np.ones((len(flat), len(points)), dtype=bool)
-    for k in range(points.shape[1]):
-        divides_point &= flat[:, k, None] <= points[None, :, k]
-    if all(n == 1 for n in sizes):
-        return divides_point
-    bounds = np.cumsum([0] + sizes).tolist()
-    return np.array([divides_point[lo:hi].any(axis=0) for lo, hi in zip(bounds, bounds[1:])],
-                    dtype=bool).reshape(len(ideals), len(points))
-
-
 def euler_characteristics(C: FreeComplex, points) -> list[int]:
     """Alternating sum of strand dimensions (dimensions only) at each degree
-    of ``points``, with one vectorized divisibility test per position."""
-    points = np.array(points, dtype=np.int64).reshape(len(points), C.ctx.nvars)
-    total = np.zeros(len(points), dtype=np.int64)
-    for i, level in enumerate(C.shifts):
-        if level:
-            n = _member_masks([[s] for s in level], points).sum(axis=0)
-            total += -n if i % 2 else n
-    return total.tolist()
+    of ``points``.  The shifts of even positions take the low bits of one
+    mask and those of odd positions the high bits; per point, the
+    per-coordinate masks of ``_below_masks`` are ANDed and each half is
+    counted."""
+    even = [s for i, level in enumerate(C.shifts) if i % 2 == 0 for s in level]
+    shifts = even + [s for i, level in enumerate(C.shifts) if i % 2 for s in level]
+    below = []
+    for k in range(C.ctx.nvars):
+        values = sorted({b[k] for b in points})
+        below.append(dict(zip(values, _below_masks(shifts, k, values))))
+    low = (1 << len(even)) - 1
+    out = []
+    for b in points:
+        mask = (1 << len(shifts)) - 1
+        for k, v in enumerate(b):
+            mask &= below[k][v]
+        out.append((mask & low).bit_count() - (mask >> len(even)).bit_count())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -410,3 +410,25 @@ def test_parser_is_built_once_and_parses_afresh(tmp_path, monkeypatch):
     # the command is looked up when it runs, so a replaced one is called
     monkeypatch.setattr(cli, "cmd_resolve", lambda args: 7)
     assert main(["resolve", write(tmp_path, "k3.json", koszul3_doc())]) == 7
+
+
+def test_gmpi_check_skips_the_star_scan_above_its_cap(tmp_path, capsys, monkeypatch):
+    # a correct instance whose star grid exceeds the cap: star-acyclicity
+    # reports SKIPPED with the cell count, and every other line still runs
+    from gmpi import builder
+    path = write(tmp_path, "e.json", expansion_doc())
+    assert main(["gmpi", path, "--check", "--json"]) == 0
+    intact = json.loads(capsys.readouterr().out)["checks"]
+    monkeypatch.setattr(builder, "STAR_SCAN_CAP", 4)
+    assert main(["gmpi", path, "--check", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    star = next(c for c in checks if c["name"] == "star-acyclicity")
+    assert star["status"] == "SKIPPED"
+    assert star["details"] == {"skipped": "degree grid has 81 cells (cap 4)"}
+    assert [c for c in checks if c is not star] == [c for c in intact if c["name"] != star["name"]]
+    assert [c["status"] for c in checks if c is not star] == ["PASS"] * 13
+    assert main(["gmpi", path, "--check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    skipped = "[SKIPPED] expansion: star-acyclicity (skipped=degree grid has 81 cells (cap 4))"
+    assert skipped in lines
+    assert sum(line.startswith("[PASS]") for line in lines) == 13

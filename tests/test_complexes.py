@@ -3,6 +3,7 @@ import json
 import pathlib
 import random
 from fractions import Fraction
+from operator import le
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +17,11 @@ from gmpi.complexes import (
     FreeComplex,
     MonomialMatrix,
     SizeCapError,
+    _bit_indices,
+    _cell_classifier,
+    _cell_masks,
     _normalize_augmentation,
+    _strand_classes,
     betti_table,
     degree_grid,
     direct_sum,
@@ -420,6 +425,69 @@ def test_exactness_check_scalar_p_keeps_the_witness(monkeypatch):
     calls = counted_exact_ranks(monkeypatch)
     assert exactness_check(M, I) == (2, 1) == reference_exactness(M, I)
     assert calls
+
+
+# -- the degree-grid bitmasks
+
+def divides_point(g, b) -> bool:
+    return all(map(le, g, b))
+
+
+@st.composite
+def grid_case(draw):
+    """Positions of summands (each summand an ideal of 1-3 generators, with
+    an empty position always among them), an expected H_0 and ascending
+    axes that reach past every exponent."""
+    nvars = draw(st.integers(1, 3))
+    ctx = simple_context(nvars, tuple("xyz"[:nvars]))
+    vec = st.tuples(*[st.integers(0, 3)] * nvars)
+    summand = st.lists(vec, min_size=1, max_size=3)
+    summands = draw(st.lists(st.lists(summand, max_size=4), min_size=1, max_size=4))
+    summands.insert(draw(st.integers(0, len(summands))), [])
+    h0 = ideal(ctx, draw(st.lists(vec.filter(any), min_size=1, max_size=4)))
+    axes = [sorted(draw(st.sets(st.integers(0, 5), min_size=1, max_size=4)))
+            for _ in range(nvars)]
+    return summands, h0, axes
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid_case())
+def test_cell_classes_match_divisibility(case):
+    # every cell, in itertools.product order: the live summands of each
+    # position and the H_0 membership of its class are those of the brute
+    # force, and the classes keep the order of their first cells
+    summands, h0, axes = case
+    gens, classify = _cell_classifier(summands, h0)
+    cells = list(itertools.product(*axes))
+    masks = _cell_masks(gens, axes)
+    assert len(masks) == len(cells)
+    first = {}
+    for cell, (b, mask) in enumerate(zip(cells, masks)):
+        cls = classify(mask)
+        live = [[j for j, gs in enumerate(level) if any(divides_point(g, b) for g in gs)]
+                for level in summands]
+        assert [_bit_indices(m, list(range(len(level)))) for m, level in zip(cls, summands)] == live
+        assert cls[-1] == any(divides_point(g, b) for g in h0.gens)
+        first.setdefault(cls, cell)
+    assert list(_strand_classes(summands, h0, axes).items()) == list(first.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_euler_characteristics_match_the_alternating_count(data):
+    nvars = data.draw(st.integers(1, 3))
+    ctx = simple_context(nvars, tuple("xyz"[:nvars]))
+    vec = st.tuples(*[st.integers(0, 3)] * nvars)
+    shifts = data.draw(st.lists(st.lists(vec, max_size=5), min_size=1, max_size=5))
+    shifts.insert(data.draw(st.integers(0, len(shifts))), [])
+    points = data.draw(st.lists(st.tuples(*[st.integers(0, 6)] * nvars), max_size=20))
+    # one point past the box of the shifts in every coordinate
+    points.append(tuple(max((s[k] for level in shifts for s in level), default=0) + 1
+                        for k in range(nvars)))
+    C = FreeComplex(ctx, shifts, [None] * len(shifts))
+    assert euler_characteristics(C, points) == [
+        sum((-1) ** i * sum(divides_point(s, b) for s in level) for i, level in enumerate(shifts))
+        for b in points]
 
 
 # -- Betti tables and invariants

@@ -2,22 +2,32 @@
 error with a witness (ConstructionError, FamilyValidationError, ...), so no
 invariant may rest on an ``assert``, which ``python -O`` strips, or on a bare
 ``RuntimeError``/``Exception`` without a witness.  A check returns its
-witness or None, never an ``(ok, witness)`` pair."""
+witness or None, never an ``(ok, witness)`` pair.  The package imports
+no numpy: its degree-grid scans run on Python int bitmasks, and importing
+numpy would cost more start-up than the scans it served."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gmpi"
 
 # the length checks of the hot monomial kernels, debug-only on purpose
 ALLOWED_ASSERTS = {("monomials.py", name, "len(a) == len(b)") for name in ("divides", "lcm", "mul")}
 BARE_ERRORS = {"RuntimeError", "Exception"}
+BANNED_MODULES = {"numpy"}
+
+
+def _banned(module: str | None) -> bool:
+    return module is not None and module.split(".")[0] in BANNED_MODULES
 
 
 def violations(filename: str, source: str) -> list[tuple[str, int, str]]:
     """(file, line, what) of each ``assert`` outside ALLOWED_ASSERTS, each
-    ``raise`` of a bare RuntimeError or Exception and each ``return`` of a
-    tuple whose first element is True or False."""
+    ``raise`` of a bare RuntimeError or Exception, each ``return`` of a
+    tuple whose first element is True or False and each import of numpy."""
     out = []
 
     def visit(node, func):
@@ -36,6 +46,11 @@ def violations(filename: str, source: str) -> list[tuple[str, int, str]]:
                 first = child.value.elts[0] if child.value.elts else None
                 if isinstance(first, ast.Constant) and isinstance(first.value, bool):
                     out.append((filename, child.lineno, "return (bool, ...)"))
+            elif isinstance(child, ast.Import):
+                out.extend((filename, child.lineno, f"import {a.name}")
+                           for a in child.names if _banned(a.name))
+            elif isinstance(child, ast.ImportFrom) and child.level == 0 and _banned(child.module):
+                out.append((filename, child.lineno, f"from {child.module}"))
             visit(child, func)
 
     visit(ast.parse(source, filename=filename), None)
@@ -77,6 +92,12 @@ def test_the_rule_catches_each_forbidden_form():
         "    return (True, None)\n"
         "def k(a):\n"
         "    return a, True\n"
+        "import numpy as np\n"
+        "def m():\n"
+        "    import os, numpy.linalg\n"
+        "    from numpy import zeros\n"
+        "    from .numpy import x\n"
+        "import numpyish\n"
     )
     assert violations("builder.py", source) == [
         ("builder.py", 2, "assert"),
@@ -85,5 +106,18 @@ def test_the_rule_catches_each_forbidden_form():
         ("builder.py", 7, "assert"),   # allowed only in monomials.py
         ("builder.py", 11, "return (bool, ...)"),
         ("builder.py", 12, "return (bool, ...)"),
+        ("builder.py", 15, "import numpy"),
+        ("builder.py", 17, "import numpy.linalg"),
+        ("builder.py", 18, "from numpy"),
     ]
     assert ("monomials.py", 7, "assert") not in violations("monomials.py", source)
+
+
+def test_importing_the_cli_loads_no_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    probe = ("import sys, gmpi.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
