@@ -25,6 +25,7 @@ checks of verify build it (``build_star_complex``) and scan it on T's grid
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +34,7 @@ from .complexes import (
     _strand_scan,
     betti_table,
     BettiTable,
+    block_offsets,
     ChainMap,
     ConstructionError,
     direct_sum,
@@ -456,10 +458,12 @@ class DoubleComplex:
         res = self.instance.resolution
         for c in range(1, len(self.columns)):
             lam = res.diffs[c].entries
-            # sums[(column of sigma_c, summand of its row)]
+            # sums[(column of sigma_c, summand of its row)]; the summand of
+            # row r is the last one that starts at or before r
             sums: dict[tuple[int, int], int | Fraction] = {}
+            starts = [offs[0] for offs in self.offsets[c - 1]] if c >= 2 else [0]
             for (r, col), v in self.sigmas[c].mats[0].entries.items():
-                key = (col, _summand_of(self.offsets[c - 1], 0, r) if c >= 2 else 0)
+                key = (col, bisect_right(starts, r) - 1)
                 sums[key] = sums.get(key, 0) + v
             nrows = len(res.shifts[c - 1])
             for j, tres in enumerate(self.summands[c]):
@@ -469,16 +473,6 @@ class DoubleComplex:
                         if sums.get((col, k), 0) != lam.get((k, j), 0):
                             return c, j, u, k
         return None
-
-
-def _summand_of(offsets: list[list[int]], i: int, idx: int) -> int:
-    j = 0
-    for t in range(len(offsets)):
-        if offsets[t][i] <= idx:
-            j = t
-        else:
-            break
-    return j
 
 
 def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
@@ -564,9 +558,10 @@ class TotalComplex:
 
 
 def total_complex(D: DoubleComplex) -> TotalComplex:
-    """Columns summed along anti-diagonals; the horizontal map picks up the
-    sign (-1)^row so that squares anticommute and the total differential
-    squares to zero.
+    """Columns summed along anti-diagonals, as ``block_offsets`` of the
+    columns' ranks lays them out (element t of column c in row r has index
+    off[c + r][c] + t); the horizontal map picks up the sign (-1)^row so
+    that squares anticommute and the total differential squares to zero.
 
     The result is certified to resolve T/L from the structure of D, without
     a strand scan of its own degree grid; this function is the whole
@@ -613,38 +608,33 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
     is the ``total-exactness`` check of verify.check_engine_self, and the
     scan of the star complex on T's grid its ``star-acyclicity`` check.
     """
-    inst = D.instance
-    p = len(D.columns) - 1
-    top = max(c + D.columns[c].length for c in range(p + 1))
+    inst, cols = D.instance, D.columns
+    p = len(cols) - 1
+    off = block_offsets([col.ranks for col in cols])
+    shifts = [[s for c in range(min(k, p) + 1) if k - c <= cols[c].length
+               for s in cols[c].shifts[k - c]] for k in range(len(off))]
+    # one int object per basis index, shared by every entry key
+    ix = [list(range(len(level))) for level in shifts]
 
-    labels: list[list[tuple[int, int, int]]] = []
-    index: list[dict[tuple[int, int, int], int]] = []
-    shifts: list[list[tuple[int, ...]]] = []
-    for k in range(top + 1):
-        lv = []
-        for c in range(0, min(k, p) + 1):
-            r = k - c
-            if r <= D.columns[c].length:
-                lv.extend((c, r, t) for t in range(len(D.columns[c].shifts[r])))
-        labels.append(lv)
-        index.append({lab: i for i, lab in enumerate(lv)})
-        shifts.append([D.columns[c].shifts[r][t] for (c, r, t) in lv])
-
-    vertical = [[None] + [d.columns() for d in col.diffs[1:]] for col in D.columns]
+    vertical = [[None] + [d.columns() for d in col.diffs[1:]] for col in cols]
     horizontal = [None] + [[m.columns() for m in sig.mats] for sig in D.sigmas[1:]]
     diffs: list[MonomialMatrix | None] = [None]
-    for k in range(1, top + 1):
+    for k in range(1, len(shifts)):
+        rows, below = ix[k - 1], off[k - 1]
         entries: dict[tuple[int, int], int | Fraction] = {}
-        # the vertical and horizontal terms of a column land in columns c
-        # and c - 1 of the double complex, so no two terms share a row
-        for col_idx, (c, r, t) in enumerate(labels[k]):
-            if r >= 1:
-                for rr, v in vertical[c][r].get(t, {}).items():
-                    entries[(index[k - 1][(c, r - 1, rr)], col_idx)] = v
-            if c >= 1 and r < len(horizontal[c]):
-                odd = r % 2
-                for rr, v in horizontal[c][r].get(t, {}).items():
-                    entries[(index[k - 1][(c - 1, r, rr)], col_idx)] = -v if odd else v
+        # a column's vertical terms land in block (c, r - 1) of position
+        # k - 1 and its horizontal ones in (c - 1, r): no two share a row
+        for c in range(min(k, p) + 1):
+            r, start = k - c, off[k][c]
+            for t in range(off[k][c + 1] - start):
+                col_idx = ix[k][start + t]
+                if r >= 1:
+                    for rr, v in vertical[c][r].get(t, {}).items():
+                        entries[(rows[below[c] + rr], col_idx)] = v
+                if c >= 1 and r < len(horizontal[c]):
+                    odd = r % 2
+                    for rr, v in horizontal[c][r].get(t, {}).items():
+                        entries[(rows[below[c - 1] + rr], col_idx)] = -v if odd else v
         entries = {kk: v for kk, v in entries.items() if v != 0}
         diffs.append(MonomialMatrix(inst.T, shifts[k - 1], shifts[k], entries))
 

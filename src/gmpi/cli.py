@@ -56,12 +56,20 @@ def _reading(what: str):
         raise InputError(f"bad {what}: {e!r}") from None
 
 
+def _integer(v) -> int:
+    """int(v), refusing a non-integral number where int() would truncate it
+    (a string, as ``gmpi family`` passes its parameters, goes to int())."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 # ---------------------------------------------------------------------------
 # documents
 
 def parse_blocks(data) -> VariableContext:
     with _reading("blocks (objects with a name and a positive size)"):
-        sizes = tuple(int(b["size"]) for b in data)
+        sizes = tuple(_integer(b["size"]) for b in data)
         names = tuple(str(b["name"]) for b in data)
         dup = next((n for i, n in enumerate(names) if n in names[:i]), None)
         if dup is not None:
@@ -72,16 +80,20 @@ def parse_blocks(data) -> VariableContext:
 def parse_ideal_document(doc) -> MonomialIdeal:
     with _reading("ideal document"):
         ctx = parse_blocks(doc["blocks"])
-        return ideal(ctx, [tuple(int(e) for e in g) for g in doc["generators"]])
+        return ideal(ctx, [tuple(map(_integer, g)) for g in doc["generators"]])
 
 
 def parse_instance_document(doc) -> GmpiInstance:
     with _reading("instance document"):
         ctx = parse_blocks(doc["blocks"])
-        raw_gens = [tuple(int(e) for e in g) for g in doc["inducing_ideal"]]
+        raw_gens = [tuple(map(_integer, g)) for g in doc["inducing_ideal"]]
         inducing = ideal(simple_context(ctx.nblocks, ctx.names), raw_gens)
+        subs_doc = doc.get("substitutions", {})
+        if not isinstance(subs_doc, dict):
+            raise InputError("substitutions must be an object keyed by 'block:degree', "
+                             f"not {type(subs_doc).__name__}")
         subs = {}
-        for key, val in doc.get("substitutions", {}).items():
+        for key, val in subs_doc.items():
             name, _, deg = key.partition(":")
             if name not in ctx.names:
                 raise InputError(f"unknown block name in substitution key {key!r}")
@@ -91,7 +103,7 @@ def parse_instance_document(doc) -> GmpiInstance:
             if isinstance(val, dict):
                 subs[(l, d)] = family_ideal(val.get("family"), val, ctx.sizes[l], block_ctx)
             else:
-                subs[(l, d)] = ideal(block_ctx, [tuple(int(e) for e in g) for g in val])
+                subs[(l, d)] = ideal(block_ctx, [tuple(map(_integer, g)) for g in val])
     try:
         return validate_family(inducing, SubstitutionFamily(ctx, subs),
                                label=doc.get("label", "instance"))
@@ -109,12 +121,12 @@ def family_ideal(tag, params: dict, nvars: int, block_ctx: VariableContext | Non
     if tag not in BLOCK_FAMILY_TAGS:
         raise InputError(f"unknown substitution family {tag!r}; choose from {BLOCK_FAMILY_TAGS}")
     with _reading(f"{tag} parameters"):
-        degree = int(params["degree"])
+        degree = _integer(params["degree"])
         if tag == "squarefree-veronese":
             return fam.squarefree_veronese(nvars, degree, block_ctx)
         if tag == "power-of-maximal":
             return fam.power_of_maximal(nvars, degree, block_ctx)
-        return fam.lex_segment_stable(nvars, degree, int(params["count"]), block_ctx)
+        return fam.lex_segment_stable(nvars, degree, _integer(params["count"]), block_ctx)
 
 
 def instance_to_document(inst: GmpiInstance) -> dict:

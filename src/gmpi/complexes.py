@@ -4,11 +4,12 @@ A free module here is a list of multidegree shifts; a map between free modules
 is multihomogeneous of degree zero, so the entry in position (r, c) is forced
 to be a rational scalar times x^(col_shift - row_shift).  Only the scalar is
 stored, sparsely: ``entries`` is the only format of a scalar map, and
-``columns()`` regroups it by column for the readers that build one basis
-element at a time (tensor products, lifts, the total complex, the strand
-scans, whose ranks take the live columns as sparse vectors).  Composition is
-then plain scalar matrix multiplication, and a map is minimal exactly when no
-stored entry sits between equal shifts.
+``columns()`` regroups it by column for the readers that walk a map column
+by column: lifts, the strand scans (whose ranks take the live columns as
+sparse vectors), and the tensor products and total complex, which copy each
+column to its block's offset in an anti-diagonal layout (``block_offsets``).
+Composition is then plain scalar matrix multiplication, and a map is
+minimal exactly when no stored entry sits between equal shifts.
 
 A scalar is stored as an ``int`` wherever it is integral and as a
 ``Fraction`` only where it has a denominator: the Taylor, Lyubeznik and
@@ -1088,18 +1089,92 @@ def direct_sum(parts: list[FreeComplex]):
     return FreeComplex(ctx, shifts, diffs), offsets
 
 
+def block_offsets(sizes: list[list[int]]) -> list[list[int]]:
+    """A grid of blocks laid out along its anti-diagonals: block (i, j) has
+    rank sizes[i][j] (none outside the grid), and anti-diagonal k lists the
+    blocks (i, k - i) in order of i.  off[k][i] is the first index of block
+    (i, k - i) within it, and off[k][len(sizes)] the rank of anti-diagonal k."""
+    top = max((i + len(row) for i, row in enumerate(sizes)), default=0)
+    return [list(itertools.accumulate(
+        (row[k - i] if 0 <= k - i < len(row) else 0 for i, row in enumerate(sizes)),
+        initial=0)) for k in range(top)]
+
+
+def _pair_offsets(A: FreeComplex, B: FreeComplex) -> list[list[int]]:
+    """``block_offsets`` of A (x) B, whose block (i, j) is A_i (x) B_j."""
+    return block_offsets([[a * b for b in B.ranks] for a in A.ranks])
+
+
+def _tensor_pair(A: FreeComplex, B: FreeComplex, ctx: VariableContext) -> FreeComplex:
+    """A (x) B over the ground field, in ``ctx``: A's blocks followed by B's.
+
+    Position k is anti-diagonal k of ``_pair_offsets``: a_s (x) b_t, with a_s
+    in A_i and b_t in B_j, has index off[k][i] + s * rank B_j + t and the
+    concatenation of their shifts; d(a (x) b) = da (x) b + (-1)^i a (x) db."""
+    off = _pair_offsets(A, B)
+    p, q = A.length, B.length
+    shifts = [[a + b for i in range(max(0, k - q), min(k, p) + 1)
+               for a in A.shifts[i] for b in B.shifts[k - i]] for k in range(len(off))]
+    # one int object per basis index, shared by every entry key
+    ix = [list(range(len(level))) for level in shifts]
+    da = [None] + [d.columns() for d in A.diffs[1:]]
+    db = [None] + [d.columns() for d in B.diffs[1:]]
+    diffs: list[MonomialMatrix | None] = [None]
+    for k in range(1, len(shifts)):
+        rows, cols, below = ix[k - 1], ix[k], off[k - 1]
+        entries: dict[tuple[int, int], int | Fraction] = {}
+        for i in range(max(0, k - q), min(k, p) + 1):
+            j, odd = k - i, i % 2
+            nb = len(B.shifts[j])
+            for s in range(len(A.shifts[i])):
+                for t in range(nb):
+                    c = cols[off[k][i] + s * nb + t]
+                    # da lands in block (i - 1, j) of position k - 1, db in (i, j - 1)
+                    if i:
+                        for r, v in da[i].get(s, {}).items():
+                            entries[(rows[below[i - 1] + r * nb + t], c)] = v
+                    if j:
+                        low = below[i] + s * len(B.shifts[j - 1])
+                        for r, v in db[j].get(t, {}).items():
+                            entries[(rows[low + r], c)] = -v if odd else v
+        diffs.append(MonomialMatrix(ctx, shifts[k - 1], shifts[k], entries))
+    return FreeComplex(ctx, shifts, diffs)
+
+
+def _tensor_pair_map(f: ChainMap, g: ChainMap, src: FreeComplex, tgt: FreeComplex) -> ChainMap:
+    """f (x) g : src -> tgt, where src is f.source (x) g.source and tgt is
+    f.target (x) g.target, both laid out by ``_tensor_pair``; no signs, as f
+    and g have degree zero.  Columns are filled in index order."""
+    soff, toff = _pair_offsets(f.source, g.source), _pair_offsets(f.target, g.target)
+    fc = [m.columns() for m in f.mats]
+    gc = [m.columns() for m in g.mats]
+    mats = []
+    for k in range(src.length + 1):
+        tgt_shifts = tgt.shifts[k] if k <= tgt.length else []
+        rows, cols = list(range(len(tgt_shifts))), list(range(len(src.shifts[k])))
+        entries: dict[tuple[int, int], int | Fraction] = {}
+        for i in range(max(0, k - g.source.length), min(k, f.source.length) + 1):
+            j = k - i
+            nb, nt = g.mats[j].ncols, g.mats[j].nrows
+            g_cols = sorted(gc[j].items())
+            for s, fcol in sorted(fc[i].items()):
+                for t, gcol in g_cols:
+                    c = cols[soff[k][i] + s * nb + t]
+                    for r, v in fcol.items():
+                        for rr, w in gcol.items():
+                            entries[(rows[toff[k][i] + r * nt + rr], c)] = _integral(v * w)
+        mats.append(MonomialMatrix(src.ctx, list(tgt_shifts), list(src.shifts[k]), entries))
+    return ChainMap(src, tgt, mats)
+
+
 @dataclass
 class TensorResolution:
-    """Tensor product of complexes living on disjoint variable blocks.
-
-    Basis elements at total position k are labelled (profile, indices): the
-    per-factor homological positions summing to k and a basis index inside
-    each factor.  Signs follow the Koszul convention.
-    """
+    """Tensor product of complexes on disjoint variable blocks: ``partials[l]``
+    is the product of the first l + 1 factors (``_tensor_pair`` of the one
+    before and factor l), and ``complex`` the last of them."""
 
     complex: FreeComplex
-    labels: list[list[tuple[tuple[int, ...], tuple[int, ...]]]]
-    index: list[dict[tuple[tuple[int, ...], tuple[int, ...]], int]]
+    partials: list[FreeComplex]
 
 
 def tensor_resolutions(factors: list[FreeComplex], ctx: VariableContext) -> TensorResolution:
@@ -1107,65 +1182,24 @@ def tensor_resolutions(factors: list[FreeComplex], ctx: VariableContext) -> Tens
 
     Factor l lives on block l of ``ctx``, in its local variables.  Blocks are
     contiguous and in order (``VariableContext.block_span``), so the shift
-    of a basis element is the concatenation of its factors' shifts.  Only
-    shapes and homogeneity are checked: the product squares to zero when
-    its factors do (Koszul signs), and a total complex built on it checks
-    its own diff o diff, which contains this one.
+    of a basis element is the concatenation of its factors' shifts.  The
+    product is the left fold of ``_tensor_pair``; a single factor is its own
+    product.  Only shapes and homogeneity are checked: the product squares
+    to zero when its factors do, and a total complex built on it checks its
+    own diff o diff, which contains this one.
     """
     sizes = tuple(f.ctx.nvars for f in factors)
     if sizes != ctx.sizes:
         raise ConstructionError(
             "tensor factors do not match the blocks (factor sizes, block sizes)",
             (sizes, ctx.sizes))
-    n = len(factors)
-    total_len = sum(f.length for f in factors)
-    labels: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    index: list[dict] = []
-    shifts: list[list[tuple[int, ...]]] = []
-    for k in range(total_len + 1):
-        lv, sh = [], []
-        for profile in _profiles(k, [f.length for f in factors]):
-            levels = [factors[l].shifts[profile[l]] for l in range(n)]
-            # both products run over the factors' bases in the same order
-            lv.extend((profile, idxs)
-                      for idxs in itertools.product(*[range(len(s)) for s in levels]))
-            sh.extend(tuple(itertools.chain.from_iterable(parts))
-                      for parts in itertools.product(*levels))
-        labels.append(lv)
-        index.append({lab: i for i, lab in enumerate(lv)})
-        shifts.append(sh)
-
-    fac_cols = [[None] + [d.columns() for d in f.diffs[1:]] for f in factors]
-    diffs: list[MonomialMatrix | None] = [None]
-    for k in range(1, total_len + 1):
-        entries: dict[tuple[int, int], int | Fraction] = {}
-        for c, (profile, idxs) in enumerate(labels[k]):
-            for l in range(n):
-                if profile[l] == 0:
-                    continue
-                # the Koszul sign (-1)^(positions before factor l); each
-                # factor lowers its own position, so no two terms share a row
-                odd = sum(profile[:l]) % 2
-                tgt_profile = profile[:l] + (profile[l] - 1,) + profile[l + 1:]
-                for r, v in fac_cols[l][profile[l]].get(idxs[l], {}).items():
-                    rr = index[k - 1][(tgt_profile, idxs[:l] + (r,) + idxs[l + 1:])]
-                    entries[(rr, c)] = -v if odd else v
-        diffs.append(MonomialMatrix(ctx, shifts[k - 1], shifts[k], entries))
-
-    cx = FreeComplex(ctx, shifts, diffs)
-    cx.validate_maps()
-    return TensorResolution(cx, labels, index)
-
-
-def _profiles(k: int, caps: list[int]):
-    """Compositions of k bounded by caps, in lexicographic order."""
-    if not caps:
-        if k == 0:
-            yield ()
-        return
-    for first in range(min(k, caps[0]) + 1):
-        for rest in _profiles(k - first, caps[1:]):
-            yield (first,) + rest
+    partials = [factors[0]]
+    for l in range(1, len(factors)):
+        partials.append(_tensor_pair(
+            partials[-1], factors[l],
+            VariableContext(ctx.sizes[:l + 1], ctx.names[:l + 1])))
+    partials[-1].validate_maps()
+    return TensorResolution(partials[-1], partials)
 
 
 def tensor_chain_map(
@@ -1173,35 +1207,9 @@ def tensor_chain_map(
     src: TensorResolution,
     tgt: TensorResolution,
 ) -> ChainMap:
-    """Tensor product of degree-zero chain maps (no signs)."""
-    n = len(taus)
-    tau_cols = [[m.columns() for m in tau.mats] for tau in taus]
-    mats = []
-    for k in range(src.complex.length + 1):
-        tgt_shifts = tgt.complex.shifts[k] if k <= tgt.complex.length else []
-        m = MonomialMatrix(src.complex.ctx, list(tgt_shifts), list(src.complex.shifts[k]), {})
-        if k > tgt.complex.length:
-            mats.append(m)
-            continue
-        for c, (profile, idxs) in enumerate(src.labels[k]):
-            cols = []
-            dead = False
-            for l in range(n):
-                entries = list(tau_cols[l][profile[l]].get(idxs[l], {}).items())
-                if not entries:
-                    dead = True
-                    break
-                cols.append(entries)
-            if dead:
-                continue
-            for combo in itertools.product(*cols):
-                val = 1
-                for _, v in combo:
-                    val *= v
-                tgt_label = (profile, tuple(r for r, _ in combo))
-                rr = tgt.index[k][tgt_label]
-                m.entries[(rr, c)] = m.entries.get((rr, c), 0) + val
-        m.entries = {kk: _integral(v) for kk, v in m.entries.items() if v != 0}
-        mats.append(m)
-    out = ChainMap(src.complex, tgt.complex, mats)
+    """Tensor product of degree-zero chain maps, taus[l] between the factors l
+    of src and tgt: the left fold of ``_tensor_pair_map`` along the partials."""
+    out = taus[0]
+    for l in range(1, len(taus)):
+        out = _tensor_pair_map(out, taus[l], src.partials[l], tgt.partials[l])
     return out

@@ -30,6 +30,8 @@ from gmpi.complexes import (
     exactness_check,
     minimalize_complex,
     taylor_complex,
+    tensor_chain_map,
+    tensor_resolutions,
 )
 from gmpi.families import (
     mixed_product_instance,
@@ -39,7 +41,7 @@ from gmpi.families import (
     _block_ctx,
 )
 from gmpi.monomials import VariableContext, ideal, simple_context, total_degree
-from gmpi.verify import SUITE_SEEDS
+from gmpi.verify import SUITE_SEEDS, oracle_betti
 
 from conftest import (
     corrupt_block_column,
@@ -781,6 +783,34 @@ def cycle5_instance():
         "substitutions": {f"{b}:1": {"family": "power-of-maximal", "degree": 1} for b in names},
         "label": "cycle5",
     })
+
+
+def test_cycle5_table_matches_the_oracle():
+    # five blocks, so every tensor column is a fold of four pairs
+    inst = cycle5_instance()
+    table = minimal_total_table(total_complex(build_double_complex(inst)))
+    oracle = oracle_betti(inst.induced)
+    assert table.entries == oracle.entries and table.multi == oracle.multi
+
+
+def test_tensor_chain_map_of_three_blocks_is_a_chain_map():
+    S3 = simple_context(3, ("x", "y", "z"))
+    T = VariableContext((2, 1, 2), ("a", "b", "c"))
+    fam = SubstitutionFamily(T, {
+        (l, d): power_of_maximal(T.sizes[l], d, _block_ctx(T.sizes[l], T.names[l]))
+        for l in range(3) for d in (1, 2)})
+    inst = validate_family(ideal(S3, [(2, 1, 1), (1, 2, 1), (1, 1, 2)]), fam, label="three")
+    blocks = block_resolutions(inst)
+    taus = TauCache(inst, blocks, rho_maps(inst, blocks))
+    for src_degs, tgt_degs in [((2, 2, 2), (1, 1, 1)), ((2, 1, 2), (1, 1, 2)),
+                               ((1, 2, 2), (1, 1, 1))]:
+        src, tgt = (tensor_resolutions([blocks[(l, d)] for l, d in enumerate(degs)], T)
+                    for degs in (src_degs, tgt_degs))
+        m = tensor_chain_map(
+            [taus.get(l, a, b) for l, (a, b) in enumerate(zip(src_degs, tgt_degs))], src, tgt)
+        assert m.source is src.complex and m.target is tgt.complex
+        assert any(mat.entries for mat in m.mats[1:])
+        m.validate()   # shapes, homogeneity and commutation with the differentials
 
 
 def stored_scalars(D, tot):

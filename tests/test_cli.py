@@ -182,6 +182,25 @@ MALFORMED = {
         "gmpi", {"blocks": [{"name": "x", "size": 1}, {"name": "x", "size": 1}],
                  "inducing_ideal": [[1, 0], [0, 1]],
                  "substitutions": {"x:1": [[1]]}}),
+    "substitutions-a-list": ("gmpi", {**expansion_doc(), "substitutions": []}),
+    "substitutions-null": ("gmpi", {**expansion_doc(), "substitutions": None}),
+    "substitutions-a-string": ("gmpi", {**expansion_doc(), "substitutions": "x:1"}),
+    # int() would truncate each of these to a valid document
+    "non-integral-block-size": (
+        "gmpi", {**expansion_doc(), "blocks": [{"name": "x", "size": 1.5},
+                                               {"name": "y", "size": 2}]}),
+    "non-integral-generator": (
+        "resolve", {"blocks": [{"name": "x", "size": 1}], "generators": [[1.5]]}),
+    "non-integral-inducing-exponent": (
+        "gmpi", {**expansion_doc(), "inducing_ideal": [[2, 1.5], [1, 2]]}),
+    "non-integral-substitution-exponent": (
+        "gmpi", expansion_with_substitution("x:1", [[1.5, 0], [0, 1]])),
+    "non-integral-shorthand-degree": (
+        "gmpi", expansion_with_substitution(
+            "x:1", {"family": "power-of-maximal", "degree": 1.5})),
+    "non-integral-shorthand-count": (
+        "gmpi", expansion_with_substitution(
+            "x:1", {"family": "lex-segment", "degree": 1, "count": 2.5})),
 }
 
 

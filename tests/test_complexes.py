@@ -2,6 +2,7 @@ import itertools
 import json
 import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import le
 
@@ -23,6 +24,7 @@ from gmpi.complexes import (
     _normalize_augmentation,
     _strand_classes,
     betti_table,
+    block_offsets,
     degree_grid,
     direct_sum,
     euler_characteristics,
@@ -635,6 +637,52 @@ def test_tensor_factors_must_match_the_blocks():
     with pytest.raises(ConstructionError) as err:
         tensor_resolutions([m2], VariableContext((1, 1), ("x", "y")))
     assert err.value.witness == ((2,), (1, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 4), max_size=4), min_size=1, max_size=4))
+def test_block_offsets_lay_each_anti_diagonal_out_in_order(sizes):
+    off = block_offsets(sizes)
+    # every block of the grid lies on an anti-diagonal
+    assert all(i + j < len(off) for i, row in enumerate(sizes) for j in range(len(row)))
+    for k, starts in enumerate(off):
+        ranks = [row[k - i] if 0 <= k - i < len(row) else 0 for i, row in enumerate(sizes)]
+        # block i starts where block i - 1 ends, and the last one ends at
+        # the rank of the anti-diagonal
+        assert starts[0] == 0 and starts[1:] == [s + n for s, n in zip(starts, ranks)]
+        spans = [range(starts[i], starts[i + 1]) for i in range(len(sizes))]
+        assert [x for span in spans for x in span] == list(range(starts[-1]))
+
+
+def tensor_factors():
+    """Ideal resolutions of ranks [3, 3, 1], [1] and [3, 2] on blocks of
+    3, 1 and 2 variables."""
+    return [
+        ideal_resolution(ideal(simple_context(3, ("x", "y", "z")), [(1, 0, 0), (0, 1, 0), (0, 0, 1)])),
+        ideal_resolution(ideal(simple_context(1, ("w",)), [(2,)])),
+        ideal_resolution(ideal(simple_context(2, ("u", "v")), [(2, 0), (1, 1), (0, 2)])),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tensor_of_n_factors(n):
+    factors = tensor_factors()[:n]
+    ctx = VariableContext(tuple(f.ctx.nvars for f in factors))
+    cx = tensor_resolutions(factors, ctx).complex
+    cx.validate()   # shapes, homogeneity and diff o diff = 0
+    assert cx.length == sum(f.length for f in factors)
+    for k, level in enumerate(cx.shifts):
+        # the concatenated shifts of every choice of factor positions
+        # summing to k, with multiplicity
+        want = Counter(
+            sum(parts, ())
+            for positions in itertools.product(*[range(len(f.shifts)) for f in factors])
+            if sum(positions) == k
+            for parts in itertools.product(*[f.shifts[i] for f, i in zip(factors, positions)]))
+        assert Counter(level) == want, k
+    # it resolves the product of the factors' ideals
+    product = ideal(ctx, [sum(gens, ()) for gens in itertools.product(*[f.shifts[0] for f in factors])])
+    assert block_witness(cx, product) is None
 
 
 # -- the integer kernel of compose
