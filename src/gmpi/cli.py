@@ -64,6 +64,16 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _generator(g) -> tuple[int, ...]:
+    """The exponent vector of a generator, which must be an array of
+    numbers: a string is refused (its characters would read as exponents),
+    and so are strings and booleans among the exponents."""
+    if not isinstance(g, list) or any(
+            isinstance(e, bool) or not isinstance(e, (int, float)) for e in g):
+        raise ValueError(f"generator {g!r} is not an array of integers")
+    return tuple(map(_integer, g))
+
+
 # ---------------------------------------------------------------------------
 # documents
 
@@ -80,13 +90,13 @@ def parse_blocks(data) -> VariableContext:
 def parse_ideal_document(doc) -> MonomialIdeal:
     with _reading("ideal document"):
         ctx = parse_blocks(doc["blocks"])
-        return ideal(ctx, [tuple(map(_integer, g)) for g in doc["generators"]])
+        return ideal(ctx, [_generator(g) for g in doc["generators"]])
 
 
 def parse_instance_document(doc) -> GmpiInstance:
     with _reading("instance document"):
         ctx = parse_blocks(doc["blocks"])
-        raw_gens = [tuple(map(_integer, g)) for g in doc["inducing_ideal"]]
+        raw_gens = [_generator(g) for g in doc["inducing_ideal"]]
         inducing = ideal(simple_context(ctx.nblocks, ctx.names), raw_gens)
         subs_doc = doc.get("substitutions", {})
         if not isinstance(subs_doc, dict):
@@ -103,7 +113,7 @@ def parse_instance_document(doc) -> GmpiInstance:
             if isinstance(val, dict):
                 subs[(l, d)] = family_ideal(val.get("family"), val, ctx.sizes[l], block_ctx)
             else:
-                subs[(l, d)] = ideal(block_ctx, [tuple(map(_integer, g)) for g in val])
+                subs[(l, d)] = ideal(block_ctx, [_generator(g) for g in val])
     try:
         return validate_family(inducing, SubstitutionFamily(ctx, subs),
                                label=doc.get("label", "instance"))

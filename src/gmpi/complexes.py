@@ -26,10 +26,17 @@ the Taylor complex on the admissible generator subsets; Gaussian
 cancellation of unit entries (the standard chain-complex reduction lemma)
 turns it into the minimal resolution.  The full Taylor complex stays as the
 reference it is tested against; both are checked to square to zero when
-they are built.  The cancellation takes the smallest remaining unit
+they are built (``square_witness`` groups each differential by column once,
+for the products on both sides of it).  Both are built on generator
+bitmasks: a face (generator subset) carries its mask and its lcm, which is
+its shift, and its boundary rows are looked up by mask; the Lyubeznik
+enumeration reads the generators dividing a candidate lcm off per-variable
+divisor masks.  The cancellation takes the smallest remaining unit
 (position, row, column) from a heap with lazy deletion, the order a linear
-scan would give.  Strand machinery restricts a complex to a single
-multidegree, where exactness and homology become finite rational rank
+scan would give; only rows and columns at the pivot's shift are checked for
+new units, and a position whose scalars are all ints is cancelled in int
+arithmetic without conversions.  Strand machinery restricts a complex to a
+single multidegree, where exactness and homology become finite rational rank
 computations.  A strand scan checks a resolution of a quotient S/I and
 returns the multidegree of its first failure, or None; a resolution of an
 ideal is scanned with its augmentation onto the ring prepended.
@@ -50,11 +57,12 @@ a nonzero square) raise ValueError from the validators.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import le
+from operator import and_, getitem, le
 
 from . import linalg
 from .monomials import MonomialIdeal, VariableContext, divides, lcm, total_degree
@@ -150,28 +158,10 @@ class MonomialMatrix:
 
     def first_nonzero_column(self, other: "MonomialMatrix") -> int | None:
         """The column of the first entry of self.compose(other), or None when
-        that product is zero.
-
-        Both operands are grouped by column, and the product is formed one
-        column of ``other`` at a time, in the scalars as stored (no cleared
-        copy); no column of it is kept.  Only where a column is nonzero is
-        the composite built, once, for its first entry: compose lists an
-        entry when it first reaches it, and that may be in a column reached
-        earlier."""
-        if self.col_shifts != other.row_shifts:
-            raise ValueError("inner shifts disagree in composition")
-        by_col = _by_column(self.entries)
-        for col in _by_column(other.entries).values():
-            acc: dict[int, int | Fraction] = {}
-            get = acc.get
-            for k, w in col.items():
-                left = by_col.get(k)
-                if left:
-                    for r, v in left.items():
-                        acc[r] = get(r, 0) + v * w
-            if any(acc.values()):
-                return next(iter(self.compose(other).entries))[1]
-        return None
+        that product is zero (``_first_nonzero_column`` on the two operands
+        grouped by column)."""
+        return _first_nonzero_column(
+            self, other, _by_column(self.entries), _by_column(other.entries))
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -194,6 +184,32 @@ def _by_column(entries: dict) -> dict[int, dict[int, int | Fraction]]:
         else:
             col[r] = v
     return out
+
+
+def _first_nonzero_column(left: MonomialMatrix, right: MonomialMatrix,
+                          left_cols: dict, right_cols: dict) -> int | None:
+    """The column of the first entry of left.compose(right), or None when
+    that product is zero; ``left_cols`` and ``right_cols`` are the operands'
+    column views (``_by_column`` of their entries).
+
+    The product is formed one column of ``right`` at a time, in the scalars
+    as stored (no cleared copy); no column of it is kept.  Only where a
+    column is nonzero is the composite built, once, for its first entry:
+    compose lists an entry when it first reaches it, and that may be in a
+    column reached earlier."""
+    if left.col_shifts != right.row_shifts:
+        raise ValueError("inner shifts disagree in composition")
+    for col in right_cols.values():
+        acc: dict[int, int | Fraction] = {}
+        get = acc.get
+        for k, w in col.items():
+            lcol = left_cols.get(k)
+            if lcol:
+                for r, v in lcol.items():
+                    acc[r] = get(r, 0) + v * w
+        if any(acc.values()):
+            return next(iter(left.compose(right).entries))[1]
+    return None
 
 
 def zero_matrix(ctx, row_shifts, col_shifts) -> MonomialMatrix:
@@ -238,13 +254,18 @@ class FreeComplex:
     def square_witness(self) -> tuple[int, tuple[int, ...]] | None:
         """(position i, multidegree) of the first nonzero entry of some
         diff[i-1] o diff[i], in the entry order of ``compose``, or None if
-        the differentials square to zero.  Each product is streamed by
-        column (``first_nonzero_column``); none is built where it is zero."""
+        the differentials square to zero.  Each differential is grouped by
+        column once, for the products on both sides of it, and each product
+        is streamed by column (``_first_nonzero_column``); none is built
+        where it is zero."""
+        left_cols = _by_column(self.diffs[1].entries) if len(self.shifts) > 2 else None
         for i in range(2, len(self.shifts)):
             right = self.diffs[i]
-            c = self.diffs[i - 1].first_nonzero_column(right)
+            right_cols = _by_column(right.entries)
+            c = _first_nonzero_column(self.diffs[i - 1], right, left_cols, right_cols)
             if c is not None:
                 return i, right.col_shifts[c]
+            left_cols = right_cols
         return None
 
     def unit_witness(self) -> tuple[int, tuple[int, int]] | None:
@@ -284,11 +305,18 @@ def taylor_complex(I: MonomialIdeal, cap: int = 14) -> FreeComplex:
     ``cap`` bounds the number of generators (2^cap basis elements)."""
     if I.is_zero or I.is_unit:
         raise ValueError("Taylor complex needs a nonzero proper ideal")
-    k = len(I.gens)
+    gens = I.gens
+    k = len(gens)
     if k > cap:
         raise SizeCapError(f"{k} generators exceed the Taylor cap {cap}")
-    return _subset_complex(
-        I, [list(itertools.combinations(range(k), size)) for size in range(k + 1)])
+    # extending each subset by every larger index keeps the levels in
+    # lexicographic order
+    levels = [[((), 0, (0,) * I.ctx.nvars)]]
+    for _ in range(k):
+        levels.append([(face + (j,), mask | 1 << j, lcm(shift, gens[j]))
+                       for face, mask, shift in levels[-1]
+                       for j in range(face[-1] + 1 if face else 0, k)])
+    return _subset_complex(I.ctx, levels)
 
 
 def lyubeznik_complex(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
@@ -300,66 +328,73 @@ def lyubeznik_complex(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
     m_{i_t}, ..., m_{i_s}, for any t.  A subset is admissible iff its tail
     from i_2 is and m_{i_1} is the first generator dividing its lcm, so the
     levels grow by prepending smaller indices to the admissible subsets one
-    level down.  Each level is listed in the lexicographic order the Taylor
-    complex uses.  ``cap`` bounds the number of basis elements, counted while
-    the levels are enumerated and before any matrix is built.
+    level down.  The generators dividing an lcm m are read off bitmasks (bit
+    q for m_q): per variable, a table from each exponent that occurs among
+    the generators to the mask of the generators with at most that exponent
+    there, so the divisors of m are the AND of the masks at m's exponents
+    (which all occur), and (i,) + tail is admissible iff that AND has no bit
+    below i.  Prepending i to the admissible tails whose first index exceeds
+    it, for i = 0, 1, ..., lists each level in the lexicographic order the
+    Taylor complex uses.  Each subset keeps its lcm, which becomes its
+    shift.  ``cap`` bounds the number of basis elements, counted while the
+    levels are enumerated and before any matrix is built.
     """
     if I.is_zero or I.is_unit:
         raise ValueError("Lyubeznik complex needs a nonzero proper ideal")
     gens = I.gens
     k = len(gens)
-    first: dict[tuple[int, ...], int] = {}
+    divisors = []
+    for t in range(I.ctx.nvars):
+        values = sorted({g[t] for g in gens})
+        divisors.append(dict(zip(values, _below_masks(gens, t, values))))
 
-    def first_divisor(m):
-        if m not in first:
-            first[m] = next(q for q, g in enumerate(gens) if divides(g, m))
-        return first[m]
-
-    levels = [[()], [(i,) for i in range(k)]]
-    lcms = {(i,): g for i, g in enumerate(gens)}
+    levels = [[((), 0, (0,) * I.ctx.nvars)], [((i,), 1 << i, g) for i, g in enumerate(gens)]]
     size = 1 + k
     while levels[-1] and size <= cap:
-        level = []
-        for tail in levels[-1]:
-            below = lcms[tail]
-            for i in range(tail[0]):
-                m = lcm(gens[i], below)
-                if first_divisor(m) == i:
-                    lcms[(i,) + tail] = m
-                    level.append((i,) + tail)
+        tails, level = levels[-1], []
+        start = 0
+        for i in range(k):
+            # the tails whose first index exceeds i: a suffix, as tails is sorted
+            while start < len(tails) and tails[start][0][0] <= i:
+                start += 1
+            if start == len(tails):
+                break
+            gi, bit, before = gens[i], 1 << i, (1 << i) - 1
+            for tail, mask, below in itertools.islice(tails, start, None):
+                m = tuple(map(max, gi, below))   # lcm, inlined in the hot loop
+                if not functools.reduce(and_, map(getitem, divisors, m), before):
+                    level.append(((i,) + tail, mask | bit, m))
             if size + len(level) > cap:
                 break
         size += len(level)
-        level.sort()
         levels.append(level)
     if size > cap:
         raise SizeCapError(
             f"the Lyubeznik complex of {k} generators exceeds the cap of {cap} basis elements")
-    return _subset_complex(I, levels[:-1])
+    return _subset_complex(I.ctx, levels[:-1])
 
 
-def _subset_complex(I: MonomialIdeal, levels: list[list[tuple[int, ...]]]) -> FreeComplex:
-    """The subcomplex of the Taylor complex of S/I on ``levels[s]``, lists of
-    s-subsets of generator indices (sorted tuples), closed under removing an
-    element.  A subset's shift extends the lcm of the subset without its last
-    element; the boundary of a subset is sum_j (-1)^j (it without element j).
-    Checked to square to zero."""
-    gens = I.gens
-    index = [{s: i for i, s in enumerate(level)} for level in levels]
-    shifts = [[(0,) * I.ctx.nvars]]
-    for size in range(1, len(levels)):
-        below, prev = index[size - 1], shifts[size - 1]
-        shifts.append([lcm(prev[below[s[:-1]]], gens[s[-1]]) for s in levels[size]])
-
+def _subset_complex(ctx: VariableContext, levels) -> FreeComplex:
+    """The subcomplex of a Taylor complex on ``levels[s]``, lists of faces
+    (subset, mask, lcm) of s-subsets of generator indices: the sorted
+    tuple, its bitmask (bit q for index q) and the lcm of its generators,
+    which is its shift.  The levels are closed under removing an element;
+    the boundary of a subset is sum_j (-1)^j (it without element j), whose
+    row is looked up by its mask.  Checked to square to zero."""
+    shifts = [[shift for _, _, shift in level] for level in levels]
+    signs = SIGNS * (len(levels) // 2 + 1)
     diffs: list[MonomialMatrix | None] = [None]
+    below = {0: 0}
     for size in range(1, len(levels)):
-        below = index[size - 1]
+        index: dict[int, int] = {}
         entries: dict[tuple[int, int], int | Fraction] = {}
-        for c, subset in enumerate(levels[size]):
-            for j in range(size):
-                entries[(below[subset[:j] + subset[j + 1:]], c)] = SIGNS[j % 2]
-        diffs.append(MonomialMatrix(I.ctx, shifts[size - 1], shifts[size], entries))
-    return make_complex(I.ctx, shifts, diffs)
+        for c, (face, mask, _) in enumerate(levels[size]):
+            index[mask] = c
+            for q, sign in zip(face, signs):
+                entries[(below[mask ^ 1 << q], c)] = sign
+        diffs.append(MonomialMatrix(ctx, shifts[size - 1], shifts[size], entries))
+        below = index
+    return make_complex(ctx, shifts, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +409,17 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
     e(r',c') -= e(r',c) e(r,c') / e(r,c), drops row c of diff[i+1] and column
     r of diff[i-1].  The factor e(r',c) / e(r,c) is an exact int division
     where e(r,c) divides e(r',c) (always for a +-1 unit) and a Fraction
-    otherwise, and each updated entry is an int where it is integral.
+    otherwise, and each updated entry is an int where it is integral; while
+    every entry and factor of a position is an int, the updates are int
+    arithmetic and nothing is converted.
     Scan order: lowest position first, then lexicographic
     (row, col); the resulting Betti numbers are order-independent.  The unit
     entries of a position sit in a heap with lazy deletion: a pair is pushed
     when it becomes a unit and skipped when popped after it stopped being one,
-    so each step pops the smallest live unit.
+    so each step pops the smallest live unit.  Cancelling a unit at shift b
+    changes only entries (r', c') with shift(r') <= b <= shift(c'), so only
+    pairs of a row and a column both at shift b can become or stop being
+    units, and only those are checked.
     """
     p = C.length
     alive = [set(range(len(C.shifts[i]))) for i in range(p + 1)]
@@ -390,10 +430,15 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
         cols: dict[int, dict[int, int | Fraction]] = {}
         units: set[tuple[int, int]] = set()
         rsh, csh = C.shifts[i - 1], C.shifts[i]
+        # position i loses no basis element before its own pass, so only the
+        # rows need the liveness test
+        live_rows, integral = alive[i - 1], True
         for (r, c), v in C.diffs[i].entries.items():
-            if r in alive[i - 1] and c in alive[i]:
+            if r in live_rows:
                 rows.setdefault(r, {})[c] = v
                 cols.setdefault(c, {})[r] = v
+                if type(v) is not int:
+                    integral = False
                 if rsh[r] == csh[c]:
                     units.add((r, c))
         heap = list(units)
@@ -407,48 +452,60 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
             u = pivot_row.pop(c0)
             del pivot_col[r0]
             units.discard((r0, c0))
+            b = csh[c0]
+            at_b = {c for c in pivot_row if csh[c] == b}
             # every other row meeting column c0 and every other column meeting
             # row r0 exist, so the updates index rows and cols directly
             for r, vc in pivot_col.items():
                 row = rows[r]
                 del row[c0]
-                units.discard((r, c0))
+                if rsh[r] == b:
+                    units.discard((r, c0))
+                    candidates = at_b
+                else:
+                    candidates = ()
                 if type(vc) is int and type(u) is int and not vc % u:
                     factor = vc // u
                 else:
                     factor = _integral(Fraction(vc) / u)
+                    integral = False
                 for c, vr in pivot_row.items():
-                    v = _integral(row.get(c, 0) - factor * vr)
+                    v = row.get(c, 0) - factor * vr
+                    if not integral:
+                        v = _integral(v)
                     if v:
                         row[c] = v
                         cols[c][r] = v
-                        if rsh[r] == csh[c] and (r, c) not in units:
+                        if c in candidates and (r, c) not in units:
                             units.add((r, c))
                             heapq.heappush(heap, (r, c))
                     else:
                         row.pop(c, None)
                         cols[c].pop(r, None)
-                        units.discard((r, c))
+                        if c in candidates:
+                            units.discard((r, c))
             for c in pivot_row:
                 del cols[c][r0]
-                units.discard((r0, c))
+                if c in at_b:
+                    units.discard((r0, c))
             alive[i - 1].discard(r0)
             alive[i].discard(c0)
         final_rows[i] = rows
 
     # compact to fresh index ranges
-    new_index = [
-        {old: new for new, old in enumerate(sorted(alive[i]))} for i in range(p + 1)]
-    shifts = [[C.shifts[i][old] for old in sorted(alive[i])] for i in range(p + 1)]
+    kept = [sorted(a) for a in alive]
+    new_index = [{old: new for new, old in enumerate(k)} for k in kept]
+    shifts = [[C.shifts[i][old] for old in kept[i]] for i in range(p + 1)]
     diffs: list[MonomialMatrix | None] = [None]
     for i in range(1, p + 1):
         entries = {}
+        rows_at, cols_at = new_index[i - 1], new_index[i]
         for r, rowmap in final_rows[i].items():
-            if r not in new_index[i - 1]:
+            if r not in rows_at:
                 continue
             for c, v in rowmap.items():
-                if c in new_index[i]:
-                    entries[(new_index[i - 1][r], new_index[i][c])] = v
+                if c in cols_at:
+                    entries[(rows_at[r], cols_at[c])] = v
         diffs.append(MonomialMatrix(C.ctx, shifts[i - 1], shifts[i], entries))
 
     while len(shifts) > 1 and not shifts[-1]:

@@ -503,18 +503,19 @@ def test_total_complex_composes_each_pair_once(monkeypatch):
     # complex, of the resolution of S/I (the star scan's precondition) and of
     # each block resolution with its augmentation prepended (the block scans'
     # precondition) once each, streamed by column, and composes none
+    from gmpi import complexes
     D = build_double_complex(expansion_instance())
     calls = []
-    streamed = MonomialMatrix.first_nonzero_column
+    streamed = complexes._first_nonzero_column
 
-    def counted(self, other):
-        calls.append((self, other))
-        return streamed(self, other)
+    def counted(left, right, left_cols, right_cols):
+        calls.append((left, right))
+        return streamed(left, right, left_cols, right_cols)
 
     def composed(self, other):
         raise AssertionError("the certificate builds a composite")
 
-    monkeypatch.setattr(MonomialMatrix, "first_nonzero_column", counted)
+    monkeypatch.setattr(complexes, "_first_nonzero_column", counted)
     monkeypatch.setattr(MonomialMatrix, "compose", composed)
     tot = total_complex(D)
     assert tot.exactness_verified and tot.complex.length == 4

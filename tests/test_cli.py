@@ -201,6 +201,24 @@ MALFORMED = {
     "non-integral-shorthand-count": (
         "gmpi", expansion_with_substitution(
             "x:1", {"family": "lex-segment", "degree": 1, "count": 2.5})),
+    # a generator is an array of integers: int() would read each of these
+    # as a valid document
+    "string-substitution-ideal": (
+        "gmpi", {"blocks": [{"name": "x", "size": 1}, {"name": "y", "size": 1}],
+                 "inducing_ideal": [[1, 0], [0, 1]],
+                 "substitutions": {"x:1": "1", "y:1": [[1]]}}),
+    "string-inducing-generators": ("gmpi", {**expansion_doc(), "inducing_ideal": ["21", "12"]}),
+    "string-generators": (
+        "resolve", {"blocks": [{"name": "x", "size": 2}], "generators": ["10", "01"]}),
+    "string-exponent": (
+        "resolve", {"blocks": [{"name": "x", "size": 2}], "generators": [[1, "0"], [0, 1]]}),
+    "string-substitution-exponent": (
+        "gmpi", expansion_with_substitution("x:1", [[1, "0"], [0, 1]])),
+    "boolean-exponents": (
+        "resolve", {"blocks": [{"name": "x", "size": 2}],
+                    "generators": [[True, False], [False, True]]}),
+    "boolean-inducing-exponent": (
+        "gmpi", {**expansion_doc(), "inducing_ideal": [[2, True], [True, 2]]}),
 }
 
 

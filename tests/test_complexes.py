@@ -1079,3 +1079,157 @@ def test_resolve_beyond_the_taylor_cap(tmp_path, capsys):
     assert main(["resolve", str(path), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert BettiTable.from_json(payload["betti"]) == koszul_betti(I)
+
+
+# -- the Lyubeznik kernel against a reference copy of its earlier code
+
+def reference_lyubeznik(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
+    """lyubeznik_complex as it was before its bitmask rewrite: the first
+    divisor of each candidate lcm by a linear scan, each level sorted, and
+    each shift and boundary face found by slicing index tuples."""
+    gens = I.gens
+    k = len(gens)
+    first = {}
+
+    def first_divisor(m):
+        if m not in first:
+            first[m] = next(q for q, g in enumerate(gens) if divides(g, m))
+        return first[m]
+
+    levels = [[()], [(i,) for i in range(k)]]
+    lcms = {(i,): g for i, g in enumerate(gens)}
+    size = 1 + k
+    while levels[-1] and size <= cap:
+        level = []
+        for tail in levels[-1]:
+            below = lcms[tail]
+            for i in range(tail[0]):
+                m = lcm(gens[i], below)
+                if first_divisor(m) == i:
+                    lcms[(i,) + tail] = m
+                    level.append((i,) + tail)
+            if size + len(level) > cap:
+                break
+        size += len(level)
+        level.sort()
+        levels.append(level)
+    if size > cap:
+        raise SizeCapError(
+            f"the Lyubeznik complex of {k} generators exceeds the cap of {cap} basis elements")
+    levels = levels[:-1]
+    index = [{s: i for i, s in enumerate(level)} for level in levels]
+    shifts = [[(0,) * I.ctx.nvars]]
+    for size in range(1, len(levels)):
+        below, prev = index[size - 1], shifts[size - 1]
+        shifts.append([lcm(prev[below[s[:-1]]], gens[s[-1]]) for s in levels[size]])
+    diffs = [None]
+    for size in range(1, len(levels)):
+        below = index[size - 1]
+        entries = {}
+        for c, subset in enumerate(levels[size]):
+            for j in range(size):
+                entries[(below[subset[:j] + subset[j + 1:]], c)] = (-1) ** j
+        diffs.append(MonomialMatrix(I.ctx, shifts[size - 1], shifts[size], entries))
+    return FreeComplex(I.ctx, shifts, diffs)
+
+
+@st.composite
+def wide_exponent_ideals(draw):
+    """Ideals of at most 7 generators in 2 or 3 variables, exponents <= 50,
+    in a shuffled order."""
+    nvars = draw(st.integers(2, 3))
+    vec = st.tuples(*[st.integers(0, 50)] * nvars).filter(any)
+    I = ideal(simple_context(nvars, tuple("xyz"[:nvars])),
+              draw(st.lists(vec, min_size=1, max_size=7)))
+    return MonomialIdeal(I.ctx, tuple(draw(st.permutations(I.gens))))
+
+
+@st.composite
+def power_subsets(draw):
+    """Up to 8 monomials of one degree in 3 variables, shuffled: their
+    Lyubeznik complexes carry units at several shifts."""
+    d = draw(st.integers(2, 3))
+    degree_d = [g for g in itertools.product(range(d + 1), repeat=3) if sum(g) == d]
+    gens = draw(st.lists(st.sampled_from(degree_d), min_size=2, max_size=8, unique=True))
+    return MonomialIdeal(S3, tuple(gens))
+
+
+def int_rescaled(C: FreeComplex) -> FreeComplex:
+    """C with integer non-unit scalars: basis element j of position i >= 1
+    times f_j, f_j cycling through 2, 3, 1, -1, and each differential above
+    it times 6 so that dividing a row by f_j stays integral.  Units of 2
+    and 3 then give Fraction factors partway through a cancellation."""
+    f = [2, 3, 1, -1]
+    out = C.copy()
+    for i in range(1, out.length + 1):
+        out.diffs[i].entries = {
+            (r, c): v * f[c % 4] * (6 // f[r % 4] if i >= 2 else 1)
+            for (r, c), v in out.diffs[i].entries.items()}
+    return out
+
+
+def unit_shifts(d: MonomialMatrix) -> set:
+    return {d.col_shifts[c] for (r, c) in d.entries if d.row_shifts[r] == d.col_shifts[c]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(shuffled_small_ideals(), wide_exponent_ideals(), power_subsets()), st.data())
+def test_lyubeznik_kernel_matches_the_reference_copy(I, data):
+    # the same shifts, entries and entry order, the same resolution, and the
+    # cap refused at the same size
+    C, R = lyubeznik_complex(I), reference_lyubeznik(I)
+    assert same_complex(C, R)
+    res = quotient_resolution(I)
+    assert same_complex(res, reference_minimalize(R))
+    assert all(type(v) is int for d in res.diffs[1:] for v in d.entries.values())
+    total = sum(R.ranks)
+    for cap in (total - 1, total, data.draw(st.integers(1, total + 1))):
+        try:
+            reference_lyubeznik(I, cap)
+        except SizeCapError as e:
+            with pytest.raises(SizeCapError, match=str(e)):
+                lyubeznik_complex(I, cap)
+        else:
+            assert same_complex(lyubeznik_complex(I, cap), R)
+    # integer non-unit scalars, cancelled partly in ints and partly in
+    # Fractions, against the cancellation in Fractions
+    S = int_rescaled(C)
+    S.validate()
+    got = minimalize_complex(S)
+    assert same_complex(got, reference_minimalize(fraction_copy(S)))
+    assert all(normal_scalar(v) for d in got.diffs[1:] for v in d.entries.values())
+
+
+def test_power_subsets_cancel_units_at_several_shifts():
+    # the strategy above reaches units at several shifts of one position
+    I = MonomialIdeal(S3, ((0, 1, 1), (2, 0, 0), (1, 1, 0), (0, 0, 2), (1, 0, 1), (0, 2, 0)))
+    C = lyubeznik_complex(I)
+    assert unit_shifts(C.diffs[3]) == {(2, 1, 1), (2, 0, 2), (2, 2, 0)}
+    assert unit_shifts(C.diffs[4]) == {(2, 1, 2), (2, 2, 1)}
+    assert same_complex(C, reference_lyubeznik(I))
+    assert same_complex(quotient_resolution(I), reference_minimalize(C))
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_small_ideals(), st.data())
+def test_validate_reports_a_corrupted_lyubeznik_complex_at_its_first_square(I, data):
+    # one sign flipped, or one face entry dropped: validate raises at the
+    # first position whose composite is nonzero, which is the corrupted
+    # position from 2 up (its lower differential maps no face to zero)
+    C = lyubeznik_complex(I)
+    i = data.draw(st.integers(1, C.length))
+    d = C.diffs[i].entries
+    key = data.draw(st.sampled_from(sorted(d)))
+    if data.draw(st.booleans()):
+        d[key] = -d[key]
+    else:
+        del d[key]
+    expected = composite_square_witness(C)
+    assert C.square_witness() == expected
+    if expected is None:
+        assert i == 1
+        C.validate()
+        return
+    assert expected[0] == i or (i == 1 and expected[0] == 2)
+    with pytest.raises(ValueError, match=rf"^diff o diff != 0 at position {expected[0]}$"):
+        C.validate()

@@ -419,21 +419,22 @@ def test_total_exactness_is_skipped_above_its_cap(monkeypatch):
 
 
 def test_total_exactness_composes_and_reads_each_differential_once(monkeypatch):
+    from gmpi import complexes
     from gmpi.complexes import MonomialMatrix
     inst = with_resolution_copy(random_instance(30))
     tot = total_complex(build_double_complex(inst))
     composed, read = [], []
-    streamed, columns = MonomialMatrix.first_nonzero_column, MonomialMatrix.columns
+    streamed, columns = complexes._first_nonzero_column, MonomialMatrix.columns
 
-    def counted_product(self, other):
-        composed.append((self, other))
-        return streamed(self, other)
+    def counted_product(left, right, left_cols, right_cols):
+        composed.append((left, right))
+        return streamed(left, right, left_cols, right_cols)
 
     def counted_columns(self):
         read.append(self)
         return columns(self)
 
-    monkeypatch.setattr(MonomialMatrix, "first_nonzero_column", counted_product)
+    monkeypatch.setattr(complexes, "_first_nonzero_column", counted_product)
     monkeypatch.setattr(MonomialMatrix, "columns", counted_columns)
     assert check_total_exactness(inst, tot).status == "PASS"
     # diff o diff of the resolution of S/I, then of the total complex, which
