@@ -31,6 +31,7 @@ from fractions import Fraction
 
 from .complexes import (
     _integral,
+    _square_witness,
     _strand_scan,
     betti_table,
     BettiTable,
@@ -301,12 +302,12 @@ def star_acyclicity(star: StarComplex):
     where T's degree grid exceeds STAR_SCAN_CAP cells.
     """
     inst = star.instance
-    square = inst.resolution.square_witness()
+    scalars = [None] + [d.columns() for d in inst.resolution.diffs[1:]]
+    square = _square_witness(inst.resolution.diffs, scalars[1:])
     if square is not None:
         return square
     ring = [((0,) * inst.T.nvars,)]
     summands = [ring] + [[idl.gens for idl in level] for level in star.ideals]
-    scalars = [None] + [d.columns() for d in inst.resolution.diffs[1:]]
     return _strand_scan(summands, scalars, inst.induced, STAR_SCAN_CAP)
 
 

@@ -57,19 +57,19 @@ def _reading(what: str):
 
 
 def _integer(v) -> int:
-    """int(v), refusing a non-integral number where int() would truncate it
-    (a string, as ``gmpi family`` passes its parameters, goes to int())."""
-    if isinstance(v, float) and not v.is_integer():
+    """int(v) for a number of a document: a string or a boolean is refused,
+    though int() would read it, and so is a non-integral number, which int()
+    would truncate."""
+    if isinstance(v, (str, bool)) or isinstance(v, float) and not v.is_integer():
         raise ValueError(f"{v!r} is not an integer")
     return int(v)
 
 
 def _generator(g) -> tuple[int, ...]:
     """The exponent vector of a generator, which must be an array of
-    numbers: a string is refused (its characters would read as exponents),
-    and so are strings and booleans among the exponents."""
-    if not isinstance(g, list) or any(
-            isinstance(e, bool) or not isinstance(e, (int, float)) for e in g):
+    integers (a string is refused: its characters would read as
+    exponents)."""
+    if not isinstance(g, list):
         raise ValueError(f"generator {g!r} is not an array of integers")
     return tuple(map(_integer, g))
 
@@ -267,7 +267,9 @@ def cmd_family(args) -> int:
             if val is not None:
                 params[flag] = val
         if tag in BLOCK_FAMILY_TAGS:
-            out = ideal_to_document(family_ideal(tag, params, int(params["vars"]), None))
+            # family_ideal reads document numbers, which are never strings
+            numbers = {k: int(v) for k, v in params.items() if k in ("degree", "count")}
+            out = ideal_to_document(family_ideal(tag, numbers, int(params["vars"]), None))
         elif tag == "veronese-type":
             caps = tuple(int(c) for c in params["caps"].split(","))
             out = ideal_to_document(fam.veronese_type(len(caps), int(params["t"]), caps))

@@ -27,7 +27,8 @@ cancellation of unit entries (the standard chain-complex reduction lemma)
 turns it into the minimal resolution.  The full Taylor complex stays as the
 reference it is tested against; both are checked to square to zero when
 they are built (``square_witness`` groups each differential by column once,
-for the products on both sides of it).  Both are built on generator
+for the products on both sides of it; ``exactness_check`` hands the same
+column views on to its strand scan).  Both are built on generator
 bitmasks: a face (generator subset) carries its mask and its lcm, which is
 its shift, and its boundary rows are looked up by mask; the Lyubeznik
 enumeration reads the generators dividing a candidate lcm off per-variable
@@ -41,14 +42,15 @@ computations.  A strand scan checks a resolution of a quotient S/I and
 returns the multidegree of its first failure, or None; a resolution of an
 ideal is scanned with its augmentation onto the ring prepended.
 
-The strand scans rank over F_P first (``linalg.rank_mod_p``) and keep an
-exact verdict.  A strand whose ranks mod P reach, at every positive
-position, the ranks an exact strand of its dimensions must have is exact,
-with those ranks over Q, provided that P divides no denominator of its maps
-(so rank mod P <= rank over Q) and that every live column has its support in
-the live rows (so the strand is a subcomplex of a complex and squares to
-zero).  Any other strand is ranked again with the exact ``linalg.rank``, so
-the verdict and witness are the exact ones.
+The strand scans rank over F_2 first (``linalg.rank_mod_2``, on columns
+packed into ints) and keep an exact verdict.  A strand whose F_2 ranks
+reach, at every positive position, the ranks an exact strand of its
+dimensions must have is exact, with those ranks over Q, provided that every
+denominator of its maps is odd (so rank over F_2 <= rank over Q) and that
+every live column has its support in the live rows (so the strand is a
+subcomplex of a complex and squares to zero).  Any other strand is ranked
+again with the exact ``linalg.rank``, so the verdict and witness are the
+exact ones.
 
 A broken construction invariant raises ConstructionError with a witness;
 malformed hand-built maps (stored zeros, inhomogeneous entries, wrong shapes,
@@ -212,6 +214,22 @@ def _first_nonzero_column(left: MonomialMatrix, right: MonomialMatrix,
     return None
 
 
+def _square_witness(diffs, views) -> tuple[int, tuple[int, ...]] | None:
+    """``FreeComplex.square_witness`` of the differentials ``diffs`` (with
+    ``diffs[0]`` None), given their column views: ``views`` yields those of
+    diffs[1], diffs[2], ... in order, and is read one view ahead of each
+    product."""
+    views = iter(views)
+    left_cols = next(views, None)
+    for i, right_cols in enumerate(views, 2):
+        right = diffs[i]
+        c = _first_nonzero_column(diffs[i - 1], right, left_cols, right_cols)
+        if c is not None:
+            return i, right.col_shifts[c]
+        left_cols = right_cols
+    return None
+
+
 def zero_matrix(ctx, row_shifts, col_shifts) -> MonomialMatrix:
     return MonomialMatrix(ctx, list(row_shifts), list(col_shifts), {})
 
@@ -258,15 +276,7 @@ class FreeComplex:
         column once, for the products on both sides of it, and each product
         is streamed by column (``_first_nonzero_column``); none is built
         where it is zero."""
-        left_cols = _by_column(self.diffs[1].entries) if len(self.shifts) > 2 else None
-        for i in range(2, len(self.shifts)):
-            right = self.diffs[i]
-            right_cols = _by_column(right.entries)
-            c = _first_nonzero_column(self.diffs[i - 1], right, left_cols, right_cols)
-            if c is not None:
-                return i, right.col_shifts[c]
-            left_cols = right_cols
-        return None
+        return _square_witness(self.diffs, (_by_column(d.entries) for d in self.diffs[1:]))
 
     def unit_witness(self) -> tuple[int, tuple[int, int]] | None:
         """(position, (row, col)) of the first unit entry, or None."""
@@ -658,12 +668,13 @@ def exactness_check(C: FreeComplex, expect_h0: MonomialIdeal, max_cells: int = 2
     SizeCapError where the grid exceeds ``max_cells``.
     """
     # the strand rank arithmetic presumes an actual complex; a corrupted
-    # differential must surface here, witnessed by the offending multidegree
-    square = C.square_witness()
+    # differential must surface here, witnessed by the offending multidegree.
+    # One column view per differential serves diff o diff and the scan.
+    scalars = [None] + [d.columns() for d in C.diffs[1:]]
+    square = _square_witness(C.diffs, scalars[1:])
     if square is not None:
         return square[1]
     summands = [[(s,) for s in level] for level in C.shifts]
-    scalars = [None] + [C.diffs[i].columns() for i in range(1, C.length + 1)]
     return _strand_scan(summands, scalars, expect_h0, max_cells)
 
 
@@ -681,21 +692,23 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, max_cells: int):
     Each strand map D_i is the live columns restricted to the live rows.
     A strand of dimensions n_0, ..., n_p is exact at every positive position
     iff rank D_i = e_i, the ranks an exact strand must have: e_(p+1) = 0 and
-    e_i = n_i - e_(i+1).  A cell is first ranked over F_P
-    (``linalg.rank_mod_p``, stopping once it has e_i pivots), and that
+    e_i = n_i - e_(i+1).  A cell is first ranked over F_2
+    (``linalg.rank_mod_2``, stopping once it has e_i pivots), and that
     certifies it exactly under two preconditions:
 
-    * P divides no denominator of the maps (each map is reduced once; a map
-      where P divides a denominator is never ranked mod P), so that
-      rank over Q >= rank over F_P;
+    * every denominator of the maps is odd (each map is reduced once; a map
+      with an even denominator is never ranked over F_2), so that
+      rank over Q >= rank over F_2;
     * every live column has its support inside the live rows, so that the
-      strand is a subcomplex and squares to zero too.
+      strand is a subcomplex and squares to zero too.  Each column's
+      support is packed into an int like its odd rows, so this reads
+      support & ~rows == 0 against the class's row mask.
 
-    Then rank_P D_i >= e_i at every positive position gives rank_Q D_i = e_i:
+    Then rank_2 D_i >= e_i at every positive position gives rank_Q D_i = e_i:
     rank_Q D_i >= e_i, and from the top down rank_Q D_i <= n_i - e_(i+1) = e_i
     since the image of D_(i+1) lies in the kernel of D_i.  So the strand is
     exact at every positive position and the H_0 rule reads
-    H_0 = n_0 - e_1.  Any other cell (a mod-P rank below e_i, or a
+    H_0 = n_0 - e_1.  Any other cell (an F_2 rank below e_i, or a
     precondition fails) is ranked again with the exact ``linalg.rank``,
     which decides it as before, so verdict and witness are those of exact
     ranks everywhere.
@@ -714,12 +727,12 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, max_cells: int):
     if ncells > max_cells:
         raise SizeCapError(f"degree grid has {ncells} cells (cap {max_cells})")
     first = _strand_classes(summands, expect_h0, axes)
-    reduced = [None] + [_map_mod_p(cols) for cols in scalars[1:]]
+    reduced = [None] + [_map_mod_2(cols) for cols in scalars[1:]]
     decoded: dict[int, list[int]] = {}
     positions = list(range(max(map(len, summands))))
     exact_memo: dict[tuple[int, int, int], int] = {}
     supported: dict[tuple[int, int, int], bool] = {}
-    modp_memo: dict[tuple[int, int, int], int] = {}
+    mod2_memo: dict[tuple[int, int, int], int] = {}
 
     def live(mask):
         """The live summand indices of a summand bitmask."""
@@ -737,24 +750,25 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, max_cells: int):
                 for c in cols if c in by_col]) if rows and cols else 0
         return exact_memo[key]
 
-    def modp_rank(i, a, b, want):
-        """min(rank over F_P, want), or None where a precondition fails.
-        Where the live columns keep their support in the live rows, the rank
-        depends on the columns alone."""
+    def mod2_rank(i, a, b, want):
+        """min(rank over F_2, want), or None where a precondition fails.
+        Where the live columns keep their support in the live rows ``a``,
+        the rank depends on the columns alone."""
+        if reduced[i] is None:
+            return None
+        odd, support = reduced[i]
         key = (i, a, b)
         if key not in supported:
-            by_col, live_rows = scalars[i], set(live(a))
-            supported[key] = reduced[i] is not None and all(
-                by_col[c].keys() <= live_rows for c in live(b) if c in by_col)
+            dead = ~a
+            supported[key] = not any(support[c] & dead for c in live(b) if c in support)
         if not supported[key]:
             return None
         if want <= 0:
             return 0
         key = (i, b, want)
-        if key not in modp_memo:
-            red = reduced[i]
-            modp_memo[key] = linalg.rank_mod_p([red[c] for c in live(b) if c in red], want)
-        return modp_memo[key]
+        if key not in mod2_memo:
+            mod2_memo[key] = linalg.rank_mod_2([odd[c] for c in live(b) if c in odd], want)
+        return mod2_memo[key]
 
     p = len(summands) - 1
     positive = range(1, p + 1)
@@ -764,7 +778,7 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, max_cells: int):
         want = [0] * (p + 2)
         for i in reversed(positive):
             want[i] = dims[i] - want[i + 1]
-        ranks = [0] + [modp_rank(i, cls[i - 1], cls[i], want[i]) for i in positive] + [0]
+        ranks = [0] + [mod2_rank(i, cls[i - 1], cls[i], want[i]) for i in positive] + [0]
         if ranks != want:
             ranks = [0] + [exact_rank(i, cls[i - 1], cls[i]) for i in positive] + [0]
         exact = all(dims[i] == ranks[i] + ranks[i + 1] for i in positive)
@@ -860,16 +874,18 @@ def _bit_indices(mask: int, positions: list[int]) -> list[int]:
     return list(itertools.compress(positions, bits))
 
 
-def _map_mod_p(columns: dict[int, dict[int, int | Fraction]]):
-    """The columns reduced over F_P (``linalg.mod_p``), or None if P divides
-    a denominator of the map."""
-    out = {}
+def _map_mod_2(columns: dict[int, dict[int, int | Fraction]]):
+    """(odd, support): per column, its odd rows (``linalg.mod_2``) and its
+    rows, each packed into an int with bit r for row r; None if a
+    denominator of the map is even."""
+    odd, support = {}, {}
     for c, col in columns.items():
-        red = linalg.mod_p(col)
+        red = linalg.mod_2(col)
         if red is None:
             return None
-        out[c] = red
-    return out
+        odd[c] = red
+        support[c] = sum(1 << r for r in col)
+    return odd, support
 
 
 def euler_characteristics(C: FreeComplex, points) -> list[int]:

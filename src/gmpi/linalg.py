@@ -1,10 +1,10 @@
-"""Exact linear algebra over the rationals, and its certificate over F_P
+"""Exact linear algebra over the rationals, and its certificate over F_2
 (small matrices only).
 
 Scalars are exact: an ``int`` wherever a value is integral, a ``Fraction``
 only where it has a denominator (see ``complexes``).  A float or any other
 value is refused with a ValueError naming its key, by ``_cleared`` and
-``mod_p``, on their path for vectors that are not all ints, so the all-int
+``mod_2``, on their path for vectors that are not all ints, so the all-int
 path pays nothing for the check.
 
 ``rank`` reads a matrix as a list of sparse vectors {index: nonzero value}
@@ -16,16 +16,17 @@ denominator clearing (``_cleared``, which hands an all-int vector back
 without a copy) also feeds the integer kernel of
 ``complexes.MonomialMatrix.compose``.
 
-``rank_mod_p`` is the fast rank of the strand-exactness scans: it eliminates
-the same sparse vectors reduced modulo the fixed prime ``P`` (``mod_p``), a
-prime below 2^30, so that every residue fits in one CPython digit.  Reduction
-is defined when P divides no denominator (``mod_p`` returns None otherwise),
-and then rank over F_P <= rank over Q, since a minor that is nonzero mod P is
-nonzero.  The scan turns that inequality into an exact verdict (see
-``complexes._strand_scan``): where the mod-P ranks of a complex reach the
+``rank_mod_2`` is the fast rank of the strand-exactness scans.  It
+eliminates the same sparse vectors reduced modulo 2 (``mod_2``), each packed
+into one Python int with bit k set where entry k is odd, so a row operation
+is one XOR, the packing of the M4RI library.  Reduction is defined where
+every denominator is odd (``mod_2`` returns None otherwise), and then rank
+over F_2 <= rank over Q, since a minor that is nonzero mod 2 is nonzero.
+The scan turns that inequality into an exact verdict (see
+``complexes._strand_scan``): where the F_2 ranks of a complex reach the
 ranks an exact complex of its dimensions must have, they are its ranks over
 Q, and anywhere else the scan asks the exact ``rank``.  Since only a lower
-bound is needed, ``rank_mod_p`` can stop at a given number of pivots.
+bound is needed, ``rank_mod_2`` can stop at a given number of pivots.
 
 ``row_echelon`` and ``solve`` take lists of dense rows and reduce over
 Fractions with a fixed pivot rule (first nonzero entry scanning columns left
@@ -141,61 +142,42 @@ def _primitive(vec: dict[int, int]) -> dict[int, int]:
     return vec
 
 
-P = 1073741789   # the largest prime below 2^30
-
-
-def mod_p(vector: dict) -> dict[int, int] | None:
-    """The sparse vector {index: value} of Fractions or ints over F_P:
-    {index: residue in 1..P-1}, the entries divisible by P left out; None if
-    P divides a denominator, where reduction is undefined.  ValueError
-    naming the index of a value that is neither an int nor a Fraction."""
+def mod_2(vector: dict) -> int | None:
+    """The sparse vector {index: value} of Fractions or ints over F_2, packed
+    into an int: bit k is set where entry k is odd.  None if a denominator
+    is even, where reduction is undefined.  ValueError naming the index of a
+    value that is neither an int nor a Fraction."""
     if all(type(v) is int for v in vector.values()):
-        return {k: r for k, v in vector.items() if (r := v % P)}
+        return sum(1 << k for k, v in vector.items() if v & 1)
     _check_exact(vector)
-    out = {}
+    out = 0
     for k, v in vector.items():
-        d = v.denominator
-        if d % P == 0:
+        if not v.denominator & 1:
             return None
-        r = v.numerator * pow(d, -1, P) % P if d != 1 else v.numerator % P
-        if r:
-            out[k] = r
+        if v.numerator & 1:
+            out |= 1 << k
     return out
 
 
-def rank_mod_p(vectors, limit: int | None = None) -> int:
-    """Rank over F_P of a list of sparse vectors {index: residue in 1..P-1},
-    as ``mod_p`` returns them; with ``limit``, min(rank, limit), returned as
-    soon as ``limit`` pivots are found.
+def rank_mod_2(vectors, limit: int | None = None) -> int:
+    """Rank over F_2 of a list of packed vectors, as ``mod_2`` returns them;
+    with ``limit``, min(rank, limit), returned as soon as ``limit`` pivots
+    are found.
 
-    ``vectors`` is left unmodified.  Each pivot vector is scaled to lead with
-    1, so reducing a vector against it is one subtraction per entry; a
-    vector is copied before its first reduction.
+    Each pivot is keyed by its lowest set bit (``v & -v``), so reducing a
+    vector against it is one XOR, which clears that bit and touches only
+    higher ones.
     """
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, int] = {}
     for vec in vectors:
-        owned = False
         while vec:
-            lead = min(vec)
-            piv = pivots.get(lead)
+            piv = pivots.get(low := vec & -vec)
             if piv is None:
-                f = vec[lead]
-                if f != 1:
-                    inv = pow(f, -1, P)
-                    vec = {c: v * inv % P for c, v in vec.items()}
-                pivots[lead] = vec
+                pivots[low] = vec
                 if len(pivots) == limit:
                     return limit
                 break
-            if not owned:
-                vec, owned = dict(vec), True
-            f = vec[lead]
-            for c, v in piv.items():
-                w = (vec.get(c, 0) - f * v) % P
-                if w:
-                    vec[c] = w
-                else:
-                    del vec[c]
+            vec ^= piv
     return len(pivots)
 
 

@@ -555,6 +555,30 @@ def test_total_complex_reads_each_map_by_column_once(monkeypatch):
     assert not any(a is b for a in read for b in tot.complex.diffs[1:])
 
 
+def test_exactness_check_groups_each_differential_by_column_once(monkeypatch):
+    # one column view per differential serves diff o diff and the strand
+    # scan: one grouping per differential of the demo's total complex (4 in
+    # all), and likewise per map of S's resolution in the star scan
+    from gmpi import complexes
+    D = build_double_complex(expansion_instance())
+    tot = total_complex(D).complex
+    grouped = []
+    by_column = complexes._by_column
+
+    def counted(entries):
+        grouped.append(entries)
+        return by_column(entries)
+
+    monkeypatch.setattr(complexes, "_by_column", counted)
+    assert exactness_check(tot, D.instance.induced) is None
+    assert tot.length == 4
+    assert [id(e) for e in grouped] == [id(d.entries) for d in tot.diffs[1:]]
+    star = build_star_complex(D.instance)
+    grouped.clear()
+    assert star_acyclicity(star) is None
+    assert [id(e) for e in grouped] == [id(d.entries) for d in D.instance.resolution.diffs[1:]]
+
+
 @pytest.mark.parametrize("scan", [True, False], ids=["scanned", "scan-skipped"])
 def test_total_complex_rejects_a_nonzero_square(monkeypatch, scan):
     # diff o diff is checked before the certificate's scans, and also where

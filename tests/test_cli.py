@@ -219,6 +219,26 @@ MALFORMED = {
                     "generators": [[True, False], [False, True]]}),
     "boolean-inducing-exponent": (
         "gmpi", {**expansion_doc(), "inducing_ideal": [[2, True], [True, 2]]}),
+    # a document number is never a string or a boolean, though int() would
+    # read each of these as a valid document
+    "string-block-size": (
+        "resolve", {"blocks": [{"name": "x", "size": "2"}], "generators": [[1, 0], [0, 1]]}),
+    "boolean-block-size": (
+        "resolve", {"blocks": [{"name": "x", "size": True}], "generators": [[1]]}),
+    "string-shorthand-degree": (
+        "gmpi", expansion_with_substitution(
+            "x:1", {"family": "power-of-maximal", "degree": "1"})),
+    "boolean-shorthand-degree": (
+        "gmpi", expansion_with_substitution(
+            "x:1", {"family": "power-of-maximal", "degree": True})),
+    "string-shorthand-count": (
+        "gmpi", expansion_with_substitution(
+            "x:1", {"family": "lex-segment", "degree": 1, "count": "2"})),
+    # read as count 1, (x1^2) nests in (x1, x2)
+    "boolean-shorthand-count": (
+        "gmpi", {**expansion_doc(), "substitutions": {
+            **expansion_doc()["substitutions"],
+            "x:2": {"family": "lex-segment", "degree": 2, "count": True}}}),
 }
 
 

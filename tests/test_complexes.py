@@ -326,7 +326,7 @@ def scale_column(C: FreeComplex, i: int, j: int, s) -> None:
 @st.composite
 def corrupted_lyubeznik(draw):
     """A Lyubeznik complex of a small ideal, intact or with one corruption:
-    a basis element rescaled (by P among others), a column scaled or
+    a basis element rescaled (by 2 and 1/2 among others), a column scaled or
     cleared, an entry dropped, or a shift raised (which leaves the maps
     inhomogeneous, so live columns can reach dead rows)."""
     I = draw(small_ideals())
@@ -335,7 +335,8 @@ def corrupted_lyubeznik(draw):
         ["intact", "rescale", "scale-column", "clear-column", "drop-entry", "raise-shift"]))
     i = draw(st.integers(1, C.length))
     j = draw(st.integers(0, C.ranks[i] - 1))
-    scalar = draw(st.sampled_from([linalg.P, -linalg.P, Fraction(1, linalg.P), 2, Fraction(-1, 3)]))
+    scalar = draw(st.sampled_from(
+        [1073741789, -1073741789, Fraction(1, 1073741789), 2, -2, Fraction(1, 2), Fraction(-1, 3)]))
     d = C.diffs[i].entries
     if kind == "rescale":
         scale_column(C, i, j, scalar)
@@ -377,6 +378,17 @@ def test_exactness_check_ranks_exactly_where_a_live_column_reaches_a_dead_row():
         MonomialMatrix(S1, shifts[1], shifts[2], {(1, 0): Fraction(1)}),
     ])
     assert exactness_check(C, I) == (2,) == reference_exactness(C, I)
+    # an even entry in the dead row is support too, though it vanishes
+    # over F_2: d_2 c = a + 2r and d_1 = (2, -1) square to zero, but at x^2
+    # the strand's d_1 d_2 is 2, and the F_2 ranks of its maps, 1 and 0,
+    # would balance
+    C = FreeComplex(S1, shifts, [
+        None,
+        MonomialMatrix(S1, shifts[0], shifts[1], {(0, 0): 2, (0, 1): -1}),
+        MonomialMatrix(S1, shifts[1], shifts[2], {(0, 0): 1, (1, 0): 2}),
+    ])
+    assert C.square_witness() is None
+    assert exactness_check(C, I) == (2,) == reference_exactness(C, I)
 
 
 def counted_exact_ranks(monkeypatch) -> list:
@@ -399,7 +411,7 @@ def hilbert_burch():
     return I, minimalize_complex(lyubeznik_complex(I))
 
 
-def test_exactness_check_certifies_mod_p_alone(monkeypatch):
+def test_exactness_check_certifies_over_f2_alone(monkeypatch):
     I, M = hilbert_burch()
     calls = counted_exact_ranks(monkeypatch)
     assert exactness_check(M, I) is None
@@ -407,10 +419,11 @@ def test_exactness_check_certifies_mod_p_alone(monkeypatch):
 
 
 def test_exactness_check_scalar_p_passes_through_the_exact_fallback(monkeypatch):
-    # the top basis element x y^3 times P: exact over Q, but its column
-    # vanishes mod P, so above x y^3 the ranks mod P fall short
+    # the top basis element x y^3 times p = 2, the prime of the modular
+    # ranks: exact over Q, but its column vanishes mod 2, so above x y^3 the
+    # ranks over F_2 fall short
     I, M = hilbert_burch()
-    scale_column(M, 2, M.shifts[2].index((1, 3)), linalg.P)
+    scale_column(M, 2, M.shifts[2].index((1, 3)), 2)
     calls = counted_exact_ranks(monkeypatch)
     assert exactness_check(M, I) is None and reference_exactness(M, I) is None
     assert calls
@@ -420,12 +433,38 @@ def test_exactness_check_scalar_p_keeps_the_witness(monkeypatch):
     # as above, and the column of x^2 y cleared: the cell x y^3 (scanned
     # first) passes through the fallback, the cell x^2 y fails exactly
     I, M = hilbert_burch()
-    scale_column(M, 2, M.shifts[2].index((1, 3)), linalg.P)
+    scale_column(M, 2, M.shifts[2].index((1, 3)), 2)
     c = M.shifts[2].index((2, 1))
     for key in [k for k in M.diffs[2].entries if k[1] == c]:
         del M.diffs[2].entries[key]
     calls = counted_exact_ranks(monkeypatch)
     assert exactness_check(M, I) == (2, 1) == reference_exactness(M, I)
+    assert calls
+
+
+def rp2_ideal() -> MonomialIdeal:
+    """The Stanley-Reisner ideal of the 6-vertex triangulation of the real
+    projective plane: every edge is a face, and the 10 triangles that are
+    not faces give its 10 squarefree cubic generators."""
+    faces = {frozenset(f) for f in [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+                                    (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]}
+    S6 = simple_context(6, tuple("abcdef"))
+    return ideal(S6, [tuple(int(v in t) for v in range(1, 7))
+                      for t in itertools.combinations(range(1, 7), 3)
+                      if frozenset(t) not in faces])
+
+
+def test_exactness_check_of_rp2_reaches_the_exact_fallback(monkeypatch):
+    # H_1(RP^2; Z) = Z/2, so over F_2 the resolution of the Stanley-Reisner
+    # ring has more Betti numbers in degree (1, ..., 1) than over Q: the F_2
+    # ranks of the rational minimal resolution fall short there, and only
+    # the exact ranks certify it
+    I = rp2_ideal()
+    assert len(I.gens) == 10
+    M = quotient_resolution(I)
+    assert betti_table(M).entries == {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
+    calls = counted_exact_ranks(monkeypatch)
+    assert exactness_check(M, I) is None
     assert calls
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmpi.complexes import MonomialMatrix
-from gmpi.linalg import P, mod_p, rank, rank_mod_p, row_echelon, solve
+from gmpi.linalg import mod_2, rank, rank_mod_2, row_echelon, solve
 from gmpi.monomials import simple_context
 
 F = Fraction
@@ -81,24 +81,24 @@ def test_rank_leaves_its_argument_unmodified():
                for x, y in zip(r.values(), s.values()))
 
 
-# -- the rank over F_P
+# -- the rank over F_2
 
-def test_mod_p_examples():
-    assert mod_p({}) == {}
-    assert mod_p({0: -1, 3: 2}) == {0: P - 1, 3: 2}
-    assert mod_p({1: F(3, 2)}) == {1: 3 * pow(2, -1, P) % P}
-    # an entry equal to P (or a multiple of it) vanishes
-    assert mod_p({0: P, 1: F(-2 * P, 3), 2: P + 5}) == {2: 5}
-    # a denominator divisible by P has no reduction
-    assert mod_p({0: 1, 1: F(1, P)}) is None
-    assert mod_p({0: F(7, 3 * P)}) is None
+def test_mod_2_examples():
+    assert mod_2({}) == 0
+    # bit k for each odd entry k, whatever its sign; an even entry vanishes
+    assert mod_2({0: -1, 3: 2, 4: 3, 6: -4}) == 0b10001
+    # an odd denominator reduces: a/d is a mod 2
+    assert mod_2({1: F(3, 5), 2: F(-2, 3), 5: F(1, 7)}) == 0b100010
+    # an even denominator has no reduction
+    assert mod_2({0: 1, 1: F(1, 2)}) is None
+    assert mod_2({0: F(3, 4), 1: F(1, 3)}) is None
 
 
 def test_an_inexact_scalar_is_a_value_error_naming_its_key():
     for bad in (0.5, 1.0, "1"):
         vector = {0: 1, 3: F(1, 2), 7: bad}
         with pytest.raises(ValueError, match=r"inexact scalar .* at 7"):
-            mod_p(vector)
+            mod_2(vector)
         with pytest.raises(ValueError, match=r"inexact scalar .* at 7"):
             rank([vector])
     # compose names the (row, column) of the entry
@@ -108,66 +108,80 @@ def test_an_inexact_scalar_is_a_value_error_naming_its_key():
     with pytest.raises(ValueError, match=r"inexact scalar 0\.5 at \(0, 1\)"):
         a.compose(b)
     # all-int and mixed int/Fraction vectors pass
-    assert mod_p({0: 1, 1: F(1, 2)}) == {0: 1, 1: pow(2, -1, P)}
+    assert mod_2({0: 1, 1: F(1, 3)}) == 0b11
     assert rank([{0: 1, 1: F(1, 2)}, {0: 2, 1: 1}]) == 1
 
 
-def test_rank_mod_p_examples():
+def test_rank_mod_2_examples():
     # the empty matrix, 0 x n and m x 0
-    assert rank_mod_p([]) == 0
-    assert rank_mod_p([{}, {}, {}]) == 0
-    assert rank_mod_p([mod_p(v) for v in sparse(rows((1, 2, 3), (4, 5, 6)))]) == 2
-    assert rank_mod_p([mod_p(v) for v in sparse(rows((1, 2), (2, 4)))]) == 1
-    # an entry equal to P drops the rank mod P, not over Q
-    m = sparse(rows((1, 0), (0, P)))
-    assert rank(m) == 2 and rank_mod_p([mod_p(v) for v in m]) == 1
-    # a determinant divisible by P: (1, 1), (1, 1 + P)
-    m = sparse(rows((1, 1), (1, 1 + P)))
-    assert rank(m) == 2 and rank_mod_p([mod_p(v) for v in m]) == 1
+    assert rank_mod_2([]) == 0
+    assert rank_mod_2([0, 0, 0]) == 0
+    assert rank_mod_2([mod_2(v) for v in sparse(rows((1, 2, 3), (4, 5, 7)))]) == 2
+    assert rank_mod_2([mod_2(v) for v in sparse(rows((1, 3), (3, 1)))]) == 1
+    # an even entry drops the rank over F_2, not over Q
+    m = sparse(rows((1, 0), (0, 2)))
+    assert rank(m) == 2 and rank_mod_2([mod_2(v) for v in m]) == 1
+    # an even determinant: (1, 1), (1, 3)
+    m = sparse(rows((1, 1), (1, 3)))
+    assert rank(m) == 2 and rank_mod_2([mod_2(v) for v in m]) == 1
     # a limit stops the elimination once it has that many pivots
-    m = [mod_p(v) for v in sparse(rows((1, 0, 0), (0, 1, 0), (0, 0, 1)))]
-    assert [rank_mod_p(m, limit) for limit in (1, 2, 3, 4)] == [1, 2, 3, 3]
-
-
-def test_rank_mod_p_leaves_its_argument_unmodified():
-    m = [{0: 2, 2: P - 3}, {0: 4, 1: 5, 2: 1}, {0: 2, 2: P - 3}]
-    before = copy.deepcopy(m)
-    assert rank_mod_p(m) == 2
-    assert m == before and all(list(r) == list(s) for r, s in zip(m, before))
+    m = [mod_2(v) for v in sparse(rows((1, 0, 0), (0, 1, 0), (0, 0, 1)))]
+    assert [rank_mod_2(m, limit) for limit in (1, 2, 3, 4)] == [1, 2, 3, 3]
+    # a vector reduced to zero adds no pivot before the limit is reached
+    m = [0b011, 0b110, 0b101, 0b100]
+    assert rank_mod_2(m) == 3 and rank_mod_2(m, 3) == 3 and rank_mod_2(m[:3], 3) == 2
 
 
 @st.composite
-def p_adic_matrices(draw):
-    """rational_matrices with entries that are multiples of P mixed in, so
-    that the rank often drops mod P."""
-    m = draw(rational_matrices())
-    multiple = st.sampled_from([P, -P, 2 * P, F(P, 2), P * P])
-    for row in m:
-        for c in range(len(row)):
-            if draw(st.integers(0, 5)) == 0:
-                row[c] = draw(multiple)
-    return m
+def two_adic_matrices(draw):
+    """Dense m x n rows of ints and Fractions with odd denominators, with
+    zero rows, rows that combine earlier ones, and even multiples mixed in,
+    so that the rank often drops over F_2."""
+    m, n = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    odd = st.integers(0, 2).map(lambda k: 2 * k + 1)
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.builds(F, st.integers(-4, 4), odd),
+                      st.sampled_from([2, -2, 4, 6, F(2, 3), F(-4, 5)]))
+    out = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["random", "zero", "combination"]))
+        if kind == "zero":
+            out.append([F(0)] * n)
+        elif kind == "combination" and out:
+            a, b = draw(entry), draw(entry)
+            u, v = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            out.append([a * x + b * y for x, y in zip(u, v)])
+        else:
+            out.append([draw(entry) for _ in range(n)])
+    return out
+
+
+def dense_rank_mod_2(m) -> int:
+    """Gauss-Jordan elimination over GF(2) on dense rows of residues (every
+    denominator odd, so a/d is a mod 2)."""
+    residues = [[F(x).numerator % 2 for x in row] for row in m]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(residues)) if residues[i][c]), None)
+        if piv is None:
+            continue
+        residues[r], residues[piv] = residues[piv], residues[r]
+        for i in range(len(residues)):
+            if i != r and residues[i][c]:
+                residues[i] = [x ^ y for x, y in zip(residues[i], residues[r])]
+        r += 1
+    return r
 
 
 @settings(max_examples=300, deadline=None)
-@given(p_adic_matrices(), st.integers(1, 7))
-def test_rank_mod_p_is_at_most_the_rank(m, limit):
-    vectors = [mod_p(v) for v in sparse(m)]
-    r = rank_mod_p(vectors)
+@given(two_adic_matrices(), st.integers(1, 7))
+def test_rank_mod_2_is_the_dense_rank_and_at_most_the_rank(m, limit):
+    vectors = [mod_2(v) for v in sparse(m)]
+    r = rank_mod_2(vectors)
+    assert r == dense_rank_mod_2(m)
     assert r <= rank(sparse(m))
-    assert rank_mod_p([mod_p(v) for v in transpose(m)]) == r
+    assert rank_mod_2([mod_2(v) for v in transpose(m)]) == r
     # stopping at ``limit`` pivots
-    assert rank_mod_p(vectors, limit) == min(r, limit)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 6).flatmap(lambda n: st.lists(
-    st.lists(st.integers(-5, 5), min_size=n, max_size=n), max_size=6)))
-def test_rank_mod_p_is_the_rank_below_the_hadamard_bound(m):
-    # every minor of a matrix of at most 6 x 6 entries |a| <= 5 is at most
-    # (5 sqrt 6)^6 < 3.4e6 < P in absolute value, so none vanishes mod P
-    vectors = sparse(m)
-    assert rank_mod_p([mod_p(v) for v in vectors]) == rank(vectors)
+    assert rank_mod_2(vectors, limit) == min(r, limit)
 
 
 def simplex_boundaries(n):
