@@ -6,7 +6,6 @@ from .monomials import (
     ContextMismatchError,
     MonomialIdeal,
     VariableContext,
-    block_degree,
     divides,
     ideal,
     lcm,

@@ -109,6 +109,8 @@ def parse_instance_document(doc) -> GmpiInstance:
                 raise InputError(f"unknown block name in substitution key {key!r}")
             l = ctx.names.index(name)
             d = int(deg)
+            if deg != str(d):
+                raise InputError(f"substitution key {key!r}: write its degree as {str(d)!r}")
             block_ctx = VariableContext((ctx.sizes[l],), (ctx.names[l],))
             if isinstance(val, dict):
                 subs[(l, d)] = family_ideal(val.get("family"), val, ctx.sizes[l], block_ctx)
@@ -158,18 +160,32 @@ def ideal_to_document(I: MonomialIdeal) -> dict:
     }
 
 
+def _object(pairs) -> dict:
+    """A JSON object of a document; a repeated key, of which json would keep
+    the last value, is refused."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+            return json.load(fh, object_pairs_hook=_object)
+    except (OSError, ValueError) as e:
         raise InputError(f"cannot read {path}: {e}")
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as e:
+            raise InputError(f"cannot write {out}: {e}")
     else:
         print(text)
 
@@ -299,10 +315,12 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _nonnegative_int(text: str) -> int:
+def _taylor_exponent(text: str) -> int:
+    """N of --max-taylor, from 0 to 40: the cap 2^N is built as an int
+    before any work."""
     n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"{n} is negative")
+    if not 0 <= n <= 40:
+        raise argparse.ArgumentTypeError(f"{n} is not between 0 and 40")
     return n
 
 
@@ -317,19 +335,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="resolve a standalone monomial ideal")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-taylor", type=_nonnegative_int, default=14, metavar="N",
+    p.add_argument("--max-taylor", type=_taylor_exponent, default=14, metavar="N",
                    help="cap the Lyubeznik complex at 2^N basis elements, the size "
-                        "of the Taylor complex on N generators (default 14)")
+                        "of the Taylor complex on N generators (0 to 40, default 14)")
     p.add_argument("--out")
 
     p = sub.add_parser("gmpi", help="build an induced ideal and its resolution")
     p.add_argument("path")
     p.add_argument("--check", action="store_true", help="run the full check suite")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-taylor", type=_nonnegative_int, default=14, metavar="N",
+    p.add_argument("--max-taylor", type=_taylor_exponent, default=14, metavar="N",
                    help="cap the Lyubeznik complexes of L that --check builds at 2^N "
                         "basis elements, the size of the Taylor complex on N "
-                        "generators (default 14)")
+                        "generators (0 to 40, default 14)")
     p.add_argument("--out")
 
     p = sub.add_parser("family", help="emit a family ideal or instance document")

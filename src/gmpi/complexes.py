@@ -15,9 +15,11 @@ A scalar is stored as an ``int`` wherever it is integral and as a
 ``Fraction`` only where it has a denominator: the Taylor, Lyubeznik and
 tensor complexes and their chain maps are born integral (their scalars are
 signs), and a Fraction enters only through a lift solve
-(``lift_chain_map``) or a non-unit cancellation factor.  Every operation
-that makes a scalar turns an integral Fraction back into an int, so
-``compose``, diff o diff and cancellation run in ints on integral maps.
+(``lift_chain_map``, which solves on the sparse target columns with
+``linalg.solve``, the elimination of ``linalg.rank``) or a non-unit
+cancellation factor.  Every operation that makes a scalar turns an
+integral Fraction back into an int, so ``compose``, diff o diff and
+cancellation run in ints on integral maps.
 ``compose`` scales an operand with denominators once by their lcm and
 multiplies and sums in ints.
 
@@ -924,10 +926,6 @@ class BettiTable:
     def __eq__(self, other):
         return self.entries == other.entries and self.multi == other.multi
 
-    def max_degree(self, k: int):
-        degs = [j for (kk, j) in self.entries if kk == k]
-        return max(degs) if degs else None
-
     @property
     def top_position(self) -> int:
         return max((k for (k, _) in self.entries), default=0)
@@ -1064,11 +1062,6 @@ class ChainMap:
                 mats.append(zero_matrix(m.ctx, rows, m.col_shifts))
         return ChainMap(other.source, self.target, mats)
 
-    def equal_mats(self, other: "ChainMap") -> bool:
-        if len(self.mats) != len(other.mats):
-            return False
-        return all(a.entries == b.entries for a, b in zip(self.mats, other.mats))
-
 
 def identity_chain_map(C: FreeComplex) -> ChainMap:
     mats = []
@@ -1084,8 +1077,11 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
     Position-zero basis elements are the ideals' generators; each source
     generator g goes to (g / h) * e_h for the first target generator h
     dividing g (smallest index in the canonical order).  Higher positions are
-    solved strandwise; where several solutions exist the fixed-pivot echelon
-    solve picks one deterministically.
+    solved strandwise: the image of a basis element of shift b is solved
+    for over the target columns whose shifts divide b (``linalg.solve``,
+    which puts a solution on the first independent columns and zero on the
+    rest, so it is deterministic where several exist).  Each target
+    differential is grouped by column once.
     """
     mats = []
     phi0 = MonomialMatrix(source.ctx, list(target.shifts[0]), list(source.shifts[0]), {})
@@ -1098,35 +1094,32 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
 
     for i in range(1, source.length + 1):
         tgt_shifts = target.shifts[i] if i <= target.length else []
+        prev_shifts = target.shifts[i - 1] if i - 1 <= target.length else []
         phi = MonomialMatrix(source.ctx, list(tgt_shifts), list(source.shifts[i]), {})
         # target position i-1 <- source position i
         v_cols = mats[i - 1].compose(source.diffs[i]).columns()
+        t_cols = target.diffs[i].columns() if tgt_shifts else {}
         for j, b in enumerate(source.shifts[i]):
             vcol = v_cols.get(j, {})
-            prev_shifts = target.shifts[i - 1] if i - 1 <= target.length else []
-            rows = [r for r, s in enumerate(prev_shifts) if divides(s, b)]
-            cols = [c for c, s in enumerate(tgt_shifts) if divides(s, b)]
-            stray = next((r for r in vcol if r not in rows), None)
+            stray = next((r for r in vcol if not divides(prev_shifts[r], b)), None)
             if stray is not None:
                 raise ConstructionError(
                     "homogeneity violated in lift (position, source basis, target row)",
                     (i, j, stray))
+            cols = [c for c, s in enumerate(tgt_shifts) if divides(s, b)]
             if not cols:
                 if vcol:
                     raise ConstructionError(
                         "lift hits a zero target position with a nonzero image "
                         "(position, source basis index)", (i, j))
                 continue
-            a = [[target.diffs[i].entries.get((r, c), 0) for c in cols] for r in rows]
-            bvec = [vcol.get(r, 0) for r in rows]
-            y = linalg.solve(a, bvec)
+            y = linalg.solve([t_cols.get(c, {}) for c in cols], vcol)
             if y is None:
                 raise ConstructionError(
                     "lift system unsolvable, so the target is not a resolution "
                     "(position, source basis index)", (i, j))
-            for c, val in zip(cols, y):
-                if val != 0:
-                    phi.entries[(c, j)] = _integral(val)
+            for k, val in y.items():
+                phi.entries[(cols[k], j)] = val
         mats.append(phi)
 
     out = ChainMap(source, target, mats)

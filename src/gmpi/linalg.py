@@ -28,41 +28,19 @@ ranks an exact complex of its dimensions must have, they are its ranks over
 Q, and anywhere else the scan asks the exact ``rank``.  Since only a lower
 bound is needed, ``rank_mod_2`` can stop at a given number of pivots.
 
-``row_echelon`` and ``solve`` take lists of dense rows and reduce over
-Fractions with a fixed pivot rule (first nonzero entry scanning columns left
-to right, rows top down) so that underdetermined solves return one
-deterministic solution.
+``solve`` finds one solution of a linear system on ``rank``'s kernel, so
+the package has one elimination over Q.  Its columns, then its target, are
+reduced as ``rank`` reduces vectors, each carrying an identity coordinate
+past every row index that records the combination of columns it has become.
+The pivots are the first columns independent of the earlier ones, the
+solution lies on them, and the other unknowns are zero, so underdetermined
+solves return one deterministic solution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-
-
-def row_echelon(rows: list[list[Fraction]]):
-    """In-place forward elimination; returns the list of pivot columns."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+from math import gcd, inf, lcm
 
 
 def rank(vectors) -> int:
@@ -75,15 +53,49 @@ def rank(vectors) -> int:
     """
     pivots: dict[int, dict[int, int]] = {}
     for vector in vectors:
-        vec = _integer_row(vector)
-        while vec:
-            lead = min(vec)
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = vec
-                break
-            vec = _eliminate(vec, piv, lead)
+        _reduce(_integer_row(vector), pivots)
     return len(pivots)
+
+
+def solve(columns, target):
+    """One solution x of sum_j x_j columns[j] = target, as {j: nonzero
+    value}, or None if there is none.  The columns and the target are sparse
+    vectors {row: nonzero value} of Fractions or ints, left unmodified; each
+    value of x is an int where it is integral.
+
+    Column j gets the identity coordinate n + j and the target n +
+    len(columns), n past every row index, and each is reduced up to the
+    rows.  A column whose row part vanishes depends on the earlier ones and
+    adds no pivot.  A target whose row part vanishes reads
+    a * target + sum_j y_j * columns[j] = 0 with a its own coordinate, so
+    x_j = -y_j / a, nonzero only on pivot columns.
+    """
+    n = 1 + max((r for vector in (*columns, target) for r in vector), default=-1)
+    own = n + len(columns)
+    pivots: dict[int, dict[int, int]] = {}
+    for j, column in enumerate(columns):
+        _reduce(_integer_row({**column, n + j: 1}), pivots, n)
+    vec = _reduce(_integer_row({**target, own: 1}), pivots, n)
+    if min(vec) < n:
+        return None
+    a = vec.pop(own)
+    return {k - n: -v // a if v % a == 0 else Fraction(-v, a) for k, v in sorted(vec.items())}
+
+
+def _reduce(vec: dict[int, int], pivots: dict, stop: float = inf) -> dict[int, int]:
+    """``vec`` reduced against ``pivots`` (keyed by their leading index)
+    until it is zero, or leads in a new index below ``stop``, where it joins
+    them, or leads at ``stop`` or past it."""
+    while vec:
+        lead = min(vec)
+        if lead >= stop:
+            break
+        piv = pivots.get(lead)
+        if piv is None:
+            pivots[lead] = vec
+            break
+        vec = _eliminate(vec, piv, lead)
+    return vec
 
 
 def _integer_row(vector: dict) -> dict[int, int]:
@@ -179,21 +191,3 @@ def rank_mod_2(vectors, limit: int | None = None) -> int:
                 break
             vec ^= piv
     return len(pivots)
-
-
-def solve(a_rows, b: list[Fraction]):
-    """One solution x of A x = b, or None if inconsistent.
-
-    Eliminates the augmented matrix [A | b]: a pivot in its last column means
-    the system is inconsistent.  Free variables are set to zero (the
-    fixed-pivot reduced echelon solve).
-    """
-    n = len(a_rows[0]) if a_rows else 0
-    aug = [list(row) + [v] for row, v in zip(a_rows, b)]
-    pivots = row_echelon(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][n]
-    return x

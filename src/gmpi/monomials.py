@@ -100,11 +100,6 @@ def total_degree(a: tuple[int, ...]) -> int:
     return sum(a)
 
 
-def block_degree(ctx: VariableContext, a: tuple[int, ...], i: int) -> int:
-    """Sum of the exponents of ``a`` inside block ``i``."""
-    return sum(a[c] for c in ctx.block_span(i))
-
-
 def canonical_sort(gens) -> tuple[tuple[int, ...], ...]:
     """Descending tuple order = algebraic lex with earlier variables larger."""
     return tuple(sorted(set(gens), reverse=True))
@@ -143,10 +138,6 @@ class MonomialIdeal:
     @property
     def is_unit(self) -> bool:
         return len(self.gens) == 1 and not any(self.gens[0])
-
-    @property
-    def is_proper(self) -> bool:
-        return not self.is_unit
 
     def member(self, m: tuple[int, ...]) -> bool:
         """True iff the monomial x^m lies in the ideal."""

@@ -41,6 +41,41 @@ def small_ideals(draw):
     return ideal(ctx, gens)
 
 
+def dense_rank(m) -> int:
+    """Rank over Q of dense rows of ints and Fractions by Gauss-Jordan
+    elimination in Fractions: the textbook reference for ``linalg.rank``."""
+    rows = [[Fraction(x) for x in row] for row in m]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def dense_rank_mod_2(m) -> int:
+    """Gauss-Jordan elimination over GF(2) on dense rows of residues (every
+    denominator odd, so a/d is a mod 2)."""
+    residues = [[Fraction(x).numerator % 2 for x in row] for row in m]
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(r, len(residues)) if residues[i][c]), None)
+        if piv is None:
+            continue
+        residues[r], residues[piv] = residues[piv], residues[r]
+        for i in range(len(residues)):
+            if i != r and residues[i][c]:
+                residues[i] = [x ^ y for x, y in zip(residues[i], residues[r])]
+        r += 1
+    return r
+
+
 def normal_scalar(v) -> bool:
     """The stored-scalar invariant: an int, or a Fraction that is not
     integral."""

@@ -324,11 +324,12 @@ def test_tau_identity_single_step_and_composite():
     ident = cache.get(0, 2, 2)
     assert ident.mats[0].entries == {(j, j): Fraction(1) for j in range(3)}
     one_step = cache.get(0, 2, 1)
-    assert one_step.equal_mats(rho_maps(inst, blocks)[(0, 1)])
+    rhos = rho_maps(inst, blocks)
+    assert [m.entries for m in one_step.mats] == [m.entries for m in rhos[(0, 1)].mats]
     # two-step drop equals the composite of one-step drops, entry for entry
     two_step = cache.get(0, 3, 1)
-    rhos = rho_maps(inst, blocks)
-    assert two_step.equal_mats(rhos[(0, 1)].compose(rhos[(0, 2)]))
+    composite = rhos[(0, 1)].compose(rhos[(0, 2)])
+    assert [m.entries for m in two_step.mats] == [m.entries for m in composite.mats]
 
 
 def test_tau_composites_are_path_independent():
@@ -349,9 +350,9 @@ def test_tau_composites_are_path_independent():
                 routes.append(cache.get(l, mid, lo).compose(cache.get(l, hi, mid)))
         assert len(routes) >= 3  # via lo, the middle rung, and hi itself
         for later in routes[1:]:
-            assert routes[0].equal_mats(later)
+            assert [m.entries for m in routes[0].mats] == [m.entries for m in later.mats]
         direct = cache.get(l, hi, lo)
-        assert routes[0].equal_mats(direct)
+        assert [m.entries for m in routes[0].mats] == [m.entries for m in direct.mats]
         direct.validate()
         found = True
     assert found, "instance lost its three-step ladder"
@@ -416,7 +417,7 @@ def test_total_complex_top_degree_profile():
     p = inst.resolution.length
     for k in range(table.top_position):
         expected = max(tI[c] + (k + 1 - c) for c in range(1, min(p, k + 1) + 1))
-        assert table.max_degree(k + 1) == expected
+        assert max(j for (kk, j) in table.entries if kk == k + 1) == expected
 
 
 def test_invariants_expansion():

@@ -52,8 +52,9 @@ def expansion_doc():
 
 
 def write(tmp_path, name, doc):
+    """``doc`` as JSON in a file, or as it is where it is JSON text already."""
     path = tmp_path / name
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -239,6 +240,17 @@ MALFORMED = {
         "gmpi", {**expansion_doc(), "substitutions": {
             **expansion_doc()["substitutions"],
             "x:2": {"family": "lex-segment", "degree": 2, "count": True}}}),
+    # a key's degree is written as str(int(degree)); int() would read each
+    # of these as degree 1, or, beside "x:2", let the later ideal win
+    "zero-padded-degree-in-key": ("gmpi", expansion_with_substitution("x:01", [[1, 0], [0, 1]])),
+    "signed-degree-in-key": ("gmpi", expansion_with_substitution("x:+1", [[1, 0], [0, 1]])),
+    "spaced-degree-in-key": ("gmpi", expansion_with_substitution("x: 1", [[1, 0], [0, 1]])),
+    "underscored-degree-in-key": ("gmpi", expansion_with_substitution("x:0_1", [[1, 0], [0, 1]])),
+    "colliding-degree-keys": ("gmpi", {**expansion_doc(), "substitutions": {
+        **expansion_doc()["substitutions"], "x:02": [[2, 0], [1, 1]]}}),
+    # json would keep the last value of a repeated key
+    "repeated-key": ("gmpi", json.dumps(expansion_doc()).replace(
+        '"x:2":', '"x:1": [[1, 0], [0, 1]], "x:2":')),
 }
 
 
@@ -250,6 +262,23 @@ def test_malformed_document_exits_two_with_one_line(tmp_path, capsys, case):
     assert err.startswith("error: ") and err.count("\n") == 1
     if case == "duplicate-block-name":
         assert err == "error: duplicate block name 'x'\n"
+
+
+def test_an_unwritable_out_path_exits_two_with_one_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert main(["family", "random", "--seed", "30", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_max_taylor_is_refused_above_40(tmp_path, capsys):
+    path = write(tmp_path, "k.json", koszul3_doc())
+    for command in (["resolve", path], ["gmpi", write(tmp_path, "e.json", expansion_doc())]):
+        with pytest.raises(SystemExit) as err:
+            main(command + ["--max-taylor", "41"])
+        assert err.value.code == 2
+        assert "--max-taylor: 41 is not between 0 and 40" in capsys.readouterr().err
+    assert main(["resolve", path, "--max-taylor", "40", "--json"]) == 0
 
 
 def test_gmpi_reports_a_skipped_certificate(tmp_path, capsys, monkeypatch):

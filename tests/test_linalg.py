@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmpi.complexes import MonomialMatrix
-from gmpi.linalg import mod_2, rank, rank_mod_2, row_echelon, solve
+from gmpi.linalg import mod_2, rank, rank_mod_2, solve
 from gmpi.monomials import simple_context
+
+from conftest import dense_rank, dense_rank_mod_2, normal_scalar
 
 F = Fraction
 
@@ -64,7 +66,7 @@ def rational_matrices(draw):
 @settings(max_examples=400, deadline=None)
 @given(rational_matrices())
 def test_rank_matches_fraction_elimination(m):
-    expected = len(row_echelon([[F(x) for x in row] for row in m]))
+    expected = dense_rank(m)
     vectors = sparse(m)
     before = copy.deepcopy(vectors)
     assert rank(vectors) == expected
@@ -155,23 +157,6 @@ def two_adic_matrices(draw):
     return out
 
 
-def dense_rank_mod_2(m) -> int:
-    """Gauss-Jordan elimination over GF(2) on dense rows of residues (every
-    denominator odd, so a/d is a mod 2)."""
-    residues = [[F(x).numerator % 2 for x in row] for row in m]
-    r = 0
-    for c in range(len(m[0]) if m else 0):
-        piv = next((i for i in range(r, len(residues)) if residues[i][c]), None)
-        if piv is None:
-            continue
-        residues[r], residues[piv] = residues[piv], residues[r]
-        for i in range(len(residues)):
-            if i != r and residues[i][c]:
-                residues[i] = [x ^ y for x, y in zip(residues[i], residues[r])]
-        r += 1
-    return r
-
-
 @settings(max_examples=300, deadline=None)
 @given(two_adic_matrices(), st.integers(1, 7))
 def test_rank_mod_2_is_the_dense_rank_and_at_most_the_rank(m, limit):
@@ -213,33 +198,39 @@ def test_rank_of_simplex_boundaries():
         assert ranks[k] + ranks[k + 1] == len(faces[k + 1])
 
 
-def test_row_echelon_pivots():
-    m = rows((0, 1, 2), (1, 0, 1))
-    assert row_echelon(m) == [0, 1]
-
+# -- solving on sparse columns
 
 def test_solve_unique():
-    a = rows((2, 0), (0, 4))
-    assert solve(a, [F(6), F(8)]) == [F(3), F(2)]
+    x = solve([{0: 2}, {1: 4}], {0: 6, 1: 8})
+    assert x == {0: 3, 1: 2} and all(type(v) is int for v in x.values())
+    # a value with a denominator stays a Fraction
+    x = solve([{0: 2, 1: F(1, 2)}, {1: 3}], {0: 1, 1: 1})
+    assert x == {0: F(1, 2), 1: F(1, 4)} and all(type(v) is F for v in x.values())
 
 
 def test_solve_inconsistent_returns_none():
-    a = rows((1, 1), (1, 1))
-    assert solve(a, [F(1), F(2)]) is None
+    assert solve([{0: 1, 1: 1}, {0: 1, 1: 1}], {0: 1, 1: 2}) is None
 
 
 def test_solve_underdetermined_zeroes_free_variables():
-    # the fixed-pivot rule: free variables are set to zero, deterministically
-    a = rows((1, 1),)
-    assert solve(a, [F(2)]) == [F(2), F(0)]
-    a = rows((0, 1, 1),)
-    assert solve(a, [F(5)]) == [F(0), F(5), F(0)]
+    # the solution lies on the first independent columns; the others are zero
+    assert solve([{0: 1}, {0: 1}], {0: 2}) == {0: 2}
+    assert solve([{}, {0: 1}, {0: 1}], {0: 5}) == {1: 5}
+    assert solve([{0: 1, 1: 1}, {0: 2, 1: 2}, {1: 1}], {0: 1, 1: 3}) == {0: 1, 2: 2}
 
 
 def test_solve_degenerate_shapes():
-    assert solve([], []) == []
-    assert solve([[]], [F(0)]) == []
-    assert solve([[]], [F(1)]) is None
+    assert solve([], {}) == {}
+    assert solve([{}, {}], {}) == {}
+    assert solve([{0: 3}], {}) == {}
+    assert solve([], {3: 1}) is None
+    assert solve([{}], {0: 1}) is None
+
+
+def apply(columns, x, nrows):
+    """sum_j x_j columns[j] as dense values, one per row."""
+    return [sum(x.get(j, 0) * col.get(r, 0) for j, col in enumerate(columns))
+            for r in range(nrows)]
 
 
 @st.composite
@@ -255,9 +246,35 @@ def small_systems(draw):
 @given(small_systems())
 def test_solve_solves_or_reports_inconsistency(system):
     a, b = system
-    x = solve(a, b)
+    columns = transpose(a)
+    x = solve(columns, {r: v for r, v in enumerate(b) if v})
     if rank(sparse(a)) < rank(sparse([row + [v] for row, v in zip(a, b)])):
         assert x is None
     else:
-        assert x is not None and len(x) == len(a[0])
-        assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+        assert x is not None and set(x) <= set(range(len(a[0])))
+        assert all(v and normal_scalar(v) for v in x.values())
+        assert apply(columns, x, len(a)) == b
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_matrices(), st.lists(st.integers(-2, 2), max_size=6), st.booleans())
+def test_solve_lies_on_the_columns_that_raise_the_rank(m, coefficients, spanned):
+    # the pivot rule: x is supported on the columns that raise the rank of
+    # the columns before them, and reproduces the target; a target that is
+    # a combination of the columns is always solved
+    columns = transpose(m)
+    nrows = len(m)
+    if spanned:
+        target = apply(columns, dict(enumerate(coefficients)), nrows)
+    else:
+        target = [row[0] + 1 if row else 1 for row in m]
+    before = copy.deepcopy(columns)
+    x = solve(columns, sparse([target])[0])
+    assert columns == before
+    if x is None:
+        assert not spanned and rank(columns + sparse([target])) > rank(columns)
+        return
+    raising = {j for j in range(len(columns)) if rank(columns[:j + 1]) > rank(columns[:j])}
+    assert set(x) <= raising
+    assert all(v and normal_scalar(v) for v in x.values())
+    assert apply(columns, x, nrows) == target

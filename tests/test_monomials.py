@@ -7,7 +7,6 @@ from gmpi.monomials import (
     ContextMismatchError,
     MonomialIdeal,
     VariableContext,
-    block_degree,
     canonical_sort,
     divides,
     embed_ideal,
@@ -239,29 +238,11 @@ def test_context_mismatch_in_arithmetic():
             op()
 
 
-# -- block degree
-
-def test_block_degree_examples():
-    ctx = VariableContext((2, 3))
-    assert block_degree(ctx, (0, 0, 0, 0, 0), 0) == 0
-    assert block_degree(ctx, (0, 0, 2, 1, 0), 1) == 3
-    conc = (4, 1, 0, 0, 0)
-    assert block_degree(ctx, conc, 0) == total_degree(conc)
-
-
-def test_block_degree_additive_over_split():
-    rng = random.Random(41)
-    ctx = VariableContext((2, 2, 1))
-    for _ in range(30):
-        v = tuple(rng.randint(0, 4) for _ in range(5))
-        assert sum(block_degree(ctx, v, i) for i in range(3)) == total_degree(v)
-
-
 # -- unit and zero ideals, canonical order
 
 def test_unit_and_zero_ideals():
     unit = ideal(S2, [(0, 0)])
-    assert unit.is_unit and not unit.is_proper
+    assert unit.is_unit and unit.gens == ((0, 0),)
     zero = MonomialIdeal(S2, ())
     assert zero.is_zero
     assert not zero.member((1, 1))
