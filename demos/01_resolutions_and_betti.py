@@ -38,8 +38,10 @@ print("reg(I) =", regularity(table))
 print("projdim(S/I) =", projective_dimension(table))
 
 # the scalar matrices: coefficients of the differentials with the monomial
-# factors stripped, stored sparsely as {(row, column): scalar}, each an int
-# where it is integral (a Fraction only where it has a denominator); the
-# first one is the all-ones row
+# factors stripped, stored sparsely by column as {column: {row: scalar}},
+# each an int where it is integral (a Fraction only where it has a
+# denominator); the first one is the all-ones row.  Listed here by
+# (row, column).
 for i in range(1, M.length + 1):
-    print(f"scalar matrix {i}:", sorted(M.diffs[i].entries.items()))
+    print(f"scalar matrix {i}:", sorted(((r, c), v) for c, col in M.diffs[i].cols.items()
+                                        for r, v in col.items()))

@@ -31,7 +31,6 @@ from fractions import Fraction
 
 from .complexes import (
     _integral,
-    _square_witness,
     _strand_scan,
     betti_table,
     BettiTable,
@@ -83,9 +82,12 @@ class SubstitutionFamily:
         for (l, d) in self.ideals:
             if not (0 <= l < self.T.nblocks):
                 raise FamilyValidationError(f"block index {l} out of range")
-            if d < 1:
+            if d < 0:
                 raise FamilyValidationError(
-                    f"degree-{d} substitution for block {l}: degree 0 is implicit")
+                    f"substitution for block {l} has degree {d}: the degree must be positive")
+            if d == 0:
+                raise FamilyValidationError(
+                    f"degree-0 substitution for block {l}: degree 0 is implicit")
 
     def local_context(self, l: int) -> VariableContext:
         return VariableContext((self.T.sizes[l],), (self.T.names[l],))
@@ -260,7 +262,7 @@ def build_star_complex(inst: GmpiInstance) -> StarComplex:
     res = inst.resolution
     levels = [list(inst.products)]
     for i in range(2, res.length + 1):
-        cols = res.diffs[i].columns()
+        cols = res.diffs[i].cols
         prev = levels[-1]
         level = []
         for j in range(len(res.shifts[i])):
@@ -302,13 +304,12 @@ def star_acyclicity(star: StarComplex):
     where T's degree grid exceeds STAR_SCAN_CAP cells.
     """
     inst = star.instance
-    scalars = [None] + [d.columns() for d in inst.resolution.diffs[1:]]
-    square = _square_witness(inst.resolution.diffs, scalars[1:])
+    square = inst.resolution.square_witness()
     if square is not None:
         return square
     ring = [((0,) * inst.T.nvars,)]
     summands = [ring] + [[idl.gens for idl in level] for level in star.ideals]
-    return _strand_scan(summands, scalars, inst.induced, STAR_SCAN_CAP)
+    return _strand_scan(summands, inst.resolution.diffs, inst.induced, STAR_SCAN_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -458,20 +459,22 @@ class DoubleComplex:
         the scalar matrices (the commuting square with the augmentations)."""
         res = self.instance.resolution
         for c in range(1, len(self.columns)):
-            lam = res.diffs[c].entries
+            lam = res.diffs[c].cols
             # sums[(column of sigma_c, summand of its row)]; the summand of
             # row r is the last one that starts at or before r
             sums: dict[tuple[int, int], int | Fraction] = {}
             starts = [offs[0] for offs in self.offsets[c - 1]] if c >= 2 else [0]
-            for (r, col), v in self.sigmas[c].mats[0].entries.items():
-                key = (col, bisect_right(starts, r) - 1)
-                sums[key] = sums.get(key, 0) + v
+            for col, column in self.sigmas[c].mats[0].cols.items():
+                for r, v in column.items():
+                    key = (col, bisect_right(starts, r) - 1)
+                    sums[key] = sums.get(key, 0) + v
             nrows = len(res.shifts[c - 1])
             for j, tres in enumerate(self.summands[c]):
+                lam_j = lam.get(j, {})
                 for u in range(len(tres.complex.shifts[0])):
                     col = self.offsets[c][j][0] + u
                     for k in range(nrows):
-                        if sums.get((col, k), 0) != lam.get((k, j), 0):
+                        if sums.get((col, k), 0) != lam_j.get(k, 0):
                             return c, j, u, k
         return None
 
@@ -510,14 +513,14 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
         for i in range(src.length + 1):
             tgt_shifts = tgt.shifts[i] if i <= tgt.length else []
             mats.append(MonomialMatrix(inst.T, list(tgt_shifts), list(src.shifts[i]), {}))
-        lam = inst.resolution.diffs[c].columns()
+        lam = inst.resolution.diffs[c].cols
         if c == 1:
             # row zero maps the generators into the ring
             for j, tres in enumerate(summands[1]):
                 scalar = lam.get(j, {}).get(0, 0)
                 off = offsets[1][j][0]
                 for u, s in enumerate(tres.complex.shifts[0]):
-                    mats[0].entries[(0, off + u)] = scalar
+                    mats[0].cols[off + u] = {0: scalar}
         else:
             for j, src_t in enumerate(summands[c]):
                 for k, scalar in sorted(lam.get(j, {}).items()):
@@ -528,11 +531,12 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
                         inst.shift_block_degree(c - 1, k, l)) for l in range(n)]
                     block_map = tensor_chain_map(parts, src_t, tgt_t)
                     for i, bm in enumerate(block_map.mats):
-                        if not bm.entries:
+                        if not bm.cols:
                             continue
                         ro, co = offsets[c - 1][k][i], offsets[c][j][i]
-                        for (r, cc), v in bm.entries.items():
-                            mats[i].entries[(ro + r, co + cc)] = _integral(v * scalar)
+                        for cc, col in bm.cols.items():
+                            mats[i].cols.setdefault(co + cc, {}).update(
+                                (ro + r, _integral(v * scalar)) for r, v in col.items())
         # commutation with the column differentials is a component of the
         # total complex's diff o diff, which total_complex checks
         sig = ChainMap(src, tgt, mats)
@@ -614,30 +618,31 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
     off = block_offsets([col.ranks for col in cols])
     shifts = [[s for c in range(min(k, p) + 1) if k - c <= cols[c].length
                for s in cols[c].shifts[k - c]] for k in range(len(off))]
-    # one int object per basis index, shared by every entry key
+    # one int object per basis index, shared by every column that has it as a row
     ix = [list(range(len(level))) for level in shifts]
 
-    vertical = [[None] + [d.columns() for d in col.diffs[1:]] for col in cols]
-    horizontal = [None] + [[m.columns() for m in sig.mats] for sig in D.sigmas[1:]]
     diffs: list[MonomialMatrix | None] = [None]
     for k in range(1, len(shifts)):
         rows, below = ix[k - 1], off[k - 1]
-        entries: dict[tuple[int, int], int | Fraction] = {}
+        out: dict[int, dict[int, int | Fraction]] = {}
         # a column's vertical terms land in block (c, r - 1) of position
-        # k - 1 and its horizontal ones in (c - 1, r): no two share a row
+        # k - 1 and its horizontal ones in (c - 1, r): no two share a row.
+        # A stored zero (of a corrupted input) is left out.
         for c in range(min(k, p) + 1):
-            r, start = k - c, off[k][c]
-            for t in range(off[k][c + 1] - start):
-                col_idx = ix[k][start + t]
-                if r >= 1:
-                    for rr, v in vertical[c][r].get(t, {}).items():
-                        entries[(rows[below[c] + rr], col_idx)] = v
-                if c >= 1 and r < len(horizontal[c]):
-                    odd = r % 2
-                    for rr, v in horizontal[c][r].get(t, {}).items():
-                        entries[(rows[below[c - 1] + rr], col_idx)] = -v if odd else v
-        entries = {kk: v for kk, v in entries.items() if v != 0}
-        diffs.append(MonomialMatrix(inst.T, shifts[k - 1], shifts[k], entries))
+            r, start, end = k - c, off[k][c], off[k][c + 1]
+            if start == end:
+                continue
+            vertical = cols[c].diffs[r].cols if r >= 1 else {}
+            sig = D.sigmas[c].mats if c >= 1 else []
+            horizontal, odd = (sig[r].cols if r < len(sig) else {}), r % 2
+            for t in range(end - start):
+                col = {rows[below[c] + rr]: v for rr, v in vertical.get(t, {}).items() if v}
+                for rr, v in horizontal.get(t, {}).items():
+                    if v:
+                        col[rows[below[c - 1] + rr]] = -v if odd else v
+                if col:
+                    out[start + t] = col
+        diffs.append(MonomialMatrix(inst.T, shifts[k - 1], shifts[k], out))
 
     cx = FreeComplex(inst.T, shifts, diffs)
     cx.validate_maps()
@@ -703,7 +708,7 @@ def block_witness(res: FreeComplex, I: MonomialIdeal):
         return next(g or s for g, s in itertools.zip_longest(gens, res.shifts[0]) if g != s)
     ring = [(0,) * res.ctx.nvars]
     augmentation = MonomialMatrix(
-        res.ctx, ring, res.shifts[0], {(0, j): 1 for j in range(len(gens))})
+        res.ctx, ring, res.shifts[0], {j: {0: 1} for j in range(len(gens))})
     return exactness_check(
         FreeComplex(res.ctx, [ring] + res.shifts, [None, augmentation] + res.diffs[1:]), I)
 

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 
 from .builder import (
@@ -84,6 +85,10 @@ def parse_blocks(data) -> VariableContext:
         dup = next((n for i, n in enumerate(names) if n in names[:i]), None)
         if dup is not None:
             raise InputError(f"duplicate block name {dup!r}")
+        colon = next((n for n in names if ":" in n), None)
+        if colon is not None:
+            raise InputError(f"block name {colon!r} contains ':', which ends the block "
+                             "name of a substitution key")
         return VariableContext(sizes, names)
 
 
@@ -116,9 +121,11 @@ def parse_instance_document(doc) -> GmpiInstance:
                 subs[(l, d)] = family_ideal(val.get("family"), val, ctx.sizes[l], block_ctx)
             else:
                 subs[(l, d)] = ideal(block_ctx, [_generator(g) for g in val])
+        label = doc.get("label", "instance")
+        if not isinstance(label, str):
+            raise InputError(f"label must be a string, not {type(label).__name__}")
     try:
-        return validate_family(inducing, SubstitutionFamily(ctx, subs),
-                               label=doc.get("label", "instance"))
+        return validate_family(inducing, SubstitutionFamily(ctx, subs), label=label)
     except FamilyValidationError as e:
         raise InputError(str(e))
 
@@ -177,6 +184,20 @@ def _load(path: str) -> dict:
             return json.load(fh, object_pairs_hook=_object)
     except (OSError, ValueError) as e:
         raise InputError(f"cannot read {path}: {e}")
+
+
+def _check_writable(out: str) -> None:
+    """Refuse an --out path that cannot be written, before any work: an
+    existing file is opened for appending, which leaves it as it is, and a
+    new one is created and removed again."""
+    try:
+        if os.path.exists(out):
+            open(out, "a", encoding="utf-8").close()
+        else:
+            open(out, "x", encoding="utf-8").close()
+            os.remove(out)
+    except OSError as e:
+        raise InputError(f"cannot write {out}: {e}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -373,6 +394,8 @@ def main(argv=None) -> int:
     command = {"resolve": cmd_resolve, "gmpi": cmd_gmpi, "family": cmd_family,
                "verify": cmd_verify}[args.command]
     try:
+        if args.out:
+            _check_writable(args.out)
         return command(args)
     except (InputError, SizeCapError, FamilyValidationError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -3,13 +3,17 @@
 A free module here is a list of multidegree shifts; a map between free modules
 is multihomogeneous of degree zero, so the entry in position (r, c) is forced
 to be a rational scalar times x^(col_shift - row_shift).  Only the scalar is
-stored, sparsely: ``entries`` is the only format of a scalar map, and
-``columns()`` regroups it by column for the readers that walk a map column
-by column: lifts, the strand scans (whose ranks take the live columns as
-sparse vectors), and the tensor products and total complex, which copy each
-column to its block's offset in an anti-diagonal layout (``block_offsets``).
-Composition is then plain scalar matrix multiplication, and a map is
-minimal exactly when no stored entry sits between equal shifts.
+stored, sparsely and by column: ``MonomialMatrix.cols`` is {col: {row:
+scalar}}, with no zero scalar and no empty column, and it is the only format
+of a scalar map.  Every reader walks a map column by column: composition
+applies the left map to each column of the right one, lifts solve for one
+column at a time, the strand scans rank the live columns as sparse vectors,
+and the tensor products and total complex copy each column to its block's
+offset in an anti-diagonal layout (``block_offsets``).  Composition is then
+plain scalar matrix multiplication, and a map is minimal exactly when no
+stored scalar sits between equal shifts.  Witnesses follow the stored column
+order: ``square_witness`` reads the first column whose composite is nonzero,
+``unit_entry`` the first unit.
 
 A scalar is stored as an ``int`` wherever it is integral and as a
 ``Fraction`` only where it has a denominator: the Taylor, Lyubeznik and
@@ -28,11 +32,9 @@ the Taylor complex on the admissible generator subsets; Gaussian
 cancellation of unit entries (the standard chain-complex reduction lemma)
 turns it into the minimal resolution.  The full Taylor complex stays as the
 reference it is tested against; both are checked to square to zero when
-they are built (``square_witness`` groups each differential by column once,
-for the products on both sides of it; ``exactness_check`` hands the same
-column views on to its strand scan).  Both are built on generator
-bitmasks: a face (generator subset) carries its mask and its lcm, which is
-its shift, and its boundary rows are looked up by mask; the Lyubeznik
+they are built.  Both are built on generator bitmasks: a face (generator
+subset) carries its mask and its lcm, which is its shift, and its boundary
+rows are looked up by mask; the Lyubeznik
 enumeration reads the generators dividing a candidate lcm off per-variable
 divisor masks.  The cancellation takes the smallest remaining unit
 (position, row, column) from a heap with lazy deletion, the order a linear
@@ -55,8 +57,9 @@ again with the exact ``linalg.rank``, so the verdict and witness are the
 exact ones.
 
 A broken construction invariant raises ConstructionError with a witness;
-malformed hand-built maps (stored zeros, inhomogeneous entries, wrong shapes,
-a nonzero square) raise ValueError from the validators.
+malformed hand-built maps (stored zeros or empty columns, inhomogeneous
+entries, wrong shapes, a nonzero square) raise ValueError from the
+validators.
 """
 
 from __future__ import annotations
@@ -64,6 +67,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import and_, getitem, le
@@ -99,24 +103,28 @@ def _integral(v):
 class MonomialMatrix:
     """Degree-zero multihomogeneous map between shifted free modules.
 
-    ``entries[(r, c)]`` is the scalar of the term
+    ``cols[c][r]`` is the scalar of the term
     scalar * x^(col_shifts[c] - row_shifts[r]); the difference must be
-    componentwise nonnegative wherever an entry is stored.
+    componentwise nonnegative wherever a scalar is stored.  A zero column
+    is not stored, and neither is a zero scalar.
     """
 
     ctx: VariableContext
     row_shifts: list[tuple[int, ...]]
     col_shifts: list[tuple[int, ...]]
-    entries: dict[tuple[int, int], int | Fraction] = field(default_factory=dict)
+    cols: dict[int, dict[int, int | Fraction]] = field(default_factory=dict)
 
     def validate(self) -> None:
         rs, cs = self.row_shifts, self.col_shifts
-        for (r, c), v in self.entries.items():
-            if not v:
-                raise ValueError(f"stored zero scalar at {(r, c)}")
-            if not all(map(le, rs[r], cs[c])):
-                raise ValueError(
-                    f"inhomogeneous entry at {(r, c)}: {self.col_shifts[c]} - {self.row_shifts[r]}")
+        for c, col in self.cols.items():
+            if not col:
+                raise ValueError(f"stored empty column {c}")
+            for r, v in col.items():
+                if not v:
+                    raise ValueError(f"stored zero scalar at {(r, c)}")
+                if not all(map(le, rs[r], cs[c])):
+                    raise ValueError(
+                        f"inhomogeneous entry at {(r, c)}: {cs[c]} - {rs[r]}")
 
     @property
     def nrows(self) -> int:
@@ -126,14 +134,9 @@ class MonomialMatrix:
     def ncols(self) -> int:
         return len(self.col_shifts)
 
-    def columns(self) -> dict[int, dict[int, int | Fraction]]:
-        """{col: {row: scalar}} for the nonzero columns, in entry order.
-
-        Built afresh on each call: ``entries`` may be changed in place."""
-        return _by_column(self.entries)
-
     def compose(self, other: "MonomialMatrix") -> "MonomialMatrix":
-        """self o other (other feeds into self).
+        """self o other (other feeds into self), with the columns of other
+        in their stored order.
 
         Each operand is scaled once to integers (times the lcm of its
         denominators; an all-int operand is used as it is), the products are
@@ -143,97 +146,63 @@ class MonomialMatrix:
         """
         if self.col_shifts != other.row_shifts:
             raise ValueError("inner shifts disagree in composition")
-        sa, left = linalg._cleared(self.entries)
-        sb, right = linalg._cleared(other.entries)
-        by_col = _by_column(left)
-        acc: dict[tuple[int, int], int] = {}
-        for (k, c), w in right.items():
-            col = by_col.get(k)
-            if col:
-                for r, v in col.items():
-                    key = (r, c)
-                    acc[key] = acc.get(key, 0) + v * w
+        sa, left = _cleared(self.cols)
+        sb, right = _cleared(other.cols)
         scale = sa * sb
-        if scale == 1:
-            out = {k: v for k, v in acc.items() if v}
-        else:
-            out = {k: _integral(Fraction(v, scale)) for k, v in acc.items() if v}
+        out = {}
+        for c, col in right.items():
+            acc = _apply(left, col)
+            if scale == 1:
+                prod = {r: v for r, v in acc.items() if v}
+            else:
+                prod = {r: _integral(Fraction(v, scale)) for r, v in acc.items() if v}
+            if prod:
+                out[c] = prod
         return MonomialMatrix(self.ctx, self.row_shifts, other.col_shifts, out)
 
     def first_nonzero_column(self, other: "MonomialMatrix") -> int | None:
-        """The column of the first entry of self.compose(other), or None when
-        that product is zero (``_first_nonzero_column`` on the two operands
-        grouped by column)."""
-        return _first_nonzero_column(
-            self, other, _by_column(self.entries), _by_column(other.entries))
-
-    def is_zero(self) -> bool:
-        return not self.entries
+        """The first column of other, in stored order, whose image under
+        self is nonzero, or None when self o other is zero.  The product is
+        formed one column at a time, in the scalars as stored, and none of
+        it is kept."""
+        if self.col_shifts != other.row_shifts:
+            raise ValueError("inner shifts disagree in composition")
+        return next((c for c, col in other.cols.items()
+                     if any(_apply(self.cols, col).values())), None)
 
     def unit_entry(self) -> tuple[int, int] | None:
-        """The first stored entry between equal shifts, or None."""
-        return next(((r, c) for (r, c) in self.entries
-                     if self.row_shifts[r] == self.col_shifts[c]), None)
+        """The first stored (row, col) between equal shifts, in column
+        order, or None."""
+        rs, cs = self.row_shifts, self.col_shifts
+        return next(((r, c) for c, col in self.cols.items() for r in col if rs[r] == cs[c]),
+                    None)
 
 
-def _by_column(entries: dict) -> dict[int, dict[int, int | Fraction]]:
-    """{col: {row: scalar}} for the entries {(row, col): scalar}, in entry
-    order (``MonomialMatrix.columns``, also of the cleared scalars that
-    ``compose`` multiplies)."""
-    out: dict[int, dict[int, int | Fraction]] = {}
-    for (r, c), v in entries.items():
-        col = out.get(c)
-        if col is None:
-            out[c] = {r: v}
-        else:
-            col[r] = v
-    return out
+def _apply(cols: dict, vector: dict) -> dict:
+    """sum_k vector[k] * cols[k] as {row: sum}, zero sums included: the
+    image of the sparse vector {k: scalar} under the map with columns
+    ``cols``."""
+    acc: dict[int, int | Fraction] = {}
+    get = acc.get
+    for k, w in vector.items():
+        col = cols.get(k)
+        if col:
+            for r, v in col.items():
+                acc[r] = get(r, 0) + v * w
+    return acc
 
 
-def _first_nonzero_column(left: MonomialMatrix, right: MonomialMatrix,
-                          left_cols: dict, right_cols: dict) -> int | None:
-    """The column of the first entry of left.compose(right), or None when
-    that product is zero; ``left_cols`` and ``right_cols`` are the operands'
-    column views (``_by_column`` of their entries).
-
-    The product is formed one column of ``right`` at a time, in the scalars
-    as stored (no cleared copy); no column of it is kept.  Only where a
-    column is nonzero is the composite built, once, for its first entry:
-    compose lists an entry when it first reaches it, and that may be in a
-    column reached earlier."""
-    if left.col_shifts != right.row_shifts:
-        raise ValueError("inner shifts disagree in composition")
-    for col in right_cols.values():
-        acc: dict[int, int | Fraction] = {}
-        get = acc.get
-        for k, w in col.items():
-            lcol = left_cols.get(k)
-            if lcol:
-                for r, v in lcol.items():
-                    acc[r] = get(r, 0) + v * w
-        if any(acc.values()):
-            return next(iter(left.compose(right).entries))[1]
-    return None
-
-
-def _square_witness(diffs, views) -> tuple[int, tuple[int, ...]] | None:
-    """``FreeComplex.square_witness`` of the differentials ``diffs`` (with
-    ``diffs[0]`` None), given their column views: ``views`` yields those of
-    diffs[1], diffs[2], ... in order, and is read one view ahead of each
-    product."""
-    views = iter(views)
-    left_cols = next(views, None)
-    for i, right_cols in enumerate(views, 2):
-        right = diffs[i]
-        c = _first_nonzero_column(diffs[i - 1], right, left_cols, right_cols)
-        if c is not None:
-            return i, right.col_shifts[c]
-        left_cols = right_cols
-    return None
-
-
-def zero_matrix(ctx, row_shifts, col_shifts) -> MonomialMatrix:
-    return MonomialMatrix(ctx, list(row_shifts), list(col_shifts), {})
+def _cleared(cols: dict) -> tuple[int, dict]:
+    """(m, cols times m) with m the lcm of the denominators of the stored
+    scalars, so that every scalar becomes an int.  All-int ``cols`` are
+    returned as they are, with m = 1.  ValueError naming the (row, col) of
+    a scalar that is neither an int nor a Fraction."""
+    if all(type(v) is int for col in cols.values() for v in col.values()):
+        return 1, cols
+    linalg._check_exact(((r, c), v) for c, col in cols.items() for r, v in col.items())
+    m = math.lcm(*(v.denominator for col in cols.values() for v in col.values()))
+    return m, {c: {r: v.numerator * (m // v.denominator) for r, v in col.items()}
+               for c, col in cols.items()}
 
 
 @dataclass
@@ -272,13 +241,16 @@ class FreeComplex:
             d.validate()
 
     def square_witness(self) -> tuple[int, tuple[int, ...]] | None:
-        """(position i, multidegree) of the first nonzero entry of some
-        diff[i-1] o diff[i], in the entry order of ``compose``, or None if
-        the differentials square to zero.  Each differential is grouped by
-        column once, for the products on both sides of it, and each product
-        is streamed by column (``_first_nonzero_column``); none is built
-        where it is zero."""
-        return _square_witness(self.diffs, (_by_column(d.entries) for d in self.diffs[1:]))
+        """(position i, multidegree) for the lowest i where diff[i-1] o
+        diff[i] is nonzero, the multidegree being the shift of the first
+        column of diff[i], in stored order, with a nonzero composite; or
+        None if the differentials square to zero.  No composite is built
+        (``MonomialMatrix.first_nonzero_column``)."""
+        for i in range(2, len(self.diffs)):
+            c = self.diffs[i - 1].first_nonzero_column(self.diffs[i])
+            if c is not None:
+                return i, self.diffs[i].col_shifts[c]
+        return None
 
     def unit_witness(self) -> tuple[int, tuple[int, int]] | None:
         """(position, (row, col)) of the first unit entry, or None."""
@@ -297,7 +269,8 @@ class FreeComplex:
             self.ctx,
             [list(s) for s in self.shifts],
             [None] + [
-                MonomialMatrix(d.ctx, list(d.row_shifts), list(d.col_shifts), dict(d.entries))
+                MonomialMatrix(d.ctx, list(d.row_shifts), list(d.col_shifts),
+                               {c: dict(col) for c, col in d.cols.items()})
                 for d in self.diffs[1:]],
         )
 
@@ -399,12 +372,11 @@ def _subset_complex(ctx: VariableContext, levels) -> FreeComplex:
     below = {0: 0}
     for size in range(1, len(levels)):
         index: dict[int, int] = {}
-        entries: dict[tuple[int, int], int | Fraction] = {}
+        cols: dict[int, dict[int, int | Fraction]] = {}
         for c, (face, mask, _) in enumerate(levels[size]):
             index[mask] = c
-            for q, sign in zip(face, signs):
-                entries[(below[mask ^ 1 << q], c)] = sign
-        diffs.append(MonomialMatrix(ctx, shifts[size - 1], shifts[size], entries))
+            cols[c] = {below[mask ^ 1 << q]: sign for q, sign in zip(face, signs)}
+        diffs.append(MonomialMatrix(ctx, shifts[size - 1], shifts[size], cols))
         below = index
     return make_complex(ctx, shifts, diffs)
 
@@ -435,7 +407,7 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
     """
     p = C.length
     alive = [set(range(len(C.shifts[i]))) for i in range(p + 1)]
-    final_rows: list[dict[int, dict[int, int | Fraction]] | None] = [None] * (p + 1)
+    final_cols: list[dict[int, dict[int, int | Fraction]] | None] = [None] * (p + 1)
 
     for i in range(1, p + 1):
         rows: dict[int, dict[int, int | Fraction]] = {}
@@ -445,14 +417,15 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
         # position i loses no basis element before its own pass, so only the
         # rows need the liveness test
         live_rows, integral = alive[i - 1], True
-        for (r, c), v in C.diffs[i].entries.items():
-            if r in live_rows:
-                rows.setdefault(r, {})[c] = v
-                cols.setdefault(c, {})[r] = v
-                if type(v) is not int:
-                    integral = False
-                if rsh[r] == csh[c]:
-                    units.add((r, c))
+        for c, col in C.diffs[i].cols.items():
+            for r, v in col.items():
+                if r in live_rows:
+                    rows.setdefault(r, {})[c] = v
+                    cols.setdefault(c, {})[r] = v
+                    if type(v) is not int:
+                        integral = False
+                    if rsh[r] == csh[c]:
+                        units.add((r, c))
         heap = list(units)
         heapq.heapify(heap)
 
@@ -502,23 +475,19 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
                     units.discard((r0, c))
             alive[i - 1].discard(r0)
             alive[i].discard(c0)
-        final_rows[i] = rows
+        final_cols[i] = cols
 
-    # compact to fresh index ranges
+    # compact to fresh index ranges, columns in ascending order; the pass at
+    # position i + 1 may drop columns of position i, but none of its rows
     kept = [sorted(a) for a in alive]
     new_index = [{old: new for new, old in enumerate(k)} for k in kept]
     shifts = [[C.shifts[i][old] for old in kept[i]] for i in range(p + 1)]
     diffs: list[MonomialMatrix | None] = [None]
     for i in range(1, p + 1):
-        entries = {}
-        rows_at, cols_at = new_index[i - 1], new_index[i]
-        for r, rowmap in final_rows[i].items():
-            if r not in rows_at:
-                continue
-            for c, v in rowmap.items():
-                if c in cols_at:
-                    entries[(rows_at[r], cols_at[c])] = v
-        diffs.append(MonomialMatrix(C.ctx, shifts[i - 1], shifts[i], entries))
+        rows_at, by_col = new_index[i - 1], final_cols[i]
+        cols = {new: {rows_at[r]: v for r, v in by_col[old].items()}
+                for new, old in enumerate(kept[i]) if by_col.get(old)}
+        diffs.append(MonomialMatrix(C.ctx, shifts[i - 1], shifts[i], cols))
 
     while len(shifts) > 1 and not shifts[-1]:
         shifts.pop()
@@ -542,18 +511,17 @@ def _normalize_augmentation(C: FreeComplex) -> None:
     """
     if C.length < 1 or C.ranks[0] != 1 or any(C.shifts[0][0]):
         return
-    d1 = C.diffs[1]
     scale = {}
-    for c in range(d1.ncols):
-        s = d1.entries.get((0, c))
-        if s is not None and s != 1:
+    for c, col in C.diffs[1].cols.items():
+        s = col[0]
+        if s != 1:
             scale[c] = s
-            d1.entries[(0, c)] = 1
+            col[0] = 1
     if scale and C.length >= 2:
-        d2 = C.diffs[2]
-        for (r, c), v in list(d2.entries.items()):
-            if r in scale:
-                d2.entries[(r, c)] = _integral(v * scale[r])
+        for col in C.diffs[2].cols.values():
+            for r, v in col.items():
+                if r in scale:
+                    col[r] = _integral(v * scale[r])
 
 
 def quotient_resolution(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
@@ -582,7 +550,8 @@ def ideal_resolution(I: MonomialIdeal) -> FreeComplex:
     diffs: list[MonomialMatrix | None] = [None]
     for i in range(2, quot.length + 1):
         d = quot.diffs[i]
-        diffs.append(MonomialMatrix(quot.ctx, shifts[i - 2], shifts[i - 1], dict(d.entries)))
+        diffs.append(MonomialMatrix(quot.ctx, shifts[i - 2], shifts[i - 1],
+                                    {c: dict(col) for c, col in d.cols.items()}))
     out = FreeComplex(quot.ctx, shifts, diffs)
     out.validate_maps()
     return out
@@ -608,7 +577,7 @@ def inexact_positions(C: FreeComplex) -> list[int]:
     if not C.is_minimal:
         raise ValueError("scalar matrices are only defined for a minimal complex")
     rk = [0] + [
-        linalg.rank(list(C.diffs[i].columns().values())) for i in range(1, C.length + 1)] + [0]
+        linalg.rank(list(C.diffs[i].cols.values())) for i in range(1, C.length + 1)] + [0]
     return [i for i, n in enumerate(C.ranks) if rk[i] + rk[i + 1] != n]
 
 
@@ -633,8 +602,8 @@ def strand(C: FreeComplex, b: tuple[int, ...]) -> Strand:
     mats = []
     for i in range(1, C.length + 1):
         rows, cols = alive[i - 1], alive[i]
-        d = C.diffs[i].entries
-        mats.append([[d.get((r, c), 0) for c in cols] for r in rows])
+        d = C.diffs[i].cols
+        mats.append([[d.get(c, {}).get(r, 0) for c in cols] for r in rows])
     return Strand(b, alive, mats)
 
 
@@ -670,24 +639,22 @@ def exactness_check(C: FreeComplex, expect_h0: MonomialIdeal, max_cells: int = 2
     SizeCapError where the grid exceeds ``max_cells``.
     """
     # the strand rank arithmetic presumes an actual complex; a corrupted
-    # differential must surface here, witnessed by the offending multidegree.
-    # One column view per differential serves diff o diff and the scan.
-    scalars = [None] + [d.columns() for d in C.diffs[1:]]
-    square = _square_witness(C.diffs, scalars[1:])
+    # differential must surface here, witnessed by the offending multidegree
+    square = C.square_witness()
     if square is not None:
         return square[1]
     summands = [[(s,) for s in level] for level in C.shifts]
-    return _strand_scan(summands, scalars, expect_h0, max_cells)
+    return _strand_scan(summands, C.diffs, expect_h0, max_cells)
 
 
-def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, max_cells: int):
+def _strand_scan(summands, diffs, expect_h0: MonomialIdeal, max_cells: int):
     """Strand-exactness of a complex of direct sums of monomial ideals.
 
     ``summands[i][j]`` lists the generators of summand j at position i (one
     shift for a free module), so its strand at b is one-dimensional iff x^b
-    lies in that ideal; ``scalars[i]`` holds the columns {col: {row: scalar}}
-    of the map from position i to position i-1, and the caller guarantees
-    that these maps square to zero.  Scans the degree grid of all the
+    lies in that ideal; ``diffs[i]`` is the map from position i to position
+    i-1 (``diffs[0]`` is not read), and the caller guarantees that these
+    maps square to zero.  Scans the degree grid of all the
     generators and of ``expect_h0``, with the H_0 rule of exactness_check.
     Returns the first failing cell in grid order, or None.
 
@@ -729,7 +696,7 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, max_cells: int):
     if ncells > max_cells:
         raise SizeCapError(f"degree grid has {ncells} cells (cap {max_cells})")
     first = _strand_classes(summands, expect_h0, axes)
-    reduced = [None] + [_map_mod_2(cols) for cols in scalars[1:]]
+    reduced = [None] + [_map_mod_2(d.cols) for d in diffs[1:]]
     decoded: dict[int, list[int]] = {}
     positions = list(range(max(map(len, summands))))
     exact_memo: dict[tuple[int, int, int], int] = {}
@@ -746,7 +713,7 @@ def _strand_scan(summands, scalars, expect_h0: MonomialIdeal, max_cells: int):
         key = (i, a, b)
         if key not in exact_memo:
             rows, cols = live(a), live(b)
-            by_col, live_rows = scalars[i], set(rows)
+            by_col, live_rows = diffs[i].cols, set(rows)
             exact_memo[key] = linalg.rank([
                 {r: v for r, v in by_col[c].items() if r in live_rows}
                 for c in cols if c in by_col]) if rows and cols else 0
@@ -1021,18 +988,15 @@ class ChainMap:
     mats: list[MonomialMatrix]
 
     def validate(self) -> None:
-        """Shapes, homogeneity and commutation with the differentials."""
+        """Shapes, homogeneity and commutation with the differentials: the
+        two composites at each position agree column by column (neither
+        stores a zero, so equal columns are equal maps)."""
         self.validate_maps()
         for i in range(1, self.source.length + 1):
-            rhs = self.mats[i - 1].compose(self.source.diffs[i])
-            if i <= self.target.length:
-                lhs = self.target.diffs[i].compose(self.mats[i])
-            else:
-                lhs = zero_matrix(self.source.ctx, rhs.row_shifts, rhs.col_shifts)
-            diff = {k: v for k, v in lhs.entries.items()}
-            for k, v in rhs.entries.items():
-                diff[k] = diff.get(k, 0) - v
-            if any(v != 0 for v in diff.values()):
+            rhs = self.mats[i - 1].compose(self.source.diffs[i]).cols
+            lhs = (self.target.diffs[i].compose(self.mats[i]).cols
+                   if i <= self.target.length else {})
+            if lhs != rhs:
                 raise ValueError(f"chain map does not commute at position {i}")
 
     def validate_maps(self) -> None:
@@ -1059,7 +1023,7 @@ class ChainMap:
                 mats.append(self.mats[i].compose(m))
             else:
                 rows = self.target.shifts[i] if i <= self.target.length else []
-                mats.append(zero_matrix(m.ctx, rows, m.col_shifts))
+                mats.append(MonomialMatrix(m.ctx, list(rows), list(m.col_shifts)))
         return ChainMap(other.source, self.target, mats)
 
 
@@ -1067,7 +1031,7 @@ def identity_chain_map(C: FreeComplex) -> ChainMap:
     mats = []
     for level in C.shifts:
         mats.append(MonomialMatrix(
-            C.ctx, list(level), list(level), {(j, j): 1 for j in range(len(level))}))
+            C.ctx, list(level), list(level), {j: {j: 1} for j in range(len(level))}))
     return ChainMap(C, C, mats)
 
 
@@ -1080,8 +1044,7 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
     solved strandwise: the image of a basis element of shift b is solved
     for over the target columns whose shifts divide b (``linalg.solve``,
     which puts a solution on the first independent columns and zero on the
-    rest, so it is deterministic where several exist).  Each target
-    differential is grouped by column once.
+    rest, so it is deterministic where several exist).
     """
     mats = []
     phi0 = MonomialMatrix(source.ctx, list(target.shifts[0]), list(source.shifts[0]), {})
@@ -1089,7 +1052,7 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
         k = next((i for i, h in enumerate(target.shifts[0]) if divides(h, g)), None)
         if k is None:
             raise ValueError(f"source generator {g} is not in the target ideal")
-        phi0.entries[(k, j)] = 1
+        phi0.cols[j] = {k: 1}
     mats.append(phi0)
 
     for i in range(1, source.length + 1):
@@ -1097,8 +1060,8 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
         prev_shifts = target.shifts[i - 1] if i - 1 <= target.length else []
         phi = MonomialMatrix(source.ctx, list(tgt_shifts), list(source.shifts[i]), {})
         # target position i-1 <- source position i
-        v_cols = mats[i - 1].compose(source.diffs[i]).columns()
-        t_cols = target.diffs[i].columns() if tgt_shifts else {}
+        v_cols = mats[i - 1].compose(source.diffs[i]).cols
+        t_cols = target.diffs[i].cols if tgt_shifts else {}
         for j, b in enumerate(source.shifts[i]):
             vcol = v_cols.get(j, {})
             stray = next((r for r in vcol if not divides(prev_shifts[r], b)), None)
@@ -1118,8 +1081,8 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
                 raise ConstructionError(
                     "lift system unsolvable, so the target is not a resolution "
                     "(position, source basis index)", (i, j))
-            for k, val in y.items():
-                phi.entries[(cols[k], j)] = val
+            if y:
+                phi.cols[j] = {cols[k]: val for k, val in y.items()}
         mats.append(phi)
 
     out = ChainMap(source, target, mats)
@@ -1145,13 +1108,13 @@ def direct_sum(parts: list[FreeComplex]):
                 shifts[i].extend(part.shifts[i])
     diffs: list[MonomialMatrix | None] = [None]
     for i in range(1, p + 1):
-        entries = {}
+        cols = {}
         for t, part in enumerate(parts):
             if i <= part.length:
                 ro, co = offsets[t][i - 1], offsets[t][i]
-                for (r, c), v in part.diffs[i].entries.items():
-                    entries[(r + ro, c + co)] = v
-        diffs.append(MonomialMatrix(ctx, shifts[i - 1], shifts[i], entries))
+                for c, col in part.diffs[i].cols.items():
+                    cols[c + co] = {r + ro: v for r, v in col.items()}
+        diffs.append(MonomialMatrix(ctx, shifts[i - 1], shifts[i], cols))
     return FreeComplex(ctx, shifts, diffs), offsets
 
 
@@ -1181,29 +1144,29 @@ def _tensor_pair(A: FreeComplex, B: FreeComplex, ctx: VariableContext) -> FreeCo
     p, q = A.length, B.length
     shifts = [[a + b for i in range(max(0, k - q), min(k, p) + 1)
                for a in A.shifts[i] for b in B.shifts[k - i]] for k in range(len(off))]
-    # one int object per basis index, shared by every entry key
+    # one int object per basis index, shared by every column that has it as a row
     ix = [list(range(len(level))) for level in shifts]
-    da = [None] + [d.columns() for d in A.diffs[1:]]
-    db = [None] + [d.columns() for d in B.diffs[1:]]
     diffs: list[MonomialMatrix | None] = [None]
     for k in range(1, len(shifts)):
-        rows, cols, below = ix[k - 1], ix[k], off[k - 1]
-        entries: dict[tuple[int, int], int | Fraction] = {}
+        rows, below = ix[k - 1], off[k - 1]
+        cols: dict[int, dict[int, int | Fraction]] = {}
         for i in range(max(0, k - q), min(k, p) + 1):
             j, odd = k - i, i % 2
             nb = len(B.shifts[j])
+            da = A.diffs[i].cols if i else {}
+            db = B.diffs[j].cols if j else {}
             for s in range(len(A.shifts[i])):
                 for t in range(nb):
-                    c = cols[off[k][i] + s * nb + t]
+                    col = {}
                     # da lands in block (i - 1, j) of position k - 1, db in (i, j - 1)
-                    if i:
-                        for r, v in da[i].get(s, {}).items():
-                            entries[(rows[below[i - 1] + r * nb + t], c)] = v
-                    if j:
-                        low = below[i] + s * len(B.shifts[j - 1])
-                        for r, v in db[j].get(t, {}).items():
-                            entries[(rows[low + r], c)] = -v if odd else v
-        diffs.append(MonomialMatrix(ctx, shifts[k - 1], shifts[k], entries))
+                    for r, v in da.get(s, {}).items():
+                        col[rows[below[i - 1] + r * nb + t]] = v
+                    low = below[i] + s * len(B.shifts[j - 1]) if j else 0
+                    for r, v in db.get(t, {}).items():
+                        col[rows[low + r]] = -v if odd else v
+                    if col:
+                        cols[off[k][i] + s * nb + t] = col
+        diffs.append(MonomialMatrix(ctx, shifts[k - 1], shifts[k], cols))
     return FreeComplex(ctx, shifts, diffs)
 
 
@@ -1212,24 +1175,21 @@ def _tensor_pair_map(f: ChainMap, g: ChainMap, src: FreeComplex, tgt: FreeComple
     f.target (x) g.target, both laid out by ``_tensor_pair``; no signs, as f
     and g have degree zero.  Columns are filled in index order."""
     soff, toff = _pair_offsets(f.source, g.source), _pair_offsets(f.target, g.target)
-    fc = [m.columns() for m in f.mats]
-    gc = [m.columns() for m in g.mats]
     mats = []
     for k in range(src.length + 1):
         tgt_shifts = tgt.shifts[k] if k <= tgt.length else []
-        rows, cols = list(range(len(tgt_shifts))), list(range(len(src.shifts[k])))
-        entries: dict[tuple[int, int], int | Fraction] = {}
+        rows = list(range(len(tgt_shifts)))
+        cols: dict[int, dict[int, int | Fraction]] = {}
         for i in range(max(0, k - g.source.length), min(k, f.source.length) + 1):
             j = k - i
             nb, nt = g.mats[j].ncols, g.mats[j].nrows
-            g_cols = sorted(gc[j].items())
-            for s, fcol in sorted(fc[i].items()):
+            g_cols = sorted(g.mats[j].cols.items())
+            for s, fcol in sorted(f.mats[i].cols.items()):
                 for t, gcol in g_cols:
-                    c = cols[soff[k][i] + s * nb + t]
-                    for r, v in fcol.items():
-                        for rr, w in gcol.items():
-                            entries[(rows[toff[k][i] + r * nt + rr], c)] = _integral(v * w)
-        mats.append(MonomialMatrix(src.ctx, list(tgt_shifts), list(src.shifts[k]), entries))
+                    cols[soff[k][i] + s * nb + t] = {
+                        rows[toff[k][i] + r * nt + rr]: _integral(v * w)
+                        for r, v in fcol.items() for rr, w in gcol.items()}
+        mats.append(MonomialMatrix(src.ctx, list(tgt_shifts), list(src.shifts[k]), cols))
     return ChainMap(src, tgt, mats)
 
 

@@ -3,7 +3,7 @@
 
 Scalars are exact: an ``int`` wherever a value is integral, a ``Fraction``
 only where it has a denominator (see ``complexes``).  A float or any other
-value is refused with a ValueError naming its key, by ``_cleared`` and
+value is refused with a ValueError naming its key, by ``_integer_row`` and
 ``mod_2``, on their path for vectors that are not all ints, so the all-int
 path pays nothing for the check.
 
@@ -11,10 +11,9 @@ path pays nothing for the check.
 of ints and Fractions, its rows or its columns alike, since both have the
 same rank.  It clears each vector's denominators and eliminates fraction-free
 over sparse integer vectors: scaling a vector by a nonzero rational keeps the
-rank, so the result is exact over Q without Fraction arithmetic.  Its
-denominator clearing (``_cleared``, which hands an all-int vector back
-without a copy) also feeds the integer kernel of
-``complexes.MonomialMatrix.compose``.
+rank, so the result is exact over Q without Fraction arithmetic.  A map of
+``complexes`` stores its scalars by column, {col: {row: scalar}}, so its
+columns are such vectors as they stand: ``rank(list(m.cols.values()))``.
 
 ``rank_mod_2`` is the fast rank of the strand-exactness scans.  It
 eliminates the same sparse vectors reduced modulo 2 (``mod_2``), each packed
@@ -100,33 +99,23 @@ def _reduce(vec: dict[int, int], pivots: dict, stop: float = inf) -> dict[int, i
 
 def _integer_row(vector: dict) -> dict[int, int]:
     """``vector`` times the lcm of its denominators, divided by its content
-    (``vector`` itself when it is a primitive int vector; never modified)."""
-    if not vector:
-        return {}
-    return _primitive(_cleared(vector)[1])
-
-
-def _cleared(entries: dict) -> tuple[int, dict]:
-    """(m, entries times m) with m the lcm of the denominators of the
-    rational values, so that every value becomes an int.  An all-int
-    ``entries`` is returned as it is, with m = 1: its readers never modify
-    it.  ValueError naming the key of a value that is neither an int nor a
+    (``vector`` itself when it is a primitive int vector; never modified).
+    ValueError naming the key of a value that is neither an int nor a
     Fraction."""
-    if all(type(v) is int for v in entries.values()):
-        return 1, entries
-    _check_exact(entries)
-    m = lcm(*(v.denominator for v in entries.values()))
-    if m == 1:
-        return 1, {k: v.numerator for k, v in entries.items()}
-    return m, {k: v.numerator * (m // v.denominator) for k, v in entries.items()}
+    if not all(type(v) is int for v in vector.values()):
+        _check_exact(vector.items())
+        m = lcm(*(v.denominator for v in vector.values()))
+        vector = {k: v.numerator * (m // v.denominator) for k, v in vector.items()}
+    return _primitive(vector) if vector else {}
 
 
-def _check_exact(entries: dict) -> None:
-    """ValueError at the first value that is neither an int nor a Fraction
-    (a float, say), which exact arithmetic cannot take."""
-    key = next((k for k, v in entries.items() if not isinstance(v, (int, Fraction))), None)
-    if key is not None:
-        raise ValueError(f"inexact scalar {entries[key]!r} at {key}: "
+def _check_exact(items) -> None:
+    """ValueError at the first (key, value) of ``items`` whose value is
+    neither an int nor a Fraction (a float, say), which exact arithmetic
+    cannot take."""
+    bad = next(((k, v) for k, v in items if not isinstance(v, (int, Fraction))), None)
+    if bad is not None:
+        raise ValueError(f"inexact scalar {bad[1]!r} at {bad[0]}: "
                          "scalars must be ints or Fractions")
 
 
@@ -161,7 +150,7 @@ def mod_2(vector: dict) -> int | None:
     value that is neither an int nor a Fraction."""
     if all(type(v) is int for v in vector.values()):
         return sum(1 << k for k, v in vector.items() if v & 1)
-    _check_exact(vector)
+    _check_exact(vector.items())
     out = 0
     for k, v in vector.items():
         if not v.denominator & 1:

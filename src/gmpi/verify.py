@@ -215,7 +215,7 @@ def check_lcm_shifts(inst: GmpiInstance) -> CheckResult:
     if res.length < 2:
         return CheckResult("lcm-shifts", inst.label, True, {"vacuous": True})
     for i in range(2, res.length + 1):
-        cols = res.diffs[i].columns()
+        cols = res.diffs[i].cols
         for j, s in enumerate(res.shifts[i]):
             acc = (0,) * len(s)
             for k in cols.get(j, ()):

@@ -88,15 +88,24 @@ def with_resolution_copy(inst: GmpiInstance) -> GmpiInstance:
     return dataclasses.replace(inst, resolution=inst.resolution.copy())
 
 
+def scale_first_scalar(m, factor) -> None:
+    """Multiply the first stored scalar of the map ``m``, in column order,
+    by ``factor``, in place."""
+    col = next(iter(m.cols.values()))
+    col[next(iter(col))] *= factor
+
+
 def corrupt_lambda(inst: GmpiInstance, i: int = 2):
     """The instance over a copy of its resolution in which the first nonzero
     scalar of lam_i (in row-major order) is set to zero, and its (i, r, c)."""
     probe = with_resolution_copy(inst)
-    entries = probe.resolution.diffs[i].entries
-    if not entries:
+    cols = probe.resolution.diffs[i].cols
+    if not cols:
         raise AssertionError("no nonzero entry to corrupt")
-    r, c = min(entries)
-    del entries[(r, c)]
+    r, c = min((r, c) for c, col in cols.items() for r in col)
+    del cols[c][r]
+    if not cols[c]:
+        del cols[c]
     return probe, (i, r, c)
 
 
@@ -138,9 +147,7 @@ def non_nested_instance() -> GmpiInstance:
 def corrupt_sigma(D):
     """Double the first entry of the first nonzero sigma component above
     position 0: sigma no longer commutes with the column differentials."""
-    m = next(m for sig in D.sigmas[1:] for m in sig.mats[1:] if m.entries)
-    key = next(iter(m.entries))
-    m.entries[key] *= 2
+    scale_first_scalar(next(m for sig in D.sigmas[1:] for m in sig.mats[1:] if m.cols), 2)
     return D
 
 
@@ -148,18 +155,15 @@ def corrupt_sigma_square(D):
     """Add one to the first entry of sigma_2 in position 0, the corruption
     of the sigma-squared-zero check in test_acceptance: sigma_1 o sigma_2 is
     no longer zero."""
-    m = D.sigmas[2].mats[0]
-    key = next(iter(m.entries))
-    m.entries[key] += 1
+    col = next(iter(D.sigmas[2].mats[0].cols.values()))
+    col[next(iter(col))] += 1
     return D
 
 
 def corrupt_column(D):
     """Double the first entry of the first column differential of position 2,
     so that the column no longer squares to zero."""
-    col = next(c for c in D.columns if c.length >= 2)
-    key = next(iter(col.diffs[2].entries))
-    col.diffs[2].entries[key] *= 2
+    scale_first_scalar(next(c for c in D.columns if c.length >= 2).diffs[2], 2)
     return D
 
 
@@ -173,18 +177,14 @@ def corrupt_block_scalar(D):
     """Double the first entry of the first differential of the first block
     resolution of positive degree (a copy of it): the strands keep their
     ranks, but the augmentation no longer kills the image."""
-    d1 = _first_block_copy(D).diffs[1].entries
-    key = next(iter(d1))
-    d1[key] *= 2
+    scale_first_scalar(_first_block_copy(D).diffs[1], 2)
     return D
 
 
 def corrupt_block_column(D):
     """Clear column 0 of the first differential of the first block resolution
     of positive degree (a copy of it), so that a strand loses rank."""
-    d1 = _first_block_copy(D).diffs[1].entries
-    for key in [k for k in d1 if k[1] == 0]:
-        del d1[key]
+    _first_block_copy(D).diffs[1].cols.pop(0, None)
     return D
 
 
@@ -202,7 +202,5 @@ def corrupt_star_scalars(D):
     """Double the first scalar of lam_2 in a copy of the resolution of S/I
     that the star complex reads, so that its maps no longer square to zero."""
     D.instance.resolution = D.instance.resolution.copy()
-    d2 = D.instance.resolution.diffs[2].entries
-    key = next(iter(d2))
-    d2[key] *= 2
+    scale_first_scalar(D.instance.resolution.diffs[2], 2)
     return D

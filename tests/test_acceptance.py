@@ -131,7 +131,7 @@ def test_criterion_6_structure_lemma_suite(suite):
     # each check must fail on its engineered corruption fixture
     probe = random_instance(9)
     corrupt = with_resolution_copy(probe)
-    corrupt.resolution.diffs[1].entries.clear()
+    corrupt.resolution.diffs[1].cols.clear()
     assert not check_scalar_exactness(corrupt).passed
 
     corrupt, _ = corrupt_lambda(probe, i=2)
@@ -148,14 +148,13 @@ def test_criterion_6_structure_lemma_suite(suite):
 
     D = build_double_complex(probe)
     sig = D.sigmas[1].mats[0]
-    (r, c) = next(iter(sig.entries))
-    sig.col_shifts[c] = sig.row_shifts[r]
+    c, col = next(iter(sig.cols.items()))
+    sig.col_shifts[c] = sig.row_shifts[next(iter(col))]
     assert not check_sigma_minimality(D).passed
 
     D2 = build_double_complex(probe)
-    sig = D2.sigmas[2].mats[0]
-    key, v = next(iter(sig.entries.items()))
-    sig.entries[key] = v + 1
+    col = next(iter(D2.sigmas[2].mats[0].cols.values()))
+    col[next(iter(col))] += 1
     assert not check_sigma_squared(D2).passed
 
     assert not check_star_acyclicity(build_star_complex(non_nested_instance())).passed

@@ -53,6 +53,7 @@ from conftest import (
     corrupt_star_scalars,
     non_nested_instance,
     normal_scalar,
+    scale_first_scalar,
     with_resolution_copy,
 )
 
@@ -192,12 +193,10 @@ def test_star_and_total_complex_exact_beyond_the_pinned_seeds():
 
 
 def test_star_acyclicity_needs_a_resolution_that_squares_to_zero():
-    # the scan certifies its strands mod P only for maps that square to zero
+    # the scan certifies its strands over F_2 only for maps that square to zero
     inst = with_resolution_copy(expansion_instance())
     star = build_star_complex(inst)
-    d2 = inst.resolution.diffs[2].entries
-    key = next(iter(d2))
-    d2[key] *= 2
+    scale_first_scalar(inst.resolution.diffs[2], 2)
     square = inst.resolution.square_witness()
     assert square is not None
     assert star_acyclicity(star) == square
@@ -232,13 +231,15 @@ def test_star_exactness_on_the_grid_of_s_matches_the_grid_of_t(seed, data):
     # one scalar of the resolution of S/I changed, in a copy
     probe = with_resolution_copy(inst)
     res = probe.resolution
-    entries = res.diffs[data.draw(st.integers(1, res.length))].entries
-    key = data.draw(st.sampled_from(sorted(entries)))
+    cols = res.diffs[data.draw(st.integers(1, res.length))].cols
+    r, c = data.draw(st.sampled_from(sorted((r, c) for c, col in cols.items() for r in col)))
     factor = data.draw(st.sampled_from([0, -1, 2, 3]))
     if factor:
-        entries[key] *= factor
+        cols[c][r] *= factor
     else:
-        del entries[key]
+        del cols[c][r]
+        if not cols[c]:
+            del cols[c]
     assert s_grid_exact(probe) == t_grid_exact(probe)
 
 
@@ -286,8 +287,7 @@ def test_rho_phi0_matches_divisor_rule():
     blocks = block_resolutions(inst)
     rhos = rho_maps(inst, blocks)
     phi0 = rhos[(0, 1)].mats[0]   # (x1,x2)^2 -> (x1,x2)
-    assert phi0.entries == {
-        (0, 0): Fraction(1), (0, 1): Fraction(1), (1, 2): Fraction(1)}
+    assert phi0.cols == {0: {0: Fraction(1)}, 1: {0: Fraction(1)}, 2: {1: Fraction(1)}}
 
 
 def test_rho_empty_for_single_entry_ladder():
@@ -301,7 +301,7 @@ def test_rho_into_degree_zero_is_augmentation_lift():
     rhos = rho_maps(inst, block_resolutions(inst))
     phi0 = rhos[(0, 1)].mats[0]
     assert phi0.row_shifts == [(0, 0)]
-    assert phi0.entries == {(0, 0): Fraction(1), (0, 1): Fraction(1)}
+    assert phi0.cols == {0: {0: Fraction(1)}, 1: {0: Fraction(1)}}
 
 
 def test_tau_identity_single_step_and_composite():
@@ -322,14 +322,14 @@ def test_tau_identity_single_step_and_composite():
     blocks = block_resolutions(inst)
     cache = TauCache(inst, blocks, rho_maps(inst, blocks))
     ident = cache.get(0, 2, 2)
-    assert ident.mats[0].entries == {(j, j): Fraction(1) for j in range(3)}
+    assert ident.mats[0].cols == {j: {j: Fraction(1)} for j in range(3)}
     one_step = cache.get(0, 2, 1)
     rhos = rho_maps(inst, blocks)
-    assert [m.entries for m in one_step.mats] == [m.entries for m in rhos[(0, 1)].mats]
+    assert [m.cols for m in one_step.mats] == [m.cols for m in rhos[(0, 1)].mats]
     # two-step drop equals the composite of one-step drops, entry for entry
     two_step = cache.get(0, 3, 1)
     composite = rhos[(0, 1)].compose(rhos[(0, 2)])
-    assert [m.entries for m in two_step.mats] == [m.entries for m in composite.mats]
+    assert [m.cols for m in two_step.mats] == [m.cols for m in composite.mats]
 
 
 def test_tau_composites_are_path_independent():
@@ -350,9 +350,9 @@ def test_tau_composites_are_path_independent():
                 routes.append(cache.get(l, mid, lo).compose(cache.get(l, hi, mid)))
         assert len(routes) >= 3  # via lo, the middle rung, and hi itself
         for later in routes[1:]:
-            assert [m.entries for m in routes[0].mats] == [m.entries for m in later.mats]
+            assert [m.cols for m in routes[0].mats] == [m.cols for m in later.mats]
         direct = cache.get(l, hi, lo)
-        assert [m.entries for m in routes[0].mats] == [m.entries for m in direct.mats]
+        assert [m.cols for m in routes[0].mats] == [m.cols for m in direct.mats]
         direct.validate()
         found = True
     assert found, "instance lost its three-step ladder"
@@ -496,7 +496,7 @@ def is_map(m, expected) -> bool:
     if not isinstance(expected, FreeComplex):
         return m is expected
     return (m.row_shifts == [(0,) * expected.ctx.nvars] and m.col_shifts == expected.shifts[0]
-            and m.entries == {(0, j): 1 for j in range(expected.ranks[0])})
+            and m.cols == {j: {0: 1} for j in range(expected.ranks[0])})
 
 
 def test_total_complex_composes_each_pair_once(monkeypatch):
@@ -504,19 +504,18 @@ def test_total_complex_composes_each_pair_once(monkeypatch):
     # complex, of the resolution of S/I (the star scan's precondition) and of
     # each block resolution with its augmentation prepended (the block scans'
     # precondition) once each, streamed by column, and composes none
-    from gmpi import complexes
     D = build_double_complex(expansion_instance())
     calls = []
-    streamed = complexes._first_nonzero_column
+    streamed = MonomialMatrix.first_nonzero_column
 
-    def counted(left, right, left_cols, right_cols):
+    def counted(left, right):
         calls.append((left, right))
-        return streamed(left, right, left_cols, right_cols)
+        return streamed(left, right)
 
     def composed(self, other):
         raise AssertionError("the certificate builds a composite")
 
-    monkeypatch.setattr(complexes, "_first_nonzero_column", counted)
+    monkeypatch.setattr(MonomialMatrix, "first_nonzero_column", counted)
     monkeypatch.setattr(MonomialMatrix, "compose", composed)
     tot = total_complex(D)
     assert tot.exactness_verified and tot.complex.length == 4
@@ -529,55 +528,6 @@ def test_total_complex_composes_each_pair_once(monkeypatch):
             (res.diffs[i - 1], res.diffs[i]) for i in range(2, res.length + 1)]
     assert len(calls) == len(expected) == 3 + 1 + 4
     assert all(is_map(a, c) and b is d for (a, b), (c, d) in zip(calls, expected))
-
-
-def test_total_complex_reads_each_map_by_column_once(monkeypatch):
-    D = build_double_complex(expansion_instance())
-    read = []
-    columns = MonomialMatrix.columns
-
-    def counted(self):
-        read.append(self)
-        return columns(self)
-
-    monkeypatch.setattr(MonomialMatrix, "columns", counted)
-    tot = total_complex(D)
-    vertical = [d for col in D.columns for d in col.diffs[1:]]
-    horizontal = [m for sig in D.sigmas[1:] for m in sig.mats]
-    # assembly reads every column differential and sigma component once; the
-    # star scan then reads the scalar matrices and each block scan its
-    # augmentation and its block's differentials, once each, and nothing
-    # reads a total differential
-    scalars = D.instance.resolution.diffs[1:]
-    blocks = [m for (l, d), res in D.blocks.items() if d >= 1 for m in [res] + res.diffs[1:]]
-    expected = vertical + horizontal + scalars + blocks
-    assert len(read) == len(expected) and len(vertical) > 0 and len(horizontal) > 0
-    assert all(is_map(a, b) for a, b in zip(read, expected))
-    assert not any(a is b for a in read for b in tot.complex.diffs[1:])
-
-
-def test_exactness_check_groups_each_differential_by_column_once(monkeypatch):
-    # one column view per differential serves diff o diff and the strand
-    # scan: one grouping per differential of the demo's total complex (4 in
-    # all), and likewise per map of S's resolution in the star scan
-    from gmpi import complexes
-    D = build_double_complex(expansion_instance())
-    tot = total_complex(D).complex
-    grouped = []
-    by_column = complexes._by_column
-
-    def counted(entries):
-        grouped.append(entries)
-        return by_column(entries)
-
-    monkeypatch.setattr(complexes, "_by_column", counted)
-    assert exactness_check(tot, D.instance.induced) is None
-    assert tot.length == 4
-    assert [id(e) for e in grouped] == [id(d.entries) for d in tot.diffs[1:]]
-    star = build_star_complex(D.instance)
-    grouped.clear()
-    assert star_acyclicity(star) is None
-    assert [id(e) for e in grouped] == [id(d.entries) for d in D.instance.resolution.diffs[1:]]
 
 
 @pytest.mark.parametrize("scan", [True, False], ids=["scanned", "scan-skipped"])
@@ -633,13 +583,11 @@ def test_block_witness_locates_the_failure():
     assert block_witness(res, I) is None
     # the augmentation: a doubled scalar leaves its column summing to +-1
     bad = res.copy()
-    (r, c) = next(iter(bad.diffs[1].entries))
-    bad.diffs[1].entries[(r, c)] *= 2
-    assert block_witness(bad, I) == res.shifts[1][c]
+    scale_first_scalar(bad.diffs[1], 2)
+    assert block_witness(bad, I) == res.shifts[1][next(iter(bad.diffs[1].cols))]
     # the scan: without column 0 a strand misses a syzygy
     bad = res.copy()
-    for key in [k for k in bad.diffs[1].entries if k[1] == 0]:
-        del bad.diffs[1].entries[key]
+    del bad.diffs[1].cols[0]
     assert block_witness(bad, I) == res.shifts[1][0]
     # position 0 must list the generators, in order
     swapped = res.copy()
@@ -657,8 +605,8 @@ def test_total_complex_rejects_a_resolution_out_of_generator_order():
     res.shifts[1][0], res.shifts[1][1] = res.shifts[1][1], res.shifts[1][0]
     d1, d2 = res.diffs[1], res.diffs[2]
     d1.col_shifts, d2.row_shifts = res.shifts[1], res.shifts[1]
-    d1.entries = {(r, swap.get(c, c)): v for (r, c), v in d1.entries.items()}
-    d2.entries = {(swap.get(r, r), c): v for (r, c), v in d2.entries.items()}
+    d1.cols = {swap.get(c, c): col for c, col in d1.cols.items()}
+    d2.cols = {c: {swap.get(r, r): v for r, v in col.items()} for c, col in d2.cols.items()}
     res.validate()
     assert res.shifts[1] != list(inst.inducing.gens)
     D = build_double_complex(inst)
@@ -725,7 +673,7 @@ def test_nonlinear_substitution_flagged_not_asserted():
 
 def test_star_complex_raises_on_a_zero_column():
     inst = expansion_instance()
-    inst.resolution.diffs[2].entries.clear()
+    inst.resolution.diffs[2].cols.clear()
     with pytest.raises(ConstructionError) as err:
         build_star_complex(inst)
     assert err.value.witness == (2, 0)
@@ -781,7 +729,7 @@ def test_total_complex_raises_the_sigma_witness(monkeypatch, method, make, messa
 def test_sigma_star_witness_finds_a_changed_scalar():
     D = build_double_complex(expansion_instance())
     assert D.sigma_star_witness() is None
-    D.instance.resolution.diffs[1].entries[(0, 1)] = Fraction(2)
+    D.instance.resolution.diffs[1].cols[1][0] = Fraction(2)
     assert D.sigma_star_witness() == (1, 1, 0, 0)
 
 
@@ -835,7 +783,7 @@ def test_tensor_chain_map_of_three_blocks_is_a_chain_map():
         m = tensor_chain_map(
             [taus.get(l, a, b) for l, (a, b) in enumerate(zip(src_degs, tgt_degs))], src, tgt)
         assert m.source is src.complex and m.target is tgt.complex
-        assert any(mat.entries for mat in m.mats[1:])
+        assert any(mat.cols for mat in m.mats[1:])
         m.validate()   # shapes, homogeneity and commutation with the differentials
 
 
@@ -845,7 +793,7 @@ def stored_scalars(D, tot):
     maps = [d for res in D.blocks.values() for d in res.diffs[1:]]
     maps += [m for sig in D.sigmas[1:] for m in sig.mats]
     maps += tot.complex.diffs[1:] + D.instance.resolution.diffs[1:]
-    return [v for m in maps for v in m.entries.values()]
+    return [v for m in maps for col in m.cols.values() for v in col.values()]
 
 
 @pytest.mark.parametrize("make", [

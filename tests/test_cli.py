@@ -251,6 +251,25 @@ MALFORMED = {
     # json would keep the last value of a repeated key
     "repeated-key": ("gmpi", json.dumps(expansion_doc()).replace(
         '"x:2":', '"x:1": [[1, 0], [0, 1]], "x:2":')),
+    "negative-degree-in-key": ("gmpi", expansion_with_substitution("x:-1", [[1, 0], [0, 1]])),
+    # a label is echoed back as it is, so it must be a string
+    "integer-label": ("gmpi", {**expansion_doc(), "label": 5}),
+    "list-label": ("gmpi", {**expansion_doc(), "label": ["a"]}),
+    # the block name of a key ends at its first ':'
+    "colon-in-block-name": (
+        "gmpi", {**expansion_doc(), "blocks": [{"name": "x:1", "size": 2},
+                                               {"name": "y", "size": 2}]}),
+}
+
+# the whole message, where it is pinned
+MALFORMED_MESSAGES = {
+    "duplicate-block-name": "duplicate block name 'x'",
+    "negative-degree-in-key":
+        "substitution for block 0 has degree -1: the degree must be positive",
+    "integer-label": "label must be a string, not int",
+    "list-label": "label must be a string, not list",
+    "colon-in-block-name":
+        "block name 'x:1' contains ':', which ends the block name of a substitution key",
 }
 
 
@@ -260,8 +279,8 @@ def test_malformed_document_exits_two_with_one_line(tmp_path, capsys, case):
     assert main([command, write(tmp_path, "bad.json", doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    if case == "duplicate-block-name":
-        assert err == "error: duplicate block name 'x'\n"
+    if case in MALFORMED_MESSAGES:
+        assert err == f"error: {MALFORMED_MESSAGES[case]}\n"
 
 
 def test_an_unwritable_out_path_exits_two_with_one_line(tmp_path, capsys):
@@ -269,6 +288,31 @@ def test_an_unwritable_out_path_exits_two_with_one_line(tmp_path, capsys):
     assert main(["family", "random", "--seed", "30", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
+def test_an_unwritable_out_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    from gmpi import cli, verify
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work started before --out was checked")
+
+    monkeypatch.setattr(cli, "quotient_resolution", never)
+    monkeypatch.setattr(cli, "build_double_complex", never)
+    monkeypatch.setattr(verify, "run_suite", never)
+    commands = [["resolve", write(tmp_path, "k.json", koszul3_doc())],
+                ["gmpi", write(tmp_path, "e.json", expansion_doc())], ["verify"]]
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        for command in commands:
+            assert main(command + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    # a run that then exits 2 leaves an existing file as it is, and no new one
+    bad = write(tmp_path, "bad.json", {**expansion_doc(), "label": 5})
+    kept, new = tmp_path / "kept.json", tmp_path / "new.json"
+    kept.write_text("keep\n")
+    assert main(["gmpi", bad, "--out", str(kept)]) == 2
+    assert main(["gmpi", bad, "--out", str(new)]) == 2
+    assert kept.read_text() == "keep\n" and not new.exists()
 
 
 def test_max_taylor_is_refused_above_40(tmp_path, capsys):

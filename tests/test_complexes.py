@@ -62,7 +62,7 @@ def koszul2():
 def test_taylor_principal():
     C = taylor_complex(ideal(S1, [(1,)]))
     assert C.shifts == [[(0,)], [(1,)]]
-    assert C.diffs[1].entries == {(0, 0): Fraction(1)}
+    assert C.diffs[1].cols == {0: {0: Fraction(1)}}
 
 
 def test_taylor_koszul_two_variables():
@@ -92,7 +92,7 @@ def test_taylor_shifts_are_subset_lcms():
             expect.append(acc)
         assert level == expect
     for d in C.diffs[1:]:
-        assert all(type(v) is int and v in (1, -1) for v in d.entries.values())
+        assert all(type(v) is int and v in (1, -1) for col in d.cols.values() for v in col.values())
 
 
 def test_taylor_cap():
@@ -112,12 +112,17 @@ def test_taylor_rejects_degenerate():
 def test_make_complex_validation():
     from gmpi.complexes import MonomialMatrix, make_complex
     # inhomogeneous entry: col shift not componentwise above row shift
-    bad = MonomialMatrix(S2, [(1, 0)], [(0, 1)], {(0, 0): Fraction(1)})
+    bad = MonomialMatrix(S2, [(1, 0)], [(0, 1)], {0: {0: Fraction(1)}})
     with pytest.raises(ValueError):
         make_complex(S2, [[(1, 0)], [(0, 1)]], [None, bad])
+    # a stored zero, and a stored empty column
+    for cols in ({0: {0: 0}}, {0: {}}):
+        zero = MonomialMatrix(S2, [(0, 0)], [(1, 0)], cols)
+        with pytest.raises(ValueError, match="stored zero scalar at \\(0, 0\\)|stored empty column 0"):
+            make_complex(S2, [[(0, 0)], [(1, 0)]], [None, zero])
     # differentials that do not compose to zero
-    d1 = MonomialMatrix(S2, [(0, 0)], [(1, 0)], {(0, 0): Fraction(1)})
-    d2 = MonomialMatrix(S2, [(1, 0)], [(1, 1)], {(0, 0): Fraction(1)})
+    d1 = MonomialMatrix(S2, [(0, 0)], [(1, 0)], {0: {0: Fraction(1)}})
+    d2 = MonomialMatrix(S2, [(1, 0)], [(1, 1)], {0: {0: Fraction(1)}})
     with pytest.raises(ValueError):
         make_complex(S2, [[(0, 0)], [(1, 0)], [(1, 1)]], [None, d1, d2])
 
@@ -136,7 +141,7 @@ def test_minimalize_leaves_koszul_alone():
     C = taylor_complex(ideal(S2, [(1, 0), (0, 1)]))
     M = minimalize_complex(C)
     assert M.ranks == C.ranks
-    assert M.diffs[1].entries == C.diffs[1].entries
+    assert M.diffs[1].cols == C.diffs[1].cols
 
 
 def test_minimalize_hilbert_burch_shape():
@@ -198,34 +203,54 @@ def test_betti_invariant_under_generator_shuffles():
         assert betti_table(minimalize_complex(taylor_complex(shuffled))) == base
 
 
+# -- the storage format: {col: {row: scalar}}
+
+def test_a_map_stores_its_scalars_by_column_only():
+    import dataclasses
+    assert [f.name for f in dataclasses.fields(MonomialMatrix)] == [
+        "ctx", "row_shifts", "col_shifts", "cols"]
+    # no second format, and no view that rebuilds one
+    assert not hasattr(MonomialMatrix, "entries") and not hasattr(MonomialMatrix, "columns")
+
+
+def assert_stored_by_column(d: MonomialMatrix) -> None:
+    """The storage invariant: a valid map with no empty column, normal
+    scalars and its columns in ascending order."""
+    d.validate()
+    assert all(d.cols.values())
+    assert all(normal_scalar(v) for col in d.cols.values() for v in col.values())
+    assert list(d.cols) == sorted(d.cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals())
+def test_resolutions_keep_the_storage_invariant(I):
+    for d in quotient_resolution(I).diffs[1:]:
+        assert_stored_by_column(d)
+
+
+def test_tensor_and_total_complexes_keep_the_storage_invariant(suite):
+    for item in suite:
+        tensors = [t for col in item.double.summands[1:] for t in col]
+        for cx in [p for t in tensors for p in t.partials] + item.double.columns:
+            for d in cx.diffs[1:]:
+                assert_stored_by_column(d)
+        for d in item.total.complex.diffs[1:]:
+            assert_stored_by_column(d)
+
+
 # -- scalar matrices and the scalar complex
-
-def test_columns_round_trip():
-    # columns() regroups the entries by column and keeps their order inside
-    # each column; it is rebuilt after an in-place change of the entries
-    C = taylor_complex(ideal(S3, [(2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 2)]))
-    for d in C.diffs[1:] + minimalize_complex(C).diffs[1:]:
-        cols = d.columns()
-        assert {(r, c): v for c, col in cols.items() for r, v in col.items()} == d.entries
-        for c, col in cols.items():
-            assert list(col.items()) == [(r, v) for (r, cc), v in d.entries.items() if cc == c]
-    d = C.diffs[2]
-    key = next(iter(d.entries))
-    del d.entries[key]
-    assert key[0] not in d.columns().get(key[1], {})
-
 
 def test_scalar_matrices_koszul_signs():
     K = koszul2()
-    assert K.diffs[1].entries == {(0, 0): Fraction(1), (0, 1): Fraction(1)}
-    column = K.diffs[2].columns()[0]
-    assert sorted(column.values()) == [Fraction(-1), Fraction(1)]
+    assert K.diffs[1].cols == {0: {0: Fraction(1)}, 1: {0: Fraction(1)}}
+    assert K.diffs[2].cols == {0: {1: 1, 0: -1}}
 
 
 def test_first_scalar_row_is_all_ones():
     for gens in [[(2, 0), (1, 1), (0, 3)], [(2, 1), (1, 2)], [(3, 0), (0, 3), (1, 1)]]:
         M = minimalize_complex(taylor_complex(ideal(S2, gens)))
-        assert M.diffs[1].entries == {(0, c): Fraction(1) for c in range(M.ranks[1])}
+        assert M.diffs[1].cols == {c: {0: Fraction(1)} for c in range(M.ranks[1])}
 
 
 def test_scalar_product_vanishes():
@@ -251,8 +276,7 @@ def test_scalar_complex_exactness():
 
 def test_scalar_complex_exactness_has_teeth():
     M = minimalize_complex(taylor_complex(ideal(S2, [(2, 0), (1, 1), (0, 3)])))
-    d = M.diffs[2]
-    d.entries = {(r, c): v for (r, c), v in d.entries.items() if c != 0}
+    del M.diffs[2].cols[0]
     # a killed column breaks the rank balance
     assert inexact_positions(M) == [1, 2]
 
@@ -287,8 +311,8 @@ def test_exactness_check_koszul():
 def test_exactness_check_finds_corruption():
     I = ideal(S2, [(2, 0), (1, 1), (0, 3)])
     M = minimalize_complex(taylor_complex(I))
-    key = min(M.diffs[2].entries)
-    del M.diffs[2].entries[key]  # drop one syzygy entry
+    cols = M.diffs[2].cols
+    del cols[0][min(cols[0])]  # drop one syzygy entry
     assert exactness_check(M, I) is not None
 
 
@@ -314,13 +338,13 @@ def reference_exactness(C: FreeComplex, I: MonomialIdeal):
 def scale_column(C: FreeComplex, i: int, j: int, s) -> None:
     """Basis element j of position i times s: column j of diff[i] times s
     and row j of diff[i+1] divided by s, an isomorphic complex."""
-    d = C.diffs[i].entries
-    for key in [k for k in d if k[1] == j]:
-        d[key] *= s
+    col = C.diffs[i].cols.get(j, {})
+    for r in col:
+        col[r] *= s
     if i < C.length:
-        up = C.diffs[i + 1].entries
-        for key in [k for k in up if k[0] == j]:
-            up[key] = Fraction(up[key]) / s
+        for up in C.diffs[i + 1].cols.values():
+            if j in up:
+                up[j] = Fraction(up[j]) / s
 
 
 @st.composite
@@ -337,17 +361,19 @@ def corrupted_lyubeznik(draw):
     j = draw(st.integers(0, C.ranks[i] - 1))
     scalar = draw(st.sampled_from(
         [1073741789, -1073741789, Fraction(1, 1073741789), 2, -2, Fraction(1, 2), Fraction(-1, 3)]))
-    d = C.diffs[i].entries
+    d = C.diffs[i].cols
     if kind == "rescale":
         scale_column(C, i, j, scalar)
     elif kind == "scale-column":
-        for key in [k for k in d if k[1] == j]:
-            d[key] *= scalar
+        for r in d.get(j, {}):
+            d[j][r] *= scalar
     elif kind == "clear-column":
-        for key in [k for k in d if k[1] == j]:
-            del d[key]
+        d.pop(j, None)
     elif kind == "drop-entry":
-        del d[draw(st.sampled_from(sorted(d)))]
+        r, c = draw(st.sampled_from(sorted((r, c) for c, col in d.items() for r in col)))
+        del d[c][r]
+        if not d[c]:
+            del d[c]
     elif kind == "raise-shift":
         k = draw(st.integers(0, C.ctx.nvars - 1))
         s = list(C.shifts[i][j])
@@ -375,7 +401,7 @@ def test_exactness_check_ranks_exactly_where_a_live_column_reaches_a_dead_row():
     C = FreeComplex(S1, shifts, [
         None,
         MonomialMatrix(S1, shifts[0], shifts[1], {}),
-        MonomialMatrix(S1, shifts[1], shifts[2], {(1, 0): Fraction(1)}),
+        MonomialMatrix(S1, shifts[1], shifts[2], {0: {1: Fraction(1)}}),
     ])
     assert exactness_check(C, I) == (2,) == reference_exactness(C, I)
     # an even entry in the dead row is support too, though it vanishes
@@ -384,8 +410,8 @@ def test_exactness_check_ranks_exactly_where_a_live_column_reaches_a_dead_row():
     # would balance
     C = FreeComplex(S1, shifts, [
         None,
-        MonomialMatrix(S1, shifts[0], shifts[1], {(0, 0): 2, (0, 1): -1}),
-        MonomialMatrix(S1, shifts[1], shifts[2], {(0, 0): 1, (1, 0): 2}),
+        MonomialMatrix(S1, shifts[0], shifts[1], {0: {0: 2}, 1: {0: -1}}),
+        MonomialMatrix(S1, shifts[1], shifts[2], {0: {0: 1, 1: 2}}),
     ])
     assert C.square_witness() is None
     assert exactness_check(C, I) == (2,) == reference_exactness(C, I)
@@ -434,9 +460,7 @@ def test_exactness_check_scalar_p_keeps_the_witness(monkeypatch):
     # first) passes through the fallback, the cell x^2 y fails exactly
     I, M = hilbert_burch()
     scale_column(M, 2, M.shifts[2].index((1, 3)), 2)
-    c = M.shifts[2].index((2, 1))
-    for key in [k for k in M.diffs[2].entries if k[1] == c]:
-        del M.diffs[2].entries[key]
+    del M.diffs[2].cols[M.shifts[2].index((2, 1))]
     calls = counted_exact_ranks(monkeypatch)
     assert exactness_check(M, I) == (2, 1) == reference_exactness(M, I)
     assert calls
@@ -586,9 +610,8 @@ def test_shift_is_lcm_of_supporting_rows():
         for i in range(2, M.length + 1):
             for c in range(len(M.shifts[i])):
                 acc = (0, 0)
-                for (r, cc) in M.diffs[i].entries:
-                    if cc == c:
-                        acc = lcm(acc, M.shifts[i - 1][r])
+                for r in M.diffs[i].cols.get(c, {}):
+                    acc = lcm(acc, M.shifts[i - 1][r])
                 assert acc == M.shifts[i][c]
 
 
@@ -599,14 +622,19 @@ def test_lift_divisor_rule():
     msq = ideal_resolution(ideal(S2, [(2, 0), (1, 1), (0, 2)]))
     phi = lift_chain_map(msq, m)
     # e_{x^2} -> x f_x, e_{xy} -> y f_x (first divisor), e_{y^2} -> y f_y
-    assert phi.mats[0].entries == {
-        (0, 0): Fraction(1), (0, 1): Fraction(1), (1, 2): Fraction(1)}
+    assert phi.mats[0].cols == {0: {0: Fraction(1)}, 1: {0: Fraction(1)}, 2: {1: Fraction(1)}}
+    # the lift of (x, y, z)^2 into (x, y, z) is nonzero at every position
+    mx = ideal(S3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    source, target = ideal_resolution(mx * mx), ideal_resolution(mx)
+    phi = lift_chain_map(source, target)
+    assert source.length == target.length == 2
+    assert all(phi.mats[i].cols for i in range(source.length + 1))
 
 
 def test_lift_of_identity_inclusion():
     res = ideal_resolution(ideal(S2, [(2, 0), (1, 1), (0, 3)]))
     phi = lift_chain_map(res, res)
-    assert phi.mats[0].entries == identity_chain_map(res).mats[0].entries
+    assert phi.mats[0].cols == identity_chain_map(res).mats[0].cols
 
 
 def test_lift_commutes_on_random_nested_pairs():
@@ -646,29 +674,10 @@ def test_lift_into_a_non_resolution_raises_a_witness():
     # image of the source's syzygy
     m = ideal_resolution(ideal(S2, [(1, 0), (0, 1)]))
     broken = m.copy()
-    broken.diffs[1].entries.clear()
+    broken.diffs[1].cols.clear()
     with pytest.raises(ConstructionError) as err:
         lift_chain_map(m, broken)
     assert err.value.witness == (1, 0)
-
-
-def test_lift_reads_each_target_differential_by_column_once(monkeypatch):
-    # one column view of each target differential serves the solves of every
-    # source basis element at its position
-    mx = ideal(S3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    source, target = ideal_resolution(mx * mx), ideal_resolution(mx)
-    read = []
-    columns = MonomialMatrix.columns
-
-    def counted(self):
-        read.append(self)
-        return columns(self)
-
-    monkeypatch.setattr(MonomialMatrix, "columns", counted)
-    phi = lift_chain_map(source, target)
-    assert source.length == target.length == 2 and len(read) == 2 * source.length
-    assert [m for m in read if any(m is d for d in target.diffs)] == target.diffs[1:]
-    assert all(phi.mats[i].entries for i in range(source.length + 1))
 
 
 # -- tensor products
@@ -746,14 +755,19 @@ def test_tensor_of_n_factors(n):
 # -- the integer kernel of compose
 
 def reference_compose(a: MonomialMatrix, b: MonomialMatrix) -> dict:
-    """(a o b)[r, c] = sum_k a[r, k] b[k, c] in Fractions, in the order in
-    which compose first touches each (r, c)."""
-    acc = {}
-    for (k, c), w in b.entries.items():
-        for (r, kk), v in a.entries.items():
-            if kk == k:
-                acc[(r, c)] = acc.get((r, c), Fraction(0)) + v * w
-    return {key: v for key, v in acc.items() if v != 0}
+    """The columns of a o b, (a o b)[r, c] = sum_k a[r, k] b[k, c] in
+    Fractions: the nonzero columns of b in their stored order, each with its
+    rows in the order in which compose first touches them."""
+    out = {}
+    for c, bcol in b.cols.items():
+        acc = {}
+        for k, w in bcol.items():
+            for r, v in a.cols.get(k, {}).items():
+                acc[r] = acc.get(r, Fraction(0)) + v * w
+        acc = {r: v for r, v in acc.items() if v != 0}
+        if acc:
+            out[c] = acc
+    return out
 
 
 def flat(n):
@@ -766,31 +780,47 @@ def normal(v):
     return v.numerator if v.denominator == 1 else v
 
 
-def as_fractions(entries: dict) -> dict:
-    return {k: Fraction(v) for k, v in entries.items()}
+def as_fractions(cols: dict) -> dict:
+    return {c: {r: Fraction(v) for r, v in col.items()} for c, col in cols.items()}
+
+
+def ordered(cols: dict) -> list:
+    """The columns and, inside each, the rows of a map in stored order."""
+    return [(c, list(col.items())) for c, col in cols.items()]
 
 
 @st.composite
 def composable_pairs(draw):
     """a: m x k and b: k x n sparse scalar matrices with denominators up to 5,
-    either possibly empty, their scalars stored as the program stores them
-    (ints where integral, so either operand may be all-int or mixed); b may
+    their scalars stored as the program stores them (ints where integral).
+    Each column is drawn absent, stored empty, all-int, Fraction-only
+    (every scalar with a denominator) or mixed, so either operand may be
+    zero, all-int or mixed; columns are stored in a drawn order, and b may
     get an extra column whose products with a row of a cancel."""
     m, k, n = (draw(st.integers(0, 5)) for _ in range(3))
-    scalar = st.builds(lambda p, q: normal(Fraction(p, q)),
-                       st.integers(-4, 4).filter(bool), st.sampled_from([1, 1, 1, 2, 3, 4, 5]))
+    scalars = {
+        "int": st.integers(-4, 4).filter(bool),
+        "fraction": st.builds(Fraction, st.integers(-4, 4).filter(bool), st.sampled_from([2, 3, 4, 5]))
+                      .filter(lambda v: v.denominator != 1),
+        "mixed": st.builds(lambda p, q: normal(Fraction(p, q)),
+                           st.integers(-4, 4).filter(bool), st.sampled_from([1, 1, 1, 2, 3, 4, 5])),
+    }
 
-    def sparse(rows, cols):
-        if not rows or not cols:
-            return {}
-        cells = draw(st.sets(st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))))
-        return {cell: draw(scalar) for cell in sorted(cells)}
+    def sparse(rows, ncols):
+        cols = {}
+        for c in draw(st.permutations(range(ncols))):
+            kind = draw(st.sampled_from(["absent", "empty", "int", "fraction", "mixed"]))
+            if kind == "absent":
+                continue
+            cells = draw(st.sets(st.integers(0, rows - 1))) if rows else set()
+            cols[c] = {} if kind == "empty" else {r: draw(scalars[kind]) for r in sorted(cells)}
+        return cols
 
     a, b = sparse(m, k), sparse(k, n)
-    full_row = next((r for r in range(m) if sum(1 for (rr, _) in a if rr == r) >= 2), None)
+    full_row = next((r for r in range(m) if sum(1 for col in a.values() if r in col) >= 2), None)
     if full_row is not None and draw(st.booleans()):
-        (k1, v1), (k2, v2) = [(kk, v) for (r, kk), v in a.items() if r == full_row][:2]
-        b[(k1, n)], b[(k2, n)] = v2, -v1
+        (k1, v1), (k2, v2) = [(kk, col[full_row]) for kk, col in a.items() if full_row in col][:2]
+        b[n] = {k1: v2, k2: -v1}
         n += 1
     return (MonomialMatrix(S1, flat(m), flat(k), a),
             MonomialMatrix(S1, flat(k), flat(n), b))
@@ -802,10 +832,11 @@ def test_compose_matches_fraction_reference(pair):
     a, b = pair
     got = a.compose(b)
     # the reference multiplies the same scalars as Fractions only
-    ref = reference_compose(MonomialMatrix(S1, a.row_shifts, a.col_shifts, as_fractions(a.entries)),
-                            MonomialMatrix(S1, b.row_shifts, b.col_shifts, as_fractions(b.entries)))
-    assert list(got.entries.items()) == list(ref.items())
-    assert all(normal_scalar(v) for v in got.entries.values())
+    ref = reference_compose(MonomialMatrix(S1, a.row_shifts, a.col_shifts, as_fractions(a.cols)),
+                            MonomialMatrix(S1, b.row_shifts, b.col_shifts, as_fractions(b.cols)))
+    assert ordered(got.cols) == ordered(ref)
+    assert all(col for col in got.cols.values())
+    assert all(normal_scalar(v) for col in got.cols.values() for v in col.values())
     assert got.row_shifts == a.row_shifts and got.col_shifts == b.col_shifts
 
 
@@ -813,22 +844,21 @@ def test_compose_examples():
     F = Fraction
     # empty operands
     e = MonomialMatrix(S1, flat(0), flat(3), {})
-    assert e.compose(MonomialMatrix(S1, flat(3), flat(2), {(0, 1): F(1)})).entries == {}
+    assert e.compose(MonomialMatrix(S1, flat(3), flat(2), {1: {0: F(1)}})).cols == {}
     assert MonomialMatrix(S1, flat(2), flat(0), {}).compose(
-        MonomialMatrix(S1, flat(0), flat(4), {})).entries == {}
+        MonomialMatrix(S1, flat(0), flat(4), {})).cols == {}
     # disjoint supports: a zero product
-    a = MonomialMatrix(S1, flat(2), flat(2), {(0, 0): F(1, 2)})
-    b = MonomialMatrix(S1, flat(2), flat(2), {(1, 1): F(3)})
-    assert a.compose(b).is_zero()
+    a = MonomialMatrix(S1, flat(2), flat(2), {0: {0: F(1, 2)}})
+    b = MonomialMatrix(S1, flat(2), flat(2), {1: {1: F(3)}})
+    assert a.compose(b).cols == {}
     # products that cancel, with mixed denominators
-    a = MonomialMatrix(S1, flat(1), flat(2), {(0, 0): F(1, 3), (0, 1): F(2, 5)})
-    b = MonomialMatrix(S1, flat(2), flat(2),
-                       {(0, 0): F(6, 5), (1, 0): F(-1), (0, 1): F(3, 4)})
-    assert a.compose(b).entries == {(0, 1): F(1, 4)}
+    a = MonomialMatrix(S1, flat(1), flat(2), {0: {0: F(1, 3)}, 1: {0: F(2, 5)}})
+    b = MonomialMatrix(S1, flat(2), flat(2), {0: {0: F(6, 5), 1: F(-1)}, 1: {0: F(3, 4)}})
+    assert a.compose(b).cols == {1: {0: F(1, 4)}}
     # integer entries on both sides
-    a = MonomialMatrix(S1, flat(1), flat(2), {(0, 0): 2, (0, 1): 3})
-    b = MonomialMatrix(S1, flat(2), flat(1), {(0, 0): 5, (1, 0): -1})
-    assert a.compose(b).entries == {(0, 0): F(7)}
+    a = MonomialMatrix(S1, flat(1), flat(2), {0: {0: 2}, 1: {0: 3}})
+    b = MonomialMatrix(S1, flat(2), flat(1), {0: {0: 5, 1: -1}})
+    assert a.compose(b).cols == {0: {0: F(7)}}
     with pytest.raises(ValueError):
         a.compose(a)
 
@@ -843,12 +873,13 @@ def reference_minimalize(C: FreeComplex) -> FreeComplex:
     for i in range(1, p + 1):
         rows, cols, units = {}, {}, set()
         rsh, csh = C.shifts[i - 1], C.shifts[i]
-        for (r, c), v in C.diffs[i].entries.items():
-            if r in alive[i - 1] and c in alive[i]:
-                rows.setdefault(r, {})[c] = v
-                cols.setdefault(c, {})[r] = v
-                if rsh[r] == csh[c]:
-                    units.add((r, c))
+        for c, col in C.diffs[i].cols.items():
+            for r, v in col.items():
+                if r in alive[i - 1] and c in alive[i]:
+                    rows.setdefault(r, {})[c] = v
+                    cols.setdefault(c, {})[r] = v
+                    if rsh[r] == csh[c]:
+                        units.add((r, c))
 
         def set_entry(r, c, v):
             if v == 0:
@@ -884,12 +915,12 @@ def reference_minimalize(C: FreeComplex) -> FreeComplex:
     shifts = [[C.shifts[i][old] for old in sorted(alive[i])] for i in range(p + 1)]
     diffs = [None]
     for i in range(1, p + 1):
-        entries = {}
+        out = {}
         for r, rowmap in final_rows[i].items():
             for c, v in rowmap.items():
                 if r in new_index[i - 1] and c in new_index[i]:
-                    entries[(new_index[i - 1][r], new_index[i][c])] = v
-        diffs.append(MonomialMatrix(C.ctx, shifts[i - 1], shifts[i], entries))
+                    out.setdefault(new_index[i][c], {})[new_index[i - 1][r]] = v
+        diffs.append(MonomialMatrix(C.ctx, shifts[i - 1], shifts[i], dict(sorted(out.items()))))
     while len(shifts) > 1 and not shifts[-1]:
         shifts.pop()
         diffs.pop()
@@ -905,22 +936,23 @@ def rescaled(C: FreeComplex) -> FreeComplex:
     f = [Fraction(2), Fraction(-1, 3), Fraction(3, 2), Fraction(1)]
     out = C.copy()
     for i in range(1, out.length + 1):
-        out.diffs[i].entries = {
-            (r, c): normal(v * f[c % 4] / (f[r % 4] if i >= 2 else 1))
-            for (r, c), v in out.diffs[i].entries.items()}
+        out.diffs[i].cols = {
+            c: {r: normal(v * f[c % 4] / (f[r % 4] if i >= 2 else 1)) for r, v in col.items()}
+            for c, col in out.diffs[i].cols.items()}
     return out
 
 
 def fraction_copy(C: FreeComplex) -> FreeComplex:
     out = C.copy()
     for d in out.diffs[1:]:
-        d.entries = as_fractions(d.entries)
+        d.cols = as_fractions(d.cols)
     return out
 
 
 def same_complex(a: FreeComplex, b: FreeComplex) -> bool:
+    """Equal shifts and maps, the columns of each map in the same order."""
     return a.shifts == b.shifts and all(
-        list(d.entries.items()) == list(e.entries.items())
+        d.cols == e.cols and list(d.cols) == list(e.cols)
         for d, e in zip(a.diffs[1:], b.diffs[1:]))
 
 
@@ -955,40 +987,42 @@ def test_minimalized_taylor_table_equals_koszul_oracle(I):
     # mixed int and Fraction scalars, against the cancellation in Fractions
     got = minimalize_complex(S)
     assert same_complex(got, reference_minimalize(fraction_copy(S)))
-    assert all(normal_scalar(v) for d in got.diffs[1:] for v in d.entries.values())
+    assert all(normal_scalar(v) for d in got.diffs[1:] for col in d.cols.values()
+               for v in col.values())
 
 
 @settings(max_examples=400, deadline=None)
 @given(composable_pairs(), st.data())
 def test_first_nonzero_column_is_the_column_of_the_first_composite_entry(pair, data):
     a, b = pair
-    # entries in any order, so that the columns of the product interleave
-    b.entries = dict(data.draw(st.permutations(list(b.entries.items()))))
-    comp = a.compose(b).entries
-    assert a.first_nonzero_column(b) == (next(iter(comp))[1] if comp else None)
+    # the columns in any order: compose keeps it
+    b.cols = dict(data.draw(st.permutations(list(b.cols.items()))))
+    assert a.first_nonzero_column(b) == next(iter(a.compose(b).cols), None)
 
 
 def test_first_nonzero_column_follows_the_entry_order_of_compose():
-    # column 0 of b is reached first, but its first product cancels and its
-    # nonzero entry is reached only after column 1's
-    a = MonomialMatrix(S1, flat(2), flat(3), {(0, 0): 1, (0, 1): 1, (1, 2): 1})
-    b = MonomialMatrix(S1, flat(3), flat(2), {(0, 0): 1, (2, 1): 1, (1, 0): -1, (2, 0): 1})
-    assert list(a.compose(b).entries) == [(1, 1), (1, 0)]
+    # the columns of b are stored in the order 0, 2, 1; the products of
+    # column 0 cancel, so the first nonzero column is 2, not 1
+    a = MonomialMatrix(S1, flat(2), flat(3), {0: {0: 1}, 1: {0: 1}, 2: {1: 1}})
+    b = MonomialMatrix(S1, flat(3), flat(3), {0: {0: 1, 1: -1}, 2: {2: 1}, 1: {2: 1, 0: 1}})
+    assert list(a.compose(b).cols) == [2, 1]
+    assert a.first_nonzero_column(b) == 2
+    b.cols = dict(sorted(b.cols.items()))
     assert a.first_nonzero_column(b) == 1
-    b.entries = {(0, 0): 1, (1, 0): -1, (2, 0): 1, (2, 1): 1}
-    assert a.first_nonzero_column(b) == 0
+    del b.cols[1], b.cols[2]
+    assert a.first_nonzero_column(b) is None
     assert MonomialMatrix(S1, flat(2), flat(3), {}).first_nonzero_column(b) is None
     with pytest.raises(ValueError):
         a.first_nonzero_column(a)
 
 
 def composite_square_witness(C: FreeComplex):
-    """square_witness read off the composites: the first entry of the first
+    """square_witness read off the composites: the first column of the first
     nonzero diff[i-1] o diff[i]."""
     for i in range(2, len(C.shifts)):
         comp = C.diffs[i - 1].compose(C.diffs[i])
-        if not comp.is_zero():
-            return i, comp.col_shifts[next(iter(comp.entries))[1]]
+        if comp.cols:
+            return i, comp.col_shifts[next(iter(comp.cols))]
     return None
 
 
@@ -996,10 +1030,10 @@ def composite_square_witness(C: FreeComplex):
 @given(corrupted_lyubeznik(), st.data())
 def test_streamed_square_witness_equals_the_composite_one(case, data):
     C, _ = case
-    # entries in any order, so that the columns of a product interleave
+    # the columns in any order
     for d in C.diffs[1:]:
         if data.draw(st.booleans()):
-            d.entries = dict(data.draw(st.permutations(list(d.entries.items()))))
+            d.cols = dict(data.draw(st.permutations(list(d.cols.items()))))
     assert C.square_witness() == composite_square_witness(C)
 
 
@@ -1031,8 +1065,8 @@ def lyubeznik_faces(C: FreeComplex) -> list[list[tuple[int, ...]]]:
     faces = [[()], [(j,) for j in range(C.ranks[1])]] if C.length else [[()]]
     for i in range(2, C.length + 1):
         rows: dict[int, set] = {}
-        for (r, c) in C.diffs[i].entries:
-            rows.setdefault(c, set()).add(r)
+        for c, col in C.diffs[i].cols.items():
+            rows[c] = set(col)
         faces.append([
             tuple(sorted(set().union(*(faces[i - 1][r] for r in rows[c]))))
             for c in range(C.ranks[i])])
@@ -1076,8 +1110,7 @@ def test_lyubeznik_complex_is_taylor_on_the_admissible_faces(I):
             if i == 0:
                 continue
             # closed under removing an element, with Taylor's signs
-            column = {r: v for (r, cc), v in C.diffs[i].entries.items() if cc == c}
-            assert column == {index[i - 1][face[:j] + face[j + 1:]]: (-1) ** j
+            assert C.diffs[i].cols[c] == {index[i - 1][face[:j] + face[j + 1:]]: (-1) ** j
                               for j in range(i)}
     table = betti_table(minimalize_complex(C))
     assert table == betti_table(minimalize_complex(taylor_complex(I)))
@@ -1094,7 +1127,7 @@ def test_quotient_resolution_keeps_the_generator_order_at_position_1(J):
     for I in (ideal(J.ctx, J.gens), J):
         res = quotient_resolution(I)
         assert res.shifts[1] == list(I.gens)
-        assert res.diffs[1].entries == {(0, c): 1 for c in range(len(I.gens))}
+        assert res.diffs[1].cols == {c: {0: 1} for c in range(len(I.gens))}
 
 
 def test_lyubeznik_complex_of_the_demo_ideal():
@@ -1183,11 +1216,10 @@ def reference_lyubeznik(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
     diffs = [None]
     for size in range(1, len(levels)):
         below = index[size - 1]
-        entries = {}
+        cols = {}
         for c, subset in enumerate(levels[size]):
-            for j in range(size):
-                entries[(below[subset[:j] + subset[j + 1:]], c)] = (-1) ** j
-        diffs.append(MonomialMatrix(I.ctx, shifts[size - 1], shifts[size], entries))
+            cols[c] = {below[subset[:j] + subset[j + 1:]]: (-1) ** j for j in range(size)}
+        diffs.append(MonomialMatrix(I.ctx, shifts[size - 1], shifts[size], cols))
     return FreeComplex(I.ctx, shifts, diffs)
 
 
@@ -1220,26 +1252,29 @@ def int_rescaled(C: FreeComplex) -> FreeComplex:
     f = [2, 3, 1, -1]
     out = C.copy()
     for i in range(1, out.length + 1):
-        out.diffs[i].entries = {
-            (r, c): v * f[c % 4] * (6 // f[r % 4] if i >= 2 else 1)
-            for (r, c), v in out.diffs[i].entries.items()}
+        out.diffs[i].cols = {
+            c: {r: v * f[c % 4] * (6 // f[r % 4] if i >= 2 else 1) for r, v in col.items()}
+            for c, col in out.diffs[i].cols.items()}
     return out
 
 
 def unit_shifts(d: MonomialMatrix) -> set:
-    return {d.col_shifts[c] for (r, c) in d.entries if d.row_shifts[r] == d.col_shifts[c]}
+    return {d.col_shifts[c] for c, col in d.cols.items() for r in col
+            if d.row_shifts[r] == d.col_shifts[c]}
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(shuffled_small_ideals(), wide_exponent_ideals(), power_subsets()), st.data())
 def test_lyubeznik_kernel_matches_the_reference_copy(I, data):
-    # the same shifts, entries and entry order, the same resolution, and the
-    # cap refused at the same size
+    # the same shifts, scalars and column order, the same resolution, and
+    # the cap refused at the same size
     C, R = lyubeznik_complex(I), reference_lyubeznik(I)
     assert same_complex(C, R)
+    assert all(ordered(d.cols) == ordered(e.cols) for d, e in zip(C.diffs[1:], R.diffs[1:]))
     res = quotient_resolution(I)
     assert same_complex(res, reference_minimalize(R))
-    assert all(type(v) is int for d in res.diffs[1:] for v in d.entries.values())
+    assert all(type(v) is int for d in res.diffs[1:] for col in d.cols.values()
+               for v in col.values())
     total = sum(R.ranks)
     for cap in (total - 1, total, data.draw(st.integers(1, total + 1))):
         try:
@@ -1255,7 +1290,8 @@ def test_lyubeznik_kernel_matches_the_reference_copy(I, data):
     S.validate()
     got = minimalize_complex(S)
     assert same_complex(got, reference_minimalize(fraction_copy(S)))
-    assert all(normal_scalar(v) for d in got.diffs[1:] for v in d.entries.values())
+    assert all(normal_scalar(v) for d in got.diffs[1:] for col in d.cols.values()
+               for v in col.values())
 
 
 def test_power_subsets_cancel_units_at_several_shifts():
@@ -1276,12 +1312,14 @@ def test_validate_reports_a_corrupted_lyubeznik_complex_at_its_first_square(I, d
     # position from 2 up (its lower differential maps no face to zero)
     C = lyubeznik_complex(I)
     i = data.draw(st.integers(1, C.length))
-    d = C.diffs[i].entries
-    key = data.draw(st.sampled_from(sorted(d)))
+    d = C.diffs[i].cols
+    r, c = data.draw(st.sampled_from(sorted((r, c) for c, col in d.items() for r in col)))
     if data.draw(st.booleans()):
-        d[key] = -d[key]
+        d[c][r] = -d[c][r]
     else:
-        del d[key]
+        del d[c][r]
+        if not d[c]:
+            del d[c]
     expected = composite_square_witness(C)
     assert C.square_witness() == expected
     if expected is None:

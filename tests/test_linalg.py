@@ -105,8 +105,8 @@ def test_an_inexact_scalar_is_a_value_error_naming_its_key():
             rank([vector])
     # compose names the (row, column) of the entry
     S1 = simple_context(1, ("x",))
-    a = MonomialMatrix(S1, [(0,)], [(0,), (0,)], {(0, 0): 1, (0, 1): 0.5})
-    b = MonomialMatrix(S1, [(0,), (0,)], [(0,)], {(0, 0): 1})
+    a = MonomialMatrix(S1, [(0,)], [(0,), (0,)], {0: {0: 1}, 1: {0: 0.5}})
+    b = MonomialMatrix(S1, [(0,), (0,)], [(0,)], {0: {0: 1}})
     with pytest.raises(ValueError, match=r"inexact scalar 0\.5 at \(0, 1\)"):
         a.compose(b)
     # all-int and mixed int/Fraction vectors pass

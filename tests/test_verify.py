@@ -41,7 +41,13 @@ from gmpi.verify import (
     SUITE_SEEDS,
 )
 
-from conftest import corrupt_lambda, non_nested_instance, small_ideals, with_resolution_copy
+from conftest import (
+    corrupt_lambda,
+    non_nested_instance,
+    scale_first_scalar,
+    small_ideals,
+    with_resolution_copy,
+)
 
 S2 = simple_context(2, ("x", "y"))
 
@@ -199,7 +205,7 @@ def test_scalar_exactness_teeth():
     inst = random_instance(9)
     probe = with_resolution_copy(inst)
     # killing the first row breaks surjectivity onto the ground field
-    probe.resolution.diffs[1].entries.clear()
+    probe.resolution.diffs[1].cols.clear()
     assert not check_scalar_exactness(probe).passed
     assert check_scalar_exactness(inst).passed
 
@@ -233,17 +239,16 @@ def test_sigma_minimality_teeth():
     D = build_double_complex(random_instance(9))
     assert check_sigma_minimality(D).passed
     sig = D.sigmas[1].mats[0]
-    (r, c) = next(iter(sig.entries))
-    sig.col_shifts[c] = sig.row_shifts[r]  # forge an equal-shift (unit) entry
+    c, col = next(iter(sig.cols.items()))
+    sig.col_shifts[c] = sig.row_shifts[next(iter(col))]  # forge an equal-shift (unit) entry
     assert not check_sigma_minimality(D).passed
 
 
 def test_sigma_squared_teeth():
     D = build_double_complex(random_instance(9))
     assert check_sigma_squared(D).passed
-    sig = D.sigmas[2].mats[0]
-    (r, c), v = next(iter(sig.entries.items()))
-    sig.entries[(r, c)] = v + 1
+    col = next(iter(D.sigmas[2].mats[0].cols.values()))
+    col[next(iter(col))] += 1
     assert not check_sigma_squared(D).passed
 
 
@@ -381,9 +386,7 @@ def test_total_exactness_fails_with_the_scan_witness():
     tot = total_complex(build_double_complex(inst))
     assert check_total_exactness(inst, tot).status == "PASS"
     bad = dataclasses.replace(tot, complex=tot.complex.copy())
-    top = bad.complex.diffs[-1].entries
-    for key in [k for k in top if k[1] == 0]:
-        del top[key]
+    del bad.complex.diffs[-1].cols[0]
     assert bad.complex.square_witness() is None
     witness = exactness_check(bad.complex, inst.induced)
     assert witness is not None
@@ -391,8 +394,7 @@ def test_total_exactness_fails_with_the_scan_witness():
     assert result.status == "FAIL" and result.details == {"witness": witness}
     # the resolution of S/I is checked to square to zero too
     probe = with_resolution_copy(inst)
-    d2 = probe.resolution.diffs[2].entries
-    d2[next(iter(d2))] *= 2
+    scale_first_scalar(probe.resolution.diffs[2], 2)
     result = check_total_exactness(probe, tot)
     assert result.status == "FAIL"
     assert result.details == {"resolution_witness": probe.resolution.square_witness()}
@@ -411,40 +413,30 @@ def test_total_exactness_is_skipped_above_its_cap(monkeypatch):
     assert result.line().startswith("[SKIPPED]")
     # diff o diff is still checked above the cap
     bad = dataclasses.replace(tot, complex=tot.complex.copy())
-    d2 = bad.complex.diffs[2].entries
-    d2[next(iter(d2))] *= 2
+    scale_first_scalar(bad.complex.diffs[2], 2)
     result = check_total_exactness(inst, bad)
     assert result.status == "FAIL"
     assert result.details == {"witness": bad.complex.square_witness()[1]}
 
 
-def test_total_exactness_composes_and_reads_each_differential_once(monkeypatch):
-    from gmpi import complexes
+def test_total_exactness_composes_each_pair_once(monkeypatch):
     from gmpi.complexes import MonomialMatrix
     inst = with_resolution_copy(random_instance(30))
     tot = total_complex(build_double_complex(inst))
-    composed, read = [], []
-    streamed, columns = complexes._first_nonzero_column, MonomialMatrix.columns
+    composed = []
+    streamed = MonomialMatrix.first_nonzero_column
 
-    def counted_product(left, right, left_cols, right_cols):
+    def counted_product(left, right):
         composed.append((left, right))
-        return streamed(left, right, left_cols, right_cols)
+        return streamed(left, right)
 
-    def counted_columns(self):
-        read.append(self)
-        return columns(self)
-
-    monkeypatch.setattr(complexes, "_first_nonzero_column", counted_product)
-    monkeypatch.setattr(MonomialMatrix, "columns", counted_columns)
+    monkeypatch.setattr(MonomialMatrix, "first_nonzero_column", counted_product)
     assert check_total_exactness(inst, tot).status == "PASS"
-    # diff o diff of the resolution of S/I, then of the total complex, which
-    # the scan then reads by column once
+    # diff o diff of the resolution of S/I, then of the total complex
     expected = [(cx.diffs[i - 1], cx.diffs[i])
                 for cx in (inst.resolution, tot.complex) for i in range(2, cx.length + 1)]
     assert len(composed) == len(expected)
     assert all(a is c and b is d for (a, b), (c, d) in zip(composed, expected))
-    assert len(read) == tot.complex.length
-    assert all(a is b for a, b in zip(read, tot.complex.diffs[1:]))
 
 
 def power_of_maximal_instance(m):
