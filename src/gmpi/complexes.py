@@ -634,8 +634,8 @@ def exactness_check(C: FreeComplex, expect_h0: MonomialIdeal, max_cells: int = 2
 
     For every multidegree b of the finite degree grid, homology must vanish
     in positive positions and H_0 must be one-dimensional iff x^b is not in
-    ``expect_h0``.  The witness is the multidegree of the first nonzero
-    entry of some diff o diff, else the first failing cell in grid order.
+    ``expect_h0``.  The witness is the multidegree of ``square_witness``
+    where diff o diff is nonzero, else the first failing cell in grid order.
     SizeCapError where the grid exceeds ``max_cells``.
     """
     # the strand rank arithmetic presumes an actual complex; a corrupted
