@@ -52,7 +52,6 @@ from .complexes import (
     SizeCapError,
     tensor_chain_map,
     tensor_resolutions,
-    TensorResolution,
 )
 from .monomials import (
     MonomialIdeal,
@@ -400,7 +399,7 @@ class DoubleComplex:
     blocks: dict[tuple[int, int], FreeComplex]
     linear_flags: dict[tuple[int, int], bool]
     columns: list[FreeComplex]                      # column 0 is the ring
-    summands: list[list[TensorResolution] | None]   # per column, per j
+    summands: list[list[FreeComplex] | None]        # per column, per j
     offsets: list[list[list[int]] | None]           # offsets[c][j][i] basis offset
     sigmas: list[ChainMap | None]                   # sigmas[c] : col c -> col c-1
 
@@ -441,7 +440,7 @@ class DoubleComplex:
         inst = self.instance
         products: dict[tuple[int, ...], MonomialIdeal] = {}
         for c in range(1, len(self.columns)):
-            for j, tres in enumerate(self.summands[c]):
+            for j, summand in enumerate(self.summands[c]):
                 if c == 1:
                     want = inst.products[j]
                 else:
@@ -449,7 +448,7 @@ class DoubleComplex:
                     if degs not in products:
                         products[degs] = block_product(inst.family, degs)
                     want = products[degs]
-                if set(tres.complex.shifts[0]) != set(want.gens):
+                if set(summand.shifts[0]) != set(want.gens):
                     return c, j
         return None
 
@@ -469,9 +468,9 @@ class DoubleComplex:
                     key = (col, bisect_right(starts, r) - 1)
                     sums[key] = sums.get(key, 0) + v
             nrows = len(res.shifts[c - 1])
-            for j, tres in enumerate(self.summands[c]):
+            for j, summand in enumerate(self.summands[c]):
                 lam_j = lam.get(j, {})
-                for u in range(len(tres.complex.shifts[0])):
+                for u in range(len(summand.shifts[0])):
                     col = self.offsets[c][j][0] + u
                     for k in range(nrows):
                         if sums.get((col, k), 0) != lam_j.get(k, 0):
@@ -489,9 +488,9 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
 
     zero_shift = (0,) * inst.T.nvars
     columns: list[FreeComplex] = [free_module_resolution(inst.T, [zero_shift])]
-    summands: list[list[TensorResolution] | None] = [None]
+    summands: list[list[FreeComplex] | None] = [None]
     offsets: list[list[list[int]] | None] = [None]
-    tensor_cache: dict[tuple[int, ...], TensorResolution] = {}
+    tensor_cache: dict[tuple[int, ...], FreeComplex] = {}
 
     for c in range(1, p + 1):
         col_parts = []
@@ -501,7 +500,7 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
                 tensor_cache[degs] = tensor_resolutions(
                     [blocks[(l, degs[l])] for l in range(n)], inst.T)
             col_parts.append(tensor_cache[degs])
-        summed, offs = direct_sum([t.complex for t in col_parts])
+        summed, offs = direct_sum(col_parts)
         columns.append(summed)
         summands.append(col_parts)
         offsets.append(offs)
@@ -516,10 +515,10 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
         lam = inst.resolution.diffs[c].cols
         if c == 1:
             # row zero maps the generators into the ring
-            for j, tres in enumerate(summands[1]):
+            for j, summand in enumerate(summands[1]):
                 scalar = lam.get(j, {}).get(0, 0)
                 off = offsets[1][j][0]
-                for u, s in enumerate(tres.complex.shifts[0]):
+                for u in range(len(summand.shifts[0])):
                     mats[0].cols[off + u] = {0: scalar}
         else:
             for j, src_t in enumerate(summands[c]):
@@ -537,13 +536,11 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
                         for cc, col in bm.cols.items():
                             mats[i].cols.setdefault(co + cc, {}).update(
                                 (ro + r, _integral(v * scalar)) for r, v in col.items())
+        # each entry is a lam-multiple of an entry of a checked lift; the
         # commutation with the column differentials is a component of the
         # total complex's diff o diff, which total_complex checks
-        sig = ChainMap(src, tgt, mats)
-        sig.validate_maps()
-        sigmas.append(sig)
+        sigmas.append(ChainMap(src, tgt, mats))
 
-    # total_complex certifies the sigma maps along with the rest
     return DoubleComplex(
         instance=inst, blocks=blocks, linear_flags=flags,
         columns=columns, summands=summands, offsets=offsets, sigmas=sigmas)
@@ -567,6 +564,8 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
     columns' ranks lays them out (element t of column c in row r has index
     off[c + r][c] + t); the horizontal map picks up the sign (-1)^row so
     that squares anticommute and the total differential squares to zero.
+    Every entry is a copy, up to sign, of an entry of a column differential
+    or a sigma map, so no pass checks the entries' shapes again.
 
     The result is certified to resolve T/L from the structure of D, without
     a strand scan of its own degree grid; this function is the whole
@@ -645,7 +644,6 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
         diffs.append(MonomialMatrix(inst.T, shifts[k - 1], shifts[k], out))
 
     cx = FreeComplex(inst.T, shifts, diffs)
-    cx.validate_maps()
     if D.hypothesis_linear:
         unit = cx.unit_witness()
         if unit is not None:

@@ -81,7 +81,12 @@ def _generator(g) -> tuple[int, ...]:
 def parse_blocks(data) -> VariableContext:
     with _reading("blocks (objects with a name and a positive size)"):
         sizes = tuple(_integer(b["size"]) for b in data)
-        names = tuple(str(b["name"]) for b in data)
+        names = tuple(b["name"] for b in data)
+        for name in names:
+            if not isinstance(name, str):
+                raise InputError(f"block name must be a string, not {type(name).__name__}")
+            if not name:
+                raise InputError("block name must not be empty")
         dup = next((n for i, n in enumerate(names) if n in names[:i]), None)
         if dup is not None:
             raise InputError(f"duplicate block name {dup!r}")

@@ -56,6 +56,15 @@ subcomplex of a complex and squares to zero).  Any other strand is ranked
 again with the exact ``linalg.rank``, so the verdict and witness are the
 exact ones.
 
+A map is checked (``validate``) where its scalars are made: the Taylor and
+Lyubeznik complexes (``_subset_complex``), ``minimalize_complex`` and
+``lift_chain_map``.  Nothing walks a copy of a checked map again:
+``ideal_resolution`` shares the maps of the resolution of S/I, and the
+tensor products and their chain maps place signs and products of checked
+entries unchecked, since their diff o diff and chain-map conditions are
+components of the diff o diff of the total complex, which
+``builder.total_complex`` checks.
+
 A broken construction invariant raises ConstructionError with a witness;
 malformed hand-built maps (stored zeros or empty columns, inhomogeneous
 entries, wrong shapes, a nonzero square) raise ValueError from the
@@ -125,14 +134,6 @@ class MonomialMatrix:
                 if not all(map(le, rs[r], cs[c])):
                     raise ValueError(
                         f"inhomogeneous entry at {(r, c)}: {cs[c]} - {rs[r]}")
-
-    @property
-    def nrows(self) -> int:
-        return len(self.row_shifts)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.col_shifts)
 
     def compose(self, other: "MonomialMatrix") -> "MonomialMatrix":
         """self o other (other feeds into self), with the columns of other
@@ -223,13 +224,6 @@ class FreeComplex:
 
     def validate(self) -> None:
         """Shapes, homogeneity and diff o diff = 0."""
-        self.validate_maps()
-        square = self.square_witness()
-        if square is not None:
-            raise ValueError(f"diff o diff != 0 at position {square[0]}")
-
-    def validate_maps(self) -> None:
-        """Shapes and homogeneity of each differential (no composition)."""
         if self.diffs[0] is not None or len(self.diffs) != len(self.shifts):
             raise ConstructionError(
                 "differentials do not match the positions (count, positions)",
@@ -239,6 +233,9 @@ class FreeComplex:
             if d.row_shifts != self.shifts[i - 1] or d.col_shifts != self.shifts[i]:
                 raise ValueError(f"differential {i} does not match the shift lists")
             d.validate()
+        square = self.square_witness()
+        if square is not None:
+            raise ValueError(f"diff o diff != 0 at position {square[0]}")
 
     def square_witness(self) -> tuple[int, tuple[int, ...]] | None:
         """(position i, multidegree) for the lowest i where diff[i-1] o
@@ -539,22 +536,14 @@ def quotient_resolution(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
 def ideal_resolution(I: MonomialIdeal) -> FreeComplex:
     """Minimal resolution of the ideal I itself (position 0 = its generators).
 
-    Obtained from the minimal resolution of S/I by chopping off position zero,
-    so basis element j of position 0 maps to the j-th generator under the
-    augmentation e_j -> x^shift.  Its maps are those of the minimalized
-    complex, already checked to square to zero, so only their shapes and
-    homogeneity are checked again.
+    The minimal resolution of S/I without its position zero, so basis
+    element j of position 0 maps to the j-th generator under the
+    augmentation e_j -> x^shift.  It shares its shift lists and maps with
+    that resolution, which ``minimalize_complex`` has checked; nothing is
+    copied or checked again.
     """
     quot = quotient_resolution(I)
-    shifts = [list(s) for s in quot.shifts[1:]]
-    diffs: list[MonomialMatrix | None] = [None]
-    for i in range(2, quot.length + 1):
-        d = quot.diffs[i]
-        diffs.append(MonomialMatrix(quot.ctx, shifts[i - 2], shifts[i - 1],
-                                    {c: dict(col) for c, col in d.cols.items()}))
-    out = FreeComplex(quot.ctx, shifts, diffs)
-    out.validate_maps()
-    return out
+    return FreeComplex(quot.ctx, quot.shifts[1:], [None] + quot.diffs[2:])
 
 
 def free_module_resolution(ctx: VariableContext, gens: list[tuple[int, ...]]) -> FreeComplex:
@@ -991,16 +980,6 @@ class ChainMap:
         """Shapes, homogeneity and commutation with the differentials: the
         two composites at each position agree column by column (neither
         stores a zero, so equal columns are equal maps)."""
-        self.validate_maps()
-        for i in range(1, self.source.length + 1):
-            rhs = self.mats[i - 1].compose(self.source.diffs[i]).cols
-            lhs = (self.target.diffs[i].compose(self.mats[i]).cols
-                   if i <= self.target.length else {})
-            if lhs != rhs:
-                raise ValueError(f"chain map does not commute at position {i}")
-
-    def validate_maps(self) -> None:
-        """Shapes and homogeneity of each component (no composition)."""
         if len(self.mats) != self.source.length + 1:
             raise ConstructionError(
                 "chain map components do not match the source positions (components, positions)",
@@ -1010,6 +989,12 @@ class ChainMap:
             if m.col_shifts != self.source.shifts[i] or m.row_shifts != tgt_shifts:
                 raise ValueError(f"chain map shapes wrong at position {i}")
             m.validate()
+        for i in range(1, self.source.length + 1):
+            rhs = self.mats[i - 1].compose(self.source.diffs[i]).cols
+            lhs = (self.target.diffs[i].compose(self.mats[i]).cols
+                   if i <= self.target.length else {})
+            if lhs != rhs:
+                raise ValueError(f"chain map does not commute at position {i}")
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (zero through positions missing in the middle)."""
@@ -1129,9 +1114,10 @@ def block_offsets(sizes: list[list[int]]) -> list[list[int]]:
         initial=0)) for k in range(top)]
 
 
-def _pair_offsets(A: FreeComplex, B: FreeComplex) -> list[list[int]]:
-    """``block_offsets`` of A (x) B, whose block (i, j) is A_i (x) B_j."""
-    return block_offsets([[a * b for b in B.ranks] for a in A.ranks])
+def _pair_offsets(a: list[int], b: list[int]) -> list[list[int]]:
+    """``block_offsets`` of the tensor product of complexes of ranks a and
+    b, whose block (i, j) has rank a[i] * b[j]."""
+    return block_offsets([[x * y for y in b] for x in a])
 
 
 def _tensor_pair(A: FreeComplex, B: FreeComplex, ctx: VariableContext) -> FreeComplex:
@@ -1140,7 +1126,7 @@ def _tensor_pair(A: FreeComplex, B: FreeComplex, ctx: VariableContext) -> FreeCo
     Position k is anti-diagonal k of ``_pair_offsets``: a_s (x) b_t, with a_s
     in A_i and b_t in B_j, has index off[k][i] + s * rank B_j + t and the
     concatenation of their shifts; d(a (x) b) = da (x) b + (-1)^i a (x) db."""
-    off = _pair_offsets(A, B)
+    off = _pair_offsets(A.ranks, B.ranks)
     p, q = A.length, B.length
     shifts = [[a + b for i in range(max(0, k - q), min(k, p) + 1)
                for a in A.shifts[i] for b in B.shifts[k - i]] for k in range(len(off))]
@@ -1170,72 +1156,62 @@ def _tensor_pair(A: FreeComplex, B: FreeComplex, ctx: VariableContext) -> FreeCo
     return FreeComplex(ctx, shifts, diffs)
 
 
-def _tensor_pair_map(f: ChainMap, g: ChainMap, src: FreeComplex, tgt: FreeComplex) -> ChainMap:
-    """f (x) g : src -> tgt, where src is f.source (x) g.source and tgt is
-    f.target (x) g.target, both laid out by ``_tensor_pair``; no signs, as f
-    and g have degree zero.  Columns are filled in index order."""
-    soff, toff = _pair_offsets(f.source, g.source), _pair_offsets(f.target, g.target)
-    mats = []
-    for k in range(src.length + 1):
-        tgt_shifts = tgt.shifts[k] if k <= tgt.length else []
-        rows = list(range(len(tgt_shifts)))
-        cols: dict[int, dict[int, int | Fraction]] = {}
-        for i in range(max(0, k - g.source.length), min(k, f.source.length) + 1):
-            j = k - i
-            nb, nt = g.mats[j].ncols, g.mats[j].nrows
-            g_cols = sorted(g.mats[j].cols.items())
-            for s, fcol in sorted(f.mats[i].cols.items()):
-                for t, gcol in g_cols:
-                    cols[soff[k][i] + s * nb + t] = {
-                        rows[toff[k][i] + r * nt + rr]: _integral(v * w)
-                        for r, v in fcol.items() for rr, w in gcol.items()}
-        mats.append(MonomialMatrix(src.ctx, list(tgt_shifts), list(src.shifts[k]), cols))
-    return ChainMap(src, tgt, mats)
-
-
-@dataclass
-class TensorResolution:
-    """Tensor product of complexes on disjoint variable blocks: ``partials[l]``
-    is the product of the first l + 1 factors (``_tensor_pair`` of the one
-    before and factor l), and ``complex`` the last of them."""
-
-    complex: FreeComplex
-    partials: list[FreeComplex]
-
-
-def tensor_resolutions(factors: list[FreeComplex], ctx: VariableContext) -> TensorResolution:
+def tensor_resolutions(factors: list[FreeComplex], ctx: VariableContext) -> FreeComplex:
     """Tensor over the ground field of block resolutions, in the big context.
 
     Factor l lives on block l of ``ctx``, in its local variables.  Blocks are
     contiguous and in order (``VariableContext.block_span``), so the shift
     of a basis element is the concatenation of its factors' shifts.  The
     product is the left fold of ``_tensor_pair``; a single factor is its own
-    product.  Only shapes and homogeneity are checked: the product squares
-    to zero when its factors do, and a total complex built on it checks its
-    own diff o diff, which contains this one.
+    product.  Nothing is checked: every entry is an entry of a factor's
+    differential, up to sign, and the product's diff o diff is a component
+    of the diff o diff of a total complex built on it, which
+    ``builder.total_complex`` checks.
     """
     sizes = tuple(f.ctx.nvars for f in factors)
     if sizes != ctx.sizes:
         raise ConstructionError(
             "tensor factors do not match the blocks (factor sizes, block sizes)",
             (sizes, ctx.sizes))
-    partials = [factors[0]]
+    out = factors[0]
     for l in range(1, len(factors)):
-        partials.append(_tensor_pair(
-            partials[-1], factors[l],
-            VariableContext(ctx.sizes[:l + 1], ctx.names[:l + 1])))
-    partials[-1].validate_maps()
-    return TensorResolution(partials[-1], partials)
-
-
-def tensor_chain_map(
-    taus: list[ChainMap],
-    src: TensorResolution,
-    tgt: TensorResolution,
-) -> ChainMap:
-    """Tensor product of degree-zero chain maps, taus[l] between the factors l
-    of src and tgt: the left fold of ``_tensor_pair_map`` along the partials."""
-    out = taus[0]
-    for l in range(1, len(taus)):
-        out = _tensor_pair_map(out, taus[l], src.partials[l], tgt.partials[l])
+        out = _tensor_pair(out, factors[l], VariableContext(ctx.sizes[:l + 1], ctx.names[:l + 1]))
     return out
+
+
+def tensor_chain_map(taus: list[ChainMap], src: FreeComplex, tgt: FreeComplex) -> ChainMap:
+    """Tensor product of degree-zero chain maps, taus[l] from factor l of
+    ``src`` to factor l of ``tgt`` (both ``tensor_resolutions`` products).
+
+    The left fold of the Kronecker products runs on the taus' columns and
+    the factors' ranks, in the layout of ``_tensor_pair`` (``_pair_offsets``)
+    and with no signs, as the taus have degree zero: per position, the
+    columns s (x) t in order of s, then t, each with its rows r (x) r' in
+    order of r, then r'.  Only the last step's columns become matrices, one
+    per position of ``src``.  Nothing is checked: every entry is a product of
+    entries of the taus, and the chain-map condition is a component of the
+    diff o diff of the total complex, which ``builder.total_complex`` checks.
+    """
+    cols = [m.cols for m in taus[0].mats]
+    src_ranks, tgt_ranks = taus[0].source.ranks, taus[0].target.ranks
+    for g in taus[1:]:
+        gs, gt = g.source.ranks, g.target.ranks
+        soff, toff = _pair_offsets(src_ranks, gs), _pair_offsets(tgt_ranks, gt)
+        step = []
+        for k in range(len(soff)):
+            out: dict[int, dict[int, int | Fraction]] = {}
+            for i in range(max(0, k - len(gs) + 1), min(k, len(cols) - 1) + 1):
+                j = k - i
+                nb, nt = gs[j], gt[j] if j < len(gt) else 0
+                g_cols = sorted(g.mats[j].cols.items())
+                for s, fcol in sorted(cols[i].items()):
+                    for t, gcol in g_cols:
+                        out[soff[k][i] + s * nb + t] = {
+                            toff[k][i] + r * nt + rr: _integral(v * w)
+                            for r, v in fcol.items() for rr, w in gcol.items()}
+            step.append(out)
+        cols = step
+        src_ranks, tgt_ranks = [o[-1] for o in soff], [o[-1] for o in toff]
+    return ChainMap(src, tgt, [
+        MonomialMatrix(src.ctx, tgt.shifts[k] if k <= tgt.length else [], src.shifts[k], c)
+        for k, c in enumerate(cols)])

@@ -118,16 +118,14 @@ def _check_vectors(ctx: VariableContext, gens) -> None:
 class MonomialIdeal:
     """A monomial ideal given by its minimal generators in canonical order.
 
-    Construct through :func:`ideal` (which minimalizes); the raw constructor
-    trusts its input.  The zero ideal has no generators; the unit ideal has
+    Construct through :func:`ideal` (which checks the exponent vectors and
+    minimalizes); the raw constructor trusts its input, and every raw
+    construction in the package passes vectors of a checked ideal.  The zero ideal has no generators; the unit ideal has
     the single generator ``(0,...,0)``.
     """
 
     ctx: VariableContext
     gens: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        _check_vectors(self.ctx, self.gens)
 
     # -- predicates
 
@@ -198,7 +196,9 @@ def minimalize(gens) -> list[tuple[int, ...]]:
 
 
 def ideal(ctx: VariableContext, gens) -> MonomialIdeal:
-    """Canonical MonomialIdeal from an arbitrary generator iterable."""
+    """Canonical MonomialIdeal from an arbitrary generator iterable.  The
+    vectors are checked first, before ``minimalize`` compares them (``divides``
+    asserts their lengths only without ``-O``)."""
     gens = list(gens)
     _check_vectors(ctx, gens)
     return MonomialIdeal(ctx, canonical_sort(minimalize(gens)))

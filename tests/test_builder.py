@@ -767,24 +767,53 @@ def test_cycle5_table_matches_the_oracle():
     assert table.entries == oracle.entries and table.multi == oracle.multi
 
 
-def test_tensor_chain_map_of_three_blocks_is_a_chain_map():
+def three_block_instance():
     S3 = simple_context(3, ("x", "y", "z"))
     T = VariableContext((2, 1, 2), ("a", "b", "c"))
     fam = SubstitutionFamily(T, {
         (l, d): power_of_maximal(T.sizes[l], d, _block_ctx(T.sizes[l], T.names[l]))
         for l in range(3) for d in (1, 2)})
-    inst = validate_family(ideal(S3, [(2, 1, 1), (1, 2, 1), (1, 1, 2)]), fam, label="three")
+    return validate_family(ideal(S3, [(2, 1, 1), (1, 2, 1), (1, 1, 2)]), fam, label="three")
+
+
+THREE_BLOCK_DROPS = [((2, 2, 2), (1, 1, 1)), ((2, 1, 2), (1, 1, 2)), ((1, 2, 2), (1, 1, 1))]
+
+
+def tensor_products(blocks, T, degs):
+    return tensor_resolutions([blocks[(l, d)] for l, d in enumerate(degs)], T)
+
+
+def three_block_drops(inst):
+    """(src, tgt, taus) per degree drop of THREE_BLOCK_DROPS: the tensor
+    products at both ends and the ladder composites between their factors."""
     blocks = block_resolutions(inst)
     taus = TauCache(inst, blocks, rho_maps(inst, blocks))
-    for src_degs, tgt_degs in [((2, 2, 2), (1, 1, 1)), ((2, 1, 2), (1, 1, 2)),
-                               ((1, 2, 2), (1, 1, 1))]:
-        src, tgt = (tensor_resolutions([blocks[(l, d)] for l, d in enumerate(degs)], T)
-                    for degs in (src_degs, tgt_degs))
-        m = tensor_chain_map(
-            [taus.get(l, a, b) for l, (a, b) in enumerate(zip(src_degs, tgt_degs))], src, tgt)
-        assert m.source is src.complex and m.target is tgt.complex
+    return [(tensor_products(blocks, inst.T, src), tensor_products(blocks, inst.T, tgt),
+             [taus.get(l, a, b) for l, (a, b) in enumerate(zip(src, tgt))])
+            for src, tgt in THREE_BLOCK_DROPS]
+
+
+def test_tensor_chain_map_of_three_blocks_is_a_chain_map():
+    for src, tgt, parts in three_block_drops(three_block_instance()):
+        m = tensor_chain_map(parts, src, tgt)
+        assert m.source is src and m.target is tgt
         assert any(mat.cols for mat in m.mats[1:])
         m.validate()   # shapes, homogeneity and commutation with the differentials
+
+
+def test_the_assembly_checks_no_copy_of_a_checked_map(monkeypatch):
+    # tensor products, their chain maps and the total complex place copies,
+    # signs and products of entries checked where they were made
+    inst = three_block_instance()
+    drops, D = three_block_drops(inst), build_double_complex(inst)
+    calls = []
+    check = MonomialMatrix.validate
+    monkeypatch.setattr(MonomialMatrix, "validate", lambda m: calls.append(m) or check(m))
+    for (src_degs, _), (src, tgt, parts) in zip(THREE_BLOCK_DROPS, drops):
+        assert tensor_products(D.blocks, inst.T, src_degs).length >= 1
+        tensor_chain_map(parts, src, tgt)
+    assert total_complex(D).exactness_verified
+    assert calls == []
 
 
 def stored_scalars(D, tot):

@@ -255,6 +255,15 @@ MALFORMED = {
     # a label is echoed back as it is, so it must be a string
     "integer-label": ("gmpi", {**expansion_doc(), "label": 5}),
     "list-label": ("gmpi", {**expansion_doc(), "label": ["a"]}),
+    # a block name is written into every variable name, as it is
+    "null-block-name": (
+        "resolve", {"blocks": [{"name": None, "size": 2}], "generators": [[1, 0], [0, 1]]}),
+    "integer-block-name": (
+        "resolve", {"blocks": [{"name": 5, "size": 2}], "generators": [[1, 0], [0, 1]]}),
+    "boolean-block-name": (
+        "resolve", {"blocks": [{"name": True, "size": 2}], "generators": [[1, 0], [0, 1]]}),
+    "empty-block-name": (
+        "resolve", {"blocks": [{"name": "", "size": 2}], "generators": [[1, 0], [0, 1]]}),
     # the block name of a key ends at its first ':'
     "colon-in-block-name": (
         "gmpi", {**expansion_doc(), "blocks": [{"name": "x:1", "size": 2},
@@ -268,6 +277,10 @@ MALFORMED_MESSAGES = {
         "substitution for block 0 has degree -1: the degree must be positive",
     "integer-label": "label must be a string, not int",
     "list-label": "label must be a string, not list",
+    "null-block-name": "block name must be a string, not NoneType",
+    "integer-block-name": "block name must be a string, not int",
+    "boolean-block-name": "block name must be a string, not bool",
+    "empty-block-name": "block name must not be empty",
     "colon-in-block-name":
         "block name 'x:1' contains ':', which ends the block name of a substitution key",
 }

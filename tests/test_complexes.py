@@ -230,13 +230,39 @@ def test_resolutions_keep_the_storage_invariant(I):
 
 
 def test_tensor_and_total_complexes_keep_the_storage_invariant(suite):
+    # the construction checks no copy of a checked map, so the full checks
+    # of every assembled complex and sigma map are the reference here
     for item in suite:
-        tensors = [t for col in item.double.summands[1:] for t in col]
-        for cx in [p for t in tensors for p in t.partials] + item.double.columns:
+        D = item.double
+        tensors = list({id(t): t for col in D.summands[1:] for t in col}.values())
+        for cx in tensors + D.columns + [item.total.complex]:
+            cx.validate()
             for d in cx.diffs[1:]:
                 assert_stored_by_column(d)
-        for d in item.total.complex.diffs[1:]:
-            assert_stored_by_column(d)
+        for sig in D.sigmas[1:]:
+            sig.validate()
+            assert all(normal_scalar(v) for m in sig.mats
+                       for col in m.cols.values() for v in col.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals())
+def test_ideal_resolution_is_the_quotient_resolution_from_position_one(I):
+    def stored(d):
+        return [(c, [(r, type(v), v) for r, v in col.items()]) for c, col in d.cols.items()]
+
+    res, quot = ideal_resolution(I), quotient_resolution(I)
+    res.validate()
+    assert res.shifts == quot.shifts[1:] and len(res.diffs) == len(quot.diffs) - 1
+    for d, q in zip(res.diffs[1:], quot.diffs[2:]):
+        assert (d.row_shifts, d.col_shifts) == (q.row_shifts, q.col_shifts)
+        assert stored(d) == stored(q)
+
+
+def test_one_check_per_map_and_no_partial_tensor_products():
+    import gmpi.complexes as complexes
+    assert not hasattr(FreeComplex, "validate_maps") and not hasattr(ChainMap, "validate_maps")
+    assert not hasattr(complexes, "TensorResolution")
 
 
 # -- scalar matrices and the scalar complex
@@ -687,15 +713,15 @@ def test_tensor_of_koszuls_is_koszul():
     x = ideal_resolution(ideal(simple_context(1, ("x",)), [(1,)]))
     y = ideal_resolution(ideal(simple_context(1, ("y",)), [(1,)]))
     t = tensor_resolutions([x, y], ctx)
-    assert t.complex.ranks == [1]
-    assert t.complex.shifts[0] == [(1, 1)]
+    assert t.ranks == [1]
+    assert t.shifts[0] == [(1, 1)]
 
     m2 = ideal_resolution(ideal(simple_context(2, ("x", "y")), [(2, 0), (1, 1), (0, 2)]))
     big = VariableContext((2, 1), ("x", "z"))
     z = ideal_resolution(ideal(simple_context(1, ("z",)), [(1,)]))
     t2 = tensor_resolutions([m2, z], big)
-    assert t2.complex.ranks == [3, 2]
-    assert block_witness(t2.complex, ideal(big, [(2, 0, 1), (1, 1, 1), (0, 2, 1)])) is None
+    assert t2.ranks == [3, 2]
+    assert block_witness(t2, ideal(big, [(2, 0, 1), (1, 1, 1), (0, 2, 1)])) is None
 
 
 def test_tensor_factors_must_match_the_blocks():
@@ -735,7 +761,7 @@ def tensor_factors():
 def test_tensor_of_n_factors(n):
     factors = tensor_factors()[:n]
     ctx = VariableContext(tuple(f.ctx.nvars for f in factors))
-    cx = tensor_resolutions(factors, ctx).complex
+    cx = tensor_resolutions(factors, ctx)
     cx.validate()   # shapes, homogeneity and diff o diff = 0
     assert cx.length == sum(f.length for f in factors)
     for k, level in enumerate(cx.shifts):

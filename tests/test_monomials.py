@@ -274,6 +274,25 @@ def test_negative_exponents_rejected():
         ideal(S2, [(1, -1)])
 
 
+def test_every_ideal_checks_its_vectors_once(monkeypatch):
+    # ideal() checks the vectors and the raw constructor trusts them, so a
+    # sum, a product and an intersection are each checked once too
+    import gmpi.monomials as monomials
+    checks, ideals = [], []
+    check, make = monomials._check_vectors, monomials.ideal
+    monkeypatch.setattr(monomials, "_check_vectors",
+                        lambda ctx, gens: checks.append(ctx) or check(ctx, gens))
+    monkeypatch.setattr(monomials, "ideal",
+                        lambda ctx, gens: ideals.append(ctx) or make(ctx, gens))
+    I = monomials.ideal(S2, [(2, 0), (1, 1)])
+    J = monomials.ideal(S2, [(0, 2), (1, 1)])
+    assert (I + J).gens == ((2, 0), (1, 1), (0, 2))
+    assert (I * J).gens == ((3, 1), (2, 2), (1, 3))
+    assert I.intersect(J).gens == ((1, 1),)
+    MonomialIdeal(S2, ((1, 0),))
+    assert len(ideals) == 5 and len(checks) == 5
+
+
 def test_embed_ideal_into_blocks():
     T = VariableContext((2, 2), ("x", "y"))
     local = ideal(VariableContext((2,), ("y",)), [(1, 0), (0, 1)])
