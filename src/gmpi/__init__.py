@@ -34,16 +34,21 @@ from .complexes import (
 from .builder import (
     ConstructionError,
     DoubleComplex,
+    Factors,
     FamilyValidationError,
     GmpiInstance,
     StarComplex,
     SubstitutionFamily,
     build_double_complex,
+    build_factors,
     build_star_complex,
+    certify_factors,
+    factored_table,
     linearity_report,
     minimal_total_table,
     projdim_report,
     regularity_report,
+    resolution_table,
     star_acyclicity,
     total_complex,
     validate_family,

@@ -6,26 +6,38 @@ ideal generated in degree d inside block l's variables (nested along degrees),
 this module constructs:
 
   * the induced ideal L = sum of products of substitution ideals,
-  * the grid of tensor-product resolutions of those ideals joined by
-    comparison maps, and its total complex, which is the minimal multigraded
+  * the factors of its resolution: the minimal resolution F of S/I, one
+    block resolution per ladder degree and the comparison maps (rho, and
+    their ladder composites tau) between them,
+  * the grid of tensor-product resolutions of those ideals joined by the
+    sigma maps, and its total complex, which is the minimal multigraded
     free resolution of T/L whenever every substitution ideal has a linear
     resolution,
 
 together with the regularity / projective-dimension / linearity invariants
 read off that resolution.
 
-The complex of ideal direct sums carried by the scalar matrices of the
-minimal resolution F of S/I (the "star complex", whose H_0 is T/L) is the
-first page of the double complex.  The construction never builds it:
-total_complex certifies its exactness from F on S's degree grid.  The
-checks of verify build it (``build_star_complex``) and scan it on T's grid
-(``star_acyclicity``), independently of the construction.
+The construction certifies the total complex on its factors
+(``certify_factors``) and, under the linearity hypothesis, reads the Betti
+table off them (``factored_table``): the total complex is then minimal, so
+its table is the multiset of the factors' shifts.  The double complex and
+its total complex are assembled (``build_double_complex``,
+``total_complex``) only where something reads them: the checks of verify,
+which scan the total complex, and instances outside the hypothesis, whose
+total complex is minimalized.
+
+The complex of ideal direct sums carried by the scalar matrices of F (the
+"star complex", whose H_0 is T/L) is the first page of the double complex.
+The construction never builds it: certify_factors certifies its exactness
+from F on S's degree grid.  The checks of verify build it
+(``build_star_complex``) and scan it on T's grid (``star_acyclicity``),
+independently of the construction.
 """
 
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -238,7 +250,7 @@ def induced_ideal(inducing: MonomialIdeal,
 
 
 # ---------------------------------------------------------------------------
-# the star complex, for the checks of verify (total_complex certifies its
+# the star complex, for the checks of verify (certify_factors certifies its
 # exactness from the resolution of S/I without building it)
 
 @dataclass
@@ -358,7 +370,13 @@ def rho_maps(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int], ChainMap
 
 
 class TauCache:
-    """Ladder composites of the rho maps; never an ad-hoc lift."""
+    """Ladder composites of the rho maps; never an ad-hoc lift.
+
+    tau_(l, a, b) is the identity where a == b and otherwise the composite
+    of the rho maps of block l from ladder degree a down to b; a single
+    step is the rho map itself.  The composites are not checked here:
+    ``certify_factors`` checks each one that a nonzero scalar of the
+    resolution of S/I uses (``Factors.taus_in_use``)."""
 
     def __init__(self, inst: GmpiInstance, blocks: dict, rhos: dict):
         self.inst = inst
@@ -389,23 +407,273 @@ class TauCache:
 
 
 # ---------------------------------------------------------------------------
+# the factors of the resolution of T/L, their certificate and Betti table
+
+@dataclass
+class Factors:
+    """What the resolution of T/L is made of: the resolution F of S/I (the
+    instance's, whose diffs store the scalar matrices lam_c), a block
+    resolution per ladder degree and the ladder composites tau of the
+    comparison maps between them.  Column c of the double complex is the
+    direct sum, over the shifts a of F at position c, of the tensor
+    products of the block resolutions at the block degrees a_l, and sigma_c
+    is lam_c times the tensor products of the taus between them.
+
+    ``exactness_verified`` is set by ``certify_factors``: True where every
+    scan of the certificate ran, False where a degree grid (of S or of a
+    block) exceeds its scan cap or the certificate has not run."""
+
+    instance: GmpiInstance
+    blocks: dict[tuple[int, int], FreeComplex]
+    linear_flags: dict[tuple[int, int], bool]
+    taus: TauCache
+    exactness_verified: bool = False
+
+    @property
+    def hypothesis_linear(self) -> bool:
+        return all(self.linear_flags.values())
+
+    def taus_in_use(self) -> dict[tuple[int, int, int], ChainMap]:
+        """{(block, from, to): tau} for every tau other than an identity
+        that a nonzero scalar lam_c[k][j], c >= 2, puts into sigma_c: the
+        drop from the block degree of shift j at position c to that of
+        shift k at position c - 1.  In order of c, then of the stored
+        columns and rows of lam_c, then of the blocks."""
+        inst, out = self.instance, {}
+        res = inst.resolution
+        for c in range(2, res.length + 1):
+            for j, col in res.diffs[c].cols.items():
+                for k in col:
+                    for l in range(inst.nblocks):
+                        key = (l, res.shifts[c][j][l], res.shifts[c - 1][k][l])
+                        if key[1] != key[2] and key not in out:
+                            out[key] = self.taus.get(*key)
+        return out
+
+
+def build_factors(inst: GmpiInstance) -> Factors:
+    """The block resolutions, their linearity flags and the comparison maps
+    of ``inst``, unchecked beyond what each map's maker checks
+    (``certify_factors`` certifies them)."""
+    blocks = block_resolutions(inst)
+    return Factors(inst, blocks, block_linearity(inst, blocks),
+                   TauCache(inst, blocks, rho_maps(inst, blocks)))
+
+
+def certify_factors(factors: Factors) -> None:
+    """Certify, on the factors alone, that the total complex of the double
+    complex resolves T/L, minimally under the linearity hypothesis, and
+    record whether every scan ran (``factors.exactness_verified``).
+
+    Filter the total complex by columns.  Column c resolves the direct sum
+    of the block products at the shifts of position c, and sigma induces
+    the scalar matrices on those ideals.  The first page of the spectral
+    sequence is then the star complex, and if it is exact the total complex
+    resolves its H_0 = T/L (the acyclic assembly lemma, Weibel 1994, Lemma
+    2.7.3).  Each column is a tensor product of block resolutions on
+    disjoint variables, so it squares to zero and is exact when they do
+    (Kuenneth).  Each component of sigma_c is lam_c[k][j] times the tensor
+    product of the taus from the block degrees of shift j to those of shift
+    k, so sigma is a chain map when the taus are, and sigma o sigma is
+    (lam o lam) times a tensor product of taus (a composite of ladder
+    composites is one), which vanishes because F squares to zero.
+
+    The star complex is exact because F is.  Its summand at a shift a of F
+    is the block product J_a of the substitution ideals J_(l, a_l); each
+    a_l is a ladder degree (validate_family raises otherwise), and the
+    ideals are nested along each ladder (rho_maps raises otherwise).  So
+    x^b lies in J_a iff a <= delta(b) blockwise, where delta(b)_l is the
+    largest ladder degree d with the block-l part of x^b in J_(l, d)
+    (degree 0 is the unit ideal), and x^b lies in L iff x^delta(b) lies in
+    I.  The strand of the star complex at b is thus F's strand at
+    delta(b), live summands and scalar maps alike, and the star complex is
+    exact on T's degree grid iff F resolves S/I on S's, which has one
+    variable per block.
+
+    Each step below raises ConstructionError with its witness, in this
+    order:
+
+    * under the linearity hypothesis, no unit entry in lam, in a block
+      differential or in a tau in use.  An entry of a column differential is
+      one of a block differential, and an entry of sigma_c is lam_c[k][j]
+      times a product of entries of the taus, which is a unit only if every
+      factor is one; for a nonzero lam_c[k][j] of a minimal F the shifts j
+      and k differ, so some block has a drop, and its tau is in use;
+    * each tau in use is a chain map (``ChainMap.commutation_witness``), so
+      each sigma is one;
+    * position 1 of F lists the generators of I in order, so that column 1
+      is generated by the L_j; deeper columns are generated by their block
+      products because each block's position 0 lists its ideal's
+      generators (the last step);
+    * the star complex is exact: F resolves S/I on S's degree grid
+      (``exactness_check``, which checks that F squares to zero first; its
+      witness is then F's (position, multidegree));
+    * sigma induces the scalar matrices: the position-0 column of each tau
+      in use sums to 1 (``tau_augmentation_witness``), so the row-zero sums
+      of a component of sigma_c are lam_c[k][j];
+    * each block resolution of positive degree resolves its substitution
+      ideal (``block_witness``: position 0 lists the ideal's generators,
+      the maps square to zero, and a strand scan over the block's own
+      variables, with the augmentation onto the ring prepended).
+
+    A grid of S or of a block above its scan cap skips that scan, recorded
+    as ``exactness_verified=False``; the checks that need no scan still
+    run.  Where the total complex is assembled (``total_complex``), its
+    diff o diff is checked there; the scan of the total complex itself is
+    the ``total-exactness`` check of verify.check_engine_self, and the scan
+    of the star complex on T's grid its ``star-acyclicity`` check.
+    """
+    inst = factors.instance
+    res = inst.resolution
+    taus = factors.taus_in_use()
+    if factors.hypothesis_linear:
+        unit = res.unit_witness()
+        if unit is not None:
+            raise ConstructionError(
+                "the resolution of S/I has a unit entry under the linearity hypothesis "
+                "(position, (row, column))", unit)
+        for (l, d), block in factors.blocks.items():
+            unit = block.unit_witness()
+            if unit is not None:
+                raise ConstructionError(
+                    "a block resolution has a unit entry under the linearity hypothesis "
+                    "(block, degree, position, (row, column))", (l, d) + unit)
+        for key, tau in taus.items():
+            for i, m in enumerate(tau.mats):
+                unit = m.unit_entry()
+                if unit is not None:
+                    raise ConstructionError(
+                        "a comparison map in use has a unit entry under the linearity "
+                        "hypothesis (block, from, to, position, (row, column))",
+                        key + (i, unit))
+    for key, tau in taus.items():
+        i = tau.commutation_witness()
+        if i is not None:
+            raise ConstructionError(
+                "a comparison map in use is not a chain map (block, from, to, position)",
+                key + (i,))
+    j = next((j for j, (s, g) in enumerate(
+        itertools.zip_longest(res.shifts[1], inst.inducing.gens)) if s != g), None)
+    if j is not None:
+        raise ConstructionError(
+            "a column summand is not generated by its star ideal (column, summand)", (1, j))
+    verified = True
+    try:
+        witness = exactness_check(res, inst.inducing)
+    except SizeCapError:
+        verified = False
+    else:
+        if witness is not None:
+            # exactness_check reports a multidegree alone; where F does not
+            # square to zero, name its position too
+            raise ConstructionError("the star complex is not exact",
+                                    res.square_witness() or witness)
+    witness = tau_augmentation_witness(taus)
+    if witness is not None:
+        raise ConstructionError(
+            "sigma misses the scalar matrices: a position-0 column of a comparison map "
+            "in use does not sum to 1 (block, from, to, column)", witness)
+    for (l, d), block in factors.blocks.items():
+        if d == 0:
+            continue
+        try:
+            witness = block_witness(block, inst.family.at(l, d))
+        except SizeCapError:
+            verified = False
+        else:
+            if witness is not None:
+                raise ConstructionError(
+                    "a block resolution does not resolve its substitution ideal "
+                    "(block, degree, multidegree)", (l, d, witness))
+    factors.exactness_verified = verified
+
+
+def tau_augmentation_witness(taus: dict[tuple[int, int, int], ChainMap]):
+    """(block, from, to, column) of a position-0 column of one of ``taus``
+    (``Factors.taus_in_use``) whose scalars do not sum to 1, or None.  A
+    component of sigma_c in position 0 is lam_c[k][j] times a Kronecker
+    product of these columns, so its row-zero sums are lam_c[k][j] times a
+    product of column sums."""
+    for key, tau in taus.items():
+        m = tau.mats[0]
+        col = next((c for c in range(len(m.col_shifts))
+                    if sum(m.cols.get(c, {}).values()) != 1), None)
+        if col is not None:
+            return key + (col,)
+    return None
+
+
+def factored_table(factors: Factors) -> BettiTable:
+    """The graded Betti table of T/L under the linearity hypothesis, read off
+    the factors.  The total complex is then minimal (``certify_factors``
+    rules out its unit entries), so its table is the multiset of its
+    shifts: position 0 is the ring, and a shift a of F at position c
+    contributes at position c + i the shifts of position i of the tensor
+    product of the block resolutions at the block degrees a_l, which
+    concatenate one shift per block.  Those are convolved once per degree
+    tuple, as counts by shift."""
+    inst = factors.instance
+    res = inst.resolution
+    counts: dict[tuple[int, ...], list[Counter]] = {}
+    multi: Counter = Counter({(0, (0,) * inst.T.nvars): 1})
+    for c in range(1, res.length + 1):
+        for a, n in Counter(res.shifts[c]).items():
+            if a not in counts:
+                counts[a] = _tensor_shift_counts(
+                    [factors.blocks[(l, a[l])] for l in range(inst.nblocks)])
+            for i, level in enumerate(counts[a]):
+                for s, m in level.items():
+                    multi[(c + i, s)] += n * m
+    table = BettiTable()
+    for (k, s), m in multi.items():
+        table.multi[(k, s)] = m
+        j = total_degree(s)
+        table.entries[(k, j)] = table.entries.get((k, j), 0) + m
+    return table
+
+
+def _tensor_shift_counts(factors: list[FreeComplex]) -> list[Counter]:
+    """Per position of the tensor product of ``factors``, its shifts with
+    their multiplicities: the shifts of positions i and j of two factors
+    concatenate at position i + j."""
+    out = [Counter(level) for level in factors[0].shifts]
+    for f in factors[1:]:
+        step = [Counter() for _ in range(len(out) + f.length)]
+        for j, level in enumerate(f.shifts):
+            right = Counter(level)
+            for i, left in enumerate(out):
+                acc = step[i + j]
+                for a, x in left.items():
+                    for b, y in right.items():
+                        acc[a + b] += x * y
+        out = step
+    return out
+
+
+# ---------------------------------------------------------------------------
 # the double complex and its total complex
 
 @dataclass
 class DoubleComplex:
     """Columns of tensor-product resolutions joined by the sigma chain maps."""
 
-    instance: GmpiInstance
-    blocks: dict[tuple[int, int], FreeComplex]
-    linear_flags: dict[tuple[int, int], bool]
+    factors: Factors
     columns: list[FreeComplex]                      # column 0 is the ring
     summands: list[list[FreeComplex] | None]        # per column, per j
     offsets: list[list[list[int]] | None]           # offsets[c][j][i] basis offset
     sigmas: list[ChainMap | None]                   # sigmas[c] : col c -> col c-1
 
     @property
+    def instance(self) -> GmpiInstance:
+        return self.factors.instance
+
+    @property
+    def blocks(self) -> dict[tuple[int, int], FreeComplex]:
+        return self.factors.blocks
+
+    @property
     def hypothesis_linear(self) -> bool:
-        return all(self.linear_flags.values())
+        return self.factors.hypothesis_linear
 
     def sigma_square_witness(self):
         """(c, i) where sigma_{c-1} o sigma_c is nonzero in row i, or None
@@ -429,60 +697,19 @@ class DoubleComplex:
                     return (c, i) + unit
         return None
 
-    def column_star_witness(self):
-        """(c, j) where summand j of column c, a tensor product of block
-        resolutions, is not generated in position 0 by the block product at
-        the block degrees of its shift, or None.  Column 1 is compared with
-        L_j, the product at the j-th generator of the inducing ideal
-        (``inst.products``), so a resolution of S/I whose position 1 is out
-        of generator order fails here; deeper columns with the ideal
-        product, computed once per degree tuple."""
-        inst = self.instance
-        products: dict[tuple[int, ...], MonomialIdeal] = {}
-        for c in range(1, len(self.columns)):
-            for j, summand in enumerate(self.summands[c]):
-                if c == 1:
-                    want = inst.products[j]
-                else:
-                    degs = inst.resolution.shifts[c][j]
-                    if degs not in products:
-                        products[degs] = block_product(inst.family, degs)
-                    want = products[degs]
-                if set(summand.shifts[0]) != set(want.gens):
-                    return c, j
-        return None
 
-    def sigma_star_witness(self):
-        """(c, j, u, k) where the row-zero sums of sigma_c over generator u of
-        summand j miss the scalar lam_c[k][j], or None when they reproduce
-        the scalar matrices (the commuting square with the augmentations)."""
-        res = self.instance.resolution
-        for c in range(1, len(self.columns)):
-            lam = res.diffs[c].cols
-            # sums[(column of sigma_c, summand of its row)]; the summand of
-            # row r is the last one that starts at or before r
-            sums: dict[tuple[int, int], int | Fraction] = {}
-            starts = [offs[0] for offs in self.offsets[c - 1]] if c >= 2 else [0]
-            for col, column in self.sigmas[c].mats[0].cols.items():
-                for r, v in column.items():
-                    key = (col, bisect_right(starts, r) - 1)
-                    sums[key] = sums.get(key, 0) + v
-            nrows = len(res.shifts[c - 1])
-            for j, summand in enumerate(self.summands[c]):
-                lam_j = lam.get(j, {})
-                for u in range(len(summand.shifts[0])):
-                    col = self.offsets[c][j][0] + u
-                    for k in range(nrows):
-                        if sums.get((col, k), 0) != lam_j.get(k, 0):
-                            return c, j, u, k
-        return None
-
-
-def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
-    blocks = block_resolutions(inst)
-    flags = block_linearity(inst, blocks)
-    rhos = rho_maps(inst, blocks)
-    taus = TauCache(inst, blocks, rhos)
+def build_double_complex(inst: GmpiInstance, factors: Factors | None = None) -> DoubleComplex:
+    """The columns and sigma maps of ``inst``, assembled from ``factors``:
+    the block resolutions and taus that ``certify_factors`` has certified,
+    which are not made again.  Without ``factors`` they are built and
+    certified here.  The construction reads the factored Betti table and
+    certificate; it assembles the double complex only where something scans
+    it (``gmpi gmpi --check``, ``gmpi verify``) and outside the linearity
+    hypothesis, where the total complex is minimalized."""
+    if factors is None:
+        factors = build_factors(inst)
+        certify_factors(factors)
+    blocks, taus = factors.blocks, factors.taus
     n = inst.nblocks
     p = inst.resolution.length
 
@@ -536,24 +763,23 @@ def build_double_complex(inst: GmpiInstance) -> DoubleComplex:
                         for cc, col in bm.cols.items():
                             mats[i].cols.setdefault(co + cc, {}).update(
                                 (ro + r, _integral(v * scalar)) for r, v in col.items())
-        # each entry is a lam-multiple of an entry of a checked lift; the
-        # commutation with the column differentials is a component of the
-        # total complex's diff o diff, which total_complex checks
+        # each entry is a lam-multiple of a product of entries of the taus;
+        # the commutation with the column differentials is a component of
+        # the total complex's diff o diff, which total_complex checks
         sigmas.append(ChainMap(src, tgt, mats))
 
-    return DoubleComplex(
-        instance=inst, blocks=blocks, linear_flags=flags,
-        columns=columns, summands=summands, offsets=offsets, sigmas=sigmas)
+    return DoubleComplex(factors=factors, columns=columns, summands=summands,
+                         offsets=offsets, sigmas=sigmas)
 
 
 @dataclass
 class TotalComplex:
     """Total complex of the double complex, with its basis bookkeeping.
 
-    ``exactness_verified`` says that the certificate of total_complex ran in
-    full; it is False only where the degree grid of S (the star step) or of
-    a block exceeds its scan cap, and ``gmpi gmpi`` then reports the table
-    as uncertified."""
+    ``exactness_verified`` is that of the factors it was assembled from
+    (``certify_factors``): False only where the degree grid of S (the star
+    step) or of a block exceeds its scan cap, and ``gmpi gmpi`` then
+    reports the table as uncertified."""
 
     complex: FreeComplex
     exactness_verified: bool = False
@@ -567,50 +793,12 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
     Every entry is a copy, up to sign, of an entry of a column differential
     or a sigma map, so no pass checks the entries' shapes again.
 
-    The result is certified to resolve T/L from the structure of D, without
-    a strand scan of its own degree grid; this function is the whole
-    certificate.  Filter the total complex by columns.  Column c resolves
-    the direct sum of the block products at the shifts of position c, and
-    sigma induces the scalar matrices on those ideals.  The first page of
-    the spectral sequence is then the star complex, and if it is exact the
-    total complex resolves its H_0 = T/L (the acyclic assembly lemma, Weibel
-    1994, Lemma 2.7.3).  Each column is a tensor product of block
-    resolutions on disjoint variables, so it is exact when they are
-    (Kuenneth); it is built from ``D.blocks`` and not checked again.
-
-    The star complex is exact because the resolution F of S/I is.  Its
-    summand at a shift a of F is the block product J_a of the substitution
-    ideals J_(l, a_l); each a_l is a ladder degree (validate_family raises
-    otherwise), and the ideals are nested along each ladder (rho_maps
-    raises otherwise).  So x^b lies in J_a iff a <= delta(b) blockwise, where
-    delta(b)_l is the largest ladder degree d with the block-l part of x^b
-    in J_(l, d) (degree 0 is the unit ideal), and x^b lies in L iff
-    x^delta(b) lies in I.  The strand of the star complex at b is thus F's
-    strand at delta(b), live summands and scalar maps alike, and the star
-    complex is exact on T's degree grid iff F resolves S/I on S's, which
-    has one variable per block.
-
-    Each step below raises ConstructionError with its witness, in this
-    order:
-
-    * under the linearity hypothesis, no unit entry; a unit entry of a
-      sigma map is one of the total differential;
-    * diff o diff = 0; its components are the columns' diff o diff, the
-      chain-map condition of each sigma and sigma o sigma;
-    * each column summand is generated in position 0 by its block product
-      (``column_star_witness``), so that the star complex is the first page;
-    * the star complex is exact: F resolves S/I on S's degree grid
-      (``exactness_check``; where F's maps do not square to zero the
-      witness is F's (position, multidegree));
-    * sigma induces the scalar matrices (``sigma_star_witness``);
-    * each block resolution of positive degree resolves its substitution
-      ideal (``block_witness``: a strand scan over the block's own
-      variables, with the augmentation onto the ring prepended).
-
-    A grid of S or of a block above its scan cap skips that scan, recorded
-    as ``exactness_verified=False``.  The scan of the total complex itself
-    is the ``total-exactness`` check of verify.check_engine_self, and the
-    scan of the star complex on T's grid its ``star-acyclicity`` check.
+    The factors are certified by ``certify_factors``, which is the
+    certificate that the result resolves T/L.  This function checks only
+    the map it makes: ConstructionError where the total differential does
+    not square to zero (its components are the columns' diff o diff, the
+    chain-map condition of each sigma and sigma o sigma), witnessed by the
+    multidegree of ``square_witness``.
     """
     inst, cols = D.instance, D.columns
     p = len(cols) - 1
@@ -644,47 +832,10 @@ def total_complex(D: DoubleComplex) -> TotalComplex:
         diffs.append(MonomialMatrix(inst.T, shifts[k - 1], shifts[k], out))
 
     cx = FreeComplex(inst.T, shifts, diffs)
-    if D.hypothesis_linear:
-        unit = cx.unit_witness()
-        if unit is not None:
-            raise ConstructionError(
-                "total complex has a unit entry under the linearity hypothesis "
-                "(position, (row, column))", unit)
     square = cx.square_witness()
     if square is not None:
         raise ConstructionError("total differential does not square to zero", square[1])
-    witness = D.column_star_witness()
-    if witness is not None:
-        raise ConstructionError(
-            "a column summand is not generated by its star ideal (column, summand)", witness)
-    verified = True
-    try:
-        witness = exactness_check(inst.resolution, inst.inducing)
-    except SizeCapError:
-        verified = False
-    else:
-        if witness is not None:
-            # exactness_check reports a multidegree alone; where F does not
-            # square to zero, name its position too
-            raise ConstructionError("the star complex is not exact",
-                                    inst.resolution.square_witness() or witness)
-    witness = D.sigma_star_witness()
-    if witness is not None:
-        raise ConstructionError(
-            "sigma misses the scalar matrices (column, summand, generator, row)", witness)
-    for (l, d), res in D.blocks.items():
-        if d == 0:
-            continue
-        try:
-            witness = block_witness(res, inst.family.at(l, d))
-        except SizeCapError:
-            verified = False
-        else:
-            if witness is not None:
-                raise ConstructionError(
-                    "a block resolution does not resolve its substitution ideal "
-                    "(block, degree, multidegree)", (l, d, witness))
-    return TotalComplex(cx, verified)
+    return TotalComplex(cx, D.factors.exactness_verified)
 
 
 def block_witness(res: FreeComplex, I: MonomialIdeal):
@@ -727,11 +878,24 @@ class InvariantReport:
 
 def minimal_total_table(tot: TotalComplex) -> BettiTable:
     """Betti table of the total complex after minimalization: the graded
-    Betti numbers of T/L.  The invariant reports below read this table."""
+    Betti numbers of T/L.  ``resolution_table`` reads it outside the
+    linearity hypothesis, where the total complex need not be minimal."""
     cx = tot.complex
     if not cx.is_minimal:
         cx = minimalize_complex(cx)
     return betti_table(cx)
+
+
+def resolution_table(factors: Factors, tot: TotalComplex | None = None) -> BettiTable:
+    """The graded Betti table of T/L, which the invariant reports below
+    read: ``factored_table`` under the linearity hypothesis, and otherwise
+    ``minimal_total_table`` of ``tot``, which is assembled from the
+    (certified) factors where it is not given."""
+    if factors.hypothesis_linear:
+        return factored_table(factors)
+    if tot is None:
+        tot = total_complex(build_double_complex(factors.instance, factors))
+    return minimal_total_table(tot)
 
 
 def regularity_report(D: DoubleComplex, table: BettiTable) -> InvariantReport:

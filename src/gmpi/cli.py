@@ -23,7 +23,9 @@ from .builder import (
     GmpiInstance,
     SubstitutionFamily,
     build_double_complex,
-    minimal_total_table,
+    build_factors,
+    certify_factors,
+    resolution_table,
     total_complex,
     validate_family,
 )
@@ -213,7 +215,9 @@ def _emit(text: str, out: str | None) -> None:
         except OSError as e:
             raise InputError(f"cannot write {out}: {e}")
     else:
-        print(text)
+        # flushed here, so that a reader that closed the pipe early is
+        # seen by main and not at interpreter exit
+        print(text, flush=True)
 
 
 def emit_json(obj, out: str | None) -> None:
@@ -257,9 +261,14 @@ def cmd_resolve(args) -> int:
 def cmd_gmpi(args) -> int:
     doc = _load(args.path)
     inst = parse_instance_document(doc)
-    D = build_double_complex(inst)
-    tot = total_complex(D)
-    table = minimal_total_table(tot)
+    factors = build_factors(inst)
+    certify_factors(factors)
+    D = tot = None
+    if args.check:
+        # the checks scan the assembled double and total complexes
+        D = build_double_complex(inst, factors)
+        tot = total_complex(D)
+    table = resolution_table(factors, tot)
     reg_l = regularity(table)
     pd_l = projective_dimension(table)
     payload = {
@@ -268,9 +277,9 @@ def cmd_gmpi(args) -> int:
         "betti": table.to_json(),
         "regularity": reg_l,
         "projective_dimension_quotient": pd_l,
-        "hypothesis_linear": D.hypothesis_linear,
+        "hypothesis_linear": factors.hypothesis_linear,
     }
-    if not tot.exactness_verified:
+    if not factors.exactness_verified:
         payload["certified"] = False
     results = []
     if args.check:
@@ -287,9 +296,9 @@ def cmd_gmpi(args) -> int:
             table.triangle(),
             f"reg L = {reg_l}",
             f"projdim(T/L) = {pd_l}",
-            f"all substitutions linear: {D.hypothesis_linear}",
+            f"all substitutions linear: {factors.hypothesis_linear}",
         ]
-        if not tot.exactness_verified:
+        if not factors.exactness_verified:
             lines.append("certified: False (a star or block degree grid exceeds its scan cap)")
         lines += [r.line() for r in results]
         _emit("\n".join(lines), args.out)
@@ -405,6 +414,12 @@ def main(argv=None) -> int:
     except (InputError, SizeCapError, FamilyValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early (``gmpi gmpi doc --json | head``):
+        # stop quietly, with stdout on devnull so that the flush at exit
+        # does not fail again (the recipe of the Python docs on SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

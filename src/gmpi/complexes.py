@@ -61,9 +61,10 @@ Lyubeznik complexes (``_subset_complex``), ``minimalize_complex`` and
 ``lift_chain_map``.  Nothing walks a copy of a checked map again:
 ``ideal_resolution`` shares the maps of the resolution of S/I, and the
 tensor products and their chain maps place signs and products of checked
-entries unchecked, since their diff o diff and chain-map conditions are
-components of the diff o diff of the total complex, which
-``builder.total_complex`` checks.
+entries unchecked.  Their diff o diff and chain-map conditions follow from
+those of their factors, which ``builder.certify_factors`` checks, and where
+the total complex is assembled they are components of its diff o diff,
+which ``builder.total_complex`` checks.
 
 A broken construction invariant raises ConstructionError with a witness;
 malformed hand-built maps (stored zeros or empty columns, inhomogeneous
@@ -977,9 +978,8 @@ class ChainMap:
     mats: list[MonomialMatrix]
 
     def validate(self) -> None:
-        """Shapes, homogeneity and commutation with the differentials: the
-        two composites at each position agree column by column (neither
-        stores a zero, so equal columns are equal maps)."""
+        """Shapes, homogeneity and commutation with the differentials
+        (``commutation_witness``)."""
         if len(self.mats) != self.source.length + 1:
             raise ConstructionError(
                 "chain map components do not match the source positions (components, positions)",
@@ -989,12 +989,21 @@ class ChainMap:
             if m.col_shifts != self.source.shifts[i] or m.row_shifts != tgt_shifts:
                 raise ValueError(f"chain map shapes wrong at position {i}")
             m.validate()
+        i = self.commutation_witness()
+        if i is not None:
+            raise ValueError(f"chain map does not commute at position {i}")
+
+    def commutation_witness(self) -> int | None:
+        """The lowest position i where mats[i - 1] o d_i and d_i o mats[i]
+        differ, column by column (neither stores a zero, so equal columns
+        are equal maps), or None for a chain map."""
         for i in range(1, self.source.length + 1):
             rhs = self.mats[i - 1].compose(self.source.diffs[i]).cols
             lhs = (self.target.diffs[i].compose(self.mats[i]).cols
                    if i <= self.target.length else {})
             if lhs != rhs:
-                raise ValueError(f"chain map does not commute at position {i}")
+                return i
+        return None
 
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self o other (zero through positions missing in the middle)."""
@@ -1164,9 +1173,10 @@ def tensor_resolutions(factors: list[FreeComplex], ctx: VariableContext) -> Free
     of a basis element is the concatenation of its factors' shifts.  The
     product is the left fold of ``_tensor_pair``; a single factor is its own
     product.  Nothing is checked: every entry is an entry of a factor's
-    differential, up to sign, and the product's diff o diff is a component
-    of the diff o diff of a total complex built on it, which
-    ``builder.total_complex`` checks.
+    differential, up to sign, and the product squares to zero because its
+    factors do (the Koszul sign rule), which ``builder.certify_factors``
+    checks; its diff o diff is also a component of that of a total complex
+    built on it, which ``builder.total_complex`` checks.
     """
     sizes = tuple(f.ctx.nvars for f in factors)
     if sizes != ctx.sizes:
@@ -1189,8 +1199,10 @@ def tensor_chain_map(taus: list[ChainMap], src: FreeComplex, tgt: FreeComplex) -
     columns s (x) t in order of s, then t, each with its rows r (x) r' in
     order of r, then r'.  Only the last step's columns become matrices, one
     per position of ``src``.  Nothing is checked: every entry is a product of
-    entries of the taus, and the chain-map condition is a component of the
-    diff o diff of the total complex, which ``builder.total_complex`` checks.
+    entries of the taus, and the product is a chain map because the taus
+    are, which ``builder.certify_factors`` checks; its chain-map condition
+    is also a component of the diff o diff of the total complex, which
+    ``builder.total_complex`` checks.
     """
     cols = [m.cols for m in taus[0].mats]
     src_ranks, tgt_ranks = taus[0].source.ranks, taus[0].target.ranks

@@ -28,11 +28,11 @@ from .builder import (
     build_double_complex,
     build_star_complex,
     linearity_report,
-    minimal_total_table,
     product_formula_witness,
     projdim_report,
     realization_witness,
     regularity_report,
+    resolution_table,
     star_acyclicity,
     total_complex,
 )
@@ -323,8 +323,9 @@ def check_pd_formula(inst: GmpiInstance, D: DoubleComplex, table: BettiTable,
 def check_betti_equivalence(inst: GmpiInstance, table: BettiTable,
                             oracle: BettiTable | None, which: str) -> CheckResult:
     """Exact table equality (multigraded refinement included) between the
-    minimal total table and an independent oracle; ``which`` names the
-    oracle, or says why none ran when ``oracle`` is None."""
+    Betti table of T/L (``resolution_table``) and an independent oracle;
+    ``which`` names the oracle, or says why none ran when ``oracle`` is
+    None."""
     if oracle is None:
         return CheckResult("betti-equivalence", inst.label, True, {"skipped": which})
     ok = table == oracle
@@ -351,7 +352,7 @@ def check_total_exactness(inst: GmpiInstance, tot: TotalComplex) -> CheckResult:
     """The strand scan of the total complex over its whole degree grid, which
     checks diff o diff first, and diff o diff of the resolution of S/I.
 
-    This is the scan that total_complex replaces with its structural
+    This is the scan that certify_factors replaces with its structural
     certificate.  Above TOTAL_SCAN_CAP cells it reports SKIPPED with the
     cell count (diff o diff is still checked)."""
     name = "total-exactness"
@@ -409,7 +410,7 @@ def check_engine_self(inst: GmpiInstance, tot: TotalComplex, base: BettiTable | 
 def run_instance_checks(D: DoubleComplex, tot: TotalComplex, table: BettiTable,
                         oracle_cap: int = 14) -> list[CheckResult]:
     """Every check on one built instance: its double complex D, the total
-    complex of D and the minimal total Betti table (minimal_total_table(tot)).
+    complex of D and the Betti table of T/L (resolution_table(D.factors, tot)).
     The oracle of L is computed once; a Lyubeznik table (within the Taylor cap
     ``oracle_cap``) is also the base of the permutation check.  The star
     complex, which the construction does not build, is built here for the
@@ -441,7 +442,7 @@ def mixed_product_formula_check() -> CheckResult:
     D = build_double_complex(inst)
     tot = total_complex(D)
     formula = sum(max(d, e) for d, e in zip((2, 1), (1, 2))) - 1
-    table = minimal_total_table(tot)
+    table = resolution_table(D.factors, tot)
     reg = regularity_report(D, table)
     oracle = koszul_betti(inst.induced)
     reg_oracle = regularity(oracle)
@@ -485,7 +486,7 @@ def run_suite(seeds=None) -> list[CheckResult]:
     for inst in suite_instances(seeds):
         D = build_double_complex(inst)
         tot = total_complex(D)
-        results.extend(run_instance_checks(D, tot, minimal_total_table(tot)))
+        results.extend(run_instance_checks(D, tot, resolution_table(D.factors, tot)))
     results.append(mixed_product_formula_check())
     results.extend(path_identity_checks())
     return results

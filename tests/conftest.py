@@ -141,8 +141,11 @@ def non_nested_instance() -> GmpiInstance:
         label="non-nested")
 
 
-# -- corruptions of a built double complex, each in place; total_complex must
-# raise ConstructionError on the result (corrupt_star_ideal aside)
+# -- corruptions, each in place.  The first three corrupt maps of a built
+# double complex, which total_complex must refuse; the others corrupt its
+# factors (a Factors, or the factors of a DoubleComplex), which
+# certify_factors must refuse.  corrupt_star_ideal corrupts only what the
+# checks of verify build.
 
 def corrupt_sigma(D):
     """Double the first entry of the first nonzero sigma component above
@@ -167,17 +170,20 @@ def corrupt_column(D):
     return D
 
 
-def _first_block_copy(D):
-    key = next(k for k in D.blocks if k[1] >= 1)
+def _first_block_copy(D, length=1):
+    key = next(k for k, res in D.blocks.items() if k[1] >= 1 and res.length >= length)
     D.blocks[key] = D.blocks[key].copy()
     return D.blocks[key]
 
 
-def corrupt_block_scalar(D):
-    """Double the first entry of the first differential of the first block
-    resolution of positive degree (a copy of it): the strands keep their
-    ranks, but the augmentation no longer kills the image."""
-    scale_first_scalar(_first_block_copy(D).diffs[1], 2)
+def corrupt_block_scalar(D, position=1):
+    """Double the first entry of differential ``position`` of the first
+    block resolution of positive degree that has one (a copy of it).  At
+    position 1 the strands keep their ranks, but the augmentation no longer
+    kills the image; at position 2 the block, and with it every column it
+    is a factor of, no longer squares to zero (the factor counterpart of
+    corrupt_column)."""
+    scale_first_scalar(_first_block_copy(D, position).diffs[position], 2)
     return D
 
 
@@ -186,6 +192,26 @@ def corrupt_block_column(D):
     of positive degree (a copy of it), so that a strand loses rank."""
     _first_block_copy(D).diffs[1].cols.pop(0, None)
     return D
+
+
+def corrupt_tau(F):
+    """Double the first entry above position 0 of the first tau in use
+    (``Factors.taus_in_use``) that has one: the tau, and with it sigma, no
+    longer commutes with the differentials (the factor counterpart of
+    corrupt_sigma)."""
+    tau = next(t for t in F.taus_in_use().values() if any(m.cols for m in t.mats[1:]))
+    scale_first_scalar(next(m for m in tau.mats[1:] if m.cols), 2)
+    return F
+
+
+def corrupt_tau_augmentation(F):
+    """Add one to the first position-0 entry of the first tau in use: its
+    column no longer sums to 1, so sigma misses the scalar matrices and
+    sigma o sigma no longer vanishes (the factor counterpart of
+    corrupt_sigma_square and of the sigma-star step)."""
+    col = next(iter(next(iter(F.taus_in_use().values())).mats[0].cols.values()))
+    col[next(iter(col))] += 1
+    return F
 
 
 def corrupt_star_ideal(star):
@@ -200,7 +226,8 @@ def corrupt_star_ideal(star):
 
 def corrupt_star_scalars(D):
     """Double the first scalar of lam_2 in a copy of the resolution of S/I
-    that the star complex reads, so that its maps no longer square to zero."""
+    that the star complex reads (of a Factors, or of a DoubleComplex's
+    factors), so that its maps no longer square to zero."""
     D.instance.resolution = D.instance.resolution.copy()
     scale_first_scalar(D.instance.resolution.diffs[2], 2)
     return D

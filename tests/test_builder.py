@@ -12,7 +12,9 @@ from gmpi.builder import (
     block_linearity,
     block_resolutions,
     build_double_complex,
+    build_factors,
     build_star_complex,
+    certify_factors,
     linearity_report,
     minimal_total_table,
     product_formula_witness,
@@ -20,6 +22,7 @@ from gmpi.builder import (
     regularity_report,
     rho_maps,
     star_acyclicity,
+    tau_augmentation_witness,
     total_complex,
     validate_family,
 )
@@ -51,6 +54,7 @@ from conftest import (
     corrupt_sigma_square,
     corrupt_star_ideal,
     corrupt_star_scalars,
+    corrupt_tau_augmentation,
     non_nested_instance,
     normal_scalar,
     scale_first_scalar,
@@ -76,6 +80,26 @@ def koszul_instance():
         (l, 1): squarefree_veronese(2, 1, _block_ctx(2, T.names[l]))
         for l in range(2)})
     return validate_family(ideal(S2, [(1, 0), (0, 1)]), fam, label="koszul")
+
+
+def principal_drop_instance():
+    """(u a^3, u^2 a^2) with the principal (u1), (u1^2) in block u and
+    powers of the maximal ideal in block a: the first tau in use,
+    (u1^2) -> (u1), has a source of length 0, so a change of its
+    position-0 column leaves it a chain map."""
+    T = VariableContext((1, 2), ("u", "a"))
+    fam = SubstitutionFamily(T, {
+        (l, d): power_of_maximal(T.sizes[l], d, _block_ctx(T.sizes[l], T.names[l]))
+        for l, d in ((0, 1), (0, 2), (1, 2), (1, 3))})
+    return validate_family(ideal(S2, [(1, 3), (2, 2)]), fam, label="principal-drop")
+
+
+def certify_total(D):
+    """The certificate of the total complex of D: certify_factors on its
+    factors, then the diff o diff that total_complex checks on the map it
+    assembles."""
+    certify_factors(D.factors)
+    return total_complex(D)
 
 
 def principal_instance(d=2):
@@ -379,14 +403,14 @@ def test_double_complex_principal_collapses():
     block = D.blocks[(0, 2)]
     assert tot.complex.ranks == [1] + block.ranks
     assert D.sigma_square_witness() is None
-    assert D.sigma_star_witness() is None
+    assert D.factors.taus_in_use() == {}
     assert D.sigma_unit_witness() is None
 
 
 def test_double_complex_expansion_predicates():
     D = build_double_complex(expansion_instance())
     assert D.sigma_square_witness() is None
-    assert D.sigma_star_witness() is None
+    assert tau_augmentation_witness(D.factors.taus_in_use()) is None
     assert D.sigma_unit_witness() is None
 
 
@@ -463,10 +487,10 @@ def test_unused_block_gets_trivial_ladder():
 
 
 def test_total_complex_raises_the_scan_witness(monkeypatch):
-    # the certificate's scans: the star complex, as the resolution of S/I on
-    # S's degree grid, then each block resolution
+    # the certificate's scans, on the factors: the star complex, as the
+    # resolution of S/I on S's degree grid, then each block resolution
     import gmpi.builder as builder
-    D = build_double_complex(expansion_instance())
+    D = build_factors(expansion_instance())
     inst = D.instance
     scanned = []
     w = (2, 1)
@@ -478,14 +502,14 @@ def test_total_complex_raises_the_scan_witness(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(builder, "exactness_check", star_fails)
         with pytest.raises(ConstructionError) as err:
-            total_complex(D)
+            certify_factors(D)
     assert err.value.witness == w and "star complex" in str(err.value)
     assert len(scanned) == 1
     assert scanned[0][0] is inst.resolution and scanned[0][1] is inst.inducing
     monkeypatch.setattr(builder, "exactness_check",
                         lambda C, I: None if C is inst.resolution else (1, 1))
     with pytest.raises(ConstructionError) as err:
-        total_complex(D)
+        certify_factors(D)
     l, d = next(key for key in D.blocks if key[1] >= 1)
     assert err.value.witness == (l, d, (1, 1)) and str((l, d, (1, 1))) in str(err.value)
 
@@ -500,34 +524,43 @@ def is_map(m, expected) -> bool:
 
 
 def test_total_complex_composes_each_pair_once(monkeypatch):
-    # the certificate multiplies the consecutive differentials of the total
-    # complex, of the resolution of S/I (the star scan's precondition) and of
-    # each block resolution with its augmentation prepended (the block scans'
-    # precondition) once each, streamed by column, and composes none
-    D = build_double_complex(expansion_instance())
-    calls = []
-    streamed = MonomialMatrix.first_nonzero_column
+    # the certificate multiplies the consecutive differentials of the
+    # resolution of S/I (the star scan's precondition) and of each block
+    # resolution with its augmentation prepended (the block scans'
+    # precondition) once each, streamed by column, and total_complex those
+    # of the map it assembles; the only composites built are the two sides
+    # of each tau in use's chain-map condition
+    F = build_factors(expansion_instance())
+    streamed_calls, composed_calls = [], []
+    streamed, composed = MonomialMatrix.first_nonzero_column, MonomialMatrix.compose
 
     def counted(left, right):
-        calls.append((left, right))
+        streamed_calls.append((left, right))
         return streamed(left, right)
 
-    def composed(self, other):
-        raise AssertionError("the certificate builds a composite")
+    def counted_compose(left, right):
+        composed_calls.append((left, right))
+        return composed(left, right)
 
     monkeypatch.setattr(MonomialMatrix, "first_nonzero_column", counted)
-    monkeypatch.setattr(MonomialMatrix, "compose", composed)
-    tot = total_complex(D)
+    monkeypatch.setattr(MonomialMatrix, "compose", counted_compose)
+    certify_factors(F)
+    tot = total_complex(build_double_complex(F.instance, F))
     assert tot.exactness_verified and tot.complex.length == 4
-    blocks = [res for (l, d), res in D.blocks.items() if d >= 1]
-    expected = [(cx.diffs[i - 1], cx.diffs[i])
-                for cx in [tot.complex, D.instance.resolution]
-                for i in range(2, cx.length + 1)]
-    for res in blocks:
+    res = F.instance.resolution
+    expected = [(res.diffs[i - 1], res.diffs[i]) for i in range(2, res.length + 1)]
+    for res in [res for (l, d), res in F.blocks.items() if d >= 1]:
         expected += [(res, res.diffs[1])] + [
             (res.diffs[i - 1], res.diffs[i]) for i in range(2, res.length + 1)]
-    assert len(calls) == len(expected) == 3 + 1 + 4
-    assert all(is_map(a, c) and b is d for (a, b), (c, d) in zip(calls, expected))
+    expected += [(tot.complex.diffs[i - 1], tot.complex.diffs[i])
+                 for i in range(2, tot.complex.length + 1)]
+    assert len(streamed_calls) == len(expected) == 1 + 4 + 3
+    assert all(is_map(a, c) and b is d for (a, b), (c, d) in zip(streamed_calls, expected))
+    taus = F.taus_in_use().values()
+    assert len(taus) == 2 and all(t.source.length == 1 for t in taus)
+    assert composed_calls == [
+        pair for t in taus for i in range(1, t.source.length + 1)
+        for pair in ((t.mats[i - 1], t.source.diffs[i]), (t.target.diffs[i], t.mats[i]))]
 
 
 @pytest.mark.parametrize("scan", [True, False], ids=["scanned", "scan-skipped"])
@@ -554,9 +587,11 @@ def test_total_complex_rejects_a_nonzero_square(monkeypatch, scan):
     (corrupt_star_scalars, "star complex", 2),
 ], ids=["sigma", "sigma-square", "column", "block-scalar", "block-column", "star-scalars"])
 def test_total_complex_certificate_catches_a_corruption(corrupt, message, witness_length):
+    # a corrupted factor is refused by certify_factors, a corrupted
+    # assembled map by total_complex's diff o diff
     D = corrupt(build_double_complex(expansion_instance()))
     with pytest.raises(ConstructionError) as err:
-        total_complex(D)
+        certify_total(D)
     assert message in str(err.value) and len(err.value.witness) == witness_length
 
 
@@ -609,10 +644,8 @@ def test_total_complex_rejects_a_resolution_out_of_generator_order():
     d2.cols = {c: {swap.get(r, r): v for r, v in col.items()} for c, col in d2.cols.items()}
     res.validate()
     assert res.shifts[1] != list(inst.inducing.gens)
-    D = build_double_complex(inst)
-    assert D.column_star_witness() == (1, 0)
     with pytest.raises(ConstructionError) as err:
-        total_complex(D)
+        certify_factors(build_factors(inst))
     assert err.value.witness == (1, 0) and "column summand" in str(err.value)
 
 
@@ -679,12 +712,19 @@ def test_star_complex_raises_on_a_zero_column():
     assert err.value.witness == (2, 0)
 
 
-def sigma_star_reported(monkeypatch):
-    """The expansion's double complex, built while sigma_star_witness reports
-    (1, 0, 0, 0)."""
-    from gmpi.builder import DoubleComplex
-    monkeypatch.setattr(DoubleComplex, "sigma_star_witness", lambda self: (1, 0, 0, 0))
-    return build_double_complex(expansion_instance())
+def sigma_square_corrupted(monkeypatch):
+    """The expansion's double complex with sigma_1 o sigma_2 nonzero, and
+    that witness."""
+    D = corrupt_sigma_square(build_double_complex(expansion_instance()))
+    return D, D.sigma_square_witness()
+
+
+def sigma_star_corrupted(monkeypatch):
+    """The double complex of principal_drop_instance assembled from factors
+    whose first tau in use has a position-0 column summing to 2, and the
+    witness of the sigma-star step."""
+    F = corrupt_tau_augmentation(build_factors(principal_drop_instance()))
+    return build_double_complex(F.instance, F), tau_augmentation_witness(F.taus_in_use())
 
 
 def sigma_unit_under_a_claimed_hypothesis(monkeypatch):
@@ -699,47 +739,53 @@ def sigma_unit_under_a_claimed_hypothesis(monkeypatch):
         (1, 2): ideal(ctx["a"], [(2, 0), (0, 2)]),
         (1, 3): ideal(ctx["a"], [(2, 1), (1, 2)]),
     })
-    D = build_double_complex(validate_family(ideal(S2, [(1, 3), (2, 2)]), fam, label="unit"))
-    assert not D.hypothesis_linear
-    D.linear_flags = dict.fromkeys(D.linear_flags, True)
-    return D
+    F = build_factors(validate_family(ideal(S2, [(1, 3), (2, 2)]), fam, label="unit"))
+    assert not F.hypothesis_linear
+    F.linear_flags = dict.fromkeys(F.linear_flags, True)
+    D = build_double_complex(F.instance, F)
+    return D, D.sigma_unit_witness()
 
 
-@pytest.mark.parametrize("method, make, message", [
-    ("sigma_square_witness",
-     lambda monkeypatch: corrupt_sigma_square(build_double_complex(expansion_instance())),
-     "square to zero"),
-    ("sigma_star_witness", sigma_star_reported, "scalar matrices"),
-    ("sigma_unit_witness", sigma_unit_under_a_claimed_hypothesis, "unit entry"),
+@pytest.mark.parametrize("make, message", [
+    (sigma_square_corrupted, "square to zero"),
+    (sigma_star_corrupted, "scalar matrices"),
+    (sigma_unit_under_a_claimed_hypothesis, "unit entry"),
 ], ids=["sigma_square_witness", "sigma_star_witness", "sigma_unit_witness"])
-def test_total_complex_raises_the_sigma_witness(monkeypatch, method, make, message):
-    # build_double_complex raises no witness of its own; total_complex raises
-    # sigma_star_witness's, and a nonzero sigma o sigma or a unit entry of
-    # sigma as one of the total differential
-    D = make(monkeypatch)
-    witness = getattr(D, method)()
+def test_total_complex_raises_the_sigma_witness(monkeypatch, make, message):
+    # build_double_complex raises no witness of its own.  The certificate
+    # raises the sigma-star step's witness (on the taus in use) and a unit
+    # entry of a tau in use, which D's sigma has too; total_complex raises
+    # a nonzero sigma o sigma as one of the total differential
+    D, witness = make(monkeypatch)
     assert witness is not None
     with pytest.raises(ConstructionError) as err:
-        total_complex(D)
+        certify_total(D)
     assert message in str(err.value)
-    if method == "sigma_star_witness":
-        assert err.value.witness == witness
+    if make is sigma_star_corrupted:
+        assert err.value.witness == witness == (0, 2, 1, 0)
+    if make is sigma_unit_under_a_claimed_hypothesis:
+        assert err.value.witness[:3] == (1, 3, 2)
 
 
-def test_sigma_star_witness_finds_a_changed_scalar():
-    D = build_double_complex(expansion_instance())
-    assert D.sigma_star_witness() is None
-    D.instance.resolution.diffs[1].cols[1][0] = Fraction(2)
-    assert D.sigma_star_witness() == (1, 1, 0, 0)
+def test_tau_augmentation_witness_finds_a_changed_scalar():
+    F = build_factors(principal_drop_instance())
+    taus = F.taus_in_use()
+    assert list(taus) == [(0, 2, 1), (1, 3, 2)] and taus[(0, 2, 1)].source.length == 0
+    assert tau_augmentation_witness(taus) is None
+    corrupt_tau_augmentation(F)
+    assert tau_augmentation_witness(taus) == (0, 2, 1, 0)
+    # the change leaves the tau a chain map, so only this step sees it
+    assert taus[(0, 2, 1)].commutation_witness() is None
 
 
 def test_total_complex_raises_a_unit_witness(monkeypatch):
+    # the certificate's first unit step reads lam, the resolution of S/I
     from gmpi.complexes import FreeComplex
     D = build_double_complex(expansion_instance())
     monkeypatch.setattr(FreeComplex, "unit_witness", lambda self: (1, (0, 0)))
     with pytest.raises(ConstructionError) as err:
-        total_complex(D)
-    assert err.value.witness == (1, (0, 0))
+        certify_total(D)
+    assert err.value.witness == (1, (0, 0)) and "resolution of S/I" in str(err.value)
 
 
 

@@ -4,6 +4,8 @@ import itertools
 import json
 import operator
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -26,6 +28,8 @@ from conftest import (
     corrupt_sigma_square,
     corrupt_star_ideal,
     corrupt_star_scalars,
+    corrupt_tau,
+    corrupt_tau_augmentation,
     non_nested_instance,
 )
 
@@ -49,6 +53,12 @@ def expansion_doc():
         },
         "label": "expansion",
     }
+
+
+def mixed33_doc():
+    """Squarefree Veronese substitutions over blocks of three variables,
+    whose degree-1 block resolutions have length 2."""
+    return instance_to_document(mixed_product_instance((3, 3), (2, 1), (1, 2)))
 
 
 def write(tmp_path, name, doc):
@@ -310,6 +320,7 @@ def test_an_unwritable_out_path_is_refused_before_any_work(tmp_path, capsys, mon
         raise AssertionError("the work started before --out was checked")
 
     monkeypatch.setattr(cli, "quotient_resolution", never)
+    monkeypatch.setattr(cli, "build_factors", never)
     monkeypatch.setattr(cli, "build_double_complex", never)
     monkeypatch.setattr(verify, "run_suite", never)
     commands = [["resolve", write(tmp_path, "k.json", koszul3_doc())],
@@ -355,13 +366,13 @@ def test_gmpi_reports_a_skipped_certificate(tmp_path, capsys, monkeypatch):
 
 
 def test_gmpi_construction_error_is_not_an_input_error(tmp_path, monkeypatch):
-    # a real certificate failure: a column differential that does not square
-    # to zero
+    # a real certificate failure: a block resolution, a factor of the
+    # columns, that does not square to zero
     from gmpi import builder, cli
-    build = cli.build_double_complex
-    monkeypatch.setattr(cli, "build_double_complex", lambda inst: corrupt_column(build(inst)))
+    build = cli.build_factors
+    monkeypatch.setattr(cli, "build_factors", lambda inst: corrupt_block_scalar(build(inst), 2))
     with pytest.raises(builder.ConstructionError):
-        main(["gmpi", write(tmp_path, "e.json", expansion_doc())])
+        main(["gmpi", write(tmp_path, "m.json", mixed33_doc())])
 
 
 def test_verify_construction_error_is_not_an_input_error(monkeypatch):
@@ -372,25 +383,51 @@ def test_verify_construction_error_is_not_an_input_error(monkeypatch):
         main(["verify", "--seed", "5"])
 
 
+# plain `gmpi gmpi` builds no double complex, so each corruption of an
+# assembled map (corrupt_sigma, corrupt_sigma_square, corrupt_column) has a
+# counterpart that corrupts the factor it is made of
+TAU_CHAIN = "a comparison map in use is not a chain map (block, from, to, position)"
+BLOCK = ("a block resolution does not resolve its substitution ideal "
+         "(block, degree, multidegree)")
 CORRUPTIONS = {
-    "sigma": (corrupt_sigma, "square to zero"),
-    "sigma-square": (corrupt_sigma_square, "square to zero"),
-    "column": (corrupt_column, "square to zero"),
-    "block-scalar": (corrupt_block_scalar, "block resolution"),
-    "block-column": (corrupt_block_column, "block resolution"),
-    "star-scalars": (corrupt_star_scalars, "star complex"),
+    "sigma": (corrupt_tau, expansion_doc, TAU_CHAIN, (0, 2, 1, 1)),
+    "sigma-square": (corrupt_tau_augmentation, expansion_doc, TAU_CHAIN, (0, 2, 1, 1)),
+    "column": (lambda F: corrupt_block_scalar(F, 2), mixed33_doc, BLOCK, (0, 1, (1, 1, 1))),
+    "block-scalar": (corrupt_block_scalar, expansion_doc, BLOCK, (0, 1, (1, 1))),
+    "block-column": (corrupt_block_column, expansion_doc, BLOCK, (0, 1, (1, 1))),
+    "star-scalars": (corrupt_star_scalars, expansion_doc, "the star complex is not exact",
+                     (2, (2, 2))),
 }
 
 
 @pytest.mark.parametrize("case", list(CORRUPTIONS))
 def test_gmpi_raises_the_certificate_witness(tmp_path, monkeypatch, case):
     from gmpi import builder, cli
-    corrupt, message = CORRUPTIONS[case]
-    build = cli.build_double_complex
-    monkeypatch.setattr(cli, "build_double_complex", lambda inst: corrupt(build(inst)))
+    corrupt, doc, message, witness = CORRUPTIONS[case]
+    build = cli.build_factors
+    monkeypatch.setattr(cli, "build_factors", lambda inst: corrupt(build(inst)))
+    monkeypatch.setattr(cli, "build_double_complex", None)   # never assembled
     with pytest.raises(builder.ConstructionError) as err:
-        main(["gmpi", write(tmp_path, "e.json", expansion_doc())])
-    assert message in str(err.value) and str(err.value.witness) in str(err.value)
+        main(["gmpi", write(tmp_path, "e.json", doc())])
+    assert err.value.witness == witness and str(err.value) == f"{message} at {witness}"
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+@pytest.mark.parametrize("corrupt", [corrupt_sigma, corrupt_sigma_square, corrupt_column],
+                         ids=["sigma", "sigma-square", "column"])
+def test_check_and_verify_refuse_a_corrupted_assembled_map(tmp_path, monkeypatch, corrupt,
+                                                           command):
+    # --check and verify assemble the double complex, and total_complex
+    # checks the diff o diff of the map it makes
+    from gmpi import builder, cli, verify
+    mod = cli if command == "check" else verify
+    build = mod.build_double_complex
+    monkeypatch.setattr(mod, "build_double_complex", lambda *args: corrupt(build(*args)))
+    argv = (["gmpi", write(tmp_path, "e.json", expansion_doc()), "--check"]
+            if command == "check" else ["verify", "--seed", "5"])
+    with pytest.raises(builder.ConstructionError) as err:
+        main(argv)
+    assert "total differential does not square to zero" in str(err.value)
 
 
 def test_gmpi_check_fails_on_a_corrupted_star_ideal(tmp_path, capsys, monkeypatch):
@@ -530,6 +567,34 @@ def test_gmpi_check_exits_zero_wherever_the_oracles_agree(doc):
 
 
 # -- the front end
+
+def test_a_reader_that_closes_the_pipe_early_stops_the_run_quietly(tmp_path):
+    # `gmpi gmpi doc --json | head -c 10`: the 80 KB output of the 5-cycle
+    # outgrows the pipe, so the writer meets the closed end; it exits 1 with
+    # nothing on stderr, not with a BrokenPipeError traceback
+    from test_demos import src_env
+    names = "abcde"
+    doc = {
+        "blocks": [{"name": b, "size": 2} for b in names],
+        "inducing_ideal": [[1 if v in (i, (i + 1) % 5) else 0 for v in range(5)]
+                           for i in range(5)],
+        "substitutions": {f"{b}:1": {"family": "power-of-maximal", "degree": 1} for b in names},
+        "label": "cycle5",
+    }
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gmpi.cli", "gmpi", write(tmp_path, "c5.json", doc), "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
+    try:
+        assert proc.stdout.read(10) == b'{\n  "label'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(timeout=120), err) == (1, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
 
 def test_json_goes_through_one_emitter(tmp_path, capsys, monkeypatch):
     from gmpi import cli

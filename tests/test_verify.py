@@ -10,6 +10,7 @@ from gmpi.builder import (
     build_double_complex,
     build_star_complex,
     minimal_total_table,
+    resolution_table,
     total_complex,
 )
 from gmpi.cli import parse_instance_document
@@ -301,13 +302,15 @@ def test_instance_checks_read_the_total_table_once(monkeypatch, tmp_path):
     tot = total_complex(D)
     reads = []
 
-    def counted(t):
+    def counted(factors, t=None):
         reads.append(t)
-        return minimal_total_table(t)
+        return resolution_table(factors, t)
 
     for mod in (builder, verify, cli):
-        monkeypatch.setattr(mod, "minimal_total_table", counted)
-    results = run_instance_checks(D, tot, counted(tot))
+        monkeypatch.setattr(mod, "resolution_table", counted)
+    # a linear instance's table is read off its factors, never minimalized
+    monkeypatch.setattr(builder, "minimal_total_table", None)
+    results = run_instance_checks(D, tot, counted(D.factors, tot))
     assert len(results) == 14 and all(r.passed for r in results)
     assert reads == [tot]
     # gmpi gmpi --check prints the table and runs the checks on one read
