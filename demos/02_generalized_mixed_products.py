@@ -2,16 +2,17 @@
 
 Take I = (x^2 y, x y^2) and replace each power x^d (resp. y^d) by the d-th
 power of the maximal ideal in a fresh block of two variables.  The result L
-lives in four variables; its minimal multigraded resolution is assembled as
-the total complex of a grid of tensor-product resolutions, and its
-invariants match those of I.
+lives in four variables; its minimal multigraded resolution is assembled
+from certified factors as the total complex of a grid of tensor-product
+resolutions, and its invariants match those of I.
 """
 
 from gmpi import (
     SubstitutionFamily,
     VariableContext,
-    build_double_complex,
+    build_factors,
     build_star_complex,
+    certify_factors,
     ideal,
     linearity_report,
     minimal_total_table,
@@ -43,10 +44,13 @@ star = build_star_complex(inst)
 print("star positions:", [len(level) for level in star.ideals])
 print("star acyclic:", star_acyclicity(star) is None)
 
-# the double complex and its total complex
-D = build_double_complex(inst)
-tot = total_complex(D)
-print("column ranks:", [col.ranks for col in D.columns])
+# the factors (F, the block resolutions and the comparison maps), their
+# certificate, and the total complex assembled from them; the columns of the
+# double complex are blocks of it
+factors = build_factors(inst)
+certify_factors(factors)
+tot = total_complex(factors)
+print("column ranks:", tot.column_ranks)
 print("total complex ranks:", tot.complex.ranks, "minimal:", tot.complex.is_minimal)
 
 table = minimal_total_table(tot)
@@ -54,8 +58,8 @@ print("Betti table of T/L:")
 print(table.triangle())
 print("matches the Lyubeznik oracle:", table == oracle_betti(inst.induced))
 
-reg = regularity_report(D, table)
+reg = regularity_report(factors, table)
 print(f"reg L = {reg.value} = reg I = {reg.comparison}")
-pd = projdim_report(D, table)
+pd = projdim_report(factors, table)
 print(f"projdim(T/L) = {pd.comparison} (formula value {pd.value})")
-print("linearity (I, L):", linearity_report(D, table))
+print("linearity (I, L):", linearity_report(factors, table))

@@ -1,7 +1,7 @@
 """Run the verification harness on a pinned random instance and on the
 two-term mixed product with the closed regularity formula."""
 
-from gmpi.builder import build_double_complex, minimal_total_table, total_complex
+from gmpi.builder import build_factors, certify_factors, minimal_total_table, total_complex
 from gmpi.families import mixed_product_instance, random_instance
 from gmpi.verify import (
     mixed_product_formula_check,
@@ -13,9 +13,10 @@ from gmpi.verify import (
 # a seeded instance: every structural statement checked, plus the oracle
 inst = random_instance(30)
 print("instance", inst.label, "with L =", inst.induced)
-D = build_double_complex(inst)
-tot = total_complex(D)
-for line in summary_lines(run_instance_checks(D, tot, minimal_total_table(tot))):
+factors = build_factors(inst)
+certify_factors(factors)
+tot = total_complex(factors)
+for line in summary_lines(run_instance_checks(tot, minimal_total_table(tot))):
     print(line)
 
 print()

@@ -33,13 +33,11 @@ from .complexes import (
 )
 from .builder import (
     ConstructionError,
-    DoubleComplex,
     Factors,
     FamilyValidationError,
     GmpiInstance,
     StarComplex,
     SubstitutionFamily,
-    build_double_complex,
     build_factors,
     build_star_complex,
     certify_factors,

@@ -9,10 +9,9 @@ this module constructs:
   * the factors of its resolution: the minimal resolution F of S/I, one
     block resolution per ladder degree and the comparison maps (rho, and
     their ladder composites tau) between them,
-  * the grid of tensor-product resolutions of those ideals joined by the
-    sigma maps, and its total complex, which is the minimal multigraded
-    free resolution of T/L whenever every substitution ideal has a linear
-    resolution,
+  * the total complex of the double complex built on those factors, which
+    is the minimal multigraded free resolution of T/L whenever every
+    substitution ideal has a linear resolution,
 
 together with the regularity / projective-dimension / linearity invariants
 read off that resolution.
@@ -20,11 +19,13 @@ read off that resolution.
 The construction certifies the total complex on its factors
 (``certify_factors``) and, under the linearity hypothesis, reads the Betti
 table off them (``factored_table``): the total complex is then minimal, so
-its table is the multiset of the factors' shifts.  The double complex and
-its total complex are assembled (``build_double_complex``,
-``total_complex``) only where something reads them: the checks of verify,
-which scan the total complex, and instances outside the hypothesis, whose
-total complex is minimalized.
+its table is the multiset of the factors' shifts.  The total complex is
+assembled (``total_complex``) only where something reads it: the checks of
+verify, which scan it, and instances outside the hypothesis, whose total
+complex is minimalized.  It is placed straight into its anti-diagonal
+basis from the factors; column c of the double complex and the sigma maps
+between columns are blocks of it (``TotalComplex.sigma``), never separate
+objects.
 
 The complex of ideal direct sums carried by the scalar matrices of F (the
 "star complex", whose H_0 is T/L) is the first page of the double complex.
@@ -49,7 +50,6 @@ from .complexes import (
     block_offsets,
     ChainMap,
     ConstructionError,
-    direct_sum,
     exactness_check,
     free_module_resolution,
     FreeComplex,
@@ -61,6 +61,7 @@ from .complexes import (
     MonomialMatrix,
     quotient_resolution,
     regularity,
+    SIGNS,
     SizeCapError,
     tensor_chain_map,
     tensor_resolutions,
@@ -127,10 +128,6 @@ class GmpiInstance:
     @property
     def nblocks(self) -> int:
         return self.T.nblocks
-
-    def shift_block_degree(self, i: int, j: int, l: int) -> int:
-        # the ambient context has singleton blocks, so this is a coordinate
-        return self.resolution.shifts[i][j][l]
 
 
 def validate_family(
@@ -651,191 +648,156 @@ def _tensor_shift_counts(factors: list[FreeComplex]) -> list[Counter]:
 
 
 # ---------------------------------------------------------------------------
-# the double complex and its total complex
-
-@dataclass
-class DoubleComplex:
-    """Columns of tensor-product resolutions joined by the sigma chain maps."""
-
-    factors: Factors
-    columns: list[FreeComplex]                      # column 0 is the ring
-    summands: list[list[FreeComplex] | None]        # per column, per j
-    offsets: list[list[list[int]] | None]           # offsets[c][j][i] basis offset
-    sigmas: list[ChainMap | None]                   # sigmas[c] : col c -> col c-1
-
-    @property
-    def instance(self) -> GmpiInstance:
-        return self.factors.instance
-
-    @property
-    def blocks(self) -> dict[tuple[int, int], FreeComplex]:
-        return self.factors.blocks
-
-    @property
-    def hypothesis_linear(self) -> bool:
-        return self.factors.hypothesis_linear
-
-    def sigma_square_witness(self):
-        """(c, i) where sigma_{c-1} o sigma_c is nonzero in row i, or None
-        when the sigma maps square to zero."""
-        # beyond either length the composite lands in (or factors through) a
-        # zero module, so only the overlap needs checking
-        for c in range(2, len(self.columns)):
-            lo, hi = self.sigmas[c - 1], self.sigmas[c]
-            for i in range(min(len(lo.mats), len(hi.mats))):
-                if lo.mats[i].first_nonzero_column(hi.mats[i]) is not None:
-                    return c, i
-        return None
-
-    def sigma_unit_witness(self):
-        """(c, i, r, col) of a unit entry of sigma_c in row i, or None when
-        every sigma image lies in the graded maximal ideal."""
-        for c in range(1, len(self.columns)):
-            for i, m in enumerate(self.sigmas[c].mats):
-                unit = m.unit_entry()
-                if unit is not None:
-                    return (c, i) + unit
-        return None
-
-
-def build_double_complex(inst: GmpiInstance, factors: Factors | None = None) -> DoubleComplex:
-    """The columns and sigma maps of ``inst``, assembled from ``factors``:
-    the block resolutions and taus that ``certify_factors`` has certified,
-    which are not made again.  Without ``factors`` they are built and
-    certified here.  The construction reads the factored Betti table and
-    certificate; it assembles the double complex only where something scans
-    it (``gmpi gmpi --check``, ``gmpi verify``) and outside the linearity
-    hypothesis, where the total complex is minimalized."""
-    if factors is None:
-        factors = build_factors(inst)
-        certify_factors(factors)
-    blocks, taus = factors.blocks, factors.taus
-    n = inst.nblocks
-    p = inst.resolution.length
-
-    zero_shift = (0,) * inst.T.nvars
-    columns: list[FreeComplex] = [free_module_resolution(inst.T, [zero_shift])]
-    summands: list[list[FreeComplex] | None] = [None]
-    offsets: list[list[list[int]] | None] = [None]
-    tensor_cache: dict[tuple[int, ...], FreeComplex] = {}
-
-    for c in range(1, p + 1):
-        col_parts = []
-        for j in range(len(inst.resolution.shifts[c])):
-            degs = tuple(inst.shift_block_degree(c, j, l) for l in range(n))
-            if degs not in tensor_cache:
-                tensor_cache[degs] = tensor_resolutions(
-                    [blocks[(l, degs[l])] for l in range(n)], inst.T)
-            col_parts.append(tensor_cache[degs])
-        summed, offs = direct_sum(col_parts)
-        columns.append(summed)
-        summands.append(col_parts)
-        offsets.append(offs)
-
-    sigmas: list[ChainMap | None] = [None]
-    for c in range(1, p + 1):
-        src, tgt = columns[c], columns[c - 1]
-        mats = []
-        for i in range(src.length + 1):
-            tgt_shifts = tgt.shifts[i] if i <= tgt.length else []
-            mats.append(MonomialMatrix(inst.T, list(tgt_shifts), list(src.shifts[i]), {}))
-        lam = inst.resolution.diffs[c].cols
-        if c == 1:
-            # row zero maps the generators into the ring
-            for j, summand in enumerate(summands[1]):
-                scalar = lam.get(j, {}).get(0, 0)
-                off = offsets[1][j][0]
-                for u in range(len(summand.shifts[0])):
-                    mats[0].cols[off + u] = {0: scalar}
-        else:
-            for j, src_t in enumerate(summands[c]):
-                for k, scalar in sorted(lam.get(j, {}).items()):
-                    tgt_t = summands[c - 1][k]
-                    parts = [taus.get(
-                        l,
-                        inst.shift_block_degree(c, j, l),
-                        inst.shift_block_degree(c - 1, k, l)) for l in range(n)]
-                    block_map = tensor_chain_map(parts, src_t, tgt_t)
-                    for i, bm in enumerate(block_map.mats):
-                        if not bm.cols:
-                            continue
-                        ro, co = offsets[c - 1][k][i], offsets[c][j][i]
-                        for cc, col in bm.cols.items():
-                            mats[i].cols.setdefault(co + cc, {}).update(
-                                (ro + r, _integral(v * scalar)) for r, v in col.items())
-        # each entry is a lam-multiple of a product of entries of the taus;
-        # the commutation with the column differentials is a component of
-        # the total complex's diff o diff, which total_complex checks
-        sigmas.append(ChainMap(src, tgt, mats))
-
-    return DoubleComplex(factors=factors, columns=columns, summands=summands,
-                         offsets=offsets, sigmas=sigmas)
-
+# the total complex
 
 @dataclass
 class TotalComplex:
-    """Total complex of the double complex, with its basis bookkeeping.
+    """The total complex of the double complex of ``factors``, with its
+    column layout.
+
+    Column c of the double complex is the direct sum of ``summands[c]``:
+    column 0 is the ring, and column c >= 1 has one summand per shift a of
+    F at position c, the tensor product of the block resolutions at the
+    block degrees a_l (one object per degree tuple).  Position k of
+    ``complex`` lists the columns c <= k in order, row k - c of each, and a
+    column lists its summands in order; so element t of column c in row i
+    has index off[c + i][c] + t, where off is ``block_offsets`` of
+    ``column_ranks`` (per column, the rank of each of its rows).  The
+    horizontal map sigma_c of the paper is read back by ``sigma``.
 
     ``exactness_verified`` is that of the factors it was assembled from
     (``certify_factors``): False only where the degree grid of S (the star
     step) or of a block exceeds its scan cap, and ``gmpi gmpi`` then
     reports the table as uncertified."""
 
+    factors: Factors
     complex: FreeComplex
+    summands: list[list[FreeComplex]]
+    column_ranks: list[list[int]]
     exactness_verified: bool = False
 
+    def sigma(self, c: int, i: int) -> MonomialMatrix:
+        """sigma_c in row i, for c >= 1: the block of diffs[c + i] from
+        column c to column c - 1, with the sign (-1)^i of the total
+        differential undone.  Its columns are those of column c in row i,
+        in ascending order, and its rows those of column c - 1 in row i."""
+        off, k = block_offsets(self.column_ranks), c + i
+        lo, hi, top, end = off[k][c], off[k][c + 1], off[k - 1][c - 1], off[k - 1][c]
+        cx, sign = self.complex, SIGNS[i % 2]
+        stored, cols = cx.diffs[k].cols, {}
+        for t in range(lo, hi):
+            part = {r - top: sign * v for r, v in stored.get(t, {}).items() if top <= r < end}
+            if part:
+                cols[t - lo] = part
+        return MonomialMatrix(cx.ctx, cx.shifts[k - 1][top:end], cx.shifts[k][lo:hi], cols)
 
-def total_complex(D: DoubleComplex) -> TotalComplex:
-    """Columns summed along anti-diagonals, as ``block_offsets`` of the
-    columns' ranks lays them out (element t of column c in row r has index
-    off[c + r][c] + t); the horizontal map picks up the sign (-1)^row so
-    that squares anticommute and the total differential squares to zero.
-    Every entry is a copy, up to sign, of an entry of a column differential
-    or a sigma map, so no pass checks the entries' shapes again.
+    def sigma_square_witness(self):
+        """(c, i) where sigma_{c-1} o sigma_c is nonzero in row i, or None
+        when the sigma maps square to zero."""
+        # beyond either column's length the composite lands in (or factors
+        # through) a zero module, so only the overlap needs checking
+        ranks = self.column_ranks
+        for c in range(2, len(ranks)):
+            for i in range(min(len(ranks[c - 1]), len(ranks[c]))):
+                if self.sigma(c - 1, i).first_nonzero_column(self.sigma(c, i)) is not None:
+                    return c, i
+        return None
 
-    The factors are certified by ``certify_factors``, which is the
-    certificate that the result resolves T/L.  This function checks only
-    the map it makes: ConstructionError where the total differential does
-    not square to zero (its components are the columns' diff o diff, the
-    chain-map condition of each sigma and sigma o sigma), witnessed by the
-    multidegree of ``square_witness``.
+    def sigma_unit_witness(self):
+        """(c, i, r, col) of a unit entry of sigma_c in row i, or None when
+        every sigma image lies in the graded maximal ideal."""
+        ranks = self.column_ranks
+        for c in range(1, len(ranks)):
+            for i in range(len(ranks[c])):
+                unit = self.sigma(c, i).unit_entry()
+                if unit is not None:
+                    return (c, i) + unit
+        return None
+
+
+def total_complex(factors: Factors) -> TotalComplex:
+    """The total complex of the double complex of the certified ``factors``,
+    assembled straight into its anti-diagonal basis (``TotalComplex``).
+
+    Each tensor product of block resolutions is made once per degree tuple
+    and its differentials are copied once, as the vertical maps of its
+    summands.  Each nonzero lam_c[k][j], c >= 2, contributes the
+    ``tensor_chain_map`` of the taus from the block degrees of shift j at
+    position c to those of shift k at position c - 1, times lam_c[k][j],
+    from summand j of column c to summand k of column c - 1; lam_1 maps
+    the generators of summand j of column 1 onto the ring.  The horizontal
+    map picks up the sign (-1)^row, so that squares anticommute and the
+    total differential squares to zero.  A column lists its vertical rows,
+    then its horizontal rows by k; a stored zero (of a corrupted input) is
+    left out.
+
+    ``certify_factors`` is the certificate that the result resolves T/L.
+    This function checks only the map it makes: ConstructionError where the
+    total differential does not square to zero (its components are the
+    columns' diff o diff, the chain-map condition of each sigma and sigma o
+    sigma), witnessed by the multidegree of ``square_witness``.
     """
-    inst, cols = D.instance, D.columns
-    p = len(cols) - 1
-    off = block_offsets([col.ranks for col in cols])
-    shifts = [[s for c in range(min(k, p) + 1) if k - c <= cols[c].length
-               for s in cols[c].shifts[k - c]] for k in range(len(off))]
+    res, T = factors.instance.resolution, factors.instance.T
+    products: dict[tuple[int, ...], FreeComplex] = {}
+    summands = [[free_module_resolution(T, [(0,) * T.nvars])]]
+    for level in res.shifts[1:]:
+        for a in level:
+            if a not in products:
+                products[a] = tensor_resolutions(
+                    [factors.blocks[(l, d)] for l, d in enumerate(a)], T)
+        summands.append([products[a] for a in level])
+    ranks = [[sum(len(s.shifts[i]) for s in col if i <= s.length)
+              for i in range(max(s.length for s in col) + 1)] for col in summands]
+    off = block_offsets(ranks)
+    # starts[k][c][j]: the first index of summand j of column c in position k
+    starts = [[list(itertools.accumulate(
+        (len(s.shifts[k - c]) if k - c <= s.length else 0 for s in col), initial=off[k][c]))
+        for c, col in enumerate(summands[:k + 1])] for k in range(len(off))]
+    shifts = [[a for c, col in enumerate(summands[:k + 1]) for s in col if k - c <= s.length
+               for a in s.shifts[k - c]] for k in range(len(off))]
     # one int object per basis index, shared by every column that has it as a row
     ix = [list(range(len(level))) for level in shifts]
 
-    diffs: list[MonomialMatrix | None] = [None]
-    for k in range(1, len(shifts)):
-        rows, below = ix[k - 1], off[k - 1]
-        out: dict[int, dict[int, int | Fraction]] = {}
-        # a column's vertical terms land in block (c, r - 1) of position
-        # k - 1 and its horizontal ones in (c - 1, r): no two share a row.
-        # A stored zero (of a corrupted input) is left out.
-        for c in range(min(k, p) + 1):
-            r, start, end = k - c, off[k][c], off[k][c + 1]
-            if start == end:
-                continue
-            vertical = cols[c].diffs[r].cols if r >= 1 else {}
-            sig = D.sigmas[c].mats if c >= 1 else []
-            horizontal, odd = (sig[r].cols if r < len(sig) else {}), r % 2
-            for t in range(end - start):
-                col = {rows[below[c] + rr]: v for rr, v in vertical.get(t, {}).items() if v}
-                for rr, v in horizontal.get(t, {}).items():
-                    if v:
-                        col[rows[below[c - 1] + rr]] = -v if odd else v
-                if col:
-                    out[start + t] = col
-        diffs.append(MonomialMatrix(inst.T, shifts[k - 1], shifts[k], out))
+    out: list[dict[int, dict[int, int | Fraction]]] = [{} for _ in shifts]
+    for c in range(1, len(summands)):
+        lam = res.diffs[c].cols
+        for j, src in enumerate(summands[c]):
+            horizontal = [] if c == 1 else [
+                (k, scalar, tensor_chain_map(
+                    [factors.taus.get(l, a, b)
+                     for l, (a, b) in enumerate(zip(res.shifts[c][j], res.shifts[c - 1][k]))],
+                    src, summands[c - 1][k]).mats)
+                for k, scalar in sorted(lam.get(j, {}).items())]
+            for r in range(src.length + 1):
+                rows, odd = ix[c + r - 1], r % 2
+                part: dict[int, dict[int, int | Fraction]] = {}
+                if r:
+                    below = starts[c + r - 1][c][j]
+                    for u, col in src.diffs[r].cols.items():
+                        part[u] = {rows[below + rr]: v for rr, v in col.items() if v}
+                elif c == 1 and lam.get(j, {}).get(0, 0):
+                    # row zero maps the generators onto the ring
+                    part = {u: {rows[0]: lam[j][0]} for u in range(len(src.shifts[0]))}
+                for k, scalar, mats in horizontal:
+                    below = starts[c + r - 1][c - 1][k]
+                    for u, col in mats[r].cols.items():
+                        dst = part.setdefault(u, {})
+                        for rr, v in col.items():
+                            v = _integral(v * scalar)
+                            if v:
+                                dst[rows[below + rr]] = -v if odd else v
+                first = starts[c + r][c][j]
+                for u in sorted(part):
+                    if part[u]:
+                        out[c + r][first + u] = part[u]
 
-    cx = FreeComplex(inst.T, shifts, diffs)
+    diffs = [None] + [MonomialMatrix(T, shifts[k - 1], shifts[k], out[k])
+                      for k in range(1, len(shifts))]
+    cx = FreeComplex(T, shifts, diffs)
     square = cx.square_witness()
     if square is not None:
         raise ConstructionError("total differential does not square to zero", square[1])
-    return TotalComplex(cx, D.factors.exactness_verified)
+    return TotalComplex(factors, cx, summands, ranks, factors.exactness_verified)
 
 
 def block_witness(res: FreeComplex, I: MonomialIdeal):
@@ -893,40 +855,32 @@ def resolution_table(factors: Factors, tot: TotalComplex | None = None) -> Betti
     (certified) factors where it is not given."""
     if factors.hypothesis_linear:
         return factored_table(factors)
-    if tot is None:
-        tot = total_complex(build_double_complex(factors.instance, factors))
-    return minimal_total_table(tot)
+    return minimal_total_table(tot or total_complex(factors))
 
 
-def regularity_report(D: DoubleComplex, table: BettiTable) -> InvariantReport:
+def regularity_report(factors: Factors, table: BettiTable) -> InvariantReport:
     """reg L read off the minimal total table, compared with reg I."""
     return InvariantReport(
         value=regularity(table, of_ideal=True),
-        hypothesis_linear=D.hypothesis_linear,
-        comparison=regularity(betti_table(D.instance.resolution), of_ideal=True))
+        hypothesis_linear=factors.hypothesis_linear,
+        comparison=regularity(betti_table(factors.instance.resolution), of_ideal=True))
 
 
-def projdim_report(D: DoubleComplex, table: BettiTable) -> InvariantReport:
+def projdim_report(factors: Factors, table: BettiTable) -> InvariantReport:
     """Formula value max_{i,j} (sum_l pd of the block ideal at the shift's
     block degree + i) against the projective dimension read off the minimal
     total table."""
-    inst = D.instance
-    pd_blocks = {key: res.length for key, res in D.blocks.items()}
-    best = 0
-    for c in range(1, inst.resolution.length + 1):
-        for j in range(len(inst.resolution.shifts[c])):
-            val = c + sum(
-                pd_blocks[(l, inst.shift_block_degree(c, j, l))]
-                for l in range(inst.nblocks))
-            best = max(best, val)
-    return InvariantReport(value=best, hypothesis_linear=D.hypothesis_linear,
+    res = factors.instance.resolution
+    best = max(c + sum(factors.blocks[(l, d)].length for l, d in enumerate(a))
+               for c in range(1, res.length + 1) for a in res.shifts[c])
+    return InvariantReport(value=best, hypothesis_linear=factors.hypothesis_linear,
                            comparison=table.top_position)
 
 
-def linearity_report(D: DoubleComplex, table: BettiTable) -> tuple[bool, bool]:
+def linearity_report(factors: Factors, table: BettiTable) -> tuple[bool, bool]:
     """(inducing ideal linear, induced ideal linear), the latter read off the
     minimal total table; equal under the hypothesis."""
-    inst = D.instance
+    inst = factors.instance
     d_i = inst.inducing.generated_in_degree()
     lin_i = d_i is not None and is_linear_resolution(
         betti_table(inst.resolution), d_i, of_ideal=True)

@@ -22,7 +22,6 @@ from .builder import (
     FamilyValidationError,
     GmpiInstance,
     SubstitutionFamily,
-    build_double_complex,
     build_factors,
     certify_factors,
     resolution_table,
@@ -236,23 +235,24 @@ def cmd_resolve(args) -> int:
     res = quotient_resolution(I, cap=1 << args.max_taylor)
     table = betti_table(res)
     d = I.generated_in_degree()
-    payload = {
-        "generators": [I.ctx.monomial_str(g) for g in I.gens],
-        "betti": table.to_json(),
-        "regularity": regularity(table),
-        "projective_dimension_quotient": projective_dimension(table),
-        "linear": d is not None and is_linear_resolution(table, d),
-    }
+    reg, pd = regularity(table), projective_dimension(table)
+    linear = d is not None and is_linear_resolution(table, d)
     if args.json:
-        emit_json(payload, args.out)
+        emit_json({
+            "generators": [I.ctx.monomial_str(g) for g in I.gens],
+            "betti": table.to_json(),
+            "regularity": reg,
+            "projective_dimension_quotient": pd,
+            "linear": linear,
+        }, args.out)
     else:
         lines = [
             f"ideal: {I}",
             "betti table (rows j-k, cols k):",
             table.triangle(),
-            f"regularity(ideal) = {payload['regularity']}",
-            f"projdim(quotient) = {payload['projective_dimension_quotient']}",
-            f"linear resolution: {payload['linear']}",
+            f"regularity(ideal) = {reg}",
+            f"projdim(quotient) = {pd}",
+            f"linear resolution: {linear}",
         ]
         _emit("\n".join(lines), args.out)
     return 0
@@ -263,29 +263,25 @@ def cmd_gmpi(args) -> int:
     inst = parse_instance_document(doc)
     factors = build_factors(inst)
     certify_factors(factors)
-    D = tot = None
-    if args.check:
-        # the checks scan the assembled double and total complexes
-        D = build_double_complex(inst, factors)
-        tot = total_complex(D)
+    # the checks scan the assembled total complex
+    tot = total_complex(factors) if args.check else None
     table = resolution_table(factors, tot)
     reg_l = regularity(table)
     pd_l = projective_dimension(table)
-    payload = {
-        "label": inst.label,
-        "induced_generators": [inst.T.monomial_str(g) for g in inst.induced.gens],
-        "betti": table.to_json(),
-        "regularity": reg_l,
-        "projective_dimension_quotient": pd_l,
-        "hypothesis_linear": factors.hypothesis_linear,
-    }
-    if not factors.exactness_verified:
-        payload["certified"] = False
-    results = []
-    if args.check:
-        results = ver.run_instance_checks(D, tot, table, oracle_cap=args.max_taylor)
-        payload["checks"] = [r.to_json() for r in results]
+    results = ver.run_instance_checks(tot, table, oracle_cap=args.max_taylor) if args.check else []
     if args.json:
+        payload = {
+            "label": inst.label,
+            "induced_generators": [inst.T.monomial_str(g) for g in inst.induced.gens],
+            "betti": table.to_json(),
+            "regularity": reg_l,
+            "projective_dimension_quotient": pd_l,
+            "hypothesis_linear": factors.hypothesis_linear,
+        }
+        if not factors.exactness_verified:
+            payload["certified"] = False
+        if args.check:
+            payload["checks"] = [r.to_json() for r in results]
         emit_json(payload, args.out)
     else:
         lines = [

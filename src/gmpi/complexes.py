@@ -8,8 +8,8 @@ scalar}}, with no zero scalar and no empty column, and it is the only format
 of a scalar map.  Every reader walks a map column by column: composition
 applies the left map to each column of the right one, lifts solve for one
 column at a time, the strand scans rank the live columns as sparse vectors,
-and the tensor products and total complex copy each column to its block's
-offset in an anti-diagonal layout (``block_offsets``).  Composition is then
+and the tensor products and ``builder.total_complex`` copy each column to
+its block's offset in an anti-diagonal layout (``block_offsets``).  Composition is then
 plain scalar matrix multiplication, and a map is minimal exactly when no
 stored scalar sits between equal shifts.  Witnesses follow the stored column
 order: ``square_witness`` reads the first column whose composite is nonzero,
@@ -63,8 +63,10 @@ Lyubeznik complexes (``_subset_complex``), ``minimalize_complex`` and
 tensor products and their chain maps place signs and products of checked
 entries unchecked.  Their diff o diff and chain-map conditions follow from
 those of their factors, which ``builder.certify_factors`` checks, and where
-the total complex is assembled they are components of its diff o diff,
-which ``builder.total_complex`` checks.
+``builder.total_complex`` places them (each product once per degree tuple,
+each chain map once per nonzero scalar of the resolution of S/I, straight
+into the total complex) they are components of its diff o diff, which that
+function checks.
 
 A broken construction invariant raises ConstructionError with a witness;
 malformed hand-built maps (stored zeros or empty columns, inhomogeneous
@@ -1085,32 +1087,7 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
 
 
 # ---------------------------------------------------------------------------
-# direct sums and tensor products
-
-def direct_sum(parts: list[FreeComplex]):
-    """Direct sum complex plus per-part, per-position basis offsets."""
-    if not parts:
-        raise ConstructionError("direct sum of an empty list of complexes", parts)
-    ctx = parts[0].ctx
-    p = max(part.length for part in parts)
-    shifts: list[list[tuple[int, ...]]] = [[] for _ in range(p + 1)]
-    offsets = [[0] * (p + 1) for _ in parts]
-    for i in range(p + 1):
-        for t, part in enumerate(parts):
-            offsets[t][i] = len(shifts[i])
-            if i <= part.length:
-                shifts[i].extend(part.shifts[i])
-    diffs: list[MonomialMatrix | None] = [None]
-    for i in range(1, p + 1):
-        cols = {}
-        for t, part in enumerate(parts):
-            if i <= part.length:
-                ro, co = offsets[t][i - 1], offsets[t][i]
-                for c, col in part.diffs[i].cols.items():
-                    cols[c + co] = {r + ro: v for r, v in col.items()}
-        diffs.append(MonomialMatrix(ctx, shifts[i - 1], shifts[i], cols))
-    return FreeComplex(ctx, shifts, diffs), offsets
-
+# tensor products
 
 def block_offsets(sizes: list[list[int]]) -> list[list[int]]:
     """A grid of blocks laid out along its anti-diagonals: block (i, j) has
@@ -1175,8 +1152,9 @@ def tensor_resolutions(factors: list[FreeComplex], ctx: VariableContext) -> Free
     product.  Nothing is checked: every entry is an entry of a factor's
     differential, up to sign, and the product squares to zero because its
     factors do (the Koszul sign rule), which ``builder.certify_factors``
-    checks; its diff o diff is also a component of that of a total complex
-    built on it, which ``builder.total_complex`` checks.
+    checks.  ``builder.total_complex`` copies each product once, as a
+    summand of a column of the double complex, and its diff o diff is then
+    a component of the total differential's, which that function checks.
     """
     sizes = tuple(f.ctx.nvars for f in factors)
     if sizes != ctx.sizes:
@@ -1200,9 +1178,11 @@ def tensor_chain_map(taus: list[ChainMap], src: FreeComplex, tgt: FreeComplex) -
     order of r, then r'.  Only the last step's columns become matrices, one
     per position of ``src``.  Nothing is checked: every entry is a product of
     entries of the taus, and the product is a chain map because the taus
-    are, which ``builder.certify_factors`` checks; its chain-map condition
-    is also a component of the diff o diff of the total complex, which
-    ``builder.total_complex`` checks.
+    are, which ``builder.certify_factors`` checks.  ``builder.total_complex``
+    places each product once, times a scalar lam_c[k][j], as the block of
+    sigma_c between two summands, and its chain-map condition is then a
+    component of the total differential's diff o diff, which that function
+    checks.
     """
     cols = [m.cols for m in taus[0].mats]
     src_ranks, tgt_ranks = taus[0].source.ranks, taus[0].target.ranks

@@ -75,30 +75,15 @@ def veronese_type(n: int, t: int, caps: tuple[int, ...]) -> MonomialIdeal:
 
 
 def lex_segment_stable(m: int, d: int, count: int, ctx: VariableContext | None = None) -> MonomialIdeal:
-    """The first ``count`` degree-d monomials in lex order, closed up to a
-    stable set (initial lex segments are already stable; the closure is kept
-    as a safety net)."""
+    """The first ``count`` degree-d monomials in lex order.  An initial lex
+    segment is strongly stable: moving a factor x_j of a member to a
+    variable x_i with i < j gives a monomial that comes earlier in lex
+    order, so it is a member too."""
     ctx = ctx or _block_ctx(m)
     monos = monomials_of_degree(ctx, d)
     if not 1 <= count <= len(monos):
         raise ValueError(f"count must be in 1..{len(monos)}")
-    seg = set(monos[:count])
-    changed = True
-    while changed:
-        changed = False
-        for u in list(seg):
-            for j in range(m):
-                if u[j] == 0:
-                    continue
-                for i in range(j):
-                    v = list(u)
-                    v[j] -= 1
-                    v[i] += 1
-                    v = tuple(v)
-                    if v not in seg:
-                        seg.add(v)
-                        changed = True
-    return ideal(ctx, seg)
+    return ideal(ctx, monos[:count])
 
 
 def min_covering_count(m: int, segment: MonomialIdeal, lower_degree: int) -> int:

@@ -3,7 +3,7 @@
 The Betti table of the induced ideal L is recomputed from scratch here and
 compared against the construction: a Lyubeznik-resolution oracle, which
 minimalizes the Lyubeznik complex of L (it shares ideal arithmetic, rank and
-the resolution code with the builder, none of the double complex), and the
+the resolution code with the builder, none of the total complex), and the
 fully independent oracle of reduced simplicial homology of upper Koszul
 complexes over the lcm lattice (used beyond the Lyubeznik cap and as a
 cross-check).  Each structural statement and theorem gets one PASS/FAIL
@@ -21,12 +21,13 @@ from fractions import Fraction
 
 from . import linalg
 from .builder import (
-    DoubleComplex,
+    Factors,
     GmpiInstance,
     StarComplex,
     TotalComplex,
-    build_double_complex,
+    build_factors,
     build_star_complex,
+    certify_factors,
     linearity_report,
     product_formula_witness,
     projdim_report,
@@ -247,18 +248,19 @@ def check_product_intersection(star: StarComplex) -> CheckResult:
                           product_formula_witness(star))
 
 
-def check_sigma_minimality(D: DoubleComplex) -> CheckResult:
+def check_sigma_minimality(tot: TotalComplex) -> CheckResult:
     """No unit entry in a sigma map.  The paper promises minimal sigma maps
     only under the linearity hypothesis; outside it the line reports
     HYPOTHESIS-UNMET, with any witness kept in its details."""
-    witness = D.sigma_unit_witness()
+    witness = tot.sigma_unit_witness()
     details = {} if witness is None else {"witness": witness}
-    return _theorem_result("sigma-minimality", D.instance.label, D.hypothesis_linear,
-                           witness is None, True, details)
+    return _theorem_result("sigma-minimality", tot.factors.instance.label,
+                           tot.factors.hypothesis_linear, witness is None, True, details)
 
 
-def check_sigma_squared(D: DoubleComplex) -> CheckResult:
-    return _witness_check("sigma-squared-zero", D.instance.label, D.sigma_square_witness())
+def check_sigma_squared(tot: TotalComplex) -> CheckResult:
+    return _witness_check("sigma-squared-zero", tot.factors.instance.label,
+                          tot.sigma_square_witness())
 
 
 def check_star_acyclicity(star: StarComplex) -> CheckResult:
@@ -272,14 +274,15 @@ def check_star_acyclicity(star: StarComplex) -> CheckResult:
     return _witness_check(name, label, witness)
 
 
-def structure_checks(inst: GmpiInstance, star: StarComplex, D: DoubleComplex) -> list[CheckResult]:
+def structure_checks(inst: GmpiInstance, star: StarComplex,
+                     tot: TotalComplex) -> list[CheckResult]:
     return [
         check_scalar_exactness(inst),
         check_lcm_shifts(inst),
         check_degree_realization(inst),
         check_product_intersection(star),
-        check_sigma_minimality(D),
-        check_sigma_squared(D),
+        check_sigma_minimality(tot),
+        check_sigma_squared(tot),
         check_star_acyclicity(star),
     ]
 
@@ -296,9 +299,9 @@ def _theorem_result(name: str, label: str, hypothesis_linear: bool, holds: bool,
     return CheckResult(name, label, holds and oracle_ok, details)
 
 
-def check_theorem_regularity(inst: GmpiInstance, D: DoubleComplex, table: BettiTable,
+def check_theorem_regularity(inst: GmpiInstance, factors: Factors, table: BettiTable,
                              oracle: BettiTable | None = None) -> CheckResult:
-    rep = regularity_report(D, table)
+    rep = regularity_report(factors, table)
     details = {"reg_I": rep.comparison, "reg_L": rep.value}
     oracle_ok = True
     if oracle is not None:
@@ -308,9 +311,9 @@ def check_theorem_regularity(inst: GmpiInstance, D: DoubleComplex, table: BettiT
                            rep.agrees, oracle_ok, details)
 
 
-def check_pd_formula(inst: GmpiInstance, D: DoubleComplex, table: BettiTable,
+def check_pd_formula(inst: GmpiInstance, factors: Factors, table: BettiTable,
                      oracle: BettiTable | None = None) -> CheckResult:
-    rep = projdim_report(D, table)
+    rep = projdim_report(factors, table)
     details = {"formula": rep.value, "pd_tot": rep.comparison}
     oracle_ok = True
     if oracle is not None:
@@ -338,10 +341,12 @@ def check_betti_equivalence(inst: GmpiInstance, table: BettiTable,
     return CheckResult("betti-equivalence", inst.label, ok, details)
 
 
-def check_linearity_equivalence(inst: GmpiInstance, D: DoubleComplex, table: BettiTable) -> CheckResult:
-    lin_i, lin_l = linearity_report(D, table)
-    return _theorem_result("linear-resolution-equivalence", inst.label, D.hypothesis_linear,
-                           lin_i == lin_l, True, {"I_linear": lin_i, "L_linear": lin_l})
+def check_linearity_equivalence(inst: GmpiInstance, factors: Factors,
+                                table: BettiTable) -> CheckResult:
+    lin_i, lin_l = linearity_report(factors, table)
+    return _theorem_result("linear-resolution-equivalence", inst.label,
+                           factors.hypothesis_linear, lin_i == lin_l, True,
+                           {"I_linear": lin_i, "L_linear": lin_l})
 
 
 # degree-grid cells beyond which the total-exactness scan reports SKIPPED
@@ -407,24 +412,25 @@ def check_engine_self(inst: GmpiInstance, tot: TotalComplex, base: BettiTable | 
     return out
 
 
-def run_instance_checks(D: DoubleComplex, tot: TotalComplex, table: BettiTable,
+def run_instance_checks(tot: TotalComplex, table: BettiTable,
                         oracle_cap: int = 14) -> list[CheckResult]:
-    """Every check on one built instance: its double complex D, the total
-    complex of D and the Betti table of T/L (resolution_table(D.factors, tot)).
+    """Every check on one built instance: its total complex and the Betti
+    table of T/L (resolution_table(tot.factors, tot)).
     The oracle of L is computed once; a Lyubeznik table (within the Taylor cap
     ``oracle_cap``) is also the base of the permutation check.  The star
     complex, which the construction does not build, is built here for the
     star checks, which scan it on T's degree grid."""
-    inst = D.instance
+    factors = tot.factors
+    inst = factors.instance
     try:
         oracle, which = betti_for_ideal(inst.induced, cap=oracle_cap)
     except SizeCapError as e:
         oracle, which = None, str(e)
-    results = structure_checks(inst, build_star_complex(inst), D)
-    results.append(check_theorem_regularity(inst, D, table, oracle))
+    results = structure_checks(inst, build_star_complex(inst), tot)
+    results.append(check_theorem_regularity(inst, factors, table, oracle))
     results.append(check_betti_equivalence(inst, table, oracle, which))
-    results.append(check_pd_formula(inst, D, table, oracle))
-    results.append(check_linearity_equivalence(inst, D, table))
+    results.append(check_pd_formula(inst, factors, table, oracle))
+    results.append(check_linearity_equivalence(inst, factors, table))
     base = oracle if which == "lyubeznik" else None
     results.extend(check_engine_self(inst, tot, base, cap=oracle_cap))
     return results
@@ -438,13 +444,13 @@ def mixed_product_formula_check() -> CheckResult:
     (2,1)/(1,2): the closed-form value, the total complex, and the Koszul
     oracle must all give regularity 3."""
     from .families import mixed_product_instance
-    inst = mixed_product_instance((3, 3), (2, 1), (1, 2))
-    D = build_double_complex(inst)
-    tot = total_complex(D)
+    factors = build_factors(mixed_product_instance((3, 3), (2, 1), (1, 2)))
+    certify_factors(factors)
+    tot = total_complex(factors)
     formula = sum(max(d, e) for d, e in zip((2, 1), (1, 2))) - 1
-    table = resolution_table(D.factors, tot)
-    reg = regularity_report(D, table)
-    oracle = koszul_betti(inst.induced)
+    table = resolution_table(factors, tot)
+    reg = regularity_report(factors, table)
+    oracle = koszul_betti(factors.instance.induced)
     reg_oracle = regularity(oracle)
     ok = formula == reg.value == reg_oracle == reg.comparison == 3
     ok = ok and table == oracle
@@ -484,9 +490,10 @@ def suite_instances(seeds=None) -> list[GmpiInstance]:
 def run_suite(seeds=None) -> list[CheckResult]:
     results: list[CheckResult] = []
     for inst in suite_instances(seeds):
-        D = build_double_complex(inst)
-        tot = total_complex(D)
-        results.extend(run_instance_checks(D, tot, resolution_table(D.factors, tot)))
+        factors = build_factors(inst)
+        certify_factors(factors)
+        tot = total_complex(factors)
+        results.extend(run_instance_checks(tot, resolution_table(factors, tot)))
     results.append(mixed_product_formula_check())
     results.extend(path_identity_checks())
     return results

@@ -8,13 +8,32 @@ from hypothesis import strategies as st
 
 from gmpi.builder import (
     GmpiInstance,
-    build_double_complex,
+    build_factors,
     build_star_complex,
+    certify_factors,
     total_complex,
 )
+from gmpi.complexes import block_offsets
 from gmpi.families import random_instance
 from gmpi.monomials import ideal, simple_context
 from gmpi.verify import SUITE_SEEDS
+
+
+def certified_total(inst: GmpiInstance):
+    """The total complex of ``inst``, assembled from its certified factors,
+    as ``gmpi gmpi --check`` and ``gmpi verify`` assemble it."""
+    factors = build_factors(inst)
+    certify_factors(factors)
+    return total_complex(factors)
+
+
+def sigma_entry(tot, c: int, i: int) -> tuple[int, int]:
+    """(row, column) in diffs[c + i] of the total complex of the first
+    stored scalar of sigma_c in row i (``TotalComplex.sigma``), where a
+    test forges an entry of sigma."""
+    off = block_offsets(tot.column_ranks)
+    col, scalars = next(iter(tot.sigma(c, i).cols.items()))
+    return off[c + i - 1][c - 1] + next(iter(scalars)), off[c + i][c] + col
 
 
 class SuiteItem:
@@ -22,8 +41,7 @@ class SuiteItem:
         self.seed = seed
         self.instance = random_instance(seed)
         self.star = build_star_complex(self.instance)
-        self.double = build_double_complex(self.instance)
-        self.total = total_complex(self.double)
+        self.total = certified_total(self.instance)
 
 
 @pytest.fixture(scope="session")
@@ -141,64 +159,39 @@ def non_nested_instance() -> GmpiInstance:
         label="non-nested")
 
 
-# -- corruptions, each in place.  The first three corrupt maps of a built
-# double complex, which total_complex must refuse; the others corrupt its
-# factors (a Factors, or the factors of a DoubleComplex), which
-# certify_factors must refuse.  corrupt_star_ideal corrupts only what the
-# checks of verify build.
+# -- corruptions of the factors, each in place, which certify_factors must
+# refuse.  Applied to certified factors just before total_complex, the tau
+# and block corruptions must make total_complex refuse the map it
+# assembles.  corrupt_star_ideal corrupts only what the checks of verify
+# build.
 
-def corrupt_sigma(D):
-    """Double the first entry of the first nonzero sigma component above
-    position 0: sigma no longer commutes with the column differentials."""
-    scale_first_scalar(next(m for sig in D.sigmas[1:] for m in sig.mats[1:] if m.cols), 2)
-    return D
-
-
-def corrupt_sigma_square(D):
-    """Add one to the first entry of sigma_2 in position 0, the corruption
-    of the sigma-squared-zero check in test_acceptance: sigma_1 o sigma_2 is
-    no longer zero."""
-    col = next(iter(D.sigmas[2].mats[0].cols.values()))
-    col[next(iter(col))] += 1
-    return D
+def _first_block_copy(F, length=1):
+    key = next(k for k, res in F.blocks.items() if k[1] >= 1 and res.length >= length)
+    F.blocks[key] = F.blocks[key].copy()
+    return F.blocks[key]
 
 
-def corrupt_column(D):
-    """Double the first entry of the first column differential of position 2,
-    so that the column no longer squares to zero."""
-    scale_first_scalar(next(c for c in D.columns if c.length >= 2).diffs[2], 2)
-    return D
-
-
-def _first_block_copy(D, length=1):
-    key = next(k for k, res in D.blocks.items() if k[1] >= 1 and res.length >= length)
-    D.blocks[key] = D.blocks[key].copy()
-    return D.blocks[key]
-
-
-def corrupt_block_scalar(D, position=1):
+def corrupt_block_scalar(F, position=1):
     """Double the first entry of differential ``position`` of the first
     block resolution of positive degree that has one (a copy of it).  At
     position 1 the strands keep their ranks, but the augmentation no longer
     kills the image; at position 2 the block, and with it every column it
-    is a factor of, no longer squares to zero (the factor counterpart of
-    corrupt_column)."""
-    scale_first_scalar(_first_block_copy(D, position).diffs[position], 2)
-    return D
+    is a factor of, no longer squares to zero."""
+    scale_first_scalar(_first_block_copy(F, position).diffs[position], 2)
+    return F
 
 
-def corrupt_block_column(D):
+def corrupt_block_column(F):
     """Clear column 0 of the first differential of the first block resolution
     of positive degree (a copy of it), so that a strand loses rank."""
-    _first_block_copy(D).diffs[1].cols.pop(0, None)
-    return D
+    _first_block_copy(F).diffs[1].cols.pop(0, None)
+    return F
 
 
 def corrupt_tau(F):
     """Double the first entry above position 0 of the first tau in use
     (``Factors.taus_in_use``) that has one: the tau, and with it sigma, no
-    longer commutes with the differentials (the factor counterpart of
-    corrupt_sigma)."""
+    longer commutes with the differentials."""
     tau = next(t for t in F.taus_in_use().values() if any(m.cols for m in t.mats[1:]))
     scale_first_scalar(next(m for m in tau.mats[1:] if m.cols), 2)
     return F
@@ -207,8 +200,8 @@ def corrupt_tau(F):
 def corrupt_tau_augmentation(F):
     """Add one to the first position-0 entry of the first tau in use: its
     column no longer sums to 1, so sigma misses the scalar matrices and
-    sigma o sigma no longer vanishes (the factor counterpart of
-    corrupt_sigma_square and of the sigma-star step)."""
+    sigma o sigma no longer vanishes (the factor counterpart of the
+    sigma-star step)."""
     col = next(iter(next(iter(F.taus_in_use().values())).mats[0].cols.values()))
     col[next(iter(col))] += 1
     return F
@@ -224,10 +217,10 @@ def corrupt_star_ideal(star):
     return star
 
 
-def corrupt_star_scalars(D):
+def corrupt_star_scalars(F):
     """Double the first scalar of lam_2 in a copy of the resolution of S/I
-    that the star complex reads (of a Factors, or of a DoubleComplex's
-    factors), so that its maps no longer square to zero."""
-    D.instance.resolution = D.instance.resolution.copy()
-    scale_first_scalar(D.instance.resolution.diffs[2], 2)
-    return D
+    that the star complex reads (of a Factors), so that its maps no longer
+    square to zero."""
+    F.instance.resolution = F.instance.resolution.copy()
+    scale_first_scalar(F.instance.resolution.diffs[2], 2)
+    return F

@@ -6,12 +6,7 @@ The pinned suite (20 seeded instances) is built once per session.
 
 import time
 
-from gmpi.builder import (
-    build_double_complex,
-    build_star_complex,
-    minimal_total_table,
-    total_complex,
-)
+from gmpi.builder import build_star_complex, minimal_total_table
 from gmpi.complexes import (
     betti_table,
     euler_characteristics,
@@ -37,7 +32,13 @@ from gmpi.verify import (
     structure_checks,
 )
 
-from conftest import corrupt_lambda, non_nested_instance, with_resolution_copy
+from conftest import (
+    certified_total,
+    corrupt_lambda,
+    non_nested_instance,
+    sigma_entry,
+    with_resolution_copy,
+)
 
 ORACLE_CAP = 14
 
@@ -55,9 +56,8 @@ def test_criterion_1_regularity_preservation():
     agreements = 0
     for seed in SUITE_SEEDS:
         inst = random_instance(seed)
-        D = build_double_complex(inst)
-        tot = total_complex(D)
-        assert D.hypothesis_linear, f"seed {seed} drew a non-linear substitution"
+        tot = certified_total(inst)
+        assert tot.factors.hypothesis_linear, f"seed {seed} drew a non-linear substitution"
         reg_l = regularity(minimal_total_table(tot))
         reg_i = regularity(betti_table(inst.resolution))
         agreements += reg_l == reg_i
@@ -94,13 +94,12 @@ def test_criterion_4_projective_dimension_formula(suite):
     agreements = 0
     for item in suite:
         inst = item.instance
-        pd_blocks = {key: res.length for key, res in item.double.blocks.items()}
+        pd_blocks = {key: res.length for key, res in item.total.factors.blocks.items()}
         formula = 0
         for c in range(1, inst.resolution.length + 1):
-            for j in range(len(inst.resolution.shifts[c])):
+            for shift in inst.resolution.shifts[c]:
                 formula = max(formula, c + sum(
-                    pd_blocks[(l, inst.shift_block_degree(c, j, l))]
-                    for l in range(inst.nblocks)))
+                    pd_blocks[(l, shift[l])] for l in range(inst.nblocks)))
         agreements += formula == minimal_total_table(item.total).top_position
     announce(4, "projective-dimension formula", agreements == len(suite),
              f"{agreements}/{len(suite)}")
@@ -125,7 +124,7 @@ def test_criterion_5_linear_resolution_equivalence(suite):
 
 def test_criterion_6_structure_lemma_suite(suite):
     for item in suite:
-        for res in structure_checks(item.instance, item.star, item.double):
+        for res in structure_checks(item.instance, item.star, item.total):
             assert res.passed, f"seed {item.seed}: {res.line()}"
 
     # each check must fail on its engineered corruption fixture
@@ -146,16 +145,15 @@ def test_criterion_6_structure_lemma_suite(suite):
     star.ideals[1][0] = ideal(probe.T, [(0,) * probe.T.nvars])
     assert not check_product_intersection(star).passed
 
-    D = build_double_complex(probe)
-    sig = D.sigmas[1].mats[0]
-    c, col = next(iter(sig.cols.items()))
-    sig.col_shifts[c] = sig.row_shifts[next(iter(col))]
-    assert not check_sigma_minimality(D).passed
+    tot = certified_total(probe)
+    r, c = sigma_entry(tot, 1, 0)
+    tot.complex.shifts[1][c] = tot.complex.shifts[0][r]
+    assert not check_sigma_minimality(tot).passed
 
-    D2 = build_double_complex(probe)
-    col = next(iter(D2.sigmas[2].mats[0].cols.values()))
-    col[next(iter(col))] += 1
-    assert not check_sigma_squared(D2).passed
+    tot = certified_total(probe)
+    r, c = sigma_entry(tot, 2, 0)
+    tot.complex.diffs[2].cols[c][r] += 1
+    assert not check_sigma_squared(tot).passed
 
     assert not check_star_acyclicity(build_star_complex(non_nested_instance())).passed
 
@@ -174,8 +172,8 @@ def test_criterion_8_engine_self_checks(suite):
     for item in suite:
         # diff o diff = 0 symbolically for every constructed complex
         assert item.instance.resolution.square_witness() is None
-        for col in item.double.columns:
-            assert col.square_witness() is None
+        for part in {id(s): s for col in item.total.summands for s in col}.values():
+            assert part.square_witness() is None
         assert item.total.complex.square_witness() is None
 
         # Betti tables invariant under 5 generator permutations

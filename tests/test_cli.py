@@ -23,9 +23,6 @@ from gmpi.families import mixed_product_instance
 from conftest import (
     corrupt_block_column,
     corrupt_block_scalar,
-    corrupt_column,
-    corrupt_sigma,
-    corrupt_sigma_square,
     corrupt_star_ideal,
     corrupt_star_scalars,
     corrupt_tau,
@@ -82,6 +79,23 @@ def test_resolve_json_payload(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["betti"]["entries"] == [[0, 0, 1], [1, 1, 3], [2, 2, 3], [3, 3, 1]]
     assert payload["linear"] is True
+
+
+def test_text_output_builds_no_json_payload(tmp_path, capsys, monkeypatch):
+    # the Betti table is encoded only where --json prints it
+    from gmpi.complexes import BettiTable
+    calls = []
+    to_json = BettiTable.to_json
+    monkeypatch.setattr(BettiTable, "to_json", lambda self: calls.append(self) or to_json(self))
+    gmpi_doc, ideal_doc = write(tmp_path, "e.json", expansion_doc()), write(
+        tmp_path, "k.json", koszul3_doc())
+    for argv in (["gmpi", gmpi_doc], ["gmpi", gmpi_doc, "--check"], ["resolve", ideal_doc]):
+        assert main(argv) == 0
+    assert calls == []
+    for argv in (["gmpi", gmpi_doc, "--json"], ["resolve", ideal_doc, "--json"]):
+        assert main(argv) == 0
+    assert len(calls) == 2
+    capsys.readouterr()
 
 
 def test_gmpi_with_check_passes(tmp_path, capsys):
@@ -321,7 +335,7 @@ def test_an_unwritable_out_path_is_refused_before_any_work(tmp_path, capsys, mon
 
     monkeypatch.setattr(cli, "quotient_resolution", never)
     monkeypatch.setattr(cli, "build_factors", never)
-    monkeypatch.setattr(cli, "build_double_complex", never)
+    monkeypatch.setattr(cli, "total_complex", never)
     monkeypatch.setattr(verify, "run_suite", never)
     commands = [["resolve", write(tmp_path, "k.json", koszul3_doc())],
                 ["gmpi", write(tmp_path, "e.json", expansion_doc())], ["verify"]]
@@ -376,16 +390,17 @@ def test_gmpi_construction_error_is_not_an_input_error(tmp_path, monkeypatch):
 
 
 def test_verify_construction_error_is_not_an_input_error(monkeypatch):
+    # certified factors corrupted on their way into total_complex
     from gmpi import builder, verify
-    build = verify.build_double_complex
-    monkeypatch.setattr(verify, "build_double_complex", lambda inst: corrupt_sigma(build(inst)))
+    assemble = verify.total_complex
+    monkeypatch.setattr(verify, "total_complex", lambda F: assemble(corrupt_tau(F)))
     with pytest.raises(builder.ConstructionError):
-        main(["verify", "--seed", "5"])
+        main(["verify", "--seed", "49"])
 
 
-# plain `gmpi gmpi` builds no double complex, so each corruption of an
-# assembled map (corrupt_sigma, corrupt_sigma_square, corrupt_column) has a
-# counterpart that corrupts the factor it is made of
+# plain `gmpi gmpi` assembles no total complex, so sigma and the columns are
+# corrupted through the factors they are made of: the taus (sigma,
+# sigma-square) and the block resolutions (column)
 TAU_CHAIN = "a comparison map in use is not a chain map (block, from, to, position)"
 BLOCK = ("a block resolution does not resolve its substitution ideal "
          "(block, degree, multidegree)")
@@ -406,25 +421,30 @@ def test_gmpi_raises_the_certificate_witness(tmp_path, monkeypatch, case):
     corrupt, doc, message, witness = CORRUPTIONS[case]
     build = cli.build_factors
     monkeypatch.setattr(cli, "build_factors", lambda inst: corrupt(build(inst)))
-    monkeypatch.setattr(cli, "build_double_complex", None)   # never assembled
+    monkeypatch.setattr(cli, "total_complex", None)   # never assembled
     with pytest.raises(builder.ConstructionError) as err:
         main(["gmpi", write(tmp_path, "e.json", doc())])
     assert err.value.witness == witness and str(err.value) == f"{message} at {witness}"
 
 
 @pytest.mark.parametrize("command", ["check", "verify"])
-@pytest.mark.parametrize("corrupt", [corrupt_sigma, corrupt_sigma_square, corrupt_column],
-                         ids=["sigma", "sigma-square", "column"])
-def test_check_and_verify_refuse_a_corrupted_assembled_map(tmp_path, monkeypatch, corrupt,
+@pytest.mark.parametrize("corrupt, doc", [
+    (corrupt_tau, expansion_doc),
+    (corrupt_tau_augmentation, expansion_doc),
+    (lambda F: corrupt_block_scalar(F, 2), mixed33_doc),
+], ids=["sigma", "sigma-square", "column"])
+def test_check_and_verify_refuse_a_corrupted_assembled_map(tmp_path, monkeypatch, corrupt, doc,
                                                            command):
-    # --check and verify assemble the double complex, and total_complex
-    # checks the diff o diff of the map it makes
+    # --check and verify assemble the total complex from the certified
+    # factors, corrupted here on their way in, and total_complex checks the
+    # diff o diff of the map it makes (suite seed 49 has a tau in use with
+    # entries above position 0 and a block resolution of length 2)
     from gmpi import builder, cli, verify
     mod = cli if command == "check" else verify
-    build = mod.build_double_complex
-    monkeypatch.setattr(mod, "build_double_complex", lambda *args: corrupt(build(*args)))
-    argv = (["gmpi", write(tmp_path, "e.json", expansion_doc()), "--check"]
-            if command == "check" else ["verify", "--seed", "5"])
+    assemble = mod.total_complex
+    monkeypatch.setattr(mod, "total_complex", lambda F: assemble(corrupt(F)))
+    argv = (["gmpi", write(tmp_path, "e.json", doc()), "--check"]
+            if command == "check" else ["verify", "--seed", "49"])
     with pytest.raises(builder.ConstructionError) as err:
         main(argv)
     assert "total differential does not square to zero" in str(err.value)

@@ -26,7 +26,6 @@ from gmpi.complexes import (
     betti_table,
     block_offsets,
     degree_grid,
-    direct_sum,
     euler_characteristics,
     exactness_check,
     ideal_resolution,
@@ -231,18 +230,20 @@ def test_resolutions_keep_the_storage_invariant(I):
 
 def test_tensor_and_total_complexes_keep_the_storage_invariant(suite):
     # the construction checks no copy of a checked map, so the full checks
-    # of every assembled complex and sigma map are the reference here
+    # of every assembled complex and sigma block are the reference here
     for item in suite:
-        D = item.double
-        tensors = list({id(t): t for col in D.summands[1:] for t in col}.values())
-        for cx in tensors + D.columns + [item.total.complex]:
+        tot = item.total
+        tensors = list({id(t): t for col in tot.summands[1:] for t in col}.values())
+        for cx in tensors + [tot.complex]:
             cx.validate()
             for d in cx.diffs[1:]:
                 assert_stored_by_column(d)
-        for sig in D.sigmas[1:]:
-            sig.validate()
-            assert all(normal_scalar(v) for m in sig.mats
-                       for col in m.cols.values() for v in col.values())
+        ranks = tot.column_ranks
+        for c in range(1, len(ranks)):
+            for i in range(len(ranks[c])):
+                m = tot.sigma(c, i)
+                m.validate()
+                assert all(normal_scalar(v) for col in m.cols.values() for v in col.values())
 
 
 @settings(max_examples=150, deadline=None)
@@ -1077,9 +1078,6 @@ def test_construction_errors_carry_witnesses():
     with pytest.raises(ConstructionError) as err:
         identity_chain_map(C).compose(identity_chain_map(other))
     assert err.value.witness == 1
-    with pytest.raises(ConstructionError) as err:
-        direct_sum([])
-    assert err.value.witness == []
     assert isinstance(err.value, RuntimeError) and not isinstance(err.value, ValueError)
 
 

@@ -1,8 +1,9 @@
 """The factored construction: `gmpi gmpi` reads the Betti table and the
-certificate off the factors, and assembles the double and total complexes
-only where something scans them.  Each factored result is compared with the
+certificate off the factors, and assembles the total complex only where
+something scans it.  Each factored result is compared with the
 assembled one it replaces."""
 
+import itertools
 import json
 import pathlib
 from bisect import bisect_right
@@ -15,17 +16,17 @@ from gmpi.builder import (
     ConstructionError,
     block_product,
     block_witness,
-    build_double_complex,
     build_factors,
     certify_factors,
     factored_table,
     total_complex,
 )
-from gmpi.complexes import betti_table, exactness_check
+from gmpi.complexes import betti_table, block_offsets, exactness_check, tensor_chain_map
 from gmpi.families import random_instance
 from gmpi.verify import SUITE_SEEDS, oracle_betti
 
 from conftest import (
+    certified_total,
     corrupt_block_column,
     corrupt_block_scalar,
     corrupt_star_scalars,
@@ -42,53 +43,65 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 # before the factored certificate replaced it: the reference the factored
 # certificate is compared with
 
-def column_star_witness(D):
+def summand_starts(tot, c, i):
+    """The first index of each summand of column c within row i of the
+    column, and the rank of that row."""
+    return list(itertools.accumulate(
+        (len(s.shifts[i]) if i <= s.length else 0 for s in tot.summands[c]), initial=0))
+
+
+def column_star_witness(tot):
     """(c, j) where summand j of column c is not generated in position 0 by
     the block product at its shift (L_j in column 1), or None."""
-    inst = D.instance
-    for c in range(1, len(D.columns)):
-        for j, summand in enumerate(D.summands[c]):
+    inst = tot.factors.instance
+    off = block_offsets(tot.column_ranks)
+    for c in range(1, len(tot.summands)):
+        starts = summand_starts(tot, c, 0)
+        for j in range(len(tot.summands[c])):
             want = (inst.products[j] if c == 1
                     else block_product(inst.family, inst.resolution.shifts[c][j]))
-            if set(summand.shifts[0]) != set(want.gens):
+            got = tot.complex.shifts[c][off[c][c] + starts[j]:off[c][c] + starts[j + 1]]
+            if set(got) != set(want.gens):
                 return c, j
     return None
 
 
-def sigma_star_witness(D):
+def sigma_star_witness(tot):
     """(c, j, u, k) where the row-zero sums of sigma_c over generator u of
     summand j miss the scalar lam_c[k][j], or None."""
-    res = D.instance.resolution
-    for c in range(1, len(D.columns)):
+    res = tot.factors.instance.resolution
+    for c in range(1, len(tot.summands)):
         lam = res.diffs[c].cols
         sums = {}
-        starts = [offs[0] for offs in D.offsets[c - 1]] if c >= 2 else [0]
-        for col, column in D.sigmas[c].mats[0].cols.items():
+        starts = summand_starts(tot, c - 1, 0)
+        for col, column in tot.sigma(c, 0).cols.items():
             for r, v in column.items():
                 key = (col, bisect_right(starts, r) - 1)
                 sums[key] = sums.get(key, 0) + v
-        for j, summand in enumerate(D.summands[c]):
-            for u in range(len(summand.shifts[0])):
-                col = D.offsets[c][j][0] + u
+        first = summand_starts(tot, c, 0)
+        for j in range(len(tot.summands[c])):
+            for u in range(first[j + 1] - first[j]):
+                col = first[j] + u
                 for k in range(len(res.shifts[c - 1])):
                     if sums.get((col, k), 0) != lam.get(j, {}).get(k, 0):
                         return c, j, u, k
     return None
 
 
-def assembled_certificate(D) -> None:
-    """The certificate on the assembled total complex: no unit entry under
-    the hypothesis, diff o diff, the column-star step, the star complex,
-    the sigma-star step and the block resolutions; ConstructionError at the
-    first failure."""
-    inst = D.instance
-    cx = total_complex(D).complex
+def assembled_certificate(factors) -> None:
+    """The certificate on the total complex assembled from ``factors``: no
+    unit entry under the hypothesis, diff o diff, the column-star step, the
+    star complex, the sigma-star step and the block resolutions;
+    ConstructionError at the first failure."""
+    inst = factors.instance
+    tot = total_complex(factors)
     witnesses = [
-        cx.unit_witness() if D.hypothesis_linear else None,
-        column_star_witness(D),
+        tot.complex.unit_witness() if factors.hypothesis_linear else None,
+        column_star_witness(tot),
         exactness_check(inst.resolution, inst.inducing),
-        sigma_star_witness(D),
-    ] + [block_witness(res, inst.family.at(l, d)) for (l, d), res in D.blocks.items() if d]
+        sigma_star_witness(tot),
+    ] + [block_witness(res, inst.family.at(l, d))
+         for (l, d), res in factors.blocks.items() if d]
     bad = next((w for w in witnesses if w is not None), None)
     if bad is not None:
         raise ConstructionError("the assembled certificate fails", bad)
@@ -117,9 +130,8 @@ def corrupted_factors(inst, name):
 def check_equivalence(inst) -> None:
     factors = build_factors(inst)
     certify_factors(factors)
-    D = build_double_complex(inst, factors)
-    assembled_certificate(D)
-    tot = total_complex(D)
+    assembled_certificate(factors)
+    tot = total_complex(factors)
     if factors.hypothesis_linear:
         assert factored_table(factors) == betti_table(tot.complex)
     for name in FACTOR_CORRUPTIONS:
@@ -129,7 +141,7 @@ def check_equivalence(inst) -> None:
         with pytest.raises(ConstructionError):
             certify_factors(bad)
         with pytest.raises(ConstructionError):
-            assembled_certificate(build_double_complex(bad.instance, bad))
+            assembled_certificate(bad)
 
 
 def test_factored_and_assembled_agree_on_the_demo():
@@ -148,14 +160,74 @@ def test_factored_and_assembled_certificates_agree_outside_the_hypothesis(doc):
     check_equivalence(cli.parse_instance_document(doc))
 
 
+# -- sigma, read back off the total complex
+
+def expected_sigma(tot, c, i):
+    """{(row, column): scalar} of sigma_c in row i as the paper builds it:
+    lam_1 maps the generators of summand j onto the ring, and for c >= 2
+    the block from summand j to summand k is lam_c[k][j] times the tensor
+    product of the taus between their block degrees, at the summand
+    offsets."""
+    F = tot.factors
+    res = F.instance.resolution
+    src, tgt = summand_starts(tot, c, i), summand_starts(tot, c - 1, i)
+    out = {}
+    for j, col in res.diffs[c].cols.items():
+        for k, scalar in col.items():
+            if c == 1:
+                out.update({(0, src[j] + u): scalar for u in range(src[j + 1] - src[j])
+                            if i == 0})
+                continue
+            if i > tot.summands[c][j].length:
+                continue
+            taus = [F.taus.get(l, a, b)
+                    for l, (a, b) in enumerate(zip(res.shifts[c][j], res.shifts[c - 1][k]))]
+            m = tensor_chain_map(taus, tot.summands[c][j], tot.summands[c - 1][k]).mats[i]
+            out.update({(tgt[k] + r, src[j] + t): v * scalar
+                        for t, scalars in m.cols.items() for r, v in scalars.items()})
+    return out
+
+
+def check_sigma_blocks(inst) -> None:
+    tot = certified_total(inst)
+    lam = [None] + [d.cols for d in inst.resolution.diffs[1:]]
+    ranks = tot.column_ranks
+    for c in range(1, len(ranks)):
+        for i in range(len(ranks[c])):
+            got = {(r, t): v for t, scalars in tot.sigma(c, i).cols.items()
+                   for r, v in scalars.items()}
+            # zero outside the pattern of lam_c
+            src, tgt = summand_starts(tot, c, i), summand_starts(tot, c - 1, i)
+            for r, t in got:
+                j, k = bisect_right(src, t) - 1, bisect_right(tgt, r) - 1
+                assert lam[c].get(j, {}).get(k, 0), (c, i, r, t)
+            assert got == expected_sigma(tot, c, i), (c, i)
+
+
+def test_sigma_blocks_on_the_suite():
+    for seed in SUITE_SEEDS:
+        check_sigma_blocks(random_instance(seed))
+
+
+def test_sigma_blocks_beyond_the_pinned_seeds():
+    for seed in range(120, 160):
+        check_sigma_blocks(random_instance(seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonlinear_nested_documents())
+def test_sigma_blocks_outside_the_hypothesis(doc):
+    check_sigma_blocks(cli.parse_instance_document(doc))
+
+
 # -- which path builds what
 
 @pytest.fixture
 def assembled(monkeypatch):
-    """Counts of build_double_complex and minimalize_complex calls, which
-    the construction makes through these module names."""
-    counts = {"build_double_complex": 0, "minimalize_complex": 0}
-    for mod, name in ((cli, "build_double_complex"), (builder, "build_double_complex"),
+    """Counts of total_complex and minimalize_complex calls, which the
+    construction makes through these module names."""
+    counts = {"total_complex": 0, "minimalize_complex": 0}
+    for mod, name in ((cli, "total_complex"), (builder, "total_complex"),
                       (builder, "minimalize_complex")):
         original = getattr(mod, name)
 
@@ -171,10 +243,10 @@ def test_a_linear_run_assembles_only_under_check(tmp_path, capsys, assembled):
     path = write(tmp_path, "e.json", expansion_doc())
     assert cli.main(["gmpi", path, "--json"]) == 0
     plain = json.loads(capsys.readouterr().out)
-    assert assembled == {"build_double_complex": 0, "minimalize_complex": 0}
+    assert assembled == {"total_complex": 0, "minimalize_complex": 0}
     assert cli.main(["gmpi", path, "--check", "--json"]) == 0
     checked = json.loads(capsys.readouterr().out)
-    assert assembled == {"build_double_complex": 1, "minimalize_complex": 0}
+    assert assembled == {"total_complex": 1, "minimalize_complex": 0}
     assert checked["betti"] == plain["betti"]
 
 
@@ -185,7 +257,7 @@ def test_a_nonlinear_run_is_minimalized(tmp_path, capsys, assembled):
     assert cli.main(["gmpi", write(tmp_path, "n.json", doc), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["hypothesis_linear"] is False
-    assert assembled == {"build_double_complex": 1, "minimalize_complex": 1}
+    assert assembled == {"total_complex": 1, "minimalize_complex": 1}
     inst = cli.parse_instance_document(doc)
     assert out["betti"] == oracle_betti(inst.induced).to_json()
 
@@ -197,4 +269,4 @@ def test_gmpi_prints_the_golden_table(tmp_path, capsys, assembled, path):
     out = json.loads(capsys.readouterr().out)
     assert out["betti"] == golden["betti"]
     assert len(out["induced_generators"]) == len(golden["induced_generators"])
-    assert "certified" not in out and assembled["build_double_complex"] == 0
+    assert "certified" not in out and assembled["total_complex"] == 0

@@ -122,6 +122,30 @@ def test_lex_segment_examples():
     assert ideal_is_linear(lex_segment_stable(3, 2, 4))
 
 
+def test_lex_segments_are_strongly_stable():
+    # the closure that lex_segment_stable once ran never added a monomial:
+    # every initial segment is closed under moving a factor x_j to x_i, i < j
+    from gmpi.families import _block_ctx
+    from gmpi.monomials import ideal, monomials_of_degree
+    cases = 0
+    for m in range(1, 6):
+        ctx = _block_ctx(m)
+        for d in range(5):
+            monos = monomials_of_degree(ctx, d)
+            for count in range(1, len(monos) + 1):
+                seg = lex_segment_stable(m, d, count)
+                assert seg == ideal(ctx, monos[:count])
+                members = set(seg.gens)
+                for u in members:
+                    for i, j in itertools.combinations(range(m), 2):
+                        if u[j]:
+                            v = list(u)
+                            v[i], v[j] = v[i] + 1, v[j] - 1
+                            assert tuple(v) in members, (m, d, count, u)
+                cases += 1
+    assert cases == 251
+
+
 def test_lex_segment_covering_counts():
     seg = lex_segment_stable(3, 3, 5)
     need = min_covering_count(3, seg, 2)

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gmpi.builder import (
-    build_double_complex,
     build_star_complex,
     minimal_total_table,
     resolution_table,
-    total_complex,
 )
 from gmpi.cli import parse_instance_document
 from gmpi.complexes import SizeCapError, degree_grid, exactness_check, grid_size
@@ -43,9 +41,11 @@ from gmpi.verify import (
 )
 
 from conftest import (
+    certified_total,
     corrupt_lambda,
     non_nested_instance,
     scale_first_scalar,
+    sigma_entry,
     small_ideals,
     with_resolution_copy,
 )
@@ -74,7 +74,7 @@ def test_total_complex_matches_the_oracle_beyond_the_pinned_seeds(seed):
     # 100 random seeds per run, each within 20 s (most take under 10 ms); a
     # mismatch is a construction bug
     inst = random_instance(seed)
-    table = minimal_total_table(total_complex(build_double_complex(inst)))
+    table = minimal_total_table(certified_total(inst))
     assert table == betti_for_ideal(inst.induced)[0]
 
 
@@ -136,15 +136,13 @@ def test_total_complex_matches_simplicial_oracle(suite):
 def test_structure_checks_pass_on_sample():
     inst = random_instance(30)
     star = build_star_complex(inst)
-    D = build_double_complex(inst)
-    for r in structure_checks(inst, star, D):
+    for r in structure_checks(inst, star, certified_total(inst)):
         assert r.passed, r.line()
 
 
 def test_full_instance_checks_pass():
-    D = build_double_complex(random_instance(9))
-    tot = total_complex(D)
-    for r in run_instance_checks(D, tot, minimal_total_table(tot)):
+    tot = certified_total(random_instance(9))
+    for r in run_instance_checks(tot, minimal_total_table(tot)):
         assert r.passed, r.line()
 
 
@@ -165,8 +163,7 @@ def test_mixed_product_regularity_formula(sizes, d1, d2):
     from gmpi.complexes import betti_table, regularity
     from gmpi.families import mixed_product_instance
     inst = mixed_product_instance(sizes, d1, d2)
-    D = build_double_complex(inst)
-    tot = total_complex(D)
+    tot = certified_total(inst)
     expected = sum(max(a, b) for a, b in zip(d1, d2)) - 1
     assert regularity(minimal_total_table(tot)) == expected
     assert regularity(betti_table(inst.resolution)) == expected
@@ -182,8 +179,7 @@ def test_mixed_product_comparable_degrees_collapse():
     from gmpi.families import mixed_product_instance
     inst = mixed_product_instance((3, 2), (2, 2), (1, 1))
     assert len(inst.inducing.gens) == 1
-    D = build_double_complex(inst)
-    tot = total_complex(D)
+    tot = certified_total(inst)
     assert regularity(minimal_total_table(tot)) == regularity(betti_table(inst.resolution)) == 2
 
 
@@ -237,20 +233,19 @@ def test_product_intersection_teeth():
 
 
 def test_sigma_minimality_teeth():
-    D = build_double_complex(random_instance(9))
-    assert check_sigma_minimality(D).passed
-    sig = D.sigmas[1].mats[0]
-    c, col = next(iter(sig.cols.items()))
-    sig.col_shifts[c] = sig.row_shifts[next(iter(col))]  # forge an equal-shift (unit) entry
-    assert not check_sigma_minimality(D).passed
+    tot = certified_total(random_instance(9))
+    assert check_sigma_minimality(tot).passed
+    r, c = sigma_entry(tot, 1, 0)
+    tot.complex.shifts[1][c] = tot.complex.shifts[0][r]  # forge an equal-shift (unit) entry
+    assert not check_sigma_minimality(tot).passed
 
 
 def test_sigma_squared_teeth():
-    D = build_double_complex(random_instance(9))
-    assert check_sigma_squared(D).passed
-    col = next(iter(D.sigmas[2].mats[0].cols.values()))
-    col[next(iter(col))] += 1
-    assert not check_sigma_squared(D).passed
+    tot = certified_total(random_instance(9))
+    assert check_sigma_squared(tot).passed
+    r, c = sigma_entry(tot, 2, 0)
+    tot.complex.diffs[2].cols[c][r] += 1
+    assert not check_sigma_squared(tot).passed
 
 
 def test_star_acyclicity_teeth():
@@ -261,8 +256,7 @@ def test_star_acyclicity_teeth():
 
 def test_betti_equivalence_teeth():
     inst = random_instance(9)
-    D = build_double_complex(inst)
-    tot = total_complex(D)
+    tot = certified_total(inst)
     oracle = betti_for_ideal(inst.induced)
     assert check_betti_equivalence(inst, minimal_total_table(tot), *oracle).passed
     tot.complex.shifts[1].append(tot.complex.shifts[1][0])
@@ -280,16 +274,15 @@ def test_hypothesis_unmet_reported_not_failed():
     inst = validate_family(
         ideal(simple_context(1, ("x",)), [(3,)]),
         SubstitutionFamily(T, {(0, 3): cube}), label="nonlinear")
-    D = build_double_complex(inst)
-    tot = total_complex(D)
+    tot = certified_total(inst)
     table = minimal_total_table(tot)
     oracle = oracle_betti(inst.induced)
-    reg = check_theorem_regularity(inst, D, table, oracle)
+    reg = check_theorem_regularity(inst, tot.factors, table, oracle)
     assert reg.passed and reg.status == "HYPOTHESIS-UNMET"
     assert reg.details["reg_I"] == 3 and reg.details["reg_L"] == 5
-    pd = check_pd_formula(inst, D, table, oracle)
+    pd = check_pd_formula(inst, tot.factors, table, oracle)
     assert pd.passed and pd.status == "HYPOTHESIS-UNMET"
-    lin = check_linearity_equivalence(inst, D, table)
+    lin = check_linearity_equivalence(inst, tot.factors, table)
     assert lin.passed and lin.status == "HYPOTHESIS-UNMET"
     # the resolution itself is still correct outside the hypotheses
     assert check_betti_equivalence(inst, table, oracle, "taylor").passed
@@ -298,8 +291,7 @@ def test_hypothesis_unmet_reported_not_failed():
 def test_instance_checks_read_the_total_table_once(monkeypatch, tmp_path):
     import json
     from gmpi import builder, cli, verify
-    D = build_double_complex(random_instance(30))
-    tot = total_complex(D)
+    tot = certified_total(random_instance(30))
     reads = []
 
     def counted(factors, t=None):
@@ -310,7 +302,7 @@ def test_instance_checks_read_the_total_table_once(monkeypatch, tmp_path):
         monkeypatch.setattr(mod, "resolution_table", counted)
     # a linear instance's table is read off its factors, never minimalized
     monkeypatch.setattr(builder, "minimal_total_table", None)
-    results = run_instance_checks(D, tot, counted(D.factors, tot))
+    results = run_instance_checks(tot, counted(tot.factors, tot))
     assert len(results) == 14 and all(r.passed for r in results)
     assert reads == [tot]
     # gmpi gmpi --check prints the table and runs the checks on one read
@@ -323,9 +315,9 @@ def test_instance_checks_read_the_total_table_once(monkeypatch, tmp_path):
 
 def test_check_result_json_roundtrip():
     inst = random_instance(9)
-    D = build_double_complex(inst)
-    tot = total_complex(D)
-    r = check_theorem_regularity(inst, D, minimal_total_table(tot), oracle_betti(inst.induced))
+    tot = certified_total(inst)
+    r = check_theorem_regularity(inst, tot.factors, minimal_total_table(tot),
+                                 oracle_betti(inst.induced))
     blob = r.to_json()
     assert blob["status"] == "PASS" and blob["details"]["reg_I"] == blob["details"]["reg_L"]
 
@@ -339,9 +331,8 @@ def test_capped_oracle_is_skipped_not_passed(monkeypatch):
     # with both oracles capped nothing checks the table
     monkeypatch.setattr(verify, "oracle_betti", capped)
     monkeypatch.setattr(verify, "koszul_betti", capped)
-    D = build_double_complex(random_instance(9))
-    tot = total_complex(D)
-    results = run_instance_checks(D, tot, minimal_total_table(tot))
+    tot = certified_total(random_instance(9))
+    results = run_instance_checks(tot, minimal_total_table(tot))
     betti = next(r for r in results if r.name == "betti-equivalence")
     assert betti.status == "SKIPPED" and betti.line().startswith("[SKIPPED]")
     assert betti.to_json()["status"] == "SKIPPED"
@@ -355,10 +346,9 @@ def test_capped_oracle_is_skipped_not_passed(monkeypatch):
 
 
 def test_capped_lyubeznik_oracle_falls_back_to_koszul():
-    D = build_double_complex(random_instance(9))
-    tot = total_complex(D)
+    tot = certified_total(random_instance(9))
     # a Taylor cap of 2: at most 4 basis elements
-    results = run_instance_checks(D, tot, minimal_total_table(tot), oracle_cap=2)
+    results = run_instance_checks(tot, minimal_total_table(tot), oracle_cap=2)
     assert len(results) == 14 and all(r.passed for r in results)
     betti = next(r for r in results if r.name == "betti-equivalence")
     assert betti.status == "PASS" and betti.details == {"oracle": "koszul"}
@@ -371,7 +361,7 @@ def test_capped_lyubeznik_oracle_falls_back_to_koszul():
 def test_shuffled_order_beyond_the_cap_is_skipped():
     from gmpi.verify import check_engine_self
     inst = random_instance(9)
-    tot = total_complex(build_double_complex(inst))
+    tot = certified_total(inst)
     base = oracle_betti(inst.induced)
     # the canonical order has 16 basis elements, the first shuffled one 10
     checks = {r.name: r for r in check_engine_self(inst, tot, base, cap=4)}
@@ -386,7 +376,7 @@ def test_total_exactness_fails_with_the_scan_witness():
     # clearing a column of the top differential keeps diff o diff = 0 and
     # leaves homology at the top position
     inst = random_instance(9)
-    tot = total_complex(build_double_complex(inst))
+    tot = certified_total(inst)
     assert check_total_exactness(inst, tot).status == "PASS"
     bad = dataclasses.replace(tot, complex=tot.complex.copy())
     del bad.complex.diffs[-1].cols[0]
@@ -406,7 +396,7 @@ def test_total_exactness_fails_with_the_scan_witness():
 def test_total_exactness_is_skipped_above_its_cap(monkeypatch):
     from gmpi import verify
     inst = random_instance(9)
-    tot = total_complex(build_double_complex(inst))
+    tot = certified_total(inst)
     cells = grid_size(degree_grid(tot.complex.shifts + [list(inst.induced.gens)],
                                   inst.T.nvars))
     monkeypatch.setattr(verify, "TOTAL_SCAN_CAP", cells - 1)
@@ -425,7 +415,7 @@ def test_total_exactness_is_skipped_above_its_cap(monkeypatch):
 def test_total_exactness_composes_each_pair_once(monkeypatch):
     from gmpi.complexes import MonomialMatrix
     inst = with_resolution_copy(random_instance(30))
-    tot = total_complex(build_double_complex(inst))
+    tot = certified_total(inst)
     composed = []
     streamed = MonomialMatrix.first_nonzero_column
 
@@ -464,7 +454,7 @@ def test_certified_total_complex_matches_koszul_beyond_the_pinned_seeds(make):
     # the small rungs of the benchmark's sweep ladders; the certificate runs
     # in full, and the lcm-lattice oracle is independent of the construction
     inst = make()
-    tot = total_complex(build_double_complex(inst))
+    tot = certified_total(inst)
     assert tot.exactness_verified
     assert minimal_total_table(tot) == koszul_betti(inst.induced)
 
@@ -473,7 +463,7 @@ def test_euler_strand_identity_fails_where_a_basis_element_is_added():
     from gmpi.monomials import divides
     from gmpi.verify import check_engine_self
     inst = random_instance(9)
-    tot = total_complex(build_double_complex(inst))
+    tot = certified_total(inst)
     euler = lambda t: next(r for r in check_engine_self(inst, t, None)
                            if r.name == "euler-strand-identity")
     assert euler(tot).status == "PASS"
@@ -487,7 +477,7 @@ def test_euler_strand_identity_fails_where_a_basis_element_is_added():
 def test_euler_characteristics_match_the_definition():
     from gmpi.complexes import euler_characteristics
     from gmpi.monomials import divides
-    tot = total_complex(build_double_complex(random_instance(30)))
+    tot = certified_total(random_instance(30))
     rng = random.Random(5)
     points = [tuple(rng.randint(0, 3) for _ in range(tot.complex.ctx.nvars))
               for _ in range(200)]
