@@ -10,16 +10,16 @@ resolutions, and its invariants match those of I.
 from gmpi import (
     SubstitutionFamily,
     VariableContext,
+    betti_table,
     build_factors,
     build_star_complex,
     certify_factors,
     ideal,
-    linearity_report,
+    is_linear_resolution,
     minimal_total_table,
     oracle_betti,
     power_of_maximal,
-    projdim_report,
-    regularity_report,
+    regularity,
     simple_context,
     star_acyclicity,
     total_complex,
@@ -58,8 +58,14 @@ print("Betti table of T/L:")
 print(table.triangle())
 print("matches the Lyubeznik oracle:", table == oracle_betti(inst.induced))
 
-reg = regularity_report(factors, table)
-print(f"reg L = {reg.value} = reg I = {reg.comparison}")
-pd = projdim_report(factors, table)
-print(f"projdim(T/L) = {pd.comparison} (formula value {pd.value})")
-print("linearity (I, L):", linearity_report(factors, table))
+# the paper's invariants: reg L = reg I, the projective-dimension formula
+# (c plus the lengths of the block resolutions at the shift's block degrees,
+# maximized over the shifts of F at position c), and linearity of I and L
+res = inst.resolution
+print(f"reg L = {regularity(table)} = reg I = {regularity(betti_table(res))}")
+formula = max(c + sum(factors.blocks[(l, d)].length for l, d in enumerate(a))
+              for c in range(1, res.length + 1) for a in res.shifts[c])
+print(f"projdim(T/L) = {table.top_position} (formula value {formula})")
+print("linearity (I, L):",
+      (is_linear_resolution(betti_table(res), I.generated_in_degree()),
+       is_linear_resolution(table, inst.induced.generated_in_degree())))

@@ -42,10 +42,7 @@ from .builder import (
     build_star_complex,
     certify_factors,
     factored_table,
-    linearity_report,
     minimal_total_table,
-    projdim_report,
-    regularity_report,
     resolution_table,
     star_acyclicity,
     total_complex,

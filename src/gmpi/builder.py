@@ -13,8 +13,9 @@ this module constructs:
     is the minimal multigraded free resolution of T/L whenever every
     substitution ideal has a linear resolution,
 
-together with the regularity / projective-dimension / linearity invariants
-read off that resolution.
+together with the Betti table of T/L read off that resolution
+(``resolution_table``), from which the theorem checks of verify compute the
+regularity, projective dimension and linearity.
 
 The construction certifies the total complex on its factors
 (``certify_factors``) and, under the linearity hypothesis, reads the Betti
@@ -39,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .complexes import (
@@ -55,12 +56,10 @@ from .complexes import (
     FreeComplex,
     ideal_resolution,
     identity_chain_map,
-    is_linear_resolution,
     lift_chain_map,
     minimalize_complex,
     MonomialMatrix,
     quotient_resolution,
-    regularity,
     SIGNS,
     SizeCapError,
     tensor_chain_map,
@@ -339,10 +338,12 @@ def block_resolutions(inst: GmpiInstance) -> dict[tuple[int, int], FreeComplex]:
     return out
 
 
-def block_linearity(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int], bool]:
-    """Whether each block resolution is linear (the unit ideal's, of degree 0,
-    trivially)."""
-    return {(l, d): is_linear_resolution(betti_table(res), d, of_ideal=False)
+def block_linearity(blocks: dict) -> dict[tuple[int, int], bool]:
+    """Whether each block resolution is linear, read off its shifts: every
+    shift at position i of the resolution at degree d has degree d + i (the
+    unit ideal's, of degree 0, is the ring and trivially linear)."""
+    return {(l, d): all(total_degree(s) == d + i
+                        for i, level in enumerate(res.shifts) for s in level)
             for (l, d), res in blocks.items()}
 
 
@@ -366,26 +367,46 @@ def rho_maps(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int], ChainMap
     return out
 
 
-class TauCache:
-    """Ladder composites of the rho maps; never an ad-hoc lift.
+# ---------------------------------------------------------------------------
+# the factors of the resolution of T/L, their certificate and Betti table
 
-    tau_(l, a, b) is the identity where a == b and otherwise the composite
-    of the rho maps of block l from ladder degree a down to b; a single
-    step is the rho map itself.  The composites are not checked here:
-    ``certify_factors`` checks each one that a nonzero scalar of the
-    resolution of S/I uses (``Factors.taus_in_use``)."""
+@dataclass
+class Factors:
+    """What the resolution of T/L is made of: the resolution F of S/I (the
+    instance's, whose diffs store the scalar matrices lam_c), a block
+    resolution per ladder degree with its linearity flag, the comparison
+    maps rho between consecutive ladder degrees (``rho_maps``) and their
+    ladder composites tau (``tau``).  Column c of the double complex is the
+    direct sum, over the shifts a of F at position c, of the tensor
+    products of the block resolutions at the block degrees a_l, and sigma_c
+    is lam_c times the tensor products of the taus between them.
 
-    def __init__(self, inst: GmpiInstance, blocks: dict, rhos: dict):
-        self.inst = inst
-        self.blocks = blocks
-        self.rhos = rhos
-        self._memo: dict[tuple[int, int, int], ChainMap] = {}
+    ``exactness_verified`` is set by ``certify_factors``: True where every
+    scan of the certificate ran, False where a degree grid (of S or of a
+    block) exceeds its scan cap or the certificate has not run."""
 
-    def get(self, l: int, deg_from: int, deg_to: int) -> ChainMap:
+    instance: GmpiInstance
+    blocks: dict[tuple[int, int], FreeComplex]
+    linear_flags: dict[tuple[int, int], bool]
+    rhos: dict[tuple[int, int], ChainMap]
+    exactness_verified: bool = False
+    # the taus made so far, by (block, from, to)
+    _taus: dict = field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def hypothesis_linear(self) -> bool:
+        return all(self.linear_flags.values())
+
+    def tau(self, l: int, deg_from: int, deg_to: int) -> ChainMap:
+        """tau_(l, deg_from, deg_to): the identity where the degrees are
+        equal and otherwise the composite of the rho maps of block l from
+        ladder degree deg_from down to deg_to; a single step is the rho map
+        itself.  Made once per key, never as an ad-hoc lift, and not checked
+        here: ``certify_factors`` checks each one in use (``taus_in_use``)."""
         key = (l, deg_from, deg_to)
-        if key in self._memo:
-            return self._memo[key]
-        ladder = self.inst.ladders[l]
+        if key in self._taus:
+            return self._taus[key]
+        ladder = self.instance.ladders[l]
         if deg_from not in ladder or deg_to not in ladder:
             raise ConstructionError(
                 "a degree drop leaves the ladder (block, from, to)", key)
@@ -399,36 +420,8 @@ class TauCache:
             cm = self.rhos[(l, b)]
             for t in range(b - 1, c, -1):
                 cm = self.rhos[(l, t)].compose(cm)
-        self._memo[key] = cm
+        self._taus[key] = cm
         return cm
-
-
-# ---------------------------------------------------------------------------
-# the factors of the resolution of T/L, their certificate and Betti table
-
-@dataclass
-class Factors:
-    """What the resolution of T/L is made of: the resolution F of S/I (the
-    instance's, whose diffs store the scalar matrices lam_c), a block
-    resolution per ladder degree and the ladder composites tau of the
-    comparison maps between them.  Column c of the double complex is the
-    direct sum, over the shifts a of F at position c, of the tensor
-    products of the block resolutions at the block degrees a_l, and sigma_c
-    is lam_c times the tensor products of the taus between them.
-
-    ``exactness_verified`` is set by ``certify_factors``: True where every
-    scan of the certificate ran, False where a degree grid (of S or of a
-    block) exceeds its scan cap or the certificate has not run."""
-
-    instance: GmpiInstance
-    blocks: dict[tuple[int, int], FreeComplex]
-    linear_flags: dict[tuple[int, int], bool]
-    taus: TauCache
-    exactness_verified: bool = False
-
-    @property
-    def hypothesis_linear(self) -> bool:
-        return all(self.linear_flags.values())
 
     def taus_in_use(self) -> dict[tuple[int, int, int], ChainMap]:
         """{(block, from, to): tau} for every tau other than an identity
@@ -444,17 +437,17 @@ class Factors:
                     for l in range(inst.nblocks):
                         key = (l, res.shifts[c][j][l], res.shifts[c - 1][k][l])
                         if key[1] != key[2] and key not in out:
-                            out[key] = self.taus.get(*key)
+                            out[key] = self.tau(*key)
         return out
 
 
 def build_factors(inst: GmpiInstance) -> Factors:
-    """The block resolutions, their linearity flags and the comparison maps
-    of ``inst``, unchecked beyond what each map's maker checks
-    (``certify_factors`` certifies them)."""
+    """The block resolutions of ``inst``, their linearity flags and the rho
+    maps between them, unchecked beyond what each map's maker checks
+    (``certify_factors`` certifies them); the taus are composed from the
+    rho maps on demand (``Factors.tau``)."""
     blocks = block_resolutions(inst)
-    return Factors(inst, blocks, block_linearity(inst, blocks),
-                   TauCache(inst, blocks, rho_maps(inst, blocks)))
+    return Factors(inst, blocks, block_linearity(blocks), rho_maps(inst, blocks))
 
 
 def certify_factors(factors: Factors) -> None:
@@ -764,7 +757,7 @@ def total_complex(factors: Factors) -> TotalComplex:
         for j, src in enumerate(summands[c]):
             horizontal = [] if c == 1 else [
                 (k, scalar, tensor_chain_map(
-                    [factors.taus.get(l, a, b)
+                    [factors.tau(l, a, b)
                      for l, (a, b) in enumerate(zip(res.shifts[c][j], res.shifts[c - 1][k]))],
                     src, summands[c - 1][k]).mats)
                 for k, scalar in sorted(lam.get(j, {}).items())]
@@ -825,18 +818,7 @@ def block_witness(res: FreeComplex, I: MonomialIdeal):
 
 
 # ---------------------------------------------------------------------------
-# invariants
-
-@dataclass
-class InvariantReport:
-    value: int
-    hypothesis_linear: bool
-    comparison: int | None = None
-
-    @property
-    def agrees(self) -> bool:
-        return self.comparison is None or self.value == self.comparison
-
+# the Betti table of T/L
 
 def minimal_total_table(tot: TotalComplex) -> BettiTable:
     """Betti table of the total complex after minimalization: the graded
@@ -849,41 +831,9 @@ def minimal_total_table(tot: TotalComplex) -> BettiTable:
 
 
 def resolution_table(factors: Factors, tot: TotalComplex | None = None) -> BettiTable:
-    """The graded Betti table of T/L, which the invariant reports below
-    read: ``factored_table`` under the linearity hypothesis, and otherwise
-    ``minimal_total_table`` of ``tot``, which is assembled from the
-    (certified) factors where it is not given."""
+    """The graded Betti table of T/L: ``factored_table`` under the
+    linearity hypothesis, and otherwise ``minimal_total_table`` of ``tot``,
+    which is assembled from the (certified) factors where it is not given."""
     if factors.hypothesis_linear:
         return factored_table(factors)
     return minimal_total_table(tot or total_complex(factors))
-
-
-def regularity_report(factors: Factors, table: BettiTable) -> InvariantReport:
-    """reg L read off the minimal total table, compared with reg I."""
-    return InvariantReport(
-        value=regularity(table, of_ideal=True),
-        hypothesis_linear=factors.hypothesis_linear,
-        comparison=regularity(betti_table(factors.instance.resolution), of_ideal=True))
-
-
-def projdim_report(factors: Factors, table: BettiTable) -> InvariantReport:
-    """Formula value max_{i,j} (sum_l pd of the block ideal at the shift's
-    block degree + i) against the projective dimension read off the minimal
-    total table."""
-    res = factors.instance.resolution
-    best = max(c + sum(factors.blocks[(l, d)].length for l, d in enumerate(a))
-               for c in range(1, res.length + 1) for a in res.shifts[c])
-    return InvariantReport(value=best, hypothesis_linear=factors.hypothesis_linear,
-                           comparison=table.top_position)
-
-
-def linearity_report(factors: Factors, table: BettiTable) -> tuple[bool, bool]:
-    """(inducing ideal linear, induced ideal linear), the latter read off the
-    minimal total table; equal under the hypothesis."""
-    inst = factors.instance
-    d_i = inst.inducing.generated_in_degree()
-    lin_i = d_i is not None and is_linear_resolution(
-        betti_table(inst.resolution), d_i, of_ideal=True)
-    d_l = inst.induced.generated_in_degree()
-    lin_l = d_l is not None and is_linear_resolution(table, d_l, of_ideal=True)
-    return lin_i, lin_l

@@ -67,6 +67,15 @@ def _integer(v) -> int:
     return int(v)
 
 
+def _decimal(text: str) -> int:
+    """The integer of a command-line number, which must be written as str()
+    of it: int() alone would also read '1_0', ' 3', '+2' and '02'."""
+    n = int(text)
+    if str(n) != text:
+        raise ValueError(f"integer {text!r} must be written as {str(n)!r}")
+    return n
+
+
 def _generator(g) -> tuple[int, ...]:
     """The exponent vector of a generator, which must be an array of
     integers (a string is refused: its characters would read as
@@ -315,18 +324,19 @@ def cmd_family(args) -> int:
                 params[flag] = val
         if tag in BLOCK_FAMILY_TAGS:
             # family_ideal reads document numbers, which are never strings
-            numbers = {k: int(v) for k, v in params.items() if k in ("degree", "count")}
-            out = ideal_to_document(family_ideal(tag, numbers, int(params["vars"]), None))
+            numbers = {k: _decimal(v) for k, v in params.items() if k in ("degree", "count")}
+            out = ideal_to_document(family_ideal(tag, numbers, _decimal(params["vars"]), None))
         elif tag == "veronese-type":
-            caps = tuple(int(c) for c in params["caps"].split(","))
-            out = ideal_to_document(fam.veronese_type(len(caps), int(params["t"]), caps))
+            caps = tuple(map(_decimal, params["caps"].split(",")))
+            out = ideal_to_document(fam.veronese_type(len(caps), _decimal(params["t"]), caps))
         elif tag == "path-ideal":
-            parts = tuple(int(c) for c in params["parts"].split(","))
-            out = ideal_to_document(fam.path_ideal_complete_multipartite(parts, int(params["t"])))
+            parts = tuple(map(_decimal, params["parts"].split(",")))
+            out = ideal_to_document(
+                fam.path_ideal_complete_multipartite(parts, _decimal(params["t"])))
         elif tag == "mixed-product":
-            sizes = tuple(int(c) for c in params["sizes"].split(","))
-            d1 = tuple(int(c) for c in params["degs1"].split(","))
-            d2 = tuple(int(c) for c in params["degs2"].split(","))
+            sizes = tuple(map(_decimal, params["sizes"].split(",")))
+            d1 = tuple(map(_decimal, params["degs1"].split(",")))
+            d2 = tuple(map(_decimal, params["degs2"].split(",")))
             out = instance_to_document(fam.mixed_product_instance(sizes, d1, d2))
         elif tag == "random":
             out = instance_to_document(fam.random_instance(args.seed))
@@ -349,7 +359,7 @@ def cmd_verify(args) -> int:
 def _taylor_exponent(text: str) -> int:
     """N of --max-taylor, from 0 to 40: the cap 2^N is built as an int
     before any work."""
-    n = int(text)
+    n = _decimal(text)
     if not 0 <= n <= 40:
         raise argparse.ArgumentTypeError(f"{n} is not between 0 and 40")
     return n
@@ -386,12 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("param", nargs="*", help="key=value parameters")
     for flag in FAMILY_ALIASES:
         p.add_argument(f"--{flag}", default=None, help=f"alias for {flag}=...")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_decimal, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the pinned acceptance suite")
-    p.add_argument("--seed", type=int, default=None, help="run a single seed instead")
+    p.add_argument("--seed", type=_decimal, default=None, help="run a single seed instead")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out")
     return ap

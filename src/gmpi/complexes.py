@@ -882,9 +882,6 @@ class BettiTable:
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
     multi: dict[tuple[int, tuple[int, ...]], int] = field(default_factory=dict)
 
-    def __eq__(self, other):
-        return self.entries == other.entries and self.multi == other.multi
-
     @property
     def top_position(self) -> int:
         return max((k for (k, _) in self.entries), default=0)
@@ -931,21 +928,11 @@ def betti_table(C: FreeComplex) -> BettiTable:
     return t
 
 
-def regularity(B: BettiTable, of_ideal: bool = True) -> int:
-    """Castelnuovo-Mumford regularity from a quotient-indexed table.
-
-    With ``of_ideal`` the table is reindexed by beta_k(I) = beta_{k+1}(S/I).
-    """
-    vals = []
-    for (k, j), v in B.entries.items():
-        if v == 0:
-            continue
-        if of_ideal:
-            if k == 0:
-                continue
-            vals.append(j - (k - 1))
-        else:
-            vals.append(j - k)
+def regularity(B: BettiTable) -> int:
+    """Castelnuovo-Mumford regularity of the ideal I from the table of S/I,
+    reindexed by beta_k(I) = beta_{k+1}(S/I): the largest j - (k - 1) over
+    the nonzero entries (k, j) with k >= 1."""
+    vals = [j - (k - 1) for (k, j), v in B.entries.items() if v and k]
     if not vals:
         raise ValueError("empty Betti table")
     return max(vals)
@@ -955,17 +942,11 @@ def projective_dimension(B: BettiTable) -> int:
     return B.top_position
 
 
-def is_linear_resolution(B: BettiTable, d: int, of_ideal: bool = True) -> bool:
-    """True iff every ideal-indexed position k sits purely in degree d + k."""
-    for (k, j), v in B.entries.items():
-        if v == 0:
-            continue
-        kk = k - 1 if of_ideal else k
-        if of_ideal and k == 0:
-            continue
-        if j != d + kk:
-            return False
-    return True
+def is_linear_resolution(B: BettiTable, d: int) -> bool:
+    """True iff the ideal I resolved by the table of S/I has a linear
+    resolution from degree d: every nonzero entry (k, j) with k >= 1, at
+    position k - 1 of I's resolution, has j = d + k - 1."""
+    return all(j == d + k - 1 for (k, j), v in B.entries.items() if v and k)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ the resolution code with the builder, none of the total complex), and the
 fully independent oracle of reduced simplicial homology of upper Koszul
 complexes over the lcm lattice (used beyond the Lyubeznik cap and as a
 cross-check).  Each structural statement and theorem gets one PASS/FAIL
-check; a check reads the value the builder computes (never asserting) and
-compares it with the theorem's prediction and the oracle.  A check whose
+check; a check computes its value from what the builder made (never
+asserting) and compares it with the theorem's prediction and the oracle.  A check whose
 oracle exceeds its size cap reports SKIPPED, never PASS.
 """
 
@@ -28,11 +28,8 @@ from .builder import (
     build_factors,
     build_star_complex,
     certify_factors,
-    linearity_report,
     product_formula_witness,
-    projdim_report,
     realization_witness,
-    regularity_report,
     resolution_table,
     star_acyclicity,
     total_complex,
@@ -44,6 +41,7 @@ from .complexes import (
     euler_characteristics,
     exactness_check,
     inexact_positions,
+    is_linear_resolution,
     quotient_resolution,
     regularity,
 )
@@ -301,26 +299,32 @@ def _theorem_result(name: str, label: str, hypothesis_linear: bool, holds: bool,
 
 def check_theorem_regularity(inst: GmpiInstance, factors: Factors, table: BettiTable,
                              oracle: BettiTable | None = None) -> CheckResult:
-    rep = regularity_report(factors, table)
-    details = {"reg_I": rep.comparison, "reg_L": rep.value}
+    """reg L, read off ``table`` (the Betti table of T/L), equals reg I."""
+    reg_i, reg_l = regularity(betti_table(inst.resolution)), regularity(table)
+    details = {"reg_I": reg_i, "reg_L": reg_l}
     oracle_ok = True
     if oracle is not None:
         details["reg_L_oracle"] = regularity(oracle)
-        oracle_ok = details["reg_L_oracle"] == rep.value
-    return _theorem_result("regularity-preservation", inst.label, rep.hypothesis_linear,
-                           rep.agrees, oracle_ok, details)
+        oracle_ok = details["reg_L_oracle"] == reg_l
+    return _theorem_result("regularity-preservation", inst.label, factors.hypothesis_linear,
+                           reg_i == reg_l, oracle_ok, details)
 
 
 def check_pd_formula(inst: GmpiInstance, factors: Factors, table: BettiTable,
                      oracle: BettiTable | None = None) -> CheckResult:
-    rep = projdim_report(factors, table)
-    details = {"formula": rep.value, "pd_tot": rep.comparison}
+    """The paper's value of pd(T/L), the max over the shifts a of F at
+    position c of c + sum over blocks l of the length of the block
+    resolution at a_l, against the top position of ``table``."""
+    res = inst.resolution
+    formula = max(c + sum(factors.blocks[(l, d)].length for l, d in enumerate(a))
+                  for c in range(1, res.length + 1) for a in res.shifts[c])
+    details = {"formula": formula, "pd_tot": table.top_position}
     oracle_ok = True
     if oracle is not None:
         details["pd_oracle"] = oracle.top_position
-        oracle_ok = details["pd_oracle"] == rep.comparison
-    return _theorem_result("projective-dimension-formula", inst.label, rep.hypothesis_linear,
-                           rep.agrees, oracle_ok, details)
+        oracle_ok = details["pd_oracle"] == table.top_position
+    return _theorem_result("projective-dimension-formula", inst.label, factors.hypothesis_linear,
+                           formula == table.top_position, oracle_ok, details)
 
 
 def check_betti_equivalence(inst: GmpiInstance, table: BettiTable,
@@ -343,7 +347,12 @@ def check_betti_equivalence(inst: GmpiInstance, table: BettiTable,
 
 def check_linearity_equivalence(inst: GmpiInstance, factors: Factors,
                                 table: BettiTable) -> CheckResult:
-    lin_i, lin_l = linearity_report(factors, table)
+    """I has a linear resolution iff L has, the latter read off ``table``;
+    an ideal not generated in one degree has none."""
+    d_i = inst.inducing.generated_in_degree()
+    lin_i = d_i is not None and is_linear_resolution(betti_table(inst.resolution), d_i)
+    d_l = inst.induced.generated_in_degree()
+    lin_l = d_l is not None and is_linear_resolution(table, d_l)
     return _theorem_result("linear-resolution-equivalence", inst.label,
                            factors.hypothesis_linear, lin_i == lin_l, True,
                            {"I_linear": lin_i, "L_linear": lin_l})
@@ -441,21 +450,21 @@ def run_instance_checks(tot: TotalComplex, table: BettiTable,
 
 def mixed_product_formula_check() -> CheckResult:
     """Squarefree Veronese mixed product on blocks (3,3) with degree pairs
-    (2,1)/(1,2): the closed-form value, the total complex, and the Koszul
-    oracle must all give regularity 3."""
+    (2,1)/(1,2): the closed-form value, reg L of the Betti table of T/L, the
+    Koszul oracle and reg I (``check_theorem_regularity``) must all give
+    regularity 3, and the table must equal the oracle's."""
     from .families import mixed_product_instance
     factors = build_factors(mixed_product_instance((3, 3), (2, 1), (1, 2)))
     certify_factors(factors)
     tot = total_complex(factors)
     formula = sum(max(d, e) for d, e in zip((2, 1), (1, 2))) - 1
     table = resolution_table(factors, tot)
-    reg = regularity_report(factors, table)
     oracle = koszul_betti(factors.instance.induced)
-    reg_oracle = regularity(oracle)
-    ok = formula == reg.value == reg_oracle == reg.comparison == 3
+    reg = check_theorem_regularity(factors.instance, factors, table, oracle).details
+    ok = formula == reg["reg_L"] == reg["reg_L_oracle"] == reg["reg_I"] == 3
     ok = ok and table == oracle
-    return CheckResult("mixed-product-regularity-formula", "veronese(3,3)", ok,
-                       {"formula": formula, "reg_tot": reg.value, "reg_oracle": reg_oracle})
+    return CheckResult("mixed-product-regularity-formula", "veronese(3,3)", ok, {
+        "formula": formula, "reg_tot": reg["reg_L"], "reg_oracle": reg["reg_L_oracle"]})
 
 
 def path_identity_checks() -> list[CheckResult]:

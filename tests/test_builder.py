@@ -8,17 +8,13 @@ from gmpi.builder import (
     ConstructionError,
     FamilyValidationError,
     SubstitutionFamily,
-    TauCache,
     block_linearity,
     block_resolutions,
     build_factors,
     build_star_complex,
     certify_factors,
-    linearity_report,
     minimal_total_table,
     product_formula_witness,
-    projdim_report,
-    regularity_report,
     rho_maps,
     star_acyclicity,
     tau_augmentation_witness,
@@ -30,7 +26,11 @@ from gmpi.complexes import (
     MonomialMatrix,
     betti_table,
     exactness_check,
+    free_module_resolution,
+    ideal_resolution,
+    is_linear_resolution,
     minimalize_complex,
+    quotient_resolution,
     taylor_complex,
     tensor_chain_map,
     tensor_resolutions,
@@ -43,7 +43,13 @@ from gmpi.families import (
     _block_ctx,
 )
 from gmpi.monomials import VariableContext, ideal, simple_context, total_degree
-from gmpi.verify import SUITE_SEEDS, oracle_betti
+from gmpi.verify import (
+    SUITE_SEEDS,
+    check_linearity_equivalence,
+    check_pd_formula,
+    check_theorem_regularity,
+    oracle_betti,
+)
 
 from conftest import (
     certified_total,
@@ -56,6 +62,7 @@ from conftest import (
     non_nested_instance,
     normal_scalar,
     scale_first_scalar,
+    small_ideals,
     with_resolution_copy,
 )
 
@@ -284,7 +291,7 @@ def test_block_resolutions_shapes_and_reuse():
     blocks = block_resolutions(inst)
     assert blocks[(0, 2)].ranks == [3, 2]      # resolution of (x1,x2)^2
     assert blocks[(0, 1)].ranks == [2, 1]
-    flags = block_linearity(inst, blocks)
+    flags = block_linearity(blocks)
     assert all(flags.values())
     # recurring degrees share one resolution object per ladder entry
     assert blocks[(0, 2)] is blocks[(0, 2)]
@@ -302,6 +309,28 @@ def test_block_resolution_degree_zero_is_free_module():
     blocks = block_resolutions(inst)
     assert blocks[(0, 0)].ranks == [1]
     assert blocks[(1, 0)].ranks == [1]
+
+
+@st.composite
+def equigenerated_ideals(draw):
+    """The generators of one degree d of a ``small_ideals`` ideal: minimal
+    generators of equal degree, so the ideal they generate is generated in
+    degree d (with or without a linear resolution)."""
+    I = draw(small_ideals())
+    d = draw(st.sampled_from(sorted({total_degree(g) for g in I.gens})))
+    return ideal(I.ctx, [g for g in I.gens if total_degree(g) == d])
+
+
+@given(equigenerated_ideals())
+@settings(max_examples=60, deadline=None)
+def test_block_linearity_reads_the_betti_table(I):
+    # block_linearity reads the shifts of the ideal's resolution; the unit
+    # block of degree 0 is the ring, linear by convention
+    d = I.generated_in_degree()
+    ring = free_module_resolution(I.ctx, [(0,) * I.ctx.nvars])
+    flags = block_linearity({(0, d): ideal_resolution(I), (1, 0): ring})
+    assert flags == {(0, d): is_linear_resolution(betti_table(quotient_resolution(I)), d),
+                     (1, 0): True}
 
 
 def test_rho_phi0_matches_divisor_rule():
@@ -341,15 +370,14 @@ def test_tau_identity_single_step_and_composite():
     })
     inst = validate_family(
         ideal(S3v, [(3, 0, 0), (2, 1, 0), (1, 2, 1), (1, 1, 2)]), fam, label="ladder3")
-    blocks = block_resolutions(inst)
-    cache = TauCache(inst, blocks, rho_maps(inst, blocks))
-    ident = cache.get(0, 2, 2)
+    F = build_factors(inst)
+    ident = F.tau(0, 2, 2)
     assert ident.mats[0].cols == {j: {j: Fraction(1)} for j in range(3)}
-    one_step = cache.get(0, 2, 1)
-    rhos = rho_maps(inst, blocks)
+    one_step = F.tau(0, 2, 1)
+    rhos = rho_maps(inst, F.blocks)
     assert [m.cols for m in one_step.mats] == [m.cols for m in rhos[(0, 1)].mats]
     # two-step drop equals the composite of one-step drops, entry for entry
-    two_step = cache.get(0, 3, 1)
+    two_step = F.tau(0, 3, 1)
     composite = rhos[(0, 1)].compose(rhos[(0, 2)])
     assert [m.cols for m in two_step.mats] == [m.cols for m in composite.mats]
 
@@ -358,8 +386,7 @@ def test_tau_composites_are_path_independent():
     # dropping across two ladder steps through different intermediate degrees
     # must give the same matrices, and the composite is a valid chain map
     inst = random_instance(30)   # depth-3 resolution of the inducing ideal
-    blocks = block_resolutions(inst)
-    cache = TauCache(inst, blocks, rho_maps(inst, blocks))
+    F = build_factors(inst)
     found = False
     for l in range(inst.nblocks):
         ladder = [d for d in inst.ladders[l]]
@@ -369,11 +396,11 @@ def test_tau_composites_are_path_independent():
         routes = []
         for mid in ladder[:3]:
             if lo <= mid <= hi:
-                routes.append(cache.get(l, mid, lo).compose(cache.get(l, hi, mid)))
+                routes.append(F.tau(l, mid, lo).compose(F.tau(l, hi, mid)))
         assert len(routes) >= 3  # via lo, the middle rung, and hi itself
         for later in routes[1:]:
             assert [m.cols for m in routes[0].mats] == [m.cols for m in later.mats]
-        direct = cache.get(l, hi, lo)
+        direct = F.tau(l, hi, lo)
         assert [m.cols for m in routes[0].mats] == [m.cols for m in direct.mats]
         direct.validate()
         found = True
@@ -381,14 +408,12 @@ def test_tau_composites_are_path_independent():
 
 
 def test_tau_rejects_off_ladder_degrees():
-    inst = expansion_instance()
-    blocks = block_resolutions(inst)
-    cache = TauCache(inst, blocks, rho_maps(inst, blocks))
+    F = build_factors(expansion_instance())
     with pytest.raises(ConstructionError) as err:
-        cache.get(0, 3, 1)
+        F.tau(0, 3, 1)
     assert err.value.witness == (0, 3, 1)
     with pytest.raises(ConstructionError) as err:
-        cache.get(0, 1, 2)
+        F.tau(0, 1, 2)
     assert err.value.witness == (0, 1, 2)
 
 
@@ -438,31 +463,35 @@ def test_total_complex_top_degree_profile():
         assert max(j for (kk, j) in table.entries if kk == k + 1) == expected
 
 
-def test_invariants_expansion():
-    tot = certified_total(expansion_instance())
+def invariant_details(tot):
+    """The details of the regularity, pd-formula and linearity checks of
+    ``tot``, read against its minimalized table, with no oracle."""
     F, table = tot.factors, minimal_total_table(tot)
-    reg = regularity_report(F, table)
-    assert (reg.value, reg.comparison, reg.hypothesis_linear) == (3, 3, True)
-    pd = projdim_report(F, table)
-    assert pd.value == pd.comparison == 4
-    assert linearity_report(F, table) == (True, True)
+    checks = [check(F.instance, F, table) for check in (
+        check_theorem_regularity, check_pd_formula, check_linearity_equivalence)]
+    assert F.hypothesis_linear and all(c.status == "PASS" for c in checks)
+    return [c.details for c in checks]
+
+
+def test_invariants_expansion():
+    reg, pd, lin = invariant_details(certified_total(expansion_instance()))
+    assert reg["reg_I"] == reg["reg_L"] == 3
+    assert pd["formula"] == pd["pd_tot"] == 4
+    assert (lin["I_linear"], lin["L_linear"]) == (True, True)
 
 
 def test_invariants_principal():
     tot = certified_total(principal_instance())
-    F, table = tot.factors, minimal_total_table(tot)
-    assert regularity_report(F, table).value == 2
-    assert projdim_report(F, table).value == F.blocks[(0, 2)].length + 1
-    assert linearity_report(F, table) == (True, True)
+    reg, pd, lin = invariant_details(tot)
+    assert reg["reg_L"] == 2
+    assert pd["formula"] == tot.factors.blocks[(0, 2)].length + 1
+    assert (lin["I_linear"], lin["L_linear"]) == (True, True)
 
 
 def test_invariants_koszul_induced():
-    tot = certified_total(koszul_instance())
-    F, table = tot.factors, minimal_total_table(tot)
-    reg = regularity_report(F, table)
-    assert reg.value == reg.comparison == 1
-    pd = projdim_report(F, table)
-    assert pd.value == pd.comparison
+    reg, pd, _ = invariant_details(certified_total(koszul_instance()))
+    assert reg["reg_L"] == reg["reg_I"] == 1
+    assert pd["formula"] == pd["pd_tot"]
 
 
 def test_unused_block_gets_trivial_ladder():
@@ -702,9 +731,10 @@ def test_nonlinear_substitution_flagged_not_asserted():
     tot = certified_total(inst)
     assert not tot.factors.hypothesis_linear
     table = minimal_total_table(tot)
-    reg = regularity_report(tot.factors, table)
+    reg = check_theorem_regularity(inst, tot.factors, table)
     # the theorem's conclusion genuinely fails outside its hypotheses
-    assert reg.value == 5 and reg.comparison == 3 and not reg.agrees
+    assert reg.details["reg_L"] == 5 and reg.details["reg_I"] == 3
+    assert reg.status == "HYPOTHESIS-UNMET"
     oracle = betti_table(minimalize_complex(taylor_complex(inst.induced)))
     assert table == oracle
 
@@ -846,10 +876,9 @@ def tensor_products(blocks, T, degs):
 def three_block_drops(inst):
     """(src, tgt, taus) per degree drop of THREE_BLOCK_DROPS: the tensor
     products at both ends and the ladder composites between their factors."""
-    blocks = block_resolutions(inst)
-    taus = TauCache(inst, blocks, rho_maps(inst, blocks))
-    return [(tensor_products(blocks, inst.T, src), tensor_products(blocks, inst.T, tgt),
-             [taus.get(l, a, b) for l, (a, b) in enumerate(zip(src, tgt))])
+    F = build_factors(inst)
+    return [(tensor_products(F.blocks, inst.T, src), tensor_products(F.blocks, inst.T, tgt),
+             [F.tau(l, a, b) for l, (a, b) in enumerate(zip(src, tgt))])
             for src, tgt in THREE_BLOCK_DROPS]
 
 

@@ -363,6 +363,49 @@ def test_max_taylor_is_refused_above_40(tmp_path, capsys):
     assert main(["resolve", path, "--max-taylor", "40", "--json"]) == 0
 
 
+@pytest.mark.parametrize("params", [
+    ["squarefree-veronese", "vars=1_0", "degree=2"],
+    ["squarefree-veronese", "vars= 3", "degree=2"],
+    ["squarefree-veronese", "vars=3", "degree=+2"],
+    ["squarefree-veronese", "--vars", "03", "--degree", "2"],
+    ["lex-segment", "vars=3", "degree=2", "count=0_2"],
+    ["path-ideal", "parts=1_1,2", "t=2"],
+    ["path-ideal", "parts=2,2", "t=02"],
+    ["veronese-type", "caps=1,+1,1", "t=2"],
+    ["mixed-product", "sizes=2,2", "degs1=2,1", "degs2=1,0_2"],
+])
+def test_family_numbers_are_written_as_integers(params, capsys):
+    # int() reads each of these; a number of `gmpi family` is written as
+    # str() of it, as a key degree of a document is
+    assert main(["family", *params]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", [
+    ["family", "random", "--seed", "1_0"],
+    ["verify", "--seed", "+9"],
+    ["resolve", "k.json", "--max-taylor", "1_4"],
+    ["gmpi", "e.json", "--max-taylor", " 14"],
+])
+def test_numeric_options_are_written_as_integers(option, tmp_path, capsys):
+    write(tmp_path, "k.json", koszul3_doc())
+    write(tmp_path, "e.json", expansion_doc())
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in option]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert repr(option[-1]) in capsys.readouterr().err
+
+
+def test_plain_numbers_stay_valid(tmp_path, capsys):
+    assert main(["family", "squarefree-veronese", "vars=4", "--degree", "2"]) == 0
+    assert main(["family", "random", "--seed", "30"]) == 0
+    assert main(["family", "random", "--seed", "-3"]) == 0
+    path = write(tmp_path, "k.json", koszul3_doc())
+    assert main(["resolve", path, "--max-taylor", "14"]) == 0
+
+
 def test_gmpi_reports_a_skipped_certificate(tmp_path, capsys, monkeypatch):
     # every star and block grid over its scan cap: the table is printed, and
     # marked as uncertified; a certified run carries no such mark

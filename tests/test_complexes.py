@@ -601,8 +601,7 @@ def test_regularity_examples():
 
 def test_regularity_of_quotient_indexing():
     m2 = betti_table(minimalize_complex(taylor_complex(ideal(S2, [(2, 0), (1, 1), (0, 2)]))))
-    assert regularity(m2, of_ideal=False) == 1   # reg(S/I) = reg(I) - 1
-    assert regularity(m2, of_ideal=True) == 2
+    assert regularity(m2) == 2
 
 
 def test_projective_dimension_examples():

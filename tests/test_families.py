@@ -184,7 +184,7 @@ def test_random_instance_respects_bounds():
         assert 2 <= len(inst.inducing.gens) <= 5
         assert all(e <= 3 for g in inst.inducing.gens for e in g)
         assert len(inst.induced.gens) <= 8
-        flags = block_linearity(inst, block_resolutions(inst))
+        flags = block_linearity(block_resolutions(inst))
         assert all(flags.values())
 
 
