@@ -36,11 +36,13 @@ they are built.  Both are built on generator bitmasks: a face (generator
 subset) carries its mask and its lcm, which is its shift, and its boundary
 rows are looked up by mask; the Lyubeznik
 enumeration reads the generators dividing a candidate lcm off per-variable
-divisor masks.  The cancellation takes the smallest remaining unit
-(position, row, column) from a heap with lazy deletion, the order a linear
-scan would give; only rows and columns at the pivot's shift are checked for
-new units, and a position whose scalars are all ints is cancelled in int
-arithmetic without conversions.  Strand machinery restricts a complex to a
+divisor masks.  The cancellation keeps no state beside the matrix it
+stores: it takes the smallest remaining unit (position, row, column) from a
+heap of candidate pairs, the order a linear scan would give, and a popped
+pair is live exactly when its entry is still stored.  Only rows and columns
+at the pivot's shift can gain a unit, so only their pairs are pushed, and
+only an updated scalar that is not an int is converted, so integral maps
+cancel in int arithmetic.  Strand machinery restricts a complex to a
 single multidegree, where exactness and homology become finite rational rank
 computations.  A strand scan checks a resolution of a quotient S/I and
 returns the multidegree of its first failure, or None; a resolution of an
@@ -393,17 +395,17 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
     e(r',c') -= e(r',c) e(r,c') / e(r,c), drops row c of diff[i+1] and column
     r of diff[i-1].  The factor e(r',c) / e(r,c) is an exact int division
     where e(r,c) divides e(r',c) (always for a +-1 unit) and a Fraction
-    otherwise, and each updated entry is an int where it is integral; while
-    every entry and factor of a position is an int, the updates are int
-    arithmetic and nothing is converted.
+    otherwise, and each updated entry that is not an int is turned back into
+    an int where it is integral, so integral maps cancel in int arithmetic.
     Scan order: lowest position first, then lexicographic
-    (row, col); the resulting Betti numbers are order-independent.  The unit
-    entries of a position sit in a heap with lazy deletion: a pair is pushed
-    when it becomes a unit and skipped when popped after it stopped being one,
-    so each step pops the smallest live unit.  Cancelling a unit at shift b
-    changes only entries (r', c') with shift(r') <= b <= shift(c'), so only
-    pairs of a row and a column both at shift b can become or stop being
-    units, and only those are checked.
+    (row, col); the resulting Betti numbers are order-independent.  The
+    stored matrix is the only state of a pass: a heap holds candidate pairs
+    between equal shifts, and a popped pair is a live unit exactly when its
+    entry is still stored, so each step takes the smallest live unit.
+    Cancelling a unit at shift b changes only entries (r', c') with
+    shift(r') <= b <= shift(c'), so a pair is pushed only when an update
+    stores an entry that was zero between a row and a column both at shift
+    b; those pairs are larger than the pivot.
     """
     p = C.length
     alive = [set(range(len(C.shifts[i]))) for i in range(p + 1)]
@@ -412,31 +414,27 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
     for i in range(1, p + 1):
         rows: dict[int, dict[int, int | Fraction]] = {}
         cols: dict[int, dict[int, int | Fraction]] = {}
-        units: set[tuple[int, int]] = set()
+        heap: list[tuple[int, int]] = []
         rsh, csh = C.shifts[i - 1], C.shifts[i]
         # position i loses no basis element before its own pass, so only the
         # rows need the liveness test
-        live_rows, integral = alive[i - 1], True
+        live_rows = alive[i - 1]
         for c, col in C.diffs[i].cols.items():
             for r, v in col.items():
                 if r in live_rows:
                     rows.setdefault(r, {})[c] = v
                     cols.setdefault(c, {})[r] = v
-                    if type(v) is not int:
-                        integral = False
                     if rsh[r] == csh[c]:
-                        units.add((r, c))
-        heap = list(units)
+                        heap.append((r, c))
         heapq.heapify(heap)
 
-        while units:
+        while heap:
             r0, c0 = heapq.heappop(heap)
-            if (r0, c0) not in units:
+            if c0 not in rows.get(r0, ()):
                 continue
             pivot_row, pivot_col = rows.pop(r0), cols.pop(c0)
             u = pivot_row.pop(c0)
             del pivot_col[r0]
-            units.discard((r0, c0))
             b = csh[c0]
             at_b = {c for c in pivot_row if csh[c] == b}
             # every other row meeting column c0 and every other column meeting
@@ -444,35 +442,27 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
             for r, vc in pivot_col.items():
                 row = rows[r]
                 del row[c0]
-                if rsh[r] == b:
-                    units.discard((r, c0))
-                    candidates = at_b
-                else:
-                    candidates = ()
+                candidates = at_b if rsh[r] == b else ()
                 if type(vc) is int and type(u) is int and not vc % u:
                     factor = vc // u
                 else:
                     factor = _integral(Fraction(vc) / u)
-                    integral = False
                 for c, vr in pivot_row.items():
                     v = row.get(c, 0) - factor * vr
-                    if not integral:
+                    if type(v) is not int:
                         v = _integral(v)
                     if v:
+                        if c in candidates and c not in row:
+                            heapq.heappush(heap, (r, c))
                         row[c] = v
                         cols[c][r] = v
-                        if c in candidates and (r, c) not in units:
-                            units.add((r, c))
-                            heapq.heappush(heap, (r, c))
                     else:
-                        row.pop(c, None)
-                        cols[c].pop(r, None)
-                        if c in candidates:
-                            units.discard((r, c))
+                        # factor and vr are nonzero, so only a stored entry
+                        # can cancel to zero
+                        del row[c]
+                        del cols[c][r]
             for c in pivot_row:
                 del cols[c][r0]
-                if c in at_b:
-                    units.discard((r0, c))
             alive[i - 1].discard(r0)
             alive[i].discard(c0)
         final_cols[i] = cols
@@ -494,34 +484,11 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
         diffs.pop()
 
     out = FreeComplex(C.ctx, shifts, diffs)
-    _normalize_augmentation(out)
     out.validate()
     unit = out.unit_witness()
     if unit is not None:
         raise ConstructionError("minimalized complex keeps a unit entry", unit)
     return out
-
-
-def _normalize_augmentation(C: FreeComplex) -> None:
-    """Rescale position-1 basis so the first scalar matrix is an all-ones row.
-
-    Only applies to quotient-style resolutions (position 0 of rank one in
-    multidegree zero); elsewhere the convention is undefined and nothing is
-    touched.
-    """
-    if C.length < 1 or C.ranks[0] != 1 or any(C.shifts[0][0]):
-        return
-    scale = {}
-    for c, col in C.diffs[1].cols.items():
-        s = col[0]
-        if s != 1:
-            scale[c] = s
-            col[0] = 1
-    if scale and C.length >= 2:
-        for col in C.diffs[2].cols.values():
-            for r, v in col.items():
-                if r in scale:
-                    col[r] = _integral(v * scale[r])
 
 
 def quotient_resolution(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
@@ -532,7 +499,10 @@ def quotient_resolution(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
     Lyubeznik complex lists the generators there in that order, and no unit
     entry reaches position 1, since the lcm of two distinct minimal
     generators is no generator, so cancelling only ever drops positions 2
-    and up."""
+    and up.  The first map is the all-ones row of the Lyubeznik complex
+    unchanged: position 0 has the shift 0 and no generator of a proper
+    ideal is 1, so no unit lies between positions 0 and 1, and a
+    cancellation rewrites scalars only of the map its unit lies in."""
     return minimalize_complex(lyubeznik_complex(I, cap))
 
 

@@ -275,15 +275,16 @@ def random_instance(seed: int) -> GmpiInstance:
                 ideals[(l, d)] = idl
         if not feasible:
             continue
-        try:
-            inst = validate_family(inducing, SubstitutionFamily(T, ideals),
-                                   label=f"seed{seed}")
-        except FamilyValidationError:
+        family = SubstitutionFamily(T, ideals)
+        # the size filters come before validate_family, which resolves S/I
+        products, induced = induced_ideal(inducing, family)
+        if len(induced.gens) > 8:
             continue
-        if len(inst.induced.gens) > 8:
-            continue
-        levels = [list(idl.gens) for idl in [inst.induced] + inst.products]
+        levels = [list(idl.gens) for idl in [induced] + products]
         if grid_size(degree_grid(levels, T.nvars)) > 40_000:
             continue
-        return inst
+        try:
+            return validate_family(inducing, family, label=f"seed{seed}")
+        except FamilyValidationError:
+            continue
     raise FamilyValidationError(f"no feasible instance found for seed {seed}")

@@ -21,7 +21,6 @@ from gmpi.complexes import (
     _bit_indices,
     _cell_classifier,
     _cell_masks,
-    _normalize_augmentation,
     _strand_classes,
     betti_table,
     block_offsets,
@@ -33,6 +32,7 @@ from gmpi.complexes import (
     is_linear_resolution,
     lift_chain_map,
     lyubeznik_complex,
+    make_complex,
     minimalize_complex,
     projective_dimension,
     inexact_positions,
@@ -951,7 +951,6 @@ def reference_minimalize(C: FreeComplex) -> FreeComplex:
         shifts.pop()
         diffs.pop()
     out = FreeComplex(C.ctx, shifts, diffs)
-    _normalize_augmentation(out)
     return out
 
 
@@ -987,6 +986,37 @@ def demo_induced_ideal():
     from gmpi.cli import parse_instance_document
     path = pathlib.Path(__file__).resolve().parent.parent / "demos" / "expansion_x2y_xy2.json"
     return parse_instance_document(json.loads(path.read_text())).induced
+
+
+def one_map_complex(rows, cols, scalars) -> FreeComplex:
+    """A one-map complex over S1 with scalars[c][r] at row shifts ``rows``
+    and column shifts ``cols`` (exponents of x)."""
+    shifts = [[(e,) for e in rows], [(e,) for e in cols]]
+    return make_complex(S1, shifts, [None, MonomialMatrix(S1, *shifts, scalars)])
+
+
+def test_minimalize_skips_the_units_a_cancellation_zeroed():
+    # the block [[1, 1], [1, 1]] between equal shifts: cancelling (0, 0)
+    # zeroes (1, 1), so (0, 1), (1, 0) and (1, 1) are popped dead
+    C = one_map_complex([1, 1, 0], [1, 1, 2],
+                        {0: {0: 1, 1: 1, 2: 1}, 1: {0: 1, 1: 1, 2: 2}, 2: {0: 1, 1: 3}})
+    got = minimalize_complex(C)
+    assert got.shifts == [[(1,), (0,)], [(1,), (2,)]]
+    assert got.diffs[1].cols == {0: {1: 1}, 1: {0: 2, 1: -1}}
+    assert same_complex(got, reference_minimalize(C))
+
+
+def test_minimalize_cancels_a_zeroed_unit_that_a_later_update_stores_again():
+    # cancelling (0, 0) zeroes the unit (2, 2); cancelling (1, 1) stores it
+    # again, so the heap holds (2, 2) twice: the first copy is cancelled and
+    # the second is popped dead
+    C = one_map_complex([1, 1, 1, 0], [1, 1, 1, 2], {
+        0: {0: 1, 1: 1, 2: 1, 3: 1}, 1: {0: 1, 1: 2, 2: 2}, 2: {0: 1, 1: 2, 2: 1},
+        3: {0: 1, 3: 1}})
+    got = minimalize_complex(C)
+    assert got.shifts == [[(0,)], [(2,)]]
+    assert got.diffs[1].cols == {0: {0: -1}}
+    assert same_complex(got, reference_minimalize(C))
 
 
 def test_minimalize_matches_the_min_units_loop_on_the_demo_taylor_complex():

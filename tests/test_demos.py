@@ -50,3 +50,27 @@ def test_construction_output_is_the_same_under_python_O(tmp_path):
             outs.append(proc.stdout)
         assert outs[0] == outs[1] and outs[0].startswith("{")
         assert ('"checks"' in outs[0]) == bool(extra)
+
+
+def test_minimalizing_paths_are_the_same_under_python_O(tmp_path):
+    # the two callers of minimalize_complex that the test above does not
+    # reach: `resolve` (quotient_resolution) and `--check` outside the
+    # linearity hypothesis (minimal_total_table)
+    from test_cli import nonlinear_doc
+    ideal_doc, nonlinear = tmp_path / "path23_3.json", tmp_path / "nonlinear.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmpi.cli", "family", "path-ideal", "parts=2,3", "t=3",
+         "--out", str(ideal_doc)], env=src_env(), cwd=ROOT, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    nonlinear.write_text(json.dumps(nonlinear_doc()))
+    for argv in (["resolve", str(ideal_doc), "--json"],
+                 ["gmpi", str(nonlinear), "--check", "--json"]):
+        outs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, "-m", "gmpi.cli", *argv],
+                                  env=src_env(), cwd=ROOT, capture_output=True, text=True,
+                                  timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] and outs[0].startswith("{")

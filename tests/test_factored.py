@@ -21,7 +21,14 @@ from gmpi.builder import (
     factored_table,
     total_complex,
 )
-from gmpi.complexes import betti_table, block_offsets, exactness_check, tensor_chain_map
+from gmpi.complexes import (
+    betti_table,
+    block_offsets,
+    exactness_check,
+    minimalize_complex,
+    quotient_resolution,
+    tensor_chain_map,
+)
 from gmpi.families import random_instance
 from gmpi.verify import SUITE_SEEDS, oracle_betti
 
@@ -218,6 +225,36 @@ def test_sigma_blocks_beyond_the_pinned_seeds():
 @given(nonlinear_nested_documents())
 def test_sigma_blocks_outside_the_hypothesis(doc):
     check_sigma_blocks(cli.parse_instance_document(doc))
+
+
+# -- the first map of every minimal resolution
+
+def is_all_ones_row(C) -> bool:
+    """Position 1 of C maps each basis element onto position 0 by the int 1."""
+    return (C.diffs[1].cols == {c: {0: 1} for c in range(C.ranks[1])}
+            and all(type(col[0]) is int for col in C.diffs[1].cols.values()))
+
+
+def test_resolutions_of_the_suite_keep_the_all_ones_row():
+    # F and the resolution of every block ideal, as minimalize_complex
+    # returns them: no cancellation reaches their first map
+    for seed in SUITE_SEEDS:
+        inst = random_instance(seed)
+        assert is_all_ones_row(inst.resolution), seed
+        for l, ladder in enumerate(inst.ladders):
+            for d in ladder:
+                if d:
+                    assert is_all_ones_row(quotient_resolution(inst.family.at(l, d))), (seed, l, d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonlinear_nested_documents())
+def test_minimalized_total_complex_keeps_the_all_ones_row(doc):
+    # outside the linearity hypothesis minimal_total_table minimalizes the
+    # total complex, whose first map is lam_1
+    cx = certified_total(cli.parse_instance_document(doc)).complex
+    assert is_all_ones_row(cx)
+    assert is_all_ones_row(minimalize_complex(cx))
 
 
 # -- which path builds what

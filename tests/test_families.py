@@ -188,6 +188,24 @@ def test_random_instance_respects_bounds():
         assert all(flags.values())
 
 
+def test_random_instance_resolves_only_the_draw_it_keeps(monkeypatch):
+    # the size filters on L and on the degree grid come first, so S/I is
+    # resolved (validate_family) once per suite instance
+    from gmpi import families
+    from gmpi.verify import SUITE_SEEDS, suite_instances
+    calls = []
+    original = families.validate_family
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(families, "validate_family", counted)
+    instances = suite_instances()
+    assert len(calls) == len(SUITE_SEEDS) == 20
+    assert calls == [inst.inducing for inst in instances]
+
+
 def test_random_instances_match_golden_tables():
     from gmpi.verify import oracle_betti
     from gmpi.complexes import BettiTable
