@@ -56,7 +56,10 @@ denominator of its maps is odd (so rank over F_2 <= rank over Q) and that
 every live column has its support in the live rows (so the strand is a
 subcomplex of a complex and squares to zero).  Any other strand is ranked
 again with the exact ``linalg.rank``, so the verdict and witness are the
-exact ones.
+exact ones.  Each class of cells with equal strands is decided in one pass
+over its summand masks, with no cache between classes: the masks are
+decoded into live indices, and the support test, the F_2 rank and any
+exact rank read them.
 
 A map is checked (``validate``) where its scalars are made: the Taylor and
 Lyubeznik complexes (``_subset_complex``), ``minimalize_complex`` and
@@ -647,9 +650,10 @@ def _strand_scan(summands, diffs, expect_h0: MonomialIdeal, max_cells: int):
     The grid is read as Python int bitmasks (``_strand_classes``): each
     cell's class is the bitmask of its live summands at every position plus
     its membership in ``expect_h0``.  Cells of one class have the same
-    strand, so each class is decided once, in the order of its first cell;
-    its dimensions are bit counts, and a summand mask is decoded into its
-    live indices only when a class is ranked.
+    strand, so each class is decided once, in the order of its first cell,
+    in one pass that keeps nothing from the classes before it: each
+    position's summand mask is decoded into its live indices, whose count
+    is the dimension and which both the support test and the rank read.
     """
     # membership of the expected H_0 must jump on the grid too
     levels = [[g for gens in level for g in gens] for level in summands]
@@ -659,63 +663,48 @@ def _strand_scan(summands, diffs, expect_h0: MonomialIdeal, max_cells: int):
         raise SizeCapError(f"degree grid has {ncells} cells (cap {max_cells})")
     first = _strand_classes(summands, expect_h0, axes)
     reduced = [None] + [_map_mod_2(d.cols) for d in diffs[1:]]
-    decoded: dict[int, list[int]] = {}
     positions = list(range(max(map(len, summands))))
-    exact_memo: dict[tuple[int, int, int], int] = {}
-    supported: dict[tuple[int, int, int], bool] = {}
-    mod2_memo: dict[tuple[int, int, int], int] = {}
-
-    def live(mask):
-        """The live summand indices of a summand bitmask."""
-        if mask not in decoded:
-            decoded[mask] = _bit_indices(mask, positions)
-        return decoded[mask]
-
-    def exact_rank(i, a, b):
-        key = (i, a, b)
-        if key not in exact_memo:
-            rows, cols = live(a), live(b)
-            by_col, live_rows = diffs[i].cols, set(rows)
-            exact_memo[key] = linalg.rank([
-                {r: v for r, v in by_col[c].items() if r in live_rows}
-                for c in cols if c in by_col]) if rows and cols else 0
-        return exact_memo[key]
-
-    def mod2_rank(i, a, b, want):
-        """min(rank over F_2, want), or None where a precondition fails.
-        Where the live columns keep their support in the live rows ``a``,
-        the rank depends on the columns alone."""
-        if reduced[i] is None:
-            return None
-        odd, support = reduced[i]
-        key = (i, a, b)
-        if key not in supported:
-            dead = ~a
-            supported[key] = not any(support[c] & dead for c in live(b) if c in support)
-        if not supported[key]:
-            return None
-        if want <= 0:
-            return 0
-        key = (i, b, want)
-        if key not in mod2_memo:
-            mod2_memo[key] = linalg.rank_mod_2([odd[c] for c in live(b) if c in odd], want)
-        return mod2_memo[key]
-
     p = len(summands) - 1
     positive = range(1, p + 1)
     for cls, cell in first.items():
-        dims = [cls[i].bit_count() for i in range(p + 1)]
+        live = [_bit_indices(mask, positions) for mask in cls[:-1]]
+        dims = [len(cols) for cols in live]
         # the ranks of an exact strand, from the top position down
         want = [0] * (p + 2)
         for i in reversed(positive):
             want[i] = dims[i] - want[i + 1]
-        ranks = [0] + [mod2_rank(i, cls[i - 1], cls[i], want[i]) for i in positive] + [0]
+        ranks = [0] + [_strand_rank_mod_2(reduced[i], cls[i - 1], live[i], want[i])
+                       for i in positive] + [0]
         if ranks != want:
-            ranks = [0] + [exact_rank(i, cls[i - 1], cls[i]) for i in positive] + [0]
+            ranks = [0] + [_strand_rank(diffs[i].cols, live[i - 1], live[i])
+                           for i in positive] + [0]
         exact = all(dims[i] == ranks[i] + ranks[i + 1] for i in positive)
         if not exact or dims[0] - ranks[1] != (0 if cls[-1] else 1):
             return next(itertools.islice(itertools.product(*axes), cell, None))
     return None
+
+
+def _strand_rank_mod_2(reduced, rows: int, cols: list[int], want: int) -> int | None:
+    """min(rank over F_2, ``want``) of the strand map with live row mask
+    ``rows`` and live columns ``cols``, from its map's ``_map_mod_2``; None
+    where a precondition fails (an even denominator, or a live column with
+    support outside the live rows).  Where both hold, the rank depends on
+    the live columns alone."""
+    if reduced is None:
+        return None
+    odd, support = reduced
+    dead = ~rows
+    if any(support[c] & dead for c in cols if c in support):
+        return None
+    return linalg.rank_mod_2([odd[c] for c in cols if c in odd], want) if want > 0 else 0
+
+
+def _strand_rank(columns: dict, rows: list[int], cols: list[int]) -> int:
+    """Rank over Q of the strand map made of the live columns ``cols`` of
+    ``columns`` ({col: {row: scalar}}), restricted to the live rows."""
+    live_rows = set(rows)
+    return linalg.rank([{r: v for r, v in columns[c].items() if r in live_rows}
+                        for c in cols if c in columns])
 
 
 def _strand_classes(summands, expect_h0: MonomialIdeal, axes) -> dict[tuple[int, ...], int]:
@@ -744,7 +733,7 @@ def _cell_classifier(summands, expect_h0: MonomialIdeal):
     if x^b lies in ``expect_h0`` and 0 if not.  A position whose summands
     have one generator each reads its summand mask straight off the
     generator mask; any other position folds its part of the generator mask
-    into a summand mask once per distinct part.
+    into a summand mask, one bit per summand that part meets, on every call.
     """
     gens, parts = [], []
     for level in [*summands, [expect_h0.gens]]:
@@ -754,16 +743,14 @@ def _cell_classifier(summands, expect_h0: MonomialIdeal):
             groups.append((((1 << len(ideal_gens)) - 1) << (len(gens) - offset), 1 << j))
             gens.extend(ideal_gens)
         single = all(len(ideal_gens) == 1 for ideal_gens in level)
-        parts.append((offset, (1 << (len(gens) - offset)) - 1, None if single else groups, {}))
+        parts.append((offset, (1 << (len(gens) - offset)) - 1, None if single else groups))
 
     def classify(mask: int) -> tuple[int, ...]:
         key = []
-        for offset, full, groups, folded in parts:
+        for offset, full, groups in parts:
             part = (mask >> offset) & full
             if groups is not None:
-                if part not in folded:
-                    folded[part] = sum(bit for g, bit in groups if part & g)
-                part = folded[part]
+                part = sum(bit for g, bit in groups if part & g)
             key.append(part)
         return tuple(key)
 

@@ -338,11 +338,16 @@ def check_betti_equivalence(inst: GmpiInstance, table: BettiTable,
     ok = table == oracle
     details = {"oracle": which}
     if not ok:
-        diff = {k: (table.entries.get(k, 0), oracle.entries.get(k, 0))
-                for k in set(table.entries) | set(oracle.entries)
-                if table.entries.get(k, 0) != oracle.entries.get(k, 0)}
-        details["diff"] = diff
+        details["diff"] = _entries_diff(table, oracle)
     return CheckResult("betti-equivalence", inst.label, ok, details)
+
+
+def _entries_diff(table: BettiTable, reference: BettiTable) -> dict:
+    """{(k, j): (entry of ``table``, entry of ``reference``)} wherever the
+    two differ."""
+    return {k: (table.entries.get(k, 0), reference.entries.get(k, 0))
+            for k in set(table.entries) | set(reference.entries)
+            if table.entries.get(k, 0) != reference.entries.get(k, 0)}
 
 
 def check_linearity_equivalence(inst: GmpiInstance, factors: Factors,
@@ -388,7 +393,9 @@ def check_engine_self(inst: GmpiInstance, tot: TotalComplex, base: BettiTable | 
     ``base`` is the Lyubeznik oracle's table of L in its canonical generator
     order, which 5 shuffled orders must reproduce; None when that complex
     exceeds the Taylor cap ``cap``.  The permutation check reports SKIPPED
-    then, and when a shuffled order exceeds the cap.
+    then, and when a shuffled order exceeds the cap.  It fails at the first
+    shuffled order whose table differs, named by its number (1 to 5) and
+    the entries where it differs from ``base``.
     """
     out = [check_total_exactness(inst, tot)]
 
@@ -399,11 +406,13 @@ def check_engine_self(inst: GmpiInstance, tot: TotalComplex, base: BettiTable | 
     else:
         rng = random.Random(f"{inst.label}/perm")
         try:
-            for _ in range(5):
+            for shuffle in range(1, 6):
                 perm = list(L.gens)
                 rng.shuffle(perm)
-                if oracle_betti(MonomialIdeal(L.ctx, tuple(perm)), cap=cap) != base:
+                table = oracle_betti(MonomialIdeal(L.ctx, tuple(perm)), cap=cap)
+                if table != base:
                     ok = False
+                    details.update(shuffle=shuffle, diff=_entries_diff(table, base))
                     break
         except SizeCapError as e:
             details["skipped"] = str(e)

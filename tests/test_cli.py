@@ -367,7 +367,7 @@ def test_max_taylor_is_refused_above_40(tmp_path, capsys):
     ["squarefree-veronese", "vars=1_0", "degree=2"],
     ["squarefree-veronese", "vars= 3", "degree=2"],
     ["squarefree-veronese", "vars=3", "degree=+2"],
-    ["squarefree-veronese", "--vars", "03", "--degree", "2"],
+    ["squarefree-veronese", "vars=03", "degree=2"],
     ["lex-segment", "vars=3", "degree=2", "count=0_2"],
     ["path-ideal", "parts=1_1,2", "t=2"],
     ["path-ideal", "parts=2,2", "t=02"],
@@ -398,8 +398,17 @@ def test_numeric_options_are_written_as_integers(option, tmp_path, capsys):
     assert repr(option[-1]) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", [["--degree", "2"], ["--json"]])
+def test_family_takes_its_parameters_only_as_key_value(option, capsys):
+    # a family parameter is written key=value, and the output is always JSON
+    with pytest.raises(SystemExit) as err:
+        main(["family", "squarefree-veronese", "vars=4", "degree=2", *option])
+    assert err.value.code == 2
+    assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+
+
 def test_plain_numbers_stay_valid(tmp_path, capsys):
-    assert main(["family", "squarefree-veronese", "vars=4", "--degree", "2"]) == 0
+    assert main(["family", "squarefree-veronese", "vars=4", "degree=2"]) == 0
     assert main(["family", "random", "--seed", "30"]) == 0
     assert main(["family", "random", "--seed", "-3"]) == 0
     path = write(tmp_path, "k.json", koszul3_doc())

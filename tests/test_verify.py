@@ -12,13 +12,20 @@ from gmpi.builder import (
     resolution_table,
 )
 from gmpi.cli import parse_instance_document
-from gmpi.complexes import SizeCapError, degree_grid, exactness_check, grid_size
+from gmpi.complexes import (
+    SizeCapError,
+    degree_grid,
+    exactness_check,
+    grid_size,
+    regularity,
+)
 from gmpi.families import mixed_product_instance, random_instance
 from gmpi.monomials import ideal, lcm, simple_context
 from gmpi.verify import (
     betti_for_ideal,
     check_betti_equivalence,
     check_degree_realization,
+    check_engine_self,
     check_lcm_shifts,
     check_linearity_equivalence,
     check_pd_formula,
@@ -262,6 +269,61 @@ def test_betti_equivalence_teeth():
     tot.complex.shifts[1].append(tot.complex.shifts[1][0])
     broken = check_betti_equivalence(inst, minimal_total_table(tot), *oracle)
     assert not broken.passed and "diff" in broken.details
+
+
+def forged(table, k, j):
+    """A copy of ``table`` with one more entry beta_{k,j}."""
+    entries = dict(table.entries)
+    entries[(k, j)] = entries.get((k, j), 0) + 1
+    return dataclasses.replace(table, entries=entries)
+
+
+def linear_instance_table():
+    # seed 9: inside the linearity hypothesis, with I and L both linear
+    inst = random_instance(9)
+    tot = certified_total(inst)
+    return inst, tot, minimal_total_table(tot), oracle_betti(inst.induced)
+
+
+def test_regularity_preservation_teeth():
+    inst, tot, table, oracle = linear_instance_table()
+    factors = tot.factors
+    reg = regularity(table)
+    assert check_theorem_regularity(inst, factors, table, oracle).status == "PASS"
+    # an entry one row below the table's last raises reg L by one
+    res = check_theorem_regularity(inst, factors, forged(table, 1, reg + 1), oracle)
+    assert res.status == "FAIL"
+    assert res.details == {"reg_I": reg, "reg_L": reg + 1, "reg_L_oracle": reg}
+
+
+def test_projective_dimension_formula_teeth():
+    inst, tot, table, oracle = linear_instance_table()
+    factors = tot.factors
+    pd = table.top_position
+    assert check_pd_formula(inst, factors, table, oracle).status == "PASS"
+    res = check_pd_formula(inst, factors, forged(table, pd + 1, 9), oracle)
+    assert res.status == "FAIL"
+    assert res.details == {"formula": pd, "pd_tot": pd + 1, "pd_oracle": pd}
+
+
+def test_linear_resolution_equivalence_teeth():
+    inst, tot, table, _ = linear_instance_table()
+    factors = tot.factors
+    d = inst.induced.generated_in_degree()
+    assert check_linearity_equivalence(inst, factors, table).status == "PASS"
+    # a minimal generator of L one degree above the others
+    res = check_linearity_equivalence(inst, factors, forged(table, 1, d + 1))
+    assert res.status == "FAIL"
+    assert res.details == {"I_linear": True, "L_linear": False}
+
+
+def test_betti_permutation_invariance_teeth():
+    # the oracle is the Lyubeznik table, the base of the permutation check
+    inst, tot, _, base = linear_instance_table()
+    assert check_engine_self(inst, tot, base)[1].status == "PASS"
+    res = check_engine_self(inst, tot, forged(base, 1, 9))[1]
+    assert res.name == "betti-permutation-invariance" and res.status == "FAIL"
+    assert res.details == {"shuffle": 1, "diff": {(1, 9): (0, 1)}}
 
 
 # -- hypothesis flag semantics
