@@ -13,7 +13,6 @@ from gmpi import (
     betti_table,
     build_factors,
     build_star_complex,
-    certify_factors,
     ideal,
     is_linear_resolution,
     minimal_total_table,
@@ -44,11 +43,10 @@ star = build_star_complex(inst)
 print("star positions:", [len(level) for level in star.ideals])
 print("star acyclic:", star_acyclicity(star) is None)
 
-# the factors (F, the block resolutions and the comparison maps), their
-# certificate, and the total complex assembled from them; the columns of the
-# double complex are blocks of it
+# the factors (F, the block resolutions and the comparison maps that sigma
+# uses), made once and certified, and the total complex assembled from them;
+# the columns of the double complex are blocks of it
 factors = build_factors(inst)
-certify_factors(factors)
 tot = total_complex(factors)
 print("column ranks:", tot.column_ranks)
 print("total complex ranks:", tot.complex.ranks, "minimal:", tot.complex.is_minimal)

@@ -6,9 +6,11 @@ ideal generated in degree d inside block l's variables (nested along degrees),
 this module constructs:
 
   * the induced ideal L = sum of products of substitution ideals,
-  * the factors of its resolution: the minimal resolution F of S/I, one
-    block resolution per ladder degree and the comparison maps (rho, and
-    their ladder composites tau) between them,
+  * the factors of its resolution (``build_factors``), made once and
+    certified: the minimal resolution F of S/I, one block resolution per
+    ladder degree and the ladder composites tau that sigma uses
+    (``Factors.taus``), each a composite of the comparison maps rho
+    between consecutive ladder degrees,
   * the total complex of the double complex built on those factors, which
     is the minimal multigraded free resolution of T/L whenever every
     substitution ideal has a linear resolution,
@@ -17,16 +19,16 @@ together with the Betti table of T/L read off that resolution
 (``resolution_table``), from which the theorem checks of verify compute the
 regularity, projective dimension and linearity.
 
-The construction certifies the total complex on its factors
-(``certify_factors``) and, under the linearity hypothesis, reads the Betti
-table off them (``factored_table``): the total complex is then minimal, so
-its table is the multiset of the factors' shifts.  The total complex is
-assembled (``total_complex``) only where something reads it: the checks of
-verify, which scan it, and instances outside the hypothesis, whose total
-complex is minimalized.  It is placed straight into its anti-diagonal
-basis from the factors; column c of the double complex and the sigma maps
-between columns are blocks of it (``TotalComplex.sigma``), never separate
-objects.
+``build_factors`` certifies the total complex on its factors as it makes
+them (``certify_factors``), and under the linearity hypothesis the Betti
+table is read off them (``factored_table``): the total complex is then
+minimal, so its table is the multiset of the factors' shifts.  The total
+complex is assembled (``total_complex``) only where something reads it:
+the checks of verify, which scan it, and instances outside the hypothesis,
+whose total complex is minimalized.  It is placed straight into its
+anti-diagonal basis from the factors; column c of the double complex and
+the sigma maps between columns are blocks of it (``TotalComplex.sigma``),
+never separate objects.
 
 The complex of ideal direct sums carried by the scalar matrices of F (the
 "star complex", whose H_0 is T/L) is the first page of the double complex.
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import (
@@ -347,13 +349,14 @@ def block_linearity(blocks: dict) -> dict[tuple[int, int], bool]:
             for (l, d), res in blocks.items()}
 
 
-def rho_maps(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int], ChainMap]:
+def rho_maps(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int, int], ChainMap]:
     """Comparison maps between consecutive ladder entries of each block.
 
-    rho[(l, k)] : resolution at ladder degree k -> ladder degree k-1, lifting
-    the inclusion of the smaller ideal into the larger.  ConstructionError
-    with (block, degree, generator) where that inclusion fails
-    (``nesting_witness``, which validate_family also rules out).
+    rho[(l, d, e)] : resolution at ladder degree d -> the ladder degree e
+    one step below, lifting the inclusion of the smaller ideal into the
+    larger (the key of ``Factors.taus``).  ConstructionError with (block,
+    degree, generator) where that inclusion fails (``nesting_witness``,
+    which validate_family also rules out).
     """
     out = {}
     for l in range(inst.nblocks):
@@ -362,8 +365,8 @@ def rho_maps(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int], ChainMap
         if witness is not None:
             raise ConstructionError(
                 "substitution ideals are not nested (block, degree, generator)", (l,) + witness)
-        for k in range(1, len(ladder)):
-            out[(l, k)] = lift_chain_map(blocks[(l, ladder[k])], blocks[(l, ladder[k - 1])])
+        for e, d in zip(ladder, ladder[1:]):
+            out[(l, d, e)] = lift_chain_map(blocks[(l, d)], blocks[(l, e)])
     return out
 
 
@@ -372,88 +375,79 @@ def rho_maps(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int], ChainMap
 
 @dataclass
 class Factors:
-    """What the resolution of T/L is made of: the resolution F of S/I (the
-    instance's, whose diffs store the scalar matrices lam_c), a block
-    resolution per ladder degree with its linearity flag, the comparison
-    maps rho between consecutive ladder degrees (``rho_maps``) and their
-    ladder composites tau (``tau``).  Column c of the double complex is the
-    direct sum, over the shifts a of F at position c, of the tensor
-    products of the block resolutions at the block degrees a_l, and sigma_c
-    is lam_c times the tensor products of the taus between them.
+    """What the resolution of T/L is made of, made once and certified by
+    ``build_factors``: the resolution F of S/I (the instance's, whose diffs
+    store the scalar matrices lam_c), a block resolution per ladder degree
+    with its linearity flag, and ``taus``, the ladder composites tau that
+    sigma uses.  Column c of the double complex is the direct sum, over the
+    shifts a of F at position c, of the tensor products of the block
+    resolutions at the block degrees a_l, and sigma_c is lam_c times the
+    tensor products of the taus between them.
 
-    ``exactness_verified`` is set by ``certify_factors``: True where every
-    scan of the certificate ran, False where a degree grid (of S or of a
-    block) exceeds its scan cap or the certificate has not run."""
+    ``taus`` maps (block, from, to) to tau_(l, from, to) for each drop
+    that a nonzero lam_c[k][j], c >= 2, puts into sigma_c: the identity
+    where the degrees are equal, otherwise the composite of the rho maps
+    (``rho_maps``) of block l from ladder degree ``from`` down to ``to``;
+    a single step is the rho map itself.
+
+    ``exactness_verified`` is what ``certify_factors`` returned: True where
+    every scan of the certificate ran, False where a degree grid (of S or
+    of a block) exceeds its scan cap."""
 
     instance: GmpiInstance
     blocks: dict[tuple[int, int], FreeComplex]
     linear_flags: dict[tuple[int, int], bool]
-    rhos: dict[tuple[int, int], ChainMap]
+    taus: dict[tuple[int, int, int], ChainMap]
     exactness_verified: bool = False
-    # the taus made so far, by (block, from, to)
-    _taus: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def hypothesis_linear(self) -> bool:
         return all(self.linear_flags.values())
 
-    def tau(self, l: int, deg_from: int, deg_to: int) -> ChainMap:
-        """tau_(l, deg_from, deg_to): the identity where the degrees are
-        equal and otherwise the composite of the rho maps of block l from
-        ladder degree deg_from down to deg_to; a single step is the rho map
-        itself.  Made once per key, never as an ad-hoc lift, and not checked
-        here: ``certify_factors`` checks each one in use (``taus_in_use``)."""
-        key = (l, deg_from, deg_to)
-        if key in self._taus:
-            return self._taus[key]
-        ladder = self.instance.ladders[l]
-        if deg_from not in ladder or deg_to not in ladder:
-            raise ConstructionError(
-                "a degree drop leaves the ladder (block, from, to)", key)
-        b, c = ladder.index(deg_from), ladder.index(deg_to)
-        if b < c:
-            raise ConstructionError(
-                "a ladder composite cannot raise the degree (block, from, to)", key)
-        if b == c:
-            cm = identity_chain_map(self.blocks[(l, deg_from)])
-        else:
-            cm = self.rhos[(l, b)]
-            for t in range(b - 1, c, -1):
-                cm = self.rhos[(l, t)].compose(cm)
-        self._taus[key] = cm
-        return cm
-
     def taus_in_use(self) -> dict[tuple[int, int, int], ChainMap]:
-        """{(block, from, to): tau} for every tau other than an identity
-        that a nonzero scalar lam_c[k][j], c >= 2, puts into sigma_c: the
-        drop from the block degree of shift j at position c to that of
-        shift k at position c - 1.  In order of c, then of the stored
-        columns and rows of lam_c, then of the blocks."""
-        inst, out = self.instance, {}
-        res = inst.resolution
-        for c in range(2, res.length + 1):
-            for j, col in res.diffs[c].cols.items():
-                for k in col:
-                    for l in range(inst.nblocks):
-                        key = (l, res.shifts[c][j][l], res.shifts[c - 1][k][l])
-                        if key[1] != key[2] and key not in out:
-                            out[key] = self.tau(*key)
-        return out
+        """The taus other than an identity, in the order of ``taus``."""
+        return {key: tau for key, tau in self.taus.items() if key[1] != key[2]}
 
 
 def build_factors(inst: GmpiInstance) -> Factors:
-    """The block resolutions of ``inst``, their linearity flags and the rho
-    maps between them, unchecked beyond what each map's maker checks
-    (``certify_factors`` certifies them); the taus are composed from the
-    rho maps on demand (``Factors.tau``)."""
+    """The factors of ``inst``, complete and certified: the block
+    resolutions, their linearity flags and the taus that sigma uses
+    (``Factors``), then ``certify_factors``, whose ConstructionError
+    propagates and whose verdict is ``exactness_verified``.
+
+    The drops are enumerated once, in order of c, then of the stored
+    columns and rows of lam_c, then of the blocks: the drop of block l is
+    from the block degree of shift j at position c to that of shift k at
+    position c - 1.  Both are ladder degrees (validate_family's
+    ``realization_witness``), and F is homogeneous, so a drop never raises
+    the degree.  A tau over several ladder steps is the composite of their
+    rho maps, never a direct lift: sigma o sigma vanishes because a
+    composite of ladder composites is one."""
     blocks = block_resolutions(inst)
-    return Factors(inst, blocks, block_linearity(blocks), rho_maps(inst, blocks))
+    rhos, res = rho_maps(inst, blocks), inst.resolution
+    drops = dict.fromkeys(
+        (l, d, e) for c in range(2, res.length + 1) for j, col in res.diffs[c].cols.items()
+        for k in col for l, (d, e) in enumerate(zip(res.shifts[c][j], res.shifts[c - 1][k])))
+    taus = {}
+    for l, d, e in drops:
+        # the rho maps from d down to e, composed from the top step down
+        ladder = inst.ladders[l]
+        steps = [rhos[(l, hi, lo)] for lo, hi in zip(ladder, ladder[1:]) if e <= lo < d]
+        tau = steps.pop() if steps else identity_chain_map(blocks[(l, d)])
+        while steps:
+            tau = steps.pop().compose(tau)
+        taus[(l, d, e)] = tau
+    factors = Factors(inst, blocks, block_linearity(blocks), taus)
+    factors.exactness_verified = certify_factors(factors)
+    return factors
 
 
-def certify_factors(factors: Factors) -> None:
+def certify_factors(factors: Factors) -> bool:
     """Certify, on the factors alone, that the total complex of the double
     complex resolves T/L, minimally under the linearity hypothesis, and
-    record whether every scan ran (``factors.exactness_verified``).
+    return whether every scan ran.  ``build_factors`` calls it on the
+    factors it makes, and records the result as their
+    ``exactness_verified``; it assigns nothing itself.
 
     Filter the total complex by columns.  Column c resolves the direct sum
     of the block products at the shifts of position c, and sigma induces
@@ -506,12 +500,12 @@ def certify_factors(factors: Factors) -> None:
       the maps square to zero, and a strand scan over the block's own
       variables, with the augmentation onto the ring prepended).
 
-    A grid of S or of a block above its scan cap skips that scan, recorded
-    as ``exactness_verified=False``; the checks that need no scan still
-    run.  Where the total complex is assembled (``total_complex``), its
-    diff o diff is checked there; the scan of the total complex itself is
-    the ``total-exactness`` check of verify.check_engine_self, and the scan
-    of the star complex on T's grid its ``star-acyclicity`` check.
+    A grid of S or of a block above its scan cap skips that scan, and the
+    result is then False; the checks that need no scan still run.  Where
+    the total complex is assembled (``total_complex``), its diff o diff is
+    checked there; the scan of the total complex itself is the
+    ``total-exactness`` check of verify.check_engine_self, and the scan of
+    the star complex on T's grid its ``star-acyclicity`` check.
     """
     inst = factors.instance
     res = inst.resolution
@@ -575,7 +569,7 @@ def certify_factors(factors: Factors) -> None:
                 raise ConstructionError(
                     "a block resolution does not resolve its substitution ideal "
                     "(block, degree, multidegree)", (l, d, witness))
-    factors.exactness_verified = verified
+    return verified
 
 
 def tau_augmentation_witness(taus: dict[tuple[int, int, int], ChainMap]):
@@ -645,8 +639,8 @@ def _tensor_shift_counts(factors: list[FreeComplex]) -> list[Counter]:
 
 @dataclass
 class TotalComplex:
-    """The total complex of the double complex of ``factors``, with its
-    column layout.
+    """The total complex of the double complex of ``factors`` (made and
+    certified by ``build_factors``), with its column layout.
 
     Column c of the double complex is the direct sum of ``summands[c]``:
     column 0 is the ring, and column c >= 1 has one summand per shift a of
@@ -658,16 +652,18 @@ class TotalComplex:
     ``column_ranks`` (per column, the rank of each of its rows).  The
     horizontal map sigma_c of the paper is read back by ``sigma``.
 
-    ``exactness_verified`` is that of the factors it was assembled from
-    (``certify_factors``): False only where the degree grid of S (the star
-    step) or of a block exceeds its scan cap, and ``gmpi gmpi`` then
-    reports the table as uncertified."""
+    ``exactness_verified`` is read off ``factors``: False only where the
+    degree grid of S (the star step) or of a block exceeds its scan cap,
+    and ``gmpi gmpi`` then reports the table as uncertified."""
 
     factors: Factors
     complex: FreeComplex
     summands: list[list[FreeComplex]]
     column_ranks: list[list[int]]
-    exactness_verified: bool = False
+
+    @property
+    def exactness_verified(self) -> bool:
+        return self.factors.exactness_verified
 
     def sigma(self, c: int, i: int) -> MonomialMatrix:
         """sigma_c in row i, for c >= 1: the block of diffs[c + i] from
@@ -709,26 +705,28 @@ class TotalComplex:
 
 
 def total_complex(factors: Factors) -> TotalComplex:
-    """The total complex of the double complex of the certified ``factors``,
-    assembled straight into its anti-diagonal basis (``TotalComplex``).
+    """The total complex of the double complex of ``factors``, which
+    ``build_factors`` made and certified, assembled straight into its
+    anti-diagonal basis (``TotalComplex``).
 
     Each tensor product of block resolutions is made once per degree tuple
     and its differentials are copied once, as the vertical maps of its
     summands.  Each nonzero lam_c[k][j], c >= 2, contributes the
-    ``tensor_chain_map`` of the taus from the block degrees of shift j at
-    position c to those of shift k at position c - 1, times lam_c[k][j],
-    from summand j of column c to summand k of column c - 1; lam_1 maps
-    the generators of summand j of column 1 onto the ring.  The horizontal
-    map picks up the sign (-1)^row, so that squares anticommute and the
-    total differential squares to zero.  A column lists its vertical rows,
-    then its horizontal rows by k; a stored zero (of a corrupted input) is
-    left out.
+    ``tensor_chain_map`` of the taus (``Factors.taus``) from the block
+    degrees of shift j at position c to those of shift k at position c - 1,
+    times lam_c[k][j], from summand j of column c to summand k of column
+    c - 1; lam_1 maps the generators of summand j of column 1 onto the
+    ring.  The horizontal map picks up the sign (-1)^row, so that squares
+    anticommute and the total differential squares to zero.  A column lists
+    its vertical rows, then its horizontal rows by k; a stored zero (of a
+    corrupted input) is left out.
 
-    ``certify_factors`` is the certificate that the result resolves T/L.
-    This function checks only the map it makes: ConstructionError where the
-    total differential does not square to zero (its components are the
-    columns' diff o diff, the chain-map condition of each sigma and sigma o
-    sigma), witnessed by the multidegree of ``square_witness``.
+    The certificate of the factors (``certify_factors``) is the
+    certificate that the result resolves T/L.  This function checks only
+    the map it makes: ConstructionError where the total differential does
+    not square to zero (its components are the columns' diff o diff, the
+    chain-map condition of each sigma and sigma o sigma), witnessed by the
+    multidegree of ``square_witness``.
     """
     res, T = factors.instance.resolution, factors.instance.T
     products: dict[tuple[int, ...], FreeComplex] = {}
@@ -757,7 +755,7 @@ def total_complex(factors: Factors) -> TotalComplex:
         for j, src in enumerate(summands[c]):
             horizontal = [] if c == 1 else [
                 (k, scalar, tensor_chain_map(
-                    [factors.tau(l, a, b)
+                    [factors.taus[(l, a, b)]
                      for l, (a, b) in enumerate(zip(res.shifts[c][j], res.shifts[c - 1][k]))],
                     src, summands[c - 1][k]).mats)
                 for k, scalar in sorted(lam.get(j, {}).items())]
@@ -790,7 +788,7 @@ def total_complex(factors: Factors) -> TotalComplex:
     square = cx.square_witness()
     if square is not None:
         raise ConstructionError("total differential does not square to zero", square[1])
-    return TotalComplex(factors, cx, summands, ranks, factors.exactness_verified)
+    return TotalComplex(factors, cx, summands, ranks)
 
 
 def block_witness(res: FreeComplex, I: MonomialIdeal):

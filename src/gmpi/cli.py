@@ -23,7 +23,6 @@ from .builder import (
     GmpiInstance,
     SubstitutionFamily,
     build_factors,
-    certify_factors,
     resolution_table,
     total_complex,
     validate_family,
@@ -144,13 +143,31 @@ def parse_instance_document(doc) -> GmpiInstance:
 
 BLOCK_FAMILY_TAGS = ("squarefree-veronese", "power-of-maximal", "lex-segment")
 
+# the parameters each family reads; `gmpi family` also reads the number of
+# variables of a block family as ``vars``, and a substitution object of a
+# document names its family as ``family``
+FAMILY_PARAMETERS = {
+    "squarefree-veronese": ("degree",), "power-of-maximal": ("degree",),
+    "lex-segment": ("degree", "count"), "veronese-type": ("caps", "t"),
+    "path-ideal": ("parts", "t"), "mixed-product": ("sizes", "degs1", "degs2"), "random": ()}
+
+
+def _refuse_unread(params, reads: tuple, what: str) -> None:
+    """An InputError naming the first key of ``params`` that ``what`` does
+    not read (one of ``reads``)."""
+    extra = next((key for key in params if key not in reads), None)
+    if extra is not None:
+        raise InputError(f"{what} reads no parameter {extra!r} (only {', '.join(reads)})")
+
 
 def family_ideal(tag, params: dict, nvars: int, block_ctx: VariableContext | None) -> MonomialIdeal:
     """A block ideal in ``nvars`` variables from a family tag and its
-    parameters: ``degree``, plus ``count`` for lex-segment.  Without a
+    parameters: ``degree``, plus ``count`` for lex-segment, beside the
+    ``family`` key of a document; any other key is refused.  Without a
     ``block_ctx`` the block is named x."""
     if tag not in BLOCK_FAMILY_TAGS:
         raise InputError(f"unknown substitution family {tag!r}; choose from {BLOCK_FAMILY_TAGS}")
+    _refuse_unread(params, ("family",) + FAMILY_PARAMETERS[tag], f"substitution family {tag!r}")
     with _reading(f"{tag} parameters"):
         degree = _integer(params["degree"])
         if tag == "squarefree-veronese":
@@ -268,7 +285,6 @@ def cmd_gmpi(args) -> int:
     doc = _load(args.path)
     inst = parse_instance_document(doc)
     factors = build_factors(inst)
-    certify_factors(factors)
     # the checks scan the assembled total complex
     tot = total_complex(factors) if args.check else None
     table = resolution_table(factors, tot)
@@ -309,11 +325,17 @@ def cmd_gmpi(args) -> int:
 
 def cmd_family(args) -> int:
     tag = args.tag
+    if tag not in FAMILY_PARAMETERS:
+        raise InputError(f"unknown family tag {tag!r}; choose from {fam.FAMILY_TAGS}")
     with _reading("family parameters"):
         params = dict(kv.split("=", 1) for kv in args.param)
+        reads = (("vars",) if tag in BLOCK_FAMILY_TAGS else ()) + FAMILY_PARAMETERS[tag]
+        _refuse_unread(params, reads, f"family {tag!r}")
+        if args.seed is not None and tag != "random":
+            raise InputError(f"family {tag!r} reads no --seed; only family 'random' does")
         if tag in BLOCK_FAMILY_TAGS:
             # family_ideal reads document numbers, which are never strings
-            numbers = {k: _decimal(v) for k, v in params.items() if k in ("degree", "count")}
+            numbers = {k: _decimal(v) for k, v in params.items() if k != "vars"}
             out = ideal_to_document(family_ideal(tag, numbers, _decimal(params["vars"]), None))
         elif tag == "veronese-type":
             caps = tuple(map(_decimal, params["caps"].split(",")))
@@ -327,10 +349,8 @@ def cmd_family(args) -> int:
             d1 = tuple(map(_decimal, params["degs1"].split(",")))
             d2 = tuple(map(_decimal, params["degs2"].split(",")))
             out = instance_to_document(fam.mixed_product_instance(sizes, d1, d2))
-        elif tag == "random":
-            out = instance_to_document(fam.random_instance(args.seed))
         else:
-            raise InputError(f"unknown family tag {tag!r}; choose from {fam.FAMILY_TAGS}")
+            out = instance_to_document(fam.random_instance(args.seed or 0))
     emit_json(out, args.out)
     return 0
 
@@ -383,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("family", help="emit a family ideal or instance document")
     p.add_argument("tag")
     p.add_argument("param", nargs="*", help="key=value parameters")
-    p.add_argument("--seed", type=_decimal, default=0)
+    p.add_argument("--seed", type=_decimal, help="the seed of family random (default 0)")
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="run the pinned acceptance suite")

@@ -27,7 +27,6 @@ from .builder import (
     TotalComplex,
     build_factors,
     build_star_complex,
-    certify_factors,
     product_formula_witness,
     realization_witness,
     resolution_table,
@@ -338,16 +337,26 @@ def check_betti_equivalence(inst: GmpiInstance, table: BettiTable,
     ok = table == oracle
     details = {"oracle": which}
     if not ok:
-        details["diff"] = _entries_diff(table, oracle)
+        details.update(_table_diff(table, oracle))
     return CheckResult("betti-equivalence", inst.label, ok, details)
 
 
-def _entries_diff(table: BettiTable, reference: BettiTable) -> dict:
-    """{(k, j): (entry of ``table``, entry of ``reference``)} wherever the
+def _table_diff(table: BettiTable, reference: BettiTable) -> dict:
+    """The details of where ``table`` differs from ``reference``: ``diff``,
+    by graded entry (k, j), and where every graded entry agrees,
+    ``multi_diff``, by multigraded entry (k, multidegree)."""
+    details = {"diff": _entries_diff(table.entries, reference.entries)}
+    if not details["diff"]:
+        details["multi_diff"] = _entries_diff(table.multi, reference.multi)
+    return details
+
+
+def _entries_diff(entries: dict, reference: dict) -> dict:
+    """{key: (entry of ``entries``, entry of ``reference``)} wherever the
     two differ."""
-    return {k: (table.entries.get(k, 0), reference.entries.get(k, 0))
-            for k in set(table.entries) | set(reference.entries)
-            if table.entries.get(k, 0) != reference.entries.get(k, 0)}
+    return {k: (entries.get(k, 0), reference.get(k, 0))
+            for k in set(entries) | set(reference)
+            if entries.get(k, 0) != reference.get(k, 0)}
 
 
 def check_linearity_equivalence(inst: GmpiInstance, factors: Factors,
@@ -395,7 +404,7 @@ def check_engine_self(inst: GmpiInstance, tot: TotalComplex, base: BettiTable | 
     exceeds the Taylor cap ``cap``.  The permutation check reports SKIPPED
     then, and when a shuffled order exceeds the cap.  It fails at the first
     shuffled order whose table differs, named by its number (1 to 5) and
-    the entries where it differs from ``base``.
+    the entries where it differs from ``base`` (``_table_diff``).
     """
     out = [check_total_exactness(inst, tot)]
 
@@ -412,7 +421,7 @@ def check_engine_self(inst: GmpiInstance, tot: TotalComplex, base: BettiTable | 
                 table = oracle_betti(MonomialIdeal(L.ctx, tuple(perm)), cap=cap)
                 if table != base:
                     ok = False
-                    details.update(shuffle=shuffle, diff=_entries_diff(table, base))
+                    details.update(shuffle=shuffle, **_table_diff(table, base))
                     break
         except SizeCapError as e:
             details["skipped"] = str(e)
@@ -464,7 +473,6 @@ def mixed_product_formula_check() -> CheckResult:
     regularity 3, and the table must equal the oracle's."""
     from .families import mixed_product_instance
     factors = build_factors(mixed_product_instance((3, 3), (2, 1), (1, 2)))
-    certify_factors(factors)
     tot = total_complex(factors)
     formula = sum(max(d, e) for d, e in zip((2, 1), (1, 2))) - 1
     table = resolution_table(factors, tot)
@@ -508,10 +516,8 @@ def suite_instances(seeds=None) -> list[GmpiInstance]:
 def run_suite(seeds=None) -> list[CheckResult]:
     results: list[CheckResult] = []
     for inst in suite_instances(seeds):
-        factors = build_factors(inst)
-        certify_factors(factors)
-        tot = total_complex(factors)
-        results.extend(run_instance_checks(tot, resolution_table(factors, tot)))
+        tot = total_complex(build_factors(inst))
+        results.extend(run_instance_checks(tot, resolution_table(tot.factors, tot)))
     results.append(mixed_product_formula_check())
     results.extend(path_identity_checks())
     return results

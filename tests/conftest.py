@@ -10,7 +10,6 @@ from gmpi.builder import (
     GmpiInstance,
     build_factors,
     build_star_complex,
-    certify_factors,
     total_complex,
 )
 from gmpi.complexes import block_offsets
@@ -22,9 +21,7 @@ from gmpi.verify import SUITE_SEEDS
 def certified_total(inst: GmpiInstance):
     """The total complex of ``inst``, assembled from its certified factors,
     as ``gmpi gmpi --check`` and ``gmpi verify`` assemble it."""
-    factors = build_factors(inst)
-    certify_factors(factors)
-    return total_complex(factors)
+    return total_complex(build_factors(inst))
 
 
 def sigma_entry(tot, c: int, i: int) -> tuple[int, int]:

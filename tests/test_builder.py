@@ -1,3 +1,4 @@
+import functools
 import time
 from fractions import Fraction
 
@@ -28,7 +29,9 @@ from gmpi.complexes import (
     exactness_check,
     free_module_resolution,
     ideal_resolution,
+    identity_chain_map,
     is_linear_resolution,
+    lift_chain_map,
     minimalize_complex,
     quotient_resolution,
     taylor_complex,
@@ -337,7 +340,7 @@ def test_rho_phi0_matches_divisor_rule():
     inst = expansion_instance()
     blocks = block_resolutions(inst)
     rhos = rho_maps(inst, blocks)
-    phi0 = rhos[(0, 1)].mats[0]   # (x1,x2)^2 -> (x1,x2)
+    phi0 = rhos[(0, 2, 1)].mats[0]   # (x1,x2)^2 -> (x1,x2)
     assert phi0.cols == {0: {0: Fraction(1)}, 1: {0: Fraction(1)}, 2: {1: Fraction(1)}}
 
 
@@ -350,9 +353,22 @@ def test_rho_into_degree_zero_is_augmentation_lift():
     # (x, y) has block ladders [0, 1]: the drop to degree 0 lands in the ring
     inst = koszul_instance()
     rhos = rho_maps(inst, block_resolutions(inst))
-    phi0 = rhos[(0, 1)].mats[0]
+    phi0 = rhos[(0, 1, 0)].mats[0]
     assert phi0.row_shifts == [(0, 0)]
     assert phi0.cols == {0: {0: Fraction(1)}, 1: {0: Fraction(1)}}
+
+
+def ladder_tau(F, l, d, e):
+    """tau_(l, d, e) of the factors F where sigma uses it (``Factors.taus``),
+    and otherwise the composite of the ``rho_maps`` of block l from ladder
+    degree d down to e, or the identity where d == e."""
+    if (l, d, e) in F.taus:
+        return F.taus[(l, d, e)]
+    if d == e:
+        return identity_chain_map(F.blocks[(l, d)])
+    ladder, rhos = F.instance.ladders[l], rho_maps(F.instance, F.blocks)
+    steps = [rhos[(l, hi, lo)] for lo, hi in zip(ladder, ladder[1:]) if e <= lo and hi <= d]
+    return functools.reduce(lambda acc, rho: rho.compose(acc), reversed(steps))
 
 
 def test_tau_identity_single_step_and_composite():
@@ -371,14 +387,14 @@ def test_tau_identity_single_step_and_composite():
     inst = validate_family(
         ideal(S3v, [(3, 0, 0), (2, 1, 0), (1, 2, 1), (1, 1, 2)]), fam, label="ladder3")
     F = build_factors(inst)
-    ident = F.tau(0, 2, 2)
+    ident = F.taus[(0, 2, 2)]
     assert ident.mats[0].cols == {j: {j: Fraction(1)} for j in range(3)}
-    one_step = F.tau(0, 2, 1)
+    one_step = F.taus[(0, 2, 1)]
     rhos = rho_maps(inst, F.blocks)
-    assert [m.cols for m in one_step.mats] == [m.cols for m in rhos[(0, 1)].mats]
+    assert [m.cols for m in one_step.mats] == [m.cols for m in rhos[(0, 2, 1)].mats]
     # two-step drop equals the composite of one-step drops, entry for entry
-    two_step = F.tau(0, 3, 1)
-    composite = rhos[(0, 1)].compose(rhos[(0, 2)])
+    two_step = ladder_tau(F, 0, 3, 1)
+    composite = rhos[(0, 2, 1)].compose(rhos[(0, 3, 2)])
     assert [m.cols for m in two_step.mats] == [m.cols for m in composite.mats]
 
 
@@ -396,25 +412,112 @@ def test_tau_composites_are_path_independent():
         routes = []
         for mid in ladder[:3]:
             if lo <= mid <= hi:
-                routes.append(F.tau(l, mid, lo).compose(F.tau(l, hi, mid)))
+                routes.append(ladder_tau(F, l, mid, lo).compose(ladder_tau(F, l, hi, mid)))
         assert len(routes) >= 3  # via lo, the middle rung, and hi itself
         for later in routes[1:]:
             assert [m.cols for m in routes[0].mats] == [m.cols for m in later.mats]
-        direct = F.tau(l, hi, lo)
+        direct = ladder_tau(F, l, hi, lo)
         assert [m.cols for m in routes[0].mats] == [m.cols for m in direct.mats]
         direct.validate()
         found = True
     assert found, "instance lost its three-step ladder"
 
 
-def test_tau_rejects_off_ladder_degrees():
-    F = build_factors(expansion_instance())
-    with pytest.raises(ConstructionError) as err:
-        F.tau(0, 3, 1)
-    assert err.value.witness == (0, 3, 1)
-    with pytest.raises(ConstructionError) as err:
-        F.tau(0, 1, 2)
-    assert err.value.witness == (0, 1, 2)
+def lam_drops(inst):
+    """(block, from, to) of each drop that a stored scalar lam_c[k][j],
+    c >= 2, puts into sigma_c, first occurrence first: by c, then by the
+    stored columns and rows of lam_c, then by block."""
+    res, drops = inst.resolution, []
+    for c in range(2, res.length + 1):
+        for j, col in res.diffs[c].cols.items():
+            for k in col:
+                for l in range(inst.nblocks):
+                    drop = (l, res.shifts[c][j][l], res.shifts[c - 1][k][l])
+                    if drop not in drops:
+                        drops.append(drop)
+    return drops
+
+
+def test_factors_make_exactly_the_taus_of_the_pattern_of_lam():
+    for inst in [random_instance(seed) for seed in SUITE_SEEDS] + [three_block_instance()]:
+        F = build_factors(inst)
+        assert list(F.taus) == lam_drops(inst), inst.label
+        # the identities too, each that of its block
+        for (l, d, e), tau in F.taus.items():
+            if d == e:
+                ident = identity_chain_map(F.blocks[(l, d)])
+                assert tau.source is tau.target is F.blocks[(l, d)]
+                assert [m.cols for m in tau.mats] == [m.cols for m in ident.mats]
+        # taus_in_use is the rest, in the same order
+        in_use = F.taus_in_use()
+        assert list(in_use) == [key for key in F.taus if key[1] != key[2]]
+        assert all(in_use[key] is F.taus[key] for key in in_use)
+
+
+def detour_instance():
+    """(x^3, x y, x^2 z) with (a1, a2), (a1^2, a2^2) and (a1^2 a2, a1 a2^2)
+    along the ladder 1, 2, 3 of block a.  The tau (0, 3, 1) in use goes
+    through a2^2, so it sends a1 a2^2 to a2, where a direct lift of the
+    inclusion sends it to a1."""
+    ctx = {name: VariableContext((n,), (name,)) for name, n in (("a", 2), ("b", 1), ("c", 1))}
+    fam = SubstitutionFamily(VariableContext((2, 1, 1), ("a", "b", "c")), {
+        (0, 1): ideal(ctx["a"], [(1, 0), (0, 1)]),
+        (0, 2): ideal(ctx["a"], [(2, 0), (0, 2)]),
+        (0, 3): ideal(ctx["a"], [(2, 1), (1, 2)]),
+        (1, 1): ideal(ctx["b"], [(1,)]),
+        (2, 1): ideal(ctx["c"], [(1,)]),
+    })
+    S3 = simple_context(3, ("x", "y", "z"))
+    return validate_family(ideal(S3, [(3, 0, 0), (1, 1, 0), (2, 0, 1)]), fam, label="detour")
+
+
+def test_a_multi_step_tau_is_the_composite_of_its_rho_maps():
+    multi = []
+    for seed, inst in [(seed, random_instance(seed)) for seed in SUITE_SEEDS] + [
+            ("detour", detour_instance())]:
+        F = build_factors(inst)
+        rhos = rho_maps(inst, F.blocks)
+        for (l, d, e), tau in F.taus.items():
+            ladder = inst.ladders[l]
+            path = ladder[ladder.index(e):ladder.index(d) + 1]   # e, ..., d
+            if len(path) < 3:
+                continue
+            multi.append((seed, (l, d, e)))
+            # composed from the bottom step up: the same map, entry for entry
+            composite = rhos[(l, path[1], path[0])]
+            for lo, hi in zip(path[1:], path[2:]):
+                composite = composite.compose(rhos[(l, hi, lo)])
+            assert [m.cols for m in tau.mats] == [m.cols for m in composite.mats], (seed, l, d, e)
+    assert len(multi) == 4 and (30, (2, 3, 1)) in multi and ("detour", (0, 3, 1)) in multi
+    # a direct lift would differ, and sigma o sigma vanishes on the composite
+    F = build_factors(detour_instance())
+    direct = lift_chain_map(F.blocks[(0, 3)], F.blocks[(0, 1)])
+    assert F.taus[(0, 3, 1)].mats[0].cols == {0: {0: 1}, 1: {1: 1}}
+    assert direct.mats[0].cols == {0: {0: 1}, 1: {0: 1}}
+    assert total_complex(F).sigma_square_witness() is None
+
+
+@pytest.mark.parametrize("corrupt, make", [
+    (corrupt_block_scalar, expansion_instance),
+    (lambda F: corrupt_block_scalar(F, 2), lambda: mixed_product_instance((3, 3), (2, 1), (1, 2))),
+    (corrupt_block_column, expansion_instance),
+    (corrupt_tau, expansion_instance),
+    (corrupt_star_scalars, expansion_instance),
+], ids=["block-scalar", "block-square", "block-column", "tau", "star-scalars"])
+def test_build_factors_refuses_factors_corrupted_before_their_certificate(
+        monkeypatch, corrupt, make):
+    # the witness of the certificate run on corrupted factors, and that of
+    # build_factors where they are corrupted between their making and their
+    # certificate
+    import gmpi.builder as builder
+    with pytest.raises(ConstructionError) as after:
+        certify_factors(corrupt(build_factors(with_resolution_copy(make()))))
+    certify = builder.certify_factors
+    monkeypatch.setattr(builder, "certify_factors", lambda F: certify(corrupt(F)))
+    with pytest.raises(ConstructionError) as inside:
+        build_factors(with_resolution_copy(make()))
+    assert str(inside.value) == str(after.value)
+    assert inside.value.witness == after.value.witness
 
 
 # -- double complex and total complex
@@ -878,7 +981,7 @@ def three_block_drops(inst):
     products at both ends and the ladder composites between their factors."""
     F = build_factors(inst)
     return [(tensor_products(F.blocks, inst.T, src), tensor_products(F.blocks, inst.T, tgt),
-             [F.tau(l, a, b) for l, (a, b) in enumerate(zip(src, tgt))])
+             [F.taus[(l, a, b)] for l, (a, b) in enumerate(zip(src, tgt))])
             for src, tgt in THREE_BLOCK_DROPS]
 
 

@@ -18,7 +18,7 @@ from gmpi.cli import (
     parse_ideal_document,
     parse_instance_document,
 )
-from gmpi.families import mixed_product_instance
+from gmpi.families import mixed_product_instance, random_instance
 
 from conftest import (
     corrupt_block_column,
@@ -407,6 +407,40 @@ def test_family_takes_its_parameters_only_as_key_value(option, capsys):
     assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("params, name", [
+    (["path-ideal", "parts=2,2", "t=2", "degre=9", "--seed", "5"], "'degre'"),
+    (["squarefree-veronese", "vars=4", "degree=2", "count=7"], "'count'"),
+    (["mixed-product", "sizes=2,2", "degs1=2,1", "degs2=1,2", "vars=2"], "'vars'"),
+    (["random", "seed=3"], "'seed'"),
+    (["path-ideal", "parts=2,2", "t=2", "--seed", "5"], "--seed"),
+    (["power-of-maximal", "vars=3", "degree=2", "--seed", "0"], "--seed"),
+], ids=["misspelled", "not-of-the-family", "vars-of-an-instance", "random", "seed",
+        "seed-zero"])
+def test_family_refuses_a_parameter_it_does_not_read(params, name, capsys):
+    assert main(["family", *params]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert f"reads no {'' if name == '--seed' else 'parameter '}{name}" in err
+
+
+def test_a_substitution_object_refuses_a_parameter_its_family_does_not_read(tmp_path, capsys):
+    doc = expansion_with_substitution(
+        "x:1", {"family": "power-of-maximal", "degree": 1, "count": 9})
+    assert main(["gmpi", write(tmp_path, "e.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        "error: substitution family 'power-of-maximal' reads no parameter 'count' "
+        "(only family, degree)\n")
+
+
+def test_family_random_without_a_seed_takes_seed_zero(capsys):
+    assert main(["family", "random"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["family", "random", "--seed", "0"]) == 0
+    assert capsys.readouterr().out == plain
+    assert json.loads(plain) == instance_to_document(random_instance(0))
+
+
 def test_plain_numbers_stay_valid(tmp_path, capsys):
     assert main(["family", "squarefree-veronese", "vars=4", "degree=2"]) == 0
     assert main(["family", "random", "--seed", "30"]) == 0
@@ -434,9 +468,9 @@ def test_gmpi_reports_a_skipped_certificate(tmp_path, capsys, monkeypatch):
 def test_gmpi_construction_error_is_not_an_input_error(tmp_path, monkeypatch):
     # a real certificate failure: a block resolution, a factor of the
     # columns, that does not square to zero
-    from gmpi import builder, cli
-    build = cli.build_factors
-    monkeypatch.setattr(cli, "build_factors", lambda inst: corrupt_block_scalar(build(inst), 2))
+    from gmpi import builder
+    certify = builder.certify_factors
+    monkeypatch.setattr(builder, "certify_factors", lambda F: certify(corrupt_block_scalar(F, 2)))
     with pytest.raises(builder.ConstructionError):
         main(["gmpi", write(tmp_path, "m.json", mixed33_doc())])
 
@@ -471,8 +505,8 @@ CORRUPTIONS = {
 def test_gmpi_raises_the_certificate_witness(tmp_path, monkeypatch, case):
     from gmpi import builder, cli
     corrupt, doc, message, witness = CORRUPTIONS[case]
-    build = cli.build_factors
-    monkeypatch.setattr(cli, "build_factors", lambda inst: corrupt(build(inst)))
+    certify = builder.certify_factors
+    monkeypatch.setattr(builder, "certify_factors", lambda F: certify(corrupt(F)))
     monkeypatch.setattr(cli, "total_complex", None)   # never assembled
     with pytest.raises(builder.ConstructionError) as err:
         main(["gmpi", write(tmp_path, "e.json", doc())])

@@ -187,7 +187,7 @@ def expected_sigma(tot, c, i):
                 continue
             if i > tot.summands[c][j].length:
                 continue
-            taus = [F.tau(l, a, b)
+            taus = [F.taus[(l, a, b)]
                     for l, (a, b) in enumerate(zip(res.shifts[c][j], res.shifts[c - 1][k]))]
             m = tensor_chain_map(taus, tot.summands[c][j], tot.summands[c - 1][k]).mats[i]
             out.update({(tgt[k] + r, src[j] + t): v * scalar

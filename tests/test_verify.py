@@ -326,6 +326,41 @@ def test_betti_permutation_invariance_teeth():
     assert res.details == {"shuffle": 1, "diff": {(1, 9): (0, 1)}}
 
 
+def moved(table):
+    """A copy of ``table`` with its first position-1 multidegree that a
+    rotation of its exponents changes moved to that rotation: the graded
+    entries stay as they are, and (1, from) and (1, to) of the multigraded
+    ones differ by one each."""
+    src = next(s for k, s in table.multi if k == 1 and s[1:] + s[:1] != s)
+    dst = src[1:] + src[:1]
+    multi = dict(table.multi)
+    multi[(1, src)] -= 1
+    multi[(1, dst)] = multi.get((1, dst), 0) + 1
+    return dataclasses.replace(table, multi=multi), src, dst
+
+
+def test_betti_equivalence_names_a_multigraded_difference():
+    inst, _, table, oracle = linear_instance_table()
+    bad, src, dst = moved(oracle)
+    assert bad.entries == oracle.entries and bad != oracle
+    res = check_betti_equivalence(inst, table, bad, "lyubeznik")
+    count = {s: oracle.multi.get((1, s), 0) for s in (src, dst)}
+    assert res.status == "FAIL"
+    assert res.details == {"oracle": "lyubeznik", "diff": {}, "multi_diff": {
+        (1, src): (count[src], count[src] - 1), (1, dst): (count[dst], count[dst] + 1)}}
+    assert f"diff={{}}, multi_diff=" in res.line()
+
+
+def test_betti_permutation_invariance_names_a_multigraded_difference():
+    inst, tot, _, base = linear_instance_table()
+    bad, src, dst = moved(base)
+    res = check_engine_self(inst, tot, bad)[1]
+    count = {s: base.multi.get((1, s), 0) for s in (src, dst)}
+    assert res.name == "betti-permutation-invariance" and res.status == "FAIL"
+    assert res.details == {"shuffle": 1, "diff": {}, "multi_diff": {
+        (1, src): (count[src], count[src] - 1), (1, dst): (count[dst], count[dst] + 1)}}
+
+
 # -- hypothesis flag semantics
 
 def test_hypothesis_unmet_reported_not_failed():
