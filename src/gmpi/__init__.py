@@ -28,7 +28,6 @@ from .complexes import (
     minimalize_complex,
     projective_dimension,
     regularity,
-    strand,
     taylor_complex,
 )
 from .builder import (

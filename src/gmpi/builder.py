@@ -419,15 +419,23 @@ def build_factors(inst: GmpiInstance) -> Factors:
     columns and rows of lam_c, then of the blocks: the drop of block l is
     from the block degree of shift j at position c to that of shift k at
     position c - 1.  Both are ladder degrees (validate_family's
-    ``realization_witness``), and F is homogeneous, so a drop never raises
-    the degree.  A tau over several ladder steps is the composite of their
-    rho maps, never a direct lift: sigma o sigma vanishes because a
-    composite of ladder composites is one."""
+    ``realization_witness``), and for a homogeneous F the second is at most
+    the first; a stored scalar whose drop raises a block degree is a
+    ConstructionError with (c, j, k, block).  A tau over several ladder
+    steps is the composite of their rho maps, never a direct lift: sigma o
+    sigma vanishes because a composite of ladder composites is one."""
     blocks = block_resolutions(inst)
     rhos, res = rho_maps(inst, blocks), inst.resolution
-    drops = dict.fromkeys(
-        (l, d, e) for c in range(2, res.length + 1) for j, col in res.diffs[c].cols.items()
-        for k in col for l, (d, e) in enumerate(zip(res.shifts[c][j], res.shifts[c - 1][k])))
+    drops = {}
+    for c in range(2, res.length + 1):
+        for j, col in res.diffs[c].cols.items():
+            for k in col:
+                for l, (d, e) in enumerate(zip(res.shifts[c][j], res.shifts[c - 1][k])):
+                    if e > d:
+                        raise ConstructionError(
+                            "a stored scalar of lam raises a block degree "
+                            "(position, column, row, block)", (c, j, k, l))
+                    drops[(l, d, e)] = None
     taus = {}
     for l, d, e in drops:
         # the rho maps from d down to e, composed from the top step down

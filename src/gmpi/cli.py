@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .builder import (
     FamilyValidationError,
@@ -28,6 +29,7 @@ from .builder import (
     validate_family,
 )
 from .complexes import (
+    BettiTable,
     SizeCapError,
     betti_table,
     is_linear_resolution,
@@ -243,8 +245,63 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def emit_json(obj, out: str | None) -> None:
-    """Write ``obj`` as indented JSON to the file ``out``, or to stdout."""
-    _emit(json.dumps(obj, indent=2), out)
+    """Write ``obj`` as ``json.dumps(obj, indent=2)`` would, to the file
+    ``out`` or to stdout; a BettiTable in it is written as its ``to_json``
+    (``betti_json``)."""
+    _emit(_json(obj, ""), out)
+
+
+# the JSON text of a scalar, by its exact type
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__,
+            bool: lambda v: "true" if v else "false", type(None): lambda v: "null"}
+
+
+def _json(v, ind: str) -> str:
+    """``v`` as ``json.dumps(v, indent=2)`` writes it, where ``ind`` is the
+    indent of the line it starts on.  A dict key that is not a str is a
+    TypeError (from encode_basestring_ascii), where json.dumps would write
+    an int, float, bool or None key as a string; a scalar of no JSON type
+    is written by json.dumps alone."""
+    scalar = _SCALARS.get(type(v))
+    if scalar is not None:
+        return scalar(v)
+    if type(v) is BettiTable:
+        return betti_json(v, ind)
+    inner = ind + "  "
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        body = f",\n{inner}".join([f"{encode_basestring_ascii(key)}: {_json(x, inner)}"
+                                    for key, x in v.items()])
+        return f"{{\n{inner}{body}\n{ind}}}"
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        body = f",\n{inner}".join([_json(x, inner) for x in v])
+        return f"[\n{inner}{body}\n{ind}]"
+    return json.dumps(v)
+
+
+def betti_json(table: BettiTable, ind: str) -> str:
+    """``_json(table.to_json(), ind)``, written straight from the sorted
+    entries with one %d template per row shape: [k, j, v] and
+    [k, [b_1, .., b_n], v]."""
+    i1, i2, i3 = ind + "  ", ind + "    ", ind + "      "
+    rows = f",\n{i2}"
+    entry = f"[\n{i3}%d,\n{i3}%d,\n{i3}%d\n{i2}]"
+
+    @functools.cache
+    def multi(n: int) -> str:
+        b = f"[\n{i3}  " + f",\n{i3}  ".join(["%d"] * n) + f"\n{i3}]" if n else "[]"
+        return f"[\n{i3}%d,\n{i3}{b},\n{i3}%d\n{i2}]"
+
+    def rows_json(lines: list[str]) -> str:
+        return f"[\n{i2}{rows.join(lines)}\n{i1}]" if lines else "[]"
+
+    entries = rows_json([entry % (k, j, v) for (k, j), v in sorted(table.entries.items())])
+    multigraded = rows_json([multi(len(b)) % (k, *b, v)
+                             for (k, b), v in sorted(table.multi.items())])
+    return f'{{\n{i1}"entries": {entries},\n{i1}"multigraded": {multigraded}\n{ind}}}'
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +320,7 @@ def cmd_resolve(args) -> int:
     if args.json:
         emit_json({
             "generators": [I.ctx.monomial_str(g) for g in I.gens],
-            "betti": table.to_json(),
+            "betti": table,
             "regularity": reg,
             "projective_dimension_quotient": pd,
             "linear": linear,
@@ -295,7 +352,7 @@ def cmd_gmpi(args) -> int:
         payload = {
             "label": inst.label,
             "induced_generators": [inst.T.monomial_str(g) for g in inst.induced.gens],
-            "betti": table.to_json(),
+            "betti": table,
             "regularity": reg_l,
             "projective_dimension_quotient": pd_l,
             "hypothesis_linear": factors.hypothesis_linear,

@@ -549,29 +549,6 @@ def inexact_positions(C: FreeComplex) -> list[int]:
 # ---------------------------------------------------------------------------
 # strands and exactness
 
-@dataclass
-class Strand:
-    """Degree-b component of a complex: dimensions and dense rational maps."""
-
-    degree: tuple[int, ...]
-    alive: list[list[int]]          # per position, included basis indices
-    matrices: list[list[list[Fraction]]]  # matrices[i]: position i+1 -> position i strand
-
-    @property
-    def dims(self) -> list[int]:
-        return [len(a) for a in self.alive]
-
-
-def strand(C: FreeComplex, b: tuple[int, ...]) -> Strand:
-    alive = [[j for j, s in enumerate(level) if divides(s, b)] for level in C.shifts]
-    mats = []
-    for i in range(1, C.length + 1):
-        rows, cols = alive[i - 1], alive[i]
-        d = C.diffs[i].cols
-        mats.append([[d.get(c, {}).get(r, 0) for c in cols] for r in rows])
-    return Strand(b, alive, mats)
-
-
 def degree_grid(shift_levels: list[list[tuple[int, ...]]], nvars: int):
     """Axes of distinct per-coordinate values among the shifts (plus zero).
 
@@ -848,13 +825,6 @@ class BettiTable:
             "entries": [[k, j, v] for (k, j), v in sorted(self.entries.items())],
             "multigraded": [[k, list(b), v] for (k, b), v in sorted(self.multi.items())],
         }
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(
-            entries={(k, j): v for k, j, v in data["entries"]},
-            multi={(k, tuple(b)): v for k, b, v in data["multigraded"]},
-        )
 
     def triangle(self) -> str:
         """Conventional triangle layout: row = j - k, column = k."""

@@ -1,6 +1,7 @@
 """Shared fixtures: the pinned suite (built once) and corruption helpers."""
 
 import dataclasses
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -12,9 +13,9 @@ from gmpi.builder import (
     build_star_complex,
     total_complex,
 )
-from gmpi.complexes import block_offsets
+from gmpi.complexes import BettiTable, FreeComplex, block_offsets
 from gmpi.families import random_instance
-from gmpi.monomials import ideal, simple_context
+from gmpi.monomials import divides, ideal, simple_context
 from gmpi.verify import SUITE_SEEDS
 
 
@@ -31,6 +32,39 @@ def sigma_entry(tot, c: int, i: int) -> tuple[int, int]:
     off = block_offsets(tot.column_ranks)
     col, scalars = next(iter(tot.sigma(c, i).cols.items()))
     return off[c + i - 1][c - 1] + next(iter(scalars)), off[c + i][c] + col
+
+
+def betti_from_json(data) -> BettiTable:
+    """The BettiTable of its ``to_json`` payload."""
+    return BettiTable(
+        entries={(k, j): v for k, j, v in data["entries"]},
+        multi={(k, tuple(b)): v for k, b, v in data["multigraded"]},
+    )
+
+
+@dataclass
+class Strand:
+    """Degree-b component of a complex: dimensions and dense rational maps."""
+
+    degree: tuple[int, ...]
+    alive: list[list[int]]          # per position, included basis indices
+    matrices: list[list[list[Fraction]]]  # matrices[i]: position i+1 -> position i strand
+
+    @property
+    def dims(self) -> list[int]:
+        return [len(a) for a in self.alive]
+
+
+def strand(C: FreeComplex, b: tuple[int, ...]) -> Strand:
+    """The strand of ``C`` at the multidegree ``b``, dense: the reference
+    that the strand scans of the package are tested against."""
+    alive = [[j for j, s in enumerate(level) if divides(s, b)] for level in C.shifts]
+    mats = []
+    for i in range(1, C.length + 1):
+        rows, cols = alive[i - 1], alive[i]
+        d = C.diffs[i].cols
+        mats.append([[d.get(c, {}).get(r, 0) for c in cols] for r in rows])
+    return Strand(b, alive, mats)
 
 
 class SuiteItem:
@@ -122,6 +156,22 @@ def corrupt_lambda(inst: GmpiInstance, i: int = 2):
     if not cols[c]:
         del cols[c]
     return probe, (i, r, c)
+
+
+def raise_lambda(inst: GmpiInstance):
+    """The instance over a copy of its resolution with a scalar 1 stored in
+    lam_c, c >= 2, at the first (c, column j, row k) where shift k at
+    position c - 1 does not divide shift j at position c, and its
+    (c, j, k, block), block being the first whose degree that drop raises.
+    No homogeneous resolution has such a scalar."""
+    probe = with_resolution_copy(inst)
+    res = probe.resolution
+    c, j, k, block = next(
+        (c, j, k, l) for c in range(2, res.length + 1)
+        for j, sj in enumerate(res.shifts[c]) for k, sk in enumerate(res.shifts[c - 1])
+        for l, (d, e) in enumerate(zip(sj, sk)) if e > d)
+    res.diffs[c].cols.setdefault(j, {})[k] = 1
+    return probe, (c, j, k, block)
 
 
 def non_nested_instance() -> GmpiInstance:

@@ -64,6 +64,7 @@ from conftest import (
     corrupt_tau_augmentation,
     non_nested_instance,
     normal_scalar,
+    raise_lambda,
     scale_first_scalar,
     small_ideals,
     with_resolution_copy,
@@ -392,10 +393,7 @@ def test_tau_identity_single_step_and_composite():
     one_step = F.taus[(0, 2, 1)]
     rhos = rho_maps(inst, F.blocks)
     assert [m.cols for m in one_step.mats] == [m.cols for m in rhos[(0, 2, 1)].mats]
-    # two-step drop equals the composite of one-step drops, entry for entry
-    two_step = ladder_tau(F, 0, 3, 1)
-    composite = rhos[(0, 2, 1)].compose(rhos[(0, 3, 2)])
-    assert [m.cols for m in two_step.mats] == [m.cols for m in composite.mats]
+    # the multi-step taus in use: test_a_multi_step_tau_is_the_composite_of_its_rho_maps
 
 
 def test_tau_composites_are_path_independent():
@@ -518,6 +516,16 @@ def test_build_factors_refuses_factors_corrupted_before_their_certificate(
         build_factors(with_resolution_copy(make()))
     assert str(inside.value) == str(after.value)
     assert inside.value.witness == after.value.witness
+
+
+@pytest.mark.parametrize("seed", [5, 30])
+def test_build_factors_refuses_a_drop_that_raises_a_block_degree(seed):
+    inst = random_instance(seed)
+    probe, witness = raise_lambda(inst)
+    with pytest.raises(ConstructionError, match="raises a block degree") as err:
+        build_factors(probe)
+    assert err.value.witness == witness
+    build_factors(inst)
 
 
 # -- double complex and total complex

@@ -4,6 +4,7 @@ import itertools
 import json
 import operator
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -13,11 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from gmpi.cli import (
     InputError,
+    _json,
     instance_to_document,
     main,
     parse_ideal_document,
     parse_instance_document,
 )
+from gmpi.complexes import BettiTable
 from gmpi.families import mixed_product_instance, random_instance
 
 from conftest import (
@@ -83,10 +86,11 @@ def test_resolve_json_payload(tmp_path, capsys):
 
 def test_text_output_builds_no_json_payload(tmp_path, capsys, monkeypatch):
     # the Betti table is encoded only where --json prints it
-    from gmpi.complexes import BettiTable
+    from gmpi import cli
     calls = []
-    to_json = BettiTable.to_json
-    monkeypatch.setattr(BettiTable, "to_json", lambda self: calls.append(self) or to_json(self))
+    betti_json = cli.betti_json
+    monkeypatch.setattr(cli, "betti_json",
+                        lambda table, ind: calls.append(table) or betti_json(table, ind))
     gmpi_doc, ideal_doc = write(tmp_path, "e.json", expansion_doc()), write(
         tmp_path, "k.json", koszul3_doc())
     for argv in (["gmpi", gmpi_doc], ["gmpi", gmpi_doc, "--check"], ["resolve", ideal_doc]):
@@ -679,16 +683,9 @@ def test_a_reader_that_closes_the_pipe_early_stops_the_run_quietly(tmp_path):
     # outgrows the pipe, so the writer meets the closed end; it exits 1 with
     # nothing on stderr, not with a BrokenPipeError traceback
     from test_demos import src_env
-    names = "abcde"
-    doc = {
-        "blocks": [{"name": b, "size": 2} for b in names],
-        "inducing_ideal": [[1 if v in (i, (i + 1) % 5) else 0 for v in range(5)]
-                           for i in range(5)],
-        "substitutions": {f"{b}:1": {"family": "power-of-maximal", "degree": 1} for b in names},
-        "label": "cycle5",
-    }
     proc = subprocess.Popen(
-        [sys.executable, "-m", "gmpi.cli", "gmpi", write(tmp_path, "c5.json", doc), "--json"],
+        [sys.executable, "-m", "gmpi.cli", "gmpi", write(tmp_path, "c5.json", cycle5_doc()),
+         "--json"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
     try:
         assert proc.stdout.read(10) == b'{\n  "label'
@@ -700,6 +697,83 @@ def test_a_reader_that_closes_the_pipe_early_stops_the_run_quietly(tmp_path):
         proc.wait()
         proc.stderr.close()
 
+
+# -- the layout of --json: json.dumps(indent=2), byte for byte
+
+def cycle5_doc():
+    """The edge ideal of the 5-cycle with the maximal ideal of a two-variable
+    block substituted for every vertex: 80 KB of --json."""
+    names = "abcde"
+    return {
+        "blocks": [{"name": b, "size": 2} for b in names],
+        "inducing_ideal": [[1 if v in (i, (i + 1) % 5) else 0 for v in range(5)]
+                           for i in range(5)],
+        "substitutions": {f"{b}:1": {"family": "power-of-maximal", "degree": 1} for b in names},
+        "label": "cycle5",
+    }
+
+
+@st.composite
+def betti_tables(draw):
+    """BettiTables of 0 to 3 variables, empty ones among them, with any ints."""
+    n = draw(st.integers(0, 3))
+    ints = st.integers(-10, 10) | st.integers()
+    return BettiTable(
+        entries=draw(st.dictionaries(st.tuples(ints, ints), ints, max_size=4)),
+        multi=draw(st.dictionaries(st.tuples(ints, st.tuples(*[ints] * n)), ints, max_size=4)))
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-3, 3)
+                | st.floats() | st.text() | st.text("\"\\\x00\x1f\x7f\u00e9\u2028\U0001f600 \n\t"))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | betti_tables(),
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=4)),
+    max_leaves=20)
+
+
+def _plain(v):
+    """``v`` with each BettiTable in it replaced by its ``to_json``."""
+    if isinstance(v, BettiTable):
+        return v.to_json()
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_the_json_writer_writes_the_bytes_of_json_dumps(value):
+    assert _json(value, "") == json.dumps(_plain(value), indent=2)
+
+
+def test_the_json_writer_on_fixed_tables_and_keys():
+    one_var = BettiTable({(0, 0): 1, (1, 2): 1}, {(1, (2,)): 1, (0, (0,)): 1})
+    for value in (BettiTable(), {"betti": BettiTable()}, one_var, [one_var, {"t": one_var}],
+                  {"é\"\n": [-(10 ** 30), 1.5, float("inf"), True, None, [], {}]}):
+        assert _json(value, "") == json.dumps(_plain(value), indent=2)
+    # json.dumps would write these keys as strings; the writer refuses them
+    for value in ({1: 2}, {"a": [{None: 1}]}, {(1,): 2}, {True: 0}):
+        with pytest.raises(TypeError):
+            _json(value, "")
+
+
+def test_json_output_is_the_indent_2_layout_of_json_dumps(tmp_path, capsys):
+    tests = pathlib.Path(__file__).parent
+    demo = str(tests.parent / "demos" / "expansion_x2y_xy2.json")
+    docs = [write(tmp_path, p.name, json.loads(p.read_text())["instance"])
+            for p in sorted((tests / "golden").glob("seed*.json"))]
+    runs = [["gmpi", d, "--json"] for d in docs + [write(tmp_path, "c5.json", cycle5_doc()), demo]]
+    runs += [["gmpi", demo, "--check", "--json"],
+             ["resolve", write(tmp_path, "k3.json", koszul3_doc()), "--json"],
+             ["family", "mixed-product", "sizes=2,2", "degs1=2,1", "degs2=1,2"],
+             ["verify", "--seed", "5", "--json"]]
+    for argv in runs:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 def test_json_goes_through_one_emitter(tmp_path, capsys, monkeypatch):

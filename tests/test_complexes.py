@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from gmpi import linalg
 from gmpi.builder import block_witness
 from gmpi.complexes import (
-    BettiTable,
     ChainMap,
     ConstructionError,
     FreeComplex,
@@ -38,14 +37,13 @@ from gmpi.complexes import (
     inexact_positions,
     quotient_resolution,
     regularity,
-    strand,
     taylor_complex,
     tensor_resolutions,
 )
 from gmpi.monomials import MonomialIdeal, VariableContext, divides, ideal, lcm, simple_context
 from gmpi.verify import koszul_betti
 
-from conftest import dense_rank, normal_scalar, small_ideals
+from conftest import betti_from_json, dense_rank, normal_scalar, small_ideals, strand
 
 S1 = simple_context(1, ("x",))
 S2 = simple_context(2, ("x", "y"))
@@ -1222,7 +1220,7 @@ def test_resolve_beyond_the_taylor_cap(tmp_path, capsys):
     path.write_text(json.dumps(ideal_to_document(I)))
     assert main(["resolve", str(path), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert BettiTable.from_json(payload["betti"]) == koszul_betti(I)
+    assert betti_from_json(payload["betti"]) == koszul_betti(I)
 
 
 # -- the Lyubeznik kernel against a reference copy of its earlier code

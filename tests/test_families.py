@@ -18,6 +18,8 @@ from gmpi.families import (
     veronese_type,
 )
 
+from conftest import betti_from_json
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -208,9 +210,8 @@ def test_random_instance_resolves_only_the_draw_it_keeps(monkeypatch):
 
 def test_random_instances_match_golden_tables():
     from gmpi.verify import oracle_betti
-    from gmpi.complexes import BettiTable
     for path in sorted(GOLDEN.glob("seed*.json")):
         doc = json.loads(path.read_text())
         inst = random_instance(doc["seed"])
         assert [list(g) for g in inst.induced.gens] == doc["induced_generators"]
-        assert oracle_betti(inst.induced) == BettiTable.from_json(doc["betti"])
+        assert oracle_betti(inst.induced) == betti_from_json(doc["betti"])
