@@ -616,12 +616,7 @@ def factored_table(factors: Factors) -> BettiTable:
             for i, level in enumerate(counts[a]):
                 for s, m in level.items():
                     multi[(c + i, s)] += n * m
-    table = BettiTable()
-    for (k, s), m in multi.items():
-        table.multi[(k, s)] = m
-        j = total_degree(s)
-        table.entries[(k, j)] = table.entries.get((k, j), 0) + m
-    return table
+    return BettiTable.of(multi)
 
 
 def _tensor_shift_counts(factors: list[FreeComplex]) -> list[Counter]:

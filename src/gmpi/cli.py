@@ -150,7 +150,7 @@ BLOCK_FAMILY_TAGS = ("squarefree-veronese", "power-of-maximal", "lex-segment")
 # document names its family as ``family``
 FAMILY_PARAMETERS = {
     "squarefree-veronese": ("degree",), "power-of-maximal": ("degree",),
-    "lex-segment": ("degree", "count"), "veronese-type": ("caps", "t"),
+    "veronese-type": ("caps", "t"), "lex-segment": ("degree", "count"),
     "path-ideal": ("parts", "t"), "mixed-product": ("sizes", "degs1", "degs2"), "random": ()}
 
 
@@ -383,7 +383,7 @@ def cmd_gmpi(args) -> int:
 def cmd_family(args) -> int:
     tag = args.tag
     if tag not in FAMILY_PARAMETERS:
-        raise InputError(f"unknown family tag {tag!r}; choose from {fam.FAMILY_TAGS}")
+        raise InputError(f"unknown family tag {tag!r}; choose from {tuple(FAMILY_PARAMETERS)}")
     with _reading("family parameters"):
         params = dict(kv.split("=", 1) for kv in args.param)
         reads = (("vars",) if tag in BLOCK_FAMILY_TAGS else ()) + FAMILY_PARAMETERS[tag]

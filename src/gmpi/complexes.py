@@ -23,9 +23,8 @@ signs), and a Fraction enters only through a lift solve
 ``linalg.solve``, the elimination of ``linalg.rank``) or a non-unit
 cancellation factor.  Every operation that makes a scalar turns an
 integral Fraction back into an int, so ``compose``, diff o diff and
-cancellation run in ints on integral maps.
-``compose`` scales an operand with denominators once by their lcm and
-multiplies and sums in ints.
+cancellation run in ints on integral maps, and the F_2 tier of the strand
+scans reads them; a map that holds a Fraction takes the exact path.
 
 The entry point for resolutions is the Lyubeznik complex, the subcomplex of
 the Taylor complex on the admissible generator subsets; Gaussian
@@ -52,7 +51,7 @@ The strand scans rank over F_2 first (``linalg.rank_mod_2``, on columns
 packed into ints) and keep an exact verdict.  A strand whose F_2 ranks
 reach, at every positive position, the ranks an exact strand of its
 dimensions must have is exact, with those ranks over Q, provided that every
-denominator of its maps is odd (so rank over F_2 <= rank over Q) and that
+scalar of its maps is an int (so rank over F_2 <= rank over Q) and that
 every live column has its support in the live rows (so the strand is a
 subcomplex of a complex and squares to zero).  Any other strand is ranked
 again with the exact ``linalg.rank``, so the verdict and witness are the
@@ -84,7 +83,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import and_, getitem, le
@@ -145,26 +144,21 @@ class MonomialMatrix:
 
     def compose(self, other: "MonomialMatrix") -> "MonomialMatrix":
         """self o other (other feeds into self), with the columns of other
-        in their stored order.
-
-        Each operand is scaled once to integers (times the lcm of its
-        denominators; an all-int operand is used as it is), the products are
-        summed as ints, and the nonzero sums are divided by the two scales:
-        they stay ints when both scales are 1, and otherwise become Fractions,
-        turned back into ints where the division is exact.
-        """
+        in their stored order: ``_apply`` of self to each column of other,
+        in the scalars as stored, with a nonzero sum that is not an int
+        turned back into an int where it is integral.  ValueError naming the
+        (row, col) of a scalar of either operand that is neither an int nor
+        a Fraction."""
         if self.col_shifts != other.row_shifts:
             raise ValueError("inner shifts disagree in composition")
-        sa, left = _cleared(self.cols)
-        sb, right = _cleared(other.cols)
-        scale = sa * sb
+        for m in (self, other):
+            if not all(type(v) is int for col in m.cols.values() for v in col.values()):
+                linalg._check_exact(((r, c), v)
+                                    for c, col in m.cols.items() for r, v in col.items())
         out = {}
-        for c, col in right.items():
-            acc = _apply(left, col)
-            if scale == 1:
-                prod = {r: v for r, v in acc.items() if v}
-            else:
-                prod = {r: _integral(Fraction(v, scale)) for r, v in acc.items() if v}
+        for c, col in other.cols.items():
+            prod = {r: v if type(v) is int else _integral(v)
+                    for r, v in _apply(self.cols, col).items() if v}
             if prod:
                 out[c] = prod
         return MonomialMatrix(self.ctx, self.row_shifts, other.col_shifts, out)
@@ -199,19 +193,6 @@ def _apply(cols: dict, vector: dict) -> dict:
             for r, v in col.items():
                 acc[r] = get(r, 0) + v * w
     return acc
-
-
-def _cleared(cols: dict) -> tuple[int, dict]:
-    """(m, cols times m) with m the lcm of the denominators of the stored
-    scalars, so that every scalar becomes an int.  All-int ``cols`` are
-    returned as they are, with m = 1.  ValueError naming the (row, col) of
-    a scalar that is neither an int nor a Fraction."""
-    if all(type(v) is int for col in cols.values() for v in col.values()):
-        return 1, cols
-    linalg._check_exact(((r, c), v) for c, col in cols.items() for r, v in col.items())
-    m = math.lcm(*(v.denominator for col in cols.values() for v in col.values()))
-    return m, {c: {r: v.numerator * (m // v.denominator) for r, v in col.items()}
-               for c, col in cols.items()}
 
 
 @dataclass
@@ -607,8 +588,8 @@ def _strand_scan(summands, diffs, expect_h0: MonomialIdeal, max_cells: int):
     (``linalg.rank_mod_2``, stopping once it has e_i pivots), and that
     certifies it exactly under two preconditions:
 
-    * every denominator of the maps is odd (each map is reduced once; a map
-      with an even denominator is never ranked over F_2), so that
+    * every scalar of the maps is an int (each map is reduced once; a map
+      that holds a Fraction is never ranked over F_2), so that
       rank over Q >= rank over F_2;
     * every live column has its support inside the live rows, so that the
       strand is a subcomplex and squares to zero too.  Each column's
@@ -664,9 +645,9 @@ def _strand_scan(summands, diffs, expect_h0: MonomialIdeal, max_cells: int):
 def _strand_rank_mod_2(reduced, rows: int, cols: list[int], want: int) -> int | None:
     """min(rank over F_2, ``want``) of the strand map with live row mask
     ``rows`` and live columns ``cols``, from its map's ``_map_mod_2``; None
-    where a precondition fails (an even denominator, or a live column with
-    support outside the live rows).  Where both hold, the rank depends on
-    the live columns alone."""
+    where a precondition fails (a scalar that is not an int, or a live
+    column with support outside the live rows).  Where both hold, the rank
+    depends on the live columns alone."""
     if reduced is None:
         return None
     odd, support = reduced
@@ -771,8 +752,8 @@ def _bit_indices(mask: int, positions: list[int]) -> list[int]:
 
 def _map_mod_2(columns: dict[int, dict[int, int | Fraction]]):
     """(odd, support): per column, its odd rows (``linalg.mod_2``) and its
-    rows, each packed into an int with bit r for row r; None if a
-    denominator of the map is even."""
+    rows, each packed into an int with bit r for row r; None if a scalar of
+    the map is not an int."""
     odd, support = {}, {}
     for c, col in columns.items():
         red = linalg.mod_2(col)
@@ -816,6 +797,15 @@ class BettiTable:
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
     multi: dict[tuple[int, tuple[int, ...]], int] = field(default_factory=dict)
 
+    @classmethod
+    def of(cls, multi) -> "BettiTable":
+        """The table of the multigraded counts {(k, b): beta_{k,b}}, with
+        the graded counts summed from them."""
+        entries: Counter = Counter()
+        for (k, b), m in multi.items():
+            entries[(k, total_degree(b))] += m
+        return cls(dict(entries), dict(multi))
+
     @property
     def top_position(self) -> int:
         return max((k for (k, _) in self.entries), default=0)
@@ -846,13 +836,7 @@ class BettiTable:
 def betti_table(C: FreeComplex) -> BettiTable:
     if not C.is_minimal:
         raise ValueError("Betti numbers read off a minimal complex only")
-    t = BettiTable()
-    for k, level in enumerate(C.shifts):
-        for s in level:
-            j = total_degree(s)
-            t.entries[(k, j)] = t.entries.get((k, j), 0) + 1
-            t.multi[(k, s)] = t.multi.get((k, s), 0) + 1
-    return t
+    return BettiTable.of(Counter((k, s) for k, level in enumerate(C.shifts) for s in level))
 
 
 def regularity(B: BettiTable) -> int:

@@ -29,11 +29,6 @@ from .monomials import (
     simple_context,
 )
 
-FAMILY_TAGS = (
-    "squarefree-veronese", "power-of-maximal", "veronese-type",
-    "lex-segment", "path-ideal", "mixed-product", "random",
-)
-
 
 def _block_ctx(m: int, name: str = "x") -> VariableContext:
     return VariableContext((m,), (name,))

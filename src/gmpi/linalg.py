@@ -18,9 +18,9 @@ columns are such vectors as they stand: ``rank(list(m.cols.values()))``.
 ``rank_mod_2`` is the fast rank of the strand-exactness scans.  It
 eliminates the same sparse vectors reduced modulo 2 (``mod_2``), each packed
 into one Python int with bit k set where entry k is odd, so a row operation
-is one XOR, the packing of the M4RI library.  Reduction is defined where
-every denominator is odd (``mod_2`` returns None otherwise), and then rank
-over F_2 <= rank over Q, since a minor that is nonzero mod 2 is nonzero.
+is one XOR, the packing of the M4RI library.  Only int vectors are reduced
+(``mod_2`` returns None for any other), and then rank over F_2 <= rank over
+Q, since a minor that is nonzero mod 2 is nonzero.
 The scan turns that inequality into an exact verdict (see
 ``complexes._strand_scan``): where the F_2 ranks of a complex reach the
 ranks an exact complex of its dimensions must have, they are its ranks over
@@ -144,20 +144,14 @@ def _primitive(vec: dict[int, int]) -> dict[int, int]:
 
 
 def mod_2(vector: dict) -> int | None:
-    """The sparse vector {index: value} of Fractions or ints over F_2, packed
-    into an int: bit k is set where entry k is odd.  None if a denominator
-    is even, where reduction is undefined.  ValueError naming the index of a
-    value that is neither an int nor a Fraction."""
+    """The sparse vector {index: value} of ints over F_2, packed into an
+    int: bit k is set where entry k is odd.  None for a vector that is not
+    all ints, which the exact ``rank`` decides instead.  ValueError naming
+    the index of a value that is neither an int nor a Fraction."""
     if all(type(v) is int for v in vector.values()):
         return sum(1 << k for k, v in vector.items() if v & 1)
     _check_exact(vector.items())
-    out = 0
-    for k, v in vector.items():
-        if not v.denominator & 1:
-            return None
-        if v.numerator & 1:
-            out |= 1 << k
-    return out
+    return None
 
 
 def rank_mod_2(vectors, limit: int | None = None) -> int:

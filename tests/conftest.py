@@ -35,11 +35,11 @@ def sigma_entry(tot, c: int, i: int) -> tuple[int, int]:
 
 
 def betti_from_json(data) -> BettiTable:
-    """The BettiTable of its ``to_json`` payload."""
-    return BettiTable(
-        entries={(k, j): v for k, j, v in data["entries"]},
-        multi={(k, tuple(b)): v for k, b, v in data["multigraded"]},
-    )
+    """The BettiTable of its ``to_json`` payload, built from its
+    ``multigraded`` counts, whose graded sums must be its ``entries``."""
+    table = BettiTable.of({(k, tuple(b)): v for k, b, v in data["multigraded"]})
+    assert table.entries == {(k, j): v for k, j, v in data["entries"]}
+    return table
 
 
 @dataclass
@@ -109,9 +109,9 @@ def dense_rank(m) -> int:
 
 
 def dense_rank_mod_2(m) -> int:
-    """Gauss-Jordan elimination over GF(2) on dense rows of residues (every
-    denominator odd, so a/d is a mod 2)."""
-    residues = [[Fraction(x).numerator % 2 for x in row] for row in m]
+    """Gauss-Jordan elimination over GF(2) on dense rows of ints, read as
+    their residues."""
+    residues = [[x % 2 for x in row] for row in m]
     r = 0
     for c in range(len(m[0]) if m else 0):
         piv = next((i for i in range(r, len(residues)) if residues[i][c]), None)

@@ -20,6 +20,7 @@ from gmpi.cli import (
     parse_ideal_document,
     parse_instance_document,
 )
+from gmpi import complexes
 from gmpi.complexes import BettiTable
 from gmpi.families import mixed_product_instance, random_instance
 
@@ -143,6 +144,11 @@ def test_family_random_emits_instance(capsys):
 
 def test_family_unknown_tag_is_input_error(capsys):
     assert main(["family", "frobnicate"]) == 2
+    assert main(["family", "nosuch"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: unknown family tag 'nosuch'; choose from ('squarefree-veronese', "
+        "'power-of-maximal', 'veronese-type', 'lex-segment', 'path-ideal', 'mixed-product', "
+        "'random')")
 
 
 def test_bad_document_exit_two(tmp_path, capsys):
@@ -674,6 +680,42 @@ def test_gmpi_check_exits_zero_wherever_the_oracles_agree(doc):
     checks = {c["name"]: c["status"] for c in json.loads(out.getvalue())["checks"]}
     if checks["betti-equivalence"] == "PASS":
         assert rc == 0, checks
+
+
+def rp2_doc():
+    """The Stanley-Reisner ideal of the 6-vertex real projective plane
+    (``test_complexes.rp2_ideal``) as the inducing ideal, with the maximal
+    ideal of a two-variable block substituted for every vertex."""
+    from test_complexes import rp2_ideal
+    I = rp2_ideal()
+    names = I.ctx.names
+    return {
+        "blocks": [{"name": b, "size": 2} for b in names],
+        "inducing_ideal": [list(g) for g in I.gens],
+        "substitutions": {f"{b}:1": {"family": "power-of-maximal", "degree": 1} for b in names},
+        "label": "rp2",
+    }
+
+
+def test_gmpi_certifies_the_rp2_document_with_the_exact_strand_tier(tmp_path, capsys,
+                                                                     monkeypatch):
+    # a strand with 2-torsion: the F_2 ranks fall short there, so the
+    # exact tier decides it, and the table is certified all the same
+    calls = []
+    exact = complexes._strand_rank
+
+    def strand_rank(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(complexes, "_strand_rank", strand_rank)
+    assert main(["gmpi", write(tmp_path, "rp2.json", rp2_doc())]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not any(line.startswith("certified: False") for line in lines)
+    assert "|G(L)| = 80" in lines
+    assert next(line for line in lines if line.startswith("  2:")).split() == [
+        "2:", ".", "80", "360", "732", "850", "600", "255", "60", "6"]
+    assert calls
 
 
 # -- the front end

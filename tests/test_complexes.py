@@ -491,6 +491,23 @@ def test_exactness_check_scalar_p_keeps_the_witness(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("s", [Fraction(1, 3), Fraction(1, 2)])
+def test_exactness_check_ranks_a_map_holding_a_fraction_exactly(monkeypatch, s):
+    # the top basis element x y^3 times s: an isomorphic resolution whose
+    # map holds a Fraction, with an odd denominator or an even one, so the
+    # scan ranks it exactly; with the column of x^2 y cleared as well, the
+    # exact ranks keep the witness
+    I, M = hilbert_burch()
+    scale_column(M, 2, M.shifts[2].index((1, 3)), s)
+    calls = counted_exact_ranks(monkeypatch)
+    assert exactness_check(M, I) is None and reference_exactness(M, I) is None
+    assert calls
+    del M.diffs[2].cols[M.shifts[2].index((2, 1))]
+    calls.clear()
+    assert exactness_check(M, I) == (2, 1) == reference_exactness(M, I)
+    assert calls
+
+
 def rp2_ideal() -> MonomialIdeal:
     """The Stanley-Reisner ideal of the 6-vertex triangulation of the real
     projective plane: every edge is a face, and the 10 triangles that are
