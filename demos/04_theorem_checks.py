@@ -1,7 +1,7 @@
 """Run the verification harness on a pinned random instance and on the
 two-term mixed product with the closed regularity formula."""
 
-from gmpi.builder import build_factors, minimal_total_table, total_complex
+from gmpi.builder import build_factors, resolution_table, total_complex
 from gmpi.families import mixed_product_instance, random_instance
 from gmpi.verify import (
     mixed_product_formula_check,
@@ -14,7 +14,7 @@ from gmpi.verify import (
 inst = random_instance(30)
 print("instance", inst.label, "with L =", inst.induced)
 tot = total_complex(build_factors(inst))
-for line in summary_lines(run_instance_checks(tot, minimal_total_table(tot))):
+for line in summary_lines(run_instance_checks(tot, resolution_table(tot.factors, tot))):
     print(line)
 
 print()

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import (
-    _integral,
     _strand_scan,
     betti_table,
     BettiTable,
@@ -681,7 +680,7 @@ class TotalComplex:
             part = {r - top: sign * v for r, v in stored.get(t, {}).items() if top <= r < end}
             if part:
                 cols[t - lo] = part
-        return MonomialMatrix(cx.ctx, cx.shifts[k - 1][top:end], cx.shifts[k][lo:hi], cols)
+        return MonomialMatrix(cx.shifts[k - 1][top:end], cx.shifts[k][lo:hi], cols)
 
     def sigma_square_witness(self):
         """(c, i) where sigma_{c-1} o sigma_c is nonzero in row i, or None
@@ -714,15 +713,16 @@ def total_complex(factors: Factors) -> TotalComplex:
 
     Each tensor product of block resolutions is made once per degree tuple
     and its differentials are copied once, as the vertical maps of its
-    summands.  Each nonzero lam_c[k][j], c >= 2, contributes the
-    ``tensor_chain_map`` of the taus (``Factors.taus``) from the block
-    degrees of shift j at position c to those of shift k at position c - 1,
-    times lam_c[k][j], from summand j of column c to summand k of column
-    c - 1; lam_1 maps the generators of summand j of column 1 onto the
-    ring.  The horizontal map picks up the sign (-1)^row, so that squares
-    anticommute and the total differential squares to zero.  A column lists
-    its vertical rows, then its horizontal rows by k; a stored zero (of a
-    corrupted input) is left out.
+    summands.  Each nonzero lam_c[k][j], c >= 2, contributes the columns
+    of ``tensor_chain_map``: lam_c[k][j] times the tensor product of the
+    taus (``Factors.taus``) from the block degrees of shift j at position c
+    to those of shift k at position c - 1, from summand j of column c to
+    summand k of column c - 1; lam_1 maps the generators of summand j of
+    column 1 onto the ring.  The horizontal map is placed with the sign
+    (-1)^row, so that squares anticommute and the total differential
+    squares to zero; no other scalar arithmetic happens here.  A column
+    lists its vertical rows, then its horizontal rows by k; a stored zero
+    (of a corrupted input, a zero lam_c[k][j] among them) is left out.
 
     The certificate of the factors (``certify_factors``) is the
     certificate that the result resolves T/L.  This function checks only
@@ -757,10 +757,10 @@ def total_complex(factors: Factors) -> TotalComplex:
         lam = res.diffs[c].cols
         for j, src in enumerate(summands[c]):
             horizontal = [] if c == 1 else [
-                (k, scalar, tensor_chain_map(
+                (k, tensor_chain_map(
                     [factors.taus[(l, a, b)]
                      for l, (a, b) in enumerate(zip(res.shifts[c][j], res.shifts[c - 1][k]))],
-                    src, summands[c - 1][k]).mats)
+                    scalar))
                 for k, scalar in sorted(lam.get(j, {}).items())]
             for r in range(src.length + 1):
                 rows, odd = ix[c + r - 1], r % 2
@@ -772,12 +772,11 @@ def total_complex(factors: Factors) -> TotalComplex:
                 elif c == 1 and lam.get(j, {}).get(0, 0):
                     # row zero maps the generators onto the ring
                     part = {u: {rows[0]: lam[j][0]} for u in range(len(src.shifts[0]))}
-                for k, scalar, mats in horizontal:
+                for k, cols in horizontal:
                     below = starts[c + r - 1][c - 1][k]
-                    for u, col in mats[r].cols.items():
+                    for u, col in cols[r].items():
                         dst = part.setdefault(u, {})
                         for rr, v in col.items():
-                            v = _integral(v * scalar)
                             if v:
                                 dst[rows[below + rr]] = -v if odd else v
                 first = starts[c + r][c][j]
@@ -785,7 +784,7 @@ def total_complex(factors: Factors) -> TotalComplex:
                     if part[u]:
                         out[c + r][first + u] = part[u]
 
-    diffs = [None] + [MonomialMatrix(T, shifts[k - 1], shifts[k], out[k])
+    diffs = [None] + [MonomialMatrix(shifts[k - 1], shifts[k], out[k])
                       for k in range(1, len(shifts))]
     cx = FreeComplex(T, shifts, diffs)
     square = cx.square_witness()
@@ -812,8 +811,7 @@ def block_witness(res: FreeComplex, I: MonomialIdeal):
         # the first generator out of place (or the first extra basis shift)
         return next(g or s for g, s in itertools.zip_longest(gens, res.shifts[0]) if g != s)
     ring = [(0,) * res.ctx.nvars]
-    augmentation = MonomialMatrix(
-        res.ctx, ring, res.shifts[0], {j: {0: 1} for j in range(len(gens))})
+    augmentation = MonomialMatrix(ring, res.shifts[0], {j: {0: 1} for j in range(len(gens))})
     return exactness_check(
         FreeComplex(res.ctx, [ring] + res.shifts, [None, augmentation] + res.diffs[1:]), I)
 

@@ -91,6 +91,8 @@ def _generator(g) -> tuple[int, ...]:
 
 def parse_blocks(data) -> VariableContext:
     with _reading("blocks (objects with a name and a positive size)"):
+        for b in data:
+            _refuse_unread(b, ("name", "size"), "a block")
         sizes = tuple(_integer(b["size"]) for b in data)
         names = tuple(b["name"] for b in data)
         for name in names:
@@ -110,12 +112,15 @@ def parse_blocks(data) -> VariableContext:
 
 def parse_ideal_document(doc) -> MonomialIdeal:
     with _reading("ideal document"):
+        _refuse_unread(doc, ("blocks", "generators"), "an ideal document")
         ctx = parse_blocks(doc["blocks"])
         return ideal(ctx, [_generator(g) for g in doc["generators"]])
 
 
 def parse_instance_document(doc) -> GmpiInstance:
     with _reading("instance document"):
+        _refuse_unread(doc, ("blocks", "inducing_ideal", "substitutions", "label"),
+                       "an instance document")
         ctx = parse_blocks(doc["blocks"])
         raw_gens = [_generator(g) for g in doc["inducing_ideal"]]
         inducing = ideal(simple_context(ctx.nblocks, ctx.names), raw_gens)
@@ -156,7 +161,9 @@ FAMILY_PARAMETERS = {
 
 def _refuse_unread(params, reads: tuple, what: str) -> None:
     """An InputError naming the first key of ``params`` that ``what`` does
-    not read (one of ``reads``)."""
+    not read (one of ``reads``), or saying that ``params`` is no object."""
+    if not isinstance(params, dict):
+        raise InputError(f"{what} must be an object, not {type(params).__name__}")
     extra = next((key for key in params if key not in reads), None)
     if extra is not None:
         raise InputError(f"{what} reads no parameter {extra!r} (only {', '.join(reads)})")

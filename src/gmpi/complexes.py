@@ -3,13 +3,14 @@
 A free module here is a list of multidegree shifts; a map between free modules
 is multihomogeneous of degree zero, so the entry in position (r, c) is forced
 to be a rational scalar times x^(col_shift - row_shift).  Only the scalar is
-stored, sparsely and by column: ``MonomialMatrix.cols`` is {col: {row:
-scalar}}, with no zero scalar and no empty column, and it is the only format
-of a scalar map.  Every reader walks a map column by column: composition
-applies the left map to each column of the right one, lifts solve for one
-column at a time, the strand scans rank the live columns as sparse vectors,
-and the tensor products and ``builder.total_complex`` copy each column to
-its block's offset in an anti-diagonal layout (``block_offsets``).  Composition is then
+stored, sparsely and by column: a map (``MonomialMatrix``) is its two shift
+lists and its columns ``cols``, {col: {row: scalar}}, with no zero scalar
+and no empty column, the only format of a scalar map.  Every reader walks a
+map column by column: composition applies the left map to each column of
+the right one, lifts solve for one column at a time, the strand scans rank
+the live columns as sparse vectors, and the tensor products and
+``builder.total_complex`` copy each column to its block's offset in an
+anti-diagonal layout (``block_offsets``).  Composition is then
 plain scalar matrix multiplication, and a map is minimal exactly when no
 stored scalar sits between equal shifts.  Witnesses follow the stored column
 order: ``square_witness`` reads the first column whose composite is nonzero,
@@ -63,14 +64,16 @@ exact rank read them.
 A map is checked (``validate``) where its scalars are made: the Taylor and
 Lyubeznik complexes (``_subset_complex``), ``minimalize_complex`` and
 ``lift_chain_map``.  Nothing walks a copy of a checked map again:
-``ideal_resolution`` shares the maps of the resolution of S/I, and the
-tensor products and their chain maps place signs and products of checked
-entries unchecked.  Their diff o diff and chain-map conditions follow from
-those of their factors, which ``builder.certify_factors`` checks, and where
-``builder.total_complex`` places them (each product once per degree tuple,
-each chain map once per nonzero scalar of the resolution of S/I, straight
-into the total complex) they are components of its diff o diff, which that
-function checks.
+``ideal_resolution`` shares the maps of the resolution of S/I, the tensor
+products place signs of checked entries unchecked, and the tensor products
+of chain maps (``tensor_chain_map``, which returns the columns of a scalar
+times the product, not a chain map) place products of them.  Their diff o
+diff and chain-map conditions follow from those of their factors, which
+``builder.certify_factors`` checks, and where ``builder.total_complex``
+places them (each product once per degree tuple, each chain-map product
+once per nonzero scalar of the resolution of S/I, straight into the total
+complex) they are components of its diff o diff, which that function
+checks.
 
 A broken construction invariant raises ConstructionError with a witness;
 malformed hand-built maps (stored zeros or empty columns, inhomogeneous
@@ -117,7 +120,8 @@ def _integral(v):
 
 @dataclass
 class MonomialMatrix:
-    """Degree-zero multihomogeneous map between shifted free modules.
+    """Degree-zero multihomogeneous map between shifted free modules: its
+    row and column shift lists and its columns.
 
     ``cols[c][r]`` is the scalar of the term
     scalar * x^(col_shifts[c] - row_shifts[r]); the difference must be
@@ -125,7 +129,6 @@ class MonomialMatrix:
     is not stored, and neither is a zero scalar.
     """
 
-    ctx: VariableContext
     row_shifts: list[tuple[int, ...]]
     col_shifts: list[tuple[int, ...]]
     cols: dict[int, dict[int, int | Fraction]] = field(default_factory=dict)
@@ -161,7 +164,7 @@ class MonomialMatrix:
                     for r, v in _apply(self.cols, col).items() if v}
             if prod:
                 out[c] = prod
-        return MonomialMatrix(self.ctx, self.row_shifts, other.col_shifts, out)
+        return MonomialMatrix(self.row_shifts, other.col_shifts, out)
 
     def first_nonzero_column(self, other: "MonomialMatrix") -> int | None:
         """The first column of other, in stored order, whose image under
@@ -249,16 +252,6 @@ class FreeComplex:
     @property
     def is_minimal(self) -> bool:
         return self.unit_witness() is None
-
-    def copy(self) -> "FreeComplex":
-        return FreeComplex(
-            self.ctx,
-            [list(s) for s in self.shifts],
-            [None] + [
-                MonomialMatrix(d.ctx, list(d.row_shifts), list(d.col_shifts),
-                               {c: dict(col) for c, col in d.cols.items()})
-                for d in self.diffs[1:]],
-        )
 
 
 def make_complex(ctx, shifts, diffs) -> FreeComplex:
@@ -362,7 +355,7 @@ def _subset_complex(ctx: VariableContext, levels) -> FreeComplex:
         for c, (face, mask, _) in enumerate(levels[size]):
             index[mask] = c
             cols[c] = {below[mask ^ 1 << q]: sign for q, sign in zip(face, signs)}
-        diffs.append(MonomialMatrix(ctx, shifts[size - 1], shifts[size], cols))
+        diffs.append(MonomialMatrix(shifts[size - 1], shifts[size], cols))
         below = index
     return make_complex(ctx, shifts, diffs)
 
@@ -461,7 +454,7 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
         rows_at, by_col = new_index[i - 1], final_cols[i]
         cols = {new: {rows_at[r]: v for r, v in by_col[old].items()}
                 for new, old in enumerate(kept[i]) if by_col.get(old)}
-        diffs.append(MonomialMatrix(C.ctx, shifts[i - 1], shifts[i], cols))
+        diffs.append(MonomialMatrix(shifts[i - 1], shifts[i], cols))
 
     while len(shifts) > 1 and not shifts[-1]:
         shifts.pop()
@@ -602,8 +595,8 @@ def _strand_scan(summands, diffs, expect_h0: MonomialIdeal, max_cells: int):
     exact at every positive position and the H_0 rule reads
     H_0 = n_0 - e_1.  Any other cell (an F_2 rank below e_i, or a
     precondition fails) is ranked again with the exact ``linalg.rank``,
-    which decides it as before, so verdict and witness are those of exact
-    ranks everywhere.
+    which decides it, so verdict and witness are those of exact ranks
+    everywhere.
 
     The grid is read as Python int bitmasks (``_strand_classes``): each
     cell's class is the bitmask of its live summands at every position plus
@@ -911,7 +904,7 @@ class ChainMap:
                 mats.append(self.mats[i].compose(m))
             else:
                 rows = self.target.shifts[i] if i <= self.target.length else []
-                mats.append(MonomialMatrix(m.ctx, list(rows), list(m.col_shifts)))
+                mats.append(MonomialMatrix(list(rows), list(m.col_shifts)))
         return ChainMap(other.source, self.target, mats)
 
 
@@ -919,7 +912,7 @@ def identity_chain_map(C: FreeComplex) -> ChainMap:
     mats = []
     for level in C.shifts:
         mats.append(MonomialMatrix(
-            C.ctx, list(level), list(level), {j: {j: 1} for j in range(len(level))}))
+            list(level), list(level), {j: {j: 1} for j in range(len(level))}))
     return ChainMap(C, C, mats)
 
 
@@ -935,7 +928,7 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
     rest, so it is deterministic where several exist).
     """
     mats = []
-    phi0 = MonomialMatrix(source.ctx, list(target.shifts[0]), list(source.shifts[0]), {})
+    phi0 = MonomialMatrix(list(target.shifts[0]), list(source.shifts[0]), {})
     for j, g in enumerate(source.shifts[0]):
         k = next((i for i, h in enumerate(target.shifts[0]) if divides(h, g)), None)
         if k is None:
@@ -946,7 +939,7 @@ def lift_chain_map(source: FreeComplex, target: FreeComplex) -> ChainMap:
     for i in range(1, source.length + 1):
         tgt_shifts = target.shifts[i] if i <= target.length else []
         prev_shifts = target.shifts[i - 1] if i - 1 <= target.length else []
-        phi = MonomialMatrix(source.ctx, list(tgt_shifts), list(source.shifts[i]), {})
+        phi = MonomialMatrix(list(tgt_shifts), list(source.shifts[i]), {})
         # target position i-1 <- source position i
         v_cols = mats[i - 1].compose(source.diffs[i]).cols
         t_cols = target.diffs[i].cols if tgt_shifts else {}
@@ -1030,7 +1023,7 @@ def _tensor_pair(A: FreeComplex, B: FreeComplex, ctx: VariableContext) -> FreeCo
                         col[rows[low + r]] = -v if odd else v
                     if col:
                         cols[off[k][i] + s * nb + t] = col
-        diffs.append(MonomialMatrix(ctx, shifts[k - 1], shifts[k], cols))
+        diffs.append(MonomialMatrix(shifts[k - 1], shifts[k], cols))
     return FreeComplex(ctx, shifts, diffs)
 
 
@@ -1059,24 +1052,27 @@ def tensor_resolutions(factors: list[FreeComplex], ctx: VariableContext) -> Free
     return out
 
 
-def tensor_chain_map(taus: list[ChainMap], src: FreeComplex, tgt: FreeComplex) -> ChainMap:
-    """Tensor product of degree-zero chain maps, taus[l] from factor l of
-    ``src`` to factor l of ``tgt`` (both ``tensor_resolutions`` products).
+def tensor_chain_map(taus: list[ChainMap], scalar) -> list[dict[int, dict[int, int | Fraction]]]:
+    """The columns of ``scalar`` times the tensor product of the degree-zero
+    chain maps ``taus``, taus[l] between factor l of two
+    ``tensor_resolutions`` products: per source position, {col: {row:
+    entry}} in the format of ``MonomialMatrix.cols``.
 
-    The left fold of the Kronecker products runs on the taus' columns and
-    the factors' ranks, in the layout of ``_tensor_pair`` (``_pair_offsets``)
-    and with no signs, as the taus have degree zero: per position, the
-    columns s (x) t in order of s, then t, each with its rows r (x) r' in
-    order of r, then r'.  Only the last step's columns become matrices, one
-    per position of ``src``.  Nothing is checked: every entry is a product of
-    entries of the taus, and the product is a chain map because the taus
-    are, which ``builder.certify_factors`` checks.  ``builder.total_complex``
-    places each product once, times a scalar lam_c[k][j], as the block of
-    sigma_c between two summands, and its chain-map condition is then a
-    component of the total differential's diff o diff, which that function
-    checks.
+    ``scalar`` multiplies the columns of taus[0], and the left fold of the
+    Kronecker products runs on those columns and the factors' ranks, in the
+    layout of ``_pair_offsets`` and with no signs, as the taus have degree
+    zero: per position, the columns s (x) t in order of s, then t, each with
+    its rows r (x) r' in order of r, then r'.  Each product that is not an
+    int is turned back into an int where it is integral.  Nothing is
+    checked: every entry is ``scalar`` times a product of entries of the
+    taus, and the product is a chain map because the taus are, which
+    ``builder.certify_factors`` checks.  ``builder.total_complex`` places
+    the columns once per nonzero scalar lam_c[k][j], as the block of sigma_c
+    between two summands, and their chain-map condition is then a component
+    of the total differential's diff o diff, which that function checks.
     """
-    cols = [m.cols for m in taus[0].mats]
+    cols = [{s: {r: _integral(v * scalar) for r, v in col.items()} for s, col in m.cols.items()}
+            for m in taus[0].mats]
     src_ranks, tgt_ranks = taus[0].source.ranks, taus[0].target.ranks
     for g in taus[1:]:
         gs, gt = g.source.ranks, g.target.ranks
@@ -1096,6 +1092,4 @@ def tensor_chain_map(taus: list[ChainMap], src: FreeComplex, tgt: FreeComplex) -
             step.append(out)
         cols = step
         src_ranks, tgt_ranks = [o[-1] for o in soff], [o[-1] for o in toff]
-    return ChainMap(src, tgt, [
-        MonomialMatrix(src.ctx, tgt.shifts[k] if k <= tgt.length else [], src.shifts[k], c)
-        for k, c in enumerate(cols)])
+    return cols

@@ -143,10 +143,6 @@ class MonomialIdeal:
             raise ContextMismatchError(f"vector length {len(m)} vs {self.ctx.nvars} variables")
         return any(divides(g, m) for g in self.gens)
 
-    def contains(self, other: "MonomialIdeal") -> bool:
-        self._same_ctx(other)
-        return all(self.member(g) for g in other.gens)
-
     def generated_in_degree(self):
         """The common total degree of the generators, or None if mixed/zero."""
         degs = {total_degree(g) for g in self.gens}

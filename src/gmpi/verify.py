@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .builder import (
@@ -75,8 +74,6 @@ class CheckResult:
 
 
 def _jsonable(v):
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, tuple):
         return list(v)
     if isinstance(v, dict):

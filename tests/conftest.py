@@ -13,7 +13,7 @@ from gmpi.builder import (
     build_star_complex,
     total_complex,
 )
-from gmpi.complexes import BettiTable, FreeComplex, block_offsets
+from gmpi.complexes import BettiTable, FreeComplex, MonomialMatrix, block_offsets
 from gmpi.families import random_instance
 from gmpi.monomials import divides, ideal, simple_context
 from gmpi.verify import SUITE_SEEDS
@@ -131,10 +131,19 @@ def normal_scalar(v) -> bool:
     return type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
+def copy_complex(C: FreeComplex) -> FreeComplex:
+    """A copy of ``C`` whose shift lists, maps and columns are its own, for
+    a test to change without touching ``C``."""
+    return FreeComplex(C.ctx, [list(s) for s in C.shifts], [None] + [
+        MonomialMatrix(list(d.row_shifts), list(d.col_shifts),
+                       {c: dict(col) for c, col in d.cols.items()})
+        for d in C.diffs[1:]])
+
+
 def with_resolution_copy(inst: GmpiInstance) -> GmpiInstance:
     """The instance over a copy of its resolution, for a fixture to corrupt
     without touching ``inst``."""
-    return dataclasses.replace(inst, resolution=inst.resolution.copy())
+    return dataclasses.replace(inst, resolution=copy_complex(inst.resolution))
 
 
 def scale_first_scalar(m, factor) -> None:
@@ -214,7 +223,7 @@ def non_nested_instance() -> GmpiInstance:
 
 def _first_block_copy(F, length=1):
     key = next(k for k, res in F.blocks.items() if k[1] >= 1 and res.length >= length)
-    F.blocks[key] = F.blocks[key].copy()
+    F.blocks[key] = copy_complex(F.blocks[key])
     return F.blocks[key]
 
 
@@ -268,6 +277,6 @@ def corrupt_star_scalars(F):
     """Double the first scalar of lam_2 in a copy of the resolution of S/I
     that the star complex reads (of a Factors), so that its maps no longer
     square to zero."""
-    F.instance.resolution = F.instance.resolution.copy()
+    F.instance.resolution = copy_complex(F.instance.resolution)
     scale_first_scalar(F.instance.resolution.diffs[2], 2)
     return F

@@ -23,6 +23,7 @@ from gmpi.builder import (
     validate_family,
 )
 from gmpi.complexes import (
+    ChainMap,
     FreeComplex,
     MonomialMatrix,
     betti_table,
@@ -56,6 +57,7 @@ from gmpi.verify import (
 
 from conftest import (
     certified_total,
+    copy_complex,
     corrupt_block_column,
     corrupt_block_scalar,
     corrupt_star_ideal,
@@ -129,7 +131,7 @@ def test_expansion_induced_ideal():
     assert inst.induced == M1 * M1 * M2 + M1 * M2 * M2
     assert len(inst.induced.gens) == 12
     for q in inst.products:
-        assert inst.induced.contains(q)
+        assert all(inst.induced.member(g) for g in q.gens)
 
 
 def test_mixed_product_reproduces_two_term_sum():
@@ -764,15 +766,15 @@ def test_block_witness_locates_the_failure():
     I = F.instance.family.at(l, d)
     assert block_witness(res, I) is None
     # the augmentation: a doubled scalar leaves its column summing to +-1
-    bad = res.copy()
+    bad = copy_complex(res)
     scale_first_scalar(bad.diffs[1], 2)
     assert block_witness(bad, I) == res.shifts[1][next(iter(bad.diffs[1].cols))]
     # the scan: without column 0 a strand misses a syzygy
-    bad = res.copy()
+    bad = copy_complex(res)
     del bad.diffs[1].cols[0]
     assert block_witness(bad, I) == res.shifts[1][0]
     # position 0 must list the generators, in order
-    swapped = res.copy()
+    swapped = copy_complex(res)
     swapped.shifts[0][0], swapped.shifts[0][1] = swapped.shifts[0][1], swapped.shifts[0][0]
     assert block_witness(swapped, I) == I.gens[0]
 
@@ -803,7 +805,7 @@ def test_validate_family_raises_the_realization_witness(monkeypatch):
     resolve = builder.quotient_resolution
 
     def unrealized(I):
-        res = resolve(I).copy()
+        res = copy_complex(resolve(I))
         s = res.shifts[2][0]
         res.shifts[2][0] = (9,) + s[1:]   # no generator has block degree 9
         return res
@@ -993,12 +995,36 @@ def three_block_drops(inst):
             for src, tgt in THREE_BLOCK_DROPS]
 
 
+def as_chain_map(src, tgt, columns) -> ChainMap:
+    """The map from ``src`` to ``tgt`` with the columns of
+    ``tensor_chain_map``, position by position, for its checks to run on."""
+    return ChainMap(src, tgt, [
+        MonomialMatrix(tgt.shifts[k] if k <= tgt.length else [], src.shifts[k], cols)
+        for k, cols in enumerate(columns)])
+
+
 def test_tensor_chain_map_of_three_blocks_is_a_chain_map():
     for src, tgt, parts in three_block_drops(three_block_instance()):
-        m = tensor_chain_map(parts, src, tgt)
-        assert m.source is src and m.target is tgt
-        assert any(mat.cols for mat in m.mats[1:])
-        m.validate()   # shapes, homogeneity and commutation with the differentials
+        columns = tensor_chain_map(parts, 1)
+        assert len(columns) == src.length + 1 and any(columns[1:])
+        # shapes, homogeneity and commutation with the differentials
+        as_chain_map(src, tgt, columns).validate()
+
+
+def test_tensor_chain_map_scales_the_columns_of_scalar_one():
+    # the scalar multiplies the first tau's columns before the Kronecker
+    # fold: the layout and the entry order are those of scalar 1, every
+    # entry is the scalar times its entry there, and ints stay ints
+    for src, tgt, parts in three_block_drops(three_block_instance()):
+        one = tensor_chain_map(parts, 1)
+        for s in (2, -1, Fraction(1, 2)):
+            scaled = tensor_chain_map(parts, s)
+            assert [[(c, list(col.items())) for c, col in cols.items()] for cols in scaled] == [
+                [(c, [(r, s * v) for r, v in col.items()]) for c, col in cols.items()]
+                for cols in one]
+            assert all(normal_scalar(v) for cols in scaled
+                       for col in cols.values() for v in col.values())
+            as_chain_map(src, tgt, scaled).validate()
 
 
 def test_the_assembly_checks_no_copy_of_a_checked_map(monkeypatch):
@@ -1010,9 +1036,9 @@ def test_the_assembly_checks_no_copy_of_a_checked_map(monkeypatch):
     calls = []
     check = MonomialMatrix.validate
     monkeypatch.setattr(MonomialMatrix, "validate", lambda m: calls.append(m) or check(m))
-    for (src_degs, _), (src, tgt, parts) in zip(THREE_BLOCK_DROPS, drops):
+    for (src_degs, _), (_, _, parts) in zip(THREE_BLOCK_DROPS, drops):
         assert tensor_products(F.blocks, inst.T, src_degs).length >= 1
-        tensor_chain_map(parts, src, tgt)
+        tensor_chain_map(parts, 1)
     assert total_complex(F).exactness_verified
     assert calls == []
 

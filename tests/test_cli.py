@@ -302,6 +302,10 @@ MALFORMED = {
     "colon-in-block-name": (
         "gmpi", {**expansion_doc(), "blocks": [{"name": "x:1", "size": 2},
                                                {"name": "y", "size": 2}]}),
+    # a document and a block are objects, whose keys are checked
+    "string-block": ("resolve", {"blocks": ["x"], "generators": [[1]]}),
+    "list-instance-document": ("gmpi", [expansion_doc()]),
+    "list-ideal-document": ("resolve", [{"blocks": [{"name": "x", "size": 1}]}]),
 }
 
 # the whole message, where it is pinned
@@ -317,6 +321,9 @@ MALFORMED_MESSAGES = {
     "empty-block-name": "block name must not be empty",
     "colon-in-block-name":
         "block name 'x:1' contains ':', which ends the block name of a substitution key",
+    "string-block": "a block must be an object, not str",
+    "list-instance-document": "an instance document must be an object, not list",
+    "list-ideal-document": "an ideal document must be an object, not list",
 }
 
 
@@ -441,6 +448,33 @@ def test_a_substitution_object_refuses_a_parameter_its_family_does_not_read(tmp_
     assert out == "" and err == (
         "error: substitution family 'power-of-maximal' reads no parameter 'count' "
         "(only family, degree)\n")
+
+
+def renamed_key(doc: dict, old: str, new: str) -> dict:
+    """``doc`` with its key ``old`` renamed ``new``."""
+    return {new if key == old else key: value for key, value in doc.items()}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("gmpi", {**expansion_doc(), "lable": "mine"},
+     "an instance document reads no parameter 'lable' "
+     "(only blocks, inducing_ideal, substitutions, label)"),
+    ("gmpi", renamed_key(expansion_doc(), "substitutions", "substitution"),
+     "an instance document reads no parameter 'substitution' "
+     "(only blocks, inducing_ideal, substitutions, label)"),
+    ("gmpi", {**expansion_doc(), "blocks": [{"name": "x", "size": 2, "sise": 3},
+                                            {"name": "y", "size": 2}]},
+     "a block reads no parameter 'sise' (only name, size)"),
+    ("resolve", {"blocks": [{"name": "x", "size": 2}], "generators": [[1, 0]], "gens": []},
+     "an ideal document reads no parameter 'gens' (only blocks, generators)"),
+], ids=["misspelled-label", "misspelled-substitutions", "misspelled-block-size",
+        "ideal-document"])
+def test_a_document_refuses_a_key_nothing_reads(tmp_path, capsys, command, doc, message):
+    # without the refusal the label would be the default, and the
+    # substitutions missing
+    assert main([command, write(tmp_path, "d.json", doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
 
 
 def test_family_random_without_a_seed_takes_seed_zero(capsys):

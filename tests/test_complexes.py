@@ -43,7 +43,8 @@ from gmpi.complexes import (
 from gmpi.monomials import MonomialIdeal, VariableContext, divides, ideal, lcm, simple_context
 from gmpi.verify import koszul_betti
 
-from conftest import betti_from_json, dense_rank, normal_scalar, small_ideals, strand
+from conftest import (
+    betti_from_json, copy_complex, dense_rank, normal_scalar, small_ideals, strand)
 
 S1 = simple_context(1, ("x",))
 S2 = simple_context(2, ("x", "y"))
@@ -109,17 +110,17 @@ def test_taylor_rejects_degenerate():
 def test_make_complex_validation():
     from gmpi.complexes import MonomialMatrix, make_complex
     # inhomogeneous entry: col shift not componentwise above row shift
-    bad = MonomialMatrix(S2, [(1, 0)], [(0, 1)], {0: {0: Fraction(1)}})
+    bad = MonomialMatrix([(1, 0)], [(0, 1)], {0: {0: Fraction(1)}})
     with pytest.raises(ValueError):
         make_complex(S2, [[(1, 0)], [(0, 1)]], [None, bad])
     # a stored zero, and a stored empty column
     for cols in ({0: {0: 0}}, {0: {}}):
-        zero = MonomialMatrix(S2, [(0, 0)], [(1, 0)], cols)
+        zero = MonomialMatrix([(0, 0)], [(1, 0)], cols)
         with pytest.raises(ValueError, match="stored zero scalar at \\(0, 0\\)|stored empty column 0"):
             make_complex(S2, [[(0, 0)], [(1, 0)]], [None, zero])
     # differentials that do not compose to zero
-    d1 = MonomialMatrix(S2, [(0, 0)], [(1, 0)], {0: {0: Fraction(1)}})
-    d2 = MonomialMatrix(S2, [(1, 0)], [(1, 1)], {0: {0: Fraction(1)}})
+    d1 = MonomialMatrix([(0, 0)], [(1, 0)], {0: {0: Fraction(1)}})
+    d2 = MonomialMatrix([(1, 0)], [(1, 1)], {0: {0: Fraction(1)}})
     with pytest.raises(ValueError):
         make_complex(S2, [[(0, 0)], [(1, 0)], [(1, 1)]], [None, d1, d2])
 
@@ -205,7 +206,7 @@ def test_betti_invariant_under_generator_shuffles():
 def test_a_map_stores_its_scalars_by_column_only():
     import dataclasses
     assert [f.name for f in dataclasses.fields(MonomialMatrix)] == [
-        "ctx", "row_shifts", "col_shifts", "cols"]
+        "row_shifts", "col_shifts", "cols"]
     # no second format, and no view that rebuilds one
     assert not hasattr(MonomialMatrix, "entries") and not hasattr(MonomialMatrix, "columns")
 
@@ -425,8 +426,8 @@ def test_exactness_check_ranks_exactly_where_a_live_column_reaches_a_dead_row():
     shifts = [[(0,)], [(2,), (3,)], [(2,)]]
     C = FreeComplex(S1, shifts, [
         None,
-        MonomialMatrix(S1, shifts[0], shifts[1], {}),
-        MonomialMatrix(S1, shifts[1], shifts[2], {0: {1: Fraction(1)}}),
+        MonomialMatrix(shifts[0], shifts[1], {}),
+        MonomialMatrix(shifts[1], shifts[2], {0: {1: Fraction(1)}}),
     ])
     assert exactness_check(C, I) == (2,) == reference_exactness(C, I)
     # an even entry in the dead row is support too, though it vanishes
@@ -435,8 +436,8 @@ def test_exactness_check_ranks_exactly_where_a_live_column_reaches_a_dead_row():
     # would balance
     C = FreeComplex(S1, shifts, [
         None,
-        MonomialMatrix(S1, shifts[0], shifts[1], {0: {0: 2}, 1: {0: -1}}),
-        MonomialMatrix(S1, shifts[1], shifts[2], {0: {0: 1, 1: 2}}),
+        MonomialMatrix(shifts[0], shifts[1], {0: {0: 2}, 1: {0: -1}}),
+        MonomialMatrix(shifts[1], shifts[2], {0: {0: 1, 1: 2}}),
     ])
     assert C.square_witness() is None
     assert exactness_check(C, I) == (2,) == reference_exactness(C, I)
@@ -714,7 +715,7 @@ def test_lift_into_a_non_resolution_raises_a_witness():
     # with its differential zeroed, the target's position 1 cannot hit the
     # image of the source's syzygy
     m = ideal_resolution(ideal(S2, [(1, 0), (0, 1)]))
-    broken = m.copy()
+    broken = copy_complex(m)
     broken.diffs[1].cols.clear()
     with pytest.raises(ConstructionError) as err:
         lift_chain_map(m, broken)
@@ -863,8 +864,8 @@ def composable_pairs(draw):
         (k1, v1), (k2, v2) = [(kk, col[full_row]) for kk, col in a.items() if full_row in col][:2]
         b[n] = {k1: v2, k2: -v1}
         n += 1
-    return (MonomialMatrix(S1, flat(m), flat(k), a),
-            MonomialMatrix(S1, flat(k), flat(n), b))
+    return (MonomialMatrix(flat(m), flat(k), a),
+            MonomialMatrix(flat(k), flat(n), b))
 
 
 @settings(max_examples=400, deadline=None)
@@ -873,8 +874,8 @@ def test_compose_matches_fraction_reference(pair):
     a, b = pair
     got = a.compose(b)
     # the reference multiplies the same scalars as Fractions only
-    ref = reference_compose(MonomialMatrix(S1, a.row_shifts, a.col_shifts, as_fractions(a.cols)),
-                            MonomialMatrix(S1, b.row_shifts, b.col_shifts, as_fractions(b.cols)))
+    ref = reference_compose(MonomialMatrix(a.row_shifts, a.col_shifts, as_fractions(a.cols)),
+                            MonomialMatrix(b.row_shifts, b.col_shifts, as_fractions(b.cols)))
     assert ordered(got.cols) == ordered(ref)
     assert all(col for col in got.cols.values())
     assert all(normal_scalar(v) for col in got.cols.values() for v in col.values())
@@ -884,21 +885,21 @@ def test_compose_matches_fraction_reference(pair):
 def test_compose_examples():
     F = Fraction
     # empty operands
-    e = MonomialMatrix(S1, flat(0), flat(3), {})
-    assert e.compose(MonomialMatrix(S1, flat(3), flat(2), {1: {0: F(1)}})).cols == {}
-    assert MonomialMatrix(S1, flat(2), flat(0), {}).compose(
-        MonomialMatrix(S1, flat(0), flat(4), {})).cols == {}
+    e = MonomialMatrix(flat(0), flat(3), {})
+    assert e.compose(MonomialMatrix(flat(3), flat(2), {1: {0: F(1)}})).cols == {}
+    assert MonomialMatrix(flat(2), flat(0), {}).compose(
+        MonomialMatrix(flat(0), flat(4), {})).cols == {}
     # disjoint supports: a zero product
-    a = MonomialMatrix(S1, flat(2), flat(2), {0: {0: F(1, 2)}})
-    b = MonomialMatrix(S1, flat(2), flat(2), {1: {1: F(3)}})
+    a = MonomialMatrix(flat(2), flat(2), {0: {0: F(1, 2)}})
+    b = MonomialMatrix(flat(2), flat(2), {1: {1: F(3)}})
     assert a.compose(b).cols == {}
     # products that cancel, with mixed denominators
-    a = MonomialMatrix(S1, flat(1), flat(2), {0: {0: F(1, 3)}, 1: {0: F(2, 5)}})
-    b = MonomialMatrix(S1, flat(2), flat(2), {0: {0: F(6, 5), 1: F(-1)}, 1: {0: F(3, 4)}})
+    a = MonomialMatrix(flat(1), flat(2), {0: {0: F(1, 3)}, 1: {0: F(2, 5)}})
+    b = MonomialMatrix(flat(2), flat(2), {0: {0: F(6, 5), 1: F(-1)}, 1: {0: F(3, 4)}})
     assert a.compose(b).cols == {1: {0: F(1, 4)}}
     # integer entries on both sides
-    a = MonomialMatrix(S1, flat(1), flat(2), {0: {0: 2}, 1: {0: 3}})
-    b = MonomialMatrix(S1, flat(2), flat(1), {0: {0: 5, 1: -1}})
+    a = MonomialMatrix(flat(1), flat(2), {0: {0: 2}, 1: {0: 3}})
+    b = MonomialMatrix(flat(2), flat(1), {0: {0: 5, 1: -1}})
     assert a.compose(b).cols == {0: {0: F(7)}}
     with pytest.raises(ValueError):
         a.compose(a)
@@ -961,7 +962,7 @@ def reference_minimalize(C: FreeComplex) -> FreeComplex:
             for c, v in rowmap.items():
                 if r in new_index[i - 1] and c in new_index[i]:
                     out.setdefault(new_index[i][c], {})[new_index[i - 1][r]] = v
-        diffs.append(MonomialMatrix(C.ctx, shifts[i - 1], shifts[i], dict(sorted(out.items()))))
+        diffs.append(MonomialMatrix(shifts[i - 1], shifts[i], dict(sorted(out.items()))))
     while len(shifts) > 1 and not shifts[-1]:
         shifts.pop()
         diffs.pop()
@@ -974,7 +975,7 @@ def rescaled(C: FreeComplex) -> FreeComplex:
     rationals, so that the differentials carry non-unit scalars, stored as
     the program stores them: a mix of ints and Fractions."""
     f = [Fraction(2), Fraction(-1, 3), Fraction(3, 2), Fraction(1)]
-    out = C.copy()
+    out = copy_complex(C)
     for i in range(1, out.length + 1):
         out.diffs[i].cols = {
             c: {r: normal(v * f[c % 4] / (f[r % 4] if i >= 2 else 1)) for r, v in col.items()}
@@ -983,7 +984,7 @@ def rescaled(C: FreeComplex) -> FreeComplex:
 
 
 def fraction_copy(C: FreeComplex) -> FreeComplex:
-    out = C.copy()
+    out = copy_complex(C)
     for d in out.diffs[1:]:
         d.cols = as_fractions(d.cols)
     return out
@@ -1007,7 +1008,7 @@ def one_map_complex(rows, cols, scalars) -> FreeComplex:
     """A one-map complex over S1 with scalars[c][r] at row shifts ``rows``
     and column shifts ``cols`` (exponents of x)."""
     shifts = [[(e,) for e in rows], [(e,) for e in cols]]
-    return make_complex(S1, shifts, [None, MonomialMatrix(S1, *shifts, scalars)])
+    return make_complex(S1, shifts, [None, MonomialMatrix(*shifts, scalars)])
 
 
 def test_minimalize_skips_the_units_a_cancellation_zeroed():
@@ -1074,15 +1075,15 @@ def test_first_nonzero_column_is_the_column_of_the_first_composite_entry(pair, d
 def test_first_nonzero_column_follows_the_entry_order_of_compose():
     # the columns of b are stored in the order 0, 2, 1; the products of
     # column 0 cancel, so the first nonzero column is 2, not 1
-    a = MonomialMatrix(S1, flat(2), flat(3), {0: {0: 1}, 1: {0: 1}, 2: {1: 1}})
-    b = MonomialMatrix(S1, flat(3), flat(3), {0: {0: 1, 1: -1}, 2: {2: 1}, 1: {2: 1, 0: 1}})
+    a = MonomialMatrix(flat(2), flat(3), {0: {0: 1}, 1: {0: 1}, 2: {1: 1}})
+    b = MonomialMatrix(flat(3), flat(3), {0: {0: 1, 1: -1}, 2: {2: 1}, 1: {2: 1, 0: 1}})
     assert list(a.compose(b).cols) == [2, 1]
     assert a.first_nonzero_column(b) == 2
     b.cols = dict(sorted(b.cols.items()))
     assert a.first_nonzero_column(b) == 1
     del b.cols[1], b.cols[2]
     assert a.first_nonzero_column(b) is None
-    assert MonomialMatrix(S1, flat(2), flat(3), {}).first_nonzero_column(b) is None
+    assert MonomialMatrix(flat(2), flat(3), {}).first_nonzero_column(b) is None
     with pytest.raises(ValueError):
         a.first_nonzero_column(a)
 
@@ -1287,7 +1288,7 @@ def reference_lyubeznik(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
         cols = {}
         for c, subset in enumerate(levels[size]):
             cols[c] = {below[subset[:j] + subset[j + 1:]]: (-1) ** j for j in range(size)}
-        diffs.append(MonomialMatrix(I.ctx, shifts[size - 1], shifts[size], cols))
+        diffs.append(MonomialMatrix(shifts[size - 1], shifts[size], cols))
     return FreeComplex(I.ctx, shifts, diffs)
 
 
@@ -1318,7 +1319,7 @@ def int_rescaled(C: FreeComplex) -> FreeComplex:
     it times 6 so that dividing a row by f_j stays integral.  Units of 2
     and 3 then give Fraction factors partway through a cancellation."""
     f = [2, 3, 1, -1]
-    out = C.copy()
+    out = copy_complex(C)
     for i in range(1, out.length + 1):
         out.diffs[i].cols = {
             c: {r: v * f[c % 4] * (6 // f[r % 4] if i >= 2 else 1) for r, v in col.items()}

@@ -189,9 +189,9 @@ def expected_sigma(tot, c, i):
                 continue
             taus = [F.taus[(l, a, b)]
                     for l, (a, b) in enumerate(zip(res.shifts[c][j], res.shifts[c - 1][k]))]
-            m = tensor_chain_map(taus, tot.summands[c][j], tot.summands[c - 1][k]).mats[i]
-            out.update({(tgt[k] + r, src[j] + t): v * scalar
-                        for t, scalars in m.cols.items() for r, v in scalars.items()})
+            cols = tensor_chain_map(taus, scalar)[i]
+            out.update({(tgt[k] + r, src[j] + t): v
+                        for t, scalars in cols.items() for r, v in scalars.items()})
     return out
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from gmpi.complexes import MonomialMatrix
 from gmpi.linalg import mod_2, rank, rank_mod_2, solve
-from gmpi.monomials import simple_context
 
 from conftest import dense_rank, dense_rank_mod_2, normal_scalar
 
@@ -106,13 +105,12 @@ def test_an_inexact_scalar_is_a_value_error_naming_its_key():
             rank([vector])
     # compose names the (row, column) of the entry, in either operand, also
     # beside a Fraction in the other one
-    S1 = simple_context(1, ("x",))
-    a = MonomialMatrix(S1, [(0,)], [(0,), (0,)], {0: {0: 1}, 1: {0: 0.5}})
-    b = MonomialMatrix(S1, [(0,), (0,)], [(0,)], {0: {0: 1}})
+    a = MonomialMatrix([(0,)], [(0,), (0,)], {0: {0: 1}, 1: {0: 0.5}})
+    b = MonomialMatrix([(0,), (0,)], [(0,)], {0: {0: 1}})
     with pytest.raises(ValueError, match=r"inexact scalar 0\.5 at \(0, 1\)"):
         a.compose(b)
-    a = MonomialMatrix(S1, [(0,)], [(0,), (0,)], {0: {0: F(1, 3)}})
-    b = MonomialMatrix(S1, [(0,), (0,)], [(0,)], {0: {1: 0.5}})
+    a = MonomialMatrix([(0,)], [(0,), (0,)], {0: {0: F(1, 3)}})
+    b = MonomialMatrix([(0,), (0,)], [(0,)], {0: {1: 0.5}})
     with pytest.raises(ValueError, match=r"inexact scalar 0\.5 at \(1, 0\)"):
         a.compose(b)
     # an all-int vector reduces, and a mixed int/Fraction one ranks

@@ -49,6 +49,7 @@ from gmpi.verify import (
 
 from conftest import (
     certified_total,
+    copy_complex,
     corrupt_lambda,
     non_nested_instance,
     scale_first_scalar,
@@ -475,7 +476,7 @@ def test_total_exactness_fails_with_the_scan_witness():
     inst = random_instance(9)
     tot = certified_total(inst)
     assert check_total_exactness(inst, tot).status == "PASS"
-    bad = dataclasses.replace(tot, complex=tot.complex.copy())
+    bad = dataclasses.replace(tot, complex=copy_complex(tot.complex))
     del bad.complex.diffs[-1].cols[0]
     assert bad.complex.square_witness() is None
     witness = exactness_check(bad.complex, inst.induced)
@@ -502,7 +503,7 @@ def test_total_exactness_is_skipped_above_its_cap(monkeypatch):
     assert f"{cells} cells" in result.details["skipped"]
     assert result.line().startswith("[SKIPPED]")
     # diff o diff is still checked above the cap
-    bad = dataclasses.replace(tot, complex=tot.complex.copy())
+    bad = dataclasses.replace(tot, complex=copy_complex(tot.complex))
     scale_first_scalar(bad.complex.diffs[2], 2)
     result = check_total_exactness(inst, bad)
     assert result.status == "FAIL"
@@ -564,7 +565,7 @@ def test_euler_strand_identity_fails_where_a_basis_element_is_added():
     euler = lambda t: next(r for r in check_engine_self(inst, t, None)
                            if r.name == "euler-strand-identity")
     assert euler(tot).status == "PASS"
-    bad = dataclasses.replace(tot, complex=tot.complex.copy())
+    bad = dataclasses.replace(tot, complex=copy_complex(tot.complex))
     extra = bad.complex.shifts[1][0]
     bad.complex.shifts[1].append(extra)   # the Euler sums read the shifts only
     result = euler(bad)
