@@ -18,6 +18,7 @@ from gmpi import (
     minimal_total_table,
     oracle_betti,
     power_of_maximal,
+    projective_dimension,
     regularity,
     simple_context,
     star_acyclicity,
@@ -38,10 +39,11 @@ inst = validate_family(I, family, label="expansion")
 print("L =", inst.induced)
 print("|G(L)| =", len(inst.induced.gens))
 
-# the star complex: sums of ideals carried by the scalar matrices
+# the star complex: sums of ideals carried by the scalar matrices, as the
+# ideal lists of its positions 1..p
 star = build_star_complex(inst)
-print("star positions:", [len(level) for level in star.ideals])
-print("star acyclic:", star_acyclicity(star) is None)
+print("star positions:", [len(level) for level in star])
+print("star acyclic:", star_acyclicity(inst, star) is None)
 
 # the factors (F, the block resolutions and the comparison maps that sigma
 # uses), made once and certified, and the total complex assembled from them;
@@ -63,7 +65,7 @@ res = inst.resolution
 print(f"reg L = {regularity(table)} = reg I = {regularity(betti_table(res))}")
 formula = max(c + sum(factors.blocks[(l, d)].length for l, d in enumerate(a))
               for c in range(1, res.length + 1) for a in res.shifts[c])
-print(f"projdim(T/L) = {table.top_position} (formula value {formula})")
+print(f"projdim(T/L) = {projective_dimension(table)} (formula value {formula})")
 print("linearity (I, L):",
       (is_linear_resolution(betti_table(res), I.generated_in_degree()),
        is_linear_resolution(table, inst.induced.generated_in_degree())))

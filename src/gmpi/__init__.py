@@ -35,7 +35,6 @@ from .builder import (
     Factors,
     FamilyValidationError,
     GmpiInstance,
-    StarComplex,
     SubstitutionFamily,
     build_factors,
     build_star_complex,

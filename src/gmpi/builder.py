@@ -33,9 +33,13 @@ never separate objects.
 The complex of ideal direct sums carried by the scalar matrices of F (the
 "star complex", whose H_0 is T/L) is the first page of the double complex.
 The construction never builds it: certify_factors certifies its exactness
-from F on S's degree grid.  The checks of verify build it
-(``build_star_complex``) and scan it on T's grid (``star_acyclicity``),
+from F on S's degree grid.  The checks of verify build its ideal lists
+(``build_star_complex``) and scan them on T's grid (``star_acyclicity``),
 independently of the construction.
+
+The ladder of block l is the sorted set of block-l degrees of I's
+generators (``block_ladders``); degree 0 on it is the unit ideal, which
+``ideal_resolution`` resolves by the ring itself.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from .complexes import (
     ChainMap,
     ConstructionError,
     exactness_check,
-    free_module_resolution,
     FreeComplex,
     ideal_resolution,
     identity_chain_map,
@@ -116,7 +119,6 @@ class GmpiInstance:
     """A validated instance: inducing data plus everything derived from it."""
 
     inducing: MonomialIdeal
-    T: VariableContext
     family: SubstitutionFamily
     ladders: list[list[int]]                 # per block, sorted distinct block degrees
     products: list[MonomialIdeal]            # L_j, one per generator of the inducing ideal
@@ -126,8 +128,15 @@ class GmpiInstance:
     label: str = ""
 
     @property
-    def nblocks(self) -> int:
-        return self.T.nblocks
+    def T(self) -> VariableContext:
+        return self.family.T
+
+
+def block_ladders(inducing: MonomialIdeal) -> list[list[int]]:
+    """Per block, the sorted distinct block degrees of the generators of
+    the inducing ideal: the degrees at which a substitution ideal is read
+    (0 among them where some generator skips the block)."""
+    return [sorted({g[l] for g in inducing.gens}) for l in range(inducing.ctx.nblocks)]
 
 
 def validate_family(
@@ -138,12 +147,13 @@ def validate_family(
     """Check the defining conditions and assemble a GmpiInstance.
 
     Raises FamilyValidationError with a witness for: a missing ladder degree,
-    a substitution not generated purely in its degree, or a nesting failure
+    a substitution not generated purely in its degree, a nesting failure
     (``nesting_witness``: a higher-degree substitution not contained in a
-    lower-degree one).  Raises ConstructionError where a shift of the
-    resolution of S/I has a block degree no generator has
-    (``realization_witness``); shifts are lcms of generators, so that is a
-    fault of the construction, not of the input.
+    lower-degree one), or a substitution at a degree off its block's ladder
+    (``block_ladders``), which nothing would read.  Raises ConstructionError
+    where a shift of the resolution of S/I has a block degree no generator
+    has (``realization_witness``); shifts are lcms of generators, so that is
+    a fault of the construction, not of the input.
     """
     S_ctx = inducing.ctx
     if inducing.is_zero or inducing.is_unit:
@@ -156,10 +166,8 @@ def validate_family(
         raise FamilyValidationError(
             f"{T.nblocks} substitution blocks for {n} ambient variables")
 
-    ladders = []
-    for l in range(n):
-        degrees = sorted({g[l] for g in inducing.gens})
-        ladders.append(degrees)
+    ladders = block_ladders(inducing)
+    for l, degrees in enumerate(ladders):
         for d in degrees:
             if d == 0:
                 continue
@@ -186,12 +194,17 @@ def validate_family(
                 f"nesting fails in block {l}: generator "
                 f"{family.at(l, hi).ctx.monomial_str(g)} of the degree-{hi} ideal is not in "
                 f"the degree-{lo} ideal")
+    for l, d in family.ideals:
+        if d not in ladders[l]:
+            raise FamilyValidationError(
+                f"substitution for block {l}, degree {d}: no generator of the inducing "
+                f"ideal has degree {d} in block {l}")
 
     products, induced = induced_ideal(inducing, family)
     res = quotient_resolution(inducing)
 
     inst = GmpiInstance(
-        inducing=inducing, T=T, family=family, ladders=ladders,
+        inducing=inducing, family=family, ladders=ladders,
         products=products, induced=induced, resolution=res, label=label)
     witness = realization_witness(inst)
     if witness is not None:
@@ -220,8 +233,8 @@ def realization_witness(inst: GmpiInstance):
     shifts = inst.resolution.shifts
     for i in range(1, len(shifts)):
         for j, s in enumerate(shifts[i]):
-            for l in range(inst.nblocks):
-                if s[l] not in inst.ladders[l]:
+            for l, ladder in enumerate(inst.ladders):
+                if s[l] not in ladder:
                     return i, j, l
     return None
 
@@ -250,23 +263,13 @@ def induced_ideal(inducing: MonomialIdeal,
 # the star complex, for the checks of verify (certify_factors certifies its
 # exactness from the resolution of S/I without building it)
 
-@dataclass
-class StarComplex:
-    """Direct sums of ideals carried by the scalar matrices; H_0 is T/L."""
-
-    instance: GmpiInstance
-    ideals: list[list[MonomialIdeal]]   # ideals[i] for positions i = 1..p
-
-    @property
-    def length(self) -> int:
-        return len(self.ideals)
-
-
-def build_star_complex(inst: GmpiInstance) -> StarComplex:
-    """Position 1 carries the L_j; deeper positions intersect along the
-    nonzero pattern of the scalar matrices.  An intersection lies in each
-    ideal it intersects, so every nonzero scalar maps a star ideal into its
-    target."""
+def build_star_complex(inst: GmpiInstance) -> list[list[MonomialIdeal]]:
+    """The star complex of ``inst``, whose H_0 is T/L, as its ideal lists:
+    item i - 1 lists the ideals of position i = 1..p, and the maps are the
+    scalar matrices of the resolution of S/I.  Position 1 carries the L_j;
+    deeper positions intersect along the nonzero pattern of the scalar
+    matrices.  An intersection lies in each ideal it intersects, so every
+    nonzero scalar maps a star ideal into its target."""
     res = inst.resolution
     levels = [list(inst.products)]
     for i in range(2, res.length + 1):
@@ -280,15 +283,15 @@ def build_star_complex(inst: GmpiInstance) -> StarComplex:
                     "zero column in a minimal differential (position, column)", (i, j))
             level.append(intersect_many(prev[k] for k in rows))
         levels.append(level)
-    return StarComplex(inst, levels)
+    return levels
 
 
-def product_formula_witness(star: StarComplex):
-    """(position, index) of a star ideal that differs from the product of
-    block substitutions at the block degrees of its shift, or None."""
-    inst = star.instance
-    for i in range(1, star.length + 1):
-        for j, idl in enumerate(star.ideals[i - 1]):
+def product_formula_witness(inst: GmpiInstance, star: list[list[MonomialIdeal]]):
+    """(position, index) of a star ideal of ``inst`` (``build_star_complex``)
+    that differs from the product of block substitutions at the block
+    degrees of its shift, or None."""
+    for i, level in enumerate(star, start=1):
+        for j, idl in enumerate(level):
             if block_product(inst.family, inst.resolution.shifts[i][j]) != idl:
                 return i, j
     return None
@@ -298,8 +301,9 @@ def product_formula_witness(star: StarComplex):
 STAR_SCAN_CAP = 200_000
 
 
-def star_acyclicity(star: StarComplex):
-    """Strand-exactness of the star complex over its degree grid.
+def star_acyclicity(inst: GmpiInstance, star: list[list[MonomialIdeal]]):
+    """Strand-exactness of the star complex of ``inst`` (its ideal lists
+    ``star``, from ``build_star_complex``) over its degree grid.
 
     A strand at multidegree b has dimension 0/1 per summand (membership of
     x^b), the maps are the scalar matrices restricted to the live summands,
@@ -311,12 +315,11 @@ def star_acyclicity(star: StarComplex):
     witness is the resolution's (position, multidegree of S).  SizeCapError
     where T's degree grid exceeds STAR_SCAN_CAP cells.
     """
-    inst = star.instance
     square = inst.resolution.square_witness()
     if square is not None:
         return square
     ring = [((0,) * inst.T.nvars,)]
-    summands = [ring] + [[idl.gens for idl in level] for level in star.ideals]
+    summands = [ring] + [[idl.gens for idl in level] for level in star]
     return _strand_scan(summands, inst.resolution.diffs, inst.induced, STAR_SCAN_CAP)
 
 
@@ -324,19 +327,10 @@ def star_acyclicity(star: StarComplex):
 # block resolutions and comparison maps
 
 def block_resolutions(inst: GmpiInstance) -> dict[tuple[int, int], FreeComplex]:
-    """One ideal resolution per ladder entry, shared across recurrences.
-
-    Degree 0 gets the rank-one free module (resolution of the unit ideal).
-    """
-    out: dict[tuple[int, int], FreeComplex] = {}
-    for l in range(inst.nblocks):
-        ctx = inst.family.local_context(l)
-        for d in inst.ladders[l]:
-            if d == 0:
-                out[(l, d)] = free_module_resolution(ctx, [(0,) * ctx.nvars])
-            else:
-                out[(l, d)] = ideal_resolution(inst.family.at(l, d))
-    return out
+    """One ideal resolution per ladder entry, shared across recurrences
+    (at degree 0 that of the unit ideal, the rank-one free module)."""
+    return {(l, d): ideal_resolution(inst.family.at(l, d))
+            for l, ladder in enumerate(inst.ladders) for d in ladder}
 
 
 def block_linearity(blocks: dict) -> dict[tuple[int, int], bool]:
@@ -358,8 +352,7 @@ def rho_maps(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int, int], Cha
     which validate_family also rules out).
     """
     out = {}
-    for l in range(inst.nblocks):
-        ladder = inst.ladders[l]
+    for l, ladder in enumerate(inst.ladders):
         witness = nesting_witness(inst.family, l, ladder)
         if witness is not None:
             raise ConstructionError(
@@ -611,7 +604,7 @@ def factored_table(factors: Factors) -> BettiTable:
         for a, n in Counter(res.shifts[c]).items():
             if a not in counts:
                 counts[a] = _tensor_shift_counts(
-                    [factors.blocks[(l, a[l])] for l in range(inst.nblocks)])
+                    [factors.blocks[(l, d)] for l, d in enumerate(a)])
             for i, level in enumerate(counts[a]):
                 for s, m in level.items():
                     multi[(c + i, s)] += n * m
@@ -733,7 +726,7 @@ def total_complex(factors: Factors) -> TotalComplex:
     """
     res, T = factors.instance.resolution, factors.instance.T
     products: dict[tuple[int, ...], FreeComplex] = {}
-    summands = [[free_module_resolution(T, [(0,) * T.nvars])]]
+    summands = [[ideal_resolution(MonomialIdeal(T, ((0,) * T.nvars,)))]]
     for level in res.shifts[1:]:
         for a in level:
             if a not in products:

@@ -36,6 +36,7 @@ from .complexes import (
     projective_dimension,
     quotient_resolution,
     regularity,
+    TAYLOR_CAP,
 )
 from .monomials import MonomialIdeal, VariableContext, ideal, simple_context
 from . import families as fam
@@ -449,19 +450,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resolve", help="resolve a standalone monomial ideal")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-taylor", type=_taylor_exponent, default=14, metavar="N",
+    p.add_argument("--max-taylor", type=_taylor_exponent, default=TAYLOR_CAP, metavar="N",
                    help="cap the Lyubeznik complex at 2^N basis elements, the size "
-                        "of the Taylor complex on N generators (0 to 40, default 14)")
+                        "of the Taylor complex on N generators (0 to 40, default %(default)s)")
     p.add_argument("--out")
 
     p = sub.add_parser("gmpi", help="build an induced ideal and its resolution")
     p.add_argument("path")
     p.add_argument("--check", action="store_true", help="run the full check suite")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-taylor", type=_taylor_exponent, default=14, metavar="N",
+    p.add_argument("--max-taylor", type=_taylor_exponent, default=TAYLOR_CAP, metavar="N",
                    help="cap the Lyubeznik complexes of L that --check builds at 2^N "
                         "basis elements, the size of the Taylor complex on N "
-                        "generators (0 to 40, default 14)")
+                        "generators (0 to 40, default %(default)s)")
     p.add_argument("--out")
 
     p = sub.add_parser("family", help="emit a family ideal or instance document")

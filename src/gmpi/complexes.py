@@ -30,13 +30,15 @@ scans reads them; a map that holds a Fraction takes the exact path.
 The entry point for resolutions is the Lyubeznik complex, the subcomplex of
 the Taylor complex on the admissible generator subsets; Gaussian
 cancellation of unit entries (the standard chain-complex reduction lemma)
-turns it into the minimal resolution.  The full Taylor complex stays as the
-reference it is tested against; both are checked to square to zero when
-they are built.  Both are built on generator bitmasks: a face (generator
-subset) carries its mask and its lcm, which is its shift, and its boundary
-rows are looked up by mask; the Lyubeznik
-enumeration reads the generators dividing a candidate lcm off per-variable
-divisor masks.  The cancellation keeps no state beside the matrix it
+turns it into the minimal resolution (``quotient_resolution`` of S/I, and
+``ideal_resolution`` of I, which resolves the unit ideal by the ring
+itself).  The full Taylor complex stays as the reference it is tested
+against; both are checked to square to zero when they are built, and both
+are capped by default at 2^``TAYLOR_CAP`` basis elements.  Both are built
+on generator bitmasks: a face (generator subset) carries its mask and its
+lcm, which is its shift, and its boundary rows are looked up by mask; the
+Lyubeznik enumeration reads the generators dividing a candidate lcm off
+per-variable divisor masks.  The cancellation keeps no state beside the matrix it
 stores: it takes the smallest remaining unit (position, row, column) from a
 heap of candidate pairs, the order a linear scan would give, and a popped
 pair is live exactly when its entry is still stored.  Only rows and columns
@@ -263,7 +265,13 @@ def make_complex(ctx, shifts, diffs) -> FreeComplex:
 # ---------------------------------------------------------------------------
 # Taylor and Lyubeznik complexes
 
-def taylor_complex(I: MonomialIdeal, cap: int = 14) -> FreeComplex:
+# the default size cap of the resolutions and oracles, as a Taylor exponent:
+# at most 2^TAYLOR_CAP basis elements, the size of the Taylor complex on
+# TAYLOR_CAP generators
+TAYLOR_CAP = 14
+
+
+def taylor_complex(I: MonomialIdeal, cap: int = TAYLOR_CAP) -> FreeComplex:
     """Taylor resolution of S/I: position k is spanned by k-subsets of G(I).
 
     ``cap`` bounds the number of generators (2^cap basis elements)."""
@@ -283,7 +291,7 @@ def taylor_complex(I: MonomialIdeal, cap: int = 14) -> FreeComplex:
     return _subset_complex(I.ctx, levels)
 
 
-def lyubeznik_complex(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
+def lyubeznik_complex(I: MonomialIdeal, cap: int = 1 << TAYLOR_CAP) -> FreeComplex:
     """Lyubeznik resolution of S/I (Lyubeznik 1988) for the generator order
     m_0, ..., m_{k-1} of I.gens.
 
@@ -468,7 +476,7 @@ def minimalize_complex(C: FreeComplex) -> FreeComplex:
     return out
 
 
-def quotient_resolution(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
+def quotient_resolution(I: MonomialIdeal, cap: int = 1 << TAYLOR_CAP) -> FreeComplex:
     """Minimal resolution of S/I: the minimalized Lyubeznik complex, whose
     ``cap`` bounds the basis (SizeCapError beyond it).
 
@@ -486,19 +494,18 @@ def quotient_resolution(I: MonomialIdeal, cap: int = 1 << 14) -> FreeComplex:
 def ideal_resolution(I: MonomialIdeal) -> FreeComplex:
     """Minimal resolution of the ideal I itself (position 0 = its generators).
 
-    The minimal resolution of S/I without its position zero, so basis
+    The unit ideal is the ring, free on its one generator, so its
+    resolution is that rank-one module, of length zero.  Otherwise it is
+    the minimal resolution of S/I without its position zero, so basis
     element j of position 0 maps to the j-th generator under the
     augmentation e_j -> x^shift.  It shares its shift lists and maps with
     that resolution, which ``minimalize_complex`` has checked; nothing is
     copied or checked again.
     """
+    if I.is_unit:
+        return FreeComplex(I.ctx, [list(I.gens)], [None])
     quot = quotient_resolution(I)
     return FreeComplex(quot.ctx, quot.shifts[1:], [None] + quot.diffs[2:])
-
-
-def free_module_resolution(ctx: VariableContext, gens: list[tuple[int, ...]]) -> FreeComplex:
-    """Length-zero complex: a free module on the given shifts (e.g. the ring)."""
-    return FreeComplex(ctx, [list(gens)], [None])
 
 
 # ---------------------------------------------------------------------------
@@ -799,10 +806,6 @@ class BettiTable:
             entries[(k, total_degree(b))] += m
         return cls(dict(entries), dict(multi))
 
-    @property
-    def top_position(self) -> int:
-        return max((k for (k, _) in self.entries), default=0)
-
     def to_json(self):
         return {
             "entries": [[k, j, v] for (k, j), v in sorted(self.entries.items())],
@@ -813,7 +816,7 @@ class BettiTable:
         """Conventional triangle layout: row = j - k, column = k."""
         if not self.entries:
             return "(zero table)"
-        pmax = self.top_position
+        pmax = projective_dimension(self)
         rows = range(0, max(j - k for (k, j) in self.entries) + 1)
         width = max(len(str(v)) for v in self.entries.values()) + 2
         lines = ["    " + "".join(f"{k:>{width}}" for k in range(pmax + 1))]
@@ -843,7 +846,9 @@ def regularity(B: BettiTable) -> int:
 
 
 def projective_dimension(B: BettiTable) -> int:
-    return B.top_position
+    """The top homological position of the table (0 for an empty one): the
+    projective dimension of the module it resolves."""
+    return max((k for (k, _) in B.entries), default=0)
 
 
 def is_linear_resolution(B: BettiTable, d: int) -> bool:

@@ -16,6 +16,7 @@ from .builder import (
     FamilyValidationError,
     GmpiInstance,
     SubstitutionFamily,
+    block_ladders,
     induced_ideal,
     validate_family,
 )
@@ -166,8 +167,8 @@ def squarefree_substitutions(inducing: MonomialIdeal, sizes: tuple[int, ...]) ->
     """Squarefree Veronese substitution at every ladder degree."""
     T = VariableContext(tuple(sizes))
     ideals = {}
-    for l in range(len(sizes)):
-        for d in sorted({g[l] for g in inducing.gens}):
+    for l, ladder in enumerate(block_ladders(inducing)):
+        for d in ladder:
             if d >= 1:
                 ideals[(l, d)] = squarefree_veronese(sizes[l], d, _block_ctx(sizes[l], T.names[l]))
     return SubstitutionFamily(T, ideals)
@@ -258,8 +259,8 @@ def random_instance(seed: int) -> GmpiInstance:
         T = VariableContext(sizes)
         ideals = {}
         feasible = True
-        for l in range(n):
-            ladder = sorted({g[l] for g in inducing.gens if g[l] >= 1})
+        for l, degrees in enumerate(block_ladders(inducing)):
+            ladder = [d for d in degrees if d >= 1]
             if not ladder:
                 continue
             block = _random_block_family(rng, sizes[l], ladder, T.names[l])

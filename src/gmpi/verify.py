@@ -22,7 +22,6 @@ from . import linalg
 from .builder import (
     Factors,
     GmpiInstance,
-    StarComplex,
     TotalComplex,
     build_factors,
     build_star_complex,
@@ -40,8 +39,10 @@ from .complexes import (
     exactness_check,
     inexact_positions,
     is_linear_resolution,
+    projective_dimension,
     quotient_resolution,
     regularity,
+    TAYLOR_CAP,
 )
 from .monomials import MonomialIdeal, lcm
 
@@ -84,7 +85,7 @@ def _jsonable(v):
 # ---------------------------------------------------------------------------
 # oracles
 
-def oracle_betti(L: MonomialIdeal, cap: int = 14) -> BettiTable:
+def oracle_betti(L: MonomialIdeal, cap: int = TAYLOR_CAP) -> BettiTable:
     """Ground-truth Betti table: minimalized Lyubeznik resolution of S/L in
     the generator order of L.gens.
 
@@ -180,7 +181,7 @@ def koszul_betti(I: MonomialIdeal) -> BettiTable:
     return BettiTable.of(multi)
 
 
-def betti_for_ideal(L: MonomialIdeal, cap: int = 14) -> tuple[BettiTable, str]:
+def betti_for_ideal(L: MonomialIdeal, cap: int = TAYLOR_CAP) -> tuple[BettiTable, str]:
     """Oracle table plus which oracle produced it: "lyubeznik" when the
     Lyubeznik complex fits the Taylor cap ``cap``, "koszul" otherwise."""
     try:
@@ -231,9 +232,9 @@ def _witness_check(name: str, label: str, witness) -> CheckResult:
     return CheckResult(name, label, False, {"witness": witness})
 
 
-def check_product_intersection(star: StarComplex) -> CheckResult:
-    return _witness_check("product-equals-intersection", star.instance.label,
-                          product_formula_witness(star))
+def check_product_intersection(inst: GmpiInstance, star: list[list[MonomialIdeal]]) -> CheckResult:
+    return _witness_check("product-equals-intersection", inst.label,
+                          product_formula_witness(inst, star))
 
 
 def check_sigma_minimality(tot: TotalComplex) -> CheckResult:
@@ -251,27 +252,29 @@ def check_sigma_squared(tot: TotalComplex) -> CheckResult:
                           tot.sigma_square_witness())
 
 
-def check_star_acyclicity(star: StarComplex) -> CheckResult:
+def check_star_acyclicity(inst: GmpiInstance, star: list[list[MonomialIdeal]]) -> CheckResult:
     """The star complex's strand scan on T's degree grid; above the scan
     cap it reports SKIPPED with the cell count."""
-    name, label = "star-acyclicity", star.instance.label
+    name, label = "star-acyclicity", inst.label
     try:
-        witness = star_acyclicity(star)
+        witness = star_acyclicity(inst, star)
     except SizeCapError as e:
         return CheckResult(name, label, True, {"skipped": str(e)})
     return _witness_check(name, label, witness)
 
 
-def structure_checks(inst: GmpiInstance, star: StarComplex,
+def structure_checks(inst: GmpiInstance, star: list[list[MonomialIdeal]],
                      tot: TotalComplex) -> list[CheckResult]:
+    """The structural checks of ``inst``, its star complex's ideal lists
+    (``build_star_complex``) and its total complex."""
     return [
         check_scalar_exactness(inst),
         check_lcm_shifts(inst),
         check_degree_realization(inst),
-        check_product_intersection(star),
+        check_product_intersection(inst, star),
         check_sigma_minimality(tot),
         check_sigma_squared(tot),
-        check_star_acyclicity(star),
+        check_star_acyclicity(inst, star),
     ]
 
 
@@ -308,13 +311,14 @@ def check_pd_formula(inst: GmpiInstance, factors: Factors, table: BettiTable,
     res = inst.resolution
     formula = max(c + sum(factors.blocks[(l, d)].length for l, d in enumerate(a))
                   for c in range(1, res.length + 1) for a in res.shifts[c])
-    details = {"formula": formula, "pd_tot": table.top_position}
+    pd = projective_dimension(table)
+    details = {"formula": formula, "pd_tot": pd}
     oracle_ok = True
     if oracle is not None:
-        details["pd_oracle"] = oracle.top_position
-        oracle_ok = details["pd_oracle"] == table.top_position
+        details["pd_oracle"] = projective_dimension(oracle)
+        oracle_ok = details["pd_oracle"] == pd
     return _theorem_result("projective-dimension-formula", inst.label, factors.hypothesis_linear,
-                           formula == table.top_position, oracle_ok, details)
+                           formula == pd, oracle_ok, details)
 
 
 def check_betti_equivalence(inst: GmpiInstance, table: BettiTable,
@@ -386,7 +390,7 @@ def check_total_exactness(inst: GmpiInstance, tot: TotalComplex) -> CheckResult:
 
 
 def check_engine_self(inst: GmpiInstance, tot: TotalComplex, base: BettiTable | None,
-                      cap: int = 14) -> list[CheckResult]:
+                      cap: int = TAYLOR_CAP) -> list[CheckResult]:
     """Total exactness, cancellation-order independence, Euler strand
     identity.
 
@@ -431,7 +435,7 @@ def check_engine_self(inst: GmpiInstance, tot: TotalComplex, base: BettiTable | 
 
 
 def run_instance_checks(tot: TotalComplex, table: BettiTable,
-                        oracle_cap: int = 14) -> list[CheckResult]:
+                        oracle_cap: int = TAYLOR_CAP) -> list[CheckResult]:
     """Every check on one built instance: its total complex and the Betti
     table of T/L (resolution_table(tot.factors, tot)).
     The oracle of L is computed once; a Lyubeznik table (within the Taylor cap

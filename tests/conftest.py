@@ -192,7 +192,7 @@ def non_nested_instance() -> GmpiInstance:
     degree-1 substitutions not containing the degree-2 ones; the star complex
     has nonvanishing first homology at a^2 c^2.
     """
-    from gmpi.builder import SubstitutionFamily, induced_ideal
+    from gmpi.builder import SubstitutionFamily, block_ladders, induced_ideal
     from gmpi.complexes import quotient_resolution
     from gmpi.monomials import VariableContext
 
@@ -209,8 +209,7 @@ def non_nested_instance() -> GmpiInstance:
     })
     products, induced = induced_ideal(inducing, fam)
     return GmpiInstance(
-        inducing=inducing, T=T, family=fam,
-        ladders=[sorted({g[l] for g in inducing.gens}) for l in range(2)],
+        inducing=inducing, family=fam, ladders=block_ladders(inducing),
         products=products, induced=induced, resolution=quotient_resolution(inducing),
         label="non-nested")
 
@@ -268,8 +267,7 @@ def corrupt_star_ideal(star):
     place.  The construction never builds the star complex, so this
     corrupts only what the checks of verify scan: product-equals-intersection
     and star-acyclicity must fail on the result."""
-    first = star.ideals[0]
-    star.ideals[0] = [first[1]] + first[1:]
+    star[0] = [star[0][1]] + star[0][1:]
     return star
 
 

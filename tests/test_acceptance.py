@@ -12,6 +12,7 @@ from gmpi.complexes import (
     euler_characteristics,
     is_linear_resolution,
     minimalize_complex,
+    projective_dimension,
     regularity,
     taylor_complex,
 )
@@ -99,8 +100,8 @@ def test_criterion_4_projective_dimension_formula(suite):
         for c in range(1, inst.resolution.length + 1):
             for shift in inst.resolution.shifts[c]:
                 formula = max(formula, c + sum(
-                    pd_blocks[(l, shift[l])] for l in range(inst.nblocks)))
-        agreements += formula == minimal_total_table(item.total).top_position
+                    pd_blocks[(l, shift[l])] for l in range(inst.T.nblocks)))
+        agreements += formula == projective_dimension(minimal_total_table(item.total))
     announce(4, "projective-dimension formula", agreements == len(suite),
              f"{agreements}/{len(suite)}")
 
@@ -142,8 +143,8 @@ def test_criterion_6_structure_lemma_suite(suite):
     assert not check_degree_realization(corrupt).passed
 
     star = build_star_complex(probe)
-    star.ideals[1][0] = ideal(probe.T, [(0,) * probe.T.nvars])
-    assert not check_product_intersection(star).passed
+    star[1][0] = ideal(probe.T, [(0,) * probe.T.nvars])
+    assert not check_product_intersection(probe, star).passed
 
     tot = certified_total(probe)
     r, c = sigma_entry(tot, 1, 0)
@@ -155,7 +156,8 @@ def test_criterion_6_structure_lemma_suite(suite):
     tot.complex.diffs[2].cols[c][r] += 1
     assert not check_sigma_squared(tot).passed
 
-    assert not check_star_acyclicity(build_star_complex(non_nested_instance())).passed
+    non_nested = non_nested_instance()
+    assert not check_star_acyclicity(non_nested, build_star_complex(non_nested)).passed
 
     announce(6, "structure lemmas pass everywhere; all corruption fixtures fail",
              True, f"{len(suite)} instances x 7 checks + 7 fixtures")

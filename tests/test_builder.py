@@ -28,12 +28,12 @@ from gmpi.complexes import (
     MonomialMatrix,
     betti_table,
     exactness_check,
-    free_module_resolution,
     ideal_resolution,
     identity_chain_map,
     is_linear_resolution,
     lift_chain_map,
     minimalize_complex,
+    projective_dimension,
     quotient_resolution,
     taylor_complex,
     tensor_chain_map,
@@ -183,17 +183,55 @@ def test_degree_zero_substitution_rejected_as_input():
         SubstitutionFamily(VariableContext((2,)), {(0, 0): power_of_maximal(2, 1)})
 
 
+@pytest.mark.parametrize("inducing, key", [
+    ((1,), (0, 5)),      # x:5 beside x:1, where I = (x)
+    ((1, 1), (1, 2)),    # y:2 beside y:1, where I = (xy)
+], ids=["one-block", "two-blocks"])
+def test_a_substitution_off_its_ladder_is_refused(inducing, key):
+    # no generator of I has block degree d there, so nothing would read it
+    n = len(inducing)
+    T = VariableContext((2,) * n, ("x", "y")[:n])
+    l, d = key
+    ideals = {(k, 1): power_of_maximal(2, 1, _block_ctx(2, T.names[k])) for k in range(n)}
+    ideals[key] = ideal(_block_ctx(2, T.names[l]), [(d, 0)])
+    with pytest.raises(FamilyValidationError) as err:
+        validate_family(ideal(simple_context(n, T.names), [inducing]), SubstitutionFamily(T, ideals))
+    assert str(err.value) == (f"substitution for block {l}, degree {d}: no generator of "
+                              f"the inducing ideal has degree {d} in block {l}")
+
+
+def test_the_shape_refusals_of_a_family():
+    # the refusals that no instance document reaches: the CLI builds the
+    # inducing ideal over singleton blocks, one per block of T, and each
+    # substitution over its own block
+    T = VariableContext((2,), ("x",))
+    x1 = power_of_maximal(2, 1, _block_ctx(2, "x"))
+    with pytest.raises(FamilyValidationError) as err:
+        SubstitutionFamily(T, {(1, 1): x1})
+    assert str(err.value) == "block index 1 out of range"
+    with pytest.raises(FamilyValidationError) as err:
+        validate_family(ideal(VariableContext((2,)), [(1, 0)]), SubstitutionFamily(T, {}))
+    assert str(err.value) == "inducing ideal must live over singleton blocks"
+    with pytest.raises(FamilyValidationError) as err:
+        validate_family(ideal(S2, [(1, 1)]), SubstitutionFamily(T, {(0, 1): x1}))
+    assert str(err.value) == "1 substitution blocks for 2 ambient variables"
+    with pytest.raises(FamilyValidationError) as err:
+        validate_family(ideal(simple_context(1, ("x",)), [(1,)]),
+                        SubstitutionFamily(T, {(0, 1): power_of_maximal(3, 1)}))
+    assert str(err.value) == "substitution for block 0 uses 3 variables, block has 2"
+
+
 # -- star complex
 
 def test_star_koszul_single_syzygy_is_intersection():
     inst = koszul_instance()
     star = build_star_complex(inst)
-    assert star.ideals[1] == [inst.products[0].intersect(inst.products[1])]
+    assert star[1] == [inst.products[0].intersect(inst.products[1])]
 
 
 def test_star_product_formula():
     for inst in (expansion_instance(), koszul_instance(), random_instance(30)):
-        assert product_formula_witness(build_star_complex(inst)) is None
+        assert product_formula_witness(inst, build_star_complex(inst)) is None
 
 
 def test_star_scalar_product_vanishes():
@@ -207,12 +245,12 @@ def test_star_scalar_product_vanishes():
     # maps store only their scalars, so d o d = 0 is the vanishing of the
     # products of consecutive scalar matrices
     assert inst.resolution.square_witness() is None
-    assert star_acyclicity(star) is None
+    assert star_acyclicity(inst, star) is None
 
 
 def test_star_acyclicity_on_valid_instances():
     for inst in (expansion_instance(), mixed_product_instance((2, 2), (2, 1), (1, 2))):
-        assert star_acyclicity(build_star_complex(inst)) is None
+        assert star_acyclicity(inst, build_star_complex(inst)) is None
 
 
 def test_star_and_total_complex_exact_beyond_the_pinned_seeds():
@@ -222,7 +260,7 @@ def test_star_and_total_complex_exact_beyond_the_pinned_seeds():
     for seed in (69, 91, 101, 110, 134):
         assert seed not in SUITE_SEEDS
         inst = random_instance(seed)
-        assert star_acyclicity(build_star_complex(inst)) is None, seed
+        assert star_acyclicity(inst, build_star_complex(inst)) is None, seed
         assert certified_total(inst).exactness_verified, seed
     assert time.monotonic() - start < 30.0
 
@@ -234,12 +272,12 @@ def test_star_acyclicity_needs_a_resolution_that_squares_to_zero():
     scale_first_scalar(inst.resolution.diffs[2], 2)
     square = inst.resolution.square_witness()
     assert square is not None
-    assert star_acyclicity(star) == square
+    assert star_acyclicity(inst, star) == square
 
 
 def test_star_acyclicity_fails_without_nesting():
-    star = build_star_complex(non_nested_instance())
-    assert star_acyclicity(star) == (2, 0, 2, 0)  # a1^2 c1^2
+    inst = non_nested_instance()
+    assert star_acyclicity(inst, build_star_complex(inst)) == (2, 0, 2, 0)  # a1^2 c1^2
 
 
 def s_grid_exact(inst) -> bool:
@@ -255,7 +293,7 @@ def t_grid_exact(inst) -> bool:
         star = build_star_complex(inst)
     except ConstructionError:
         return False
-    return star_acyclicity(star) is None
+    return star_acyclicity(inst, star) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -333,7 +371,7 @@ def test_block_linearity_reads_the_betti_table(I):
     # block_linearity reads the shifts of the ideal's resolution; the unit
     # block of degree 0 is the ring, linear by convention
     d = I.generated_in_degree()
-    ring = free_module_resolution(I.ctx, [(0,) * I.ctx.nvars])
+    ring = ideal_resolution(ideal(I.ctx, [(0,) * I.ctx.nvars]))
     flags = block_linearity({(0, d): ideal_resolution(I), (1, 0): ring})
     assert flags == {(0, d): is_linear_resolution(betti_table(quotient_resolution(I)), d),
                      (1, 0): True}
@@ -404,7 +442,7 @@ def test_tau_composites_are_path_independent():
     inst = random_instance(30)   # depth-3 resolution of the inducing ideal
     F = build_factors(inst)
     found = False
-    for l in range(inst.nblocks):
+    for l in range(inst.T.nblocks):
         ladder = [d for d in inst.ladders[l]]
         if len(ladder) < 3:
             continue
@@ -431,7 +469,7 @@ def lam_drops(inst):
     for c in range(2, res.length + 1):
         for j, col in res.diffs[c].cols.items():
             for k in col:
-                for l in range(inst.nblocks):
+                for l in range(inst.T.nblocks):
                     drop = (l, res.shifts[c][j][l], res.shifts[c - 1][k][l])
                     if drop not in drops:
                         drops.append(drop)
@@ -571,7 +609,7 @@ def test_total_complex_top_degree_profile():
     for i, level in enumerate(inst.resolution.shifts):
         tI[i] = max((total_degree(s) for s in level), default=None)
     p = inst.resolution.length
-    for k in range(table.top_position):
+    for k in range(projective_dimension(table)):
         expected = max(tI[c] + (k + 1 - c) for c in range(1, min(p, k + 1) + 1))
         assert max(j for (kk, j) in table.entries if kk == k + 1) == expected
 
@@ -824,7 +862,7 @@ def test_nesting_witness_steps_along_the_ladder():
     assert nesting_witness(inst.family, 0, inst.ladders[0]) == (2, (2, 0))
     inst = expansion_instance()
     assert all(nesting_witness(inst.family, l, inst.ladders[l]) is None
-               for l in range(inst.nblocks))
+               for l in range(inst.T.nblocks))
 
 
 def test_rho_maps_reject_a_non_nested_ladder():
@@ -950,16 +988,10 @@ def test_total_complex_raises_a_unit_witness(monkeypatch):
 
 def cycle5_instance():
     """The edge ideal of the 5-cycle with the maximal ideal of a two-variable
-    block substituted for every vertex."""
+    block substituted for every vertex (``test_cli.cycle5_doc``)."""
     from gmpi.cli import parse_instance_document
-    names = "abcde"
-    return parse_instance_document({
-        "blocks": [{"name": b, "size": 2} for b in names],
-        "inducing_ideal": [[1 if v in (i, (i + 1) % 5) else 0 for v in range(5)]
-                           for i in range(5)],
-        "substitutions": {f"{b}:1": {"family": "power-of-maximal", "degree": 1} for b in names},
-        "label": "cycle5",
-    })
+    from test_cli import cycle5_doc
+    return parse_instance_document(cycle5_doc())
 
 
 def test_cycle5_table_matches_the_oracle():

@@ -21,8 +21,10 @@ from gmpi.cli import (
     parse_instance_document,
 )
 from gmpi import complexes
+from gmpi.builder import block_ladders
 from gmpi.complexes import BettiTable
 from gmpi.families import mixed_product_instance, random_instance
+from gmpi.monomials import ideal, simple_context
 
 from conftest import (
     corrupt_block_column,
@@ -306,6 +308,22 @@ MALFORMED = {
     "string-block": ("resolve", {"blocks": ["x"], "generators": [[1]]}),
     "list-instance-document": ("gmpi", [expansion_doc()]),
     "list-ideal-document": ("resolve", [{"blocks": [{"name": "x", "size": 1}]}]),
+    # a key at a degree that no generator has in its block is never read
+    "off-ladder-key": ("gmpi", {
+        "blocks": [{"name": "x", "size": 2}], "inducing_ideal": [[1]],
+        "substitutions": {"x:1": [[1, 0], [0, 1]], "x:5": [[1, 0]]}, "label": "extra"}),
+    "off-ladder-key-second-block": ("gmpi", {
+        "blocks": [{"name": "x", "size": 1}, {"name": "y", "size": 2}],
+        "inducing_ideal": [[1, 1]],
+        "substitutions": {"x:1": [[1]], "y:1": [[1, 0], [0, 1]], "y:2": [[2, 0]]}}),
+    "zero-inducing-ideal": ("gmpi", {
+        "blocks": [{"name": "x", "size": 2}], "inducing_ideal": [], "substitutions": {}}),
+    "zero-substitution": ("gmpi", {
+        "blocks": [{"name": "x", "size": 2}], "inducing_ideal": [[1]],
+        "substitutions": {"x:1": []}}),
+    "unit-substitution": ("gmpi", {
+        "blocks": [{"name": "x", "size": 2}], "inducing_ideal": [[1]],
+        "substitutions": {"x:1": [[0, 0]]}}),
 }
 
 # the whole message, where it is pinned
@@ -324,6 +342,13 @@ MALFORMED_MESSAGES = {
     "string-block": "a block must be an object, not str",
     "list-instance-document": "an instance document must be an object, not list",
     "list-ideal-document": "an ideal document must be an object, not list",
+    "off-ladder-key": "substitution for block 0, degree 5: no generator of the inducing "
+                      "ideal has degree 5 in block 0",
+    "off-ladder-key-second-block": "substitution for block 1, degree 2: no generator of "
+                                   "the inducing ideal has degree 2 in block 1",
+    "zero-inducing-ideal": "inducing ideal must be nonzero and proper",
+    "zero-substitution": "substitution for block 0, degree 1 must be nonzero and proper",
+    "unit-substitution": "substitution for block 0, degree 1 must be nonzero and proper",
 }
 
 
@@ -681,12 +706,14 @@ def nonlinear_nested_documents(draw):
     exps = st.tuples(*[st.sampled_from((0, 2, 3) if m == 2 else (0, 1, 2, 3))
                        for m in sizes]).filter(any)
     inducing = draw(st.lists(exps, min_size=2, max_size=3, unique=True))
+    # the ladders of the minimal generators: a key off them is refused
+    ladders = block_ladders(ideal(simple_context(2, ("u", "v")), inducing))
     blocks, subs = [], {}
     for l, m in enumerate(sizes):
         name = "uv"[l]
         blocks.append({"name": name, "size": m})
         below = None
-        for d in sorted({g[l] for g in inducing if g[l] >= 1}):
+        for d in [d for d in ladders[l] if d >= 1]:
             degree_d = [g for g in itertools.product(range(d + 1), repeat=m) if sum(g) == d]
             if below is None and m == 2 and draw(st.booleans()):
                 gens = {(d, 0), (0, d)}

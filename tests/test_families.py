@@ -181,7 +181,7 @@ def test_random_instance_deterministic():
 def test_random_instance_respects_bounds():
     for seed in (1, 9, 30, 54):
         inst = random_instance(seed)
-        assert 1 <= inst.nblocks <= 3
+        assert 1 <= inst.T.nblocks <= 3
         assert all(1 <= m <= 4 for m in inst.T.sizes)
         assert 2 <= len(inst.inducing.gens) <= 5
         assert all(e <= 3 for g in inst.inducing.gens for e in g)

@@ -4,15 +4,20 @@ invariant may rest on an ``assert``, which ``python -O`` strips, or on a bare
 ``RuntimeError``/``Exception`` without a witness.  A check returns its
 witness or None, never an ``(ok, witness)`` pair.  The package imports
 no numpy: its degree-grid scans run on Python int bitmasks, and importing
-numpy would cost more start-up than the scans it served."""
+numpy would cost more start-up than the scans it served.  Every function
+name the benchmark traces names a function of the package, so that no
+per-layer metric reads 0 because its function was removed."""
 
 import ast
+import importlib
+import inspect
 import os
 import pathlib
 import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "gmpi"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 # the length checks of the hot monomial kernels, debug-only on purpose
 ALLOWED_ASSERTS = {("monomials.py", name, "len(a) == len(b)") for name in ("divides", "lcm", "mul")}
@@ -121,3 +126,53 @@ def test_importing_the_cli_loads_no_numpy():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          check=True, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+# benchmark names of functions the package no longer has, each recorded by
+# a FOUND line of CHANGES.md; only a change to the benchmark may drop them
+DEAD_BENCHMARK_NAMES = {
+    "builder.build_double_complex",       # the layer_metrics of perfbench/run.py
+    "monomials.MonomialIdeal.contains",   # IDEAL_OPS of perfbench/run.py
+}
+
+
+def benchmark_names() -> set[str]:
+    """The dotted function names (module.function or module.Class.method)
+    that perfbench/run.py looks up in ``IDEAL_OPS`` and ``layer_metrics``,
+    and perfbench/tracer.py in its ``_hooks`` and ``_originals``."""
+    names = set()
+    for node in ast.walk(ast.parse((PERFBENCH / "run.py").read_text())):
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["IDEAL_OPS"]:
+            names |= {e.value for e in node.value.elts}
+        elif isinstance(node, ast.FunctionDef) and node.name == "layer_metrics":
+            names |= {a.value for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                      and call.func.id in ("calls", "self_s", "total_s", "st")
+                      for a in call.args if isinstance(a, ast.Constant)}
+    for node in ast.walk(ast.parse((PERFBENCH / "tracer.py").read_text())):
+        if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["self._hooks"]:
+            names |= {k.value for k in node.value.keys}
+        elif (isinstance(node, ast.Subscript) and ast.unparse(node.value) == "self._originals"
+              and isinstance(node.slice, ast.Constant)):
+            names.add(node.slice.value)
+    return names
+
+
+def package_attribute(name: str):
+    """The object that a dotted benchmark name names in gmpi, or None."""
+    module, *attrs = name.split(".")
+    obj = importlib.import_module(f"gmpi.{module}")
+    for attr in attrs:
+        obj = getattr(obj, attr, None)
+    return obj
+
+
+def test_every_name_the_benchmark_traces_is_a_function_of_the_package():
+    names = benchmark_names()
+    # the lookups are found: a hook, an original, an ideal op, a layer metric
+    assert {"linalg.rank", "complexes.grid_size", "monomials.intersect_many",
+            "builder.build_star_complex"} <= names
+    assert DEAD_BENCHMARK_NAMES <= names
+    missing = sorted(n for n in names - DEAD_BENCHMARK_NAMES
+                     if not inspect.isfunction(package_attribute(n)))
+    assert missing == []

@@ -17,6 +17,7 @@ from gmpi.complexes import (
     degree_grid,
     exactness_check,
     grid_size,
+    projective_dimension,
     regularity,
 )
 from gmpi.families import mixed_product_instance, random_instance
@@ -236,8 +237,8 @@ def test_degree_realization_teeth():
 def test_product_intersection_teeth():
     inst = random_instance(9)
     star = build_star_complex(inst)
-    star.ideals[1][0] = ideal(inst.T, [(0,) * inst.T.nvars])
-    assert not check_product_intersection(star).passed
+    star[1][0] = ideal(inst.T, [(0,) * inst.T.nvars])
+    assert not check_product_intersection(inst, star).passed
 
 
 def test_sigma_minimality_teeth():
@@ -257,8 +258,8 @@ def test_sigma_squared_teeth():
 
 
 def test_star_acyclicity_teeth():
-    star = build_star_complex(non_nested_instance())
-    res = check_star_acyclicity(star)
+    inst = non_nested_instance()
+    res = check_star_acyclicity(inst, build_star_complex(inst))
     assert not res.passed and res.details["witness"] == (2, 0, 2, 0)
 
 
@@ -300,7 +301,7 @@ def test_regularity_preservation_teeth():
 def test_projective_dimension_formula_teeth():
     inst, tot, table, oracle = linear_instance_table()
     factors = tot.factors
-    pd = table.top_position
+    pd = projective_dimension(table)
     assert check_pd_formula(inst, factors, table, oracle).status == "PASS"
     res = check_pd_formula(inst, factors, forged(table, pd + 1, 9), oracle)
     assert res.status == "FAIL"
