@@ -8,8 +8,8 @@ this module constructs:
   * the induced ideal L = sum of products of substitution ideals,
   * the factors of its resolution (``build_factors``), made once and
     certified: the minimal resolution F of S/I, one block resolution per
-    ladder degree and the ladder composites tau that sigma uses
-    (``Factors.taus``), each a composite of the comparison maps rho
+    distinct substitution ideal and the ladder composites tau that sigma
+    uses (``Factors.taus``), each a composite of the comparison maps rho
     between consecutive ladder degrees,
   * the total complex of the double complex built on those factors, which
     is the minimal multigraded free resolution of T/L whenever every
@@ -44,6 +44,7 @@ generators (``block_ladders``); degree 0 on it is the unit ideal, which
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -120,7 +121,6 @@ class GmpiInstance:
 
     inducing: MonomialIdeal
     family: SubstitutionFamily
-    ladders: list[list[int]]                 # per block, sorted distinct block degrees
     products: list[MonomialIdeal]            # L_j, one per generator of the inducing ideal
     induced: MonomialIdeal                   # L
     resolution: FreeComplex                  # minimal resolution of S/I; its diffs
@@ -130,6 +130,12 @@ class GmpiInstance:
     @property
     def T(self) -> VariableContext:
         return self.family.T
+
+    @functools.cached_property
+    def ladders(self) -> list[list[int]]:
+        """Per block, the sorted distinct block degrees of the inducing
+        ideal's generators (``block_ladders``)."""
+        return block_ladders(self.inducing)
 
 
 def block_ladders(inducing: MonomialIdeal) -> list[list[int]]:
@@ -204,7 +210,7 @@ def validate_family(
     res = quotient_resolution(inducing)
 
     inst = GmpiInstance(
-        inducing=inducing, family=family, ladders=ladders,
+        inducing=inducing, family=family,
         products=products, induced=induced, resolution=res, label=label)
     witness = realization_witness(inst)
     if witness is not None:
@@ -327,10 +333,22 @@ def star_acyclicity(inst: GmpiInstance, star: list[list[MonomialIdeal]]):
 # block resolutions and comparison maps
 
 def block_resolutions(inst: GmpiInstance) -> dict[tuple[int, int], FreeComplex]:
-    """One ideal resolution per ladder entry, shared across recurrences
-    (at degree 0 that of the unit ideal, the rank-one free module)."""
-    return {(l, d): ideal_resolution(inst.family.at(l, d))
-            for l, ladder in enumerate(inst.ladders) for d in ladder}
+    """One ideal resolution per ladder entry (at degree 0 that of the unit
+    ideal, the rank-one free module), made once per distinct generator
+    tuple: entries whose substitution ideals have the same exponent
+    vectors, in one block or in blocks of one size, share one object.  A
+    block resolution reads its context only for ``nvars``, so the first
+    entry's names serve them all.  Nothing mutates a block resolution in
+    place; a test that corrupts one corrupts a copy under its key."""
+    made: dict[tuple[tuple[int, ...], ...], FreeComplex] = {}
+    out = {}
+    for l, ladder in enumerate(inst.ladders):
+        for d in ladder:
+            I = inst.family.at(l, d)
+            if I.gens not in made:
+                made[I.gens] = ideal_resolution(I)
+            out[(l, d)] = made[I.gens]
+    return out
 
 
 def block_linearity(blocks: dict) -> dict[tuple[int, int], bool]:
@@ -347,10 +365,15 @@ def rho_maps(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int, int], Cha
 
     rho[(l, d, e)] : resolution at ladder degree d -> the ladder degree e
     one step below, lifting the inclusion of the smaller ideal into the
-    larger (the key of ``Factors.taus``).  ConstructionError with (block,
-    degree, generator) where that inclusion fails (``nesting_witness``,
-    which validate_family also rules out).
+    larger (the key of ``Factors.taus``).  One map is lifted per distinct
+    (source, target) pair of block resolutions (``block_resolutions``
+    shares them), and the steps between the same pair share it.  Nothing
+    mutates a rho map in place; a single-step tau is the rho map itself,
+    and a test that corrupts a tau corrupts a copy under its key.
+    ConstructionError with (block, degree, generator) where an inclusion
+    fails (``nesting_witness``, which validate_family also rules out).
     """
+    lifts: dict[tuple[int, int], ChainMap] = {}
     out = {}
     for l, ladder in enumerate(inst.ladders):
         witness = nesting_witness(inst.family, l, ladder)
@@ -358,7 +381,11 @@ def rho_maps(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int, int], Cha
             raise ConstructionError(
                 "substitution ideals are not nested (block, degree, generator)", (l,) + witness)
         for e, d in zip(ladder, ladder[1:]):
-            out[(l, d, e)] = lift_chain_map(blocks[(l, d)], blocks[(l, e)])
+            source, target = blocks[(l, d)], blocks[(l, e)]
+            pair = (id(source), id(target))
+            if pair not in lifts:
+                lifts[pair] = lift_chain_map(source, target)
+            out[(l, d, e)] = lifts[pair]
     return out
 
 
@@ -370,17 +397,25 @@ class Factors:
     """What the resolution of T/L is made of, made once and certified by
     ``build_factors``: the resolution F of S/I (the instance's, whose diffs
     store the scalar matrices lam_c), a block resolution per ladder degree
-    with its linearity flag, and ``taus``, the ladder composites tau that
-    sigma uses.  Column c of the double complex is the direct sum, over the
-    shifts a of F at position c, of the tensor products of the block
-    resolutions at the block degrees a_l, and sigma_c is lam_c times the
-    tensor products of the taus between them.
+    (one object per distinct substitution ideal) with its linearity flag,
+    and ``taus``, the ladder composites tau that sigma uses.  Column c of
+    the double complex is the direct sum, over the shifts a of F at
+    position c, of the tensor products of the block resolutions at the
+    block degrees a_l, and sigma_c is lam_c times the tensor products of
+    the taus between them.
 
     ``taus`` maps (block, from, to) to tau_(l, from, to) for each drop
     that a nonzero lam_c[k][j], c >= 2, puts into sigma_c: the identity
     where the degrees are equal, otherwise the composite of the rho maps
     (``rho_maps``) of block l from ladder degree ``from`` down to ``to``;
     a single step is the rho map itself.
+
+    Keys whose substitution ideals have equal generators share their
+    objects: one block resolution per distinct ideal, one rho map per
+    distinct pair of block resolutions, and one identity or composite tau
+    per distinct chain of rho maps.  No factor is mutated in place once
+    made, so a shared one is correct for every key that holds it; the
+    corruption fixtures of the tests replace a copy under one key.
 
     ``exactness_verified`` is what ``certify_factors`` returned: True where
     every scan of the certificate ran, False where a degree grid (of S or
@@ -428,15 +463,20 @@ def build_factors(inst: GmpiInstance) -> Factors:
                             "a stored scalar of lam raises a block degree "
                             "(position, column, row, block)", (c, j, k, l))
                     drops[(l, d, e)] = None
+    made: dict[tuple[int, ...], ChainMap] = {}
     taus = {}
     for l, d, e in drops:
-        # the rho maps from d down to e, composed from the top step down
+        # the rho maps from d down to e, composed from the top step down,
+        # once per distinct chain of block resolution and rho maps
         ladder = inst.ladders[l]
         steps = [rhos[(l, hi, lo)] for lo, hi in zip(ladder, ladder[1:]) if e <= lo < d]
-        tau = steps.pop() if steps else identity_chain_map(blocks[(l, d)])
-        while steps:
-            tau = steps.pop().compose(tau)
-        taus[(l, d, e)] = tau
+        chain = (id(blocks[(l, d)]),) + tuple(map(id, steps))
+        if chain not in made:
+            tau = steps.pop() if steps else identity_chain_map(blocks[(l, d)])
+            while steps:
+                tau = steps.pop().compose(tau)
+            made[chain] = tau
+        taus[(l, d, e)] = made[chain]
     factors = Factors(inst, blocks, block_linearity(blocks), taus)
     factors.exactness_verified = certify_factors(factors)
     return factors
@@ -500,6 +540,13 @@ def certify_factors(factors: Factors) -> bool:
       the maps square to zero, and a strand scan over the block's own
       variables, with the augmentation onto the ring prepended).
 
+    Each check of a block resolution or a tau runs once per distinct
+    object (``_first_keys``), not once per key: keys that share a factor
+    (``Factors``) share its verdict, and a witness names the first key that
+    holds the object.  That is sound because no shared factor is mutated
+    in place; a factor replaced under one key by another object, such as
+    the corrupted copy a test fixture puts there, is checked on its own.
+
     A grid of S or of a block above its scan cap skips that scan, and the
     result is then False; the checks that need no scan still run.  Where
     the total complex is assembled (``total_complex``), its diff o diff is
@@ -509,14 +556,14 @@ def certify_factors(factors: Factors) -> bool:
     """
     inst = factors.instance
     res = inst.resolution
-    taus = factors.taus_in_use()
+    blocks, taus = _first_keys(factors.blocks), _first_keys(factors.taus_in_use())
     if factors.hypothesis_linear:
         unit = res.unit_witness()
         if unit is not None:
             raise ConstructionError(
                 "the resolution of S/I has a unit entry under the linearity hypothesis "
                 "(position, (row, column))", unit)
-        for (l, d), block in factors.blocks.items():
+        for (l, d), block in blocks.items():
             unit = block.unit_witness()
             if unit is not None:
                 raise ConstructionError(
@@ -557,7 +604,7 @@ def certify_factors(factors: Factors) -> bool:
         raise ConstructionError(
             "sigma misses the scalar matrices: a position-0 column of a comparison map "
             "in use does not sum to 1 (block, from, to, column)", witness)
-    for (l, d), block in factors.blocks.items():
+    for (l, d), block in blocks.items():
         if d == 0:
             continue
         try:
@@ -570,6 +617,16 @@ def certify_factors(factors: Factors) -> bool:
                     "a block resolution does not resolve its substitution ideal "
                     "(block, degree, multidegree)", (l, d, witness))
     return verified
+
+
+def _first_keys(factors: dict) -> dict:
+    """The items of ``factors`` whose value is no earlier item's value:
+    each distinct object once, by identity, under the first key that holds
+    it."""
+    first: dict[int, tuple] = {}
+    for key, obj in factors.items():
+        first.setdefault(id(obj), (key, obj))
+    return dict(first.values())
 
 
 def tau_augmentation_witness(taus: dict[tuple[int, int, int], ChainMap]):

@@ -10,6 +10,7 @@ algebraic lex order with earlier variables larger (x^2, xy, y^2, ...).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import le
 
 
@@ -19,7 +20,10 @@ class ContextMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class VariableContext:
-    """An ordered list of variable blocks (sizes and display names)."""
+    """An ordered list of variable blocks (sizes and display names).
+
+    ``nvars`` and ``offsets`` are computed on first read and kept: the
+    context is frozen, so they never change."""
 
     sizes: tuple[int, ...]
     names: tuple[str, ...] = ()
@@ -36,11 +40,11 @@ class VariableContext:
     def nblocks(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def nvars(self) -> int:
         return sum(self.sizes)
 
-    @property
+    @cached_property
     def offsets(self) -> tuple[int, ...]:
         # offsets[i] = flat index of the first variable of block i
         out, acc = [], 0

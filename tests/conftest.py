@@ -13,7 +13,7 @@ from gmpi.builder import (
     build_star_complex,
     total_complex,
 )
-from gmpi.complexes import BettiTable, FreeComplex, MonomialMatrix, block_offsets
+from gmpi.complexes import BettiTable, ChainMap, FreeComplex, MonomialMatrix, block_offsets
 from gmpi.families import random_instance
 from gmpi.monomials import divides, ideal, simple_context
 from gmpi.verify import SUITE_SEEDS
@@ -131,13 +131,23 @@ def normal_scalar(v) -> bool:
     return type(v) is int or (type(v) is Fraction and v.denominator != 1)
 
 
+def copy_matrix(m: MonomialMatrix) -> MonomialMatrix:
+    """A copy of ``m`` whose shift lists and columns are its own."""
+    return MonomialMatrix(list(m.row_shifts), list(m.col_shifts),
+                          {c: dict(col) for c, col in m.cols.items()})
+
+
 def copy_complex(C: FreeComplex) -> FreeComplex:
     """A copy of ``C`` whose shift lists, maps and columns are its own, for
     a test to change without touching ``C``."""
-    return FreeComplex(C.ctx, [list(s) for s in C.shifts], [None] + [
-        MonomialMatrix(list(d.row_shifts), list(d.col_shifts),
-                       {c: dict(col) for c, col in d.cols.items()})
-        for d in C.diffs[1:]])
+    return FreeComplex(C.ctx, [list(s) for s in C.shifts],
+                       [None] + [copy_matrix(d) for d in C.diffs[1:]])
+
+
+def copy_chain_map(tau: ChainMap) -> ChainMap:
+    """A copy of the chain map ``tau`` whose maps are its own, between the
+    same complexes."""
+    return ChainMap(tau.source, tau.target, [copy_matrix(m) for m in tau.mats])
 
 
 def with_resolution_copy(inst: GmpiInstance) -> GmpiInstance:
@@ -185,14 +195,14 @@ def raise_lambda(inst: GmpiInstance):
 
 def non_nested_instance() -> GmpiInstance:
     """Genuine nesting violation, assembled without validate_family (which
-    rejects it) from the ladders, products, induced ideal and resolution that
+    rejects it) from the products, induced ideal and resolution that
     validate_family would give.
 
     Induced by (x^2, xy, y^2) over two blocks of two variables, with the
     degree-1 substitutions not containing the degree-2 ones; the star complex
     has nonvanishing first homology at a^2 c^2.
     """
-    from gmpi.builder import SubstitutionFamily, block_ladders, induced_ideal
+    from gmpi.builder import SubstitutionFamily, induced_ideal
     from gmpi.complexes import quotient_resolution
     from gmpi.monomials import VariableContext
 
@@ -209,16 +219,18 @@ def non_nested_instance() -> GmpiInstance:
     })
     products, induced = induced_ideal(inducing, fam)
     return GmpiInstance(
-        inducing=inducing, family=fam, ladders=block_ladders(inducing),
+        inducing=inducing, family=fam,
         products=products, induced=induced, resolution=quotient_resolution(inducing),
         label="non-nested")
 
 
-# -- corruptions of the factors, each in place, which certify_factors must
-# refuse.  Applied to certified factors just before total_complex, the tau
-# and block corruptions must make total_complex refuse the map it
-# assembles.  corrupt_star_ideal corrupts only what the checks of verify
-# build.
+# -- corruptions of the factors, which certify_factors must refuse.  Each
+# corrupts a copy of one factor and puts it in place of the original under
+# one key, so a factor that several keys share (build_factors makes one per
+# distinct substitution ideal) stays intact under the others.  Applied to
+# certified factors just before total_complex, the tau and block
+# corruptions must make total_complex refuse the map it assembles.
+# corrupt_star_ideal corrupts only what the checks of verify build.
 
 def _first_block_copy(F, length=1):
     key = next(k for k, res in F.blocks.items() if k[1] >= 1 and res.length >= length)
@@ -243,21 +255,27 @@ def corrupt_block_column(F):
     return F
 
 
+def _first_tau_copy(F, has=lambda tau: True):
+    key = next(k for k, tau in F.taus_in_use().items() if has(tau))
+    F.taus[key] = copy_chain_map(F.taus[key])
+    return F.taus[key]
+
+
 def corrupt_tau(F):
     """Double the first entry above position 0 of the first tau in use
-    (``Factors.taus_in_use``) that has one: the tau, and with it sigma, no
-    longer commutes with the differentials."""
-    tau = next(t for t in F.taus_in_use().values() if any(m.cols for m in t.mats[1:]))
+    (``Factors.taus_in_use``) that has one (a copy of it): the tau, and
+    with it sigma, no longer commutes with the differentials."""
+    tau = _first_tau_copy(F, lambda t: any(m.cols for m in t.mats[1:]))
     scale_first_scalar(next(m for m in tau.mats[1:] if m.cols), 2)
     return F
 
 
 def corrupt_tau_augmentation(F):
-    """Add one to the first position-0 entry of the first tau in use: its
-    column no longer sums to 1, so sigma misses the scalar matrices and
-    sigma o sigma no longer vanishes (the factor counterpart of the
-    sigma-star step)."""
-    col = next(iter(next(iter(F.taus_in_use().values())).mats[0].cols.values()))
+    """Add one to the first position-0 entry of the first tau in use (a
+    copy of it): its column no longer sums to 1, so sigma misses the scalar
+    matrices and sigma o sigma no longer vanishes (the factor counterpart
+    of the sigma-star step)."""
+    col = next(iter(_first_tau_copy(F).mats[0].cols.values()))
     col[next(iter(col))] += 1
     return F
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import time
 from fractions import Fraction
@@ -9,6 +10,7 @@ from gmpi.builder import (
     ConstructionError,
     FamilyValidationError,
     SubstitutionFamily,
+    block_ladders,
     block_linearity,
     block_resolutions,
     build_factors,
@@ -57,6 +59,7 @@ from gmpi.verify import (
 
 from conftest import (
     certified_total,
+    copy_chain_map,
     copy_complex,
     corrupt_block_column,
     corrupt_block_scalar,
@@ -355,6 +358,94 @@ def test_block_resolution_degree_zero_is_free_module():
     assert blocks[(1, 0)].ranks == [1]
 
 
+def partial_share_instance():
+    """(x^2 y, x y^3) with the powers of the maximal ideal of two blocks of
+    two variables, equal at degree 1 only (``test_cli.partial_share_doc``)."""
+    from gmpi.cli import parse_instance_document
+    from test_cli import partial_share_doc
+    return parse_instance_document(partial_share_doc())
+
+
+def distinct_ideals_instance():
+    """(x^2 y, x y^2) over two blocks of two variables whose substitution
+    ideals differ at every degree: the powers of the maximal ideal in block
+    x, the powers of y1 in block y."""
+    T = VariableContext((2, 2), ("x", "y"))
+    fam = SubstitutionFamily(T, {
+        **{(0, d): power_of_maximal(2, d, _block_ctx(2, "x")) for d in (1, 2)},
+        **{(1, d): ideal(_block_ctx(2, "y"), [(d, 0)]) for d in (1, 2)}})
+    return validate_family(ideal(S2, [(2, 1), (1, 2)]), fam, label="distinct-ideals")
+
+
+def test_equal_substitution_ideals_share_their_factors():
+    # both blocks of the expansion carry the powers of their maximal ideal,
+    # so each degree has one block resolution, one rho map and one tau
+    F = build_factors(expansion_instance())
+    assert all(F.blocks[(0, d)] is F.blocks[(1, d)] for d in (1, 2))
+    rhos = rho_maps(F.instance, F.blocks)
+    assert list(rhos) == [(0, 2, 1), (1, 2, 1)] and rhos[(0, 2, 1)] is rhos[(1, 2, 1)]
+    assert set(F.taus) == {(0, 2, 1), (1, 2, 1), (0, 2, 2), (1, 2, 2)}
+    assert F.taus[(0, 2, 1)] is F.taus[(1, 2, 1)]
+    assert F.taus[(0, 2, 2)] is F.taus[(1, 2, 2)]
+    assert F.exactness_verified
+
+
+def test_distinct_substitution_ideals_share_nothing():
+    F = build_factors(distinct_ideals_instance())
+    rhos = rho_maps(F.instance, F.blocks)
+    for made in (F.blocks, rhos, F.taus):
+        assert len({id(v) for v in made.values()}) == len(made)
+    assert len(F.taus) == 4 and F.exactness_verified
+
+
+def test_a_partially_shared_instance_shares_only_the_equal_degree():
+    # x:1 = y:1 is one object; x:2 and y:3 differ, and so do the rho maps
+    # and taus down from them
+    F = build_factors(partial_share_instance())
+    assert F.instance.ladders == [[1, 2], [1, 3]]
+    assert F.blocks[(0, 1)] is F.blocks[(1, 1)]
+    assert F.blocks[(0, 2)] is not F.blocks[(1, 3)]
+    assert F.blocks[(0, 2)].ranks == [3, 2] and F.blocks[(1, 3)].ranks == [4, 3]
+    rhos = rho_maps(F.instance, F.blocks)
+    assert rhos[(0, 2, 1)] is not rhos[(1, 3, 1)]
+    assert len({id(t) for t in F.taus.values()}) == len(F.taus) == 4
+    assert F.hypothesis_linear and F.exactness_verified
+
+
+def cleared_column_copy(res):
+    """A copy of the block resolution ``res`` with column 0 of its first
+    differential cleared."""
+    out = copy_complex(res)
+    out.diffs[1].cols.pop(0)
+    return out
+
+
+def doubled_scalar_copy(tau):
+    """A copy of the chain map ``tau`` with the first scalar of its
+    position-1 map doubled."""
+    out = copy_chain_map(tau)
+    scale_first_scalar(out.mats[1], 2)
+    return out
+
+
+@pytest.mark.parametrize("field, first, second, corrupt", [
+    ("blocks", (0, 1), (1, 1), cleared_column_copy),
+    ("taus", (0, 2, 1), (1, 2, 1), doubled_scalar_copy),
+], ids=["block", "tau"])
+def test_a_corrupted_copy_of_a_shared_factor_is_refused_under_its_key(
+        field, first, second, corrupt):
+    # the certificate checks each distinct object, not each distinct ideal:
+    # a copy under the second key of a shared pair is checked on its own,
+    # and its witness names that key
+    F = build_factors(expansion_instance())
+    factors = getattr(F, field)
+    assert factors[first] is factors[second]
+    factors[second] = corrupt(factors[second])
+    with pytest.raises(ConstructionError) as err:
+        certify_factors(F)
+    assert err.value.witness[:len(second)] == second
+
+
 @st.composite
 def equigenerated_ideals(draw):
     """The generators of one degree d of a ``small_ideals`` ideal: minimal
@@ -645,6 +736,15 @@ def test_invariants_koszul_induced():
     assert pd["formula"] == pd["pd_tot"]
 
 
+def test_ladders_are_derived_from_the_inducing_ideal():
+    # no stored copy: an instance assembled outside validate_family reads
+    # the same ladders as one it validates
+    inst = non_nested_instance()
+    assert "ladders" not in {f.name for f in dataclasses.fields(inst)}
+    assert inst.ladders == block_ladders(inst.inducing) == [[0, 1, 2], [0, 1, 2]]
+    assert inst.ladders is inst.ladders
+
+
 def test_unused_block_gets_trivial_ladder():
     # a block no generator touches contributes the unit ideal everywhere
     S = simple_context(2, ("x", "y"))
@@ -696,11 +796,13 @@ def is_map(m, expected) -> bool:
 
 def test_total_complex_composes_each_pair_once(monkeypatch):
     # the certificate multiplies the consecutive differentials of the
-    # resolution of S/I (the star scan's precondition) and of each block
-    # resolution with its augmentation prepended (the block scans'
+    # resolution of S/I (the star scan's precondition) and of each distinct
+    # block resolution with its augmentation prepended (the block scans'
     # precondition) once each, streamed by column, and total_complex those
     # of the map it assembles; the only composites built are the two sides
-    # of each tau in use's chain-map condition
+    # of each distinct tau in use's chain-map condition.  Both blocks of the
+    # expansion carry the same powers of their maximal ideal, so they share
+    # their block resolutions and their taus.
     F = build_factors(expansion_instance())
     streamed_calls, composed_calls = [], []
     streamed, composed = MonomialMatrix.first_nonzero_column, MonomialMatrix.compose
@@ -720,15 +822,16 @@ def test_total_complex_composes_each_pair_once(monkeypatch):
     assert tot.exactness_verified and tot.complex.length == 4
     res = F.instance.resolution
     expected = [(res.diffs[i - 1], res.diffs[i]) for i in range(2, res.length + 1)]
-    for res in [res for (l, d), res in F.blocks.items() if d >= 1]:
+    for res in {id(res): res for (l, d), res in F.blocks.items() if d >= 1}.values():
         expected += [(res, res.diffs[1])] + [
             (res.diffs[i - 1], res.diffs[i]) for i in range(2, res.length + 1)]
     expected += [(tot.complex.diffs[i - 1], tot.complex.diffs[i])
                  for i in range(2, tot.complex.length + 1)]
-    assert len(streamed_calls) == len(expected) == 1 + 4 + 3
+    assert len(streamed_calls) == len(expected) == 1 + 2 + 3
     assert all(is_map(a, c) and b is d for (a, b), (c, d) in zip(streamed_calls, expected))
-    taus = F.taus_in_use().values()
-    assert len(taus) == 2 and all(t.source.length == 1 for t in taus)
+    taus = {id(t): t for t in F.taus_in_use().values()}.values()
+    assert len(F.taus_in_use()) == 2 and len(taus) == 1
+    assert all(t.source.length == 1 for t in taus)
     assert composed_calls == [
         pair for t in taus for i in range(1, t.source.length + 1)
         for pair in ((t.mats[i - 1], t.source.diffs[i]), (t.target.diffs[i], t.mats[i]))]
@@ -969,6 +1072,7 @@ def test_tau_augmentation_witness_finds_a_changed_scalar():
     assert list(taus) == [(0, 2, 1), (1, 3, 2)] and taus[(0, 2, 1)].source.length == 0
     assert tau_augmentation_witness(taus) is None
     corrupt_tau_augmentation(F)
+    taus = F.taus_in_use()     # the corrupted copy is under its key
     assert tau_augmentation_witness(taus) == (0, 2, 1, 0)
     # the change leaves the tau a chain map, so only this step sees it
     assert taus[(0, 2, 1)].commutation_witness() is None

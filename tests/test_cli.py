@@ -816,6 +816,29 @@ def cycle5_doc():
     }
 
 
+def partial_share_doc():
+    """(x^2 y, x y^3) with the powers of the maximal ideal of two
+    two-variable blocks: the blocks carry the same substitution ideal at
+    degree 1 and only there (x:1 = y:1, x:2 != y:3), so the construction
+    shares one block resolution between them."""
+    return {
+        "blocks": [{"name": "x", "size": 2}, {"name": "y", "size": 2}],
+        "inducing_ideal": [[2, 1], [1, 3]],
+        "substitutions": {f"{b}:{d}": {"family": "power-of-maximal", "degree": d}
+                          for b, d in (("x", 1), ("x", 2), ("y", 1), ("y", 3))},
+        "label": "partial-share",
+    }
+
+
+def test_gmpi_checks_the_partially_shared_document(tmp_path, capsys):
+    path = write(tmp_path, "partial_share.json", partial_share_doc())
+    assert main(["gmpi", path, "--check", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["checks"] and all(c["status"] == "PASS" for c in out["checks"])
+    assert main(["gmpi", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["betti"] == out["betti"]
+
+
 @st.composite
 def betti_tables(draw):
     """BettiTables of 0 to 3 variables, empty ones among them, with any ints."""

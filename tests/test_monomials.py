@@ -300,3 +300,13 @@ def test_embed_ideal_into_blocks():
     assert emb.gens == ((0, 0, 1, 0), (0, 0, 0, 1))
     with pytest.raises(ContextMismatchError):
         embed_ideal(ideal(S3, [(1, 0, 0)]), T, 0)
+
+
+def test_context_counts_are_computed_once_and_are_no_fields():
+    ctx = VariableContext((2, 3), ("a", "b"))
+    assert (ctx.nvars, ctx.offsets) == (5, (0, 2))
+    assert vars(ctx)["nvars"] == 5 and vars(ctx)["offsets"] == (0, 2)
+    assert list(ctx.block_span(1)) == [2, 3, 4] and ctx.var_name(4) == "b3"
+    # equality, hashing and repr read the fields alone
+    fresh = VariableContext((2, 3), ("a", "b"))
+    assert ctx == fresh and hash(ctx) == hash(fresh) and repr(ctx) == repr(fresh)
