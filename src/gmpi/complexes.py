@@ -94,7 +94,7 @@ from fractions import Fraction
 from operator import and_, getitem, le
 
 from . import linalg
-from .monomials import MonomialIdeal, VariableContext, divides, lcm, total_degree
+from .monomials import MonomialIdeal, VariableContext, _below_masks, divides, lcm, total_degree
 
 
 class SizeCapError(ValueError):
@@ -724,19 +724,6 @@ def _cell_masks(gens, axes) -> list[int]:
         below = _below_masks(gens, k, axis)
         masks = [m & w for m in masks for w in below]
     return masks
-
-
-def _below_masks(gens, k: int, values) -> list[int]:
-    """Per value v of the ascending ``values``, the bitmask of the generators
-    whose k-th exponent is at most v."""
-    by_exponent = sorted((g[k], j) for j, g in enumerate(gens))
-    out, mask, t = [], 0, 0
-    for v in values:
-        while t < len(by_exponent) and by_exponent[t][0] <= v:
-            mask |= 1 << by_exponent[t][1]
-            t += 1
-        out.append(mask)
-    return out
 
 
 # maps the binary digits of an int to the selectors of itertools.compress

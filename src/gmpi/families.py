@@ -9,6 +9,7 @@ runtime rather than assuming it.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from .builder import (
@@ -20,7 +21,7 @@ from .builder import (
     induced_ideal,
     validate_family,
 )
-from .complexes import degree_grid, grid_size
+from .complexes import grid_size
 from .monomials import (
     MonomialIdeal,
     VariableContext,
@@ -227,6 +228,26 @@ def _random_block_family(rng: random.Random, m: int, ladder: list[int], name: st
     return out
 
 
+def _induced_shape(inducing: MonomialIdeal, ideals: dict, sizes: tuple[int, ...]):
+    """(|G(L)|, the axes of ``degree_grid`` of L) for the induced ideal L,
+    read off the substitution ideals ``ideals`` by (block, degree), each
+    generated in its degree.  A generator of L_j has block degrees a_j, the
+    j-th generator of I, and no a_j divides another, so no generator of one
+    L_j divides one of another; and products in disjoint variables keep
+    every product of minimal generators.  So |G(L)| is the sum over a in
+    G(I) of the product over l of |G(J_(l, a_l))|, and the axis of a
+    variable of block l is {0} with its exponents in the J_(l, d), d in
+    {a_l}.  Where an ideal is not generated in its degree, the count is an
+    upper bound."""
+    count = sum(math.prod(len(ideals[(l, d)].gens) for l, d in enumerate(a) if d)
+                for a in inducing.gens)
+    axes = []
+    for l, m in enumerate(sizes):
+        gens = [g for d in {a[l] for a in inducing.gens} if d for g in ideals[(l, d)].gens]
+        axes.extend(sorted({0, *(g[t] for g in gens)}) for t in range(m))
+    return count, axes
+
+
 def random_instance(seed: int) -> GmpiInstance:
     """Deterministic instance from a seed, with all substitutions drawn from
     the verified-linear families and sizes kept inside the oracle guardrails:
@@ -271,16 +292,12 @@ def random_instance(seed: int) -> GmpiInstance:
                 ideals[(l, d)] = idl
         if not feasible:
             continue
-        family = SubstitutionFamily(T, ideals)
         # the size filters come before validate_family, which resolves S/I
-        products, induced = induced_ideal(inducing, family)
-        if len(induced.gens) > 8:
-            continue
-        levels = [list(idl.gens) for idl in [induced] + products]
-        if grid_size(degree_grid(levels, T.nvars)) > 40_000:
+        count, axes = _induced_shape(inducing, ideals, sizes)
+        if count > 8 or grid_size(axes) > 40_000:
             continue
         try:
-            return validate_family(inducing, family, label=f"seed{seed}")
+            return validate_family(inducing, SubstitutionFamily(T, ideals), label=f"seed{seed}")
         except FamilyValidationError:
             continue
     raise FamilyValidationError(f"no feasible instance found for seed {seed}")

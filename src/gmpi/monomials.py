@@ -104,6 +104,20 @@ def total_degree(a: tuple[int, ...]) -> int:
     return sum(a)
 
 
+def _below_masks(gens, k: int, values) -> list[int]:
+    """Per value v of the ascending ``values``, the bitmask of the generators
+    whose k-th exponent is at most v (bit j for ``gens[j]``).  ANDed over
+    the coordinates of x^b, these masks give the generators dividing x^b."""
+    by_exponent = sorted((g[k], j) for j, g in enumerate(gens))
+    out, mask, t = [], 0, 0
+    for v in values:
+        while t < len(by_exponent) and by_exponent[t][0] <= v:
+            mask |= 1 << by_exponent[t][1]
+            t += 1
+        out.append(mask)
+    return out
+
+
 def canonical_sort(gens) -> tuple[tuple[int, ...], ...]:
     """Descending tuple order = algebraic lex with earlier variables larger."""
     return tuple(sorted(set(gens), reverse=True))

@@ -14,9 +14,11 @@ oracle exceeds its size cap reports SKIPPED, never PASS.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
+from operator import and_, getitem
 
 from . import linalg
 from .builder import (
@@ -44,7 +46,7 @@ from .complexes import (
     regularity,
     TAYLOR_CAP,
 )
-from .monomials import MonomialIdeal, lcm
+from .monomials import MonomialIdeal, _below_masks, lcm
 
 
 @dataclass
@@ -151,28 +153,47 @@ def _reduced_homology_dims(faces: set[frozenset]) -> dict[int, int]:
     return out
 
 
+def _divisor_masks(I: MonomialIdeal, box) -> list[list[int]]:
+    """Per variable t and value v = 0..box[t], the bitmask of the generators
+    of I (bit j for ``I.gens[j]``) whose t-th exponent is at most v
+    (``_below_masks``)."""
+    return [_below_masks(I.gens, t, range(m + 1)) for t, m in enumerate(box)]
+
+
+def _divisors(masks: list[list[int]], b) -> int:
+    """The bitmask of the generators dividing x^b, from ``_divisor_masks``
+    of a box containing b: nonzero iff x^b is in the ideal."""
+    return functools.reduce(and_, map(getitem, masks, b))
+
+
 def koszul_betti(I: MonomialIdeal) -> BettiTable:
     """Multigraded Betti numbers of S/I via upper Koszul simplicial complexes.
 
     beta_{i,b}(I) is the reduced (i-1)-homology of the complex of squarefree
-    F with x^(b-F) in I; candidate degrees run over the lcm lattice.  Fully
+    F with x^(b-F) in I; candidate degrees run over the lcm lattice.
+    Membership is read off the masks of ``_divisor_masks``.  Fully
     independent of the resolution code.
     """
     if I.is_zero or I.is_unit:
         raise ValueError("oracle needs a nonzero proper ideal")
     multi = {(0, (0,) * I.ctx.nvars): 1}
+    masks = _divisor_masks(I, functools.reduce(lcm, I.gens))
     for b in lcm_lattice(I):
         support = [c for c, e in enumerate(b) if e > 0]
         if len(support) > 12:
             raise SizeCapError(f"support of {b} exceeds 12 variables")
+        # the generators dividing x^(b-F): those dividing x^b whose exponent
+        # at each c of F is at most b_c - 1
+        top = _divisors(masks, b)
+        lowered = [masks[c][b[c] - 1] for c in support]
         faces = set()
         for rr in range(len(support) + 1):
-            for combo in itertools.combinations(support, rr):
-                reduced = list(b)
-                for c in combo:
-                    reduced[c] -= 1
-                if I.member(tuple(reduced)):
-                    faces.add(frozenset(combo))
+            for combo in itertools.combinations(range(len(support)), rr):
+                mask = top
+                for i in combo:
+                    mask &= lowered[i]
+                if mask:
+                    faces.add(frozenset(support[i] for i in combo))
         hdims = _reduced_homology_dims(faces)
         for i in range(0, len(support) + 1):
             beta = hdims.get(i - 1, 0)
@@ -427,9 +448,10 @@ def check_engine_self(inst: GmpiInstance, tot: TotalComplex, base: BettiTable | 
         for s in level:
             box = [max(a, b) for a, b in zip(box, s)]
     rng = random.Random(f"{inst.label}/euler")
-    points = [tuple(rng.randint(0, m + 1) for m in box) for _ in range(100)]
+    points = [tuple(rng.randrange(m + 2) for m in box) for _ in range(100)]
+    masks = _divisor_masks(L, [m + 1 for m in box])
     witness = next((b for b, chi in zip(points, euler_characteristics(tot.complex, points))
-                    if chi != (0 if L.member(b) else 1)), None)
+                    if chi != (0 if _divisors(masks, b) else 1)), None)
     out.append(_witness_check("euler-strand-identity", inst.label, witness))
     return out
 

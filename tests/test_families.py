@@ -1,13 +1,17 @@
+import hashlib
 import itertools
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gmpi.builder import block_linearity, block_resolutions
-from gmpi.complexes import ideal_resolution
-from gmpi.monomials import total_degree
+from gmpi.builder import SubstitutionFamily, block_linearity, block_resolutions, induced_ideal
+from gmpi.cli import instance_to_document
+from gmpi.complexes import degree_grid, ideal_resolution
+from gmpi.monomials import VariableContext, ideal, monomials_of_degree, simple_context, total_degree
 from gmpi.families import (
+    _induced_shape,
     lex_segment_stable,
     min_covering_count,
     mixed_product_instance,
@@ -206,6 +210,67 @@ def test_random_instance_resolves_only_the_draw_it_keeps(monkeypatch):
     instances = suite_instances()
     assert len(calls) == len(SUITE_SEEDS) == 20
     assert calls == [inst.inducing for inst in instances]
+
+
+def test_random_instance_forms_the_induced_ideal_once_per_instance(monkeypatch):
+    # the size filters read the block ideals; L is formed by validate_family
+    from gmpi import builder
+    from gmpi.verify import suite_instances
+    calls = []
+    original = builder.induced_ideal
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(builder, "induced_ideal", counted)
+    assert calls == [inst.inducing for inst in suite_instances()]
+
+
+# sha-256 of the documents of random_instance(seed) for the seeds 0..199,
+# one json.dumps(sort_keys=True) line per seed, or the error of a seed that
+# raises; any change of a drawn instance changes it
+DRAW_SHA256 = "85ccc4433d7408dc0f80f8b2b00d514600d541e4172186d730c5d7a9e197c88a"
+
+
+def test_random_instance_draws_are_pinned():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        try:
+            line = json.dumps(instance_to_document(random_instance(seed)), sort_keys=True)
+        except Exception as e:
+            line = f"{type(e).__name__}: {e}"
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == DRAW_SHA256
+
+
+@st.composite
+def families_in_their_degrees(draw):
+    """An inducing ideal I in at most 3 variables and, per block l and
+    nonzero l-th exponent d of a generator of I, an ideal generated by
+    degree-d monomials in at most 3 variables (not necessarily nested)."""
+    n = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    inducing = ideal(simple_context(n), draw(st.lists(vec, min_size=1, max_size=4)))
+    T = VariableContext(tuple(draw(st.integers(1, 3)) for _ in range(n)))
+    ideals = {}
+    for l, m in enumerate(T.sizes):
+        ctx = VariableContext((m,), (T.names[l],))
+        for d in sorted({a[l] for a in inducing.gens} - {0}):
+            pool = st.sampled_from(monomials_of_degree(ctx, d))
+            ideals[(l, d)] = ideal(ctx, draw(st.lists(pool, min_size=1, max_size=4)))
+    return inducing, SubstitutionFamily(T, ideals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(families_in_their_degrees())
+def test_the_block_ideals_give_the_size_and_grid_of_the_induced_ideal(drawn):
+    inducing, family = drawn
+    count, axes = _induced_shape(inducing, family.ideals, family.T.sizes)
+    products, induced = induced_ideal(inducing, family)
+    assert count == len(induced.gens)
+    levels = [list(idl.gens) for idl in [induced] + products]
+    assert axes == degree_grid(levels, family.T.nvars)
 
 
 def test_random_instances_match_golden_tables():

@@ -6,7 +6,8 @@ witness or None, never an ``(ok, witness)`` pair.  The package imports
 no numpy: its degree-grid scans run on Python int bitmasks, and importing
 numpy would cost more start-up than the scans it served.  Every function
 name the benchmark traces names a function of the package, so that no
-per-layer metric reads 0 because its function was removed."""
+per-layer metric reads 0 because its function was removed.  The Koszul
+oracle names no function of the construction."""
 
 import ast
 import importlib
@@ -176,3 +177,62 @@ def test_every_name_the_benchmark_traces_is_a_function_of_the_package():
     missing = sorted(n for n in names - DEAD_BENCHMARK_NAMES
                      if not inspect.isfunction(package_attribute(n)))
     assert missing == []
+
+
+# The Koszul oracle and its lcm lattice stay independent of the
+# construction: besides verify's own helpers they may read ideal arithmetic
+# of ``monomials``, ``linalg.rank``, the table and cap types of
+# ``complexes`` and the standard library, but no function of ``builder`` or
+# of the resolution code of ``complexes``.
+INDEPENDENT_ORACLES = ("koszul_betti", "lcm_lattice")
+ALLOWED_MODULE_ATTRIBUTES = {"gmpi.linalg": {"rank"}}
+ALLOWED_COMPLEXES_TYPES = {"BettiTable", "SizeCapError"}
+
+
+def construction_names(module, roots) -> list[str]:
+    """``function: name`` for each global name that a function of ``roots``
+    in ``module``, or a function of ``module`` it calls, reads from the
+    package beyond what the independence rule allows."""
+    defs = {f.name: f for f in ast.parse(inspect.getsource(module)).body
+            if isinstance(f, ast.FunctionDef)}
+    bad, seen, todo = [], set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        fn = defs[name]
+        nodes = list(ast.walk(fn))
+        local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        for g in sorted({n.id for n in nodes if isinstance(n, ast.Name)} - local):
+            if not hasattr(module, g):
+                continue                          # a builtin
+            obj = getattr(module, g)
+            home = obj.__name__ if inspect.ismodule(obj) else getattr(obj, "__module__", "")
+            if not home.startswith("gmpi."):
+                continue                          # the standard library
+            if inspect.ismodule(obj):
+                used = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                        and isinstance(n.value, ast.Name) and n.value.id == g}
+                bad += [f"{name}: {g}.{a}" for a in sorted(
+                    used - ALLOWED_MODULE_ATTRIBUTES.get(home, set()))]
+            elif home == module.__name__ and inspect.isfunction(obj):
+                todo.append(g)
+            elif not (home == "gmpi.monomials"
+                      or (home == "gmpi.complexes" and g in ALLOWED_COMPLEXES_TYPES)):
+                bad.append(f"{name}: {g}")
+    return sorted(bad)
+
+
+def test_the_koszul_oracle_names_no_construction_code():
+    from gmpi import verify
+    assert construction_names(verify, INDEPENDENT_ORACLES) == []
+
+
+def test_the_independence_rule_catches_the_resolution_code():
+    # the Lyubeznik oracle resolves L with the resolution code of complexes
+    from gmpi import verify
+    assert construction_names(verify, ["oracle_betti"]) == [
+        "oracle_betti: betti_table", "oracle_betti: quotient_resolution"]
+    assert "run_suite: build_factors" in construction_names(verify, ["run_suite"])

@@ -21,8 +21,10 @@ from gmpi.complexes import (
     regularity,
 )
 from gmpi.families import mixed_product_instance, random_instance
-from gmpi.monomials import ideal, lcm, simple_context
+from gmpi.monomials import MonomialIdeal, ideal, lcm, simple_context
 from gmpi.verify import (
+    _divisor_masks,
+    _divisors,
     betti_for_ideal,
     check_betti_equivalence,
     check_degree_realization,
@@ -123,6 +125,24 @@ def test_koszul_betti_agrees_with_taylor_oracle():
         if I.is_zero or I.is_unit:
             continue
         assert koszul_betti(I) == oracle_betti(I), gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ideals())
+def test_koszul_betti_agrees_with_the_lyubeznik_oracle_on_random_ideals(I):
+    assert koszul_betti(I) == oracle_betti(I), I.gens
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals(), st.sampled_from(["drawn", "zero", "unit"]), st.data())
+def test_mask_membership_is_ideal_membership(I, kind, data):
+    # exponents up to 5 lie above every generator's (at most 3)
+    if kind != "drawn":
+        I = MonomialIdeal(I.ctx, () if kind == "zero" else ((0,) * I.ctx.nvars,))
+    box = data.draw(st.tuples(*[st.integers(0, 5)] * I.ctx.nvars))
+    masks = _divisor_masks(I, box)
+    for b in itertools.product(*(range(m + 1) for m in box)):
+        assert bool(_divisors(masks, b)) == I.member(b), b
 
 
 def test_koszul_betti_three_variables():
