@@ -55,7 +55,13 @@ from .families import (
     squarefree_veronese,
     veronese_type,
 )
-from .verify import koszul_betti, oracle_betti, run_instance_checks, run_suite
+from .verify import (
+    koszul_betti,
+    linear_quotients_betti,
+    oracle_betti,
+    run_instance_checks,
+    run_suite,
+)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

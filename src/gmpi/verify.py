@@ -1,15 +1,18 @@
 """Independent oracle and theorem-checking harness.
 
 The Betti table of the induced ideal L is recomputed from scratch here and
-compared against the construction: a Lyubeznik-resolution oracle, which
-minimalizes the Lyubeznik complex of L (it shares ideal arithmetic, rank and
-the resolution code with the builder, none of the total complex), and the
-fully independent oracle of reduced simplicial homology of upper Koszul
-complexes over the lcm lattice (used beyond the Lyubeznik cap and as a
-cross-check).  Each structural statement and theorem gets one PASS/FAIL
-check; a check computes its value from what the builder made (never
-asserting) and compares it with the theorem's prediction and the oracle.  A check whose
-oracle exceeds its size cap reports SKIPPED, never PASS.
+compared against the construction.  Three oracles are tried in turn: the
+linear-quotients oracle (Herzog-Takayama mapping cones, which answers where
+L has linear quotients in its degree order), the Lyubeznik-resolution oracle,
+which minimalizes the Lyubeznik complex of L (it shares ideal arithmetic,
+rank and the resolution code with the builder, none of the total complex),
+and the oracle of reduced simplicial homology of upper Koszul complexes over
+the lcm lattice (used beyond the Lyubeznik cap and as a cross-check).  The
+first and the last share no code with the construction.  Each structural
+statement and theorem gets one PASS/FAIL check; a check computes its value
+from what the builder made (never asserting) and compares it with the
+theorem's prediction and the oracle.  A check whose oracle exceeds its size
+cap reports SKIPPED, never PASS.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import and_, getitem
 
@@ -46,7 +50,7 @@ from .complexes import (
     regularity,
     TAYLOR_CAP,
 )
-from .monomials import MonomialIdeal, _below_masks, lcm
+from .monomials import MonomialIdeal, _below_masks, lcm, total_degree
 
 
 @dataclass
@@ -202,9 +206,45 @@ def koszul_betti(I: MonomialIdeal) -> BettiTable:
     return BettiTable.of(multi)
 
 
+def linear_quotients_betti(L: MonomialIdeal) -> BettiTable | None:
+    """Betti table of S/L from linear quotients (Herzog-Takayama 2002), or
+    None where L has none in its degree order.
+
+    G(L) is ordered by total degree, ties in the canonical order.  The colon
+    (u_1, ..., u_{j-1}) : u_j is generated by the quotients
+    u_i / gcd(u_i, u_j), i < j; it is generated by variables iff each
+    quotient is divisible by a variable x_t that is itself a quotient.  The
+    iterated mapping cone of the Koszul complexes on those variables then
+    resolves S/L, and it is minimal because the order never lowers a degree:
+    each subset F of the variables of u_j gives one basis element at
+    position |F| + 1 in multidegree u_j x_F.  Fully independent of the
+    resolution code.
+    """
+    if L.is_zero or L.is_unit:
+        raise ValueError("oracle needs a nonzero proper ideal")
+    order = sorted(L.gens, key=total_degree)   # stable: ties stay canonical
+    multi = Counter({(0, (0,) * L.ctx.nvars): 1})
+    for j, u in enumerate(order):
+        quotients = [[max(a - b, 0) for a, b in zip(v, u)] for v in order[:j]]
+        linear = sorted({q.index(1) for q in quotients if sum(q) == 1})
+        if not all(any(q[t] for t in linear) for q in quotients):
+            return None
+        for size in range(len(linear) + 1):
+            for F in itertools.combinations(linear, size):
+                b = list(u)
+                for t in F:
+                    b[t] += 1
+                multi[(size + 1, tuple(b))] += 1
+    return BettiTable.of(multi)
+
+
 def betti_for_ideal(L: MonomialIdeal, cap: int = TAYLOR_CAP) -> tuple[BettiTable, str]:
-    """Oracle table plus which oracle produced it: "lyubeznik" when the
+    """Oracle table plus which oracle produced it: "linear-quotients" where
+    L has linear quotients in its degree order, else "lyubeznik" when the
     Lyubeznik complex fits the Taylor cap ``cap``, "koszul" otherwise."""
+    table = linear_quotients_betti(L)
+    if table is not None:
+        return table, "linear-quotients"
     try:
         return oracle_betti(L, cap=cap), "lyubeznik"
     except SizeCapError:
@@ -411,23 +451,24 @@ def check_total_exactness(inst: GmpiInstance, tot: TotalComplex) -> CheckResult:
 
 
 def check_engine_self(inst: GmpiInstance, tot: TotalComplex, base: BettiTable | None,
-                      cap: int = TAYLOR_CAP) -> list[CheckResult]:
+                      cap: int = TAYLOR_CAP, why: str = "no oracle answered") -> list[CheckResult]:
     """Total exactness, cancellation-order independence, Euler strand
     identity.
 
-    ``base`` is the Lyubeznik oracle's table of L in its canonical generator
-    order, which 5 shuffled orders must reproduce; None when that complex
-    exceeds the Taylor cap ``cap``.  The permutation check reports SKIPPED
-    then, and when a shuffled order exceeds the cap.  It fails at the first
-    shuffled order whose table differs, named by its number (1 to 5) and
-    the entries where it differs from ``base`` (``_table_diff``).
+    ``base`` is the oracle's table of L (``betti_for_ideal``), which the
+    Lyubeznik complexes of 5 shuffled generator orders must reproduce; None
+    when no oracle answered, with ``why`` saying why.  The permutation check
+    reports SKIPPED then, and with its own SizeCapError text when a shuffled
+    order exceeds the Taylor cap ``cap``.  It fails at the first shuffled
+    order whose table differs, named by its number (1 to 5) and the entries
+    where it differs from ``base`` (``_table_diff``).
     """
     out = [check_total_exactness(inst, tot)]
 
     L = inst.induced
     ok, details = True, {}
     if base is None:
-        details["skipped"] = f"the Lyubeznik complex of L exceeds the Taylor cap {cap}"
+        details["skipped"] = why
     else:
         rng = random.Random(f"{inst.label}/perm")
         try:
@@ -460,10 +501,10 @@ def run_instance_checks(tot: TotalComplex, table: BettiTable,
                         oracle_cap: int = TAYLOR_CAP) -> list[CheckResult]:
     """Every check on one built instance: its total complex and the Betti
     table of T/L (resolution_table(tot.factors, tot)).
-    The oracle of L is computed once; a Lyubeznik table (within the Taylor cap
-    ``oracle_cap``) is also the base of the permutation check.  The star
-    complex, which the construction does not build, is built here for the
-    star checks, which scan it on T's degree grid."""
+    The oracle of L (``betti_for_ideal``, with the Taylor cap ``oracle_cap``)
+    is computed once and is also the base of the permutation check.  The
+    star complex, which the construction does not build, is built here for
+    the star checks, which scan it on T's degree grid."""
     factors = tot.factors
     inst = factors.instance
     try:
@@ -475,8 +516,7 @@ def run_instance_checks(tot: TotalComplex, table: BettiTable,
     results.append(check_betti_equivalence(inst, table, oracle, which))
     results.append(check_pd_formula(inst, factors, table, oracle))
     results.append(check_linearity_equivalence(inst, factors, table))
-    base = oracle if which == "lyubeznik" else None
-    results.extend(check_engine_self(inst, tot, base, cap=oracle_cap))
+    results.extend(check_engine_self(inst, tot, oracle, cap=oracle_cap, why=which))
     return results
 
 

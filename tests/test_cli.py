@@ -112,15 +112,16 @@ def test_gmpi_with_check_passes(tmp_path, capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
-def test_gmpi_check_beyond_the_taylor_cap(tmp_path, capsys):
-    # 18 generators: the Lyubeznik oracle and the permutation check still run
+def test_gmpi_check_of_the_18_generator_mixed_product(tmp_path, capsys):
+    # 18 generators fit the Taylor cap, so the permutation check runs; L has
+    # linear quotients, so that oracle answers first
     doc = instance_to_document(mixed_product_instance((3, 3), (2, 1), (1, 2)))
     assert main(["gmpi", write(tmp_path, "m.json", doc), "--check", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert len(payload["induced_generators"]) == 18
     assert [r["status"] for r in payload["checks"]] == ["PASS"] * 14
     betti = next(r for r in payload["checks"] if r["name"] == "betti-equivalence")
-    assert betti["details"] == {"oracle": "lyubeznik"}
+    assert betti["details"] == {"oracle": "linear-quotients"}
 
 
 def test_gmpi_exit_one_on_failed_check(tmp_path, capsys, monkeypatch):

@@ -7,7 +7,7 @@ no numpy: its degree-grid scans run on Python int bitmasks, and importing
 numpy would cost more start-up than the scans it served.  Every function
 name the benchmark traces names a function of the package, so that no
 per-layer metric reads 0 because its function was removed.  The Koszul
-oracle names no function of the construction."""
+and linear-quotients oracles name no function of the construction."""
 
 import ast
 import importlib
@@ -179,12 +179,12 @@ def test_every_name_the_benchmark_traces_is_a_function_of_the_package():
     assert missing == []
 
 
-# The Koszul oracle and its lcm lattice stay independent of the
-# construction: besides verify's own helpers they may read ideal arithmetic
-# of ``monomials``, ``linalg.rank``, the table and cap types of
-# ``complexes`` and the standard library, but no function of ``builder`` or
-# of the resolution code of ``complexes``.
-INDEPENDENT_ORACLES = ("koszul_betti", "lcm_lattice")
+# The Koszul oracle with its lcm lattice, and the linear-quotients oracle,
+# stay independent of the construction: besides verify's own helpers they
+# may read ideal arithmetic of ``monomials``, ``linalg.rank``, the table and
+# cap types of ``complexes`` and the standard library, but no function of
+# ``builder`` or of the resolution code of ``complexes``.
+INDEPENDENT_ORACLES = ("koszul_betti", "lcm_lattice", "linear_quotients_betti")
 ALLOWED_MODULE_ATTRIBUTES = {"gmpi.linalg": {"rank"}}
 ALLOWED_COMPLEXES_TYPES = {"BettiTable", "SizeCapError"}
 
@@ -225,7 +225,7 @@ def construction_names(module, roots) -> list[str]:
     return sorted(bad)
 
 
-def test_the_koszul_oracle_names_no_construction_code():
+def test_the_independent_oracles_name_no_construction_code():
     from gmpi import verify
     assert construction_names(verify, INDEPENDENT_ORACLES) == []
 

@@ -42,6 +42,7 @@ from gmpi.verify import (
     mixed_product_formula_check,
     koszul_betti,
     lcm_lattice,
+    linear_quotients_betti,
     oracle_betti,
     path_identity_checks,
     run_instance_checks,
@@ -158,6 +159,61 @@ def test_total_complex_matches_simplicial_oracle(suite):
         if L.ctx.nvars > 8:
             continue
         assert minimal_total_table(item.total) == koszul_betti(L), item.seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ideals())
+def test_linear_quotients_betti_agrees_with_both_oracles_where_it_answers(I):
+    table = linear_quotients_betti(I)
+    if table is not None:
+        assert table == oracle_betti(I) == koszul_betti(I), I.gens
+
+
+def test_linear_quotients_betti_by_hand():
+    # (x^2, xy, y^2): the colons are (x) and (x); a linear resolution
+    t = linear_quotients_betti(ideal(S2, [(2, 0), (1, 1), (0, 2)]))
+    assert t.entries == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
+    assert t.multi[(2, (2, 1))] == t.multi[(2, (1, 2))] == 1
+    # (x^2, y^3): the colon of y^3 is (x^2), not generated by variables
+    assert linear_quotients_betti(ideal(S2, [(2, 0), (0, 3)])) is None
+    # (x^3, xy, y^2) in degree order xy, y^2, x^3: the colons (x) and (y);
+    # in the canonical order x^3, xy, y^2 the colon of xy would be (x^2)
+    t = linear_quotients_betti(ideal(S2, [(3, 0), (1, 1), (0, 2)]))
+    assert t == oracle_betti(ideal(S2, [(3, 0), (1, 1), (0, 2)]))
+    assert t.multi[(2, (1, 2))] == t.multi[(2, (3, 1))] == 1
+
+
+def test_linear_quotients_betti_declines_the_5_cycle():
+    # the edge ideal of the 5-cycle has no linear resolution, so no linear
+    # quotients in any order of its generators, which share one degree
+    C5 = simple_context(5)
+    edges = [tuple(int(v in (i, (i + 1) % 5)) for v in range(5)) for i in range(5)]
+    assert linear_quotients_betti(ideal(C5, edges)) is None
+
+
+def test_every_oracle_rejects_the_zero_and_unit_ideals():
+    for oracle in (linear_quotients_betti, oracle_betti, koszul_betti):
+        for gens in ((), ((0, 0),)):
+            with pytest.raises(ValueError, match="nonzero proper ideal"):
+                oracle(MonomialIdeal(S2, gens))
+
+
+# the suite seeds whose L has linear quotients in its degree order
+LINEAR_QUOTIENT_SEEDS = [1, 5, 7, 8, 9, 12, 14, 17, 20, 25, 27, 42, 49, 54]
+
+
+def test_every_oracle_agrees_on_the_suite(suite):
+    answered = []
+    for item in suite:
+        L = item.instance.induced
+        table = oracle_betti(L)
+        assert table == koszul_betti(L), item.seed
+        quotients = linear_quotients_betti(L)
+        if quotients is not None:
+            assert quotients == table, item.seed
+            answered.append(item.seed)
+        assert betti_for_ideal(L) == (table, "linear-quotients" if quotients else "lyubeznik")
+    assert answered == LINEAR_QUOTIENT_SEEDS
 
 
 # -- checks pass on valid instances
@@ -291,6 +347,20 @@ def test_betti_equivalence_teeth():
     tot.complex.shifts[1].append(tot.complex.shifts[1][0])
     broken = check_betti_equivalence(inst, minimal_total_table(tot), *oracle)
     assert not broken.passed and "diff" in broken.details
+
+
+def test_a_corrupted_linear_quotients_table_fails_betti_equivalence(monkeypatch):
+    from gmpi import verify
+    inst = random_instance(9)
+    tot = certified_total(inst)
+    good = linear_quotients_betti(inst.induced)
+    monkeypatch.setattr(verify, "linear_quotients_betti", lambda L: forged(good, 1, 9))
+    results = {r.name: r for r in run_instance_checks(tot, minimal_total_table(tot))}
+    betti = results["betti-equivalence"]
+    assert betti.status == "FAIL"
+    assert betti.details == {"oracle": "linear-quotients", "diff": {(1, 9): (0, 1)}}
+    # the corrupted table is the base of the permutation check too
+    assert results["betti-permutation-invariance"].status == "FAIL"
 
 
 def forged(table, k, j):
@@ -447,7 +517,8 @@ def test_capped_oracle_is_skipped_not_passed(monkeypatch):
     def capped(L, cap=14):
         raise SizeCapError(f"{len(L.gens)} generators exceed the oracle cap 0")
 
-    # with both oracles capped nothing checks the table
+    # with every oracle capped nothing checks the table
+    monkeypatch.setattr(verify, "linear_quotients_betti", capped)
     monkeypatch.setattr(verify, "oracle_betti", capped)
     monkeypatch.setattr(verify, "koszul_betti", capped)
     tot = certified_total(random_instance(9))
@@ -455,9 +526,11 @@ def test_capped_oracle_is_skipped_not_passed(monkeypatch):
     betti = next(r for r in results if r.name == "betti-equivalence")
     assert betti.status == "SKIPPED" and betti.line().startswith("[SKIPPED]")
     assert betti.to_json()["status"] == "SKIPPED"
-    # the permutation check has no Lyubeznik table to compare with either
+    # the permutation check has no table to compare with either, and says
+    # why in the words of the oracle that stopped
     perm = next(r for r in results if r.name == "betti-permutation-invariance")
     assert perm.status == "SKIPPED"
+    assert perm.details == betti.details == {"skipped": "4 generators exceed the oracle cap 0"}
     # passed (and so the exit code) is unchanged; only the reporting differs
     assert all(r.passed for r in results)
     n = len(results)
@@ -465,14 +538,19 @@ def test_capped_oracle_is_skipped_not_passed(monkeypatch):
 
 
 def test_capped_lyubeznik_oracle_falls_back_to_koszul():
-    tot = certified_total(random_instance(9))
+    # seed 11: L has no linear quotients in its degree order
+    tot = certified_total(random_instance(11))
+    assert linear_quotients_betti(tot.factors.instance.induced) is None
     # a Taylor cap of 2: at most 4 basis elements
     results = run_instance_checks(tot, minimal_total_table(tot), oracle_cap=2)
     assert len(results) == 14 and all(r.passed for r in results)
     betti = next(r for r in results if r.name == "betti-equivalence")
     assert betti.status == "PASS" and betti.details == {"oracle": "koszul"}
+    # the permutation check compares with the Koszul table, and a shuffled
+    # order over the cap reports its own SizeCapError
     perm = next(r for r in results if r.name == "betti-permutation-invariance")
-    assert perm.status == "SKIPPED" and "Taylor cap 2" in perm.details["skipped"]
+    assert perm.status == "SKIPPED" and perm.details == {"skipped": (
+        "the Lyubeznik complex of 4 generators exceeds the cap of 4 basis elements")}
     n = len(results)
     assert summary_lines(results)[-1] == f"{n - 1}/{n} checks passed, 1 skipped"
 
