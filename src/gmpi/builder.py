@@ -332,15 +332,41 @@ def star_acyclicity(inst: GmpiInstance, star: list[list[MonomialIdeal]]):
 # ---------------------------------------------------------------------------
 # block resolutions and comparison maps
 
-def block_resolutions(inst: GmpiInstance) -> dict[tuple[int, int], FreeComplex]:
+class BlockStore:
+    """The block objects made so far, shared by every instance drawn or
+    built with this store.  ``verify.run_suite`` makes one per call and
+    hands it to the draws and the builds of all its instances; every other
+    caller gets a new one per draw or build.  Nothing keeps a store beyond
+    its caller, so no block object outlives one call.
+
+    * ``ideals``: the substitution ideals that ``families.random_instance``
+      drew, by (family, m, d, block name), a lex segment's count appended;
+    * ``resolutions``: the block resolutions by generator tuple
+      (``block_resolutions``);
+    * ``lifts``: the rho maps by (id(source), id(target)) (``rho_maps``);
+      each holds its source and target, so no id is reused while the store
+      lives;
+    * ``verdicts``: by (id(block), generator tuple of its ideal), the block
+      and the outcome of its ``block_witness`` (``certify_factors``): True
+      where the scan passed, False where it hit its cap."""
+
+    def __init__(self):
+        self.ideals, self.resolutions, self.lifts, self.verdicts = {}, {}, {}, {}
+
+
+def block_resolutions(inst: GmpiInstance,
+                      made: dict | None = None) -> dict[tuple[int, int], FreeComplex]:
     """One ideal resolution per ladder entry (at degree 0 that of the unit
     ideal, the rank-one free module), made once per distinct generator
     tuple: entries whose substitution ideals have the same exponent
     vectors, in one block or in blocks of one size, share one object.  A
     block resolution reads its context only for ``nvars``, so the first
-    entry's names serve them all.  Nothing mutates a block resolution in
-    place; a test that corrupts one corrupts a copy under its key."""
-    made: dict[tuple[tuple[int, ...], ...], FreeComplex] = {}
+    entry's names serve them all.  ``made`` (``BlockStore.resolutions``)
+    holds the resolutions by generator tuple, and extends the sharing to
+    every instance built with it; by default it is new.  Nothing mutates a
+    block resolution in place; a test that corrupts one corrupts a copy
+    under its key."""
+    made = {} if made is None else made
     out = {}
     for l, ladder in enumerate(inst.ladders):
         for d in ladder:
@@ -360,20 +386,23 @@ def block_linearity(blocks: dict) -> dict[tuple[int, int], bool]:
             for (l, d), res in blocks.items()}
 
 
-def rho_maps(inst: GmpiInstance, blocks: dict) -> dict[tuple[int, int, int], ChainMap]:
+def rho_maps(inst: GmpiInstance, blocks: dict,
+             lifts: dict | None = None) -> dict[tuple[int, int, int], ChainMap]:
     """Comparison maps between consecutive ladder entries of each block.
 
     rho[(l, d, e)] : resolution at ladder degree d -> the ladder degree e
     one step below, lifting the inclusion of the smaller ideal into the
     larger (the key of ``Factors.taus``).  One map is lifted per distinct
     (source, target) pair of block resolutions (``block_resolutions``
-    shares them), and the steps between the same pair share it.  Nothing
+    shares them), and the steps between the same pair share it; ``lifts``
+    (``BlockStore.lifts``, new by default) holds them by (id(source),
+    id(target)) across the instances built with it.  Nothing
     mutates a rho map in place; a single-step tau is the rho map itself,
     and a test that corrupts a tau corrupts a copy under its key.
     ConstructionError with (block, degree, generator) where an inclusion
     fails (``nesting_witness``, which validate_family also rules out).
     """
-    lifts: dict[tuple[int, int], ChainMap] = {}
+    lifts = {} if lifts is None else lifts
     out = {}
     for l, ladder in enumerate(inst.ladders):
         witness = nesting_witness(inst.family, l, ladder)
@@ -413,8 +442,10 @@ class Factors:
     Keys whose substitution ideals have equal generators share their
     objects: one block resolution per distinct ideal, one rho map per
     distinct pair of block resolutions, and one identity or composite tau
-    per distinct chain of rho maps.  No factor is mutated in place once
-    made, so a shared one is correct for every key that holds it; the
+    per distinct chain of rho maps.  The block resolutions and rho maps
+    come from a ``BlockStore``, so factors built with one store share them
+    across instances too.  No factor is mutated in place once made, so a
+    shared one is correct for every key and instance that holds it; the
     corruption fixtures of the tests replace a copy under one key.
 
     ``exactness_verified`` is what ``certify_factors`` returned: True where
@@ -436,11 +467,14 @@ class Factors:
         return {key: tau for key, tau in self.taus.items() if key[1] != key[2]}
 
 
-def build_factors(inst: GmpiInstance) -> Factors:
+def build_factors(inst: GmpiInstance, store: BlockStore | None = None) -> Factors:
     """The factors of ``inst``, complete and certified: the block
     resolutions, their linearity flags and the taus that sigma uses
     (``Factors``), then ``certify_factors``, whose ConstructionError
-    propagates and whose verdict is ``exactness_verified``.
+    propagates and whose verdict is ``exactness_verified``.  The block
+    resolutions, rho maps and block verdicts are taken from ``store``
+    where an earlier build with it made them, and added to it otherwise;
+    by default the store is new, and nothing is shared beyond ``inst``.
 
     The drops are enumerated once, in order of c, then of the stored
     columns and rows of lam_c, then of the blocks: the drop of block l is
@@ -451,8 +485,9 @@ def build_factors(inst: GmpiInstance) -> Factors:
     ConstructionError with (c, j, k, block).  A tau over several ladder
     steps is the composite of their rho maps, never a direct lift: sigma o
     sigma vanishes because a composite of ladder composites is one."""
-    blocks = block_resolutions(inst)
-    rhos, res = rho_maps(inst, blocks), inst.resolution
+    store = BlockStore() if store is None else store
+    blocks = block_resolutions(inst, store.resolutions)
+    rhos, res = rho_maps(inst, blocks, store.lifts), inst.resolution
     drops = {}
     for c in range(2, res.length + 1):
         for j, col in res.diffs[c].cols.items():
@@ -478,11 +513,11 @@ def build_factors(inst: GmpiInstance) -> Factors:
             made[chain] = tau
         taus[(l, d, e)] = made[chain]
     factors = Factors(inst, blocks, block_linearity(blocks), taus)
-    factors.exactness_verified = certify_factors(factors)
+    factors.exactness_verified = certify_factors(factors, store.verdicts)
     return factors
 
 
-def certify_factors(factors: Factors) -> bool:
+def certify_factors(factors: Factors, verdicts: dict | None = None) -> bool:
     """Certify, on the factors alone, that the total complex of the double
     complex resolves T/L, minimally under the linearity hypothesis, and
     return whether every scan ran.  ``build_factors`` calls it on the
@@ -543,9 +578,14 @@ def certify_factors(factors: Factors) -> bool:
     Each check of a block resolution or a tau runs once per distinct
     object (``_first_keys``), not once per key: keys that share a factor
     (``Factors``) share its verdict, and a witness names the first key that
-    holds the object.  That is sound because no shared factor is mutated
-    in place; a factor replaced under one key by another object, such as
-    the corrupted copy a test fixture puts there, is checked on its own.
+    holds the object.  ``verdicts`` (``BlockStore.verdicts``, new by
+    default) carries the ``block_witness`` verdicts over to the later
+    instances built with the same store: a block that passed is not
+    scanned again, and one whose scan hit its cap makes every instance
+    holding it unverified.  That is sound because no shared factor is
+    mutated in place; a factor replaced under one key by another object,
+    such as the corrupted copy a test fixture puts there, is checked on
+    its own.
 
     A grid of S or of a block above its scan cap skips that scan, and the
     result is then False; the checks that need no scan still run.  Where
@@ -604,18 +644,25 @@ def certify_factors(factors: Factors) -> bool:
         raise ConstructionError(
             "sigma misses the scalar matrices: a position-0 column of a comparison map "
             "in use does not sum to 1 (block, from, to, column)", witness)
+    verdicts = {} if verdicts is None else verdicts
     for (l, d), block in blocks.items():
         if d == 0:
             continue
-        try:
-            witness = block_witness(block, inst.family.at(l, d))
-        except SizeCapError:
-            verified = False
-        else:
-            if witness is not None:
-                raise ConstructionError(
-                    "a block resolution does not resolve its substitution ideal "
-                    "(block, degree, multidegree)", (l, d, witness))
+        I = inst.family.at(l, d)
+        key = id(block), I.gens
+        if key not in verdicts:
+            # the block is kept with its verdict, so its id is not reused
+            try:
+                witness = block_witness(block, I)
+            except SizeCapError:
+                verdicts[key] = block, False
+            else:
+                if witness is not None:
+                    raise ConstructionError(
+                        "a block resolution does not resolve its substitution ideal "
+                        "(block, degree, multidegree)", (l, d, witness))
+                verdicts[key] = block, True
+        verified = verified and verdicts[key][1]
     return verified
 
 

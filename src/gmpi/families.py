@@ -13,6 +13,7 @@ import math
 import random
 
 from .builder import (
+    BlockStore,
     ConstructionError,
     FamilyValidationError,
     GmpiInstance,
@@ -197,9 +198,12 @@ def mixed_product_instance(
 # ---------------------------------------------------------------------------
 # seeded random instances
 
-def _random_block_family(rng: random.Random, m: int, ladder: list[int], name: str):
+def _random_block_family(rng: random.Random, m: int, ladder: list[int], name: str,
+                         made: dict):
     """Substitution ideals for one block, nested by construction, with at most
-    8 generators each."""
+    8 generators each.  ``made`` (``BlockStore.ideals``) holds the ideals by
+    (family, m, d, name), a lex segment's drawn count appended, and each is
+    made once; the rng is called as if none were held."""
     choices = ["power"]
     if max(ladder) <= m:
         choices.append("sqfree")
@@ -208,12 +212,13 @@ def _random_block_family(rng: random.Random, m: int, ladder: list[int], name: st
     tag = rng.choice(choices)
     ctx = _block_ctx(m, name)
     out = {}
-    if tag == "sqfree":
+    if tag != "lex":
+        make = squarefree_veronese if tag == "sqfree" else power_of_maximal
         for d in ladder:
-            out[d] = squarefree_veronese(m, d, ctx)
-    elif tag == "power":
-        for d in ladder:
-            out[d] = power_of_maximal(m, d, ctx)
+            key = (tag, m, d, name)
+            if key not in made:
+                made[key] = make(m, d, ctx)
+            out[d] = made[key]
     else:
         prev = None
         for d in sorted(ladder, reverse=True):
@@ -221,8 +226,10 @@ def _random_block_family(rng: random.Random, m: int, ladder: list[int], name: st
             lo = min_covering_count(m, prev, d) if prev is not None else 1
             if lo > total:
                 return None
-            out[d] = lex_segment_stable(m, d, rng.randint(lo, total), ctx)
-            prev = out[d]
+            key = (tag, m, d, name, rng.randint(lo, total))
+            if key not in made:
+                made[key] = lex_segment_stable(m, d, key[-1], ctx)
+            out[d] = prev = made[key]
     if any(len(idl.gens) > 8 for idl in out.values()):
         return None
     return out
@@ -248,13 +255,18 @@ def _induced_shape(inducing: MonomialIdeal, ideals: dict, sizes: tuple[int, ...]
     return count, axes
 
 
-def random_instance(seed: int) -> GmpiInstance:
+def random_instance(seed: int, store: BlockStore | None = None) -> GmpiInstance:
     """Deterministic instance from a seed, with all substitutions drawn from
     the verified-linear families and sizes kept inside the oracle guardrails:
     at most 3 blocks of at most 4 variables, block degrees at most 3, at most
     5 inducing generators, at most 8 generators per substitution and 8 for
     the induced ideal, and a degree grid of at most 40 000 cells.
-    FamilyValidationError when none of 300 attempts is feasible."""
+    FamilyValidationError when none of 300 attempts is feasible.
+
+    A substitution ideal that an earlier draw with ``store`` made is that
+    same object (``BlockStore.ideals``); without a store none is shared.
+    The draw itself does not depend on the store: the rng is called alike."""
+    made = {} if store is None else store.ideals
     rng = random.Random(seed)
     for _ in range(300):
         n = rng.randint(1, 3)
@@ -284,7 +296,7 @@ def random_instance(seed: int) -> GmpiInstance:
             ladder = [d for d in degrees if d >= 1]
             if not ladder:
                 continue
-            block = _random_block_family(rng, sizes[l], ladder, T.names[l])
+            block = _random_block_family(rng, sizes[l], ladder, T.names[l], made)
             if block is None:
                 feasible = False
                 break

@@ -159,16 +159,21 @@ def rank_mod_2(vectors, limit: int | None = None) -> int:
     with ``limit``, min(rank, limit), returned as soon as ``limit`` pivots
     are found.
 
-    Each pivot is keyed by its lowest set bit (``v & -v``), so reducing a
-    vector against it is one XOR, which clears that bit and touches only
-    higher ones.
+    Each pivot is keyed by its highest set bit (``vec.bit_length()``), so
+    reducing a vector against it is one XOR, which clears that bit and
+    touches only lower ones: Gaussian elimination from the top bit.  The
+    key is read off the vector in constant time, and a vector narrows as
+    it is reduced.  Keyed by the lowest set bit (``vec & -vec``) instead,
+    each step negated and masked the whole vector, and the same ranks took
+    several times longer (``tests/conftest.py`` keeps that elimination as
+    the reference).
     """
     pivots: dict[int, int] = {}
     for vec in vectors:
         while vec:
-            piv = pivots.get(low := vec & -vec)
+            piv = pivots.get(top := vec.bit_length())
             if piv is None:
-                pivots[low] = vec
+                pivots[top] = vec
                 if len(pivots) == limit:
                     return limit
                 break

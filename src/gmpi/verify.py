@@ -26,6 +26,7 @@ from operator import and_, getitem
 
 from . import linalg
 from .builder import (
+    BlockStore,
     Factors,
     GmpiInstance,
     TotalComplex,
@@ -523,13 +524,14 @@ def run_instance_checks(tot: TotalComplex, table: BettiTable,
 # ---------------------------------------------------------------------------
 # the named example checks
 
-def mixed_product_formula_check() -> CheckResult:
+def mixed_product_formula_check(store: BlockStore | None = None) -> CheckResult:
     """Squarefree Veronese mixed product on blocks (3,3) with degree pairs
     (2,1)/(1,2): the closed-form value, reg L of the Betti table of T/L, the
     Koszul oracle and reg I (``check_theorem_regularity``) must all give
-    regularity 3, and the table must equal the oracle's."""
+    regularity 3, and the table must equal the oracle's.  The factors are
+    built with ``store`` (``build_factors``), new by default."""
     from .families import mixed_product_instance
-    factors = build_factors(mixed_product_instance((3, 3), (2, 1), (1, 2)))
+    factors = build_factors(mixed_product_instance((3, 3), (2, 1), (1, 2)), store)
     formula = sum(max(d, e) for d, e in zip((2, 1), (1, 2))) - 1
     table = resolution_table(factors)
     oracle = koszul_betti(factors.instance.induced)
@@ -564,17 +566,28 @@ def path_identity_checks() -> list[CheckResult]:
 SUITE_SEEDS = [1, 3, 5, 7, 8, 9, 11, 12, 14, 17, 20, 22, 25, 27, 30, 42, 46, 49, 54, 55]
 
 
-def suite_instances(seeds=None) -> list[GmpiInstance]:
+def suite_instances(seeds=None, store: BlockStore | None = None) -> list[GmpiInstance]:
+    """The instances of ``seeds`` (default ``SUITE_SEEDS``), drawn with one
+    ``BlockStore`` (``store``, or a new one), so equal substitution ideals
+    are one object."""
     from .families import random_instance
-    return [random_instance(s) for s in (seeds if seeds is not None else SUITE_SEEDS)]
+    store = BlockStore() if store is None else store
+    return [random_instance(s, store) for s in (seeds if seeds is not None else SUITE_SEEDS)]
 
 
 def run_suite(seeds=None) -> list[CheckResult]:
+    """Every check on the instances of ``seeds`` (``suite_instances``), then
+    the named example checks.  One ``BlockStore`` serves the whole call:
+    each distinct substitution ideal is drawn, resolved, lifted and
+    certified once, however many instances (the mixed-product example's
+    among them) hold it.  The store is made here and dropped on return, so
+    nothing outlives the call."""
+    store = BlockStore()
     results: list[CheckResult] = []
-    for inst in suite_instances(seeds):
-        tot = total_complex(build_factors(inst))
+    for inst in suite_instances(seeds, store):
+        tot = total_complex(build_factors(inst, store))
         results.extend(run_instance_checks(tot, resolution_table(tot.factors, tot)))
-    results.append(mixed_product_formula_check())
+    results.append(mixed_product_formula_check(store))
     results.extend(path_identity_checks())
     return results
 

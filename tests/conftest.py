@@ -125,6 +125,24 @@ def dense_rank_mod_2(m) -> int:
     return r
 
 
+def low_bit_rank_mod_2(vectors, limit=None) -> int:
+    """``linalg.rank_mod_2`` as it was before its pivots were keyed by the
+    highest set bit: each pivot keyed by its lowest set bit (``v & -v``),
+    so that a reduction clears that bit and touches only higher ones.  The
+    reference for the top-bit elimination, ``limit`` included."""
+    pivots: dict[int, int] = {}
+    for vec in vectors:
+        while vec:
+            piv = pivots.get(low := vec & -vec)
+            if piv is None:
+                pivots[low] = vec
+                if len(pivots) == limit:
+                    return limit
+                break
+            vec ^= piv
+    return len(pivots)
+
+
 def normal_scalar(v) -> bool:
     """The stored-scalar invariant: an int, or a Fraction that is not
     integral."""

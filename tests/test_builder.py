@@ -642,7 +642,7 @@ def test_build_factors_refuses_factors_corrupted_before_their_certificate(
     with pytest.raises(ConstructionError) as after:
         certify_factors(corrupt(build_factors(with_resolution_copy(make()))))
     certify = builder.certify_factors
-    monkeypatch.setattr(builder, "certify_factors", lambda F: certify(corrupt(F)))
+    monkeypatch.setattr(builder, "certify_factors", lambda F, *store: certify(corrupt(F), *store))
     with pytest.raises(ConstructionError) as inside:
         build_factors(with_resolution_copy(make()))
     assert str(inside.value) == str(after.value)

@@ -540,7 +540,8 @@ def test_gmpi_construction_error_is_not_an_input_error(tmp_path, monkeypatch):
     # columns, that does not square to zero
     from gmpi import builder
     certify = builder.certify_factors
-    monkeypatch.setattr(builder, "certify_factors", lambda F: certify(corrupt_block_scalar(F, 2)))
+    monkeypatch.setattr(builder, "certify_factors",
+                        lambda F, *store: certify(corrupt_block_scalar(F, 2), *store))
     with pytest.raises(builder.ConstructionError):
         main(["gmpi", write(tmp_path, "m.json", mixed33_doc())])
 
@@ -576,7 +577,7 @@ def test_gmpi_raises_the_certificate_witness(tmp_path, monkeypatch, case):
     from gmpi import builder, cli
     corrupt, doc, message, witness = CORRUPTIONS[case]
     certify = builder.certify_factors
-    monkeypatch.setattr(builder, "certify_factors", lambda F: certify(corrupt(F)))
+    monkeypatch.setattr(builder, "certify_factors", lambda F, *store: certify(corrupt(F), *store))
     monkeypatch.setattr(cli, "total_complex", None)   # never assembled
     with pytest.raises(builder.ConstructionError) as err:
         main(["gmpi", write(tmp_path, "e.json", doc())])

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gmpi.complexes import MonomialMatrix
 from gmpi.linalg import mod_2, rank, rank_mod_2, solve
 
-from conftest import dense_rank, dense_rank_mod_2, normal_scalar
+from conftest import dense_rank, dense_rank_mod_2, low_bit_rank_mod_2, normal_scalar
 
 F = Fraction
 
@@ -169,6 +169,27 @@ def test_rank_mod_2_is_the_dense_rank_and_at_most_the_rank(m, limit):
     assert rank_mod_2([mod_2(v) for v in transpose(m)]) == r
     # stopping at ``limit`` pivots
     assert rank_mod_2(vectors, limit) == min(r, limit)
+
+
+@st.composite
+def packed_vectors(draw):
+    """Packed F_2 vectors up to 70 bits wide, wider than a machine word,
+    some the XOR of two earlier ones (zero where both are one), so that the
+    rank often drops."""
+    out = []
+    for _ in range(draw(st.integers(0, 12))):
+        if out and draw(st.booleans()):
+            out.append(draw(st.sampled_from(out)) ^ draw(st.sampled_from(out)))
+        else:
+            out.append(draw(st.integers(0, (1 << 70) - 1)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_vectors(), st.one_of(st.none(), st.integers(0, 13)))
+def test_top_bit_pivots_give_the_low_bit_rank(vectors, limit):
+    # ``limit`` 0 and None alike run to the full rank
+    assert rank_mod_2(vectors, limit) == low_bit_rank_mod_2(vectors, limit)
 
 
 def simplex_boundaries(n):

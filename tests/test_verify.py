@@ -54,6 +54,7 @@ from gmpi.verify import (
 from conftest import (
     certified_total,
     copy_complex,
+    corrupt_block_scalar,
     corrupt_lambda,
     non_nested_instance,
     scale_first_scalar,
@@ -681,3 +682,97 @@ def test_euler_characteristics_match_the_definition():
     expected = [sum((-1) ** i * sum(1 for s in level if divides(s, b))
                     for i, level in enumerate(tot.complex.shifts)) for b in points]
     assert euler_characteristics(tot.complex, points) == expected
+
+
+# -- one block store per verify call
+
+def count_block_work(monkeypatch) -> dict[str, int]:
+    """Counters of the calls that make block objects, filled while the
+    test runs: the ideal resolutions, block scans and rho lifts of
+    ``builder`` and the power-of-maximal draws of ``families``."""
+    from gmpi import builder, families
+    counts = dict.fromkeys(["ideal_resolution", "block_witness", "lift_chain_map",
+                            "power_of_maximal"], 0)
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, call)
+
+    for name in counts:
+        counted(families if name == "power_of_maximal" else builder, name)
+    return counts
+
+
+def test_a_verify_call_makes_each_block_object_once(monkeypatch):
+    from gmpi.verify import run_suite, suite_instances
+    instances = suite_instances() + [mixed_product_instance((3, 3), (2, 1), (1, 2))]
+    ideals = {(inst.family.at(l, d).gens, d) for inst in instances
+              for l, ladder in enumerate(inst.ladders) for d in ladder}
+    pairs = {(inst.family.at(l, d).gens, inst.family.at(l, e).gens) for inst in instances
+             for l, ladder in enumerate(inst.ladders) for e, d in zip(ladder, ladder[1:])}
+    counts = count_block_work(monkeypatch)
+    assert len(run_suite()) == 285
+    first = dict(counts)
+    # one resolution per distinct block ideal, and one of the ring of T per
+    # suite instance (total_complex); one scan per distinct block ideal of
+    # positive degree; one lift per distinct pair.  A store per instance
+    # makes 121, 81 and 60 of them, and 208 draws of power_of_maximal.
+    assert first == {"ideal_resolution": 24 + 20, "block_witness": 20,
+                     "lift_chain_map": 24, "power_of_maximal": 35}
+    assert first["ideal_resolution"] == len(ideals) + 20
+    assert first["block_witness"] == sum(1 for _, d in ideals if d)
+    assert first["lift_chain_map"] == len(pairs)
+    # a second call starts from nothing: no block object outlives a call
+    counts.update(dict.fromkeys(counts, 0))
+    assert len(run_suite()) == 285
+    assert counts == first
+
+
+def test_a_block_corrupted_in_one_suite_instance_is_refused_with_its_witness(monkeypatch):
+    # seed 55's first block of positive degree, (0, 2), has the ideal of a
+    # block of seed 12, which the store has certified by then; the
+    # corrupted copy is a new object, scanned on its own
+    from gmpi import builder
+    from gmpi.verify import run_suite
+    with pytest.raises(builder.ConstructionError) as alone:
+        builder.certify_factors(corrupt_block_scalar(builder.build_factors(random_instance(55))))
+    certify = builder.certify_factors
+    monkeypatch.setattr(builder, "certify_factors", lambda F, *store: certify(
+        corrupt_block_scalar(F) if F.instance.label == "seed55" else F, *store))
+    with pytest.raises(builder.ConstructionError) as suite:
+        run_suite()
+    assert str(suite.value) == str(alone.value)
+    assert suite.value.witness == alone.value.witness == (0, 2, (1, 1, 1))
+
+
+def test_a_later_instance_certifies_its_own_block_of_a_refused_ideal(monkeypatch):
+    # the block of seed 12 whose ideal seed 55 holds at (0, 2) is corrupted
+    # on its way into the certificate; the store keeps the intact block,
+    # which seed 55 then scans and certifies
+    from gmpi import builder
+    store = builder.BlockStore()
+    early, late = random_instance(12, store), random_instance(55, store)
+    gens = late.family.at(0, 2).gens
+    key = next((l, d) for l, ladder in enumerate(early.ladders) for d in ladder
+               if early.family.at(l, d).gens == gens)
+
+    def corrupt(F):
+        F.blocks[key] = copy_complex(F.blocks[key])
+        scale_first_scalar(F.blocks[key].diffs[1], 2)
+        return F
+
+    certify = builder.certify_factors
+    monkeypatch.setattr(builder, "certify_factors",
+                        lambda F, *rest: certify(corrupt(F), *rest))
+    with pytest.raises(builder.ConstructionError, match="does not resolve its substitution"):
+        builder.build_factors(early, store)
+    monkeypatch.undo()
+    assert (id(store.resolutions[gens]), gens) not in store.verdicts
+    factors = builder.build_factors(late, store)
+    assert factors.exactness_verified
+    assert factors.blocks[(0, 2)] is store.resolutions[gens]
+    assert store.verdicts[(id(store.resolutions[gens]), gens)][1] is True
